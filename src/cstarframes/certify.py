@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import pmap
 from .algebra import AlgebraElement, AlgebraShape
 from .frames import Frame, standard_basis_frame
 from .modules import (
@@ -109,7 +108,7 @@ def check_condition_a(sample: SampleSet, generators, eps: float, tol: float = 1e
             approx = approx + g * c
         return residual, [c.norm() for c in coeffs], stacked, approx.norm()
 
-    rows = pmap(solve, sample.points)
+    rows = [solve(x) for x in sample.points]
     residuals = [r[0] for r in rows]
     coeff_norms = [r[1] for r in rows]
     stacked_norms = [r[2] for r in rows]
@@ -148,10 +147,8 @@ def check_condition_b(sample: SampleSet, frame: Frame, eps: float) -> Certificat
     if eps <= 0:
         raise ValueError("eps must be positive")
     m = frame.size
-    tails = [
-        max((frame.reconstruction_tail(x, n) for x in sample.points), default=0.0)
-        for n in range(m + 1)
-    ]
+    profiles = [frame.tail_profile(x) for x in sample.points]
+    tails = [max((p[n] for p in profiles), default=0.0) for n in range(m + 1)]
     n_stable = 0
     for n in range(m):
         if tails[n] >= eps:
@@ -357,10 +354,8 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     m = frame.size
     tol = config.tol
 
-    gen_tails = [
-        max(frame.reconstruction_tail(g, n) for g in generators)
-        for n in range(m + 1)
-    ]
+    gen_profiles = [frame.tail_profile(g) for g in generators]
+    gen_tails = [max(p[n] for p in gen_profiles) for n in range(m + 1)]
 
     entries = []
     for eps in config.eps_grid:
@@ -607,7 +602,7 @@ def free_submodule_check(sample: SampleSet, generators, eps: float, tol: float =
         dist, _ = submodule_distance(x, generators)
         return dist, (x - projector(x)).norm()
 
-    rows = pmap(measure, sample.points)
+    rows = [measure(x) for x in sample.points]
     dists = [r[0] for r in rows]
     residuals = [r[1] for r in rows]
     verdict = all(d < eps for d in dists)

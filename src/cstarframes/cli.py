@@ -117,8 +117,8 @@ def _cmd_reconstruct(args) -> int:
     frame = _load("frame", args.frame_file)
     x = _load("vector", args.vector_file)
     print("prefix,tail")
-    for n in range(frame.size + 1):
-        print(f"{n},{frame.reconstruction_tail(x, n)!r}")
+    for n, tail in enumerate(frame.tail_profile(x)):
+        print(f"{n},{tail!r}")
     return 0
 
 
@@ -202,8 +202,7 @@ def _cmd_counterexample(args) -> int:
     for n in range(setting.dim):
         print(f"{n},{tail_obstruction(setting, n)!r}")
     witnesses = SampleSet(setting.witnesses(), label="witnesses")
-    frame = standard_basis_frame(setting.shape, setting.dim)
-    cert = check_condition_b(witnesses, frame, args.eps)
+    cert = check_condition_b(witnesses, setting.frame, args.eps)
     if args.out:
         _emit(serialize(cert), args.out)
     return cert.exit_code

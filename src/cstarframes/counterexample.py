@@ -16,18 +16,16 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._parallel import pmap
+import numpy as np
+
 from .algebra import AlgebraElement, AlgebraShape
-from .frames import standard_basis_frame
+from .frames import Frame, standard_basis_frame
 from .modules import ModuleOperator, ModuleVector, inner_product
 from .seminorms import SampleSet
 
-
-@functools.lru_cache(maxsize=4)
-def _standard_frame(setting: "TruncatedCSetting"):
-    # settings hash by identity; sweeping all prefixes of one setting
-    # would otherwise rebuild the same frame dim times
-    return standard_basis_frame(setting.shape, setting.dim)
+# Largest truncation the float64 model holds: the generator carries 1/k!,
+# and 171! overflows a double.
+MAX_TRUNC = 170
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +72,15 @@ class TruncatedCSetting:
     def _witnesses(self) -> tuple[ModuleVector, ...]:
         return tuple(self.witness(k) for k in range(1, self.dim + 1))
 
+    @functools.cached_property
+    def frame(self) -> Frame:
+        """The standard basis frame {e_k} of the module, built once."""
+        return standard_basis_frame(self.shape, self.dim)
+
+    @functools.cached_property
+    def _witness_tails(self) -> tuple[list[float], ...]:
+        return tuple(_checked_tails(self.frame, x) for x in self.witnesses())
+
 
 def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
     """Construct the truncated counterexample; dim defaults to trunc.
@@ -84,6 +91,11 @@ def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
     """
     if trunc < 1:
         raise ValueError("truncation level must be at least 1")
+    if trunc > MAX_TRUNC:
+        raise ValueError(
+            f"truncation level {trunc} exceeds {MAX_TRUNC}: the generator "
+            f"coefficient 1/{trunc}! is outside float64 range"
+        )
     if dim is None:
         dim = trunc
     if not 1 <= dim <= trunc:
@@ -152,11 +164,38 @@ def coeff_growth(setting: TruncatedCSetting, eps: float) -> list[tuple[int, floa
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    return [
+        (k, _min_coeff_norm(setting, y, eps))
+        for k, y in enumerate(setting.witnesses(), start=1)
+    ]
 
-    def row(k):
-        return (k, _min_coeff_norm(setting, setting.witness(k), eps))
 
-    return pmap(row, range(1, setting.dim + 1))
+def _truncation_tails(x: ModuleVector) -> list[float]:
+    """||x - x.restrict(0, n)|| for n = 0..dim, one pass per block.
+
+    The residual keeps coordinates n.. of x and is exactly zero before
+    them, so on block k it is the realization of x with its first n*n_k
+    rows zeroed.
+    """
+    tails = np.zeros(x.dim + 1)
+    for k, n_k in enumerate(x.shape.block_dims):
+        xk = x.realize_block(k)
+        kept = np.arange(xk.shape[0]) // n_k >= np.arange(x.dim + 1)[:, None]
+        residuals = np.where(kept[:, :, None], xk, 0.0)
+        tails = np.fmax(tails, np.linalg.norm(residuals, 2, axis=(1, 2)))
+    return tails.tolist()
+
+
+def _checked_tails(frame: Frame, x: ModuleVector) -> list[float]:
+    """Truncation tails of x, cross-checked against the frame's tail profile."""
+    via_frame = frame.tail_profile(x)
+    direct = _truncation_tails(x)
+    for d, f in zip(direct, via_frame):
+        if abs(d - f) > 1e-12:
+            raise AssertionError(
+                f"direct tail {d!r} disagrees with frame tail {f!r}"
+            )
+    return direct
 
 
 def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
@@ -167,27 +206,24 @@ def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
     own term, which every shorter prefix misses.  Pass explicit points
     (e.g. random ball images only) to see the strictly smaller bulk
     values.  Requires n < dim so the achieving witness exists.
+
+    Each point's tails come from coordinate truncation and are checked
+    against the standard frame's tail profile at every prefix; the
+    witnesses' tails are computed once per setting.
     """
     if points is None:
         if not 0 <= n < setting.dim:
             raise ValueError(
                 f"prefix {n} has no witness at module dimension {setting.dim}"
             )
-        points = setting.witnesses()
-    elif n < 0:
-        raise ValueError("prefix must be non-negative")
-    frame = _standard_frame(setting)
-
-    def tail(x):
-        direct = (x - x.restrict(0, n)).norm()
-        via_frame = frame.reconstruction_tail(x, n)
-        if abs(direct - via_frame) > 1e-12:
-            raise AssertionError(
-                f"direct tail {direct!r} disagrees with frame tail {via_frame!r}"
-            )
-        return direct
-
-    return max(pmap(tail, list(points)), default=0.0)
+        profiles = setting._witness_tails
+    elif not 0 <= n <= setting.dim:
+        raise ValueError(
+            f"prefix {n} out of range for module dimension {setting.dim}"
+        )
+    else:
+        profiles = [_checked_tails(setting.frame, x) for x in points]
+    return max((tails[n] for tails in profiles), default=0.0)
 
 
 @dataclass(frozen=True)

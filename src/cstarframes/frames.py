@@ -9,6 +9,8 @@ g_j = S^(-1) x_j, computed by one Hermitian solve per block.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
@@ -41,15 +43,36 @@ def _operator_from_block_matrices(
     return ModuleOperator(shape, tuple(rows))
 
 
+def _gram_block(coords: np.ndarray) -> np.ndarray:
+    """Realized gram block S_k from the coordinate blocks x_{l,i} of block k.
+
+    coords has shape (size, dim, n_k, n_k).  Entry (i, j) of S = Theta* Theta
+    is sum_l x_{l,i} x_{l,j}*: every product is formed in one batched
+    matmul, then the products are added in frame order l = 0, 1, ...,
+    which is the arithmetic of the operator product Theta* @ Theta entry
+    by entry.
+    """
+    size, dim, n, _ = coords.shape
+    adjoints = np.ascontiguousarray(coords.conj().swapaxes(-1, -2))
+    products = coords[:, :, None] @ adjoints[:, None, :]
+    acc = np.zeros((dim, dim, n, n), complex)
+    for p in products:
+        acc = acc + p
+    return acc.transpose(0, 2, 1, 3).reshape(dim * n, dim * n)
+
+
 class Frame:
-    """Finite frame with cached analysis operator, bounds, and dual.
+    """Finite frame with bounds and canonical dual, plus lazy module operators.
 
     spanning="ambient" (default) demands a frame for the whole module and
     rejects degenerate families.  spanning="range" accepts families that
     only span a submodule: bounds come from the nonzero gram spectrum and
     the dual uses the pseudo-inverse, so reconstruction reproduces the
-    projection onto the family's span.  Construction freezes every cache;
-    instances are read-only afterwards.
+    projection onto the family's span.  Construction computes the bounds
+    and the per-block realizations of the family and its dual straight
+    from the coordinate blocks; the module-level objects (analysis
+    operator, gram operator, dual vectors) are built on first use.
+    Instances are read-only.
     """
 
     def __init__(self, vectors, spanning: str = "ambient", tol: float = 1e-10):
@@ -66,21 +89,15 @@ class Frame:
         self._shape = first.shape
         self._dim = first.dim
 
-        # Theta(x) = (<x_j, x>)_j, so the matrix row j holds the adjoints
-        # of the coordinates of x_j.
-        self._theta = ModuleOperator(
-            self._shape,
-            tuple(
-                tuple(c.adjoint() for c in v.coords) for v in vectors
-            ),
-        )
-        self._theta_star = self._theta.adjoint()
-        self._gram = self._theta_star @ self._theta
+        coord_blocks = [
+            np.array([[c.blocks[k] for c in v.coords] for v in vectors])
+            for k in range(self._shape.num_blocks)
+        ]
+        self._gram_blocks = tuple(_gram_block(xs) for xs in coord_blocks)
 
         eigensystems = []
         lo, hi = np.inf, 0.0
-        for k in range(self._shape.num_blocks):
-            sk = self._gram.realize_block(k)
+        for sk in self._gram_blocks:
             w, u = np.linalg.eigh((sk + sk.conj().T) / 2.0)
             eigensystems.append((w, u))
             lo = min(lo, float(w.min()))
@@ -107,19 +124,39 @@ class Frame:
             inv_w = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
             inv_blocks.append((u * inv_w) @ u.conj().T)
         self._gram_inv_blocks = inv_blocks
-        # Per-vector, per-block realizations of the family and its dual,
-        # kept for the tails, which work on them without module objects.
+        # Per block k, the stacked realizations X_jk of the family, shape
+        # (size, dim*n_k, n_k), and G_jk = S_k^(-1) X_jk of its dual.
         self._vector_blocks = tuple(
-            tuple(v.realize_block(k) for k in range(self._shape.num_blocks))
-            for v in vectors
+            xs.reshape(self.size, -1, xs.shape[-1]) for xs in coord_blocks
         )
         self._dual_blocks = tuple(
-            tuple(inv_blocks[k] @ r for k, r in enumerate(blocks))
-            for blocks in self._vector_blocks
+            inv @ xs for inv, xs in zip(inv_blocks, self._vector_blocks)
         )
-        self._dual = tuple(
-            vector_from_realizations(self._shape, self._dim, mats)
-            for mats in self._dual_blocks
+
+    @functools.cached_property
+    def _theta(self) -> ModuleOperator:
+        # Theta(x) = (<x_j, x>)_j, so the matrix row j holds the adjoints
+        # of the coordinates of x_j.
+        return ModuleOperator(
+            self._shape,
+            tuple(tuple(c.adjoint() for c in v.coords) for v in self._vectors),
+        )
+
+    @functools.cached_property
+    def _theta_star(self) -> ModuleOperator:
+        return self._theta.adjoint()
+
+    @functools.cached_property
+    def _gram(self) -> ModuleOperator:
+        return self._theta_star @ self._theta
+
+    @functools.cached_property
+    def _dual(self) -> tuple[ModuleVector, ...]:
+        return tuple(
+            vector_from_realizations(
+                self._shape, self._dim, [g[j] for g in self._dual_blocks]
+            )
+            for j in range(self.size)
         )
 
     # -- basic accessors --------------------------------------------------
@@ -155,11 +192,6 @@ class Frame:
         return self._theta
 
     @property
-    def synthesis_op(self) -> ModuleOperator:
-        """Theta*: (a_j)_j -> sum_j x_j a_j."""
-        return self._theta_star
-
-    @property
     def gram_op(self) -> ModuleOperator:
         """S = Theta* Theta."""
         return self._gram
@@ -190,28 +222,39 @@ class Frame:
             out = out + self._vectors[j] * inner_product(self._dual[j], x)
         return out
 
+    def _prefix_tails(self, x: ModuleVector, stop: int) -> np.ndarray:
+        """||x - sum_{j<n} x_j <g_j,x>|| for n = 0..stop, in one pass.
+
+        Works on the stored block realizations X_jk of x_j and G_jk of g_j:
+        on block k the terms X_jk (G_jk* x_k) are formed in one batched
+        matmul and summed cumulatively in frame order from zero, so prefix
+        n holds exactly the sum `reconstruct(x, range(n))` forms.  Each
+        tail is the largest spectral norm of x_k minus its partial sum.
+        """
+        self._vectors[0]._require_compatible(x)
+        tails = np.zeros(stop + 1)
+        for k, (vk, gk) in enumerate(zip(self._vector_blocks, self._dual_blocks)):
+            xk = x.realize_block(k)
+            terms = vk[:stop] @ (gk[:stop].conj().swapaxes(-1, -2) @ xk)
+            partial = np.add.accumulate(
+                np.concatenate((np.zeros((1,) + xk.shape, complex), terms)), axis=0
+            )
+            tails = np.fmax(tails, np.linalg.norm(xk - partial, 2, axis=(1, 2)))
+        return tails
+
+    def tail_profile(self, x: ModuleVector) -> list[float]:
+        """Every prefix tail ||x - sum_{j<n} x_j <g_j,x>||, n = 0..size."""
+        return self._prefix_tails(x, self.size).tolist()
+
     def reconstruction_tail(self, x: ModuleVector, n: int) -> float:
         """||x - sum_{j<n} x_j <g_j,x>|| for the stored vector order.
 
-        Computed from the stored block realizations X_jk of x_j and G_jk of
-        g_j: on block k the tail is the spectral norm of
-        x_k - sum_{j<n} X_jk (G_jk* x_k), summed in frame order, and the
-        result is the largest of these.  This is the arithmetic of
-        `reconstruct` followed by `norm`, without building the module
-        vectors and algebra elements in between.
+        The same arithmetic as `tail_profile`, stopped at prefix n; use
+        `tail_profile` when several prefixes of one point are needed.
         """
         if not 0 <= n <= self.size:
             raise ValueError(f"prefix length {n} out of range")
-        self._vectors[0]._require_compatible(x)
-        worst = 0.0
-        for k in range(self._shape.num_blocks):
-            xk = x.realize_block(k)
-            acc = np.zeros_like(xk)
-            for j in range(n):
-                coeff = self._dual_blocks[j][k].conj().T @ xk
-                acc = acc + self._vector_blocks[j][k] @ coeff
-            worst = max(worst, float(np.linalg.norm(xk - acc, 2)))
-        return worst
+        return float(self._prefix_tails(x, n)[n])
 
     def partial_sum_op(self, indices) -> ModuleOperator:
         """P_J' = sum_{j in J'} theta_{x_j, g_j}; norm bounded by c2/c1."""

@@ -357,10 +357,6 @@ class SubmodulePresentation:
         return cls(p)
 
 
-def project(presentation: SubmodulePresentation, x: ModuleVector) -> ModuleVector:
-    return presentation.apply(x)
-
-
 # -- span geometry ------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import pmap
 from .algebra import State, norm_attaining_state
 from .modules import ModuleOperator, ModuleVector, inner_product, theta_op
 
@@ -212,13 +211,13 @@ def epsilon_net(sample: SampleSet, spec: SeminormSpec, eps: float) -> list[int]:
     if not pts:
         return []
     net = [0]
-    dist = np.array(pmap(lambda p: pseudometric_eval(spec, p, pts[0]), pts))
+    dist = np.array([pseudometric_eval(spec, p, pts[0]) for p in pts])
     while True:
         far = int(np.argmax(dist))
         if dist[far] < eps:
             return net
         net.append(far)
-        new = np.array(pmap(lambda p: pseudometric_eval(spec, p, pts[far]), pts))
+        new = np.array([pseudometric_eval(spec, p, pts[far]) for p in pts])
         dist = np.minimum(dist, new)
 
 

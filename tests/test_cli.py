@@ -326,6 +326,13 @@ def test_counterexample_dim_defaults_to_trunc(capsys):
     assert len(tail_lines) == 3
 
 
+def test_counterexample_trunc_ceiling_is_data_error(capsys):
+    code, out, err = run(capsys, "counterexample", "--trunc", "171", "--eps", "0.25")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cstarframes: error: truncation level 171 exceeds 170")
+
+
 def test_counterexample_deterministic(capsys):
     _, first, _ = run(capsys, "counterexample", "--trunc", "5", "--eps", "0.1")
     _, second, _ = run(capsys, "counterexample", "--trunc", "5", "--eps", "0.1")

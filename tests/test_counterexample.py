@@ -108,12 +108,45 @@ def test_tail_obstruction_needs_witness():
 
 def test_tail_obstruction_cross_checks_frame_route(monkeypatch):
     setting = build_setting(4, 4)
-    exact = Frame.reconstruction_tail
+    exact = Frame.tail_profile
     monkeypatch.setattr(
-        Frame, "reconstruction_tail", lambda self, x, n: exact(self, x, n) + 1e-9
+        Frame, "tail_profile", lambda self, x: [t + 1e-9 for t in exact(self, x)]
     )
     with pytest.raises(AssertionError, match="disagrees"):
         tail_obstruction(setting, 1)
+
+
+def test_tail_obstruction_checks_every_prefix_of_explicit_points(monkeypatch):
+    setting = build_setting(4, 4)
+    points = image_sample(setting, count=3, seed=1).points
+    exact = Frame.tail_profile
+
+    def off_at_last_prefix(self, x):
+        tails = exact(self, x)
+        return tails[:-1] + [tails[-1] + 1e-9]
+
+    monkeypatch.setattr(Frame, "tail_profile", off_at_last_prefix)
+    with pytest.raises(AssertionError, match="disagrees"):
+        tail_obstruction(setting, 0, points=points)
+
+
+def test_tail_obstruction_rejects_prefix_beyond_dim():
+    setting = build_setting(4, 4)
+    with pytest.raises(ValueError, match="out of range"):
+        tail_obstruction(setting, 5, points=setting.witnesses())
+
+
+def test_setting_frame_is_built_once():
+    setting = build_setting(4, 3)
+    assert setting.frame is setting.frame
+    assert setting.frame.size == setting.dim
+    assert setting.frame.bounds == (1.0, 1.0)
+
+
+def test_truncation_ceiling_rejected_before_building():
+    build_setting(170, 1)
+    with pytest.raises(ValueError, match="exceeds 170"):
+        build_setting(171, 1)
 
 
 def test_tail_over_bulk_strictly_smaller():

@@ -161,6 +161,47 @@ def test_tail_matches_reconstruct_route(seed, dims):
                 fr.reconstruction_tail(x, n)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dims", [(1, 1), (2,), (1, 2, 3), (2, 2)])
+def test_tail_profile_is_every_reconstruction_tail(seed, dims):
+    rng = np.random.default_rng(seed)
+    shape = AlgebraShape(dims)
+    ambient = random_frame(shape, 3, 5, rng)
+    span = Frame(
+        (random_vector(shape, 3, rng), random_vector(shape, 3, rng)),
+        spanning="range",
+    )
+    for fr in (ambient, span):
+        x = random_vector(shape, 3, rng)
+        profile = fr.tail_profile(x)
+        assert len(profile) == fr.size + 1
+        for n, tail in enumerate(profile):
+            assert tail == fr.reconstruction_tail(x, n)
+
+
+def test_tail_profile_rejects_other_module(rng):
+    fr = random_frame(C2, 2, 3, rng)
+    with pytest.raises(ValueError, match="different modules"):
+        fr.tail_profile(random_vector(C2, 3, rng))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blockwise_gram_matches_operator_product(seed):
+    """S_k from the coordinate blocks equals the realized Theta* @ Theta."""
+    rng = np.random.default_rng(seed)
+    shape = AlgebraShape((1, 2, 3))
+    ambient = random_frame(shape, 3, 6, rng)
+    span = Frame(
+        (random_vector(shape, 3, rng), random_vector(shape, 3, rng)),
+        spanning="range",
+    )
+    for fr in (ambient, span):
+        for k in range(shape.num_blocks):
+            via_operator = fr.gram_op.realize_block(k)
+            assert fr._gram_blocks[k].shape == via_operator.shape
+            assert fr._gram_blocks[k].tobytes() == via_operator.tobytes()
+
+
 def test_degenerate_frame_rejected():
     with pytest.raises(DegenerateFrameError, match="eigenvalue"):
         Frame((ModuleVector.basis(C2, 2, 0),))
