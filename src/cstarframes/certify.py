@@ -16,9 +16,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraElement
 from .frames import Frame, standard_basis_frame
 from .modules import (
     ModuleVector,
@@ -28,7 +26,7 @@ from .modules import (
     synthesis_pinv_norm,
     theta_op,
 )
-from .seminorms import SampleSet
+from .seminorms import BallSampler, SampleSet
 
 
 class GramDefectError(ValueError):
@@ -430,55 +428,6 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
 
 
 # -- operators ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BallSampler:
-    """Deterministic unit-ball sampler: extreme witnesses plus seeded bulk.
-
-    The witnesses are the basis vectors e_k and every e_k scaled by a
-    central block unit; the obstruction of interest lives on them, not on
-    the random bulk.  Random draws use blockwise complex Gaussians
-    rescaled into the ball.
-    """
-
-    shape: AlgebraShape
-    dim: int
-    count: int = 32
-    seed: int = 0
-
-    def witnesses(self) -> list[ModuleVector]:
-        """The deterministic extreme points: e_k and e_k times block units."""
-        out = []
-        for k in range(self.dim):
-            e_k = ModuleVector.basis(self.shape, self.dim, k)
-            out.append(e_k)
-            for b in range(self.shape.num_blocks):
-                out.append(e_k * AlgebraElement.block_unit(self.shape, b))
-        return out
-
-    def bulk(self) -> list[ModuleVector]:
-        """The seeded random portion alone, rescaled into the ball."""
-        rng = np.random.default_rng(self.seed)
-        out = []
-        for _ in range(self.count):
-            coords = []
-            for _ in range(self.dim):
-                blocks = tuple(
-                    (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-                    / math.sqrt(2.0)
-                    for n in self.shape.block_dims
-                )
-                coords.append(AlgebraElement(self.shape, blocks))
-            x = ModuleVector(self.shape, tuple(coords))
-            nx = x.norm()
-            if nx > 1.0:
-                x = x / nx
-            out.append(x)
-        return out
-
-    def draw(self) -> list[ModuleVector]:
-        return self.witnesses() + self.bulk()
 
 
 def operator_precompact(op, sampler: BallSampler, eps: float, config: CertifyConfig | None = None) -> Certificate:

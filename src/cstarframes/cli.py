@@ -26,7 +26,7 @@ from .certify import (
 )
 from .counterexample import build_setting, coeff_growth, tail_obstruction
 from .frames import DegenerateFrameError, Frame, standard_basis_frame
-from .seminorms import SampleSet, epsilon_net, seminorm_eval
+from .seminorms import SampleSet, epsilon_net, seminorm_values
 from .serialization import SchemaError, parse, serialize
 
 USAGE_EXIT = 64
@@ -126,8 +126,8 @@ def _cmd_seminorm(args) -> int:
     spec = _load("seminorm_spec", args.spec_file)
     sample = _load("sample_set", args.sample_file)
     print("index,seminorm")
-    for i, x in enumerate(sample.points):
-        print(f"{i},{seminorm_eval(spec, x)!r}")
+    for i, value in enumerate(seminorm_values(spec, sample).tolist()):
+        print(f"{i},{value!r}")
     return 0
 
 

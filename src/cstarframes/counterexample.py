@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape
 from .frames import Frame, standard_basis_frame
 from .modules import ModuleOperator, ModuleVector, inner_product
-from .seminorms import SampleSet
+from .seminorms import BallSampler, SampleSet
 
 # Largest truncation the float64 model holds: the generator carries 1/k!,
 # and 171! overflows a double.
@@ -82,13 +82,8 @@ class TruncatedCSetting:
         return tuple(_checked_tails(self.frame, x) for x in self.witnesses())
 
 
-def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
-    """Construct the truncated counterexample; dim defaults to trunc.
-
-    Verifies the two structural identities before returning: F fixes the
-    generator v, and ||F|| <= 1 (the realized blocks are coordinate
-    projections).
-    """
+def check_truncation(trunc: int) -> None:
+    """Reject a truncation level outside 1..MAX_TRUNC with a ValueError."""
     if trunc < 1:
         raise ValueError("truncation level must be at least 1")
     if trunc > MAX_TRUNC:
@@ -96,6 +91,16 @@ def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
             f"truncation level {trunc} exceeds {MAX_TRUNC}: the generator "
             f"coefficient 1/{trunc}! is outside float64 range"
         )
+
+
+def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
+    """Construct the truncated counterexample; dim defaults to trunc.
+
+    Verifies the two structural identities before returning: F fixes the
+    generator v, and ||F|| <= 1 (the realized blocks are coordinate
+    projections).
+    """
+    check_truncation(trunc)
     if dim is None:
         dim = trunc
     if not 1 <= dim <= trunc:
@@ -298,8 +303,6 @@ def image_sample(
     bulk is pushed through F, which is how one sees that random sampling
     alone misses the obstruction.
     """
-    from .certify import BallSampler
-
     sampler = BallSampler(setting.shape, setting.dim, count=count, seed=seed)
     if include_witnesses:
         points = list(setting.witnesses())

@@ -5,21 +5,27 @@ An admissible system X = {x_i} (norms at most one, gram sum dominated by
 
     nu_{X,Phi}(x)^2 = max_k sum_{i>=k} |phi_k(<x, x_i>)|^2
 
-and the pseudometric d_{X,Phi}(x,y) = nu_{X,Phi}(x-y).  Total boundedness
-of finite sample sets under these pseudometrics is checked with greedy
-nets; the adversarial construction turns slow coordinate-tail decay into
-a witness pair (X, Phi) separating points at a quantified distance.
+and the pseudometric d_{X,Phi}(x,y) = nu_{X,Phi}(x-y).  Every evaluation
+goes through the state-value tensor V[p, k, i] = phi_k(<x_p, x_i>) of a
+sample, computed once from the stacked block realizations; since the
+inner product is conjugate-linear in its first argument and each phi_k
+is linear, d(x_p, x_q) = nu(V[p] - V[q]) with no module vector built.
+Total boundedness of finite sample sets under these pseudometrics is
+checked with greedy nets; the adversarial construction turns slow
+coordinate-tail decay into a witness pair (X, Phi) separating points at
+a quantified distance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import State, norm_attaining_state
-from .modules import ModuleOperator, ModuleVector, inner_product, theta_op
+from .algebra import AlgebraElement, AlgebraShape, State, norm_attaining_state
+from .modules import ModuleOperator, ModuleVector, inner_product
 
 
 class ApproximationHypothesisError(ValueError):
@@ -76,6 +82,70 @@ class SampleSet:
     @property
     def dim(self):
         return self.points[0].dim if self.points else None
+
+    @functools.cached_property
+    def realizations(self) -> tuple[np.ndarray, ...]:
+        """Per block k, the stacked realizations, shape (len, dim*n_k, n_k)."""
+        if not self.points:
+            return ()
+        return tuple(
+            np.stack([x.realize_block(k) for x in self.points])
+            for k in range(self.shape.num_blocks)
+        )
+
+
+def _require_same_module(a: SampleSet, b: SampleSet):
+    if a.points and b.points:
+        a.points[0]._require_compatible(b.points[0])
+
+
+@dataclass(frozen=True)
+class BallSampler:
+    """Deterministic unit-ball sampler: extreme witnesses plus seeded bulk.
+
+    The witnesses are the basis vectors e_k and every e_k scaled by a
+    central block unit; the obstruction of interest lives on them, not on
+    the random bulk.  Random draws use blockwise complex Gaussians
+    rescaled into the ball.
+    """
+
+    shape: AlgebraShape
+    dim: int
+    count: int = 32
+    seed: int = 0
+
+    def witnesses(self) -> list[ModuleVector]:
+        """The deterministic extreme points: e_k and e_k times block units."""
+        out = []
+        for k in range(self.dim):
+            e_k = ModuleVector.basis(self.shape, self.dim, k)
+            out.append(e_k)
+            for b in range(self.shape.num_blocks):
+                out.append(e_k * AlgebraElement.block_unit(self.shape, b))
+        return out
+
+    def bulk(self) -> list[ModuleVector]:
+        """The seeded random portion alone, rescaled into the ball."""
+        rng = np.random.default_rng(self.seed)
+        out = []
+        for _ in range(self.count):
+            coords = []
+            for _ in range(self.dim):
+                blocks = tuple(
+                    (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                    / math.sqrt(2.0)
+                    for n in self.shape.block_dims
+                )
+                coords.append(AlgebraElement(self.shape, blocks))
+            x = ModuleVector(self.shape, tuple(coords))
+            nx = x.norm()
+            if nx > 1.0:
+                x = x / nx
+            out.append(x)
+        return out
+
+    def draw(self) -> list[ModuleVector]:
+        return self.witnesses() + self.bulk()
 
 
 @dataclass(frozen=True)
@@ -176,25 +246,94 @@ class SeminormSpec:
             )
         object.__setattr__(self, "states", states)
 
+    @functools.cached_property
+    def _system(self) -> SampleSet:
+        return SampleSet(self.system.vectors)
+
+    @functools.cached_property
+    def _densities(self) -> tuple[np.ndarray, ...]:
+        # Per block b, the densities of all states, shape (len, n_b, n_b).
+        shape = self.system.vectors[0].shape
+        if any(phi.shape != shape for phi in self.states):
+            raise ValueError("state and element shapes differ")
+        return tuple(
+            np.stack([phi.densities[b] for phi in self.states])
+            for b in range(shape.num_blocks)
+        )
+
+
+def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
+    """The tensor V[p, k, i] = phi_k(<x_p, x_i>) of a sample, one pass per block.
+
+    Each value is the same arithmetic as phi_k(inner_product(x_p, x_i)):
+    per block, <x_p, x_i> is R(x_p)* R(x_i) on the stacked realizations
+    and phi_k contributes trace(rho @ <x_p, x_i>); the blocks are added in
+    order.  Here every pair comes out of one batched product per block.
+    """
+    system = spec._system
+    _require_same_module(sample, system)
+    values = np.zeros((len(sample), len(system), len(system)), complex)
+    for s, y, rho in zip(sample.realizations, system.realizations, spec._densities):
+        ips = s.conj().transpose(0, 2, 1)[:, None] @ y[None]
+        values = values + np.trace(rho[None, :, None] @ ips[:, None], axis1=-2, axis2=-1)
+    return values
+
+
+def _nu(values: np.ndarray) -> np.ndarray:
+    """nu over the last two axes (k, i) of state values: max_k sum_{i>=k} |.|^2."""
+    # hypot and pow are the libm calls behind abs(complex) and float ** 2;
+    # numpy's own complex abs and square can round differently.  Zeros
+    # below the diagonal leave the running sum from i = k unchanged, so
+    # each tail is accumulated in index order as a scalar loop would.
+    squares = np.float_power(np.hypot(values.real, values.imag), 2)
+    tails = np.add.accumulate(np.triu(squares), axis=-1)[..., -1]
+    return np.sqrt(tails.max(axis=-1))
+
+
+def seminorm_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
+    """nu_{X,Phi} at every sample point, from one state-value tensor."""
+    return _nu(state_values(spec, sample))
+
 
 def seminorm_eval(spec: SeminormSpec, x: ModuleVector) -> float:
-    """nu_{X,Phi}(x): the sup over k of the tail-l2 of state values."""
-    ips = [inner_product(x, xi) for xi in spec.system.vectors]
-    best = 0.0
-    for k, phi in enumerate(spec.states):
-        acc = 0.0
-        for i in range(k, len(ips)):
-            acc += abs(phi(ips[i])) ** 2
-        best = max(best, acc)
-    return math.sqrt(best)
+    """nu_{X,Phi}(x): the sup over k of the tail-l2 of state values.
+
+    Bit-identical to summing abs(phi_k(inner_product(x, x_i)))**2 from
+    i = k in index order and taking the square root of the largest sum.
+    """
+    return float(seminorm_values(spec, SampleSet((x,)))[0])
 
 
 def pseudometric_eval(spec: SeminormSpec, x: ModuleVector, y: ModuleVector) -> float:
-    """d_{X,Phi}(x,y) = nu_{X,Phi}(x-y); vanishing on x != y is allowed."""
-    return seminorm_eval(spec, x - y)
+    """d_{X,Phi}(x,y) = nu_{X,Phi}(x-y); vanishing on x != y is allowed.
+
+    Evaluated as nu(V[x] - V[y]) on state values, which equals nu(x-y)
+    by linearity; it may differ from evaluating nu on the vector x - y
+    only in the last bits.
+    """
+    values = state_values(spec, SampleSet((x, y)))
+    return float(_nu(values[0] - values[1]))
 
 
 # -- nets ----------------------------------------------------------------
+
+
+def _greedy_net(values: np.ndarray, eps: float) -> list[int]:
+    net = [0]
+    dist = _nu(values - values[0])
+    while True:
+        far = int(np.argmax(dist))
+        if dist[far] < eps:
+            return net
+        net.append(far)
+        dist = np.minimum(dist, _nu(values - values[far]))
+
+
+def _covers(values: np.ndarray, centres: np.ndarray, radius: float) -> bool:
+    if not len(centres):
+        return not len(values)
+    dist = _nu(values[:, None] - centres[None])
+    return bool((dist.min(axis=1) < radius).all())
 
 
 def epsilon_net(sample: SampleSet, spec: SeminormSpec, eps: float) -> list[int]:
@@ -204,32 +343,36 @@ def epsilon_net(sample: SampleSet, spec: SeminormSpec, eps: float) -> list[int]:
     from the net, the farthest one joins (first index on ties).  Every
     sample point ends strictly within eps of a net point, and net points
     are sample points, as the totally-bounded definition demands.
+
+    Distances come from the state-value tensor, d(x_p, x_q) =
+    nu(V[p] - V[q]) by linearity, so one greedy step is one array
+    operation over the sample.  They may differ from nu(x_p - x_q) on
+    the vector difference only in the last bits.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pts = sample.points
-    if not pts:
+    if not sample.points:
         return []
-    net = [0]
-    dist = np.array([pseudometric_eval(spec, p, pts[0]) for p in pts])
-    while True:
-        far = int(np.argmax(dist))
-        if dist[far] < eps:
-            return net
-        net.append(far)
-        new = np.array([pseudometric_eval(spec, p, pts[far]) for p in pts])
-        dist = np.minimum(dist, new)
+    return _greedy_net(state_values(spec, sample), eps)
 
 
 def net_covers(sample: SampleSet, spec: SeminormSpec, net_indices, radius: float) -> bool:
     """Exhaustive check that every point is within `radius` of the net."""
-    idx = list(net_indices)
-    if not idx:
-        return len(sample) == 0
-    for p in sample.points:
-        if min(pseudometric_eval(spec, p, sample.points[j]) for j in idx) >= radius:
-            return False
-    return True
+    if not sample.points:
+        return True
+    values = state_values(spec, sample)
+    return _covers(values, values[list(net_indices)], radius)
+
+
+def _module_distances(sample: SampleSet, approx: SampleSet) -> np.ndarray:
+    """||s_i - y_j|| for every pair: max over blocks of one batched spectral norm."""
+    return np.max(
+        [
+            np.linalg.norm(s[:, None] - a[None], 2, axis=(-2, -1))
+            for s, a in zip(sample.realizations, approx.realizations)
+        ],
+        axis=0,
+    )
 
 
 def net_transfer(
@@ -243,21 +386,25 @@ def net_transfer(
     precondition (each sample point within eps of `approx` in module
     norm) and the 6*eps cover of the output are both verified.
     """
-    for i, s in enumerate(sample.points):
-        d = min((s - y).norm() for y in approx.points)
-        if d >= eps:
-            raise ApproximationHypothesisError(i, d, eps)
+    if not sample.points:
+        return []
+    if not approx.points:
+        raise ValueError("the approximating set is empty")
+    _require_same_module(sample, approx)
+    closest = _module_distances(sample, approx).min(axis=1)
+    far = np.flatnonzero(closest >= eps)
+    if far.size:
+        i = int(far[0])
+        raise ApproximationHypothesisError(i, float(closest[i]), eps)
 
-    net = epsilon_net(approx, spec, eps)
+    sample_values = state_values(spec, sample)
+    approx_values = state_values(spec, approx)
     chosen: list[int] = []
-    for j in net:
-        yj = approx.points[j]
-        for i, s in enumerate(sample.points):
-            if pseudometric_eval(spec, s, yj) < 3.0 * eps:
-                if i not in chosen:
-                    chosen.append(i)
-                break
-    if not net_covers(sample, spec, chosen, 6.0 * eps):
+    for j in _greedy_net(approx_values, eps):
+        near = np.flatnonzero(_nu(sample_values - approx_values[j]) < 3.0 * eps)
+        if near.size and int(near[0]) not in chosen:
+            chosen.append(int(near[0]))
+    if not _covers(sample_values, sample_values[chosen], 6.0 * eps):
         raise AssertionError("6*eps cover failed; this contradicts the transfer argument")
     return chosen
 

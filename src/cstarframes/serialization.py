@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, State
-from .counterexample import TruncatedCSetting, build_setting
+from .counterexample import TruncatedCSetting, build_setting, check_truncation
 from .frames import DegenerateFrameError, Frame
 from .modules import ModuleOperator, ModuleVector
 from .seminorms import AdmissibleSystem, SampleSet, SeminormSpec
@@ -375,6 +375,10 @@ def _parse_setting_doc(doc: dict) -> TruncatedCSetting:
     _reject_unknown(doc, {"version", "kind", "trunc", "dim"}, "$")
     trunc = _expect_int(_get(doc, "trunc", "$"), "$.trunc")
     dim = _expect_int(_get(doc, "dim", "$"), "$.dim")
+    try:
+        check_truncation(trunc)
+    except ValueError as e:
+        raise SchemaError("$.trunc", str(e)) from e
     try:
         return build_setting(trunc, dim)
     except ValueError as e:

@@ -124,6 +124,37 @@ def test_seminorm_csv(capsys):
         assert float(value) == seminorm_eval(spec, sample.points[i])
 
 
+# Exact output of the fixtures, recorded before the seminorm and net
+# commands moved to the state-value tensor; every float must keep its bits.
+SEMINORM_GOLDEN = (
+    "index,seminorm\n"
+    "0,0.9894709520116697\n"
+    "1,0.37580402592244805\n"
+    "2,0.5099128819032521\n"
+    "3,0.3725621386470719\n"
+    "4,0.5530249312079881\n"
+    "5,0.4199146273651348\n"
+)
+NET_GOLDEN = {
+    "0.1": "net_index\n0\n4\n1\n3\n5\n2\n",
+    "0.5": "net_index\n0\n4\n1\n3\n",
+    "5.0": "net_index\n0\n",
+}
+
+
+def test_seminorm_csv_golden(capsys):
+    result = run(capsys, "seminorm", fx("seminorm_spec.json"), fx("sample_planted.json"))
+    assert result == (0, SEMINORM_GOLDEN, "")
+
+
+@pytest.mark.parametrize("eps", sorted(NET_GOLDEN))
+def test_net_golden(capsys, eps):
+    result = run(
+        capsys, "net", fx("sample_planted.json"), fx("seminorm_spec.json"), "--eps", eps
+    )
+    assert result == (0, NET_GOLDEN[eps], "")
+
+
 # --- net ---
 
 

@@ -1,5 +1,7 @@
 """Admissible systems, seminorms, greedy nets, transfer, witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,10 +25,13 @@ from cstarframes import (
     admissible_check,
     adversarial_witness,
     epsilon_net,
+    inner_product,
     net_covers,
     net_transfer,
     pseudometric_eval,
     seminorm_eval,
+    seminorm_values,
+    state_values,
 )
 
 C2 = AlgebraShape((1, 1))
@@ -254,3 +259,172 @@ def test_witness_system_is_admissible():
     report = adversarial_witness(SampleSet(points), (2, 4, 6), delta=1.0)
     check = admissible_check(report.spec.system.vectors)
     assert check.ok
+
+
+# -- the state-value tensor against the vector route ------------------------
+
+
+def oracle_nu(spec, x):
+    """nu(x) through inner_product and State.__call__, one value at a time."""
+    best = 0.0
+    for k, phi in enumerate(spec.states):
+        acc = 0.0
+        for xi in spec.system.vectors[k:]:
+            acc += abs(phi(inner_product(x, xi))) ** 2
+        best = max(best, acc)
+    return math.sqrt(best)
+
+
+def oracle_greedy(spec, points, eps, limit=None):
+    """Farthest-point net on the x - y route: (net, farthest distance per step)."""
+    dist = [oracle_nu(spec, p - points[0]) for p in points]
+    net, far_dists = [0], []
+    while limit is None or len(net) < limit:
+        far = int(np.argmax(dist))
+        far_dists.append(dist[far])
+        if dist[far] < eps:
+            break
+        net.append(far)
+        dist = [min(d, oracle_nu(spec, p - points[far])) for d, p in zip(dist, points)]
+    return net, far_dists
+
+
+def random_admissible_spec(shape, dim, size, rng):
+    """Random system scaled so that sum_i theta_{x_i,x_i} <= 0.9 Id, random states."""
+    vecs = [random_vector(shape, dim, rng) for _ in range(size)]
+    top = max(
+        float(np.linalg.norm(np.hstack([v.realize_block(k) for v in vecs]), 2))
+        for k in range(shape.num_blocks)
+    )
+    system = AdmissibleSystem(tuple(v * (0.9 / top) for v in vecs))
+    return SeminormSpec(system, tuple(random_state(shape, rng) for _ in range(size)))
+
+
+SHAPES = [(1,), (2,), (1, 2), (1, 1, 2)]
+
+spec_cases = st.tuples(
+    st.sampled_from(SHAPES),
+    st.integers(1, 3),  # module dimension
+    st.integers(1, 4),  # system size
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 1e3),  # point scale
+)
+
+
+def draw_case(case, count):
+    dims, dim, size, seed, scale = case
+    rng = np.random.default_rng(seed)
+    shape = AlgebraShape(dims)
+    spec = random_admissible_spec(shape, dim, size, rng)
+    points = tuple(random_vector(shape, dim, rng, scale) for _ in range(count))
+    return spec, points
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=spec_cases)
+def test_seminorm_is_bit_identical_to_vector_route(case):
+    spec, points = draw_case(case, 5)
+    expected = [oracle_nu(spec, x) for x in points]
+    assert [seminorm_eval(spec, x) for x in points] == expected
+    assert seminorm_values(spec, SampleSet(points)).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=spec_cases)
+def test_pseudometric_matches_vector_route(case):
+    spec, (x, y) = draw_case(case, 2)
+    expected = oracle_nu(spec, x - y)
+    tol = 1e-12 * (1.0 + x.norm() + y.norm())
+    assert abs(pseudometric_eval(spec, x, y) - expected) <= tol
+    assert pseudometric_eval(spec, x, x) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=spec_cases, target=st.integers(2, 4))
+def test_epsilon_net_matches_vector_route(case, target):
+    spec, points = draw_case(case, 8)
+    far = oracle_greedy(spec, points, 0.0, limit=len(points))[1]
+    # eps in the middle of a clear gap between consecutive farthest
+    # distances, so last-bit differences cannot move the cut.
+    gaps = [s for s in range(target - 1, len(far)) if far[s - 1] - far[s] > 1e-6 * far[s - 1]]
+    if not gaps:
+        return
+    s = gaps[0]
+    hi, lo = far[s - 1], far[s]
+    eps = math.sqrt(hi * lo) if lo > 0 else hi / 2.0
+    expected, _ = oracle_greedy(spec, points, eps)
+    assert epsilon_net(SampleSet(points), spec, eps) == expected
+
+
+def test_sample_realizations_are_stacked_blocks(rng):
+    shape = AlgebraShape((1, 2))
+    points = tuple(random_vector(shape, 3, rng) for _ in range(4))
+    stacks = SampleSet(points).realizations
+    assert [s.shape for s in stacks] == [(4, 3, 1), (4, 6, 2)]
+    for k, stack in enumerate(stacks):
+        for p, x in zip(stack, points):
+            assert np.array_equal(p, x.realize_block(k))
+    assert SampleSet(()).realizations == ()
+
+
+def test_state_values_reject_other_module(rng):
+    spec = simple_spec(C2, 3)
+    with pytest.raises(ValueError, match="different modules"):
+        seminorm_eval(spec, ModuleVector.basis(C2, 2, 0))
+    with pytest.raises(ValueError, match="different modules"):
+        seminorm_eval(spec, ModuleVector.basis(C3, 3, 0))
+
+
+def test_state_values_empty_sample():
+    spec = simple_spec(C2, 3)
+    assert state_values(spec, SampleSet(())).shape == (0, 3, 3)
+    assert seminorm_values(spec, SampleSet(())).shape == (0,)
+
+
+def test_transfer_reports_first_far_point(rng):
+    shape = C2
+    spec = simple_spec(shape, 2)
+    approx_pts = tuple(random_vector(shape, 2, rng, scale=0.3) for _ in range(4))
+    near = tuple(p + random_vector(shape, 2, rng, scale=0.01) for p in approx_pts)
+    far = ModuleVector.basis(shape, 2, 1) * 4.0
+    sample = SampleSet((near[0], near[1], far, near[2], far * 2.0))
+    with pytest.raises(ApproximationHypothesisError) as err:
+        net_transfer(sample, SampleSet(approx_pts), spec, eps=0.5)
+    assert err.value.index == 2
+    expected = min((far - y).norm() for y in approx_pts)
+    assert err.value.distance == pytest.approx(expected, rel=1e-12)
+
+
+def test_transfer_keeps_the_net_points_near_the_sample(rng):
+    shape = random_shape(rng)
+    spec = simple_spec(shape, 3)
+    approx = SampleSet(tuple(random_vector(shape, 3, rng, scale=0.2) for _ in range(10)))
+    sample = SampleSet(
+        tuple(p + random_vector(shape, 3, rng, scale=0.01) for p in approx.points)
+    )
+    eps = 0.2
+    expected = []
+    for j in epsilon_net(approx, spec, eps):
+        for i, s in enumerate(sample.points):
+            if pseudometric_eval(spec, s, approx.points[j]) < 3.0 * eps:
+                if i not in expected:
+                    expected.append(i)
+                break
+    assert len(expected) > 1
+    assert net_transfer(sample, approx, spec, eps) == expected
+
+
+def test_net_ties_go_to_the_first_index():
+    e1 = ModuleVector.basis(C2, 2, 0)
+    sample = SampleSet((ModuleVector.zero(C2, 2), e1, e1 * 0.5, e1))
+    spec = simple_spec(C2, 2)
+    assert epsilon_net(sample, spec, 0.1) == [0, 1, 2]
+
+
+def test_ball_sampler_is_one_class():
+    import cstarframes
+    import cstarframes.certify
+    import cstarframes.seminorms
+
+    assert cstarframes.BallSampler is cstarframes.certify.BallSampler
+    assert cstarframes.BallSampler is cstarframes.seminorms.BallSampler

@@ -167,6 +167,22 @@ def test_setting_invariant_checked_at_parse():
         parse("setting", json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "trunc, dim, path, message",
+    [
+        (0, 1, "$.trunc", "at least 1"),
+        (171, 1, "$.trunc", "exceeds 170"),
+        (4, 5, "$.dim", "1 <= dim <= trunc=4"),
+    ],
+)
+def test_setting_errors_name_the_offending_field(trunc, dim, path, message):
+    doc = {"version": 1, "kind": "setting", "trunc": trunc, "dim": dim}
+    with pytest.raises(SchemaError) as err:
+        parse("setting", json.dumps(doc))
+    assert err.value.path == path
+    assert message in str(err.value)
+
+
 def test_mixed_point_dims_rejected():
     shape = AlgebraShape((1,))
     doc_a = document(SampleSet((ModuleVector.basis(shape, 2, 0),)))
