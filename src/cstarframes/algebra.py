@@ -9,12 +9,24 @@ where every block is 1x1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # Relative eigenvalue threshold used by positivity and invertibility checks.
 DEFAULT_TOL = 1e-10
+
+
+def check_eps(eps: float) -> None:
+    """Reject an approximation radius that is not a finite positive number.
+
+    Every eps comparison in the library is a strict `< eps`; NaN makes
+    all of them false (a greedy net never closes, a tail never settles)
+    and inf makes them all true, so both are refused up front.
+    """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be a finite positive number")
 
 
 @dataclass(frozen=True)

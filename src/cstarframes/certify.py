@@ -8,6 +8,13 @@ finite-rank uniform approximation of the identity on the sample
 equivalence runner rechecks the proof's constant chains numerically and
 flags any incoherence as an implementation bug, since the theorem leaves
 no room for disagreement.
+
+Nothing a condition computes depends on eps except its final comparison,
+so each condition is split in two: an eps-free pass over the whole
+sample, batched per algebra block on the stacked realizations, and a
+cheap certificate built from that data for one eps.  The equivalence
+runner makes each pass once and builds every certificate of its eps grid
+from it.
 """
 
 from __future__ import annotations
@@ -16,14 +23,18 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement
+import numpy as np
+
+from .algebra import AlgebraElement, check_eps
 from .frames import Frame, standard_basis_frame
 from .modules import (
     ModuleVector,
+    blockwise_max,
     inner_product,
     orthogonal_span_family,
-    submodule_distance,
-    synthesis_pinv_norm,
+    realization_stacks,
+    span_least_squares,
+    stack_norms,
     theta_op,
 )
 from .seminorms import BallSampler, SampleSet
@@ -80,57 +91,254 @@ class Certificate:
         return doc
 
 
+# -- eps-free passes over the sample ------------------------------------------
+
+
+def _realizations(sample: SampleSet, like: ModuleVector) -> tuple[np.ndarray, ...]:
+    """The sample's per-block stacks; zero-length ones in like's module if empty."""
+    if sample.points:
+        return sample.realizations
+    return realization_stacks((), like.shape, like.dim)
+
+
+@dataclass(frozen=True)
+class _CoefficientData:
+    """Condition A on one sample and generator family, before any eps."""
+
+    generator_count: int
+    residuals: list[float]
+    coefficient_norms: list[list[float]]
+    stacked_norms: list[float]
+    approx_norms: list[float]
+    b_const: float
+
+
+def _coefficient_data(sample: SampleSet, generators: list) -> _CoefficientData:
+    """Solve every point against Span_A(generators), one pseudo-inverse per block.
+
+    Besides each point's residual and B, records the norm of each
+    coefficient, of the stacked coefficient tuple, and of the approximant
+    sum_i g_i a_i, whose per-coordinate products are summed from zero in
+    generator order.
+    """
+    g0 = generators[0]
+    coeffs, residuals, b_const = span_least_squares(_realizations(sample, g0), generators)
+    s = len(generators)
+    coeff_norms, stacked_norms, approx_norms = [], [], []
+    for ak, gk in zip(coeffs, realization_stacks(generators, g0.shape, g0.dim)):
+        points, _, n = ak.shape
+        rows = gk.shape[1]
+        per_coeff = ak.reshape(points, s, n, n)
+        coeff_norms.append(np.linalg.norm(per_coeff, 2, axis=(2, 3)))
+        stacked_norms.append(np.linalg.norm(ak, 2, axis=(1, 2)))
+        gen_coords = gk.reshape(s, -1, n, n)
+        approx = np.zeros((points,) + gen_coords.shape[1:], complex)
+        for i in range(s):
+            approx = approx + gen_coords[i] @ per_coeff[:, i, None]
+        approx_norms.append(np.linalg.norm(approx.reshape(points, rows, n), 2, axis=(1, 2)))
+    return _CoefficientData(
+        s,
+        residuals,
+        blockwise_max(coeff_norms),
+        blockwise_max(stacked_norms),
+        blockwise_max(approx_norms),
+        b_const,
+    )
+
+
+def _sup_tails(profiles: np.ndarray) -> list[float]:
+    """tails[n] = sup over the points of their n-th prefix tail (0 if none)."""
+    return [max(col, default=0.0) for col in profiles.T.tolist()]
+
+
+def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[list, int]:
+    """The (z_j, g_j) theta pairs within the rank limit of the C/D scan, and that limit.
+
+    Without an explicit frame the pairs come from module Gram-Schmidt of
+    the sample, i.e. a frame for the submodule the sample generates (the
+    constructive b-to-c route); the orthogonalized family is self-dual.
+    The rank limit is the budget (default: the module dimension) capped
+    by the number of pairs.
+    """
+    if frame is not None:
+        pairs = list(zip(frame.vectors, frame.canonical_dual()))
+    else:
+        pairs = [(w, w) for w in orthogonal_span_family(sample.points)]
+    budget = sample.dim if rank_budget is None else int(rank_budget)
+    limit = min(budget, len(pairs))
+    return pairs[: max(limit, 0)], limit
+
+
+def _pair_stacks(sample: SampleSet, pairs) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per-block stacks of the z_j and of the g_j, checked against the sample's module."""
+    return tuple(
+        realization_stacks([pair[side] for pair in pairs], sample.shape, sample.dim)
+        for side in (0, 1)
+    )
+
+
+def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
+    """sup_x ||x - T_n x|| for the partial sums T_n = sum_{j<=n} theta_{z_j,g_j}.
+
+    Runs from n = 0 up to the first n >= 1 whose error is below eps, or
+    through all the given pairs.  One rank step updates the residuals
+    r - z<g,x> of all points in one batched product per block.
+    """
+    stacks = sample.realizations
+    residuals = list(stacks)
+    errors = [max(stack_norms(residuals))]
+    z, g = _pair_stacks(sample, pairs)
+    for j in range(len(pairs)):
+        for k, (xk, zk, gk) in enumerate(zip(stacks, z, g)):
+            n = xk.shape[-1]
+            c = gk[j].conj().T @ xk
+            residuals[k] = residuals[k] - (zk[j].reshape(-1, n, n) @ c[:, None]).reshape(xk.shape)
+        errors.append(max(stack_norms(residuals)))
+        if errors[-1] < eps:
+            break
+    return errors
+
+
+@dataclass(frozen=True)
+class _ReplayData:
+    """The d=>a replay straight from the theta pairs, for every prefix of them."""
+
+    point_norms: list[float]
+    pair_norms: list[float]
+    coefficient_norms: list[list[float]]
+    residual_norms: list[list[float]]
+
+
+def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
+    """Coefficients a_j(x) = <g_j, x> and residuals x - sum_{j<n} z_j a_j(x).
+
+    Computed from the theta pairs of an approximant alone: the
+    approximants are summed from zero in pair order, independently of
+    the residual recursion of condition C/D.  residual_norms[p][n] is the
+    residual of point p with the first n pairs, so one pass over the
+    longest approximant of a grid serves every shorter one.
+    """
+    count = len(pairs)
+    z, g = _pair_stacks(sample, pairs)
+    coeff_norms, residual_norms = [], []
+    for xk, zk, gk in zip(sample.realizations, z, g):
+        points, rows, n = xk.shape
+        coeffs = gk.conj().swapaxes(-1, -2) @ xk[:, None]
+        coeff_norms.append(np.linalg.norm(coeffs, 2, axis=(2, 3)))
+        terms = zk.reshape(count, rows // n, n, n) @ coeffs[:, :, None]
+        start = np.zeros((points, 1) + terms.shape[2:], complex)
+        approx = np.add.accumulate(np.concatenate((start, terms), axis=1), axis=1)
+        residuals = xk[:, None] - approx.reshape(points, count + 1, rows, n)
+        residual_norms.append(np.linalg.norm(residuals, 2, axis=(2, 3)))
+    return _ReplayData(
+        stack_norms(sample.realizations),
+        stack_norms(g),
+        blockwise_max(coeff_norms),
+        blockwise_max(residual_norms),
+    )
+
+
+# -- certificates for one eps -------------------------------------------------
+
+
+def _certificate_a(data: _CoefficientData, eps: float, tol: float) -> Certificate:
+    verdict = all(r < eps for r in data.residuals)
+    m_eps = max((max(cn) for cn in data.coefficient_norms if cn), default=0.0)
+    d_const = max(data.approx_norms, default=0.0)
+    bd = data.b_const * d_const
+    bd_ok = all(s <= bd + tol * (1.0 + bd) for s in data.stacked_norms)
+    return Certificate(
+        condition="A",
+        eps=eps,
+        verdict=verdict,
+        coefficient_bound=m_eps,
+        witness={"generator_count": data.generator_count, "M_eps": m_eps},
+        diagnostics={
+            "residuals": list(data.residuals),
+            "coefficient_norms": [list(cn) for cn in data.coefficient_norms],
+            "stacked_coefficient_norms": list(data.stacked_norms),
+            "B": data.b_const,
+            "D": d_const,
+            "bd_bound_ok": bd_ok,
+        },
+    )
+
+
+def _certificate_b(tails: list[float], eps: float) -> Certificate:
+    m = len(tails) - 1
+    n_stable = 0
+    for n in range(m):
+        if tails[n] >= eps:
+            n_stable = n + 1
+    return Certificate(
+        condition="B",
+        eps=eps,
+        verdict=n_stable < m,
+        witness={"N": n_stable},
+        diagnostics={"tail_profile": list(tails)},
+    )
+
+
+def _certificate_cd(errors: list[float], pairs: list, limit: int, eps: float) -> Certificate:
+    """The C/D verdict at eps from an error profile computed for eps or smaller.
+
+    The scan stops at the first rank n >= 1 below eps; failing that, a
+    sample already within eps of zero passes at rank 0.
+    """
+    stop = next((n for n in range(1, len(errors)) if errors[n] < eps), None)
+    profile = errors[: len(errors) if stop is None else stop + 1]
+    achieved = stop if stop is not None else (0 if errors[0] < eps else None)
+    diagnostics = {"error_profile": profile, "best_error": min(profile)}
+    if achieved is not None:
+        return Certificate(
+            condition="CD",
+            eps=eps,
+            verdict=True,
+            witness={"rank": achieved},
+            diagnostics=diagnostics,
+            approximant=tuple(pairs[:achieved]),
+        )
+    return Certificate(
+        condition="CD",
+        eps=eps,
+        verdict=False,
+        budget_exhausted=True,
+        witness={"rank_budget": limit},
+        diagnostics=diagnostics,
+    )
+
+
+def _empty_sample_cd(eps: float) -> Certificate:
+    return Certificate(
+        condition="CD",
+        eps=eps,
+        verdict=True,
+        witness={"rank": 0},
+        diagnostics={"error_profile": [0.0], "best_error": 0.0},
+        approximant=(),
+    )
+
+
+# -- the conditions -------------------------------------------------------------
+
+
 def check_condition_a(sample: SampleSet, generators, eps: float, tol: float = 1e-9) -> Certificate:
     """Bounded-coefficient approximation from a fixed generator family.
 
     Every sample point is solved against Span_A(generators) by the
     blockwise least-squares route; the verdict demands residual < eps for
     all points, and M_eps is the observed maximum coefficient norm.  The
-    diagnostics also record the automatic-boundedness data for
-    finite-dimensional algebras: the minimal-norm coefficient tuple obeys
-    ||(a_1..a_s)|| <= B*D with B the inverse-off-kernel norm of the
-    synthesis map and D the largest approximant norm.
+    residual is the exact distance (see `submodule_distance`), so a fail
+    is certified.  The diagnostics also record the automatic-boundedness
+    data for finite-dimensional algebras: the minimal-norm coefficient
+    tuple obeys ||(a_1..a_s)|| <= B*D with B the inverse-off-kernel norm
+    of the synthesis map and D the largest approximant norm.
     """
+    check_eps(eps)
     generators = list(generators)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if not generators:
         raise ValueError("at least one generator required")
-    b_const = synthesis_pinv_norm(generators)
-
-    def solve(x):
-        residual, coeffs = submodule_distance(x, generators)
-        stacked = ModuleVector(x.shape, tuple(coeffs)).norm()
-        approx = ModuleVector.zero(x.shape, x.dim)
-        for g, c in zip(generators, coeffs):
-            approx = approx + g * c
-        return residual, [c.norm() for c in coeffs], stacked, approx.norm()
-
-    rows = [solve(x) for x in sample.points]
-    residuals = [r[0] for r in rows]
-    coeff_norms = [r[1] for r in rows]
-    stacked_norms = [r[2] for r in rows]
-    approx_norms = [r[3] for r in rows]
-    verdict = all(r < eps for r in residuals)
-    m_eps = max((max(cn) for cn in coeff_norms if cn), default=0.0)
-    d_const = max(approx_norms, default=0.0)
-    bd = b_const * d_const
-    bd_ok = all(s <= bd + tol * (1.0 + bd) for s in stacked_norms)
-    return Certificate(
-        condition="A",
-        eps=eps,
-        verdict=verdict,
-        coefficient_bound=m_eps,
-        witness={"generator_count": len(generators), "M_eps": m_eps},
-        diagnostics={
-            "residuals": residuals,
-            "coefficient_norms": coeff_norms,
-            "stacked_coefficient_norms": stacked_norms,
-            "B": b_const,
-            "D": d_const,
-            "bd_bound_ok": bd_ok,
-        },
-    )
+    return _certificate_a(_coefficient_data(sample, generators), eps, tol)
 
 
 def check_condition_b(sample: SampleSet, frame: Frame, eps: float) -> Certificate:
@@ -142,35 +350,18 @@ def check_condition_b(sample: SampleSet, frame: Frame, eps: float) -> Certificat
     demands N < size: reaching eps only at the full prefix is exactly the
     uniform-tail failure.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    m = frame.size
-    profiles = [frame.tail_profile(x) for x in sample.points]
-    tails = [max((p[n] for p in profiles), default=0.0) for n in range(m + 1)]
-    n_stable = 0
-    for n in range(m):
-        if tails[n] >= eps:
-            n_stable = n + 1
-    verdict = n_stable < m
-    return Certificate(
-        condition="B",
-        eps=eps,
-        verdict=verdict,
-        witness={"N": n_stable},
-        diagnostics={"tail_profile": tails},
-    )
+    check_eps(eps)
+    return tails_certificate(frame.tail_profiles(_realizations(sample, frame.vectors[0])), eps)
 
 
-def _approximation_pairs(sample: SampleSet, frame: Frame | None):
-    """(z_j, g_j) theta pairs: from the frame, or from the sample's own span.
+def tails_certificate(profiles: np.ndarray, eps: float) -> Certificate:
+    """Condition B from tail profiles already computed, one row per point.
 
-    Without an explicit frame the pairs come from module Gram-Schmidt of
-    the sample, i.e. a frame for the submodule the sample generates (the
-    constructive b-to-c route); the orthogonalized family is self-dual.
+    Row p is `Frame.tail_profile` of point p; `check_condition_b` is this
+    applied to `Frame.tail_profiles` of the sample.
     """
-    if frame is not None:
-        return list(zip(frame.vectors, frame.canonical_dual()))
-    return [(w, w) for w in orthogonal_span_family(sample.points)]
+    check_eps(eps)
+    return _certificate_b(_sup_tails(np.asarray(profiles, dtype=float)), eps)
 
 
 def check_condition_cd(
@@ -187,52 +378,11 @@ def check_condition_cd(
     reported with budget_exhausted set: other frames or operators remain
     untried, so the failure is inconclusive rather than certified.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if not sample.points:
-        return Certificate(
-            condition="CD",
-            eps=eps,
-            verdict=True,
-            witness={"rank": 0},
-            diagnostics={"error_profile": [0.0], "best_error": 0.0},
-            approximant=(),
-        )
-    pairs = _approximation_pairs(sample, frame)
-    budget = sample.dim if rank_budget is None else int(rank_budget)
-    limit = min(budget, len(pairs))
-
-    residuals = list(sample.points)
-    errors = [max(r.norm() for r in residuals)]
-    achieved = 0 if errors[0] < eps else None
-    for n in range(1, limit + 1):
-        z, g = pairs[n - 1]
-        residuals = [
-            r - z * inner_product(g, x)
-            for r, x in zip(residuals, sample.points)
-        ]
-        errors.append(max(r.norm() for r in residuals))
-        if errors[-1] < eps:
-            achieved = n
-            break
-    best = min(errors)
-    if achieved is not None:
-        return Certificate(
-            condition="CD",
-            eps=eps,
-            verdict=True,
-            witness={"rank": achieved},
-            diagnostics={"error_profile": errors, "best_error": best},
-            approximant=tuple(pairs[:achieved]),
-        )
-    return Certificate(
-        condition="CD",
-        eps=eps,
-        verdict=False,
-        budget_exhausted=True,
-        witness={"rank_budget": limit},
-        diagnostics={"error_profile": errors, "best_error": best},
-    )
+        return _empty_sample_cd(eps)
+    pairs, limit = _theta_pairs(sample, frame, rank_budget)
+    return _certificate_cd(_error_profile(sample, pairs, eps), pairs, limit, eps)
 
 
 # -- the equivalence runner -------------------------------------------------
@@ -329,8 +479,17 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
       * The minimal-norm coefficients of condition A stay within the
         automatic finite-dimensional bound B*D.
     Violations indicate an implementation bug and are reported verbatim.
+
+    Every eps of the grid is checked before any work.  Each condition's
+    eps-free pass runs once for the whole grid: one least-squares pass
+    serves A at every eps and every eps*c1/(3*c2), one tail pass serves
+    B, the span family is built once, and the C/D error profile runs to
+    the rank the smallest eps needs; the d=>a replay runs once, to the
+    largest rank any eps reached.
     """
     config = config or CertifyConfig()
+    for eps in config.eps_grid:
+        check_eps(eps)
     if not sample.points and config.frame is None:
         entries = tuple(
             EquivalenceEntry(
@@ -351,23 +510,34 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     s = len(generators)
     m = frame.size
     tol = config.tol
+    scaled_grid = [eps * c1 / (3.0 * c2) for eps in config.eps_grid]
+    for eps_scaled in scaled_grid:
+        check_eps(eps_scaled)
 
-    gen_profiles = [frame.tail_profile(g) for g in generators]
-    gen_tails = [max(p[n] for p in gen_profiles) for n in range(m + 1)]
+    g0 = generators[0]
+    gen_tails = _sup_tails(frame.tail_profiles(realization_stacks(generators, g0.shape, g0.dim)))
+    coefficients = _coefficient_data(sample, generators)
+    tails_z = _sup_tails(frame.tail_profiles(_realizations(sample, frame.vectors[0])))
+    if sample.points:
+        pairs, limit = _theta_pairs(sample, None, config.rank_budget)
+        smallest = min(config.eps_grid, default=math.inf)
+        errors = _error_profile(sample, pairs, smallest)
+        certs_cd = [_certificate_cd(errors, pairs, limit, eps) for eps in config.eps_grid]
+        longest = max((c.approximant for c in certs_cd if c.verdict), key=len, default=())
+        replay = _replay_data(sample, longest) if longest else None
+    else:
+        certs_cd = [_empty_sample_cd(eps) for eps in config.eps_grid]
 
     entries = []
-    for eps in config.eps_grid:
-        eps_scaled = eps * c1 / (3.0 * c2)
-        cert_a = check_condition_a(sample, generators, eps)
-        cert_a_scaled = check_condition_a(sample, generators, eps_scaled)
-        cert_b = check_condition_b(sample, frame, eps)
-        cert_cd = check_condition_cd(sample, eps, config.rank_budget)
+    for eps, eps_scaled, cert_cd in zip(config.eps_grid, scaled_grid, certs_cd):
+        cert_a = _certificate_a(coefficients, eps, 1e-9)
+        cert_a_scaled = _certificate_a(coefficients, eps_scaled, 1e-9)
+        cert_b = _certificate_b(tails_z, eps)
         violations: list[str] = []
 
         if cert_a_scaled.verdict and sample.points:
             m_coeff = cert_a_scaled.coefficient_bound or 0.0
             thresh = math.inf if m_coeff == 0.0 else eps / (3.0 * s * m_coeff)
-            tails_z = cert_b.diagnostics["tail_profile"]
             ratio = c2 / c1
             stable = None
             for n in range(m, -1, -1):
@@ -393,21 +563,19 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
                     )
 
         if cert_cd.verdict and sample.points and cert_cd.approximant:
-            pairs = cert_cd.approximant
-            r_const = max(x.norm() for x in sample.points)
-            f_max = max(g.norm() for _, g in pairs)
+            rank = len(cert_cd.approximant)
+            r_const = max(replay.point_norms)
+            f_max = max(replay.pair_norms[:rank])
             m_da = r_const * f_max
-            for i, x in enumerate(sample.points):
-                coeffs = [inner_product(g, x) for _, g in pairs]
-                if any(c.norm() > m_da + tol * (1.0 + m_da) for c in coeffs):
+            for i, (coeff_norms, residuals) in enumerate(
+                zip(replay.coefficient_norms, replay.residual_norms)
+            ):
+                if any(c > m_da + tol * (1.0 + m_da) for c in coeff_norms[:rank]):
                     violations.append(
                         f"d=>a bound broken at point {i}: coefficient norm "
                         f"exceeds R*max||f_k|| = {m_da:.6g}"
                     )
-                approx = ModuleVector.zero(x.shape, x.dim)
-                for (z, _), c in zip(pairs, coeffs):
-                    approx = approx + z * c
-                if (x - approx).norm() >= eps + tol:
+                if residuals[rank] >= eps + tol:
                     violations.append(
                         f"d=>a residual broken at point {i}: direct coefficient "
                         f"replay misses the eps bound"
@@ -490,6 +658,7 @@ def series_decompose(op, frame: Frame | None = None, eps: float = 1e-9) -> Serie
     theta_{x_j, T* g_j}, so the partial sums are the frame's partial
     reconstructions composed with the operator.
     """
+    check_eps(eps)
     shape = op.shape
     if frame is None:
         columns = [
@@ -528,6 +697,7 @@ def free_submodule_check(sample: SampleSet, generators, eps: float, tol: float =
     projection P = sum theta_{g_j,g_j} is then applied and the
     ||x - Px|| < 2*eps amplification recorded literally.
     """
+    check_eps(eps)
     generators = list(generators)
     if not generators:
         raise ValueError("at least one generator required")
@@ -547,13 +717,8 @@ def free_submodule_check(sample: SampleSet, generators, eps: float, tol: float =
         t = theta_op(g, g)
         projector = t if projector is None else projector + t
 
-    def measure(x):
-        dist, _ = submodule_distance(x, generators)
-        return dist, (x - projector(x)).norm()
-
-    rows = [measure(x) for x in sample.points]
-    dists = [r[0] for r in rows]
-    residuals = [r[1] for r in rows]
+    _, dists, _ = span_least_squares(_realizations(sample, generators[0]), generators)
+    residuals = [(x - projector(x)).norm() for x in sample.points]
     verdict = all(d < eps for d in dists)
     two_eps_ok = all(
         r < 2.0 * eps for d, r in zip(dists, residuals) if d < eps

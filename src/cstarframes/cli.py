@@ -23,10 +23,11 @@ from .certify import (
     check_condition_cd,
     free_submodule_check,
     series_decompose,
+    tails_certificate,
 )
 from .counterexample import build_setting, coeff_growth, tail_obstruction
 from .frames import DegenerateFrameError, Frame, standard_basis_frame
-from .seminorms import SampleSet, epsilon_net, seminorm_values
+from .seminorms import epsilon_net, seminorm_values
 from .serialization import SchemaError, parse, serialize
 
 USAGE_EXIT = 64
@@ -201,8 +202,7 @@ def _cmd_counterexample(args) -> int:
     print("prefix,tail")
     for n in range(setting.dim):
         print(f"{n},{tail_obstruction(setting, n)!r}")
-    witnesses = SampleSet(setting.witnesses(), label="witnesses")
-    cert = check_condition_b(witnesses, setting.frame, args.eps)
+    cert = tails_certificate(setting.witness_profiles(), args.eps)
     if args.out:
         _emit(serialize(cert), args.out)
     return cert.exit_code

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraElement, AlgebraShape, check_eps
 from .frames import Frame, standard_basis_frame
-from .modules import ModuleOperator, ModuleVector, inner_product
+from .modules import ModuleOperator, ModuleVector
 from .seminorms import BallSampler, SampleSet
 
 # Largest truncation the float64 model holds: the generator carries 1/k!,
@@ -78,8 +78,17 @@ class TruncatedCSetting:
         return standard_basis_frame(self.shape, self.dim)
 
     @functools.cached_property
-    def _witness_tails(self) -> tuple[list[float], ...]:
+    def _witness_tails(self) -> tuple[tuple[list[float], list[float]], ...]:
+        # per witness: (truncation tails, frame tail profile), cross-checked
         return tuple(_checked_tails(self.frame, x) for x in self.witnesses())
+
+    def witness_profiles(self) -> np.ndarray:
+        """The frame's tail profile of every witness, one row each.
+
+        Shared with `tail_obstruction`: each witness's profile is computed
+        and cross-checked against coordinate truncation once per setting.
+        """
+        return np.array([via_frame for _, via_frame in self._witness_tails])
 
 
 def check_truncation(trunc: int) -> None:
@@ -167,8 +176,7 @@ def coeff_growth(setting: TruncatedCSetting, eps: float) -> list[tuple[int, floa
     witnesses, which is the unbounded growth that kills any uniform
     coefficient bound across truncations.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     return [
         (k, _min_coeff_norm(setting, y, eps))
         for k, y in enumerate(setting.witnesses(), start=1)
@@ -191,8 +199,8 @@ def _truncation_tails(x: ModuleVector) -> list[float]:
     return tails.tolist()
 
 
-def _checked_tails(frame: Frame, x: ModuleVector) -> list[float]:
-    """Truncation tails of x, cross-checked against the frame's tail profile."""
+def _checked_tails(frame: Frame, x: ModuleVector) -> tuple[list[float], list[float]]:
+    """Truncation tails of x and the frame's tail profile, checked to agree."""
     via_frame = frame.tail_profile(x)
     direct = _truncation_tails(x)
     for d, f in zip(direct, via_frame):
@@ -200,7 +208,7 @@ def _checked_tails(frame: Frame, x: ModuleVector) -> list[float]:
             raise AssertionError(
                 f"direct tail {d!r} disagrees with frame tail {f!r}"
             )
-    return direct
+    return direct, via_frame
 
 
 def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
@@ -221,13 +229,13 @@ def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
             raise ValueError(
                 f"prefix {n} has no witness at module dimension {setting.dim}"
             )
-        profiles = setting._witness_tails
+        profiles = [direct for direct, _ in setting._witness_tails]
     elif not 0 <= n <= setting.dim:
         raise ValueError(
             f"prefix {n} out of range for module dimension {setting.dim}"
         )
     else:
-        profiles = [_checked_tails(setting.frame, x) for x in points]
+        profiles = [_checked_tails(setting.frame, x)[0] for x in points]
     return max((tails[n] for tails in profiles), default=0.0)
 
 
@@ -257,8 +265,7 @@ def single_generator_approx(setting: TruncatedCSetting, y: ModuleVector, eps: fl
     prefix misses (y is not of F's range form), the floor residual is
     reported with achieved False.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if y.shape != setting.shape or y.dim != setting.dim:
         raise ValueError("point does not live in the setting's module")
 

@@ -18,6 +18,8 @@ from .modules import (
     ModuleOperator,
     ModuleVector,
     inner_product,
+    realization_stacks,
+    require_stacks,
     theta_op,
     vector_from_realizations,
 )
@@ -222,29 +224,38 @@ class Frame:
             out = out + self._vectors[j] * inner_product(self._dual[j], x)
         return out
 
-    def _prefix_tails(self, x: ModuleVector, stop: int) -> np.ndarray:
-        """||x - sum_{j<n} x_j <g_j,x>|| for n = 0..stop, in one pass.
+    def _prefix_tails(self, stacks, stop: int) -> np.ndarray:
+        """||x - sum_{j<n} x_j <g_j,x>|| for n = 0..stop, every point in one pass.
 
-        Works on the stored block realizations X_jk of x_j and G_jk of g_j:
-        on block k the terms X_jk (G_jk* x_k) are formed in one batched
-        matmul and summed cumulatively in frame order from zero, so prefix
-        n holds exactly the sum `reconstruct(x, range(n))` forms.  Each
-        tail is the largest spectral norm of x_k minus its partial sum.
+        stacks[k] holds the block-k realizations x_k of the points, shape
+        (P, dim*n_k, n_k).  Works on the stored block realizations X_jk of
+        x_j and G_jk of g_j: on block k the terms X_jk (G_jk* x_k) of all
+        points are formed in one batched matmul and summed cumulatively in
+        frame order from zero, so prefix n holds exactly the sum
+        `reconstruct(x, range(n))` forms.  Each tail is the largest
+        spectral norm of x_k minus its partial sum.  Returns (P, stop+1).
         """
-        self._vectors[0]._require_compatible(x)
-        tails = np.zeros(stop + 1)
-        for k, (vk, gk) in enumerate(zip(self._vector_blocks, self._dual_blocks)):
-            xk = x.realize_block(k)
+        require_stacks(stacks, self._shape, self._dim)
+        tails = np.zeros((len(stacks[0]), stop + 1))
+        for xk, vk, gk in zip(stacks, self._vector_blocks, self._dual_blocks):
+            xk = xk[:, None]
             terms = vk[:stop] @ (gk[:stop].conj().swapaxes(-1, -2) @ xk)
-            partial = np.add.accumulate(
-                np.concatenate((np.zeros((1,) + xk.shape, complex), terms)), axis=0
-            )
-            tails = np.fmax(tails, np.linalg.norm(xk - partial, 2, axis=(1, 2)))
+            start = np.zeros((len(xk), 1) + xk.shape[2:], complex)
+            partial = np.add.accumulate(np.concatenate((start, terms), axis=1), axis=1)
+            tails = np.fmax(tails, np.linalg.norm(xk - partial, 2, axis=(2, 3)))
         return tails
+
+    def tail_profiles(self, stacks) -> np.ndarray:
+        """Every prefix tail of every stacked point: row p is point p's profile.
+
+        stacks are per-block realization stacks such as
+        `SampleSet.realizations`; row p equals `tail_profile` of point p.
+        """
+        return self._prefix_tails(stacks, self.size)
 
     def tail_profile(self, x: ModuleVector) -> list[float]:
         """Every prefix tail ||x - sum_{j<n} x_j <g_j,x>||, n = 0..size."""
-        return self._prefix_tails(x, self.size).tolist()
+        return self.tail_profiles(realization_stacks([x], self._shape, self._dim))[0].tolist()
 
     def reconstruction_tail(self, x: ModuleVector, n: int) -> float:
         """||x - sum_{j<n} x_j <g_j,x>|| for the stored vector order.
@@ -254,7 +265,8 @@ class Frame:
         """
         if not 0 <= n <= self.size:
             raise ValueError(f"prefix length {n} out of range")
-        return float(self._prefix_tails(x, n)[n])
+        stacks = realization_stacks([x], self._shape, self._dim)
+        return float(self._prefix_tails(stacks, n)[0, n])
 
     def partial_sum_op(self, indices) -> ModuleOperator:
         """P_J' = sum_{j in J'} theta_{x_j, g_j}; norm bounded by c2/c1."""

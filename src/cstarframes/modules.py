@@ -357,7 +357,68 @@ class SubmodulePresentation:
         return cls(p)
 
 
+# -- stacked realizations ------------------------------------------------
+
+
+def realization_stacks(vectors, shape: AlgebraShape, dim: int) -> tuple[np.ndarray, ...]:
+    """Per block k, the realizations of `vectors` stacked: (len, dim*n_k, n_k).
+
+    An empty family gives zero-length stacks of the module's block shapes.
+    """
+    vectors = list(vectors)
+    for v in vectors:
+        if v.shape != shape or v.dim != dim:
+            raise ValueError("module vectors live in different modules")
+    return tuple(
+        np.array([v.realize_block(k) for v in vectors], complex).reshape(
+            len(vectors), dim * n, n
+        )
+        for k, n in enumerate(shape.block_dims)
+    )
+
+
+def require_stacks(stacks, shape: AlgebraShape, dim: int) -> None:
+    """Reject per-block stacks that do not realize points of A^dim over `shape`."""
+    if len(stacks) != shape.num_blocks or any(
+        s.ndim != 3 or s.shape[1:] != (dim * n, n)
+        for s, n in zip(stacks, shape.block_dims)
+    ):
+        raise ValueError("module vectors live in different modules")
+
+
+def blockwise_max(per_block) -> list:
+    """max() over blocks in block order, entry by entry, as nested float lists.
+
+    Takes one array of per-block values for each block, all of one shape.
+    A module vector's norm is its largest block norm; this combines
+    batched per-block norms with max() the way `ModuleVector.norm` does.
+    """
+    stacked = np.stack(per_block, axis=-1)
+    flat = [max(vals) for vals in stacked.reshape(-1, stacked.shape[-1]).tolist()]
+    return np.reshape(flat, stacked.shape[:-1]).tolist()
+
+
+def stack_norms(stacks) -> list[float]:
+    """Module norm of every stacked point: its largest block spectral norm."""
+    return blockwise_max([np.linalg.norm(s, 2, axis=(1, 2)) for s in stacks])
+
+
 # -- span geometry ------------------------------------------------------
+
+
+def _support_normalized(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-block realization of v (a^+)^(1/2), a = <v,v>, from that of v."""
+    grams = [vk.conj().T @ vk for vk in blocks]
+    cut = max(max(float(np.linalg.norm(a, 2)) for a in grams), 0.0) * PINV_RTOL
+    out = []
+    for vk, a in zip(blocks, grams):
+        h = (a + a.conj().T) / 2.0
+        w, u = np.linalg.eigh(h)
+        inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, cut, None)), 0.0)
+        n = vk.shape[1]
+        scale = (u * inv_sqrt) @ u.conj().T
+        out.append((vk.reshape(-1, n, n) @ scale).reshape(vk.shape))
+    return out
 
 
 def spectral_normalize(v: ModuleVector) -> ModuleVector:
@@ -367,15 +428,8 @@ def spectral_normalize(v: ModuleVector) -> ModuleVector:
     projection of a and w<w,w> = w, which makes theta_{w,w} an orthogonal
     projection onto the A-span of v.
     """
-    a = inner_product(v, v)
-    cut = max(a.norm(), 0.0) * PINV_RTOL
-    blocks = []
-    for blk in a.blocks:
-        h = (blk + blk.conj().T) / 2.0
-        w, u = np.linalg.eigh(h)
-        inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, cut, None)), 0.0)
-        blocks.append((u * inv_sqrt) @ u.conj().T)
-    return v * AlgebraElement(v.shape, tuple(blocks))
+    blocks = [v.realize_block(k) for k in range(v.shape.num_blocks)]
+    return vector_from_realizations(v.shape, v.dim, _support_normalized(blocks))
 
 
 def orthogonal_span_family(vectors, tol: float = 1e-9) -> list[ModuleVector]:
@@ -385,15 +439,31 @@ def orthogonal_span_family(vectors, tol: float = 1e-9) -> list[ModuleVector]:
     outputs are exactly orthogonal, and sum_j theta_{w_j,w_j} reproduces
     every input vector.  Inputs that are already reproduced by the family
     built so far are dropped.
+
+    Runs on the stacked block realizations: when w joins the family,
+    every later input takes its step r - w<w,r> in one batched update per
+    block, so each input meets the family members in the order they
+    joined, with the arithmetic of one vector at a time.
     """
-    fam: list[ModuleVector] = []
-    for z in vectors:
-        r = z
-        for w in fam:
-            r = r - w * inner_product(w, r)
-        if r.norm() > tol * max(1.0, z.norm()):
-            fam.append(spectral_normalize(r))
-    return fam
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    shape, dim = vectors[0].shape, vectors[0].dim
+    residuals = realization_stacks(vectors, shape, dim)
+    scales = stack_norms(residuals)
+    fam = []
+    for i, scale in enumerate(scales):
+        r = [s[i] for s in residuals]
+        if max(float(np.linalg.norm(rk, 2)) for rk in r) <= tol * max(1.0, scale):
+            continue
+        w = _support_normalized(r)
+        fam.append(w)
+        for s, wk in zip(residuals, w):
+            rest = s[i + 1 :]
+            n = wk.shape[1]
+            coeffs = wk.conj().T @ rest
+            rest -= (wk.reshape(-1, n, n) @ coeffs[:, None]).reshape(rest.shape)
+    return [vector_from_realizations(shape, dim, w) for w in fam]
 
 
 # -- distance to finitely generated submodules ---------------------------
@@ -408,38 +478,71 @@ def _synthesis_blocks(generators) -> list[np.ndarray]:
     ]
 
 
-def submodule_distance(x: ModuleVector, generators) -> tuple[float, list[AlgebraElement]]:
-    """Distance from x to Span_A(generators) with the realizing coefficients.
+def span_least_squares(stacks, generators) -> tuple[list[np.ndarray], list[float], float]:
+    """Minimal-norm least squares against Span_A(generators), all points at once.
 
-    Solved per algebra block by Frobenius least squares through the
-    pseudo-inverse; reported as a certified upper bound on the
-    sup-block-norm distance.  On commutative shapes (all blocks 1x1) the
-    bound is the exact distance.  The returned coefficients are the
-    minimal-norm solution, one algebra element per generator.
+    stacks[k] holds the block-k realizations of P points, shape
+    (P, dim*n_k, n_k).  One pseudo-inverse per block serves every point:
+    the coefficient stack is pinv(G_k) @ X_k broadcast over the points,
+    and a point's residual is max_k ||X_k - G_k A_k||_2, the exact
+    distance (see `submodule_distance`).  Returns the per-block
+    coefficient stacks, shape (P, s*n_k, n_k), the residuals, and the
+    constant B = max_k ||pinv(G_k)||_2 of `synthesis_pinv_norm`.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("at least one generator required")
-    shape = x.shape
+    first = generators[0]
     for g in generators:
-        x._require_compatible(g)
-    s = len(generators)
-    residual = 0.0
-    coeff_mats: list[np.ndarray] = []
-    for k, gk in enumerate(_synthesis_blocks(generators)):
-        xk = x.realize_block(k)
-        ak = np.linalg.pinv(gk, rcond=PINV_RTOL) @ xk
-        residual = max(residual, float(np.linalg.norm(xk - gk @ ak, 2)))
-        coeff_mats.append(ak)
-    n_dims = shape.block_dims
-    coeffs = []
-    for i in range(s):
-        blocks = tuple(
-            coeff_mats[k][i * n_k : (i + 1) * n_k, :]
-            for k, n_k in enumerate(n_dims)
+        first._require_compatible(g)
+    require_stacks(stacks, first.shape, first.dim)
+    coeffs, norms, pinv_norms = [], [], []
+    for xk, gk in zip(stacks, _synthesis_blocks(generators)):
+        pinv = np.linalg.pinv(gk, rcond=PINV_RTOL)
+        ak = pinv @ xk
+        norms.append(np.linalg.norm(xk - gk @ ak, 2, axis=(1, 2)).tolist())
+        coeffs.append(ak)
+        pinv_norms.append(float(np.linalg.norm(pinv, 2)))
+    residuals = [max(0.0, *vals) for vals in zip(*norms)]
+    return coeffs, residuals, max(pinv_norms)
+
+
+def submodule_distance(x: ModuleVector, generators) -> tuple[float, list[AlgebraElement]]:
+    """Distance from x to Span_A(generators) with the realizing coefficients.
+
+    Solved per algebra block by least squares through the pseudo-inverse
+    (`span_least_squares`); the returned coefficients are the
+    minimal-norm solution, one algebra element per generator.
+
+    The distance is exact for every shape, not only commutative ones.
+    On block k let X = R_k(x), G the synthesis realization and P = G G^+
+    the orthogonal projection onto its range.  Any coefficients realize
+    G A on block k, and for every unit vector v
+
+        ||(X - G A) v||^2 = ||(I - P) X v||^2 + ||P X v - G A v||^2
+                          >= ||(I - P) X v||^2,
+
+    because I - P is an orthogonal projection that kills G A.  So
+    ||X - G A||_2 >= ||(I - P) X||_2, with equality at A = G^+ X, where
+    X - G A = (I - P) X.  The blocks decouple (the module norm is the
+    largest block norm and each block's coefficients are free), so the
+    minimum over coefficient tuples is the largest block minimum, which
+    is the returned residual.  A residual >= eps therefore certifies
+    that no coefficients reach eps.  "Range" means the numerical range:
+    singular values of G below PINV_RTOL times the largest are cut.
+    """
+    generators = list(generators)
+    coeffs, residuals, _ = span_least_squares(
+        realization_stacks([x], x.shape, x.dim), generators
+    )
+    dims = x.shape.block_dims
+    elements = [
+        AlgebraElement(
+            x.shape, tuple(ck[0, i * n : (i + 1) * n] for ck, n in zip(coeffs, dims))
         )
-        coeffs.append(AlgebraElement(shape, blocks))
-    return residual, coeffs
+        for i in range(len(generators))
+    ]
+    return residuals[0], elements
 
 
 def synthesis_pinv_norm(generators) -> float:
@@ -449,7 +552,8 @@ def synthesis_pinv_norm(generators) -> float:
     finite-dimensional algebras: the minimal-norm solution of
     sum_i g_i a_i = y satisfies ||(a_1..a_s)|| <= B ||y||.
     """
-    return max(
-        float(np.linalg.norm(np.linalg.pinv(gk, rcond=PINV_RTOL), 2))
-        for gk in _synthesis_blocks(list(generators))
-    )
+    generators = list(generators)
+    if not generators:
+        raise ValueError("at least one generator required")
+    g = generators[0]
+    return span_least_squares(realization_stacks((), g.shape, g.dim), generators)[2]

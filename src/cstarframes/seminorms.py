@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, State, norm_attaining_state
+from .algebra import AlgebraElement, AlgebraShape, State, check_eps, norm_attaining_state
 from .modules import ModuleOperator, ModuleVector, inner_product
 
 
@@ -349,8 +349,7 @@ def epsilon_net(sample: SampleSet, spec: SeminormSpec, eps: float) -> list[int]:
     operation over the sample.  They may differ from nu(x_p - x_q) on
     the vector difference only in the last bits.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if not sample.points:
         return []
     return _greedy_net(state_values(spec, sample), eps)
@@ -386,6 +385,7 @@ def net_transfer(
     precondition (each sample point within eps of `approx` in module
     norm) and the 6*eps cover of the output are both verified.
     """
+    check_eps(eps)
     if not sample.points:
         return []
     if not approx.points:

@@ -1,6 +1,7 @@
 """Precompactness conditions, coherence, operators, free submodules."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,3 +374,81 @@ def test_orthonormalized_generators_accepted(rng):
     pts = tuple(gens[0] * random_element(shape, rng, 0.3) for _ in range(3))
     cert = free_submodule_check(SampleSet(pts), gens, eps=1e-6)
     assert cert.verdict
+
+
+# -- eps policy ---------------------------------------------------------------
+
+BAD_EPS = [math.nan, math.inf, -math.inf, 0.0, -0.5]
+
+
+EPS_ENTRY_POINTS = (
+    "check_condition_a", "check_condition_b", "check_condition_cd", "tails_certificate",
+    "certify_equivalences", "operator_precompact", "free_submodule_check",
+    "series_decompose", "epsilon_net", "net_transfer", "coeff_growth",
+    "single_generator_approx",
+)
+
+
+def _eps_entry_points():
+    """name -> call(eps) for every public function that takes an eps."""
+    from cstarframes import (
+        coeff_growth,
+        epsilon_net,
+        net_transfer,
+        parse,
+        single_generator_approx,
+        tails_certificate,
+    )
+
+    fixtures = Path(__file__).parent / "fixtures"
+    sample = parse("sample_set", (fixtures / "sample_planted.json").read_bytes())
+    spec = parse("seminorm_spec", (fixtures / "seminorm_spec.json").read_bytes())
+    shape, dim = sample.shape, sample.dim
+    gens = [ModuleVector.basis(shape, dim, j) for j in range(dim)]
+    frame = standard_basis_frame(shape, dim)
+    setting = build_setting(4, 4)
+    op = ModuleOperator.identity(shape, dim)
+    return dict([
+        ("check_condition_a", lambda e: check_condition_a(sample, gens, e)),
+        ("check_condition_b", lambda e: check_condition_b(sample, frame, e)),
+        ("check_condition_cd", lambda e: check_condition_cd(sample, e)),
+        ("tails_certificate", lambda e: tails_certificate(np.zeros((1, 3)), e)),
+        ("certify_equivalences",
+         lambda e: certify_equivalences(sample, CertifyConfig(eps_grid=(e,)))),
+        ("operator_precompact",
+         lambda e: operator_precompact(op, BallSampler(shape, dim, count=2), e)),
+        ("free_submodule_check", lambda e: free_submodule_check(sample, gens, e)),
+        ("series_decompose", lambda e: series_decompose(op, eps=e)),
+        ("epsilon_net", lambda e: epsilon_net(sample, spec, e)),
+        ("net_transfer", lambda e: net_transfer(sample, sample, spec, e)),
+        ("coeff_growth", lambda e: coeff_growth(setting, e)),
+        ("single_generator_approx",
+         lambda e: single_generator_approx(setting, setting.witness(1), e)),
+    ])
+
+
+def test_entry_point_list_is_complete():
+    assert tuple(_eps_entry_points()) == EPS_ENTRY_POINTS
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+@pytest.mark.parametrize("name", EPS_ENTRY_POINTS)
+def test_every_eps_entry_point_rejects_non_finite_or_non_positive(name, eps):
+    call = _eps_entry_points()[name]
+    with pytest.raises(ValueError, match="eps must be a finite positive number"):
+        call(eps)
+
+
+def test_eps_grid_is_checked_before_any_work(monkeypatch):
+    import cstarframes.certify as certify
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("condition work started before the eps grid was checked")
+
+    for name in ("span_least_squares", "orthogonal_span_family", "standard_basis_frame"):
+        monkeypatch.setattr(certify, name, no_work)
+    shape = AlgebraShape((1, 2))
+    sample = SampleSet((ModuleVector.basis(shape, 2, 0),))
+    for grid in ((0.5, math.nan), (math.inf, 0.5), (0.5, 0.25, -1.0)):
+        with pytest.raises(ValueError, match="finite positive"):
+            certify_equivalences(sample, CertifyConfig(eps_grid=grid))

@@ -370,6 +370,72 @@ def test_counterexample_deterministic(capsys):
     assert first == second
 
 
+def test_counterexample_profiles_each_witness_once(capsys, monkeypatch, tmp_path):
+    """One tail profile per witness serves the tail table and condition B."""
+    calls = {"tail_profile": 0, "tail_profiles": 0}
+    for name in calls:
+        original = getattr(Frame, name)
+
+        def counted(self, arg, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(Frame, name, counted)
+    out_file = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys, "counterexample", "--trunc", "6", "--eps", "0.25", "--out", str(out_file)
+    )
+    assert code == 1
+    assert calls == {"tail_profile": 6, "tail_profiles": 6}
+    doc = json.loads(out_file.read_bytes())
+    assert doc["diagnostics"]["tail_profile"] == [1.0] * 6 + [0.0]
+
+
+# --- non-finite eps ---
+
+
+NAN_EPS_COMMANDS = {
+    "net": ("net", fx("sample_planted.json"), fx("seminorm_spec.json")),
+    "counterexample": ("counterexample", "--trunc", "4"),
+    "all": ("precompact", "--condition", "all", "--sample", fx("sample_planted.json")),
+    "b": ("precompact", "--condition", "b", "--sample", fx("sample_planted.json")),
+    "cd": ("precompact", "--condition", "cd", "--sample", fx("sample_planted.json")),
+    "series": ("series", fx("operator.json")),
+}
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-3"])
+@pytest.mark.parametrize("command", sorted(NAN_EPS_COMMANDS))
+def test_bad_eps_is_data_error(capsys, command, eps):
+    """NaN once made `net` loop forever; every eps entry point exits 1 promptly."""
+    import signal
+
+    def hung(signum, frame):
+        raise AssertionError(f"{command} --eps {eps} did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        code, out, err = run(capsys, *NAN_EPS_COMMANDS[command], f"--eps={eps}")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert err == "cstarframes: error: eps must be a finite positive number\n"
+    assert "inf" not in out and "pass" not in out
+
+
+@pytest.mark.parametrize("condition", ["a", "free"])
+def test_bad_eps_with_generators_is_data_error(capsys, tmp_path, condition):
+    gens = _basis_sample_file(tmp_path, (1, 1, 1), 4)
+    code, out, err = run(
+        capsys, "precompact", "--condition", condition,
+        "--sample", fx("sample_planted.json"), "--gens", gens, "--eps", "nan",
+    )
+    assert (code, out) == (1, "")
+    assert "finite positive" in err
+
+
 # --- usage and data errors ---
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_element,
@@ -215,6 +217,46 @@ def test_distance_exact_on_orthogonal_offsets(rng):
     x = ModuleVector.basis(shape, 3, 0) * a + ModuleVector.basis(shape, 3, 1) * b
     dist, _ = submodule_distance(x, [ModuleVector.basis(shape, 3, 0)])
     assert dist == pytest.approx(b.norm(), abs=1e-12)
+
+
+def _projection_residual(x, generators):
+    """max_k ||(I - P_k) X_k||_2 with P_k the projection onto range(G_k), via SVD."""
+    worst = 0.0
+    for k in range(x.shape.num_blocks):
+        gk = np.hstack([g.realize_block(k) for g in generators])
+        u, sv, _ = np.linalg.svd(gk, full_matrices=False)
+        u = u[:, sv > 1e-12 * sv.max()]
+        xk = x.realize_block(k)
+        worst = max(worst, float(np.linalg.norm(xk - u @ (u.conj().T @ xk), 2)))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from([(2,), (1, 2), (2, 2)]),
+    dim=st.integers(1, 3),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    step=st.sampled_from([1e-6, 1e-3, 0.3]),
+)
+def test_submodule_distance_is_exact_on_noncommutative_shapes(dims, dim, count, seed, step):
+    """The residual is min over all coefficients, for matrix blocks too.
+
+    It equals ||(I - P_k) X_k||_2 computed independently, and no
+    perturbation of the returned coefficients gives a smaller residual.
+    """
+    rng = np.random.default_rng(seed)
+    shape = AlgebraShape(dims)
+    gens = [random_vector(shape, dim, rng) for _ in range(count)]
+    x = random_vector(shape, dim, rng)
+    dist, coeffs = submodule_distance(x, gens)
+    scale = 1.0 + x.norm()
+    assert dist == pytest.approx(_projection_residual(x, gens), rel=1e-9, abs=1e-12 * scale)
+    for _ in range(4):
+        approx = ModuleVector.zero(shape, dim)
+        for g, c in zip(gens, coeffs):
+            approx = approx + g * (c + random_element(shape, rng, step))
+        assert (x - approx).norm() >= dist - 1e-12 * scale
 
 
 def test_synthesis_pinv_norm_of_basis(rng):
