@@ -20,6 +20,7 @@ from it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +37,7 @@ from .modules import (
     span_least_squares,
     stack_norms,
     theta_op,
+    vector_from_realizations,
 )
 from .seminorms import BallSampler, SampleSet
 
@@ -624,20 +626,34 @@ def operator_precompact(op, sampler: BallSampler, eps: float, config: CertifyCon
     return dataclasses.replace(entry.cert_cd, diagnostics=diag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesDecomposition:
     """Theta-series data for an operator against a range frame.
 
     errors[n] = ||T - S_n|| for the partial sums S_n; floor is the value
     at full length (nonzero exactly when the frame misses part of the
     range), achieved_rank the first prefix meeting the tolerance.
+    pairs[j] = (x_j, T* g_j) gives the j-th term theta_{x_j, T* g_j}; the
+    pairs are built from the stored realizations only when read.
     """
 
-    pairs: tuple[tuple[ModuleVector, ModuleVector], ...]
-    terms: tuple
     errors: tuple[float, ...]
     floor: float
     achieved_rank: int | None
+    _vectors: tuple[ModuleVector, ...] = field(repr=False)
+    _adjoint_blocks: tuple[np.ndarray, ...] = field(repr=False)
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[ModuleVector, ModuleVector], ...]:
+        if not self._vectors:
+            return ()
+        shape = self._vectors[0].shape
+        y0 = self._adjoint_blocks[0]
+        dim = y0.shape[1] // y0.shape[2]
+        return tuple(
+            (x, vector_from_realizations(shape, dim, [yk[j] for yk in self._adjoint_blocks]))
+            for j, x in enumerate(self._vectors)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -646,8 +662,29 @@ class SeriesDecomposition:
             "errors": list(self.errors),
             "floor": self.floor,
             "achieved_rank": self.achieved_rank,
-            "rank_count": len(self.pairs),
+            "rank_count": len(self._vectors),
         }
+
+
+def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
+    """||T_k - S_n|| on one block for n = 0..size, from the term factors.
+
+    tk is the realized (m*n, d*n) block of T, xk the stacked realizations
+    (size, m*n, n) of the x_j and yk those (size, d*n, n) of the y_j.
+    Every (n, n) product x_ji y_jl* of every term comes out of one
+    batched matmul on contiguous adjoints, which is the arithmetic of the
+    algebra product x_i * y_l.adjoint(); the partial sums S_n add the
+    terms in frame order from S_1 = theta_0, as repeated operator sums
+    do, and all size + 1 spectral norms are one batched call.
+    """
+    size = len(xk)
+    rows, cols = tk.shape
+    n = xk.shape[-1]
+    x = xk.reshape(size, rows // n, 1, n, n)
+    y_adj = np.ascontiguousarray(yk.reshape(size, 1, cols // n, n, n).conj().swapaxes(-1, -2))
+    terms = (x @ y_adj).transpose(0, 1, 3, 2, 4).reshape(size, rows, cols)
+    residuals = tk - np.add.accumulate(terms, axis=0)
+    return np.linalg.norm(np.concatenate((tk[None], residuals)), 2, axis=(1, 2))
 
 
 def series_decompose(op, frame: Frame | None = None, eps: float = 1e-9) -> SeriesDecomposition:
@@ -657,6 +694,11 @@ def series_decompose(op, frame: Frame | None = None, eps: float = 1e-9) -> Serie
     module Gram-Schmidt (the columns generate the range).  Each term is
     theta_{x_j, T* g_j}, so the partial sums are the frame's partial
     reconstructions composed with the operator.
+
+    Works on block realizations only: per block k, Y = T_k* G stacks the
+    realizations of every T* g_j in one batched product, and
+    `_series_errors` gives the error of every partial sum on that block;
+    errors[n] is the largest over the blocks, taken in block order.
     """
     check_eps(eps)
     shape = op.shape
@@ -665,27 +707,23 @@ def series_decompose(op, frame: Frame | None = None, eps: float = 1e-9) -> Serie
             op(ModuleVector.basis(shape, op.source_dim, j))
             for j in range(op.source_dim)
         ]
-        fam = orthogonal_span_family(columns)
-        frame_pairs = [(w, w) for w in fam]
+        vectors = tuple(orthogonal_span_family(columns))
+        x_blocks = g_blocks = realization_stacks(vectors, shape, op.target_dim)
     else:
-        frame_pairs = list(zip(frame.vectors, frame.canonical_dual()))
+        if frame.shape != shape or frame.dim != op.target_dim:
+            raise ValueError("operator/vector dimension mismatch")
+        vectors = frame.vectors
+        x_blocks, g_blocks = frame._vector_blocks, frame._dual_blocks
 
-    adjoint = op.adjoint()
-    pairs = [(x_j, adjoint(g_j)) for x_j, g_j in frame_pairs]
-    terms = [theta_op(x_j, y_j) for x_j, y_j in pairs]
-
-    errors = [op.norm()]
-    partial = None
-    for t in terms:
-        partial = t if partial is None else partial + t
-        errors.append((op - partial).norm())
-    floor = errors[-1]
-    achieved = None
-    for n, err in enumerate(errors):
-        if err < eps:
-            achieved = n
-            break
-    return SeriesDecomposition(tuple(pairs), tuple(terms), tuple(errors), floor, achieved)
+    t_blocks = [op.realize_block(k) for k in range(shape.num_blocks)]
+    y_blocks = tuple(
+        np.ascontiguousarray(tk.conj().T) @ gk for tk, gk in zip(t_blocks, g_blocks)
+    )
+    errors = blockwise_max(
+        [_series_errors(tk, xk, yk) for tk, xk, yk in zip(t_blocks, x_blocks, y_blocks)]
+    )
+    achieved = next((n for n, err in enumerate(errors) if err < eps), None)
+    return SeriesDecomposition(tuple(errors), errors[-1], achieved, vectors, y_blocks)
 
 
 def free_submodule_check(sample: SampleSet, generators, eps: float, tol: float = 1e-8) -> Certificate:

@@ -11,6 +11,7 @@ canonical serializer, CSV floats through shortest round-trip repr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every subcommand, built on first use and kept for the process."""
     parser = _Parser(prog="cstarframes", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 

@@ -17,6 +17,7 @@ from .algebra import AlgebraElement, AlgebraShape
 from .modules import (
     ModuleOperator,
     ModuleVector,
+    gram_block,
     inner_product,
     realization_stacks,
     require_stacks,
@@ -43,24 +44,6 @@ def _operator_from_block_matrices(
             row.append(AlgebraElement(shape, blocks))
         rows.append(tuple(row))
     return ModuleOperator(shape, tuple(rows))
-
-
-def _gram_block(coords: np.ndarray) -> np.ndarray:
-    """Realized gram block S_k from the coordinate blocks x_{l,i} of block k.
-
-    coords has shape (size, dim, n_k, n_k).  Entry (i, j) of S = Theta* Theta
-    is sum_l x_{l,i} x_{l,j}*: every product is formed in one batched
-    matmul, then the products are added in frame order l = 0, 1, ...,
-    which is the arithmetic of the operator product Theta* @ Theta entry
-    by entry.
-    """
-    size, dim, n, _ = coords.shape
-    adjoints = np.ascontiguousarray(coords.conj().swapaxes(-1, -2))
-    products = coords[:, :, None] @ adjoints[:, None, :]
-    acc = np.zeros((dim, dim, n, n), complex)
-    for p in products:
-        acc = acc + p
-    return acc.transpose(0, 2, 1, 3).reshape(dim * n, dim * n)
 
 
 class Frame:
@@ -95,7 +78,7 @@ class Frame:
             np.array([[c.blocks[k] for c in v.coords] for v in vectors])
             for k in range(self._shape.num_blocks)
         ]
-        self._gram_blocks = tuple(_gram_block(xs) for xs in coord_blocks)
+        self._gram_blocks = tuple(gram_block(xs) for xs in coord_blocks)
 
         eigensystems = []
         lo, hi = np.inf, 0.0

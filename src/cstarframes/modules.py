@@ -377,6 +377,25 @@ def realization_stacks(vectors, shape: AlgebraShape, dim: int) -> tuple[np.ndarr
     )
 
 
+def gram_block(coords: np.ndarray) -> np.ndarray:
+    """Realized gram block S_k = Theta* Theta of a family, from its coordinate blocks.
+
+    coords has shape (size, dim, n_k, n_k): the k-th blocks x_{l,i} of the
+    coordinates of the family members x_l.  Entry (i, j) of S is
+    sum_l x_{l,i} x_{l,j}*: every product is formed in one batched
+    matmul, then the products are added in family order l = 0, 1, ...,
+    which is the arithmetic of the operator product Theta* @ Theta entry
+    by entry.
+    """
+    size, dim, n, _ = coords.shape
+    adjoints = np.ascontiguousarray(coords.conj().swapaxes(-1, -2))
+    products = coords[:, :, None] @ adjoints[:, None, :]
+    acc = np.zeros((dim, dim, n, n), complex)
+    for p in products:
+        acc = acc + p
+    return acc.transpose(0, 2, 1, 3).reshape(dim * n, dim * n)
+
+
 def require_stacks(stacks, shape: AlgebraShape, dim: int) -> None:
     """Reject per-block stacks that do not realize points of A^dim over `shape`."""
     if len(stacks) != shape.num_blocks or any(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, State, check_eps, norm_attaining_state
-from .modules import ModuleOperator, ModuleVector, inner_product
+from .modules import ModuleVector, gram_block, inner_product, realization_stacks, stack_norms
 
 
 class ApproximationHypothesisError(ValueError):
@@ -166,33 +166,26 @@ def admissible_check(vectors, probes: SampleSet | None = None, tol: float = 1e-8
     Norm condition: ||x_i|| <= 1 + tol for every i.  Gram condition: the
     operator inequality sum_i <x,x_i><x_i,x> <= <x,x> for every x, which
     over A^n is exactly lambda_min(Id - Theta*Theta) >= -tol on the
-    realization.  Probe points, when given, are rechecked individually so
-    a failure can name the offending probe.
+    realization: per block, I - S_k with S_k the realized gram block
+    (`gram_block`).  Probe points, when given, are rechecked individually
+    so a failure can name the offending probe.
     """
     vectors = list(vectors)
     if not vectors:
         raise ValueError("empty system")
+    shape, dim = vectors[0].shape, vectors[0].dim
+    stacks = realization_stacks(vectors, shape, dim)
     max_norm, bad_norm = 0.0, None
-    for i, v in enumerate(vectors):
-        nv = v.norm()
+    for i, nv in enumerate(stack_norms(stacks)):
         if nv > max_norm:
             max_norm = nv
         if nv > 1.0 + tol and bad_norm is None:
             bad_norm = i
 
-    shape, dim = vectors[0].shape, vectors[0].dim
-    theta = ModuleOperator(
-        shape, tuple(tuple(c.adjoint() for c in v.coords) for v in vectors)
-    )
-    gram = theta.adjoint() @ theta
-    ident = ModuleOperator.identity(shape, dim)
-    defect = ident - gram
-    slack = min(
-        float(np.linalg.eigvalsh(
-            (lambda m: (m + m.conj().T) / 2.0)(defect.realize_block(k))
-        ).min())
-        for k in range(shape.num_blocks)
-    )
+    slack = math.inf
+    for xs, n in zip(stacks, shape.block_dims):
+        defect = np.eye(dim * n) - gram_block(xs.reshape(len(vectors), dim, n, n))
+        slack = min(slack, float(np.linalg.eigvalsh((defect + defect.conj().T) / 2.0).min()))
 
     bad_probe = None
     if probes is not None:

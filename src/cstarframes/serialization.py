@@ -73,9 +73,13 @@ def _complex_in(val, path: str) -> complex:
     for i, p in enumerate(pair):
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise SchemaError(f"{path}[{i}]", f"expected a number, found {p!r}")
-        if not math.isfinite(p):
+        try:
+            part = float(p)
+        except OverflowError:
+            raise SchemaError(f"{path}[{i}]", "integer beyond float range") from None
+        if not math.isfinite(part):
             raise SchemaError(f"{path}[{i}]", f"non-finite value {p!r}")
-        parts.append(float(p))
+        parts.append(part)
     return complex(parts[0], parts[1])
 
 
@@ -101,7 +105,55 @@ def _matrix_in(val, n: int, path: str) -> np.ndarray:
 
 
 def _matrix_out(mat: np.ndarray) -> list:
-    return [[_complex_out(cell) for cell in row] for row in np.asarray(mat)]
+    mat = np.asarray(mat, dtype=complex)
+    finite = np.isfinite(mat)
+    if not finite.all():
+        _complex_out(mat[~finite][0])
+    return np.stack((mat.real, mat.imag), -1).tolist()
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _decode_blocks(payloads: list, shape: AlgebraShape) -> list[np.ndarray] | None:
+    """One-pass decode of element payloads: per block k, a (count, n_k, n_k) stack.
+
+    Each payload is a list of per-block matrices of [re, im] cells.  Per
+    block, the cells of every payload go into one object array whose
+    shape must be (count, n_k, n_k, 2) and whose cells must all be ints
+    or floats (bools and strings are refused before any conversion);
+    the float values must be finite, and the complex stack is a view of
+    the contiguous [re, im] pairs, so every bit, the sign of a zero
+    included, is the walk's.  Returns None on any malformed payload:
+    the caller then walks the payloads cell by cell, which names the
+    fault.
+    """
+    count = len(payloads)
+    if not count or not all(
+        type(e) is list and len(e) == shape.num_blocks for e in payloads
+    ):
+        return None
+    stacks = []
+    try:
+        for k, n in enumerate(shape.block_dims):
+            cells = np.array([e[k] for e in payloads], dtype=object)
+            if cells.shape != (count, n, n, 2) or not set(map(type, cells.flat)) <= _NUMBER_TYPES:
+                return None
+            values = cells.astype(float)
+            if not np.isfinite(values).all():
+                return None
+            stacks.append(values.view(complex)[..., 0])
+    except (ValueError, OverflowError):
+        return None
+    return stacks
+
+
+def _decode_elements(payloads: list, shape: AlgebraShape) -> list[AlgebraElement] | None:
+    """The payloads as algebra elements, or None when `_decode_blocks` rejects them."""
+    stacks = _decode_blocks(payloads, shape)
+    if stacks is None:
+        return None
+    return [AlgebraElement(shape, tuple(s[i] for s in stacks)) for i in range(len(payloads))]
 
 
 # -- nested payloads ----------------------------------------------------------
@@ -128,7 +180,7 @@ def element_payload(a: AlgebraElement) -> list:
     return [_matrix_out(b) for b in a.blocks]
 
 
-def parse_element_payload(val, shape: AlgebraShape, path: str) -> AlgebraElement:
+def _walk_element(val, shape: AlgebraShape, path: str) -> AlgebraElement:
     blocks = _expect_list(val, path)
     if len(blocks) != shape.num_blocks:
         raise SchemaError(path, f"expected {shape.num_blocks} blocks, found {len(blocks)}")
@@ -139,21 +191,50 @@ def parse_element_payload(val, shape: AlgebraShape, path: str) -> AlgebraElement
     return AlgebraElement(shape, mats)
 
 
+def parse_element_payload(val, shape: AlgebraShape, path: str) -> AlgebraElement:
+    decoded = _decode_elements([val], shape)
+    return decoded[0] if decoded is not None else _walk_element(val, shape, path)
+
+
 def vector_payload(v: ModuleVector) -> list:
     return [element_payload(c) for c in v.coords]
 
 
-def parse_vector_payload(val, shape: AlgebraShape, path: str) -> ModuleVector:
+def _walk_vector(val, shape: AlgebraShape, path: str) -> ModuleVector:
     coords = _expect_list(val, path)
     if not coords:
         raise SchemaError(path, "module vector needs at least one coordinate")
     return ModuleVector(
         shape,
-        tuple(
-            parse_element_payload(c, shape, f"{path}[{i}]")
-            for i, c in enumerate(coords)
-        ),
+        tuple(_walk_element(c, shape, f"{path}[{i}]") for i, c in enumerate(coords)),
     )
+
+
+def _decode_vectors(raw: list, shape: AlgebraShape) -> list[ModuleVector] | None:
+    """Vector payloads decoded together, all their coordinates in one pass."""
+    if not all(type(v) is list and v for v in raw):
+        return None
+    elements = _decode_elements([c for v in raw for c in v], shape)
+    if elements is None:
+        return None
+    vectors, start = [], 0
+    for v in raw:
+        vectors.append(ModuleVector(shape, tuple(elements[start : start + len(v)])))
+        start += len(v)
+    return vectors
+
+
+def parse_vector_payload(val, shape: AlgebraShape, path: str) -> ModuleVector:
+    decoded = _decode_vectors([val], shape)
+    return decoded[0] if decoded is not None else _walk_vector(val, shape, path)
+
+
+def _parse_vector_list(raw: list, shape: AlgebraShape, path: str) -> list[ModuleVector]:
+    """The vector payloads raw[i]; walked at path[i] only when the decode rejects them."""
+    decoded = _decode_vectors(raw, shape)
+    if decoded is not None:
+        return decoded
+    return [_walk_vector(v, shape, f"{path}[{i}]") for i, v in enumerate(raw)]
 
 
 def state_payload(s: State) -> list:
@@ -161,13 +242,19 @@ def state_payload(s: State) -> list:
 
 
 def parse_state_payload(val, shape: AlgebraShape, path: str) -> State:
-    mats = _expect_list(val, path)
-    if len(mats) != shape.num_blocks:
-        raise SchemaError(path, f"expected {shape.num_blocks} density blocks, found {len(mats)}")
-    densities = tuple(
-        _matrix_in(m, n, f"{path}[{k}]")
-        for k, (m, n) in enumerate(zip(mats, shape.block_dims))
-    )
+    decoded = _decode_blocks([val], shape)
+    if decoded is not None:
+        densities = tuple(d[0] for d in decoded)
+    else:
+        mats = _expect_list(val, path)
+        if len(mats) != shape.num_blocks:
+            raise SchemaError(
+                path, f"expected {shape.num_blocks} density blocks, found {len(mats)}"
+            )
+        densities = tuple(
+            _matrix_in(m, n, f"{path}[{k}]")
+            for k, (m, n) in enumerate(zip(mats, shape.block_dims))
+        )
     try:
         return State(shape, densities)
     except ValueError as e:
@@ -286,6 +373,18 @@ def _parse_operator_doc(doc: dict) -> ModuleOperator:
     rows = _expect_list(_get(doc, "entries", "$"), "$.entries")
     if not rows:
         raise SchemaError("$.entries", "operator needs at least one row")
+    width = len(rows[0]) if type(rows[0]) is list else None
+    decoded = None
+    if width and all(type(row) is list and len(row) == width for row in rows):
+        decoded = _decode_elements([e for row in rows for e in row], shape)
+    if decoded is not None:
+        entries = [decoded[i : i + width] for i in range(0, len(decoded), width)]
+    else:
+        entries = _walk_operator_entries(rows, shape)
+    return ModuleOperator(shape, tuple(tuple(row) for row in entries))
+
+
+def _walk_operator_entries(rows: list, shape: AlgebraShape) -> list:
     width = None
     entries = []
     for i, row in enumerate(rows):
@@ -298,13 +397,8 @@ def _parse_operator_doc(doc: dict) -> ModuleOperator:
             raise SchemaError(
                 f"$.entries[{i}]", f"ragged row: expected {width} entries, found {len(row)}"
             )
-        entries.append(
-            tuple(
-                parse_element_payload(e, shape, f"$.entries[{i}][{j}]")
-                for j, e in enumerate(row)
-            )
-        )
-    return ModuleOperator(shape, tuple(entries))
+        entries.append([_walk_element(e, shape, f"$.entries[{i}][{j}]") for j, e in enumerate(row)])
+    return entries
 
 
 def _parse_frame_doc(doc: dict) -> Frame:
@@ -316,9 +410,7 @@ def _parse_frame_doc(doc: dict) -> Frame:
     raw = _expect_list(_get(doc, "vectors", "$"), "$.vectors")
     if not raw:
         raise SchemaError("$.vectors", "frame needs at least one vector")
-    vectors = [
-        parse_vector_payload(v, shape, f"$.vectors[{i}]") for i, v in enumerate(raw)
-    ]
+    vectors = _parse_vector_list(raw, shape, "$.vectors")
     dims = {v.dim for v in vectors}
     if len(dims) != 1:
         raise SchemaError("$.vectors", f"mixed module dimensions {sorted(dims)}")
@@ -335,9 +427,7 @@ def _parse_sample_set_doc(doc: dict) -> SampleSet:
     if not isinstance(label, str):
         raise SchemaError("$.label", f"expected a string, found {label!r}")
     raw = _expect_list(_get(doc, "points", "$"), "$.points")
-    points = [
-        parse_vector_payload(p, shape, f"$.points[{i}]") for i, p in enumerate(raw)
-    ]
+    points = _parse_vector_list(raw, shape, "$.points")
     dims = {p.dim for p in points}
     if len(dims) > 1:
         raise SchemaError("$.points", f"mixed module dimensions {sorted(dims)}")
@@ -350,9 +440,7 @@ def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
     raw_sys = _expect_list(_get(doc, "system", "$"), "$.system")
     if not raw_sys:
         raise SchemaError("$.system", "admissible system needs at least one vector")
-    vectors = [
-        parse_vector_payload(v, shape, f"$.system[{i}]") for i, v in enumerate(raw_sys)
-    ]
+    vectors = _parse_vector_list(raw_sys, shape, "$.system")
     dims = {v.dim for v in vectors}
     if len(dims) != 1:
         raise SchemaError("$.system", f"mixed module dimensions {sorted(dims)}")

@@ -478,3 +478,66 @@ def test_malformed_file_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, "frame-bounds", str(bad))
     assert code == 1
     assert "JSON" in err
+
+
+# --- golden bytes of the frame and series commands ---
+
+GOLDEN = FIXTURES / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("dual", fx("frame_random.json")), "dual_frame_random.json"),
+        (("dual", fx("frame_range.json")), "dual_frame_range.json"),
+        (("series", fx("operator.json")), "series_operator.json"),
+        (("series", fx("operator.json"), "--frame", fx("frame_random.json")),
+         "series_operator_frame_random.json"),
+    ],
+)
+def test_out_file_golden(capsys, tmp_path, argv, golden):
+    out_file = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_reconstruct_csv_golden(capsys):
+    expected = (GOLDEN / "reconstruct_frame_random_vector.csv").read_text()
+    result = run(capsys, "reconstruct", fx("frame_random.json"), fx("vector.json"))
+    assert result == (0, expected, "")
+
+
+def test_series_frame_of_another_module_is_data_error(capsys):
+    result = run(capsys, "series", fx("operator.json"), "--frame", fx("frame_range.json"))
+    assert result == (1, "", "cstarframes: error: operator/vector dimension mismatch\n")
+
+
+def test_integer_beyond_float_range_is_data_error(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "vector.json").read_bytes())
+    doc["coords"][0][0][0][0] = [10**400, 0]
+    vec = tmp_path / "huge.json"
+    vec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "reconstruct", fx("frame_random.json"), str(vec))
+    assert (code, out) == (1, "")
+    assert err == "cstarframes: error: $.coords[0][0][0][0][0]: integer beyond float range\n"
+    assert "Traceback" not in err
+
+
+# --- the parser ---
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from cstarframes import cli
+
+    sample = fx("sample_planted.json")
+    cli._build_parser.cache_clear()
+    first = run(capsys, "precompact", "--condition", "all", "--sample", sample,
+                "--eps", "0.5", "--seed", "3")
+    second = run(capsys, "precompact", "--condition", "all", "--sample", sample)
+    assert cli._build_parser.cache_info().misses == 1
+    assert json.loads(first[1])["seed"] == 3
+    doc = json.loads(second[1])
+    assert doc["seed"] == 0
+    assert [e["eps"] for e in doc["entries"]] == [1.0, 0.5, 0.25, 0.125]
+    cli._build_parser.cache_clear()
+    assert run(capsys, "precompact", "--condition", "all", "--sample", sample) == second

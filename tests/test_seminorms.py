@@ -1,6 +1,7 @@
 """Admissible systems, seminorms, greedy nets, transfer, witnesses."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cstarframes import (
     AdmissibleSystem,
     AlgebraShape,
     ApproximationHypothesisError,
+    ModuleOperator,
     ModuleVector,
     SampleSet,
     SeminormSpec,
@@ -28,12 +30,14 @@ from cstarframes import (
     inner_product,
     net_covers,
     net_transfer,
+    parse,
     pseudometric_eval,
     seminorm_eval,
     seminorm_values,
     state_values,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 C2 = AlgebraShape((1, 1))
 C3 = AlgebraShape((1, 1, 1))
 
@@ -428,3 +432,33 @@ def test_ball_sampler_is_one_class():
 
     assert cstarframes.BallSampler is cstarframes.certify.BallSampler
     assert cstarframes.BallSampler is cstarframes.seminorms.BallSampler
+
+
+def oracle_admissibility(vectors):
+    """Largest norm and gram slack through module operators: Id - Theta* @ Theta."""
+    shape, dim = vectors[0].shape, vectors[0].dim
+    theta = ModuleOperator(shape, tuple(tuple(c.adjoint() for c in v.coords) for v in vectors))
+    defect = ModuleOperator.identity(shape, dim) - theta.adjoint() @ theta
+    slack = min(
+        float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
+        for m in (defect.realize_block(k) for k in range(shape.num_blocks))
+    )
+    return max(v.norm() for v in vectors), slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=spec_cases, stretch=st.sampled_from([0.5, 1.0, 1.2]))
+def test_admissible_slack_equals_the_operator_route(case, stretch):
+    dims, dim, size, seed, _ = case
+    rng = np.random.default_rng(seed)
+    shape = AlgebraShape(dims + (3,))
+    vectors = [v * stretch for v in random_admissible_spec(shape, dim, size, rng).system.vectors]
+    report = admissible_check(vectors)
+    assert (report.max_norm, report.gram_slack) == oracle_admissibility(vectors)
+
+
+def test_admissible_slack_of_the_fixture_spec():
+    spec = parse("seminorm_spec", (FIXTURES / "seminorm_spec.json").read_bytes())
+    vectors = spec.system.vectors
+    report = admissible_check(vectors)
+    assert (report.max_norm, report.gram_slack) == oracle_admissibility(vectors)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_shape, random_state, random_vector
 from cstarframes import (
@@ -22,6 +24,7 @@ from cstarframes import (
     standard_basis_frame,
     tail_obstruction,
 )
+from cstarframes import serialization
 from cstarframes.serialization import document
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -209,3 +212,165 @@ def test_certificate_documents_are_deterministic(rng):
     r1 = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5,), seed=7))
     r2 = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5,), seed=7))
     assert serialize(r1) == serialize(r2)
+
+
+# -- the one-pass decode ------------------------------------------------------
+
+finite_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([0, -1, 10**300, -(10**300), 2**53 + 1, 2**1023, 2**1024 - 2**971, 2**1024 - 2**970 - 1]),
+)
+
+
+@st.composite
+def element_payloads(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    count = draw(st.integers(1, 4))
+    payloads = [
+        [
+            [[[draw(finite_parts), draw(finite_parts)] for _ in range(n)] for _ in range(n)]
+            for n in dims
+        ]
+        for _ in range(count)
+    ]
+    return AlgebraShape(tuple(dims)), payloads
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=element_payloads())
+def test_decode_equals_the_walk_bit_for_bit(case):
+    shape, payloads = case
+    stacks = serialization._decode_blocks(payloads, shape)
+    walked = [serialization._walk_element(e, shape, "$") for e in payloads]
+    assert stacks is not None
+    for k, stack in enumerate(stacks):
+        assert stack.dtype == complex
+        assert stack.tobytes() == np.array([w.blocks[k] for w in walked]).tobytes()
+    as_floats = [
+        [[[[float(p) for p in cell] for cell in row] for row in block] for block in e]
+        for e in payloads
+    ]
+    for e, expected in zip(serialization._decode_elements(payloads, shape), as_floats):
+        out = serialization.element_payload(e)
+        assert json.dumps(out) == json.dumps(expected)  # "-0.0" keeps its sign
+
+
+def _mutate(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    key = path[-1]
+    if value == "FIRST_BLOCK_ONLY":
+        target[key] = target[key][:1]
+    elif value == "DROP_LAST":
+        target[key] = target[key][:-1]
+    elif value in ("EXTRA_COORD", "ADD_ENTRY"):
+        target[key] = target[key] + [target[key][0]]
+    else:
+        target[key] = value
+
+
+# Each malformed document and the exact message the per-cell walk gave for
+# it before the one-pass decode existed.  Several documents carry two
+# faults; the first in document order is the one named.
+SCHEMA_ERRORS = [
+    ("vector.json", [(("coords", 1, 1, 0, 1, 0), True)], "$.coords[1][1][0][1][0]: expected a number, found True"),
+    ("vector.json", [(("coords", 0, 1, 1, 0, 1), "1.5")], "$.coords[0][1][1][0][1]: expected a number, found '1.5'"),
+    ("vector.json", [(("coords", 0, 1, 0, 0), [1.0])], "$.coords[0][1][0][0]: complex scalar needs [re, im], found 1 entries"),
+    ("vector.json", [(("coords", 1, 0, 0, 0), [1.0, 0.0, 0.0])], "$.coords[1][0][0][0]: complex scalar needs [re, im], found 3 entries"),
+    ("vector.json", [(("coords", 0, 1, 1), [[1.0, 0.0]])], "$.coords[0][1][1]: expected 2 columns, found 1"),
+    ("vector.json", [(("coords", 0, 1), [[[1.0, 0.0], [0.0, 0.0]]])], "$.coords[0][1]: expected 2 rows, found 1"),
+    ("vector.json", [(("coords", 1), "FIRST_BLOCK_ONLY")], "$.coords[1]: expected 2 blocks, found 1"),
+    ("vector.json", [(("coords", 1, 1, 1, 1, 0), math.nan)], "$.coords[1][1][1][1][0]: non-finite value nan"),
+    ("vector.json", [(("coords", 0, 0, 0, 0, 1), math.inf)], "$.coords[0][0][0][0][1]: non-finite value inf"),
+    ("vector.json", [(("coords", 1, 0, 0, 0, 0), -math.inf)], "$.coords[1][0][0][0][0]: non-finite value -inf"),
+    ("vector.json", [(("coords", 0, 1, 0, 1), 1.0)], "$.coords[0][1][0][1]: expected an array, found float"),
+    ("vector.json", [(("coords", 1, 1, 0, 0, 0), [1.0, 0.0])], "$.coords[1][1][0][0][0]: expected a number, found [1.0, 0.0]"),
+    ("vector.json", [(("coords", 0, 1, 0), 5)], "$.coords[0][1][0]: expected an array, found int"),
+    ("vector.json", [(("coords", 0, 0), "x")], "$.coords[0][0]: expected an array, found str"),
+    ("vector.json", [(("coords", 1), {"a": 1})], "$.coords[1]: expected an array, found dict"),
+    ("vector.json", [(("coords",), [])], "$.coords: module vector needs at least one coordinate"),
+    ("vector.json", [(("coords",), 3)], "$.coords: expected an array, found int"),
+    ("vector.json", [(("coords", 1, 1, 1, 0, 1), None)], "$.coords[1][1][1][0][1]: expected a number, found None"),
+    ("element.json", [(("blocks", 1, 1, 1, 1), math.inf)], "$.blocks[1][1][1][1]: non-finite value inf"),
+    ("element.json", [(("blocks", 0, 0, 0), [0.5, 0.5, 0.5])], "$.blocks[0][0][0]: complex scalar needs [re, im], found 3 entries"),
+    ("state.json", [(("densities", 0, 0, 0, 0), True)], "$.densities[0][0][0][0]: expected a number, found True"),
+    ("state.json", [(("densities", 1), [[[1.0, 0.0]]])], "$.densities[1]: expected 2 rows, found 1"),
+    ("frame_random.json", [(("vectors", 2, 1, 1, 1, 0, 0), False)], "$.vectors[2][1][1][1][0][0]: expected a number, found False"),
+    ("frame_random.json", [(("vectors", 3, 0, 0, 0, 0), [1.0])], "$.vectors[3][0][0][0][0]: complex scalar needs [re, im], found 1 entries"),
+    ("frame_random.json", [(("vectors", 1), "EXTRA_COORD")], "$.vectors: mixed module dimensions [2, 3]"),
+    ("frame_random.json", [(("vectors", 0), [])], "$.vectors[0]: module vector needs at least one coordinate"),
+    ("frame_random.json", [(("vectors", 3, 1, 1, 1, 1), math.nan)], "$.vectors[3][1][1][1][1]: expected an array, found float"),
+    ("operator.json", [(("entries", 1, 0, 1, 0, 0, 0), "x")], "$.entries[1][0][1][0][0][0]: expected a number, found 'x'"),
+    ("operator.json", [(("entries", 1), "DROP_LAST")], "$.entries[1]: ragged row: expected 2 entries, found 1"),
+    ("operator.json", [(("entries", 1), [])], "$.entries[1]: operator row is empty"),
+    ("operator.json", [(("entries", 0, 1, 1, 1, 1, 1), math.inf)], "$.entries[0][1][1][1][1][1]: non-finite value inf"),
+    ("sample_planted.json", [(("points", 4, 2, 1, 0, 0, 1), math.nan)], "$.points[4][2][1][0][0][1]: non-finite value nan"),
+    ("sample_planted.json", [(("points", 5, 0, 2), [[[1.0, 0.0]], [[0.0, 0.0]]])], "$.points[5][0][2]: expected 1 rows, found 2"),
+    ("sample_planted.json", [(("points", 3, 1, 0, 0, 0, 0), "0")], "$.points[3][1][0][0][0][0]: expected a number, found '0'"),
+    ("seminorm_spec.json", [(("system", 2, 0, 0, 0, 0, 0), True)], "$.system[2][0][0][0][0][0]: expected a number, found True"),
+    ("seminorm_spec.json", [(("states", 1, 0, 0, 0), "a")], "$.states[1][0][0][0]: expected an array, found str"),
+    ("seminorm_spec.json", [(("states", 3), "FIRST_BLOCK_ONLY")], "$.states[3]: expected 3 density blocks, found 1"),
+    ("vector.json", [(("coords", 0, 1, 1, 1, 0), "y"), (("coords", 1, 0, 0, 0, 0), True)], "$.coords[0][1][1][1][0]: expected a number, found 'y'"),
+    ("frame_random.json", [(("vectors", 1), "EXTRA_COORD"), (("vectors", 2, 0, 0, 0, 0, 0), math.nan)], "$.vectors[2][0][0][0][0][0]: non-finite value nan"),
+    ("frame_random.json", [(("vectors", 3, 1, 0, 0, 0), [1.0]), (("vectors", 1, 0, 1, 0, 1), True)], "$.vectors[1][0][1][0][1]: expected an array, found bool"),
+    ("operator.json", [(("entries", 0, 1, 0, 0, 0, 1), "z"), (("entries", 1), "DROP_LAST")], "$.entries[0][1][0][0][0][1]: expected a number, found 'z'"),
+    ("operator.json", [(("entries", 1), "ADD_ENTRY"), (("entries", 1, 0, 0, 0, 0, 0), True)], "$.entries[1]: ragged row: expected 2 entries, found 3"),
+    ("seminorm_spec.json", [(("states", 0, 0, 0, 0, 0), True), (("system", 3, 0, 0, 0, 0, 0), True)], "$.system[3][0][0][0][0][0]: expected a number, found True"),
+]
+
+
+@pytest.mark.parametrize("name, mutations, message", SCHEMA_ERRORS)
+def test_malformed_payloads_keep_their_schema_errors(name, mutations, message):
+    doc = json.loads((FIXTURES / name).read_bytes())
+    for path, value in mutations:
+        _mutate(doc, path, value)
+    with pytest.raises(SchemaError) as err:
+        parse(doc["kind"], json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_valid_documents_never_take_the_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a valid payload was walked cell by cell")
+
+    monkeypatch.setattr(serialization, "_matrix_in", refuse)
+    monkeypatch.setattr(serialization, "_walk_element", refuse)
+    for name, kind in FIXTURE_KINDS.items():
+        assert serialize(parse(kind, (FIXTURES / name).read_bytes())) == (FIXTURES / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, path, where",
+    [
+        ("vector.json", ("coords", 0, 0, 0, 0, 0), "$.coords[0][0][0][0][0]"),
+        ("frame_random.json", ("vectors", 2, 1, 1, 0, 1, 1), "$.vectors[2][1][1][0][1][1]"),
+        ("state.json", ("densities", 1, 1, 0, 1), "$.densities[1][1][0][1]"),
+        ("operator.json", ("entries", 1, 1, 0, 0, 0, 0), "$.entries[1][1][0][0][0][0]"),
+    ],
+)
+@pytest.mark.parametrize("value", [10**400, -(10**309), 2**1024])
+def test_integer_beyond_float_range_is_a_schema_error(name, path, where, value):
+    doc = json.loads((FIXTURES / name).read_bytes())
+    _mutate(doc, path, value)
+    with pytest.raises(SchemaError) as err:
+        parse(doc["kind"], json.dumps(doc))
+    assert err.value.path == where
+    assert str(err.value) == f"{where}: integer beyond float range"
+
+
+def test_largest_integer_below_float_range_parses():
+    doc = json.loads((FIXTURES / "vector.json").read_bytes())
+    doc["coords"][0][0][0][0] = [2**1024 - 2**970 - 1, -(2**1023)]
+    x = parse("vector", json.dumps(doc))
+    assert x.coords[0].blocks[0][0, 0] == complex(1.7976931348623157e308, -8.98846567431158e307)
+
+
+def test_non_finite_serialize_names_the_first_bad_scalar():
+    shape = AlgebraShape((2,))
+    block = np.array([[0.0, 1 + 2j], [complex(math.inf, 1.0), complex(math.nan, 0.0)]])
+    with pytest.raises(ValueError) as err:
+        serialize(AlgebraElement(shape, (block,)))
+    assert str(err.value) == "cannot serialize non-finite scalar (inf+1j)"
