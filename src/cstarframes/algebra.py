@@ -3,19 +3,30 @@
 The algebra is always a finite direct sum of full complex matrix blocks
 M_{n_1} + ... + M_{n_K}.  Every element is stored through this faithful
 realization, so norms, spectra and positivity are plain dense linear
-algebra, one block at a time.  Commutative algebras are the special case
-where every block is 1x1.
+algebra.  Blocks of equal size form a *size class* and are stored
+together, one (count, n, n) array per class, so every operation is one
+batched numpy call per class; a commutative algebra (every block 1x1) is
+a single class.  Whatever depends on block order (a sum over the blocks,
+a max taken the way Python's max() takes it, the first block that fails
+a test) is taken in block order after the per-class results are
+gathered, so results do not depend on how the blocks are grouped.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Relative eigenvalue threshold used by positivity and invertibility checks.
 DEFAULT_TOL = 1e-10
+
+# Batched intermediates are cut along one axis into chunks of at most this
+# many entries (one item per chunk at least), so the memory of a pass does
+# not grow with the number of blocks or points it covers.
+CHUNK_ENTRIES = 1 << 18
 
 
 def check_eps(eps: float) -> None:
@@ -27,6 +38,26 @@ def check_eps(eps: float) -> None:
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be a finite positive number")
+
+
+def chunks(count: int, item_entries: int) -> list[slice]:
+    """Slices cutting `count` items of `item_entries` entries each under CHUNK_ENTRIES."""
+    step = max(1, CHUNK_ENTRIES // max(1, item_entries))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def tiles(count: int, points: int, item_entries: int) -> list[tuple[slice, slice]]:
+    """(blocks, points) slices cutting count x points items under CHUNK_ENTRIES.
+
+    Blocks are grouped first, then points within each group of blocks, so
+    a tile stays under the bound even when one point's data over all
+    blocks would not.
+    """
+    out = []
+    for blocks in chunks(count, item_entries):
+        width = len(range(count)[blocks])
+        out.extend((blocks, part) for part in chunks(points, width * item_entries))
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,48 +86,147 @@ class AlgebraShape:
     def is_commutative(self) -> bool:
         return all(n == 1 for n in self.block_dims)
 
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The size classes: each distinct block size n (in order of first
+        appearance) with the indices of its blocks, in block order."""
+        members: dict[int, list[int]] = {}
+        for k, n in enumerate(self.block_dims):
+            members.setdefault(n, []).append(k)
+        return tuple((n, tuple(ks)) for n, ks in members.items())
 
-def _as_blocks(shape: AlgebraShape, blocks) -> tuple[np.ndarray, ...]:
-    """Validate and freeze a list of per-block matrices."""
+    @functools.cached_property
+    def slots(self) -> tuple[tuple[int, int], ...]:
+        """For each block k, its class c and its position j within the class."""
+        out = {k: (c, j) for c, (_, ks) in enumerate(self.classes) for j, k in enumerate(ks)}
+        return tuple(out[k] for k in range(self.num_blocks))
+
+    @functools.cached_property
+    def _block_order(self) -> np.ndarray | None:
+        # Positions, among the classes laid end to end, of blocks 0..K-1;
+        # None when the classes already lie in block order.
+        flat = [k for _, ks in self.classes for k in ks]
+        return None if flat == sorted(flat) else np.argsort(flat)
+
+    def gather(self, per_class) -> np.ndarray:
+        """Per-class arrays with a leading axis over their blocks, joined in block order."""
+        joined = per_class[0] if len(per_class) == 1 else np.concatenate(per_class)
+        order = self._block_order
+        return joined if order is None else joined[order]
+
+
+def blockwise_max(shape: AlgebraShape, per_class):
+    """max() over the blocks, in block order, entry by entry, as nested floats.
+
+    per_class holds one array per size class with a leading axis over the
+    class's blocks and a common trailing shape.  A module norm is the
+    largest block norm; this takes that max as Python's max() takes it
+    over the blocks in order.  A scalar per block gives a float.
+    """
+    stacked = shape.gather(per_class)
+    rows = stacked.reshape(len(stacked), -1).T.tolist()
+    return np.reshape([max(r) for r in rows], stacked.shape[1:]).tolist()
+
+
+def block_sum(shape: AlgebraShape, per_class) -> np.ndarray:
+    """Sum over the blocks, in block order and starting from zero, of per-class arrays."""
+    stacked = shape.gather(per_class)
+    total = np.zeros(stacked.shape[1:], stacked.dtype)
+    for part in stacked:
+        total = total + part
+    return total
+
+
+def hermitian_part(stack: np.ndarray) -> np.ndarray:
+    """(a + a*) / 2 of every matrix in a stack."""
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+
+
+def frozen(stacks) -> tuple[np.ndarray, ...]:
+    """The arrays as a tuple, made read-only: views of stored arrays are handed out."""
+    stacks = tuple(stacks)
+    for s in stacks:
+        s.setflags(write=False)
+    return stacks
+
+
+def bare(cls, stacks, **attrs):
+    """An instance of cls storing `stacks` and `attrs`, built without its validation.
+
+    Library results are already in shape; only values coming from outside
+    go through a class's public constructor.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "stacks", frozen(stacks))
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _pack_blocks(shape: AlgebraShape, blocks) -> tuple[np.ndarray, ...]:
+    """Validate a list of per-block matrices and pack it by size class."""
     if len(blocks) != shape.num_blocks:
         raise ValueError(
             f"expected {shape.num_blocks} blocks, got {len(blocks)}"
         )
-    frozen = []
+    arrays = []
     for k, (n, b) in enumerate(zip(shape.block_dims, blocks)):
-        arr = np.array(b, dtype=complex)
+        arr = np.asarray(b, dtype=complex)
         if arr.shape != (n, n):
             raise ValueError(
                 f"block {k} has shape {arr.shape}, expected {(n, n)}"
             )
-        arr.setflags(write=False)
-        frozen.append(arr)
-    return tuple(frozen)
+        arrays.append(arr)
+    return frozen(np.stack([arrays[k] for k in ks]) for _, ks in shape.classes)
 
 
-@dataclass(frozen=True, eq=False)
+def _scalar_blocks(shape: AlgebraShape, fill) -> tuple[np.ndarray, ...]:
+    """Per class, `fill(k, n)` (an (n, n) matrix) for each block k."""
+    return tuple(
+        np.array([fill(k, n) for k in ks], complex).reshape(len(ks), n, n)
+        for n, ks in shape.classes
+    )
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class AlgebraElement:
     """One member of the algebra: a matrix per block.
 
-    Values are immutable after construction; all arithmetic returns fresh
+    stacks[c] holds the blocks of size class c, shape (count_c, n_c, n_c);
+    `blocks` gives them back in block order as read-only views.  Values
+    are immutable after construction and all arithmetic returns fresh
     elements, so instances are safe to share across threads.
     """
 
     shape: AlgebraShape
-    blocks: tuple[np.ndarray, ...] = field(repr=False)
+    stacks: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", _as_blocks(self.shape, self.blocks))
+    def __init__(self, shape: AlgebraShape, blocks):
+        object.__setattr__(self, "shape", shape)
+        self.__post_init__(blocks)
+
+    def __post_init__(self, blocks):
+        # Every validated construction passes here; library results use `_packed`.
+        object.__setattr__(self, "stacks", _pack_blocks(self.shape, blocks))
+
+    @classmethod
+    def _packed(cls, shape: AlgebraShape, stacks) -> "AlgebraElement":
+        return bare(cls, stacks, shape=shape)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The matrix of each block, in block order."""
+        return tuple(self.stacks[c][j] for c, j in self.shape.slots)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def identity(cls, shape: AlgebraShape) -> "AlgebraElement":
-        return cls(shape, tuple(np.eye(n, dtype=complex) for n in shape.block_dims))
+        return cls._packed(shape, _scalar_blocks(shape, lambda k, n: np.eye(n)))
 
     @classmethod
     def zero(cls, shape: AlgebraShape) -> "AlgebraElement":
-        return cls(shape, tuple(np.zeros((n, n), complex) for n in shape.block_dims))
+        return cls._packed(shape, _scalar_blocks(shape, lambda k, n: np.zeros((n, n))))
 
     @classmethod
     def from_scalars(cls, shape: AlgebraShape, values) -> "AlgebraElement":
@@ -112,9 +242,7 @@ class AlgebraElement:
         """Central projection supported on block k: identity there, zero elsewhere."""
         if not 0 <= k < shape.num_blocks:
             raise ValueError(f"block index {k} out of range")
-        blocks = [np.zeros((n, n), complex) for n in shape.block_dims]
-        blocks[k] = np.eye(shape.block_dims[k], dtype=complex)
-        return cls(shape, tuple(blocks))
+        return cls._packed(shape, _scalar_blocks(shape, lambda b, n: np.eye(n) * (b == k)))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -122,48 +250,44 @@ class AlgebraElement:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
+    def _with(self, stacks) -> "AlgebraElement":
+        return AlgebraElement._packed(self.shape, stacks)
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_shape(other)
-        return AlgebraElement(
-            self.shape, tuple(a + b for a, b in zip(self.blocks, other.blocks))
-        )
+        return self._with(a + b for a, b in zip(self.stacks, other.stacks))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_shape(other)
-        return AlgebraElement(
-            self.shape, tuple(a - b for a, b in zip(self.blocks, other.blocks))
-        )
+        return self._with(a - b for a, b in zip(self.stacks, other.stacks))
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, tuple(-a for a in self.blocks))
+        return self._with(-a for a in self.stacks)
 
     def __mul__(self, other) -> "AlgebraElement":
         """Algebra product for element operands, scaling for scalar operands."""
         if isinstance(other, AlgebraElement):
             self._require_same_shape(other)
-            return AlgebraElement(
-                self.shape, tuple(a @ b for a, b in zip(self.blocks, other.blocks))
-            )
-        return AlgebraElement(self.shape, tuple(a * complex(other) for a in self.blocks))
+            return self._with(a @ b for a, b in zip(self.stacks, other.stacks))
+        return self._with(a * complex(other) for a in self.stacks)
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.shape, tuple(complex(scalar) * a for a in self.blocks))
+        return self._with(complex(scalar) * a for a in self.stacks)
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, tuple(a.conj().T for a in self.blocks))
+        return self._with(np.ascontiguousarray(a.conj().swapaxes(-1, -2)) for a in self.stacks)
 
     # -- norm and order -------------------------------------------------
 
     def norm(self) -> float:
         """C*-norm: the largest singular value across blocks."""
-        return max(
-            float(np.linalg.norm(a, 2)) if a.size else 0.0 for a in self.blocks
-        )
+        return blockwise_max(self.shape, [np.linalg.norm(a, 2, axis=(-2, -1)) for a in self.stacks])
 
     def is_selfadjoint(self, tol: float = DEFAULT_TOL) -> bool:
         scale = max(self.norm(), 1.0)
         return all(
-            np.max(np.abs(a - a.conj().T)) <= tol * scale for a in self.blocks
+            (np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol * scale).all()
+            for a in self.stacks
         )
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
@@ -175,42 +299,37 @@ class AlgebraElement:
         if not self.is_selfadjoint(tol):
             raise ValueError("positivity is only defined for self-adjoint elements")
         slack = tol * max(self.norm(), 1.0)
-        for a in self.blocks:
-            h = (a + a.conj().T) / 2.0
-            if np.linalg.eigvalsh(h).min() < -slack:
-                return False
-        return True
+        return not any(
+            (np.linalg.eigvalsh(hermitian_part(a)).min(axis=-1) < -slack).any()
+            for a in self.stacks
+        )
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue across the Hermitian symmetrizations of all blocks."""
-        return min(
-            float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min())
-            for a in self.blocks
-        )
+        mins = [np.linalg.eigvalsh(hermitian_part(a)).min(axis=-1) for a in self.stacks]
+        return min(self.shape.gather(mins).tolist())
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
         """Blockwise inverse; rejects elements with a nearly singular block."""
         scale = max(self.norm(), 1.0)
-        out = []
-        for k, a in enumerate(self.blocks):
-            smin = np.linalg.svd(a, compute_uv=False).min()
+        smins = [np.linalg.svd(a, compute_uv=False).min(axis=-1) for a in self.stacks]
+        for k, smin in enumerate(self.shape.gather(smins).tolist()):
             if smin <= tol * scale:
                 raise np.linalg.LinAlgError(
                     f"block {k} is singular (smallest singular value {smin:.3e})"
                 )
-            out.append(np.linalg.inv(a))
-        return AlgebraElement(self.shape, tuple(out))
+        return self._with(np.linalg.inv(a) for a in self.stacks)
 
     def sqrt(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
         """Positive square root via blockwise spectral calculus."""
         if not self.is_positive(tol):
             raise ValueError("sqrt requires a positive element")
         out = []
-        for a in self.blocks:
-            h = (a + a.conj().T) / 2.0
-            w, v = np.linalg.eigh(h)
-            out.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
-        return AlgebraElement(self.shape, tuple(out))
+        for a in self.stacks:
+            w, v = np.linalg.eigh(hermitian_part(a))
+            root = np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+            out.append((v * root) @ v.conj().swapaxes(-1, -2))
+        return self._with(out)
 
     # -- misc -----------------------------------------------------------
 
@@ -223,39 +342,52 @@ class AlgebraElement:
         return f"AlgebraElement(blocks {dims}, norm={self.norm():.4g})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class State:
     """Positive linear functional of norm one, stored as block densities.
 
     Evaluation is a |-> sum_k trace(rho_k a_k) with each rho_k positive
-    semidefinite and the traces summing to one.
+    semidefinite and the traces summing to one.  The densities are packed
+    by size class like the blocks of an element.
     """
 
     shape: AlgebraShape
-    densities: tuple[np.ndarray, ...] = field(repr=False)
+    stacks: tuple[np.ndarray, ...]
 
     _VALIDATION_TOL = 1e-8
 
-    def __post_init__(self):
-        densities = _as_blocks(self.shape, self.densities)
-        total = 0.0
-        for k, rho in enumerate(densities):
-            herm_defect = np.max(np.abs(rho - rho.conj().T)) if rho.size else 0.0
-            if herm_defect > self._VALIDATION_TOL:
+    def __init__(self, shape: AlgebraShape, densities):
+        stacks = _pack_blocks(shape, densities)
+        tol = self._VALIDATION_TOL
+        herm = [np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks]
+        low = [np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks]
+        traces = [np.trace(s, axis1=-2, axis2=-1).real for s in stacks]
+        for k, (defect, least) in enumerate(
+            zip(shape.gather(herm).tolist(), shape.gather(low).tolist())
+        ):
+            if defect > tol:
                 raise ValueError(f"density {k} is not Hermitian")
-            if np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() < -self._VALIDATION_TOL:
+            if least < -tol:
                 raise ValueError(f"density {k} is not positive semidefinite")
-            total += float(np.trace(rho).real)
-        if abs(total - 1.0) > self._VALIDATION_TOL:
+        total = float(block_sum(shape, traces))
+        if abs(total - 1.0) > tol:
             raise ValueError(f"densities must have total trace 1, got {total}")
-        object.__setattr__(self, "densities", densities)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "stacks", stacks)
+
+    @property
+    def densities(self) -> tuple[np.ndarray, ...]:
+        """The density of each block, in block order."""
+        return tuple(self.stacks[c][j] for c, j in self.shape.slots)
 
     def __call__(self, a: AlgebraElement) -> complex:
         if a.shape != self.shape:
             raise ValueError("state and element shapes differ")
-        return complex(
-            sum(np.trace(rho @ blk) for rho, blk in zip(self.densities, a.blocks))
-        )
+        traces = [
+            np.trace(rho @ blk, axis1=-2, axis2=-1)
+            for rho, blk in zip(self.stacks, a.stacks)
+        ]
+        return complex(block_sum(self.shape, traces))
 
     @classmethod
     def normalized_trace(cls, shape: AlgebraShape) -> "State":
@@ -298,13 +430,13 @@ def norm_attaining_state(a: AlgebraElement) -> State:
     is fixed so its first nonzero component is real positive).  On positive
     elements the construction attains |phi(a)| = norm(a) exactly.
     """
-    best_block, best_val, best_vec = 0, -1.0, None
-    for k, blk in enumerate(a.blocks):
-        h = blk.conj().T @ blk
-        w, v = np.linalg.eigh(h)
-        if w[-1] > best_val + 1e-15:
-            best_block, best_val, best_vec = k, float(w[-1]), v[:, -1]
-    vec = best_vec.copy()
+    spectra = [np.linalg.eigh(s.conj().swapaxes(-1, -2) @ s) for s in a.stacks]
+    best_block, best_val = 0, -1.0
+    for k, top in enumerate(a.shape.gather([w[:, -1] for w, _ in spectra]).tolist()):
+        if top > best_val + 1e-15:
+            best_block, best_val = k, top
+    c, j = a.shape.slots[best_block]
+    vec = spectra[c][1][j][:, -1].copy()
     nz = np.flatnonzero(np.abs(vec) > 1e-14)
     if nz.size:
         phase = vec[nz[0]] / abs(vec[nz[0]])

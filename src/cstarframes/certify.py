@@ -11,7 +11,7 @@ no room for disagreement.
 
 Nothing a condition computes depends on eps except its final comparison,
 so each condition is split in two: an eps-free pass over the whole
-sample, batched per algebra block on the stacked realizations, and a
+sample, batched per size class on the stacked realizations, and a
 cheap certificate built from that data for one eps.  The equivalence
 runner makes each pass once and builds every certificate of its eps grid
 from it.
@@ -26,18 +26,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, check_eps
+from .algebra import AlgebraElement, blockwise_max, check_eps, chunks, tiles
 from .frames import Frame, standard_basis_frame
 from .modules import (
     ModuleVector,
-    blockwise_max,
+    coordinate_blocks,
+    family_vectors,
     inner_product,
     orthogonal_span_family,
     realization_stacks,
     span_least_squares,
     stack_norms,
     theta_op,
-    vector_from_realizations,
 )
 from .seminorms import BallSampler, SampleSet
 
@@ -128,22 +128,21 @@ def _coefficient_data(sample: SampleSet, generators: list) -> _CoefficientData:
     s = len(generators)
     coeff_norms, stacked_norms, approx_norms = [], [], []
     for ak, gk in zip(coeffs, realization_stacks(generators, g0.shape, g0.dim)):
-        points, _, n = ak.shape
-        rows = gk.shape[1]
-        per_coeff = ak.reshape(points, s, n, n)
-        coeff_norms.append(np.linalg.norm(per_coeff, 2, axis=(2, 3)))
-        stacked_norms.append(np.linalg.norm(ak, 2, axis=(1, 2)))
-        gen_coords = gk.reshape(s, -1, n, n)
-        approx = np.zeros((points,) + gen_coords.shape[1:], complex)
+        count, points, _, n = ak.shape
+        per_coeff = ak.reshape(count, points, s, n, n)
+        coeff_norms.append(np.linalg.norm(per_coeff, 2, axis=(-2, -1)))
+        stacked_norms.append(np.linalg.norm(ak, 2, axis=(-2, -1)))
+        gen_coords = coordinate_blocks(gk, g0.dim)
+        approx = np.zeros((count, points) + gen_coords.shape[2:], complex)
         for i in range(s):
-            approx = approx + gen_coords[i] @ per_coeff[:, i, None]
-        approx_norms.append(np.linalg.norm(approx.reshape(points, rows, n), 2, axis=(1, 2)))
+            approx = approx + gen_coords[:, None, i] @ per_coeff[:, :, i, None]
+        approx_norms.append(np.linalg.norm(approx.reshape(count, points, -1, n), 2, axis=(-2, -1)))
     return _CoefficientData(
         s,
         residuals,
-        blockwise_max(coeff_norms),
-        blockwise_max(stacked_norms),
-        blockwise_max(approx_norms),
+        blockwise_max(g0.shape, coeff_norms),
+        blockwise_max(g0.shape, stacked_norms),
+        blockwise_max(g0.shape, approx_norms),
         b_const,
     )
 
@@ -184,18 +183,19 @@ def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
 
     Runs from n = 0 up to the first n >= 1 whose error is below eps, or
     through all the given pairs.  One rank step updates the residuals
-    r - z<g,x> of all points in one batched product per block.
+    r - z<g,x> of all points in one batched product per size class.
     """
+    shape, dim = sample.shape, sample.dim
     stacks = sample.realizations
     residuals = list(stacks)
-    errors = [max(stack_norms(residuals))]
+    errors = [max(stack_norms(shape, residuals))]
     z, g = _pair_stacks(sample, pairs)
     for j in range(len(pairs)):
-        for k, (xk, zk, gk) in enumerate(zip(stacks, z, g)):
-            n = xk.shape[-1]
-            c = gk[j].conj().T @ xk
-            residuals[k] = residuals[k] - (zk[j].reshape(-1, n, n) @ c[:, None]).reshape(xk.shape)
-        errors.append(max(stack_norms(residuals)))
+        for c, (xk, zk, gk) in enumerate(zip(stacks, z, g)):
+            coeffs = gk[:, j, None].conj().swapaxes(-1, -2) @ xk
+            step = coordinate_blocks(zk[:, j], dim)[:, None] @ coeffs[:, :, None]
+            residuals[c] = residuals[c] - step.reshape(xk.shape)
+        errors.append(max(stack_norms(shape, residuals)))
         if errors[-1] < eps:
             break
     return errors
@@ -221,22 +221,31 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
     longest approximant of a grid serves every shorter one.
     """
     count = len(pairs)
+    shape, dim = sample.shape, sample.dim
     z, g = _pair_stacks(sample, pairs)
     coeff_norms, residual_norms = [], []
     for xk, zk, gk in zip(sample.realizations, z, g):
-        points, rows, n = xk.shape
-        coeffs = gk.conj().swapaxes(-1, -2) @ xk[:, None]
-        coeff_norms.append(np.linalg.norm(coeffs, 2, axis=(2, 3)))
-        terms = zk.reshape(count, rows // n, n, n) @ coeffs[:, :, None]
-        start = np.zeros((points, 1) + terms.shape[2:], complex)
-        approx = np.add.accumulate(np.concatenate((start, terms), axis=1), axis=1)
-        residuals = xk[:, None] - approx.reshape(points, count + 1, rows, n)
-        residual_norms.append(np.linalg.norm(residuals, 2, axis=(2, 3)))
+        blocks, points, rows, n = xk.shape
+        g_adj = gk[:, None].conj().swapaxes(-1, -2)
+        z_coords = coordinate_blocks(zk, dim)[:, None]
+        cn = np.zeros((blocks, points, count))
+        rn = np.zeros((blocks, points, count + 1))
+        for part_blocks, part in tiles(blocks, points, (count + 1) * rows * n):
+            x = xk[part_blocks, part, None]
+            coeffs = g_adj[part_blocks] @ x
+            cn[part_blocks, part] = np.linalg.norm(coeffs, 2, axis=(-2, -1))
+            terms = z_coords[part_blocks] @ coeffs[:, :, :, None]
+            start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
+            approx = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
+            residuals = x - approx.reshape(approx.shape[:3] + (rows, n))
+            rn[part_blocks, part] = np.linalg.norm(residuals, 2, axis=(-2, -1))
+        coeff_norms.append(cn)
+        residual_norms.append(rn)
     return _ReplayData(
-        stack_norms(sample.realizations),
-        stack_norms(g),
-        blockwise_max(coeff_norms),
-        blockwise_max(residual_norms),
+        stack_norms(shape, sample.realizations),
+        stack_norms(shape, g),
+        blockwise_max(shape, coeff_norms),
+        blockwise_max(shape, residual_norms),
     )
 
 
@@ -641,19 +650,15 @@ class SeriesDecomposition:
     floor: float
     achieved_rank: int | None
     _vectors: tuple[ModuleVector, ...] = field(repr=False)
-    _adjoint_blocks: tuple[np.ndarray, ...] = field(repr=False)
+    _adjoint_stacks: tuple[np.ndarray, ...] = field(repr=False)
 
     @functools.cached_property
     def pairs(self) -> tuple[tuple[ModuleVector, ModuleVector], ...]:
         if not self._vectors:
             return ()
-        shape = self._vectors[0].shape
-        y0 = self._adjoint_blocks[0]
-        dim = y0.shape[1] // y0.shape[2]
-        return tuple(
-            (x, vector_from_realizations(shape, dim, [yk[j] for yk in self._adjoint_blocks]))
-            for j, x in enumerate(self._vectors)
-        )
+        y0 = self._adjoint_stacks[0]
+        adjoints = family_vectors(self._vectors[0].shape, y0.shape[2] // y0.shape[3], self._adjoint_stacks)
+        return tuple(zip(self._vectors, adjoints))
 
     def to_json_dict(self) -> dict:
         return {
@@ -667,24 +672,32 @@ class SeriesDecomposition:
 
 
 def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
-    """||T_k - S_n|| on one block for n = 0..size, from the term factors.
+    """||T_k - S_n|| on every block of one size class for n = 0..size, from the term factors.
 
-    tk is the realized (m*n, d*n) block of T, xk the stacked realizations
-    (size, m*n, n) of the x_j and yk those (size, d*n, n) of the y_j.
-    Every (n, n) product x_ji y_jl* of every term comes out of one
-    batched matmul on contiguous adjoints, which is the arithmetic of the
-    algebra product x_i * y_l.adjoint(); the partial sums S_n add the
-    terms in frame order from S_1 = theta_0, as repeated operator sums
-    do, and all size + 1 spectral norms are one batched call.
+    tk holds the realized (m*n, d*n) blocks of T, shape (count, m*n, d*n),
+    xk the stacked realizations (count, size, m*n, n) of the x_j and yk
+    those (count, size, d*n, n) of the y_j.  Every (n, n) product
+    x_ji y_jl* of every term comes out of one batched matmul on
+    contiguous adjoints, which is the arithmetic of the algebra product
+    x_i * y_l.adjoint(); the partial sums S_n add the terms in frame order
+    from S_1 = theta_0, as repeated operator sums do, and all size + 1
+    spectral norms are one batched call.  The blocks are taken in chunks
+    that bound the size of the term tensor.  Returns (count, size + 1).
     """
-    size = len(xk)
-    rows, cols = tk.shape
-    n = xk.shape[-1]
-    x = xk.reshape(size, rows // n, 1, n, n)
-    y_adj = np.ascontiguousarray(yk.reshape(size, 1, cols // n, n, n).conj().swapaxes(-1, -2))
-    terms = (x @ y_adj).transpose(0, 1, 3, 2, 4).reshape(size, rows, cols)
-    residuals = tk - np.add.accumulate(terms, axis=0)
-    return np.linalg.norm(np.concatenate((tk[None], residuals)), 2, axis=(1, 2))
+    count, size, _, n = xk.shape
+    rows, cols = tk.shape[1:]
+    out = []
+    for part in chunks(count, (size + 1) * rows * cols):
+        t = tk[part, None]
+        blocks = len(t)
+        x = xk[part].reshape(blocks, size, rows // n, 1, n, n)
+        y_adj = np.ascontiguousarray(
+            yk[part].reshape(blocks, size, 1, cols // n, n, n).conj().swapaxes(-1, -2)
+        )
+        terms = (x @ y_adj).transpose(0, 1, 2, 4, 3, 5).reshape(blocks, size, rows, cols)
+        residuals = t - np.add.accumulate(terms, axis=1)
+        out.append(np.linalg.norm(np.concatenate((t, residuals), axis=1), 2, axis=(-2, -1)))
+    return np.concatenate(out)
 
 
 def series_decompose(op, frame: Frame | None = None, eps: float = 1e-9) -> SeriesDecomposition:
@@ -695,9 +708,9 @@ def series_decompose(op, frame: Frame | None = None, eps: float = 1e-9) -> Serie
     theta_{x_j, T* g_j}, so the partial sums are the frame's partial
     reconstructions composed with the operator.
 
-    Works on block realizations only: per block k, Y = T_k* G stacks the
-    realizations of every T* g_j in one batched product, and
-    `_series_errors` gives the error of every partial sum on that block;
+    Works on block realizations only: per size class, Y = T_k* G stacks
+    the realizations of every T* g_j in one batched product, and
+    `_series_errors` gives the error of every partial sum on every block;
     errors[n] is the largest over the blocks, taken in block order.
     """
     check_eps(eps)
@@ -708,22 +721,22 @@ def series_decompose(op, frame: Frame | None = None, eps: float = 1e-9) -> Serie
             for j in range(op.source_dim)
         ]
         vectors = tuple(orthogonal_span_family(columns))
-        x_blocks = g_blocks = realization_stacks(vectors, shape, op.target_dim)
+        x_stacks = g_stacks = realization_stacks(vectors, shape, op.target_dim)
     else:
         if frame.shape != shape or frame.dim != op.target_dim:
             raise ValueError("operator/vector dimension mismatch")
         vectors = frame.vectors
-        x_blocks, g_blocks = frame._vector_blocks, frame._dual_blocks
+        x_stacks, g_stacks = frame._vector_stacks, frame._dual_stacks
 
-    t_blocks = [op.realize_block(k) for k in range(shape.num_blocks)]
-    y_blocks = tuple(
-        np.ascontiguousarray(tk.conj().T) @ gk for tk, gk in zip(t_blocks, g_blocks)
+    y_stacks = tuple(
+        np.ascontiguousarray(tk.conj().swapaxes(-1, -2))[:, None] @ gk
+        for tk, gk in zip(op.stacks, g_stacks)
     )
     errors = blockwise_max(
-        [_series_errors(tk, xk, yk) for tk, xk, yk in zip(t_blocks, x_blocks, y_blocks)]
+        shape, [_series_errors(tk, xk, yk) for tk, xk, yk in zip(op.stacks, x_stacks, y_stacks)]
     )
     achieved = next((n for n, err in enumerate(errors) if err < eps), None)
-    return SeriesDecomposition(tuple(errors), errors[-1], achieved, vectors, y_blocks)
+    return SeriesDecomposition(tuple(errors), errors[-1], achieved, vectors, y_stacks)
 
 
 def free_submodule_check(sample: SampleSet, generators, eps: float, tol: float = 1e-8) -> Certificate:

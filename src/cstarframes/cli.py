@@ -27,9 +27,9 @@ from .certify import (
     tails_certificate,
 )
 from .counterexample import build_setting, coeff_growth, tail_obstruction
-from .frames import DegenerateFrameError, Frame, standard_basis_frame
+from .frames import DegenerateFrameError, standard_basis_frame
 from .seminorms import epsilon_net, seminorm_values
-from .serialization import SchemaError, parse, serialize
+from .serialization import SchemaError, parse, serialize, serialize_dual
 
 USAGE_EXIT = 64
 
@@ -111,9 +111,7 @@ def _cmd_frame_bounds(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    frame = _load("frame", args.frame_file)
-    dual = Frame(tuple(frame.canonical_dual()), spanning=frame.spanning)
-    _emit(serialize(dual), args.out)
+    _emit(serialize_dual(_load("frame", args.frame_file)), args.out)
     return 0
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, check_eps
+from .algebra import AlgebraElement, AlgebraShape, check_eps, frozen, tiles
 from .frames import Frame, standard_basis_frame
-from .modules import ModuleOperator, ModuleVector
+from .modules import ModuleOperator, ModuleVector, family_vectors, realization_stacks
 from .seminorms import BallSampler, SampleSet
 
 # Largest truncation the float64 model holds: the generator carries 1/k!,
@@ -70,7 +70,16 @@ class TruncatedCSetting:
 
     @functools.cached_property
     def _witnesses(self) -> tuple[ModuleVector, ...]:
-        return tuple(self.witness(k) for k in range(1, self.dim + 1))
+        return family_vectors(self.shape, self.dim, self._witness_stacks)
+
+    @functools.cached_property
+    def _witness_stacks(self) -> tuple[np.ndarray]:
+        # e_k * delta_k is the unit at coordinate k of block k: one stack
+        # (trunc + 1, dim, dim, 1) for the single size class.
+        k = np.arange(self.dim)
+        stack = np.zeros((self.trunc + 1, self.dim, self.dim, 1), complex)
+        stack[k, k, k] = 1.0
+        return frozen([stack])
 
     @functools.cached_property
     def frame(self) -> Frame:
@@ -78,17 +87,17 @@ class TruncatedCSetting:
         return standard_basis_frame(self.shape, self.dim)
 
     @functools.cached_property
-    def _witness_tails(self) -> tuple[tuple[list[float], list[float]], ...]:
-        # per witness: (truncation tails, frame tail profile), cross-checked
-        return tuple(_checked_tails(self.frame, x) for x in self.witnesses())
+    def _witness_tails(self) -> tuple[list[list[float]], np.ndarray]:
+        # (truncation tails, frame tail profiles) of every witness, cross-checked
+        return _checked_tails(self.frame, self._witness_stacks)
 
     def witness_profiles(self) -> np.ndarray:
         """The frame's tail profile of every witness, one row each.
 
-        Shared with `tail_obstruction`: each witness's profile is computed
-        and cross-checked against coordinate truncation once per setting.
+        Shared with `tail_obstruction`: the profiles are computed and
+        cross-checked against coordinate truncation once per setting.
         """
-        return np.array([via_frame for _, via_frame in self._witness_tails])
+        return self._witness_tails[1]
 
 
 def check_truncation(trunc: int) -> None:
@@ -117,20 +126,15 @@ def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
             f"module dimension {dim} must satisfy 1 <= dim <= trunc={trunc}"
         )
     shape = AlgebraShape((1,) * (trunc + 1))
-    zero = AlgebraElement.zero(shape)
-    entries = tuple(
-        tuple(
-            AlgebraElement.block_unit(shape, i) if i == j else zero
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
-    operator = ModuleOperator(shape, entries)
-    coords = tuple(
-        AlgebraElement.block_unit(shape, k - 1) * (1.0 / math.factorial(k))
-        for k in range(1, dim + 1)
-    )
-    generator = ModuleVector(shape, coords)
+    k = np.arange(dim)
+    # F pinches coordinate k by delta_k: on block k its realization is the
+    # projection onto coordinate k, and v carries 1/k! there.
+    pinch = np.zeros((trunc + 1, dim, dim), complex)
+    pinch[k, k, k] = 1.0
+    operator = ModuleOperator._packed(shape, dim, dim, (pinch,))
+    coefficients = np.zeros((trunc + 1, dim, 1), complex)
+    coefficients[k, k, 0] = [1.0 / math.factorial(j) for j in range(1, dim + 1)]
+    generator = ModuleVector._packed(shape, dim, (coefficients,))
 
     if (operator(generator) - generator).norm() > 1e-12:
         raise AssertionError("F does not fix the generator v")
@@ -139,33 +143,30 @@ def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
     return TruncatedCSetting(trunc, dim, shape, operator, generator)
 
 
-def _min_coeff_norm(setting: TruncatedCSetting, y: ModuleVector, eps: float) -> float:
-    """Exact infimum of ||a|| over {a : ||y - v*a|| <= eps}.
+def _min_coeff_norms(setting: TruncatedCSetting, stack: np.ndarray, eps: float) -> list[float]:
+    """Exact infimum of ||a|| over {a : ||y - v*a|| <= eps}, for every point y.
 
     The algebra is commutative, so the solve decouples per block: with
     X_b, G_b the stacked realizations of y and v at block b, the minimal
     |a(b)| placing the residual on the eps boundary solves a real
     quadratic in |a(b)| after aligning the phase with G_b* X_b.  Blocks
     already within eps contribute 0; blocks where v vanishes but y does
-    not are unreachable.
+    not are unreachable.  stack is the points' realization stack
+    (blocks, P, dim, 1); all points and blocks are solved at once.
     """
-    worst = 0.0
-    for b in range(setting.shape.num_blocks):
-        xb = y.realize_block(b).ravel()
-        gb = setting.generator.realize_block(b).ravel()
-        nx2 = float((xb.conj() * xb).sum().real)
-        ng2 = float((gb.conj() * gb).sum().real)
-        if nx2 <= eps * eps:
-            continue
-        if ng2 == 0.0:
-            return math.inf
-        cross = abs(complex((gb.conj() * xb).sum()))
-        disc = cross * cross - ng2 * (nx2 - eps * eps)
-        if disc < 0.0:
-            return math.inf
-        t = (cross - math.sqrt(disc)) / ng2
-        worst = max(worst, t)
-    return worst
+    x = stack[..., 0]
+    g = setting.generator.stacks[0][:, None, :, 0]
+    nx2 = (x.conj() * x).sum(axis=-1).real
+    ng2 = (g.conj() * g).sum(axis=-1).real
+    cross_sum = (g.conj() * x).sum(axis=-1)
+    cross = np.hypot(cross_sum.real, cross_sum.imag)
+    active = nx2 > eps * eps
+    disc = cross * cross - ng2 * (nx2 - eps * eps)
+    unreachable = active & ((ng2 == 0.0) | (disc < 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (cross - np.sqrt(disc)) / ng2
+    worst = np.where(active, t, 0.0).max(axis=0, initial=0.0)
+    return np.where(unreachable.any(axis=0), math.inf, worst).tolist()
 
 
 def coeff_growth(setting: TruncatedCSetting, eps: float) -> list[tuple[int, float]]:
@@ -177,38 +178,39 @@ def coeff_growth(setting: TruncatedCSetting, eps: float) -> list[tuple[int, floa
     coefficient bound across truncations.
     """
     check_eps(eps)
-    return [
-        (k, _min_coeff_norm(setting, y, eps))
-        for k, y in enumerate(setting.witnesses(), start=1)
-    ]
+    required = _min_coeff_norms(setting, setting._witness_stacks[0], eps)
+    return list(enumerate(required, start=1))
 
 
-def _truncation_tails(x: ModuleVector) -> list[float]:
-    """||x - x.restrict(0, n)|| for n = 0..dim, one pass per block.
+def _truncation_tails(stack: np.ndarray) -> np.ndarray:
+    """||x - x.restrict(0, n)|| for n = 0..dim, for every stacked point.
 
-    The residual keeps coordinates n.. of x and is exactly zero before
-    them, so on block k it is the realization of x with its first n*n_k
-    rows zeroed.
+    stack is the points' realization stack (blocks, P, dim, 1) over the
+    setting's 1x1 blocks.  The residual keeps coordinates n.. of x and is
+    exactly zero before them, so on each block it is the realization of x
+    with its first n rows zeroed.  Returns (P, dim+1).
     """
-    tails = np.zeros(x.dim + 1)
-    for k, n_k in enumerate(x.shape.block_dims):
-        xk = x.realize_block(k)
-        kept = np.arange(xk.shape[0]) // n_k >= np.arange(x.dim + 1)[:, None]
-        residuals = np.where(kept[:, :, None], xk, 0.0)
-        tails = np.fmax(tails, np.linalg.norm(residuals, 2, axis=(1, 2)))
-    return tails.tolist()
+    blocks, points, dim, _ = stack.shape
+    kept = np.arange(dim) >= np.arange(dim + 1)[:, None]
+    tails = np.zeros((points, dim + 1))
+    for part_blocks, part in tiles(blocks, points, (dim + 1) * dim):
+        residuals = np.where(kept[:, :, None], stack[part_blocks, part, None], 0.0)
+        norms = np.linalg.norm(residuals, 2, axis=(-2, -1))
+        tails[part] = np.fmax(tails[part], np.fmax.reduce(norms, axis=0))
+    return tails
 
 
-def _checked_tails(frame: Frame, x: ModuleVector) -> tuple[list[float], list[float]]:
-    """Truncation tails of x and the frame's tail profile, checked to agree."""
-    via_frame = frame.tail_profile(x)
-    direct = _truncation_tails(x)
-    for d, f in zip(direct, via_frame):
-        if abs(d - f) > 1e-12:
-            raise AssertionError(
-                f"direct tail {d!r} disagrees with frame tail {f!r}"
-            )
-    return direct, via_frame
+def _checked_tails(frame: Frame, stacks) -> tuple[list[list[float]], np.ndarray]:
+    """Truncation tails of stacked points and the frame's tail profiles, checked to agree."""
+    via_frame = frame.tail_profiles(stacks)
+    direct = _truncation_tails(stacks[0])
+    bad = np.argwhere(np.abs(direct - via_frame) > 1e-12)
+    if len(bad):
+        d, f = direct[tuple(bad[0])], via_frame[tuple(bad[0])]
+        raise AssertionError(
+            f"direct tail {float(d)!r} disagrees with frame tail {float(f)!r}"
+        )
+    return direct.tolist(), via_frame
 
 
 def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
@@ -229,13 +231,14 @@ def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
             raise ValueError(
                 f"prefix {n} has no witness at module dimension {setting.dim}"
             )
-        profiles = [direct for direct, _ in setting._witness_tails]
+        profiles = setting._witness_tails[0]
     elif not 0 <= n <= setting.dim:
         raise ValueError(
             f"prefix {n} out of range for module dimension {setting.dim}"
         )
     else:
-        profiles = [_checked_tails(setting.frame, x)[0] for x in points]
+        stacks = realization_stacks(points, setting.shape, setting.dim)
+        profiles = _checked_tails(setting.frame, stacks)[0]
     return max((tails[n] for tails in profiles), default=0.0)
 
 
@@ -270,7 +273,7 @@ def single_generator_approx(setting: TruncatedCSetting, y: ModuleVector, eps: fl
         raise ValueError("point does not live in the setting's module")
 
     diagonal = [
-        complex(y.coords[k - 1].blocks[k - 1][0, 0])
+        complex(y.realize_block(k - 1)[k - 1, 0])
         for k in range(1, setting.dim + 1)
     ]
 

@@ -13,37 +13,21 @@ import functools
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraShape, hermitian_part, tiles
 from .modules import (
     ModuleOperator,
     ModuleVector,
+    family_vectors,
     gram_block,
     inner_product,
     realization_stacks,
     require_stacks,
     theta_op,
-    vector_from_realizations,
 )
 
 
 class DegenerateFrameError(ValueError):
     """Family whose smallest gram eigenvalue vanishes: not a frame."""
-
-
-def _operator_from_block_matrices(
-    shape: AlgebraShape, target_dim: int, source_dim: int, mats: list[np.ndarray]
-) -> ModuleOperator:
-    rows = []
-    for i in range(target_dim):
-        row = []
-        for j in range(source_dim):
-            blocks = tuple(
-                mats[k][i * n_k : (i + 1) * n_k, j * n_k : (j + 1) * n_k]
-                for k, n_k in enumerate(shape.block_dims)
-            )
-            row.append(AlgebraElement(shape, blocks))
-        rows.append(tuple(row))
-    return ModuleOperator(shape, tuple(rows))
 
 
 class Frame:
@@ -53,11 +37,11 @@ class Frame:
     rejects degenerate families.  spanning="range" accepts families that
     only span a submodule: bounds come from the nonzero gram spectrum and
     the dual uses the pseudo-inverse, so reconstruction reproduces the
-    projection onto the family's span.  Construction computes the bounds
-    and the per-block realizations of the family and its dual straight
-    from the coordinate blocks; the module-level objects (analysis
-    operator, gram operator, dual vectors) are built on first use.
-    Instances are read-only.
+    projection onto the family's span.  Construction stacks the family
+    once, per size class of the algebra, and computes the bounds and the
+    realizations of the dual from that stack; the module-level objects
+    (analysis operator, gram operator, dual vectors) are built on first
+    use.  Instances are read-only.
     """
 
     def __init__(self, vectors, spanning: str = "ambient", tol: float = 1e-10):
@@ -67,26 +51,20 @@ class Frame:
         if spanning not in ("ambient", "range"):
             raise ValueError(f"unknown spanning mode {spanning!r}")
         first = vectors[0]
-        for v in vectors:
-            first._require_compatible(v)
         self._vectors = vectors
         self._spanning = spanning
-        self._shape = first.shape
+        self._shape = shape = first.shape
         self._dim = first.dim
 
-        coord_blocks = [
-            np.array([[c.blocks[k] for c in v.coords] for v in vectors])
-            for k in range(self._shape.num_blocks)
-        ]
-        self._gram_blocks = tuple(gram_block(xs) for xs in coord_blocks)
-
-        eigensystems = []
-        lo, hi = np.inf, 0.0
-        for sk in self._gram_blocks:
-            w, u = np.linalg.eigh((sk + sk.conj().T) / 2.0)
-            eigensystems.append((w, u))
-            lo = min(lo, float(w.min()))
-            hi = max(hi, float(w.max()))
+        # Per class, the realizations X_j of the family, (count, size, dim*n, n).
+        self._vector_stacks = realization_stacks(vectors, shape, self._dim)
+        self._grams = tuple(
+            gram_block(x.reshape(x.shape[:2] + (self._dim, x.shape[-1], x.shape[-1])))
+            for x in self._vector_stacks
+        )
+        eigensystems = [np.linalg.eigh(hermitian_part(s)) for s in self._grams]
+        lo = min(np.inf, *shape.gather([w.min(axis=-1) for w, _ in eigensystems]).tolist())
+        hi = max(0.0, *shape.gather([w.max(axis=-1) for w, _ in eigensystems]).tolist())
         cut = tol * max(hi, 1.0)
         if spanning == "ambient":
             if lo <= cut:
@@ -96,35 +74,32 @@ class Frame:
                 )
             c1 = lo
         else:
-            positive = [
-                float(w[w > cut].min()) for w, _ in eigensystems if (w > cut).any()
-            ]
+            least = shape.gather([np.where(w > cut, w, np.inf).min(axis=-1) for w, _ in eigensystems])
+            found = shape.gather([(w > cut).any(axis=-1) for w, _ in eigensystems])
+            positive = [v for v, ok in zip(least.tolist(), found.tolist()) if ok]
             if not positive:
                 raise DegenerateFrameError("the family consists of zero vectors")
             c1 = min(positive)
         self._bounds = (c1, hi)
 
-        inv_blocks = []
+        self._gram_inv = []
         for w, u in eigensystems:
             inv_w = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-            inv_blocks.append((u * inv_w) @ u.conj().T)
-        self._gram_inv_blocks = inv_blocks
-        # Per block k, the stacked realizations X_jk of the family, shape
-        # (size, dim*n_k, n_k), and G_jk = S_k^(-1) X_jk of its dual.
-        self._vector_blocks = tuple(
-            xs.reshape(self.size, -1, xs.shape[-1]) for xs in coord_blocks
-        )
-        self._dual_blocks = tuple(
-            inv @ xs for inv, xs in zip(inv_blocks, self._vector_blocks)
+            self._gram_inv.append((u * inv_w[..., None, :]) @ u.conj().swapaxes(-1, -2))
+        # Per class, the realizations G_j = S^(-1) X_j of the dual.
+        self._dual_stacks = tuple(
+            inv[:, None] @ x for inv, x in zip(self._gram_inv, self._vector_stacks)
         )
 
     @functools.cached_property
     def _theta(self) -> ModuleOperator:
-        # Theta(x) = (<x_j, x>)_j, so the matrix row j holds the adjoints
-        # of the coordinates of x_j.
-        return ModuleOperator(
-            self._shape,
-            tuple(tuple(c.adjoint() for c in v.coords) for v in self._vectors),
+        # Theta(x) = (<x_j, x>)_j: row j of block k is R_k(x_j)*.
+        return ModuleOperator._packed(
+            self._shape, self.size, self._dim,
+            tuple(
+                np.ascontiguousarray(x.conj().swapaxes(-1, -2)).reshape(len(x), -1, x.shape[2])
+                for x in self._vector_stacks
+            ),
         )
 
     @functools.cached_property
@@ -137,12 +112,7 @@ class Frame:
 
     @functools.cached_property
     def _dual(self) -> tuple[ModuleVector, ...]:
-        return tuple(
-            vector_from_realizations(
-                self._shape, self._dim, [g[j] for g in self._dual_blocks]
-            )
-            for j in range(self.size)
-        )
+        return family_vectors(self._shape, self._dim, self._dual_stacks)
 
     # -- basic accessors --------------------------------------------------
 
@@ -186,9 +156,7 @@ class Frame:
         return self._dual
 
     def gram_inverse(self) -> ModuleOperator:
-        return _operator_from_block_matrices(
-            self._shape, self._dim, self._dim, self._gram_inv_blocks
-        )
+        return ModuleOperator._packed(self._shape, self._dim, self._dim, self._gram_inv)
 
     # -- reconstruction ----------------------------------------------------
 
@@ -210,28 +178,36 @@ class Frame:
     def _prefix_tails(self, stacks, stop: int) -> np.ndarray:
         """||x - sum_{j<n} x_j <g_j,x>|| for n = 0..stop, every point in one pass.
 
-        stacks[k] holds the block-k realizations x_k of the points, shape
-        (P, dim*n_k, n_k).  Works on the stored block realizations X_jk of
-        x_j and G_jk of g_j: on block k the terms X_jk (G_jk* x_k) of all
-        points are formed in one batched matmul and summed cumulatively in
-        frame order from zero, so prefix n holds exactly the sum
-        `reconstruct(x, range(n))` forms.  Each tail is the largest
-        spectral norm of x_k minus its partial sum.  Returns (P, stop+1).
+        stacks[c] holds the realizations x_k of the points on the blocks of
+        size class c, shape (count, P, dim*n, n).  Works on the stored
+        realizations X_jk of x_j and G_jk of g_j: on every block the terms
+        X_jk (G_jk* x_k) of all points are formed in one batched matmul and
+        summed cumulatively in frame order from zero, so prefix n holds
+        exactly the sum `reconstruct(x, range(n))` forms.  Each tail is the
+        largest spectral norm of x_k minus its partial sum.  Blocks and
+        points are taken in tiles that bound the size of the term tensor.
+        Returns (P, stop+1).
         """
         require_stacks(stacks, self._shape, self._dim)
-        tails = np.zeros((len(stacks[0]), stop + 1))
-        for xk, vk, gk in zip(stacks, self._vector_blocks, self._dual_blocks):
-            xk = xk[:, None]
-            terms = vk[:stop] @ (gk[:stop].conj().swapaxes(-1, -2) @ xk)
-            start = np.zeros((len(xk), 1) + xk.shape[2:], complex)
-            partial = np.add.accumulate(np.concatenate((start, terms), axis=1), axis=1)
-            tails = np.fmax(tails, np.linalg.norm(xk - partial, 2, axis=(2, 3)))
+        points = stacks[0].shape[1]
+        tails = np.zeros((points, stop + 1))
+        for xs, vs, gs in zip(stacks, self._vector_stacks, self._dual_stacks):
+            count, _, rows, n = xs.shape
+            v = vs[:, None, :stop]
+            g_adj = gs[:, None, :stop].conj().swapaxes(-1, -2)
+            for blocks, part in tiles(count, points, (stop + 1) * rows * n):
+                x = xs[blocks, part, None]
+                terms = v[blocks] @ (g_adj[blocks] @ x)
+                start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
+                partial = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
+                norms = np.linalg.norm(x - partial, 2, axis=(-2, -1))
+                tails[part] = np.fmax(tails[part], np.fmax.reduce(norms, axis=0))
         return tails
 
     def tail_profiles(self, stacks) -> np.ndarray:
         """Every prefix tail of every stacked point: row p is point p's profile.
 
-        stacks are per-block realization stacks such as
+        stacks are per-class realization stacks such as
         `SampleSet.realizations`; row p equals `tail_profile` of point p.
         """
         return self._prefix_tails(stacks, self.size)
@@ -260,10 +236,19 @@ class Frame:
         return out
 
     def partial_sum_factored(self, indices) -> ModuleOperator:
-        """Same operator through Theta* pi_J' Theta S^(-1): the proof's route."""
-        idx = self._check_indices(indices)
-        selector = ModuleOperator.coordinate_selector(self._shape, self.size, idx)
-        return self._theta_star @ selector @ self._theta @ self.gram_inverse()
+        """Same operator through Theta* pi_J' Theta S^(-1): the proof's route.
+
+        pi_J' Theta keeps the rows of Theta that belong to J' and zeroes
+        the others.
+        """
+        keep = np.zeros(self.size, bool)
+        keep[self._check_indices(indices)] = True
+        theta = self._theta
+        selected = theta._with(
+            np.where(np.repeat(keep, s.shape[-1] // self._dim)[:, None], s, 0.0)
+            for s in theta.stacks
+        )
+        return self._theta_star @ selected @ self.gram_inverse()
 
     def __repr__(self) -> str:
         c1, c2 = self._bounds

@@ -24,8 +24,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, State, check_eps, norm_attaining_state
-from .modules import ModuleVector, gram_block, inner_product, realization_stacks, stack_norms
+from .algebra import (
+    AlgebraElement,
+    AlgebraShape,
+    State,
+    block_sum,
+    check_eps,
+    hermitian_part,
+    norm_attaining_state,
+)
+from .modules import (
+    ModuleVector,
+    coordinate_blocks,
+    gram_block,
+    inner_product,
+    realization_stacks,
+    stack_norms,
+)
 
 
 class ApproximationHypothesisError(ValueError):
@@ -85,13 +100,10 @@ class SampleSet:
 
     @functools.cached_property
     def realizations(self) -> tuple[np.ndarray, ...]:
-        """Per block k, the stacked realizations, shape (len, dim*n_k, n_k)."""
+        """Per size class, the points' stacked realizations, shape (count, len, dim*n, n)."""
         if not self.points:
             return ()
-        return tuple(
-            np.stack([x.realize_block(k) for x in self.points])
-            for k in range(self.shape.num_blocks)
-        )
+        return realization_stacks(self.points, self.shape, self.dim)
 
 
 def _require_same_module(a: SampleSet, b: SampleSet):
@@ -176,16 +188,17 @@ def admissible_check(vectors, probes: SampleSet | None = None, tol: float = 1e-8
     shape, dim = vectors[0].shape, vectors[0].dim
     stacks = realization_stacks(vectors, shape, dim)
     max_norm, bad_norm = 0.0, None
-    for i, nv in enumerate(stack_norms(stacks)):
+    for i, nv in enumerate(stack_norms(shape, stacks)):
         if nv > max_norm:
             max_norm = nv
         if nv > 1.0 + tol and bad_norm is None:
             bad_norm = i
 
-    slack = math.inf
-    for xs, n in zip(stacks, shape.block_dims):
-        defect = np.eye(dim * n) - gram_block(xs.reshape(len(vectors), dim, n, n))
-        slack = min(slack, float(np.linalg.eigvalsh((defect + defect.conj().T) / 2.0).min()))
+    least = []
+    for xs in stacks:
+        defect = np.eye(xs.shape[2]) - gram_block(coordinate_blocks(xs, dim))
+        least.append(np.linalg.eigvalsh(hermitian_part(defect)).min(axis=-1))
+    slack = min(math.inf, *shape.gather(least).tolist())
 
     bad_probe = None
     if probes is not None:
@@ -245,13 +258,13 @@ class SeminormSpec:
 
     @functools.cached_property
     def _densities(self) -> tuple[np.ndarray, ...]:
-        # Per block b, the densities of all states, shape (len, n_b, n_b).
+        # Per size class, the densities of all states, shape (count, len, n, n).
         shape = self.system.vectors[0].shape
         if any(phi.shape != shape for phi in self.states):
             raise ValueError("state and element shapes differ")
         return tuple(
-            np.stack([phi.densities[b] for phi in self.states])
-            for b in range(shape.num_blocks)
+            np.stack([phi.stacks[c] for phi in self.states], axis=1)
+            for c in range(len(shape.classes))
         )
 
 
@@ -261,15 +274,18 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
     Each value is the same arithmetic as phi_k(inner_product(x_p, x_i)):
     per block, <x_p, x_i> is R(x_p)* R(x_i) on the stacked realizations
     and phi_k contributes trace(rho @ <x_p, x_i>); the blocks are added in
-    order.  Here every pair comes out of one batched product per block.
+    order.  Here every pair comes out of one batched product per size
+    class.
     """
     system = spec._system
     _require_same_module(sample, system)
-    values = np.zeros((len(sample), len(system), len(system)), complex)
+    if not sample.points:
+        return np.zeros((0, len(system), len(system)), complex)
+    traces = []
     for s, y, rho in zip(sample.realizations, system.realizations, spec._densities):
-        ips = s.conj().transpose(0, 2, 1)[:, None] @ y[None]
-        values = values + np.trace(rho[None, :, None] @ ips[:, None], axis1=-2, axis2=-1)
-    return values
+        ips = s.conj().swapaxes(-1, -2)[:, :, None] @ y[:, None]
+        traces.append(np.trace(rho[:, None, :, None] @ ips[:, :, None], axis1=-2, axis2=-1))
+    return block_sum(sample.shape, traces)
 
 
 def _nu(values: np.ndarray) -> np.ndarray:
@@ -358,13 +374,12 @@ def net_covers(sample: SampleSet, spec: SeminormSpec, net_indices, radius: float
 
 def _module_distances(sample: SampleSet, approx: SampleSet) -> np.ndarray:
     """||s_i - y_j|| for every pair: max over blocks of one batched spectral norm."""
-    return np.max(
+    return np.concatenate(
         [
-            np.linalg.norm(s[:, None] - a[None], 2, axis=(-2, -1))
+            np.linalg.norm(s[:, :, None] - a[:, None], 2, axis=(-2, -1))
             for s, a in zip(sample.realizations, approx.realizations)
-        ],
-        axis=0,
-    )
+        ]
+    ).max(axis=0)
 
 
 def net_transfer(

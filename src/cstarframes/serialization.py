@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, State
 from .counterexample import TruncatedCSetting, build_setting, check_truncation
 from .frames import DegenerateFrameError, Frame
-from .modules import ModuleOperator, ModuleVector
+from .modules import ModuleOperator, ModuleVector, coordinate_blocks, entry_blocks, from_entry_blocks
 from .seminorms import AdmissibleSystem, SampleSet, SeminormSpec
 
 
@@ -116,44 +117,58 @@ _NUMBER_TYPES = {int, float}
 
 
 def _decode_blocks(payloads: list, shape: AlgebraShape) -> list[np.ndarray] | None:
-    """One-pass decode of element payloads: per block k, a (count, n_k, n_k) stack.
+    """One-pass decode of element payloads: per size class, a (count, size, n, n) stack.
 
-    Each payload is a list of per-block matrices of [re, im] cells.  Per
-    block, the cells of every payload go into one object array whose
-    shape must be (count, n_k, n_k, 2) and whose cells must all be ints
-    or floats (bools and strings are refused before any conversion);
-    the float values must be finite, and the complex stack is a view of
-    the contiguous [re, im] pairs, so every bit, the sign of a zero
-    included, is the walk's.  Returns None on any malformed payload:
+    Each of the `size` payloads is a list of per-block matrices of [re, im]
+    cells.  Per size class, the cells of every payload go into one object
+    array whose shape must be (size, count, n, n, 2) and whose cells must all
+    be ints or floats (bools and strings are refused before any
+    conversion); the float values must be finite, and the complex stack is
+    a view of the contiguous [re, im] pairs, so every bit, the sign of a
+    zero included, is the walk's.  Returns None on any malformed payload:
     the caller then walks the payloads cell by cell, which names the
     fault.
     """
-    count = len(payloads)
-    if not count or not all(
+    size = len(payloads)
+    if not size or not all(
         type(e) is list and len(e) == shape.num_blocks for e in payloads
     ):
         return None
     stacks = []
     try:
-        for k, n in enumerate(shape.block_dims):
-            cells = np.array([e[k] for e in payloads], dtype=object)
-            if cells.shape != (count, n, n, 2) or not set(map(type, cells.flat)) <= _NUMBER_TYPES:
+        for n, ks in shape.classes:
+            cells = np.array([[e[k] for k in ks] for e in payloads], dtype=object)
+            if cells.shape != (size, len(ks), n, n, 2) or not set(map(type, cells.flat)) <= _NUMBER_TYPES:
                 return None
             values = cells.astype(float)
             if not np.isfinite(values).all():
                 return None
-            stacks.append(values.view(complex)[..., 0])
+            stacks.append(np.ascontiguousarray(values.view(complex)[..., 0].swapaxes(0, 1)))
     except (ValueError, OverflowError):
         return None
     return stacks
 
 
-def _decode_elements(payloads: list, shape: AlgebraShape) -> list[AlgebraElement] | None:
-    """The payloads as algebra elements, or None when `_decode_blocks` rejects them."""
-    stacks = _decode_blocks(payloads, shape)
-    if stacks is None:
-        return None
-    return [AlgebraElement(shape, tuple(s[i] for s in stacks)) for i in range(len(payloads))]
+def _zip_blocks(blocks: list, depth: int) -> list:
+    """Nested lists, one per block and all nested alike, regrouped so the blocks come innermost."""
+    if depth == 0:
+        return blocks
+    return [_zip_blocks(list(parts), depth - 1) for parts in zip(*blocks)]
+
+
+def _element_payloads(shape: AlgebraShape, stacks) -> list:
+    """Payloads of the elements in per-class stacks (count, *lead, n, n), nested by the lead axes.
+
+    One tolist() per size class gives every [re, im] pair; the blocks are
+    then put back in block order under each lead index.  A non-finite
+    scalar is reported as a walk in document order meets it first.
+    """
+    if not all(np.isfinite(s).all() for s in stacks):
+        for index in np.ndindex(*stacks[0].shape[1:-2]):
+            for c, j in shape.slots:
+                _matrix_out(stacks[c][(j,) + index])
+    lists = [np.stack((s.real, s.imag), -1).tolist() for s in stacks]
+    return _zip_blocks([lists[c][j] for c, j in shape.slots], stacks[0].ndim - 3)
 
 
 # -- nested payloads ----------------------------------------------------------
@@ -177,7 +192,7 @@ def parse_shape_payload(val, path: str) -> AlgebraShape:
 
 
 def element_payload(a: AlgebraElement) -> list:
-    return [_matrix_out(b) for b in a.blocks]
+    return _element_payloads(a.shape, a.stacks)
 
 
 def _walk_element(val, shape: AlgebraShape, path: str) -> AlgebraElement:
@@ -192,12 +207,19 @@ def _walk_element(val, shape: AlgebraShape, path: str) -> AlgebraElement:
 
 
 def parse_element_payload(val, shape: AlgebraShape, path: str) -> AlgebraElement:
-    decoded = _decode_elements([val], shape)
-    return decoded[0] if decoded is not None else _walk_element(val, shape, path)
+    decoded = _decode_blocks([val], shape)
+    if decoded is None:
+        return _walk_element(val, shape, path)
+    return AlgebraElement._packed(shape, tuple(s[:, 0] for s in decoded))
+
+
+def _vector_payloads(shape: AlgebraShape, dim: int, stacks) -> list:
+    """Payloads of the vectors in per-class stacks (count, *lead, dim*n, n), nested by the lead axes."""
+    return _element_payloads(shape, [coordinate_blocks(s, dim) for s in stacks])
 
 
 def vector_payload(v: ModuleVector) -> list:
-    return [element_payload(c) for c in v.coords]
+    return _vector_payloads(v.shape, v.dim, v.stacks)
 
 
 def _walk_vector(val, shape: AlgebraShape, path: str) -> ModuleVector:
@@ -214,13 +236,16 @@ def _decode_vectors(raw: list, shape: AlgebraShape) -> list[ModuleVector] | None
     """Vector payloads decoded together, all their coordinates in one pass."""
     if not all(type(v) is list and v for v in raw):
         return None
-    elements = _decode_elements([c for v in raw for c in v], shape)
-    if elements is None:
+    stacks = _decode_blocks([c for v in raw for c in v], shape)
+    if stacks is None:
         return None
     vectors, start = [], 0
     for v in raw:
-        vectors.append(ModuleVector(shape, tuple(elements[start : start + len(v)])))
-        start += len(v)
+        dim = len(v)
+        vectors.append(ModuleVector._packed(
+            shape, dim, tuple(s[:, start : start + dim].reshape(len(s), -1, s.shape[-1]) for s in stacks)
+        ))
+        start += dim
     return vectors
 
 
@@ -238,13 +263,13 @@ def _parse_vector_list(raw: list, shape: AlgebraShape, path: str) -> list[Module
 
 
 def state_payload(s: State) -> list:
-    return [_matrix_out(d) for d in s.densities]
+    return _element_payloads(s.shape, s.stacks)
 
 
 def parse_state_payload(val, shape: AlgebraShape, path: str) -> State:
     decoded = _decode_blocks([val], shape)
     if decoded is not None:
-        densities = tuple(d[0] for d in decoded)
+        densities = tuple(decoded[c][j, 0] for c, j in shape.slots)
     else:
         mats = _expect_list(val, path)
         if len(mats) != shape.num_blocks:
@@ -294,16 +319,15 @@ def document(value) -> dict:
             "version": 1,
             "kind": "operator",
             "shape": shape_payload(value.shape),
-            "entries": [[element_payload(e) for e in row] for row in value.entries],
+            "entries": _element_payloads(
+                value.shape,
+                [entry_blocks(s, value.target_dim, value.source_dim) for s in value.stacks],
+            ),
         }
     if isinstance(value, Frame):
-        return {
-            "version": 1,
-            "kind": "frame",
-            "shape": shape_payload(value.shape),
-            "spanning": value.spanning,
-            "vectors": [vector_payload(v) for v in value.vectors],
-        }
+        return _frame_document(value, value._vector_stacks)
+    if isinstance(value, _CanonicalDual):
+        return _frame_document(value.frame, value.frame._dual_stacks)
     if isinstance(value, SampleSet):
         if not value.points:
             raise ValueError("an empty sample set has no shape and cannot be serialized")
@@ -311,19 +335,19 @@ def document(value) -> dict:
             "version": 1,
             "kind": "sample_set",
             "shape": shape_payload(value.shape),
-            "points": [vector_payload(p) for p in value.points],
+            "points": _vector_payloads(value.shape, value.dim, value.realizations),
         }
         if value.label:
             doc["label"] = value.label
         return doc
     if isinstance(value, SeminormSpec):
-        sys_vectors = value.system.vectors
+        system = value._system
         return {
             "version": 1,
             "kind": "seminorm_spec",
-            "shape": shape_payload(sys_vectors[0].shape),
-            "system": [vector_payload(v) for v in sys_vectors],
-            "states": [state_payload(s) for s in value.states],
+            "shape": shape_payload(system.shape),
+            "system": _vector_payloads(system.shape, system.dim, system.realizations),
+            "states": [state_payload(phi) for phi in value.states],
         }
     if isinstance(value, TruncatedCSetting):
         return {
@@ -337,11 +361,41 @@ def document(value) -> dict:
     raise TypeError(f"no schema for {type(value).__name__}")
 
 
+def _frame_document(frame: Frame, stacks) -> dict:
+    return {
+        "version": 1,
+        "kind": "frame",
+        "shape": shape_payload(frame.shape),
+        "spanning": frame.spanning,
+        "vectors": _vector_payloads(frame.shape, frame.dim, stacks),
+    }
+
+
+@dataclass(frozen=True)
+class _CanonicalDual:
+    """The canonical dual family of a frame, documented as a frame of its own."""
+
+    frame: Frame
+
+
 def serialize(value) -> bytes:
     """Canonical bytes: sorted keys, no whitespace, shortest decimals."""
     return json.dumps(
         document(value), sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
+
+
+def serialize_dual(frame: Frame) -> bytes:
+    """Canonical bytes of the canonical dual of `frame`, as a frame document.
+
+    The document has the frame's shape and spanning mode and the dual
+    vectors g_j = S^(-1) x_j, written from the frame's stored
+    realizations.  The dual family is a frame for the same span, with
+    bounds (1/c2, 1/c1), so it is not validated again: validating it
+    would redo the gram and its eigensystem, and the absolute floor of
+    that check rejects valid duals of frames with large bounds.
+    """
+    return serialize(_CanonicalDual(frame))
 
 
 def _parse_shape_doc(doc: dict) -> AlgebraShape:
@@ -376,12 +430,14 @@ def _parse_operator_doc(doc: dict) -> ModuleOperator:
     width = len(rows[0]) if type(rows[0]) is list else None
     decoded = None
     if width and all(type(row) is list and len(row) == width for row in rows):
-        decoded = _decode_elements([e for row in rows for e in row], shape)
-    if decoded is not None:
-        entries = [decoded[i : i + width] for i in range(0, len(decoded), width)]
-    else:
-        entries = _walk_operator_entries(rows, shape)
-    return ModuleOperator(shape, tuple(tuple(row) for row in entries))
+        decoded = _decode_blocks([e for row in rows for e in row], shape)
+    if decoded is None:
+        return ModuleOperator(shape, _walk_operator_entries(rows, shape))
+    stacks = tuple(
+        from_entry_blocks(s.reshape(len(s), len(rows), width, s.shape[-1], s.shape[-1]))
+        for s in decoded
+    )
+    return ModuleOperator._packed(shape, len(rows), width, stacks)
 
 
 def _walk_operator_entries(rows: list, shape: AlgebraShape) -> list:

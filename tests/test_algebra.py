@@ -195,3 +195,10 @@ def test_norm_attaining_state_deterministic(rng):
     p2 = norm_attaining_state(a)
     for d1, d2 in zip(p1.densities, p2.densities):
         assert np.array_equal(d1, d2)
+
+
+def test_tiny_one_by_one_norm_goes_through_the_svd():
+    """The norm of a 1x1 block is its singular value, not abs(): the two differ here."""
+    a = AlgebraElement(AlgebraShape((1,)), (np.array([[1e-300]]),))
+    assert a.norm() == 9.999999999999999e-301
+    assert abs(a.blocks[0][0, 0]) == 1e-300

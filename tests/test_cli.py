@@ -371,7 +371,7 @@ def test_counterexample_deterministic(capsys):
 
 
 def test_counterexample_profiles_each_witness_once(capsys, monkeypatch, tmp_path):
-    """One tail profile per witness serves the tail table and condition B."""
+    """One batched tail pass over the witnesses serves the tail table and condition B."""
     calls = {"tail_profile": 0, "tail_profiles": 0}
     for name in calls:
         original = getattr(Frame, name)
@@ -386,7 +386,7 @@ def test_counterexample_profiles_each_witness_once(capsys, monkeypatch, tmp_path
         capsys, "counterexample", "--trunc", "6", "--eps", "0.25", "--out", str(out_file)
     )
     assert code == 1
-    assert calls == {"tail_profile": 6, "tail_profiles": 6}
+    assert calls == {"tail_profile": 0, "tail_profiles": 1}
     doc = json.loads(out_file.read_bytes())
     assert doc["diagnostics"]["tail_profile"] == [1.0] * 6 + [0.0]
 
@@ -541,3 +541,54 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert [e["eps"] for e in doc["entries"]] == [1.0, 0.5, 0.25, 0.125]
     cli._build_parser.cache_clear()
     assert run(capsys, "precompact", "--condition", "all", "--sample", sample) == second
+
+
+# --- goldens of the counterexample and witness-certificate routes ---
+
+
+@pytest.mark.parametrize("trunc, dim", [(4, 4), (12, 6), (8, 8), (12, 12)])
+@pytest.mark.parametrize("eps", ["0.25", "0.8731"])
+def test_counterexample_golden(capsys, tmp_path, trunc, dim, eps):
+    out_file = tmp_path / "cert.json"
+    code, out, err = run(
+        capsys, "counterexample", "--trunc", str(trunc), "--dim", str(dim),
+        "--eps", eps, "--out", str(out_file),
+    )
+    stem = f"counterexample_{trunc}_{dim}_{eps}"
+    assert (code, err) == (1, "")
+    assert out == (GOLDEN / f"{stem}.csv").read_text()
+    assert out_file.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+def test_precompact_witnesses_with_generator_golden(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "precompact", "--condition", "all",
+        "--sample", fx("sample_witnesses_6.json"), "--gens", fx("generator_6.json"),
+        "--eps", "0.4", "--rank-budget", "5", "--out", str(out_file),
+    )
+    assert (code, out, err) == (1, "", "")
+    assert out_file.read_bytes() == (GOLDEN / "all_sample_witnesses_6.json").read_bytes()
+
+
+# --- dual of a frame with large bounds ---
+
+
+def _scaled(value, factor):
+    return [_scaled(v, factor) for v in value] if isinstance(value, list) else value * factor
+
+
+def test_dual_of_a_rescaled_frame_is_written(capsys, tmp_path):
+    """The dual is not validated again, so a large frame bound cannot reject it."""
+    doc = json.loads((FIXTURES / "frame_random.json").read_bytes())
+    doc["vectors"] = _scaled(doc["vectors"], 1e5)
+    frame_file = tmp_path / "scaled.json"
+    frame_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "dual", str(frame_file))
+    assert (code, err) == (0, "")
+    frame = parse("frame", frame_file.read_bytes())
+    assert frame.bounds[0] > 1e10
+    written = json.loads(out)
+    assert written["spanning"] == frame.spanning and written["shape"] == doc["shape"]
+    expected = [json.loads(serialize(g))["coords"] for g in frame.canonical_dual()]
+    assert written["vectors"] == expected

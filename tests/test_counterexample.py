@@ -108,9 +108,9 @@ def test_tail_obstruction_needs_witness():
 
 def test_tail_obstruction_cross_checks_frame_route(monkeypatch):
     setting = build_setting(4, 4)
-    exact = Frame.tail_profile
+    exact = Frame.tail_profiles
     monkeypatch.setattr(
-        Frame, "tail_profile", lambda self, x: [t + 1e-9 for t in exact(self, x)]
+        Frame, "tail_profiles", lambda self, stacks: exact(self, stacks) + 1e-9
     )
     with pytest.raises(AssertionError, match="disagrees"):
         tail_obstruction(setting, 1)
@@ -119,13 +119,14 @@ def test_tail_obstruction_cross_checks_frame_route(monkeypatch):
 def test_tail_obstruction_checks_every_prefix_of_explicit_points(monkeypatch):
     setting = build_setting(4, 4)
     points = image_sample(setting, count=3, seed=1).points
-    exact = Frame.tail_profile
+    exact = Frame.tail_profiles
 
-    def off_at_last_prefix(self, x):
-        tails = exact(self, x)
-        return tails[:-1] + [tails[-1] + 1e-9]
+    def off_at_last_prefix(self, stacks):
+        tails = exact(self, stacks)
+        tails[:, -1] += 1e-9
+        return tails
 
-    monkeypatch.setattr(Frame, "tail_profile", off_at_last_prefix)
+    monkeypatch.setattr(Frame, "tail_profiles", off_at_last_prefix)
     with pytest.raises(AssertionError, match="disagrees"):
         tail_obstruction(setting, 0, points=points)
 

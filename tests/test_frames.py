@@ -196,10 +196,10 @@ def test_blockwise_gram_matches_operator_product(seed):
         spanning="range",
     )
     for fr in (ambient, span):
-        for k in range(shape.num_blocks):
+        for k, (c, j) in enumerate(shape.slots):
             via_operator = fr.gram_op.realize_block(k)
-            assert fr._gram_blocks[k].shape == via_operator.shape
-            assert fr._gram_blocks[k].tobytes() == via_operator.tobytes()
+            assert fr._grams[c][j].shape == via_operator.shape
+            assert fr._grams[c][j].tobytes() == via_operator.tobytes()
 
 
 def test_degenerate_frame_rejected():

@@ -16,7 +16,6 @@ from cstarframes import (
     Functional,
     ModuleOperator,
     ModuleVector,
-    SubmodulePresentation,
     inner_product,
     orthogonal_span_family,
     spectral_normalize,
@@ -156,24 +155,6 @@ def test_parseval_resolution_of_identity(rng):
         t = theta_op(e, e)
         total = t if total is None else total + t
     assert (total - ModuleOperator.identity(shape, dim)).norm() <= 1e-13
-
-
-def test_coordinate_prefix_projection(rng):
-    shape = random_shape(rng)
-    pres = SubmodulePresentation.coordinate_prefix(shape, 4, 2)
-    for j in range(2):
-        e = ModuleVector.basis(shape, 4, j)
-        assert (pres.apply(e) - e).norm() == 0.0
-    e3 = ModuleVector.basis(shape, 4, 2)
-    assert pres.apply(e3).norm() == 0.0
-
-
-def test_orthogonal_family_projection_is_idempotent(rng):
-    shape = random_shape(rng)
-    vecs = [random_vector(shape, 3, rng) for _ in range(2)]
-    pres = SubmodulePresentation.from_orthogonal_family(vecs)
-    p = pres.projection
-    assert (p @ p - p).norm() <= 1e-10
 
 
 def test_spectral_normalize_support_projection(rng):

@@ -361,12 +361,13 @@ def test_epsilon_net_matches_vector_route(case, target):
 
 
 def test_sample_realizations_are_stacked_blocks(rng):
-    shape = AlgebraShape((1, 2))
+    shape = AlgebraShape((1, 2, 1))
     points = tuple(random_vector(shape, 3, rng) for _ in range(4))
     stacks = SampleSet(points).realizations
-    assert [s.shape for s in stacks] == [(4, 3, 1), (4, 6, 2)]
-    for k, stack in enumerate(stacks):
-        for p, x in zip(stack, points):
+    # one stack per size class: blocks 0 and 2 (1x1), then block 1 (2x2)
+    assert [s.shape for s in stacks] == [(2, 4, 3, 1), (1, 4, 6, 2)]
+    for k, (c, j) in enumerate(shape.slots):
+        for p, x in zip(stacks[c][j], points):
             assert np.array_equal(p, x.realize_block(k))
     assert SampleSet(()).realizations == ()
 
