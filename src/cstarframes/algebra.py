@@ -60,6 +60,75 @@ def tiles(count: int, points: int, item_entries: int) -> list[tuple[slice, slice
     return out
 
 
+def nonzero_matrices(a: np.ndarray) -> np.ndarray | None:
+    """Which matrices of a stack (..., m, n) have a non-zero entry; None if all of them do.
+
+    -0.0 counts as zero and NaN as non-zero.  A stack without a single
+    zero entry, the common dense case, is settled by one a.all().
+    """
+    if a.all():
+        return None
+    nonzero = a.any(axis=(-2, -1))
+    return None if nonzero.all() else nonzero
+
+
+# A stack of fewer matrices goes to the SVD whole: there the zero test, the
+# gather and the scatter cost more than the few small SVDs they could save.
+ZERO_TEST_MIN_MATRICES = 16
+
+
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, 2, axis=(-2, -1)) of a stack of matrices, zero matrices free.
+
+    An all-zero matrix, -0.0 entries included, gets +0.0 without an SVD:
+    that is what the SVD returns for it.  Every other matrix goes through
+    np.linalg.norm, so a NaN matrix still raises LinAlgError, and when no
+    matrix is zero (or the stack is small) this is exactly that one call.
+    """
+    small = math.prod(a.shape[:-2]) < ZERO_TEST_MIN_MATRICES
+    nonzero = None if small else nonzero_matrices(a)
+    if nonzero is None:
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+    out = np.zeros(nonzero.shape)
+    if nonzero.any():
+        out[nonzero] = np.linalg.norm(a[nonzero], 2, axis=(-2, -1))
+    return out
+
+
+def fold_pair_maxima(out, stack, item_entries: int, norms_of, factors=()) -> None:
+    """Fold into out[p] the entrywise max over blocks of point p's norms, for every point p.
+
+    stack has shape (count, P, rows, n): the realizations of P points on
+    the blocks of one size class.  norms_of(blocks, x) gets a (b, p, rows,
+    n) selection x of the stack and `blocks`, which picks the same b
+    blocks out of any per-block array: a[blocks, None] lines up with x
+    along the point axis.  It returns the pairs' norms, (b, p, K), and out
+    is (P, K), every entry >= +0.0.
+
+    A (block, point) pair whose realization is all zero is left out.
+    That is exact when norms_of gives +0.0 for such a pair, which fmax
+    against out leaves unchanged: true when norms_of only multiplies the
+    pair's data by `factors` and those are finite.  An inf or a NaN
+    among them would make a zero pair's product a NaN (inf * 0), so then
+    no pair is left out.  If every pair is computed, the pairs are taken
+    in `tiles`, as views, nothing gathered; otherwise the non-zero pairs
+    are gathered one pair per row (p = 1), in chunks under
+    CHUNK_ENTRIES, and folded in with np.fmax.at.
+    """
+    count, points = stack.shape[:2]
+    nonzero = nonzero_matrices(stack)
+    if nonzero is None or not all(np.isfinite(f).all() for f in factors):
+        for blocks, part in tiles(count, points, item_entries):
+            norms = norms_of(blocks, stack[blocks, part])
+            out[part] = np.fmax(out[part], np.fmax.reduce(norms, axis=0))
+        return
+    pair_blocks, pair_points = np.nonzero(nonzero)
+    for piece in chunks(len(pair_blocks), item_entries):
+        blocks, part = pair_blocks[piece], pair_points[piece]
+        norms = norms_of(blocks, stack[blocks, part, None])
+        np.fmax.at(out, part, norms[:, 0])
+
+
 @dataclass(frozen=True)
 class AlgebraShape:
     """Block sizes (n_1, ..., n_K) of a direct sum of full matrix blocks."""
@@ -281,7 +350,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """C*-norm: the largest singular value across blocks."""
-        return blockwise_max(self.shape, [np.linalg.norm(a, 2, axis=(-2, -1)) for a in self.stacks])
+        return blockwise_max(self.shape, [spectral_norms(a) for a in self.stacks])
 
     def is_selfadjoint(self, tol: float = DEFAULT_TOL) -> bool:
         scale = max(self.norm(), 1.0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, blockwise_max, check_eps, chunks, tiles
+from .algebra import AlgebraElement, blockwise_max, check_eps, chunks, spectral_norms, tiles
 from .frames import Frame, standard_basis_frame
 from .modules import (
     ModuleVector,
@@ -130,13 +130,13 @@ def _coefficient_data(sample: SampleSet, generators: list) -> _CoefficientData:
     for ak, gk in zip(coeffs, realization_stacks(generators, g0.shape, g0.dim)):
         count, points, _, n = ak.shape
         per_coeff = ak.reshape(count, points, s, n, n)
-        coeff_norms.append(np.linalg.norm(per_coeff, 2, axis=(-2, -1)))
-        stacked_norms.append(np.linalg.norm(ak, 2, axis=(-2, -1)))
+        coeff_norms.append(spectral_norms(per_coeff))
+        stacked_norms.append(spectral_norms(ak))
         gen_coords = coordinate_blocks(gk, g0.dim)
         approx = np.zeros((count, points) + gen_coords.shape[2:], complex)
         for i in range(s):
             approx = approx + gen_coords[:, None, i] @ per_coeff[:, :, i, None]
-        approx_norms.append(np.linalg.norm(approx.reshape(count, points, -1, n), 2, axis=(-2, -1)))
+        approx_norms.append(spectral_norms(approx.reshape(count, points, -1, n)))
     return _CoefficientData(
         s,
         residuals,
@@ -233,12 +233,12 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
         for part_blocks, part in tiles(blocks, points, (count + 1) * rows * n):
             x = xk[part_blocks, part, None]
             coeffs = g_adj[part_blocks] @ x
-            cn[part_blocks, part] = np.linalg.norm(coeffs, 2, axis=(-2, -1))
+            cn[part_blocks, part] = spectral_norms(coeffs)
             terms = z_coords[part_blocks] @ coeffs[:, :, :, None]
             start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
             approx = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
             residuals = x - approx.reshape(approx.shape[:3] + (rows, n))
-            rn[part_blocks, part] = np.linalg.norm(residuals, 2, axis=(-2, -1))
+            rn[part_blocks, part] = spectral_norms(residuals)
         coeff_norms.append(cn)
         residual_norms.append(rn)
     return _ReplayData(
@@ -696,7 +696,7 @@ def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray
         )
         terms = (x @ y_adj).transpose(0, 1, 2, 4, 3, 5).reshape(blocks, size, rows, cols)
         residuals = t - np.add.accumulate(terms, axis=1)
-        out.append(np.linalg.norm(np.concatenate((t, residuals), axis=1), 2, axis=(-2, -1)))
+        out.append(spectral_norms(np.concatenate((t, residuals), axis=1)))
     return np.concatenate(out)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, check_eps, frozen, tiles
+from .algebra import AlgebraElement, AlgebraShape, check_eps, fold_pair_maxima, frozen, spectral_norms
 from .frames import Frame, standard_basis_frame
 from .modules import ModuleOperator, ModuleVector, family_vectors, realization_stacks
 from .seminorms import BallSampler, SampleSet
@@ -188,15 +188,17 @@ def _truncation_tails(stack: np.ndarray) -> np.ndarray:
     stack is the points' realization stack (blocks, P, dim, 1) over the
     setting's 1x1 blocks.  The residual keeps coordinates n.. of x and is
     exactly zero before them, so on each block it is the realization of x
-    with its first n rows zeroed.  Returns (P, dim+1).
+    with its first n rows zeroed.  A block where x is zero gives zero
+    residuals, whose tails are +0.0, so only the blocks where x is not
+    zero are visited (`fold_pair_maxima`).  Returns (P, dim+1).
     """
-    blocks, points, dim, _ = stack.shape
-    kept = np.arange(dim) >= np.arange(dim + 1)[:, None]
+    _, points, dim, _ = stack.shape
+    kept = (np.arange(dim) >= np.arange(dim + 1)[:, None])[:, :, None]
     tails = np.zeros((points, dim + 1))
-    for part_blocks, part in tiles(blocks, points, (dim + 1) * dim):
-        residuals = np.where(kept[:, :, None], stack[part_blocks, part, None], 0.0)
-        norms = np.linalg.norm(residuals, 2, axis=(-2, -1))
-        tails[part] = np.fmax(tails[part], np.fmax.reduce(norms, axis=0))
+    fold_pair_maxima(
+        tails, stack, (dim + 1) * dim,
+        lambda _, x: spectral_norms(np.where(kept, x[:, :, None], 0.0)),
+    )
     return tails
 
 

@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .algebra import AlgebraShape, hermitian_part, tiles
+from .algebra import AlgebraShape, fold_pair_maxima, hermitian_part, spectral_norms
 from .modules import (
     ModuleOperator,
     ModuleVector,
@@ -186,22 +186,30 @@ class Frame:
         exactly the sum `reconstruct(x, range(n))` forms.  Each tail is the
         largest spectral norm of x_k minus its partial sum.  Blocks and
         points are taken in tiles that bound the size of the term tensor.
+
+        A (block, point) pair with x_k = 0 is skipped (`fold_pair_maxima`):
+        each of its terms is X_jk (G_jk* 0), an exact zero for finite X and
+        G, and so is every partial sum, so each of its tails is +0.0.  An
+        inf or NaN in X or G would turn that term into a NaN, on which the
+        spectral norm raises.  The library does not refuse such a frame (a
+        gram that overflows gives one), so the skip is taken only when the
+        class's X and G are finite; otherwise every pair is computed.
         Returns (P, stop+1).
         """
         require_stacks(stacks, self._shape, self._dim)
-        points = stacks[0].shape[1]
-        tails = np.zeros((points, stop + 1))
+        tails = np.zeros((stacks[0].shape[1], stop + 1))
         for xs, vs, gs in zip(stacks, self._vector_stacks, self._dual_stacks):
-            count, _, rows, n = xs.shape
-            v = vs[:, None, :stop]
-            g_adj = gs[:, None, :stop].conj().swapaxes(-1, -2)
-            for blocks, part in tiles(count, points, (stop + 1) * rows * n):
-                x = xs[blocks, part, None]
-                terms = v[blocks] @ (g_adj[blocks] @ x)
+            _, _, rows, n = xs.shape
+
+            def norms(blocks, x):
+                x = x[:, :, None]
+                g_adj = gs[blocks, None, :stop].conj().swapaxes(-1, -2)
+                terms = vs[blocks, None, :stop] @ (g_adj @ x)
                 start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
                 partial = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
-                norms = np.linalg.norm(x - partial, 2, axis=(-2, -1))
-                tails[part] = np.fmax(tails[part], np.fmax.reduce(norms, axis=0))
+                return spectral_norms(x - partial)
+
+            fold_pair_maxima(tails, xs, (stop + 1) * rows * n, norms, factors=(vs, gs))
         return tails
 
     def tail_profiles(self, stacks) -> np.ndarray:

@@ -32,6 +32,7 @@ from .algebra import (
     check_eps,
     hermitian_part,
     norm_attaining_state,
+    spectral_norms,
 )
 from .modules import (
     ModuleVector,
@@ -376,7 +377,7 @@ def _module_distances(sample: SampleSet, approx: SampleSet) -> np.ndarray:
     """||s_i - y_j|| for every pair: max over blocks of one batched spectral norm."""
     return np.concatenate(
         [
-            np.linalg.norm(s[:, :, None] - a[:, None], 2, axis=(-2, -1))
+            spectral_norms(s[:, :, None] - a[:, None])
             for s, a in zip(sample.realizations, approx.realizations)
         ]
     ).max(axis=0)
