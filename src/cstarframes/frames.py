@@ -91,6 +91,37 @@ class Frame:
             inv[:, None] @ x for inv, x in zip(self._gram_inv, self._vector_stacks)
         )
 
+    @classmethod
+    def _standard_basis(cls, shape: AlgebraShape, dim: int) -> "Frame":
+        """{e_j} from known values: no gram, no eigh and no dual product are formed.
+
+        Per size class, member j holds the unit at coordinate j; the gram
+        and its inverse are the identity and the dual is the family
+        itself.  The generic route gives exactly these bits: every gram
+        entry is a sum of exact products of 0 and 1, and `eigh` of an
+        identity returns eigenvalues 1.0 and eigenvectors u with |u| = I,
+        so the gram inverse is I and the dual product I X is X, signed
+        zeros included.  The stacks are read-only broadcast views.
+        """
+        frame = object.__new__(cls)
+        stacks, identities = [], []
+        for n, ks in shape.classes:
+            members = np.zeros((dim, dim, n, n), complex)
+            members[np.arange(dim), np.arange(dim)] = np.eye(n)
+            stack = members.reshape(dim, dim * n, n)
+            stacks.append(np.broadcast_to(stack, (len(ks),) + stack.shape))
+            eye = np.eye(dim * n, dtype=complex)
+            identities.append(np.broadcast_to(eye, (len(ks),) + eye.shape))
+        frame._vectors = family_vectors(shape, dim, stacks)
+        frame._spanning = "ambient"
+        frame._shape = shape
+        frame._dim = dim
+        frame._vector_stacks = frame._dual_stacks = tuple(stacks)
+        frame._grams = tuple(identities)
+        frame._gram_inv = identities
+        frame._bounds = (1.0, 1.0)
+        return frame
+
     @functools.cached_property
     def _theta(self) -> ModuleOperator:
         # Theta(x) = (<x_j, x>)_j: row j of block k is R_k(x_j)*.
@@ -267,5 +298,7 @@ class Frame:
 
 
 def standard_basis_frame(shape: AlgebraShape, dim: int) -> Frame:
-    """The Parseval frame {e_j}: bounds (1,1), self-dual."""
-    return Frame([ModuleVector.basis(shape, dim, j) for j in range(dim)])
+    """The Parseval frame {e_j}: bounds (1,1), self-dual, built in closed form."""
+    if dim < 1:
+        raise ValueError("a frame needs at least one vector")
+    return Frame._standard_basis(shape, dim)

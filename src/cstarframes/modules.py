@@ -29,17 +29,11 @@ from .algebra import (
     chunks,
     frozen,
     hermitian_part,
-    nonzero_matrices,
     spectral_norms,
 )
 
 # Relative cutoff for pseudo-inverses and rank decisions on realizations.
 PINV_RTOL = 1e-12
-
-# The sparse gram route costs a few dozen numpy calls whatever the family's
-# size; a family whose dense product tensor is smaller than this many entries
-# takes the dense route, which is then the cheaper one.
-GRAM_SPARSE_MIN_ENTRIES = 1024
 
 
 def coordinate_blocks(stack: np.ndarray, dim: int) -> np.ndarray:
@@ -394,57 +388,15 @@ def gram_block(coords: np.ndarray) -> np.ndarray:
     out of one batched matmul per chunk of blocks and are added in family
     order l = 0, 1, ..., which is the arithmetic of the operator product
     Theta* @ Theta entry by entry.  Returns (count, dim*n, dim*n).
-
-    When some x_{l,i} is zero and the family is not small, only the
-    products whose factors are both non-zero are formed
-    (`_add_nonzero_products`).  A skipped product is +0.0 or -0.0 in
-    every entry when the other factor is finite, and adding it changes no
-    bit: the sum starts at +0.0 and, under round-to-nearest, never
-    becomes -0.0, so an addend of +-0.0 leaves it as it is.  An inf or a
-    NaN would make a skipped product a NaN (inf * 0), so coordinates that
-    are not all finite take the dense route, which forms every product.
     """
     count, size, dim, n, _ = coords.shape
     acc = np.zeros((count, dim, dim, n, n), complex)
-    small = coords.size * dim < GRAM_SPARSE_MIN_ENTRIES
-    nonzero = None if small else nonzero_matrices(coords)
-    if nonzero is None or not np.isfinite(coords).all():
-        adjoints = np.ascontiguousarray(coords.conj().swapaxes(-1, -2))
-        for part in chunks(count, size * dim * dim * n * n):
-            products = coords[part, :, :, None] @ adjoints[part, :, None, :]
-            for l in range(size):
-                acc[part] = acc[part] + products[:, l]
-    else:
-        # chunks bound the products formed: at most width^2 per (block, member)
-        width = nonzero.sum(axis=2)
-        for part in chunks(count, int((width * width).sum(axis=1).max()) * n * n):
-            _add_nonzero_products(acc[part], coords[part], nonzero[part])
+    adjoints = np.ascontiguousarray(coords.conj().swapaxes(-1, -2))
+    for part in chunks(count, size * dim * dim * n * n):
+        products = coords[part, :, :, None] @ adjoints[part, :, None, :]
+        for l in range(size):
+            acc[part] = acc[part] + products[:, l]
     return from_entry_blocks(acc)
-
-
-def _add_nonzero_products(acc, coords, nonzero) -> None:
-    """Add to acc[c, i, j] the products x_{l,i} x_{l,j}* with both factors non-zero, in l order.
-
-    nonzero[c, l, i] tells whether x_{l,i} is non-zero on block c.  Each
-    non-zero factor is paired with every non-zero factor of its (c, l),
-    giving the pairs in (c, l, i, j) order; np.add.at adds them in that
-    order, so each entry receives its products in family order.  The
-    factors are gathered into (n, n) matrices and the adjoints made
-    contiguous, as in the dense route, so every product is the same
-    matmul of the same operands.
-    """
-    _, size, dim, n, _ = coords.shape
-    c, l, i = np.nonzero(nonzero)
-    # the factors of one (c, l) are a run of equal keys: pair each with its whole run
-    key = c * size + l
-    start = np.searchsorted(key, key)
-    width = np.searchsorted(key, key, "right") - start
-    left = np.repeat(np.arange(len(key)), width)
-    right = np.arange(len(left)) + np.repeat(start + width - np.cumsum(width), width)
-    factors = coords[c, l, i]
-    adjoints = np.ascontiguousarray(factors.conj().swapaxes(-1, -2))
-    entry = (c * dim + i)[left] * dim + i[right]
-    np.add.at(acc.reshape(-1, n, n), entry, factors[left] @ adjoints[right])
 
 
 def require_stacks(stacks, shape: AlgebraShape, dim: int) -> None:

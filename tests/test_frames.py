@@ -17,6 +17,7 @@ from cstarframes import (
     inner_product,
     standard_basis_frame,
 )
+from cstarframes.modules import realization_stacks
 
 C2 = AlgebraShape((1, 1))
 M2 = AlgebraShape((2,))
@@ -200,6 +201,44 @@ def test_blockwise_gram_matches_operator_product(seed):
             via_operator = fr.gram_op.realize_block(k)
             assert fr._grams[c][j].shape == via_operator.shape
             assert fr._grams[c][j].tobytes() == via_operator.tobytes()
+
+
+def _stack_bytes(stacks):
+    return [(s.shape, s.dtype, s.tobytes()) for s in stacks]
+
+
+@pytest.mark.parametrize(
+    "dims, dim",
+    [((1, 2, 1, 3, 2), d) for d in range(1, 13)]
+    + [((1,) * 13, d) for d in range(1, 13)]
+    + [((1,) * 171, 170)],
+)
+def test_standard_basis_frame_is_the_generic_frame_bit_for_bit(dims, dim):
+    """The closed form stores exactly what Frame.__init__ computes for {e_j}."""
+    shape = AlgebraShape(dims)
+    closed = standard_basis_frame(shape, dim)
+    generic = Frame([ModuleVector.basis(shape, dim, j) for j in range(dim)])
+    for name in ("_vector_stacks", "_grams", "_gram_inv", "_dual_stacks"):
+        assert _stack_bytes(getattr(closed, name)) == _stack_bytes(getattr(generic, name)), name
+    assert not any(s.flags.writeable for s in closed._grams + tuple(closed._gram_inv))
+    assert closed.bounds == generic.bounds == (1.0, 1.0)
+    assert repr(closed) == repr(generic)
+    for a, b in zip(closed.canonical_dual(), generic.canonical_dual(), strict=True):
+        assert _stack_bytes(a.stacks) == _stack_bytes(b.stacks)
+    assert _stack_bytes(closed.gram_inverse().stacks) == _stack_bytes(generic.gram_inverse().stacks)
+    rng = np.random.default_rng(dim)
+    points = [random_vector(shape, dim, rng), ModuleVector.zero(shape, dim)]
+    points.append(points[0].restrict(0, (dim + 1) // 2))
+    sample = realization_stacks(points, shape, dim)
+    assert closed.tail_profiles(sample).tobytes() == generic.tail_profiles(sample).tobytes()
+    for indices in (None, range(0, dim, 2)):
+        got, want = closed.reconstruct(points[0], indices), generic.reconstruct(points[0], indices)
+        assert _stack_bytes(got.stacks) == _stack_bytes(want.stacks)
+
+
+def test_standard_basis_frame_needs_a_coordinate():
+    with pytest.raises(ValueError, match="at least one vector"):
+        standard_basis_frame(C2, 0)
 
 
 def test_degenerate_frame_rejected():

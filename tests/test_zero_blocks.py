@@ -3,12 +3,11 @@
 An all-zero matrix gets its spectral norm, +0.0, without an SVD
 (`spectral_norms`); the frame's prefix tails and the counterexample's
 truncation tails visit only the (block, point) pairs whose realization
-is non-zero; the gram forms only the products of two non-zero
-coordinate blocks.  The dense routes these replaced are copied below as
-oracles, and every result must equal theirs byte for byte, on
-block-sparse and dense data, under the default chunk bound and under a
-bound of one entry, with the size below which a zero skip is not tried
-at its default and at zero.  A last test counts the work of one
+is non-zero.  The dense routes these replaced, and the gram's route, are
+copied below as oracles, and every result must equal theirs byte for
+byte, on block-sparse and dense data, under the default chunk bound and
+under a bound of one entry, with the size below which a zero skip is not
+tried at its default and at zero.  A last test counts the work of one
 counterexample run, a deterministic stand-in for a wall-clock gate.
 """
 
@@ -119,7 +118,6 @@ def bounds(tiny_chunks, every_skip):
             mp.setattr(algebra, "CHUNK_ENTRIES", 1)
         if every_skip:
             mp.setattr(algebra, "ZERO_TEST_MIN_MATRICES", 0)
-            mp.setattr(modules, "GRAM_SPARSE_MIN_ENTRIES", 0)
         yield
 
 
@@ -312,5 +310,5 @@ def test_counterexample_work_scales_with_the_non_zero_pairs(monkeypatch):
     # the trunc + 1 blocks of the operator norm in build_setting
     assert norms <= 2 * dim * (dim + 1) + trunc + 1
     assert norms < (trunc + 1) * dim * (dim + 1) // 4
-    # the basis frame's gram: one product per block and member, not dim^2
-    assert _CountedProducts.formed == (trunc + 1) * dim
+    # the basis frame is built in closed form: no gram product at all
+    assert _CountedProducts.formed == 0
