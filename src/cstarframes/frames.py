@@ -27,7 +27,7 @@ from .modules import (
 
 
 class DegenerateFrameError(ValueError):
-    """Family whose smallest gram eigenvalue vanishes: not a frame."""
+    """Family whose smallest gram eigenvalue vanishes, or whose gram overflows."""
 
 
 class Frame:
@@ -37,7 +37,9 @@ class Frame:
     rejects degenerate families.  spanning="range" accepts families that
     only span a submodule: bounds come from the nonzero gram spectrum and
     the dual uses the pseudo-inverse, so reconstruction reproduces the
-    projection onto the family's span.  Construction stacks the family
+    projection onto the family's span.  Either mode refuses a family whose
+    gram is not finite (its entries overflow in the products), naming the
+    first such block.  Construction stacks the family
     once, per size class of the algebra, and computes the bounds and the
     realizations of the dual from that stack; the module-level objects
     (analysis operator, gram operator, dual vectors) are built on first
@@ -58,11 +60,19 @@ class Frame:
 
         # Per class, the realizations X_j of the family, (count, size, dim*n, n).
         self._vector_stacks = realization_stacks(vectors, shape, self._dim)
-        self._grams = tuple(
-            gram_block(x.reshape(x.shape[:2] + (self._dim, x.shape[-1], x.shape[-1])))
-            for x in self._vector_stacks
-        )
-        eigensystems = [np.linalg.eigh(hermitian_part(s)) for s in self._grams]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._grams = tuple(
+                gram_block(x.reshape(x.shape[:2] + (self._dim, x.shape[-1], x.shape[-1])))
+                for x in self._vector_stacks
+            )
+            hermitian = [hermitian_part(s) for s in self._grams]
+        finite = shape.gather([np.isfinite(h).all(axis=(-2, -1)) for h in hermitian])
+        if not finite.all():
+            raise DegenerateFrameError(
+                f"the gram of block {int(np.argmin(finite))} is not finite: "
+                "the family's entries overflow"
+            )
+        eigensystems = [np.linalg.eigh(h) for h in hermitian]
         lo = min(np.inf, *shape.gather([w.min(axis=-1) for w, _ in eigensystems]).tolist())
         hi = max(0.0, *shape.gather([w.max(axis=-1) for w, _ in eigensystems]).tolist())
         cut = tol * max(hi, 1.0)
@@ -222,9 +232,9 @@ class Frame:
         each of its terms is X_jk (G_jk* 0), an exact zero for finite X and
         G, and so is every partial sum, so each of its tails is +0.0.  An
         inf or NaN in X or G would turn that term into a NaN, on which the
-        spectral norm raises.  The library does not refuse such a frame (a
-        gram that overflows gives one), so the skip is taken only when the
-        class's X and G are finite; otherwise every pair is computed.
+        spectral norm raises.  Construction refuses a family whose gram is
+        not finite, which keeps X and G finite; the skip still checks the
+        class's X and G, and computes every pair when they are not.
         Returns (P, stop+1).
         """
         require_stacks(stacks, self._shape, self._dim)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -592,3 +593,28 @@ def test_dual_of_a_rescaled_frame_is_written(capsys, tmp_path):
     assert written["spanning"] == frame.spanning and written["shape"] == doc["shape"]
     expected = [json.loads(serialize(g))["coords"] for g in frame.canonical_dual()]
     assert written["vectors"] == expected
+
+
+def test_frame_whose_gram_overflows_is_data_error(capsys, tmp_path):
+    """Finite entries of 1e200 overflow the gram of block 0: refused, with no warning."""
+
+    def coords(*pairs):
+        return [[[[[float(a), 0.0]]], [[[float(b), 0.0]]]] for a, b in pairs]
+
+    frame, vector = tmp_path / "frame.json", tmp_path / "vector.json"
+    frame.write_text(json.dumps({
+        "kind": "frame", "version": 1, "shape": [1, 1], "spanning": "ambient",
+        "vectors": [coords((1, 0), (0, 1)), coords((1e200, 1), (1e200, 1)), coords((0, 0), (1, 1))],
+    }))
+    vector.write_text(json.dumps({
+        "kind": "vector", "version": 1, "shape": [1, 1], "coords": coords((0, 1), (0, 1)),
+    }))
+    for argv in (["frame-bounds", str(frame)], ["dual", str(frame)],
+                 ["reconstruct", str(frame), str(vector)]):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "cstarframes: error: $.vectors: the gram of block 0 is not finite: " \
+            "the family's entries overflow\n"
+        assert seen == []

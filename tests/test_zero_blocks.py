@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarframes import AlgebraElement, AlgebraShape, Frame, ModuleVector, algebra, modules
+from cstarframes import AlgebraElement, AlgebraShape, DegenerateFrameError, Frame, ModuleVector, algebra, modules
 from cstarframes.algebra import chunks, spectral_norms, tiles
 from cstarframes.cli import main
 from cstarframes.counterexample import _truncation_tails
@@ -265,14 +265,9 @@ def test_non_finite_data_takes_the_dense_route():
         assert gram_block(coords).tobytes() == oracle_gram_block(coords).tobytes()
         assert np.isnan(gram_block(coords)).any()
 
-        # finite input: the gram of block 0 overflows, so that block's dual
-        # is NaN; the point is zero there, and the dense route's NaN term raises
-        frame = Frame([vec((1, 0), (0, 1)), vec((1e200, 1), (1e200, 1)), vec((0, 0), (1, 1))])
-        point = realization_stacks([vec((0, 1), (0, 1))], shape, 2)
-        with pytest.raises(np.linalg.LinAlgError):
-            oracle_prefix_tails(frame, point, frame.size)
-        with pytest.raises(np.linalg.LinAlgError):
-            frame._prefix_tails(point, frame.size)
+    # finite input whose gram overflows on block 0: refused, without a warning
+    with pytest.raises(DegenerateFrameError, match="gram of block 0 is not finite"):
+        Frame([vec((1, 0), (0, 1)), vec((1e200, 1), (1e200, 1)), vec((0, 0), (1, 1))])
 
 
 # -- work count ---------------------------------------------------------------------------
