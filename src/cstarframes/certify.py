@@ -181,7 +181,7 @@ def _pair_stacks(sample: SampleSet, pairs) -> tuple[tuple[np.ndarray, ...], ...]
 def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
     """sup_x ||x - T_n x|| for the partial sums T_n = sum_{j<=n} theta_{z_j,g_j}.
 
-    Runs from n = 0 up to the first n >= 1 whose error is below eps, or
+    Runs from n = 0 up to the first n >= 0 whose error is below eps, or
     through all the given pairs.  One rank step updates the residuals
     r - z<g,x> of all points in one batched product per size class.
     """
@@ -191,13 +191,13 @@ def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
     errors = [max(stack_norms(shape, residuals))]
     z, g = _pair_stacks(sample, pairs)
     for j in range(len(pairs)):
+        if errors[-1] < eps:
+            break
         for c, (xk, zk, gk) in enumerate(zip(stacks, z, g)):
             coeffs = gk[:, j, None].conj().swapaxes(-1, -2) @ xk
             step = coordinate_blocks(zk[:, j], dim)[:, None] @ coeffs[:, :, None]
             residuals[c] = residuals[c] - step.reshape(xk.shape)
         errors.append(max(stack_norms(shape, residuals)))
-        if errors[-1] < eps:
-            break
     return errors
 
 
@@ -293,12 +293,11 @@ def _certificate_b(tails: list[float], eps: float) -> Certificate:
 def _certificate_cd(errors: list[float], pairs: list, limit: int, eps: float) -> Certificate:
     """The C/D verdict at eps from an error profile computed for eps or smaller.
 
-    The scan stops at the first rank n >= 1 below eps; failing that, a
-    sample already within eps of zero passes at rank 0.
+    The scan stops at the first rank n >= 0 below eps: a sample already
+    within eps of zero passes at rank 0, with the zero operator.
     """
-    stop = next((n for n in range(1, len(errors)) if errors[n] < eps), None)
-    profile = errors[: len(errors) if stop is None else stop + 1]
-    achieved = stop if stop is not None else (0 if errors[0] < eps else None)
+    achieved = next((n for n in range(len(errors)) if errors[n] < eps), None)
+    profile = errors[: len(errors) if achieved is None else achieved + 1]
     diagnostics = {"error_profile": profile, "best_error": min(profile)}
     if achieved is not None:
         return Certificate(
@@ -383,9 +382,10 @@ def check_condition_cd(
 ) -> Certificate:
     """Finite-rank uniform approximation of the identity on the sample.
 
-    Scans partial sums T_n = sum_{j<=n} theta_{z_j,g_j} for increasing n
+    Scans partial sums T_n = sum_{j<=n} theta_{z_j,g_j} for n = 0, 1, ...
     up to the budget and passes at the first n with
-    sup_x ||x - T_n x|| < eps, returning the theta pairs.  A miss is
+    sup_x ||x - T_n x|| < eps, returning its n theta pairs (none at
+    n = 0: the zero operator).  A miss is
     reported with budget_exhausted set: other frames or operators remain
     untried, so the failure is inconclusive rather than certified.
     """

@@ -171,6 +171,19 @@ def test_cd_empty_sample_vacuous():
     assert cert.witness["rank"] == 0
 
 
+def test_cd_reports_rank_zero_when_the_sample_is_already_within_eps():
+    """The zero operator is a rank-0 approximant: the scan stops before any pair."""
+    sample = SampleSet((ModuleVector.basis(C2, 2, 0) * 0.1,))
+    cert = check_condition_cd(sample, eps=0.5)
+    assert cert.verdict
+    assert cert.witness == {"rank": 0}
+    assert cert.diagnostics["error_profile"] == [0.1]
+    assert cert.approximant == ()
+    report = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5, 0.05)))
+    assert [e.cert_cd.witness for e in report.entries] == [{"rank": 0}, {"rank": 1}]
+    assert [e.cert_cd.diagnostics["error_profile"] for e in report.entries] == [[0.1], [0.1, 0.0]]
+
+
 # -- equivalences -------------------------------------------------------------
 
 

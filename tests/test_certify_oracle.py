@@ -151,14 +151,13 @@ def ref_condition_cd(sample, eps, rank_budget=None, frame=None):
     limit = min(budget, len(pairs))
     residuals = list(sample.points)
     errors = [max(r.norm() for r in residuals)]
-    achieved = 0 if errors[0] < eps else None
-    for n in range(1, limit + 1):
-        z, g = pairs[n - 1]
+    n = 0
+    while errors[-1] >= eps and n < limit:
+        z, g = pairs[n]
         residuals = [r - z * inner_product(g, x) for r, x in zip(residuals, sample.points)]
         errors.append(max(r.norm() for r in residuals))
-        if errors[-1] < eps:
-            achieved = n
-            break
+        n += 1
+    achieved = n if errors[-1] < eps else None
     diagnostics = {"error_profile": errors, "best_error": min(errors)}
     if achieved is not None:
         return {"verdict": True, "budget_exhausted": False, "witness": {"rank": achieved},
