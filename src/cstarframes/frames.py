@@ -39,9 +39,9 @@ class Frame:
     the dual uses the pseudo-inverse, so reconstruction reproduces the
     projection onto the family's span.  Either mode refuses a family whose
     gram is not finite (its entries overflow in the products), naming the
-    first such block.  Construction stacks the family
-    once, per size class of the algebra, and computes the bounds and the
-    realizations of the dual from that stack; the module-level objects
+    first such block.  Construction stacks the family once, per size
+    class of the algebra, and computes the bounds and the realizations
+    of the dual from that stack; the module-level objects
     (analysis operator, gram operator, dual vectors) are built on first
     use.  Instances are read-only.
     """
@@ -122,7 +122,6 @@ class Frame:
             stacks.append(np.broadcast_to(stack, (len(ks),) + stack.shape))
             eye = np.eye(dim * n, dtype=complex)
             identities.append(np.broadcast_to(eye, (len(ks),) + eye.shape))
-        frame._vectors = family_vectors(shape, dim, stacks)
         frame._spanning = "ambient"
         frame._shape = shape
         frame._dim = dim
@@ -131,6 +130,11 @@ class Frame:
         frame._gram_inv = identities
         frame._bounds = (1.0, 1.0)
         return frame
+
+    @functools.cached_property
+    def _vectors(self) -> tuple[ModuleVector, ...]:
+        # set by __init__; the closed form builds its vectors on first use
+        return family_vectors(self._shape, self._dim, self._vector_stacks)
 
     @functools.cached_property
     def _theta(self) -> ModuleOperator:
@@ -175,7 +179,7 @@ class Frame:
 
     @property
     def size(self) -> int:
-        return len(self._vectors)
+        return self._vector_stacks[0].shape[1]
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -233,8 +237,10 @@ class Frame:
         G, and so is every partial sum, so each of its tails is +0.0.  An
         inf or NaN in X or G would turn that term into a NaN, on which the
         spectral norm raises.  Construction refuses a family whose gram is
-        not finite, which keeps X and G finite; the skip still checks the
-        class's X and G, and computes every pair when they are not.
+        not finite, so X is finite, and so is G unless a tiny `tol` admits
+        a gram eigenvalue whose inverse overflows; the skip is taken only
+        when the class's X and G are finite, and every pair is computed
+        otherwise.
         Returns (P, stop+1).
         """
         require_stacks(stacks, self._shape, self._dim)

@@ -223,8 +223,9 @@ def test_standard_basis_frame_is_the_generic_frame_bit_for_bit(dims, dim):
     assert not any(s.flags.writeable for s in closed._grams + tuple(closed._gram_inv))
     assert closed.bounds == generic.bounds == (1.0, 1.0)
     assert repr(closed) == repr(generic)
-    for a, b in zip(closed.canonical_dual(), generic.canonical_dual(), strict=True):
-        assert _stack_bytes(a.stacks) == _stack_bytes(b.stacks)
+    for family in ((closed.vectors, generic.vectors), (closed.canonical_dual(), generic.canonical_dual())):
+        for a, b in zip(*family, strict=True):
+            assert _stack_bytes(a.stacks) == _stack_bytes(b.stacks)
     assert _stack_bytes(closed.gram_inverse().stacks) == _stack_bytes(generic.gram_inverse().stacks)
     rng = np.random.default_rng(dim)
     points = [random_vector(shape, dim, rng), ModuleVector.zero(shape, dim)]

@@ -3,9 +3,13 @@
 A block-unitary u of A moves the A-valued inner product by conjugation,
 <xu, yu> = u* <x,y> u, since <xu, yu> = sum_i u* x_i* y_i u.  A seminorm
 nu_{X,Phi} is homogeneous, nu(lambda x) = |lambda| nu(x), since the inner
-product is conjugate-linear in x and every state is linear.  Both hold
-up to rounding, so they are checked at a tolerance relative to the size
-of the quantities compared.
+product is conjugate-linear in x and every state is linear.  A unitary
+module operator U moves a frame and a sample together without changing
+what the certificates see: <Ux, Uy> = <x, y>, so {U e_j} is again a
+Parseval frame, its tails on Ux are those of {e_j} on x, and the C/D
+span family of Ux is U applied to that of x.  All of these hold up to
+rounding, so they are checked at a tolerance relative to the size of the
+quantities compared.
 """
 
 import numpy as np
@@ -17,9 +21,15 @@ from cstarframes import (
     AdmissibleSystem,
     AlgebraElement,
     AlgebraShape,
+    Frame,
+    ModuleOperator,
+    SampleSet,
     SeminormSpec,
+    check_condition_b,
+    check_condition_cd,
     inner_product,
     seminorm_eval,
+    standard_basis_frame,
 )
 
 SHAPES = [(1,), (2,), (1, 2), (1, 1, 2), (2, 3, 1)]
@@ -81,3 +91,56 @@ def test_seminorm_is_homogeneous(case, lam):
     nu = seminorm_eval(spec, x)
     scaled = seminorm_eval(spec, x * lam)
     assert abs(scaled - abs(lam) * nu) <= 1e-12 * abs(lam) * nu
+
+
+def _module_unitary(shape, dim, rng):
+    """A unitary module operator on A^dim: per block, the Q factor of a random complex matrix."""
+    stacks = []
+    for n, ks in shape.classes:
+        z = rng.standard_normal((len(ks), dim * n, dim * n)) + 1j * rng.standard_normal(
+            (len(ks), dim * n, dim * n)
+        )
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        stacks.append(q * (d / np.abs(d))[:, None, :])
+    return ModuleOperator._packed(shape, dim, dim, stacks)
+
+
+def _margin(values, eps):
+    return min(abs(v - eps) for v in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases, points=st.integers(1, 4), eps=st.floats(0.05, 1.5))
+def test_a_unitary_module_operator_moves_frame_and_sample_together(case, points, eps):
+    dims, dim, seed = case
+    rng = np.random.default_rng(seed)
+    shape = AlgebraShape(dims)
+    u = _module_unitary(shape, dim, rng)
+    basis = standard_basis_frame(shape, dim)
+    moved_frame = Frame([u(e) for e in basis.vectors])
+    c1, c2 = moved_frame.bounds
+    assert abs(c1 - 1.0) <= 1e-12 and abs(c2 - 1.0) <= 1e-12
+
+    sample = SampleSet(tuple(random_vector(shape, dim, rng, 0.5) for _ in range(points)))
+    moved = SampleSet(tuple(u(x) for x in sample.points))
+    tails = basis.tail_profiles(sample.realizations)
+    moved_tails = moved_frame.tail_profiles(moved.realizations)
+    assert np.abs(moved_tails - tails).max() <= 1e-10
+
+    # a tiny eps runs C/D through every rank of the budget
+    errors = check_condition_cd(sample, 1e-300).diagnostics["error_profile"]
+    moved_errors = check_condition_cd(moved, 1e-300).diagnostics["error_profile"]
+    assert len(moved_errors) == len(errors)
+    assert max(abs(a - b) for a, b in zip(moved_errors, errors)) <= 1e-10
+
+    sup_tails = tails.max(axis=0)
+    if _margin(sup_tails, eps) > 1e-9:
+        assert check_condition_b(moved, moved_frame, eps).verdict == check_condition_b(
+            sample, basis, eps
+        ).verdict
+    if _margin(errors, eps) > 1e-9:
+        cert = check_condition_cd(sample, eps)
+        moved_cert = check_condition_cd(moved, eps)
+        assert moved_cert.verdict == cert.verdict
+        assert moved_cert.witness == cert.witness
