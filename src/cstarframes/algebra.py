@@ -20,8 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative eigenvalue threshold used by positivity and invertibility checks.
-DEFAULT_TOL = 1e-10
+from .tolerances import (
+    CLOSE_RTOL,
+    ELEMENT_RTOL,
+    STATE_ATOL,
+    STATE_PHASE_ATOL,
+    STATE_TIE_ATOL,
+)
 
 # Batched intermediates are cut along one axis into chunks of at most this
 # many entries (one item per chunk at least), so the memory of a pass does
@@ -95,7 +100,7 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def fold_pair_maxima(out, stack, item_entries: int, norms_of, factors=()) -> None:
+def fold_pair_maxima(out, stack, item_entries: int, norms_of) -> None:
     """Fold into out[p] the entrywise max over blocks of point p's norms, for every point p.
 
     stack has shape (count, P, rows, n): the realizations of P points on
@@ -108,16 +113,15 @@ def fold_pair_maxima(out, stack, item_entries: int, norms_of, factors=()) -> Non
     A (block, point) pair whose realization is all zero is left out.
     That is exact when norms_of gives +0.0 for such a pair, which fmax
     against out leaves unchanged: true when norms_of only multiplies the
-    pair's data by `factors` and those are finite.  An inf or a NaN
-    among them would make a zero pair's product a NaN (inf * 0), so then
-    no pair is left out.  If every pair is computed, the pairs are taken
-    in `tiles`, as views, nothing gathered; otherwise the non-zero pairs
-    are gathered one pair per row (p = 1), in chunks under
-    CHUNK_ENTRIES, and folded in with np.fmax.at.
+    pair's data by finite factors (inf * 0 would be a NaN).  If every
+    pair is non-zero, the pairs are taken in `tiles`, as views, nothing
+    gathered; otherwise the non-zero pairs are gathered one pair per row
+    (p = 1), in chunks under CHUNK_ENTRIES, and folded in with
+    np.fmax.at.
     """
     count, points = stack.shape[:2]
     nonzero = nonzero_matrices(stack)
-    if nonzero is None or not all(np.isfinite(f).all() for f in factors):
+    if nonzero is None:
         for blocks, part in tiles(count, points, item_entries):
             norms = norms_of(blocks, stack[blocks, part])
             out[part] = np.fmax(out[part], np.fmax.reduce(norms, axis=0))
@@ -352,22 +356,23 @@ class AlgebraElement:
         """C*-norm: the largest singular value across blocks."""
         return blockwise_max(self.shape, [spectral_norms(a) for a in self.stacks])
 
-    def is_selfadjoint(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_selfadjoint(self) -> bool:
+        """a* = a within ELEMENT_RTOL * max(||a||, 1), entry by entry."""
         scale = max(self.norm(), 1.0)
         return all(
-            (np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol * scale).all()
+            (np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= ELEMENT_RTOL * scale).all()
             for a in self.stacks
         )
 
-    def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """Positivity test: every block eigenvalue >= -tol * norm.
+    def is_positive(self) -> bool:
+        """Positivity test: every block eigenvalue >= -ELEMENT_RTOL * max(||a||, 1).
 
         The input must be self-adjoint within the same relative tolerance;
         eigenvalues are taken on the Hermitian symmetrization.
         """
-        if not self.is_selfadjoint(tol):
+        if not self.is_selfadjoint():
             raise ValueError("positivity is only defined for self-adjoint elements")
-        slack = tol * max(self.norm(), 1.0)
+        slack = ELEMENT_RTOL * max(self.norm(), 1.0)
         return not any(
             (np.linalg.eigvalsh(hermitian_part(a)).min(axis=-1) < -slack).any()
             for a in self.stacks
@@ -378,20 +383,21 @@ class AlgebraElement:
         mins = [np.linalg.eigvalsh(hermitian_part(a)).min(axis=-1) for a in self.stacks]
         return min(self.shape.gather(mins).tolist())
 
-    def inverse(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
-        """Blockwise inverse; rejects elements with a nearly singular block."""
+    def inverse(self) -> "AlgebraElement":
+        """Blockwise inverse; rejects a block whose smallest singular value is
+        at most ELEMENT_RTOL * max(||a||, 1)."""
         scale = max(self.norm(), 1.0)
         smins = [np.linalg.svd(a, compute_uv=False).min(axis=-1) for a in self.stacks]
         for k, smin in enumerate(self.shape.gather(smins).tolist()):
-            if smin <= tol * scale:
+            if smin <= ELEMENT_RTOL * scale:
                 raise np.linalg.LinAlgError(
                     f"block {k} is singular (smallest singular value {smin:.3e})"
                 )
         return self._with(np.linalg.inv(a) for a in self.stacks)
 
-    def sqrt(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
+    def sqrt(self) -> "AlgebraElement":
         """Positive square root via blockwise spectral calculus."""
-        if not self.is_positive(tol):
+        if not self.is_positive():
             raise ValueError("sqrt requires a positive element")
         out = []
         for a in self.stacks:
@@ -402,9 +408,10 @@ class AlgebraElement:
 
     # -- misc -----------------------------------------------------------
 
-    def allclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
+    def allclose(self, other: "AlgebraElement") -> bool:
+        """||a - b|| <= CLOSE_RTOL * max(1, ||a||, ||b||)."""
         self._require_same_shape(other)
-        return (self - other).norm() <= tol * max(1.0, self.norm(), other.norm())
+        return (self - other).norm() <= CLOSE_RTOL * max(1.0, self.norm(), other.norm())
 
     def __repr__(self) -> str:
         dims = "+".join(str(n) for n in self.shape.block_dims)
@@ -423,23 +430,20 @@ class State:
     shape: AlgebraShape
     stacks: tuple[np.ndarray, ...]
 
-    _VALIDATION_TOL = 1e-8
-
     def __init__(self, shape: AlgebraShape, densities):
         stacks = _pack_blocks(shape, densities)
-        tol = self._VALIDATION_TOL
         herm = [np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks]
         low = [np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks]
         traces = [np.trace(s, axis1=-2, axis2=-1).real for s in stacks]
         for k, (defect, least) in enumerate(
             zip(shape.gather(herm).tolist(), shape.gather(low).tolist())
         ):
-            if defect > tol:
+            if defect > STATE_ATOL:
                 raise ValueError(f"density {k} is not Hermitian")
-            if least < -tol:
+            if least < -STATE_ATOL:
                 raise ValueError(f"density {k} is not positive semidefinite")
         total = float(block_sum(shape, traces))
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > STATE_ATOL:
             raise ValueError(f"densities must have total trace 1, got {total}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "stacks", stacks)
@@ -502,11 +506,11 @@ def norm_attaining_state(a: AlgebraElement) -> State:
     spectra = [np.linalg.eigh(s.conj().swapaxes(-1, -2) @ s) for s in a.stacks]
     best_block, best_val = 0, -1.0
     for k, top in enumerate(a.shape.gather([w[:, -1] for w, _ in spectra]).tolist()):
-        if top > best_val + 1e-15:
+        if top > best_val + STATE_TIE_ATOL:
             best_block, best_val = k, top
     c, j = a.shape.slots[best_block]
     vec = spectra[c][1][j][:, -1].copy()
-    nz = np.flatnonzero(np.abs(vec) > 1e-14)
+    nz = np.flatnonzero(np.abs(vec) > STATE_PHASE_ATOL)
     if nz.size:
         phase = vec[nz[0]] / abs(vec[nz[0]])
         vec = vec / phase

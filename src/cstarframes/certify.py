@@ -40,6 +40,7 @@ from .modules import (
     theta_op,
 )
 from .seminorms import BallSampler, SampleSet
+from .tolerances import BD_RTOL, COHERENCE_TOL, GRAM_DEFECT_ATOL, SERIES_EPS
 
 
 class GramDefectError(ValueError):
@@ -252,12 +253,12 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
 # -- certificates for one eps -------------------------------------------------
 
 
-def _certificate_a(data: _CoefficientData, eps: float, tol: float) -> Certificate:
+def _certificate_a(data: _CoefficientData, eps: float) -> Certificate:
     verdict = all(r < eps for r in data.residuals)
     m_eps = max((max(cn) for cn in data.coefficient_norms if cn), default=0.0)
     d_const = max(data.approx_norms, default=0.0)
     bd = data.b_const * d_const
-    bd_ok = all(s <= bd + tol * (1.0 + bd) for s in data.stacked_norms)
+    bd_ok = all(s <= bd + BD_RTOL * (1.0 + bd) for s in data.stacked_norms)
     return Certificate(
         condition="A",
         eps=eps,
@@ -332,7 +333,7 @@ def _empty_sample_cd(eps: float) -> Certificate:
 # -- the conditions -------------------------------------------------------------
 
 
-def check_condition_a(sample: SampleSet, generators, eps: float, tol: float = 1e-9) -> Certificate:
+def check_condition_a(sample: SampleSet, generators, eps: float) -> Certificate:
     """Bounded-coefficient approximation from a fixed generator family.
 
     Every sample point is solved against Span_A(generators) by the
@@ -342,13 +343,14 @@ def check_condition_a(sample: SampleSet, generators, eps: float, tol: float = 1e
     is certified.  The diagnostics also record the automatic-boundedness
     data for finite-dimensional algebras: the minimal-norm coefficient
     tuple obeys ||(a_1..a_s)|| <= B*D with B the inverse-off-kernel norm
-    of the synthesis map and D the largest approximant norm.
+    of the synthesis map and D the largest approximant norm, checked with
+    a slack of BD_RTOL * (1 + B*D).
     """
     check_eps(eps)
     generators = list(generators)
     if not generators:
         raise ValueError("at least one generator required")
-    return _certificate_a(_coefficient_data(sample, generators), eps, tol)
+    return _certificate_a(_coefficient_data(sample, generators), eps)
 
 
 def check_condition_b(sample: SampleSet, frame: Frame, eps: float) -> Certificate:
@@ -408,7 +410,6 @@ class CertifyConfig:
     generators: tuple[ModuleVector, ...] | None = None
     rank_budget: int | None = None
     seed: int = 0
-    tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -489,6 +490,7 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
         residual are replayed against the theta pairs directly.
       * The minimal-norm coefficients of condition A stay within the
         automatic finite-dimensional bound B*D.
+    Each replay allows a slack of COHERENCE_TOL (see `tolerances`).
     Violations indicate an implementation bug and are reported verbatim.
 
     Every eps of the grid is checked before any work.  Each condition's
@@ -520,7 +522,6 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     c1, c2 = frame.bounds
     s = len(generators)
     m = frame.size
-    tol = config.tol
     scaled_grid = [eps * c1 / (3.0 * c2) for eps in config.eps_grid]
     for eps_scaled in scaled_grid:
         check_eps(eps_scaled)
@@ -541,8 +542,8 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
 
     entries = []
     for eps, eps_scaled, cert_cd in zip(config.eps_grid, scaled_grid, certs_cd):
-        cert_a = _certificate_a(coefficients, eps, 1e-9)
-        cert_a_scaled = _certificate_a(coefficients, eps_scaled, 1e-9)
+        cert_a = _certificate_a(coefficients, eps)
+        cert_a_scaled = _certificate_a(coefficients, eps_scaled)
         cert_b = _certificate_b(tails_z, eps)
         violations: list[str] = []
 
@@ -560,7 +561,7 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
                 if gen_tails[n] > thresh:
                     continue
                 estimate = eps_scaled * (1.0 + ratio) + s * gen_tails[n] * m_coeff
-                if tails_z[n] > estimate + tol:
+                if tails_z[n] > estimate + COHERENCE_TOL:
                     violations.append(
                         f"a=>b chain broken at prefix {n}: tail {tails_z[n]:.6g} "
                         f"exceeds the three-term estimate {estimate:.6g}"
@@ -581,12 +582,12 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
             for i, (coeff_norms, residuals) in enumerate(
                 zip(replay.coefficient_norms, replay.residual_norms)
             ):
-                if any(c > m_da + tol * (1.0 + m_da) for c in coeff_norms[:rank]):
+                if any(c > m_da + COHERENCE_TOL * (1.0 + m_da) for c in coeff_norms[:rank]):
                     violations.append(
                         f"d=>a bound broken at point {i}: coefficient norm "
                         f"exceeds R*max||f_k|| = {m_da:.6g}"
                     )
-                if residuals[rank] >= eps + tol:
+                if residuals[rank] >= eps + COHERENCE_TOL:
                     violations.append(
                         f"d=>a residual broken at point {i}: direct coefficient "
                         f"replay misses the eps bound"
@@ -619,9 +620,8 @@ def operator_precompact(op, sampler: BallSampler, eps: float, config: CertifyCon
     carries the approximant whose existence is equivalent to
     Banach-compactness here.
     """
-    tol = (config.tol if config else 1e-8)
     points = sampler.draw()
-    kept = [p for p in points if p.norm() <= 1.0 + tol]
+    kept = [p for p in points if p.norm() <= 1.0 + COHERENCE_TOL]
     rejected = len(points) - len(kept)
     image = SampleSet(tuple(op(p) for p in kept), label="operator image")
     base = config or CertifyConfig()
@@ -700,7 +700,7 @@ def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray
     return np.concatenate(out)
 
 
-def series_decompose(op, frame: Frame | None = None, eps: float = 1e-9) -> SeriesDecomposition:
+def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) -> SeriesDecomposition:
     """Expand an operator into theta terms along a frame for its range.
 
     With no frame given, one is built from the operator's columns by
@@ -739,11 +739,12 @@ def series_decompose(op, frame: Frame | None = None, eps: float = 1e-9) -> Serie
     return SeriesDecomposition(tuple(errors), errors[-1], achieved, vectors, y_stacks)
 
 
-def free_submodule_check(sample: SampleSet, generators, eps: float, tol: float = 1e-8) -> Certificate:
+def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certificate:
     """Approximation by a free orthonormal submodule, with the 2*eps check.
 
-    Generators must satisfy <g_i,g_j> = delta_ij * 1 within tol, else a
-    GramDefectError carries the defect.  The verdict demands
+    Generators must satisfy <g_i,g_j> = delta_ij * 1 within
+    GRAM_DEFECT_ATOL, else a GramDefectError carries the defect.  The
+    verdict demands
     dist(x, Span_A(generators)) < eps for every sample point; the
     projection P = sum theta_{g_j,g_j} is then applied and the
     ||x - Px|| < 2*eps amplification recorded literally.
@@ -760,7 +761,7 @@ def free_submodule_check(sample: SampleSet, generators, eps: float, tol: float =
         for j, gj in enumerate(generators):
             want = ident if i == j else zero
             defect = max(defect, (inner_product(gi, gj) - want).norm())
-    if defect > tol:
+    if defect > GRAM_DEFECT_ATOL:
         raise GramDefectError(defect)
 
     projector = None

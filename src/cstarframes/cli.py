@@ -30,6 +30,7 @@ from .counterexample import build_setting, coeff_growth, tail_obstruction
 from .frames import DegenerateFrameError, standard_basis_frame
 from .seminorms import epsilon_net, seminorm_values
 from .serialization import SchemaError, parse, serialize, serialize_dual
+from .tolerances import SERIES_EPS
 
 USAGE_EXIT = 64
 
@@ -80,7 +81,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("series", help="theta-series decomposition of an operator")
     p.add_argument("operator_file")
-    p.add_argument("--eps", type=float, default=1e-9)
+    p.add_argument("--eps", type=float, default=SERIES_EPS)
     p.add_argument("--frame", default=None)
     p.add_argument("--out", default=None)
 

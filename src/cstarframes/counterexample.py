@@ -22,6 +22,7 @@ from .algebra import AlgebraElement, AlgebraShape, check_eps, fold_pair_maxima, 
 from .frames import Frame, standard_basis_frame
 from .modules import ModuleOperator, ModuleVector, family_vectors, realization_stacks
 from .seminorms import BallSampler, SampleSet
+from .tolerances import SELF_CHECK_ATOL
 
 # Largest truncation the float64 model holds: the generator carries 1/k!,
 # and 171! overflows a double.
@@ -136,9 +137,9 @@ def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
     coefficients[k, k, 0] = [1.0 / math.factorial(j) for j in range(1, dim + 1)]
     generator = ModuleVector._packed(shape, dim, (coefficients,))
 
-    if (operator(generator) - generator).norm() > 1e-12:
+    if (operator(generator) - generator).norm() > SELF_CHECK_ATOL:
         raise AssertionError("F does not fix the generator v")
-    if operator.norm() > 1.0 + 1e-12:
+    if operator.norm() > 1.0 + SELF_CHECK_ATOL:
         raise AssertionError("F is not a contraction")
     return TruncatedCSetting(trunc, dim, shape, operator, generator)
 
@@ -206,7 +207,7 @@ def _checked_tails(frame: Frame, stacks) -> tuple[list[list[float]], np.ndarray]
     """Truncation tails of stacked points and the frame's tail profiles, checked to agree."""
     via_frame = frame.tail_profiles(stacks)
     direct = _truncation_tails(stacks[0])
-    bad = np.argwhere(np.abs(direct - via_frame) > 1e-12)
+    bad = np.argwhere(np.abs(direct - via_frame) > SELF_CHECK_ATOL)
     if len(bad):
         d, f = direct[tuple(bad[0])], via_frame[tuple(bad[0])]
         raise AssertionError(

@@ -24,6 +24,7 @@ from .modules import (
     require_stacks,
     theta_op,
 )
+from .tolerances import FRAME_RTOL
 
 
 class DegenerateFrameError(ValueError):
@@ -33,10 +34,12 @@ class DegenerateFrameError(ValueError):
 class Frame:
     """Finite frame with bounds and canonical dual, plus lazy module operators.
 
-    spanning="ambient" (default) demands a frame for the whole module and
-    rejects degenerate families.  spanning="range" accepts families that
-    only span a submodule: bounds come from the nonzero gram spectrum and
-    the dual uses the pseudo-inverse, so reconstruction reproduces the
+    A gram eigenvalue counts as zero when it is at most
+    FRAME_RTOL * max(c2, 1).  spanning="ambient" (default) demands a frame
+    for the whole module and rejects degenerate families.
+    spanning="range" accepts families that only span a submodule: bounds
+    come from the nonzero gram spectrum and the dual uses the
+    pseudo-inverse, so reconstruction reproduces the
     projection onto the family's span.  Either mode refuses a family whose
     gram is not finite (its entries overflow in the products), naming the
     first such block.  Construction stacks the family once, per size
@@ -46,7 +49,7 @@ class Frame:
     use.  Instances are read-only.
     """
 
-    def __init__(self, vectors, spanning: str = "ambient", tol: float = 1e-10):
+    def __init__(self, vectors, spanning: str = "ambient"):
         vectors = tuple(vectors)
         if not vectors:
             raise ValueError("a frame needs at least one vector")
@@ -75,7 +78,7 @@ class Frame:
         eigensystems = [np.linalg.eigh(h) for h in hermitian]
         lo = min(np.inf, *shape.gather([w.min(axis=-1) for w, _ in eigensystems]).tolist())
         hi = max(0.0, *shape.gather([w.max(axis=-1) for w, _ in eigensystems]).tolist())
-        cut = tol * max(hi, 1.0)
+        cut = FRAME_RTOL * max(hi, 1.0)
         if spanning == "ambient":
             if lo <= cut:
                 raise DegenerateFrameError(
@@ -234,13 +237,10 @@ class Frame:
 
         A (block, point) pair with x_k = 0 is skipped (`fold_pair_maxima`):
         each of its terms is X_jk (G_jk* 0), an exact zero for finite X and
-        G, and so is every partial sum, so each of its tails is +0.0.  An
-        inf or NaN in X or G would turn that term into a NaN, on which the
-        spectral norm raises.  Construction refuses a family whose gram is
-        not finite, so X is finite, and so is G unless a tiny `tol` admits
-        a gram eigenvalue whose inverse overflows; the skip is taken only
-        when the class's X and G are finite, and every pair is computed
-        otherwise.
+        G, and so is every partial sum, so each of its tails is +0.0.  X and
+        G are finite: construction refuses a family whose gram is not
+        finite, and inverts only gram eigenvalues above
+        FRAME_RTOL * max(c2, 1) >= FRAME_RTOL.
         Returns (P, stop+1).
         """
         require_stacks(stacks, self._shape, self._dim)
@@ -256,7 +256,7 @@ class Frame:
                 partial = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
                 return spectral_norms(x - partial)
 
-            fold_pair_maxima(tails, xs, (stop + 1) * rows * n, norms, factors=(vs, gs))
+            fold_pair_maxima(tails, xs, (stop + 1) * rows * n, norms)
         return tails
 
     def tail_profiles(self, stacks) -> np.ndarray:

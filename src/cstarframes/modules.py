@@ -31,9 +31,7 @@ from .algebra import (
     hermitian_part,
     spectral_norms,
 )
-
-# Relative cutoff for pseudo-inverses and rank decisions on realizations.
-PINV_RTOL = 1e-12
+from .tolerances import PINV_RTOL, SPAN_DROP_RTOL
 
 
 def coordinate_blocks(stack: np.ndarray, dim: int) -> np.ndarray:
@@ -440,13 +438,14 @@ def spectral_normalize(v: ModuleVector) -> ModuleVector:
     return v._with(_support_normalized(v.shape, v.stacks))
 
 
-def orthogonal_span_family(vectors, tol: float = 1e-9) -> list[ModuleVector]:
+def orthogonal_span_family(vectors) -> list[ModuleVector]:
     """Gram-Schmidt over the module: an orthogonal family spanning the input.
 
     Each output w satisfies <w,w> = projection and w<w,w> = w, distinct
     outputs are exactly orthogonal, and sum_j theta_{w_j,w_j} reproduces
     every input vector.  Inputs that are already reproduced by the family
-    built so far are dropped.
+    built so far are dropped: those whose residual is at most
+    SPAN_DROP_RTOL * max(1, ||input||).
 
     Runs on the stacked realizations: when w joins the family, every later
     input takes its step r - w<w,r> in one batched update per size class,
@@ -462,7 +461,7 @@ def orthogonal_span_family(vectors, tol: float = 1e-9) -> list[ModuleVector]:
     fam = []
     for i, scale in enumerate(scales):
         r = [s[:, i] for s in residuals]
-        if stack_norms(shape, [rk[:, None] for rk in r])[0] <= tol * max(1.0, scale):
+        if stack_norms(shape, [rk[:, None] for rk in r])[0] <= SPAN_DROP_RTOL * max(1.0, scale):
             continue
         w = _support_normalized(shape, r)
         fam.append(ModuleVector._packed(shape, dim, w))

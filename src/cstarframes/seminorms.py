@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .modules import (
     realization_stacks,
     stack_norms,
 )
+from .tolerances import ADMISSIBLE_TOL
 
 
 class ApproximationHypothesisError(ValueError):
@@ -173,15 +174,16 @@ class AdmissibilityReport:
         return self.ok
 
 
-def admissible_check(vectors, probes: SampleSet | None = None, tol: float = 1e-8) -> AdmissibilityReport:
+def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityReport:
     """Decide admissibility of a candidate system.
 
-    Norm condition: ||x_i|| <= 1 + tol for every i.  Gram condition: the
-    operator inequality sum_i <x,x_i><x_i,x> <= <x,x> for every x, which
-    over A^n is exactly lambda_min(Id - Theta*Theta) >= -tol on the
-    realization: per block, I - S_k with S_k the realized gram block
-    (`gram_block`).  Probe points, when given, are rechecked individually
-    so a failure can name the offending probe.
+    Norm condition: ||x_i|| <= 1 + ADMISSIBLE_TOL for every i.  Gram
+    condition: the operator inequality sum_i <x,x_i><x_i,x> <= <x,x> for
+    every x, which over A^n is exactly
+    lambda_min(Id - Theta*Theta) >= -ADMISSIBLE_TOL on the realization:
+    per block, I - S_k with S_k the realized gram block (`gram_block`).
+    Probe points, when given, are rechecked individually so a failure can
+    name the offending probe.
     """
     vectors = list(vectors)
     if not vectors:
@@ -192,7 +194,7 @@ def admissible_check(vectors, probes: SampleSet | None = None, tol: float = 1e-8
     for i, nv in enumerate(stack_norms(shape, stacks)):
         if nv > max_norm:
             max_norm = nv
-        if nv > 1.0 + tol and bad_norm is None:
+        if nv > 1.0 + ADMISSIBLE_TOL and bad_norm is None:
             bad_norm = i
 
     least = []
@@ -208,11 +210,11 @@ def admissible_check(vectors, probes: SampleSet | None = None, tol: float = 1e-8
             for v in vectors:
                 ip = inner_product(x, v)
                 lhs = lhs - ip * ip.adjoint()
-            if lhs.min_eigenvalue() < -tol * max(1.0, x.norm()) ** 2:
+            if lhs.min_eigenvalue() < -ADMISSIBLE_TOL * max(1.0, x.norm()) ** 2:
                 bad_probe = j
                 break
 
-    ok = bad_norm is None and slack >= -tol and bad_probe is None
+    ok = bad_norm is None and slack >= -ADMISSIBLE_TOL and bad_probe is None
     return AdmissibilityReport(ok, max_norm, slack, bad_norm, bad_probe)
 
 
@@ -221,11 +223,10 @@ class AdmissibleSystem:
     """Validated admissible system; construction rejects violators."""
 
     vectors: tuple[ModuleVector, ...]
-    tol: float = field(default=1e-8, compare=False)
 
     def __post_init__(self):
         vectors = tuple(self.vectors)
-        report = admissible_check(vectors, tol=self.tol)
+        report = admissible_check(vectors)
         if not report:
             raise ValueError(
                 "system is not admissible "

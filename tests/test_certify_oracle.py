@@ -33,6 +33,7 @@ from cstarframes import (
 )
 from cstarframes.cli import main
 from cstarframes.modules import PINV_RTOL
+from cstarframes.tolerances import COHERENCE_TOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SHAPES = [(1,), (2,), (1, 2), (1, 1, 2), (2, 2)]
@@ -295,7 +296,7 @@ def test_equivalences_match_the_per_point_route(dims, kind, budget):
         if pairs is not None:
             _same_pairs(entry.cert_cd.approximant, pairs)
         want = ref_violations(sample, eps, eps_scaled, a_scaled, a, b, cd, pairs, frame,
-                              gens, gen_tails, config.tol)
+                              gens, gen_tails, COHERENCE_TOL)
         assert entry.violations == tuple(want)
 
 

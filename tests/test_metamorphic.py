@@ -56,7 +56,7 @@ def test_inner_product_is_conjugated_by_a_unitary(case):
     assert (u.adjoint() * u).allclose(AlgebraElement.identity(shape))
     x, y = random_vector(shape, dim, rng), random_vector(shape, dim, rng)
     moved = inner_product(x * u, y * u)
-    assert moved.allclose(u.adjoint() * inner_product(x, y) * u, tol=1e-12)
+    assert moved.allclose(u.adjoint() * inner_product(x, y) * u)
 
 
 def _spec(shape, dim, size, rng):
