@@ -182,8 +182,9 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
     every x, which over A^n is exactly
     lambda_min(Id - Theta*Theta) >= -ADMISSIBLE_TOL on the realization:
     per block, I - S_k with S_k the realized gram block (`gram_block`).
-    Probe points, when given, are rechecked individually so a failure can
-    name the offending probe.
+    A block whose gram is not finite (the entries overflow in the
+    products) fails it with slack -inf.  Probe points, when given, are
+    rechecked individually so a failure can name the offending probe.
     """
     vectors = list(vectors)
     if not vectors:
@@ -199,8 +200,12 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
 
     least = []
     for xs in stacks:
-        defect = np.eye(xs.shape[2]) - gram_block(coordinate_blocks(xs, dim))
-        least.append(np.linalg.eigvalsh(hermitian_part(defect)).min(axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.eye(xs.shape[2]) - gram_block(coordinate_blocks(xs, dim))
+            h = hermitian_part(defect)
+        finite = np.isfinite(h).all(axis=(-2, -1))
+        spectra = np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))
+        least.append(np.where(finite, spectra.min(axis=-1), -math.inf))
     slack = min(math.inf, *shape.gather(least).tolist())
 
     bad_probe = None

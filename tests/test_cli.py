@@ -618,3 +618,18 @@ def test_frame_whose_gram_overflows_is_data_error(capsys, tmp_path):
         assert err == "cstarframes: error: $.vectors: the gram of block 0 is not finite: " \
             "the family's entries overflow\n"
         assert seen == []
+
+
+def test_system_whose_gram_overflows_is_data_error(capsys, tmp_path):
+    """A system entry of 1e200 overflows its block's gram: slack -inf, with no warning."""
+    doc = json.loads((FIXTURES / "seminorm_spec.json").read_text())
+    doc["system"][0][0][0][0][0][0] = 1e200
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "seminorm", str(spec), fx("sample_planted.json"))
+    assert (code, out) == (1, "")
+    assert err == "cstarframes: error: $.system: system is not admissible " \
+        "(max norm 1e+200, gram slack -inf)\n"
+    assert seen == []

@@ -16,6 +16,7 @@ from conftest import (
 )
 from cstarframes import (
     AdmissibleSystem,
+    AlgebraElement,
     AlgebraShape,
     ApproximationHypothesisError,
     ModuleOperator,
@@ -73,6 +74,17 @@ def test_shrunk_basis_admissible(rng):
     report = admissible_check(basis_system(shape, 3, scale=1.0 / np.sqrt(2.0)))
     assert report.ok
     assert report.gram_slack >= 0.5 - 1e-10
+
+
+def test_admissible_check_refuses_a_gram_that_overflows():
+    """1e200 on block 0 overflows that block's gram: slack -inf, not the other block's."""
+    big = ModuleVector(C2, (AlgebraElement.from_scalars(C2, [1e200, 0.5]),))
+    report = admissible_check((big,))
+    assert not report.ok
+    assert report.gram_slack == -math.inf
+    assert report.max_norm == 1e200
+    with pytest.raises(ValueError, match="gram slack -inf"):
+        AdmissibleSystem((big,))
 
 
 def test_admissible_system_rejects_violations():
