@@ -160,15 +160,17 @@ def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[l
     the sample, i.e. a frame for the submodule the sample generates (the
     constructive b-to-c route); the orthogonalized family is self-dual.
     The rank limit is the budget (default: the module dimension) capped
-    by the number of pairs.
+    by the number of pairs; a negative budget is refused.
     """
+    budget = sample.dim if rank_budget is None else int(rank_budget)
+    if budget < 0:
+        raise ValueError(f"rank budget must be at least 0, got {budget}")
     if frame is not None:
         pairs = list(zip(frame.vectors, frame.canonical_dual()))
     else:
         pairs = [(w, w) for w in orthogonal_span_family(sample.points)]
-    budget = sample.dim if rank_budget is None else int(rank_budget)
     limit = min(budget, len(pairs))
-    return pairs[: max(limit, 0)], limit
+    return pairs[:limit], limit
 
 
 def _pair_stacks(sample: SampleSet, pairs) -> tuple[tuple[np.ndarray, ...], ...]:

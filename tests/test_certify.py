@@ -165,6 +165,19 @@ def test_cd_counterexample_budget_exhausted():
     assert cert.diagnostics["best_error"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_negative_rank_budget_is_refused():
+    """Both C/D routes refuse a budget below 0; a budget of 0 stays valid."""
+    sample = SampleSet(build_setting(6, 6).witnesses())
+    with pytest.raises(ValueError, match="rank budget"):
+        check_condition_cd(sample, eps=0.5, rank_budget=-1)
+    with pytest.raises(ValueError, match="rank budget"):
+        certify_equivalences(sample, CertifyConfig(eps_grid=(0.5,), rank_budget=-1))
+    cert = check_condition_cd(sample, eps=0.5, rank_budget=0)
+    assert cert.budget_exhausted and cert.witness == {"rank_budget": 0}
+    report = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5,), rank_budget=0))
+    assert report.entries[0].cert_cd.witness == {"rank_budget": 0}
+
+
 def test_cd_empty_sample_vacuous():
     cert = check_condition_cd(SampleSet(()), eps=0.5)
     assert cert.verdict

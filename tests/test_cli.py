@@ -251,6 +251,17 @@ def test_precompact_cd_budget_inconclusive(capsys):
     assert json.loads(out)["budget_exhausted"] is True
 
 
+@pytest.mark.parametrize("condition", ["cd", "all"])
+def test_precompact_negative_rank_budget_is_data_error(capsys, condition):
+    code, out, err = run(
+        capsys,
+        "precompact", "--condition", condition,
+        "--sample", fx("sample_planted.json"), "--eps", "0.5", "--rank-budget", "-1",
+    )
+    assert (code, out) == (1, "")
+    assert err == "cstarframes: error: rank budget must be at least 0, got -1\n"
+
+
 def test_precompact_free(capsys, tmp_path):
     gens = _basis_sample_file(tmp_path, (1, 1, 1), 4)
     code, out, _ = run(
