@@ -35,18 +35,17 @@ class Frame:
     """Finite frame with bounds and canonical dual, plus lazy module operators.
 
     A gram eigenvalue counts as zero when it is at most
-    FRAME_RTOL * max(c2, 1).  spanning="ambient" (default) demands a frame
-    for the whole module and rejects degenerate families.
+    FRAME_RTOL * max(c2, 1).  spanning="ambient" (default) demands a
+    frame for the whole module and rejects degenerate families.
     spanning="range" accepts families that only span a submodule: bounds
     come from the nonzero gram spectrum and the dual uses the
-    pseudo-inverse, so reconstruction reproduces the
-    projection onto the family's span.  Either mode refuses a family whose
-    gram is not finite (its entries overflow in the products), naming the
-    first such block.  Construction stacks the family once, per size
-    class of the algebra, and computes the bounds and the realizations
-    of the dual from that stack; the module-level objects
-    (analysis operator, gram operator, dual vectors) are built on first
-    use.  Instances are read-only.
+    pseudo-inverse, so reconstruction reproduces the projection onto the
+    family's span.  Either mode refuses a family whose gram is not finite
+    (its entries overflow in the products), naming the first such block.
+    Construction stacks the family once, per size class of the algebra,
+    and computes the bounds and the realizations of the dual from that
+    stack; the module-level objects (analysis operator, gram operator,
+    dual vectors) are built on first use.  Instances are read-only.
     """
 
     def __init__(self, vectors, spanning: str = "ambient"):

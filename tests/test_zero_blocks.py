@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cstarframes import AlgebraElement, AlgebraShape, DegenerateFrameError, Frame, ModuleVector, algebra, modules
@@ -86,26 +86,27 @@ def _vector(shape, dim, rng, keep, scale=1.0):
     return ModuleVector(shape, coords)
 
 
-def _case(dims, dim, sparse, seed):
+def _case(dims, dim, sparse, seed, magnitude=0.0):
     """A frame and a sample; when sparse, most coordinate blocks are exact zeros.
 
     The sparse frame is the basis scaled by random elements plus extras
     supported on a few coordinate blocks; the sample holds points
     supported on a few blocks, one point that is zero everywhere, and one
-    dense point.
+    dense point.  The frame's entries are scaled by 10**magnitude.
     """
     rng = np.random.default_rng(seed)
     shape = AlgebraShape(dims)
     everywhere = lambda k, i: True
+    scale = 10.0 ** magnitude
     if sparse:
         mask = lambda p: (lambda k, i: rng.random() < p)
-        family = [_vector(shape, dim, rng, lambda k, i, j=j: i == j) for j in range(dim)]
-        family += [_vector(shape, dim, rng, mask(0.3)) for _ in range(2)]
+        family = [_vector(shape, dim, rng, lambda k, i, j=j: i == j, scale) for j in range(dim)]
+        family += [_vector(shape, dim, rng, mask(0.3), scale) for _ in range(2)]
         points = [_vector(shape, dim, rng, mask(0.25), 0.3) for _ in range(5)]
         points.append(_vector(shape, dim, rng, lambda k, i: False))
         points.append(_vector(shape, dim, rng, everywhere, 0.3))
     else:
-        family = [_vector(shape, dim, rng, everywhere) for _ in range(dim + 2)]
+        family = [_vector(shape, dim, rng, everywhere, scale) for _ in range(dim + 2)]
         points = [_vector(shape, dim, rng, everywhere, 0.3) for _ in range(4)]
     return Frame(family), realization_stacks(points, shape, dim)
 
@@ -207,10 +208,16 @@ def test_nan_matrix_still_raises():
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=cases)
-def test_prefix_tails_match_the_dense_route(case):
+@given(case=cases, magnitude=st.one_of(st.just(0.0), st.floats(-150.0, 150.0)))
+def test_prefix_tails_match_the_dense_route(case, magnitude):
+    """Also at frame scales 1e-150 to 1e150, where every accepted frame has a finite dual."""
     dims, dim, sparse, seed, tiny_chunks, every_skip = case
-    frame, points = _case(dims, dim, sparse, seed)
+    try:
+        frame, points = _case(dims, dim, sparse, seed, magnitude)
+    except DegenerateFrameError:
+        reject()  # scaled so small that every gram eigenvalue is below the cut
+    assert all(np.isfinite(g).all() for g in frame._dual_stacks)
+    assert all(np.isfinite(g).all() for g in frame._gram_inv)
     with bounds(tiny_chunks, every_skip):
         for stop in sorted({0, 1, frame.size}):
             got = frame._prefix_tails(points, stop)
