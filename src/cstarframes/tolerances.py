@@ -64,5 +64,5 @@ GRAM_DEFECT_ATOL = 1e-8
 SELF_CHECK_ATOL = 1e-12
 
 # Default eps of a theta-series decomposition (`series_decompose` and the
-# CLI's `series --eps`).
+# CLI's `series --eps`); absolute.
 SERIES_EPS = 1e-9
