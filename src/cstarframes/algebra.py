@@ -82,21 +82,30 @@ def nonzero_matrices(a: np.ndarray) -> np.ndarray | None:
 ZERO_TEST_MIN_MATRICES = 16
 
 
+def _largest_singular_values(a: np.ndarray) -> np.ndarray:
+    # What np.linalg.norm(a, 2, axis=(-2, -1)) computes, without its argument handling.
+    return np.linalg.svd(a, compute_uv=False).max(-1, initial=0.0)
+
+
 def spectral_norms(a: np.ndarray) -> np.ndarray:
     """np.linalg.norm(a, 2, axis=(-2, -1)) of a stack of matrices, zero matrices free.
 
-    An all-zero matrix, -0.0 entries included, gets +0.0 without an SVD:
-    that is what the SVD returns for it.  Every other matrix goes through
-    np.linalg.norm, so a NaN matrix still raises LinAlgError, and when no
-    matrix is zero (or the stack is small) this is exactly that one call.
+    The norm is the largest singular value from one direct np.linalg.svd
+    call, which is the arithmetic of np.linalg.norm (its `_multi_svd_norm`
+    takes the same max, from 0, over the same SVD) without the per-call
+    cost of its argument handling.  An all-zero matrix, -0.0 entries
+    included, gets +0.0 without an SVD: that is what the SVD returns for
+    it.  Every other matrix goes through the SVD, so a NaN matrix still
+    raises LinAlgError, and when no matrix is zero (or the stack is
+    small) this is exactly that one call.
     """
     small = math.prod(a.shape[:-2]) < ZERO_TEST_MIN_MATRICES
     nonzero = None if small else nonzero_matrices(a)
     if nonzero is None:
-        return np.linalg.norm(a, 2, axis=(-2, -1))
+        return _largest_singular_values(a)
     out = np.zeros(nonzero.shape)
     if nonzero.any():
-        out[nonzero] = np.linalg.norm(a[nonzero], 2, axis=(-2, -1))
+        out[nonzero] = _largest_singular_values(a[nonzero])
     return out
 
 
@@ -197,6 +206,8 @@ def blockwise_max(shape: AlgebraShape, per_class):
     over the blocks in order.  A scalar per block gives a float.
     """
     stacked = shape.gather(per_class)
+    if stacked.ndim == 1:
+        return max(stacked.tolist())
     rows = stacked.reshape(len(stacked), -1).T.tolist()
     return np.reshape([max(r) for r in rows], stacked.shape[1:]).tolist()
 

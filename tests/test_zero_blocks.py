@@ -156,20 +156,20 @@ def test_spectral_norms_match_the_svd_norm_byte_for_byte(a):
     assert got.tobytes() == want.tobytes()
 
 
-def _counting_norm(monkeypatch):
+def _counting_svd(monkeypatch):
     seen = []
-    norm = np.linalg.norm
+    svd = np.linalg.svd
 
     def counted(x, *args, **kwargs):
         seen.append(x.shape[:-2])
-        return norm(x, *args, **kwargs)
+        return svd(x, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     return seen
 
 
 def test_zero_matrices_skip_the_svd_and_the_rest_go_through_it(monkeypatch):
-    seen = _counting_norm(monkeypatch)
+    seen = _counting_svd(monkeypatch)
     count = algebra.ZERO_TEST_MIN_MATRICES
     zeros = np.zeros((count, 2, 2), complex)
     zeros[1] = -0.0
@@ -188,7 +188,7 @@ def test_zero_matrices_skip_the_svd_and_the_rest_go_through_it(monkeypatch):
 
 
 def test_tiny_matrix_still_goes_through_the_svd(monkeypatch):
-    seen = _counting_norm(monkeypatch)
+    seen = _counting_svd(monkeypatch)
     a = np.zeros((algebra.ZERO_TEST_MIN_MATRICES, 1, 1))
     a[3] = 1e-300
     assert spectral_norms(a)[3] == 9.999999999999999e-301
@@ -296,7 +296,7 @@ class _CountedProducts(np.ndarray):
 def test_counterexample_work_scales_with_the_non_zero_pairs(monkeypatch):
     """trunc 12: about dim*(dim+1) norms per tail route, not (trunc+1)*dim*(dim+1)."""
     trunc = dim = 12
-    seen = _counting_norm(monkeypatch)
+    seen = _counting_svd(monkeypatch)
     gram = modules.gram_block
 
     def counted_gram(coords):
