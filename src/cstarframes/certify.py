@@ -35,6 +35,7 @@ from .modules import (
     inner_product,
     orthogonal_span_family,
     realization_stacks,
+    require_stacks,
     span_least_squares,
     stack_norms,
     theta_op,
@@ -97,11 +98,17 @@ class Certificate:
 # -- eps-free passes over the sample ------------------------------------------
 
 
-def _realizations(sample: SampleSet, like: ModuleVector) -> tuple[np.ndarray, ...]:
-    """The sample's per-block stacks; zero-length ones in like's module if empty."""
+def _realizations(sample: SampleSet, shape, dim: int) -> tuple[np.ndarray, ...]:
+    """The sample's per-block stacks; zero-length ones in A^dim over shape if empty."""
     if sample.points:
         return sample.realizations
-    return realization_stacks((), like.shape, like.dim)
+    return realization_stacks((), shape, dim)
+
+
+def _check_rank_budget(rank_budget) -> None:
+    """Refuse a C/D rank budget below 0; None (the module dimension) and 0 are valid."""
+    if rank_budget is not None and int(rank_budget) < 0:
+        raise ValueError(f"rank budget must be at least 0, got {int(rank_budget)}")
 
 
 @dataclass(frozen=True)
@@ -121,29 +128,34 @@ def _coefficient_data(sample: SampleSet, generators: list) -> _CoefficientData:
 
     Besides each point's residual and B, records the norm of each
     coefficient, of the stacked coefficient tuple, and of the approximant
-    sum_i g_i a_i, whose per-coordinate products are summed from zero in
-    generator order.
+    sum_i g_i a_i.  The per-coordinate products g_i a_i of every
+    generator come out of one batched matmul and are summed from zero in
+    generator order with np.add.accumulate, taking blocks and points in
+    tiles that bound the size of the term tensor.
     """
-    g0 = generators[0]
-    coeffs, residuals, b_const = span_least_squares(_realizations(sample, g0), generators)
+    shape, dim = generators[0].shape, generators[0].dim
+    coeffs, residuals, b_const = span_least_squares(_realizations(sample, shape, dim), generators)
     s = len(generators)
     coeff_norms, stacked_norms, approx_norms = [], [], []
-    for ak, gk in zip(coeffs, realization_stacks(generators, g0.shape, g0.dim)):
+    for ak, gk in zip(coeffs, realization_stacks(generators, shape, dim)):
         count, points, _, n = ak.shape
         per_coeff = ak.reshape(count, points, s, n, n)
         coeff_norms.append(spectral_norms(per_coeff))
         stacked_norms.append(spectral_norms(ak))
-        gen_coords = coordinate_blocks(gk, g0.dim)
-        approx = np.zeros((count, points) + gen_coords.shape[2:], complex)
-        for i in range(s):
-            approx = approx + gen_coords[:, None, i] @ per_coeff[:, :, i, None]
-        approx_norms.append(spectral_norms(approx.reshape(count, points, -1, n)))
+        gen_coords = coordinate_blocks(gk, dim)[:, None]
+        an = np.zeros((count, points))
+        for part_blocks, part in tiles(count, points, (s + 1) * dim * n * n):
+            terms = gen_coords[part_blocks] @ per_coeff[part_blocks, part, :, None]
+            start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
+            approx = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)[:, :, -1]
+            an[part_blocks, part] = spectral_norms(approx.reshape(approx.shape[:2] + (dim * n, n)))
+        approx_norms.append(an)
     return _CoefficientData(
         s,
         residuals,
-        blockwise_max(g0.shape, coeff_norms),
-        blockwise_max(g0.shape, stacked_norms),
-        blockwise_max(g0.shape, approx_norms),
+        blockwise_max(shape, coeff_norms),
+        blockwise_max(shape, stacked_norms),
+        blockwise_max(shape, approx_norms),
         b_const,
     )
 
@@ -153,47 +165,53 @@ def _sup_tails(profiles: np.ndarray) -> list[float]:
     return [max(col, default=0.0) for col in profiles.T.tolist()]
 
 
-def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[list, int]:
-    """The (z_j, g_j) theta pairs within the rank limit of the C/D scan, and that limit.
+def _leading(pairs, rank: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The first `rank` theta pairs of per-class (z, g) stacks, as views of them."""
+    return tuple(tuple(s[:, :rank] for s in side) for side in pairs)
+
+
+def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[tuple, int]:
+    """Stacks (z, g) of the theta pairs within the C/D scan's rank limit, and that limit.
 
     Without an explicit frame the pairs come from module Gram-Schmidt of
     the sample, i.e. a frame for the submodule the sample generates (the
-    constructive b-to-c route); the orthogonalized family is self-dual.
-    The rank limit is the budget (default: the module dimension) capped
-    by the number of pairs; a negative budget is refused.
+    constructive b-to-c route); the orthogonalized family is self-dual,
+    so its one stack serves as z and as g.  A frame's pairs are views of
+    its vector and dual stacks, checked against the sample's module when
+    any is used.  The rank limit is the budget (default: the module
+    dimension, and checked by the caller) capped by the number of pairs.
     """
     budget = sample.dim if rank_budget is None else int(rank_budget)
-    if budget < 0:
-        raise ValueError(f"rank budget must be at least 0, got {budget}")
     if frame is not None:
-        pairs = list(zip(frame.vectors, frame.canonical_dual()))
+        z, g = frame._vector_stacks, frame._dual_stacks
     else:
-        pairs = [(w, w) for w in orthogonal_span_family(sample.points)]
-    limit = min(budget, len(pairs))
-    return pairs[:limit], limit
+        z = g = realization_stacks(orthogonal_span_family(sample.points), sample.shape, sample.dim)
+    limit = min(budget, z[0].shape[1])
+    if limit:
+        require_stacks(z, sample.shape, sample.dim)
+    return _leading((z, g), limit), limit
 
 
-def _pair_stacks(sample: SampleSet, pairs) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per-block stacks of the z_j and of the g_j, checked against the sample's module."""
-    return tuple(
-        realization_stacks([pair[side] for pair in pairs], sample.shape, sample.dim)
-        for side in (0, 1)
-    )
+def _pair_views(shape, dim: int, pairs, rank: int) -> tuple:
+    """The first `rank` theta pairs (z_j, g_j) as module vectors, views of the stacks."""
+    z, g = (family_vectors(shape, dim, side) for side in _leading(pairs, rank))
+    return tuple(zip(z, g))
 
 
 def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
     """sup_x ||x - T_n x|| for the partial sums T_n = sum_{j<=n} theta_{z_j,g_j}.
 
-    Runs from n = 0 up to the first n >= 0 whose error is below eps, or
+    pairs holds the per-class stacks (z, g) of the theta pairs.  Runs
+    from n = 0 up to the first n >= 0 whose error is below eps, or
     through all the given pairs.  One rank step updates the residuals
     r - z<g,x> of all points in one batched product per size class.
     """
     shape, dim = sample.shape, sample.dim
     stacks = sample.realizations
     residuals = list(stacks)
-    errors = [max(stack_norms(shape, residuals))]
-    z, g = _pair_stacks(sample, pairs)
-    for j in range(len(pairs)):
+    errors = [max(sample.point_norms)]
+    z, g = pairs
+    for j in range(z[0].shape[1]):
         if errors[-1] < eps:
             break
         for c, (xk, zk, gk) in enumerate(zip(stacks, z, g)):
@@ -217,15 +235,16 @@ class _ReplayData:
 def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
     """Coefficients a_j(x) = <g_j, x> and residuals x - sum_{j<n} z_j a_j(x).
 
-    Computed from the theta pairs of an approximant alone: the
-    approximants are summed from zero in pair order, independently of
-    the residual recursion of condition C/D.  residual_norms[p][n] is the
-    residual of point p with the first n pairs, so one pass over the
-    longest approximant of a grid serves every shorter one.
+    Computed from the per-class stacks (z, g) of an approximant's theta
+    pairs alone: the approximants are summed from zero in pair order,
+    independently of the residual recursion of condition C/D.
+    residual_norms[p][n] is the residual of point p with the first n
+    pairs, so one pass over the longest approximant of a grid serves
+    every shorter one.
     """
-    count = len(pairs)
     shape, dim = sample.shape, sample.dim
-    z, g = _pair_stacks(sample, pairs)
+    z, g = pairs
+    count = z[0].shape[1]
     coeff_norms, residual_norms = [], []
     for xk, zk, gk in zip(sample.realizations, z, g):
         blocks, points, rows, n = xk.shape
@@ -245,7 +264,7 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
         coeff_norms.append(cn)
         residual_norms.append(rn)
     return _ReplayData(
-        stack_norms(shape, sample.realizations),
+        sample.point_norms,
         stack_norms(shape, g),
         blockwise_max(shape, coeff_norms),
         blockwise_max(shape, residual_norms),
@@ -365,7 +384,8 @@ def check_condition_b(sample: SampleSet, frame: Frame, eps: float) -> Certificat
     uniform-tail failure.
     """
     check_eps(eps)
-    return tails_certificate(frame.tail_profiles(_realizations(sample, frame.vectors[0])), eps)
+    stacks = _realizations(sample, frame.shape, frame.dim)
+    return tails_certificate(frame.tail_profiles(stacks), eps)
 
 
 def tails_certificate(profiles: np.ndarray, eps: float) -> Certificate:
@@ -394,10 +414,13 @@ def check_condition_cd(
     untried, so the failure is inconclusive rather than certified.
     """
     check_eps(eps)
+    _check_rank_budget(rank_budget)
     if not sample.points:
         return _empty_sample_cd(eps)
     pairs, limit = _theta_pairs(sample, frame, rank_budget)
-    return _certificate_cd(_error_profile(sample, pairs, eps), pairs, limit, eps)
+    errors = _error_profile(sample, pairs, eps)
+    views = _pair_views(sample.shape, sample.dim, pairs, len(errors) - 1)
+    return _certificate_cd(errors, views, limit, eps)
 
 
 # -- the equivalence runner -------------------------------------------------
@@ -495,16 +518,20 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     Each replay allows a slack of COHERENCE_TOL (see `tolerances`).
     Violations indicate an implementation bug and are reported verbatim.
 
-    Every eps of the grid is checked before any work.  Each condition's
-    eps-free pass runs once for the whole grid: one least-squares pass
-    serves A at every eps and every eps*c1/(3*c2), one tail pass serves
-    B, the span family is built once, and the C/D error profile runs to
-    the rank the smallest eps needs; the d=>a replay runs once, to the
+    Every eps of the grid, and the rank budget, is checked before any
+    work.  Each condition's eps-free pass runs once for the whole grid:
+    one least-squares pass serves A at every eps and every eps*c1/(3*c2),
+    one tail pass over the generators and the sample, joined along the
+    point axis, serves the a=>b replay and B, the span family is built
+    and stacked once and its stack serves as both sides of the theta
+    pairs, the point norms are taken once, and the C/D error profile runs
+    to the rank the smallest eps needs; the d=>a replay runs once, to the
     largest rank any eps reached.
     """
     config = config or CertifyConfig()
     for eps in config.eps_grid:
         check_eps(eps)
+    _check_rank_budget(config.rank_budget)
     if not sample.points and config.frame is None:
         entries = tuple(
             EquivalenceEntry(
@@ -528,17 +555,21 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     for eps_scaled in scaled_grid:
         check_eps(eps_scaled)
 
-    g0 = generators[0]
-    gen_tails = _sup_tails(frame.tail_profiles(realization_stacks(generators, g0.shape, g0.dim)))
+    gen_stacks = realization_stacks(generators, frame.shape, frame.dim)
     coefficients = _coefficient_data(sample, generators)
-    tails_z = _sup_tails(frame.tail_profiles(_realizations(sample, frame.vectors[0])))
+    sample_stacks = _realizations(sample, frame.shape, frame.dim)
+    profiles = frame.tail_profiles(
+        [np.concatenate(parts, axis=1) for parts in zip(gen_stacks, sample_stacks)]
+    )
+    gen_tails, tails_z = _sup_tails(profiles[:s]), _sup_tails(profiles[s:])
     if sample.points:
         pairs, limit = _theta_pairs(sample, None, config.rank_budget)
         smallest = min(config.eps_grid, default=math.inf)
         errors = _error_profile(sample, pairs, smallest)
-        certs_cd = [_certificate_cd(errors, pairs, limit, eps) for eps in config.eps_grid]
-        longest = max((c.approximant for c in certs_cd if c.verdict), key=len, default=())
-        replay = _replay_data(sample, longest) if longest else None
+        views = _pair_views(sample.shape, sample.dim, pairs, len(errors) - 1)
+        certs_cd = [_certificate_cd(errors, views, limit, eps) for eps in config.eps_grid]
+        longest = max((len(c.approximant) for c in certs_cd if c.verdict), default=0)
+        replay = _replay_data(sample, _leading(pairs, longest)) if longest else None
     else:
         certs_cd = [_empty_sample_cd(eps) for eps in config.eps_grid]
 
@@ -771,7 +802,7 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
         t = theta_op(g, g)
         projector = t if projector is None else projector + t
 
-    _, dists, _ = span_least_squares(_realizations(sample, generators[0]), generators)
+    _, dists, _ = span_least_squares(_realizations(sample, shape, generators[0].dim), generators)
     residuals = [(x - projector(x)).norm() for x in sample.points]
     verdict = all(d < eps for d in dists)
     two_eps_ok = all(

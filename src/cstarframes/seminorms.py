@@ -107,6 +107,13 @@ class SampleSet:
             return ()
         return realization_stacks(self.points, self.shape, self.dim)
 
+    @functools.cached_property
+    def point_norms(self) -> list[float]:
+        """The module norm of every point, in order, from the stacked realizations."""
+        if not self.points:
+            return []
+        return stack_norms(self.shape, self.realizations)
+
 
 def _require_same_module(a: SampleSet, b: SampleSet):
     if a.points and b.points:

@@ -178,6 +178,31 @@ def test_negative_rank_budget_is_refused():
     assert report.entries[0].cert_cd.witness == {"rank_budget": 0}
 
 
+def test_negative_rank_budget_is_refused_for_an_empty_sample():
+    """The budget is checked before the vacuous answer, with or without a frame."""
+    empty = SampleSet(())
+    with pytest.raises(ValueError, match="rank budget must be at least 0, got -1"):
+        check_condition_cd(empty, eps=0.5, rank_budget=-1)
+    for frame in (None, standard_basis_frame(C2, 2)):
+        with pytest.raises(ValueError, match="rank budget must be at least 0, got -1"):
+            certify_equivalences(empty, CertifyConfig(eps_grid=(0.5,), frame=frame, rank_budget=-1))
+    assert check_condition_cd(empty, eps=0.5, rank_budget=0).witness == {"rank": 0}
+
+
+def test_condition_a_and_the_runner_with_a_frame_pass_an_empty_sample():
+    """No point to approximate: A passes with empty diagnostics, and so does the whole run."""
+    gens = [ModuleVector.basis(C2, 2, 0), ModuleVector.basis(C2, 2, 1) * 0.5]
+    cert = check_condition_a(SampleSet(()), gens, eps=0.5)
+    assert cert.verdict and cert.coefficient_bound == 0.0
+    assert cert.diagnostics["residuals"] == [] and cert.diagnostics["coefficient_norms"] == []
+    frame = Frame(gens)
+    report = certify_equivalences(SampleSet(()), CertifyConfig(eps_grid=(1.0, 0.25), frame=frame))
+    assert report.exit_code == 0 and report.violations == ()
+    for entry in report.entries:
+        assert entry.cert_a.verdict and entry.cert_b.verdict and entry.cert_cd.verdict
+        assert entry.cert_b.diagnostics["tail_profile"] == [0.0, 0.0, 0.0]
+
+
 def test_cd_empty_sample_vacuous():
     cert = check_condition_cd(SampleSet(()), eps=0.5)
     assert cert.verdict

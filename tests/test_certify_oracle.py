@@ -348,8 +348,8 @@ def test_all_conditions_report_bytes_are_pinned(tmp_path, name, capsys):
 def test_one_run_builds_the_span_family_once_and_one_pinv_per_block(monkeypatch):
     import cstarframes.certify as certify
 
-    counts = {"span": 0, "pinv": 0}
-    span, pinv = certify.orthogonal_span_family, np.linalg.pinv
+    counts = {"span": 0, "pinv": 0, "tails": 0}
+    span, pinv, tails = certify.orthogonal_span_family, np.linalg.pinv, Frame.tail_profiles
 
     def counted_span(*args, **kwargs):
         counts["span"] += 1
@@ -359,13 +359,19 @@ def test_one_run_builds_the_span_family_once_and_one_pinv_per_block(monkeypatch)
         counts["pinv"] += 1
         return pinv(*args, **kwargs)
 
+    def counted_tails(*args, **kwargs):
+        counts["tails"] += 1
+        return tails(*args, **kwargs)
+
     monkeypatch.setattr(certify, "orthogonal_span_family", counted_span)
     monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+    monkeypatch.setattr(Frame, "tail_profiles", counted_tails)
     sample, _ = _sample((1, 1, 2), "planted", seed=5)
     report = certify_equivalences(sample, CertifyConfig(eps_grid=(1.0, 0.5, 0.25, 0.125)))
     assert len(report.entries) == 4
-    # one batched pinv per size class: the 1x1 blocks together, then the 2x2 block
-    assert counts == {"span": 1, "pinv": 2}
+    # one batched pinv per size class: the 1x1 blocks together, then the 2x2 block;
+    # one tail pass serves the generators and the sample
+    assert counts == {"span": 1, "pinv": 2, "tails": 1}
 
 
 def test_replay_rechecks_the_theta_pairs_not_the_error_profile(monkeypatch):

@@ -262,6 +262,19 @@ def test_precompact_negative_rank_budget_is_data_error(capsys, condition):
     assert err == "cstarframes: error: rank budget must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize("condition", ["cd", "all"])
+def test_precompact_negative_rank_budget_is_data_error_for_an_empty_sample(capsys, tmp_path, condition):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"version": 1, "kind": "sample_set", "shape": [1, 1], "points": []}))
+    code, out, err = run(
+        capsys,
+        "precompact", "--condition", condition,
+        "--sample", str(empty), "--eps", "0.5", "--rank-budget", "-1",
+    )
+    assert (code, out) == (1, "")
+    assert err == "cstarframes: error: rank budget must be at least 0, got -1\n"
+
+
 def test_precompact_free(capsys, tmp_path):
     gens = _basis_sample_file(tmp_path, (1, 1, 1), 4)
     code, out, _ = run(
