@@ -429,6 +429,18 @@ class AlgebraElement:
         return f"AlgebraElement(blocks {dims}, norm={self.norm():.4g})"
 
 
+def _density_spectra(stacks) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per class, each density's largest |rho - rho*| entry and its Hermitian part's least eigenvalue."""
+    herm = [np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks]
+    low = [np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks]
+    return herm, low
+
+
+def _trace_total(shape: AlgebraShape, stacks) -> float:
+    """sum_k Re trace(rho_k) of one state's densities, the blocks added in order."""
+    return float(block_sum(shape, [np.trace(s, axis1=-2, axis2=-1).real for s in stacks]))
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class State:
     """Positive linear functional of norm one, stored as block densities.
@@ -443,9 +455,7 @@ class State:
 
     def __init__(self, shape: AlgebraShape, densities):
         stacks = _pack_blocks(shape, densities)
-        herm = [np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks]
-        low = [np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks]
-        traces = [np.trace(s, axis1=-2, axis2=-1).real for s in stacks]
+        herm, low = _density_spectra(stacks)
         for k, (defect, least) in enumerate(
             zip(shape.gather(herm).tolist(), shape.gather(low).tolist())
         ):
@@ -453,11 +463,38 @@ class State:
                 raise ValueError(f"density {k} is not Hermitian")
             if least < -STATE_ATOL:
                 raise ValueError(f"density {k} is not positive semidefinite")
-        total = float(block_sum(shape, traces))
+        total = _trace_total(shape, stacks)
         if abs(total - 1.0) > STATE_ATOL:
             raise ValueError(f"densities must have total trace 1, got {total}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "stacks", stacks)
+
+    @classmethod
+    def _validated_together(cls, shape: AlgebraShape, stacks) -> tuple["State", ...] | None:
+        """The states with densities stacks[c][:, i], or None if any would fail `State(...)`.
+
+        stacks[c] holds the densities of every state on the blocks of size
+        class c, shape (count, states, n, n).  One Hermitian-defect check
+        and one eigvalsh per class serve every state, and each value is
+        the one `State.__init__` computes for that density: both work
+        matrix by matrix.  Each state's trace total is taken on its own
+        stacks, as `State.__init__` takes it, so a verdict at the
+        STATE_ATOL boundary is the same.  None leaves the caller to build
+        the states one by one, which names the first fault.
+        """
+        try:
+            for herm, low in zip(*_density_spectra(stacks)):
+                if (herm > STATE_ATOL).any() or (low < -STATE_ATOL).any():
+                    return None
+        except np.linalg.LinAlgError:
+            return None
+        states = []
+        for i in range(stacks[0].shape[1]):
+            own = tuple(np.ascontiguousarray(s[:, i]) for s in stacks)
+            if abs(_trace_total(shape, own) - 1.0) > STATE_ATOL:
+                return None
+            states.append(bare(cls, own, shape=shape))
+        return tuple(states)
 
     @property
     def densities(self) -> tuple[np.ndarray, ...]:

@@ -174,7 +174,7 @@ def _cmd_precompact(args) -> int:
         cert = check_condition_a(sample, gens, args.eps)
     elif args.condition == "b":
         if frame is None:
-            if not sample.points:
+            if not len(sample):
                 return _usage_error("--frame is required for an empty sample")
             frame = standard_basis_frame(sample.shape, sample.dim)
         cert = check_condition_b(sample, frame, args.eps)

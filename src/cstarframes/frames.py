@@ -56,12 +56,25 @@ class Frame:
             raise ValueError(f"unknown spanning mode {spanning!r}")
         first = vectors[0]
         self._vectors = vectors
-        self._spanning = spanning
-        self._shape = shape = first.shape
-        self._dim = first.dim
+        self._build(first.shape, first.dim, realization_stacks(vectors, first.shape, first.dim), spanning)
 
+    @classmethod
+    def _from_stacks(cls, shape: AlgebraShape, dim: int, stacks, spanning: str = "ambient") -> "Frame":
+        """The frame of the family realized by per-class stacks (count, size, dim*n, n).
+
+        Validated as `Frame(vectors)` validates; the vectors are views of
+        the stacks, built on first use.
+        """
+        frame = object.__new__(cls)
+        frame._build(shape, dim, stacks, spanning)
+        return frame
+
+    def _build(self, shape: AlgebraShape, dim: int, stacks, spanning: str) -> None:
+        self._spanning = spanning
+        self._shape = shape
+        self._dim = dim
         # Per class, the realizations X_j of the family, (count, size, dim*n, n).
-        self._vector_stacks = realization_stacks(vectors, shape, self._dim)
+        self._vector_stacks = stacks
         with np.errstate(over="ignore", invalid="ignore"):
             self._grams = tuple(
                 gram_block(x.reshape(x.shape[:2] + (self._dim, x.shape[-1], x.shape[-1])))
@@ -135,7 +148,7 @@ class Frame:
 
     @functools.cached_property
     def _vectors(self) -> tuple[ModuleVector, ...]:
-        # set by __init__; the closed form builds its vectors on first use
+        # set by __init__; a frame built from stacks makes its vectors on first use
         return family_vectors(self._shape, self._dim, self._vector_stacks)
 
     @functools.cached_property

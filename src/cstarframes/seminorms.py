@@ -30,6 +30,7 @@ from .algebra import (
     State,
     block_sum,
     check_eps,
+    frozen,
     hermitian_part,
     norm_attaining_state,
     spectral_norms,
@@ -37,6 +38,7 @@ from .algebra import (
 from .modules import (
     ModuleVector,
     coordinate_blocks,
+    family_vectors,
     gram_block,
     inner_product,
     realization_stacks,
@@ -74,50 +76,74 @@ class TailDecaySignal(Exception):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Finite labelled family of vectors in a common module."""
+    """Finite labelled family of vectors in a common module.
 
-    points: tuple[ModuleVector, ...]
-    label: str = ""
+    The family is held as `realizations`, one (count, len, dim*n, n) stack
+    per size class.  A set built from points stacks them on first use; a
+    set built from a stack (`_packed`, as a parsed document is) keeps it,
+    and its points are views of it, built on first use.  Instances are
+    read-only.
+    """
 
-    def __post_init__(self):
-        points = tuple(self.points)
+    def __init__(self, points, label: str = ""):
+        points = tuple(points)
         if points:
             first = points[0]
             for p in points:
                 first._require_compatible(p)
-        object.__setattr__(self, "points", points)
+        self.points = points
+        self.label = label
+        self._shape, self._dim = (first.shape, first.dim) if points else (None, None)
+        self._size = len(points)
+
+    @classmethod
+    def _packed(cls, shape, dim: int, stacks, label: str = "") -> "SampleSet":
+        """The set whose points are realized by per-class stacks (count, len, dim*n, n)."""
+        sample = object.__new__(cls)
+        sample.realizations = frozen(stacks)
+        sample.label = label
+        sample._shape, sample._dim = shape, dim
+        sample._size = sample.realizations[0].shape[1]
+        return sample
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._size
+
+    def __repr__(self) -> str:
+        return f"SampleSet(size={self._size}, dim={self._dim}, label={self.label!r})"
 
     @property
     def shape(self):
-        return self.points[0].shape if self.points else None
+        return self._shape
 
     @property
     def dim(self):
-        return self.points[0].dim if self.points else None
+        return self._dim
+
+    @functools.cached_property
+    def points(self) -> tuple[ModuleVector, ...]:
+        # set by __init__; a packed set builds its points on first use
+        return family_vectors(self._shape, self._dim, self.realizations)
 
     @functools.cached_property
     def realizations(self) -> tuple[np.ndarray, ...]:
         """Per size class, the points' stacked realizations, shape (count, len, dim*n, n)."""
-        if not self.points:
+        if not self._size:
             return ()
-        return realization_stacks(self.points, self.shape, self.dim)
+        return realization_stacks(self.points, self._shape, self._dim)
 
     @functools.cached_property
     def point_norms(self) -> list[float]:
         """The module norm of every point, in order, from the stacked realizations."""
-        if not self.points:
+        if not self._size:
             return []
-        return stack_norms(self.shape, self.realizations)
+        return stack_norms(self._shape, self.realizations)
 
 
 def _require_same_module(a: SampleSet, b: SampleSet):
-    if a.points and b.points:
-        a.points[0]._require_compatible(b.points[0])
+    if len(a) and len(b) and (a.shape, a.dim) != (b.shape, b.dim):
+        raise ValueError("module vectors live in different modules")
 
 
 @dataclass(frozen=True)
@@ -193,33 +219,35 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
     products) fails it with slack -inf.  Probe points, when given, are
     rechecked individually so a failure can name the offending probe.
     """
-    vectors = list(vectors)
-    if not vectors:
+    return _admissibility(SampleSet(vectors), probes)
+
+
+def _admissibility(system: SampleSet, probes: SampleSet | None = None) -> AdmissibilityReport:
+    """`admissible_check` on a system held as a sample set, from its stacked realizations."""
+    if not len(system):
         raise ValueError("empty system")
-    shape, dim = vectors[0].shape, vectors[0].dim
-    stacks = realization_stacks(vectors, shape, dim)
     max_norm, bad_norm = 0.0, None
-    for i, nv in enumerate(stack_norms(shape, stacks)):
+    for i, nv in enumerate(system.point_norms):
         if nv > max_norm:
             max_norm = nv
         if nv > 1.0 + ADMISSIBLE_TOL and bad_norm is None:
             bad_norm = i
 
     least = []
-    for xs in stacks:
+    for xs in system.realizations:
         with np.errstate(over="ignore", invalid="ignore"):
-            defect = np.eye(xs.shape[2]) - gram_block(coordinate_blocks(xs, dim))
+            defect = np.eye(xs.shape[2]) - gram_block(coordinate_blocks(xs, system.dim))
             h = hermitian_part(defect)
         finite = np.isfinite(h).all(axis=(-2, -1))
         spectra = np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))
         least.append(np.where(finite, spectra.min(axis=-1), -math.inf))
-    slack = min(math.inf, *shape.gather(least).tolist())
+    slack = min(math.inf, *system.shape.gather(least).tolist())
 
     bad_probe = None
     if probes is not None:
         for j, x in enumerate(probes.points):
             lhs = inner_product(x, x)
-            for v in vectors:
+            for v in system.points:
                 ip = inner_product(x, v)
                 lhs = lhs - ip * ip.adjoint()
             if lhs.min_eigenvalue() < -ADMISSIBLE_TOL * max(1.0, x.norm()) ** 2:
@@ -230,24 +258,38 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
     return AdmissibilityReport(ok, max_norm, slack, bad_norm, bad_probe)
 
 
-@dataclass(frozen=True, eq=False)
 class AdmissibleSystem:
-    """Validated admissible system; construction rejects violators."""
+    """Validated admissible system; construction rejects violators.
 
-    vectors: tuple[ModuleVector, ...]
+    The vectors are held as a `SampleSet`, so a system parsed from a
+    document keeps its decoded stack (`_packed`) and is validated on it.
+    """
 
-    def __post_init__(self):
-        vectors = tuple(self.vectors)
-        report = admissible_check(vectors)
+    def __init__(self, vectors):
+        self._validate(SampleSet(vectors))
+
+    @classmethod
+    def _packed(cls, shape, dim: int, stacks) -> "AdmissibleSystem":
+        """The system realized by per-class stacks (count, len, dim*n, n), validated."""
+        system = object.__new__(cls)
+        system._validate(SampleSet._packed(shape, dim, stacks))
+        return system
+
+    def _validate(self, family: SampleSet) -> None:
+        report = _admissibility(family)
         if not report:
             raise ValueError(
                 "system is not admissible "
                 f"(max norm {report.max_norm:.6g}, gram slack {report.gram_slack:.3e})"
             )
-        object.__setattr__(self, "vectors", vectors)
+        self._family = family
+
+    @property
+    def vectors(self) -> tuple[ModuleVector, ...]:
+        return self._family.points
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._family)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,14 +308,14 @@ class SeminormSpec:
             )
         object.__setattr__(self, "states", states)
 
-    @functools.cached_property
+    @property
     def _system(self) -> SampleSet:
-        return SampleSet(self.system.vectors)
+        return self.system._family
 
     @functools.cached_property
     def _densities(self) -> tuple[np.ndarray, ...]:
         # Per size class, the densities of all states, shape (count, len, n, n).
-        shape = self.system.vectors[0].shape
+        shape = self._system.shape
         if any(phi.shape != shape for phi in self.states):
             raise ValueError("state and element shapes differ")
         return tuple(
@@ -289,16 +331,32 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
     per block, <x_p, x_i> is R(x_p)* R(x_i) on the stacked realizations
     and phi_k contributes trace(rho @ <x_p, x_i>); the blocks are added in
     order.  Here every pair comes out of one batched product per size
-    class.
+    class; each product is a matmul per matrix, as in `State.__call__`.
+
+    The trace of an n x n product is np.trace's arithmetic.  On the
+    product's C-ordered layout np.trace adds the diagonal to a zero
+    start, the running sum as the second operand: for n = 1 it forms
+    0 + d0, and for n = 2 it forms d1 + (0 + d0).  Those two are written
+    out here, which gives the same bits (signed zeros and NaN payloads
+    included) without the reduce over the product's strided diagonal.
+    From n = 3 on, the association of the reduce depends on the memory
+    layout, so np.trace itself is kept.
     """
     system = spec._system
     _require_same_module(sample, system)
-    if not sample.points:
+    if not len(sample):
         return np.zeros((0, len(system), len(system)), complex)
     traces = []
     for s, y, rho in zip(sample.realizations, system.realizations, spec._densities):
         ips = s.conj().swapaxes(-1, -2)[:, :, None] @ y[:, None]
-        traces.append(np.trace(rho[:, None, :, None] @ ips[:, :, None], axis1=-2, axis2=-1))
+        products = rho[:, None, :, None] @ ips[:, :, None]
+        n = products.shape[-1]
+        if n == 1:
+            traces.append(0.0 + products[..., 0, 0])
+        elif n == 2:
+            traces.append(products[..., 1, 1] + (0.0 + products[..., 0, 0]))
+        else:
+            traces.append(np.trace(products, axis1=-2, axis2=-1))
     return block_sum(sample.shape, traces)
 
 
@@ -373,14 +431,14 @@ def epsilon_net(sample: SampleSet, spec: SeminormSpec, eps: float) -> list[int]:
     the vector difference only in the last bits.
     """
     check_eps(eps)
-    if not sample.points:
+    if not len(sample):
         return []
     return _greedy_net(state_values(spec, sample), eps)
 
 
 def net_covers(sample: SampleSet, spec: SeminormSpec, net_indices, radius: float) -> bool:
     """Exhaustive check that every point is within `radius` of the net."""
-    if not sample.points:
+    if not len(sample):
         return True
     values = state_values(spec, sample)
     return _covers(values, values[list(net_indices)], radius)
@@ -408,9 +466,9 @@ def net_transfer(
     norm) and the 6*eps cover of the output are both verified.
     """
     check_eps(eps)
-    if not sample.points:
+    if not len(sample):
         return []
-    if not approx.points:
+    if not len(approx):
         raise ValueError("the approximating set is empty")
     _require_same_module(sample, approx)
     closest = _module_distances(sample, approx).min(axis=1)
@@ -467,7 +525,7 @@ def adversarial_witness(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not sample.points:
+    if not len(sample):
         raise ValueError("empty sample")
     schedule = sorted(int(j) for j in prefix_schedule)
     if len(schedule) < 2:

@@ -15,13 +15,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, State
 from .counterexample import TruncatedCSetting, build_setting, check_truncation
 from .frames import DegenerateFrameError, Frame
-from .modules import ModuleOperator, ModuleVector, coordinate_blocks, entry_blocks, from_entry_blocks
+from .modules import (
+    ModuleOperator,
+    ModuleVector,
+    coordinate_blocks,
+    entry_blocks,
+    from_entry_blocks,
+    realization_stacks,
+)
 from .seminorms import AdmissibleSystem, SampleSet, SeminormSpec
 
 
@@ -116,36 +124,45 @@ def _matrix_out(mat: np.ndarray) -> list:
 _NUMBER_TYPES = {int, float}
 
 
+def _lists_of(items: list, width: int) -> bool:
+    """Whether every item is a list of exactly `width` entries."""
+    return set(map(type, items)) == {list} and set(map(len, items)) == {width}
+
+
 def _decode_blocks(payloads: list, shape: AlgebraShape) -> list[np.ndarray] | None:
     """One-pass decode of element payloads: per size class, a (count, size, n, n) stack.
 
     Each of the `size` payloads is a list of per-block matrices of [re, im]
-    cells.  Per size class, the cells of every payload go into one object
-    array whose shape must be (size, count, n, n, 2) and whose cells must all
-    be ints or floats (bools and strings are refused before any
-    conversion); the float values must be finite, and the complex stack is
-    a view of the contiguous [re, im] pairs, so every bit, the sign of a
-    zero included, is the walk's.  Returns None on any malformed payload:
-    the caller then walks the payloads cell by cell, which names the
-    fault.
+    cells.  Per size class, the payloads' blocks are flattened one level
+    at a time, block -> row -> cell -> [re, im], and at every level each
+    item must be a list of the expected length; every leaf must be an int
+    or a float, so bools and strings are refused before any conversion.
+    The leaves then become one float array, which must be finite, and the
+    complex stack is a view of the contiguous [re, im] pairs, so every
+    bit, the sign of a zero included, is the walk's.  Returns None on any
+    malformed payload: the caller then walks the payloads cell by cell,
+    which names the fault.
     """
     size = len(payloads)
-    if not size or not all(
-        type(e) is list and len(e) == shape.num_blocks for e in payloads
-    ):
+    if not size or not _lists_of(payloads, shape.num_blocks):
         return None
     stacks = []
-    try:
-        for n, ks in shape.classes:
-            cells = np.array([[e[k] for k in ks] for e in payloads], dtype=object)
-            if cells.shape != (size, len(ks), n, n, 2) or not set(map(type, cells.flat)) <= _NUMBER_TYPES:
+    for n, ks in shape.classes:
+        level = [e[k] for e in payloads for k in ks]
+        for width in (n, n, 2):
+            if not _lists_of(level, width):
                 return None
-            values = cells.astype(float)
-            if not np.isfinite(values).all():
-                return None
-            stacks.append(np.ascontiguousarray(values.view(complex)[..., 0].swapaxes(0, 1)))
-    except (ValueError, OverflowError):
-        return None
+            level = list(chain.from_iterable(level))
+        if not set(map(type, level)) <= _NUMBER_TYPES:
+            return None
+        try:
+            values = np.array(level, dtype=float)
+        except OverflowError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        cells = values.view(complex).reshape(size, len(ks), n, n)
+        stacks.append(np.ascontiguousarray(cells.swapaxes(0, 1)))
     return stacks
 
 
@@ -232,34 +249,56 @@ def _walk_vector(val, shape: AlgebraShape, path: str) -> ModuleVector:
     )
 
 
-def _decode_vectors(raw: list, shape: AlgebraShape) -> list[ModuleVector] | None:
-    """Vector payloads decoded together, all their coordinates in one pass."""
-    if not all(type(v) is list and v for v in raw):
+def _decode_family(raw: list, shape: AlgebraShape) -> tuple[int, tuple[np.ndarray, ...]] | None:
+    """Vector payloads of one dimension decoded together: (dim, stacks (count, len, dim*n, n))."""
+    if not raw or set(map(type, raw)) != {list}:
         return None
-    stacks = _decode_blocks([c for v in raw for c in v], shape)
+    dims = set(map(len, raw))
+    if len(dims) != 1 or 0 in dims:
+        return None
+    (dim,) = dims
+    stacks = _decode_blocks(list(chain.from_iterable(raw)), shape)
     if stacks is None:
         return None
-    vectors, start = [], 0
-    for v in raw:
-        dim = len(v)
-        vectors.append(ModuleVector._packed(
-            shape, dim, tuple(s[:, start : start + dim].reshape(len(s), -1, s.shape[-1]) for s in stacks)
-        ))
-        start += dim
-    return vectors
+    return dim, tuple(s.reshape(len(s), len(raw), dim * s.shape[-1], s.shape[-1]) for s in stacks)
 
 
 def parse_vector_payload(val, shape: AlgebraShape, path: str) -> ModuleVector:
-    decoded = _decode_vectors([val], shape)
-    return decoded[0] if decoded is not None else _walk_vector(val, shape, path)
+    decoded = _decode_family([val], shape)
+    if decoded is None:
+        return _walk_vector(val, shape, path)
+    dim, stacks = decoded
+    return ModuleVector._packed(shape, dim, tuple(s[:, 0] for s in stacks))
 
 
-def _parse_vector_list(raw: list, shape: AlgebraShape, path: str) -> list[ModuleVector]:
-    """The vector payloads raw[i]; walked at path[i] only when the decode rejects them."""
-    decoded = _decode_vectors(raw, shape)
+def _parse_family(raw: list, shape: AlgebraShape, path: str) -> tuple[int, tuple[np.ndarray, ...]]:
+    """The non-empty vector payloads raw[i] as (dim, per-class stacks (count, len, dim*n, n)).
+
+    Walked at path[i] only when the decode rejects them; well-formed
+    payloads of mixed dimensions are refused at path.
+    """
+    decoded = _decode_family(raw, shape)
     if decoded is not None:
         return decoded
-    return [_walk_vector(v, shape, f"{path}[{i}]") for i, v in enumerate(raw)]
+    vectors = [_walk_vector(v, shape, f"{path}[{i}]") for i, v in enumerate(raw)]
+    dims = {v.dim for v in vectors}
+    if len(dims) != 1:
+        raise SchemaError(path, f"mixed module dimensions {sorted(dims)}")
+    dim = vectors[0].dim
+    return dim, realization_stacks(vectors, shape, dim)
+
+
+def _parse_states(raw: list, shape: AlgebraShape, path: str) -> tuple[State, ...]:
+    """The state payloads raw[i], decoded and validated together.
+
+    When the decode or the joint validation refuses them, each state is
+    parsed on its own at path[i], which names the first fault.
+    """
+    decoded = _decode_blocks(raw, shape)
+    states = None if decoded is None else State._validated_together(shape, decoded)
+    if states is not None:
+        return states
+    return tuple(parse_state_payload(s, shape, f"{path}[{i}]") for i, s in enumerate(raw))
 
 
 def state_payload(s: State) -> list:
@@ -329,7 +368,7 @@ def document(value) -> dict:
     if isinstance(value, _CanonicalDual):
         return _frame_document(value.frame, value.frame._dual_stacks)
     if isinstance(value, SampleSet):
-        if not value.points:
+        if not len(value):
             raise ValueError("an empty sample set has no shape and cannot be serialized")
         doc = {
             "version": 1,
@@ -466,12 +505,9 @@ def _parse_frame_doc(doc: dict) -> Frame:
     raw = _expect_list(_get(doc, "vectors", "$"), "$.vectors")
     if not raw:
         raise SchemaError("$.vectors", "frame needs at least one vector")
-    vectors = _parse_vector_list(raw, shape, "$.vectors")
-    dims = {v.dim for v in vectors}
-    if len(dims) != 1:
-        raise SchemaError("$.vectors", f"mixed module dimensions {sorted(dims)}")
+    dim, stacks = _parse_family(raw, shape, "$.vectors")
     try:
-        return Frame(tuple(vectors), spanning=spanning)
+        return Frame._from_stacks(shape, dim, stacks, spanning)
     except DegenerateFrameError as e:
         raise SchemaError("$.vectors", str(e)) from e
 
@@ -483,11 +519,10 @@ def _parse_sample_set_doc(doc: dict) -> SampleSet:
     if not isinstance(label, str):
         raise SchemaError("$.label", f"expected a string, found {label!r}")
     raw = _expect_list(_get(doc, "points", "$"), "$.points")
-    points = _parse_vector_list(raw, shape, "$.points")
-    dims = {p.dim for p in points}
-    if len(dims) > 1:
-        raise SchemaError("$.points", f"mixed module dimensions {sorted(dims)}")
-    return SampleSet(tuple(points), label=label)
+    if not raw:
+        return SampleSet((), label=label)
+    dim, stacks = _parse_family(raw, shape, "$.points")
+    return SampleSet._packed(shape, dim, stacks, label=label)
 
 
 def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
@@ -496,19 +531,13 @@ def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
     raw_sys = _expect_list(_get(doc, "system", "$"), "$.system")
     if not raw_sys:
         raise SchemaError("$.system", "admissible system needs at least one vector")
-    vectors = _parse_vector_list(raw_sys, shape, "$.system")
-    dims = {v.dim for v in vectors}
-    if len(dims) != 1:
-        raise SchemaError("$.system", f"mixed module dimensions {sorted(dims)}")
+    dim, stacks = _parse_family(raw_sys, shape, "$.system")
     try:
-        system = AdmissibleSystem(tuple(vectors))
+        system = AdmissibleSystem._packed(shape, dim, stacks)
     except ValueError as e:
         raise SchemaError("$.system", str(e)) from e
     raw_states = _expect_list(_get(doc, "states", "$"), "$.states")
-    states = tuple(
-        parse_state_payload(s, shape, f"$.states[{i}]")
-        for i, s in enumerate(raw_states)
-    )
+    states = _parse_states(raw_states, shape, "$.states")
     try:
         return SeminormSpec(system, states)
     except ValueError as e:

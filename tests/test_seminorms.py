@@ -37,6 +37,7 @@ from cstarframes import (
     seminorm_values,
     state_values,
 )
+from cstarframes.algebra import block_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
 C2 = AlgebraShape((1, 1))
@@ -316,7 +317,7 @@ def random_admissible_spec(shape, dim, size, rng):
     return SeminormSpec(system, tuple(random_state(shape, rng) for _ in range(size)))
 
 
-SHAPES = [(1,), (2,), (1, 2), (1, 1, 2)]
+SHAPES = [(1,), (2,), (1, 2), (1, 1, 2), (3,), (1, 3), (2, 2), (1, 4)]
 
 spec_cases = st.tuples(
     st.sampled_from(SHAPES),
@@ -370,6 +371,29 @@ def test_epsilon_net_matches_vector_route(case, target):
     eps = math.sqrt(hi * lo) if lo > 0 else hi / 2.0
     expected, _ = oracle_greedy(spec, points, eps)
     assert epsilon_net(SampleSet(points), spec, eps) == expected
+
+
+def np_trace_state_values(spec, sample):
+    """state_values with np.trace at every block size: the reference for its closed forms."""
+    traces = []
+    for s, y, rho in zip(sample.realizations, spec._system.realizations, spec._densities):
+        ips = s.conj().swapaxes(-1, -2)[:, :, None] @ y[:, None]
+        traces.append(np.trace(rho[:, None, :, None] @ ips[:, :, None], axis1=-2, axis2=-1))
+    return block_sum(sample.shape, traces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=spec_cases, fills=st.lists(st.sampled_from([None, 0.0, -0.0, math.nan]), min_size=6, max_size=6))
+def test_state_values_are_np_trace_bit_for_bit(case, fills):
+    """Signed zeros and NaN included: point p has its first block set to fills[p]."""
+    spec, points = draw_case(case, 6)
+    stacks = SampleSet(points).realizations
+    for p, fill in enumerate(fills):
+        if fill is not None:
+            stacks[0][0, p] = fill
+    sample = SampleSet._packed(points[0].shape, points[0].dim, stacks)
+    with np.errstate(invalid="ignore"):
+        assert state_values(spec, sample).tobytes() == np_trace_state_values(spec, sample).tobytes()
 
 
 def test_sample_realizations_are_stacked_blocks(rng):

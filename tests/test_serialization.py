@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import random_shape, random_state, random_vector
 from cstarframes import (
+    AdmissibleSystem,
     AlgebraElement,
     AlgebraShape,
     Frame,
     ModuleVector,
     SampleSet,
     SchemaError,
+    SeminormSpec,
     State,
     build_setting,
     parse,
@@ -25,6 +27,7 @@ from cstarframes import (
     tail_obstruction,
 )
 from cstarframes import serialization
+from cstarframes.modules import realization_stacks
 from cstarframes.serialization import document
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -314,6 +317,14 @@ SCHEMA_ERRORS = [
     ("seminorm_spec.json", [(("system", 2, 0, 0, 0, 0, 0), True)], "$.system[2][0][0][0][0][0]: expected a number, found True"),
     ("seminorm_spec.json", [(("states", 1, 0, 0, 0), "a")], "$.states[1][0][0][0]: expected an array, found str"),
     ("seminorm_spec.json", [(("states", 3), "FIRST_BLOCK_ONLY")], "$.states[3]: expected 3 density blocks, found 1"),
+    ("sample_planted.json", [(("points", 2, 1, 0, 0, 0), "ab")], "$.points[2][1][0][0][0]: expected an array, found str"),
+    ("vector.json", [(("coords", 0, 1, 1, 0), "re")], "$.coords[0][1][1][0]: expected an array, found str"),
+    ("seminorm_spec.json", [(("states", 2, 1, 0, 0, 1), True)], "$.states[2][1][0][0][1]: expected a number, found True"),
+    ("sample_planted.json", [(("points", 4, 3, 2, 0, 0, 0), False)], "$.points[4][3][2][0][0][0]: expected a number, found False"),
+    ("frame_random.json", [(("vectors", 1, 0, 1, 1, 0), [[0.5, 0.0], [0.0, 0.5]])], "$.vectors[1][0][1][1][0][0]: expected a number, found [0.5, 0.0]"),
+    ("seminorm_spec.json", [(("system", 1, 2, 0, 0, 0), [[0.5, 0.0], [0.0, 0.5]])], "$.system[1][2][0][0][0][0]: expected a number, found [0.5, 0.0]"),
+    ("vector.json", [(("coords", 1, 1, 0), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])], "$.coords[1][1][0]: expected 2 columns, found 3"),
+    ("seminorm_spec.json", [(("states", 2, 0, 0), [[1.0, 0.0], [0.0, 0.0]])], "$.states[2][0][0]: expected 1 columns, found 2"),
     ("vector.json", [(("coords", 0, 1, 1, 1, 0), "y"), (("coords", 1, 0, 0, 0, 0), True)], "$.coords[0][1][1][1][0]: expected a number, found 'y'"),
     ("frame_random.json", [(("vectors", 1), "EXTRA_COORD"), (("vectors", 2, 0, 0, 0, 0, 0), math.nan)], "$.vectors[2][0][0][0][0][0]: non-finite value nan"),
     ("frame_random.json", [(("vectors", 3, 1, 0, 0, 0), [1.0]), (("vectors", 1, 0, 1, 0, 1), True)], "$.vectors[1][0][1][0][1]: expected an array, found bool"),
@@ -341,6 +352,82 @@ def test_valid_documents_never_take_the_walk(monkeypatch):
     monkeypatch.setattr(serialization, "_walk_element", refuse)
     for name, kind in FIXTURE_KINDS.items():
         assert serialize(parse(kind, (FIXTURES / name).read_bytes())) == (FIXTURES / name).read_bytes()
+
+
+# -- packed family documents --------------------------------------------------
+
+
+def test_parsed_families_keep_the_decoded_stack():
+    sample = parse("sample_set", (FIXTURES / "sample_planted.json").read_bytes())
+    frame = parse("frame", (FIXTURES / "frame_random.json").read_bytes())
+    spec = parse("seminorm_spec", (FIXTURES / "seminorm_spec.json").read_bytes())
+    families = [
+        ("sample_planted.json", "points", sample, "points", sample.realizations),
+        ("frame_random.json", "vectors", frame, "_vectors", frame._vector_stacks),
+        ("seminorm_spec.json", "system", spec._system, "points", spec._system.realizations),
+    ]
+    for name, key, owner, members, stacks in families:
+        assert members not in vars(owner)  # built on first use
+        doc = json.loads((FIXTURES / name).read_bytes())
+        shape = AlgebraShape(tuple(doc["shape"]))
+        walked = [serialization._walk_vector(v, shape, "$") for v in doc[key]]
+        expected = realization_stacks(walked, shape, walked[0].dim)
+        assert [s.tobytes() for s in stacks] == [s.tobytes() for s in expected]
+        vectors = getattr(owner, members)
+        assert len(vectors) == len(walked)
+        for v in vectors:
+            assert all(np.shares_memory(a, b) for a, b in zip(v.stacks, stacks))
+    assert spec.system.vectors is spec._system.points
+
+
+# -- states validated together ------------------------------------------------
+
+
+def _spec_document(shape, states: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    system = AdmissibleSystem(tuple(ModuleVector.basis(shape, states, j) * 0.5 for j in range(states)))
+    return json.loads(serialize(SeminormSpec(system, tuple(random_state(shape, rng) for _ in range(states)))))
+
+
+@pytest.mark.parametrize(
+    "densities, message",
+    [
+        ([[[0.4]], [[0.3, 0.1], [0.0, 0.3]]], "density 1 is not Hermitian"),
+        ([[[0.4]], [[0.7, 0.0], [0.0, -0.1]]], "density 1 is not positive semidefinite"),
+        ([[[0.5]], [[0.25, 0.0], [0.0, 0.35]]], None),
+    ],
+)
+def test_a_bad_third_state_of_five_names_its_path(densities, message):
+    shape = AlgebraShape((1, 2))
+    doc = _spec_document(shape, 5, seed=3)
+    doc["states"][2] = [[[[float(z), 0.0] for z in row] for row in d] for d in densities]
+    with pytest.raises(ValueError) as direct:
+        State(shape, tuple(np.array(d, complex) for d in densities))
+    if message is None:
+        assert str(direct.value).startswith("densities must have total trace 1, got ")
+    else:
+        assert str(direct.value) == message
+    with pytest.raises(SchemaError) as err:
+        parse("seminorm_spec", json.dumps(doc))
+    assert str(err.value) == f"$.states[2]: {direct.value}"
+
+
+@pytest.mark.parametrize("states", [2, 6])
+def test_a_spec_makes_one_eigvalsh_per_size_class_for_all_its_states(monkeypatch, states):
+    shape = AlgebraShape((1, 2, 1, 3))
+    raw = json.dumps(_spec_document(shape, states, seed=states), sort_keys=True, separators=(",", ":"))
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        seen.append(a.shape[:-2])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    spec = parse("seminorm_spec", raw)
+    # the system's gram check, then the states: one call per class each
+    assert seen == [(2,), (1,), (1,), (2, states), (1, states), (1, states)]
+    assert serialize(spec) == raw.encode()
 
 
 @pytest.mark.parametrize(
