@@ -32,6 +32,7 @@ from .modules import (
     ModuleVector,
     coordinate_blocks,
     family_vectors,
+    generator_stacks,
     inner_product,
     orthogonal_span_family,
     realization_stacks,
@@ -100,7 +101,7 @@ class Certificate:
 
 def _realizations(sample: SampleSet, shape, dim: int) -> tuple[np.ndarray, ...]:
     """The sample's per-block stacks; zero-length ones in A^dim over shape if empty."""
-    if sample.points:
+    if len(sample):
         return sample.realizations
     return realization_stacks((), shape, dim)
 
@@ -123,8 +124,10 @@ class _CoefficientData:
     b_const: float
 
 
-def _coefficient_data(sample: SampleSet, generators: list) -> _CoefficientData:
+def _coefficient_data(sample: SampleSet, gen_stacks, shape, dim: int) -> _CoefficientData:
     """Solve every point against Span_A(generators), one pseudo-inverse per block.
+
+    gen_stacks are the generators' realization stacks (count, s, dim*n, n).
 
     Besides each point's residual and B, records the norm of each
     coefficient, of the stacked coefficient tuple, and of the approximant
@@ -133,11 +136,12 @@ def _coefficient_data(sample: SampleSet, generators: list) -> _CoefficientData:
     generator order with np.add.accumulate, taking blocks and points in
     tiles that bound the size of the term tensor.
     """
-    shape, dim = generators[0].shape, generators[0].dim
-    coeffs, residuals, b_const = span_least_squares(_realizations(sample, shape, dim), generators)
-    s = len(generators)
+    coeffs, residuals, b_const = span_least_squares(
+        _realizations(sample, shape, dim), gen_stacks, shape, dim
+    )
+    s = gen_stacks[0].shape[1]
     coeff_norms, stacked_norms, approx_norms = [], [], []
-    for ak, gk in zip(coeffs, realization_stacks(generators, shape, dim)):
+    for ak, gk in zip(coeffs, gen_stacks):
         count, points, _, n = ak.shape
         per_coeff = ak.reshape(count, points, s, n, n)
         coeff_norms.append(spectral_norms(per_coeff))
@@ -177,18 +181,18 @@ def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[t
     the sample, i.e. a frame for the submodule the sample generates (the
     constructive b-to-c route); the orthogonalized family is self-dual,
     so its one stack serves as z and as g.  A frame's pairs are views of
-    its vector and dual stacks, checked against the sample's module when
-    any is used.  The rank limit is the budget (default: the module
-    dimension, and checked by the caller) capped by the number of pairs.
+    its vector and dual stacks; a frame from another module is refused,
+    whatever the budget.  The rank limit is the budget (default: the
+    module dimension, and checked by the caller) capped by the number of
+    pairs.
     """
     budget = sample.dim if rank_budget is None else int(rank_budget)
     if frame is not None:
         z, g = frame._vector_stacks, frame._dual_stacks
+        require_stacks(z, sample.shape, sample.dim)
     else:
         z = g = realization_stacks(orthogonal_span_family(sample.points), sample.shape, sample.dim)
     limit = min(budget, z[0].shape[1])
-    if limit:
-        require_stacks(z, sample.shape, sample.dim)
     return _leading((z, g), limit), limit
 
 
@@ -368,10 +372,8 @@ def check_condition_a(sample: SampleSet, generators, eps: float) -> Certificate:
     a slack of BD_RTOL * (1 + B*D).
     """
     check_eps(eps)
-    generators = list(generators)
-    if not generators:
-        raise ValueError("at least one generator required")
-    return _certificate_a(_coefficient_data(sample, generators), eps)
+    shape, dim, gen_stacks = generator_stacks(generators)
+    return _certificate_a(_coefficient_data(sample, gen_stacks, shape, dim), eps)
 
 
 def check_condition_b(sample: SampleSet, frame: Frame, eps: float) -> Certificate:
@@ -415,7 +417,7 @@ def check_condition_cd(
     """
     check_eps(eps)
     _check_rank_budget(rank_budget)
-    if not sample.points:
+    if not len(sample):
         return _empty_sample_cd(eps)
     pairs, limit = _theta_pairs(sample, frame, rank_budget)
     errors = _error_profile(sample, pairs, eps)
@@ -519,7 +521,9 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     Violations indicate an implementation bug and are reported verbatim.
 
     Every eps of the grid, and the rank budget, is checked before any
-    work.  Each condition's eps-free pass runs once for the whole grid:
+    work.  The generators are stacked once, and default generators are
+    the frame's own stack, so no module vector is built for them.  Each
+    condition's eps-free pass runs once for the whole grid:
     one least-squares pass serves A at every eps and every eps*c1/(3*c2),
     one tail pass over the generators and the sample, joined along the
     point axis, serves the a=>b replay and B, the span family is built
@@ -532,7 +536,7 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     for eps in config.eps_grid:
         check_eps(eps)
     _check_rank_budget(config.rank_budget)
-    if not sample.points and config.frame is None:
+    if not len(sample) and config.frame is None:
         entries = tuple(
             EquivalenceEntry(
                 eps,
@@ -547,22 +551,24 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
         return EquivalenceReport(entries, None, config.seed)
 
     frame = config.frame or standard_basis_frame(sample.shape, sample.dim)
-    generators = list(config.generators or frame.vectors)
     c1, c2 = frame.bounds
-    s = len(generators)
     m = frame.size
     scaled_grid = [eps * c1 / (3.0 * c2) for eps in config.eps_grid]
     for eps_scaled in scaled_grid:
         check_eps(eps_scaled)
 
-    gen_stacks = realization_stacks(generators, frame.shape, frame.dim)
-    coefficients = _coefficient_data(sample, generators)
+    if config.generators:
+        gen_stacks = realization_stacks(config.generators, frame.shape, frame.dim)
+    else:
+        gen_stacks = frame._vector_stacks
+    s = gen_stacks[0].shape[1]
+    coefficients = _coefficient_data(sample, gen_stacks, frame.shape, frame.dim)
     sample_stacks = _realizations(sample, frame.shape, frame.dim)
     profiles = frame.tail_profiles(
         [np.concatenate(parts, axis=1) for parts in zip(gen_stacks, sample_stacks)]
     )
     gen_tails, tails_z = _sup_tails(profiles[:s]), _sup_tails(profiles[s:])
-    if sample.points:
+    if len(sample):
         pairs, limit = _theta_pairs(sample, None, config.rank_budget)
         smallest = min(config.eps_grid, default=math.inf)
         errors = _error_profile(sample, pairs, smallest)
@@ -580,7 +586,7 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
         cert_b = _certificate_b(tails_z, eps)
         violations: list[str] = []
 
-        if cert_a_scaled.verdict and sample.points:
+        if cert_a_scaled.verdict and len(sample):
             m_coeff = cert_a_scaled.coefficient_bound or 0.0
             thresh = math.inf if m_coeff == 0.0 else eps / (3.0 * s * m_coeff)
             ratio = c2 / c1
@@ -607,7 +613,7 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
                         f"reports N={cert_b.witness['N']}"
                     )
 
-        if cert_cd.verdict and sample.points and cert_cd.approximant:
+        if cert_cd.verdict and len(sample) and cert_cd.approximant:
             rank = len(cert_cd.approximant)
             r_const = max(replay.point_norms)
             f_max = max(replay.pair_norms[:rank])
@@ -802,7 +808,10 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
         t = theta_op(g, g)
         projector = t if projector is None else projector + t
 
-    _, dists, _ = span_least_squares(_realizations(sample, shape, generators[0].dim), generators)
+    dim = generators[0].dim
+    _, dists, _ = span_least_squares(
+        _realizations(sample, shape, dim), realization_stacks(generators, shape, dim), shape, dim
+    )
     residuals = [(x - projector(x)).norm() for x in sample.points]
     verdict = all(d < eps for d in dists)
     two_eps_ok = all(

@@ -475,43 +475,42 @@ def orthogonal_span_family(vectors) -> list[ModuleVector]:
 # -- distance to finitely generated submodules ---------------------------
 
 
-def _synthesis_blocks(generators) -> list[np.ndarray]:
-    """Per class, the realizations of (a_1..a_s) -> sum_i g_i a_i: generator columns side by side."""
-    g0 = generators[0]
-    return [
-        np.stack([g.stacks[c] for g in generators], axis=2).reshape(len(s), s.shape[1], -1)
-        for c, s in enumerate(g0.stacks)
-    ]
-
-
-def span_least_squares(stacks, generators) -> tuple[list[np.ndarray], list[float], float]:
+def span_least_squares(
+    stacks, gen_stacks, shape: AlgebraShape, dim: int
+) -> tuple[list[np.ndarray], list[float], float]:
     """Minimal-norm least squares against Span_A(generators), all points at once.
 
-    stacks[c] holds the realizations of P points on the blocks of size
-    class c, shape (count, P, dim*n, n).  One pseudo-inverse per block
-    serves every point: the coefficient stack is pinv(G_k) @ X_k broadcast
-    over the points, and a point's residual is max_k ||X_k - G_k A_k||_2,
-    the exact distance (see `submodule_distance`).  Returns the coefficient
+    stacks[c] holds the realizations of P points of A^dim on the blocks of
+    size class c, shape (count, P, dim*n, n), and gen_stacks[c] those of
+    the s generators, shape (count, s, dim*n, n) (`realization_stacks`).
+    One pseudo-inverse per block serves every point: G_k, the synthesis
+    map (a_1..a_s) -> sum_i g_i a_i, has the generator columns side by
+    side, the coefficient stack is pinv(G_k) @ X_k broadcast over the
+    points, and a point's residual is max_k ||X_k - G_k A_k||_2, the
+    exact distance (see `submodule_distance`).  Returns the coefficient
     stacks, shape (count, P, s*n, n), the residuals, and the constant
     B = max_k ||pinv(G_k)||_2 of `synthesis_pinv_norm`.
     """
-    generators = list(generators)
-    if not generators:
-        raise ValueError("at least one generator required")
-    first = generators[0]
-    for g in generators:
-        first._require_compatible(g)
-    shape = first.shape
-    require_stacks(stacks, shape, first.dim)
+    require_stacks(stacks, shape, dim)
     coeffs, norms, pinv_norms = [], [], []
-    for xk, gk in zip(stacks, _synthesis_blocks(generators)):
-        pinv = np.linalg.pinv(gk, rcond=PINV_RTOL)
+    for xk, gk in zip(stacks, gen_stacks):
+        synthesis = gk.swapaxes(1, 2).reshape(len(gk), gk.shape[2], -1)
+        pinv = np.linalg.pinv(synthesis, rcond=PINV_RTOL)
         ak = pinv[:, None] @ xk
-        norms.append(spectral_norms(xk - gk[:, None] @ ak))
+        norms.append(spectral_norms(xk - synthesis[:, None] @ ak))
         coeffs.append(ak)
         pinv_norms.append(spectral_norms(pinv))
     residuals = [max(0.0, *vals) for vals in shape.gather(norms).T.tolist()]
     return coeffs, residuals, blockwise_max(shape, pinv_norms)
+
+
+def generator_stacks(generators) -> tuple[AlgebraShape, int, tuple[np.ndarray, ...]]:
+    """Shape, dimension and realization stacks of a non-empty family in one module."""
+    generators = list(generators)
+    if not generators:
+        raise ValueError("at least one generator required")
+    first = generators[0]
+    return first.shape, first.dim, realization_stacks(generators, first.shape, first.dim)
 
 
 def submodule_distance(x: ModuleVector, generators) -> tuple[float, list[AlgebraElement]]:
@@ -538,14 +537,15 @@ def submodule_distance(x: ModuleVector, generators) -> tuple[float, list[Algebra
     that no coefficients reach eps.  "Range" means the numerical range:
     singular values of G below PINV_RTOL times the largest are cut.
     """
-    generators = list(generators)
+    shape, dim, gen_stacks = generator_stacks(generators)
     coeffs, residuals, _ = span_least_squares(
-        realization_stacks([x], x.shape, x.dim), generators
+        realization_stacks([x], x.shape, x.dim), gen_stacks, shape, dim
     )
-    split = [coordinate_blocks(ck[:, 0], len(generators)) for ck in coeffs]
+    s = gen_stacks[0].shape[1]
+    split = [coordinate_blocks(ck[:, 0], s) for ck in coeffs]
     elements = [
-        AlgebraElement._packed(x.shape, tuple(s[:, i] for s in split))
-        for i in range(len(generators))
+        AlgebraElement._packed(x.shape, tuple(c[:, i] for c in split))
+        for i in range(s)
     ]
     return residuals[0], elements
 
@@ -557,8 +557,5 @@ def synthesis_pinv_norm(generators) -> float:
     finite-dimensional algebras: the minimal-norm solution of
     sum_i g_i a_i = y satisfies ||(a_1..a_s)|| <= B ||y||.
     """
-    generators = list(generators)
-    if not generators:
-        raise ValueError("at least one generator required")
-    g = generators[0]
-    return span_least_squares(realization_stacks((), g.shape, g.dim), generators)[2]
+    shape, dim, gen_stacks = generator_stacks(generators)
+    return span_least_squares(realization_stacks((), shape, dim), gen_stacks, shape, dim)[2]

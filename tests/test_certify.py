@@ -178,6 +178,14 @@ def test_negative_rank_budget_is_refused():
     assert report.entries[0].cert_cd.witness == {"rank_budget": 0}
 
 
+@pytest.mark.parametrize("rank_budget", [0, 1, None])
+def test_a_frame_from_another_module_is_refused_at_every_budget(rank_budget):
+    sample = SampleSet((ModuleVector.basis(AlgebraShape((1, 1)), 2, 0),))
+    other = standard_basis_frame(AlgebraShape((2,)), 3)
+    with pytest.raises(ValueError, match="different modules"):
+        check_condition_cd(sample, eps=0.5, rank_budget=rank_budget, frame=other)
+
+
 def test_negative_rank_budget_is_refused_for_an_empty_sample():
     """The budget is checked before the vacuous answer, with or without a frame."""
     empty = SampleSet(())

@@ -275,6 +275,17 @@ def test_precompact_negative_rank_budget_is_data_error_for_an_empty_sample(capsy
     assert err == "cstarframes: error: rank budget must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize("budget", ["0", "1"])
+def test_precompact_frame_from_another_module_is_data_error(capsys, budget):
+    code, out, err = run(
+        capsys,
+        "precompact", "--condition", "cd", "--sample", fx("sample_planted.json"),
+        "--frame", fx("parseval.json"), "--eps", "0.5", "--rank-budget", budget,
+    )
+    assert (code, out) == (1, "")
+    assert err == "cstarframes: error: module vectors live in different modules\n"
+
+
 def test_precompact_free(capsys, tmp_path):
     gens = _basis_sample_file(tmp_path, (1, 1, 1), 4)
     code, out, _ = run(

@@ -86,9 +86,10 @@ def test_joined_tails_equal_two_separate_passes(case, gen_count, point_count):
 def _looped_approx_norms(sample, generators):
     """max over the blocks of ||sum_i g_i a_i||, the products added one generator at a time."""
     g0 = generators[0]
-    coeffs, _, _ = span_least_squares(sample.realizations, generators)
+    gen_stacks = realization_stacks(generators, g0.shape, g0.dim)
+    coeffs, _, _ = span_least_squares(sample.realizations, gen_stacks, g0.shape, g0.dim)
     per_class = []
-    for ak, gk in zip(coeffs, realization_stacks(generators, g0.shape, g0.dim)):
+    for ak, gk in zip(coeffs, gen_stacks):
         count, points, _, n = ak.shape
         per_coeff = ak.reshape(count, points, len(generators), n, n)
         gen_coords = coordinate_blocks(gk, g0.dim)
@@ -109,7 +110,7 @@ def test_batched_condition_a_approximant_equals_the_generator_loop(case, gen_cou
     gens = [_vector(shape, dim, rng, 0.3) for _ in range(gen_count)]
     want = _looped_approx_norms(sample, gens)
     with tiny_chunks(tiny):
-        got = _coefficient_data(sample, gens).approx_norms
+        got = _coefficient_data(sample, realization_stacks(gens, shape, dim), shape, dim).approx_norms
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
