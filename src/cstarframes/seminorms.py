@@ -208,7 +208,7 @@ class AdmissibilityReport:
 
 
 def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityReport:
-    """Decide admissibility of a candidate system.
+    """Decide admissibility of a candidate system: module vectors, or a SampleSet of them.
 
     Norm condition: ||x_i|| <= 1 + ADMISSIBLE_TOL for every i.  Gram
     condition: the operator inequality sum_i <x,x_i><x_i,x> <= <x,x> for
@@ -218,12 +218,10 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
     A block whose gram is not finite (the entries overflow in the
     products) fails it with slack -inf.  Probe points, when given, are
     rechecked individually so a failure can name the offending probe.
+    A SampleSet is checked on its stored realizations, so a parsed system
+    is not stacked again.
     """
-    return _admissibility(SampleSet(vectors), probes)
-
-
-def _admissibility(system: SampleSet, probes: SampleSet | None = None) -> AdmissibilityReport:
-    """`admissible_check` on a system held as a sample set, from its stacked realizations."""
+    system = vectors if isinstance(vectors, SampleSet) else SampleSet(vectors)
     if not len(system):
         raise ValueError("empty system")
     max_norm, bad_norm = 0.0, None
@@ -276,7 +274,7 @@ class AdmissibleSystem:
         return system
 
     def _validate(self, family: SampleSet) -> None:
-        report = _admissibility(family)
+        report = admissible_check(family)
         if not report:
             raise ValueError(
                 "system is not admissible "
