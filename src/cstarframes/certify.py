@@ -436,7 +436,6 @@ class CertifyConfig:
     frame: Frame | None = None
     generators: tuple[ModuleVector, ...] | None = None
     rank_budget: int | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -463,7 +462,6 @@ class EquivalenceEntry:
 class EquivalenceReport:
     entries: tuple[EquivalenceEntry, ...]
     frame_bounds: tuple[float, float] | None
-    seed: int
 
     @property
     def violations(self) -> tuple[str, ...]:
@@ -493,7 +491,6 @@ class EquivalenceReport:
             "version": 1,
             "kind": "equivalence_report",
             "entries": [e.to_json_dict() for e in self.entries],
-            "seed": self.seed,
         }
         if self.frame_bounds is not None:
             doc["frame_bounds"] = list(self.frame_bounds)
@@ -548,7 +545,7 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
             )
             for eps in config.eps_grid
         )
-        return EquivalenceReport(entries, None, config.seed)
+        return EquivalenceReport(entries, None)
 
     frame = config.frame or standard_basis_frame(sample.shape, sample.dim)
     c1, c2 = frame.bounds
@@ -643,7 +640,7 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
                 eps, cert_a, cert_a_scaled, cert_b, cert_cd, tuple(violations)
             )
         )
-    return EquivalenceReport(tuple(entries), (c1, c2), config.seed)
+    return EquivalenceReport(tuple(entries), (c1, c2))
 
 
 # -- operators ---------------------------------------------------------------

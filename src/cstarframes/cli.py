@@ -4,8 +4,8 @@ Subcommands mirror the library surface: frame-bounds, dual, reconstruct,
 seminorm, net, precompact, series, counterexample.  Exit codes follow
 the certificate convention: 0 pass, 1 certified fail (or data error,
 explained on stderr), 2 inconclusive within budget, 64 usage.  All
-output is deterministic for a fixed seed: JSON goes through the
-canonical serializer, CSV floats through shortest round-trip repr.
+output is deterministic: JSON goes through the canonical serializer,
+CSV floats through shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--sample", required=True)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--rank-budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frame", default=None)
     p.add_argument("--gens", default=None)
     p.add_argument("--out", default=None)
@@ -160,7 +159,6 @@ def _cmd_precompact(args) -> int:
             frame=frame,
             generators=gens,
             rank_budget=args.rank_budget,
-            seed=args.seed,
         )
         report = certify_equivalences(sample, config)
         _emit(serialize(report), args.out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,19 +31,54 @@ MAX_TRUNC = 170
 
 @dataclass(frozen=True, eq=False)
 class TruncatedCSetting:
-    """Truncation data: sequence level, module dimension, F, and v.
+    """Truncation data: sequence level, module dimension, and v's coefficients.
 
     trunc is the last explicit sequence position (the algebra has
     trunc + 1 one-dimensional blocks, the final one being the limit
     coordinate, where every position indicator vanishes).  dim <= trunc
-    so that every indicator the module needs exists.
+    so that every indicator the module needs exists.  coefficients[k-1]
+    is 1/k!, the generator's entry at coordinate k of block k-1.
+
+    F and v are diagonal: on block b, F keeps coordinate b and v carries
+    1/(b+1)! there.  The model is stored as those diagonals; `operator`
+    and `generator` build the dense module objects on first use.
     """
 
     trunc: int
     dim: int
     shape: AlgebraShape
-    operator: ModuleOperator
-    generator: ModuleVector
+    coefficients: np.ndarray = field(repr=False)
+
+    @property
+    def _operator_diagonals(self) -> np.ndarray:
+        """F's realization on every block, as its diagonal: (trunc + 1, dim)."""
+        k = np.arange(self.dim)
+        diagonals = np.zeros((self.trunc + 1, self.dim))
+        diagonals[k, k] = 1.0
+        return diagonals
+
+    @property
+    def _generator_diagonals(self) -> np.ndarray:
+        """v's realization on every block, as one column each: (trunc + 1, dim)."""
+        k = np.arange(self.dim)
+        columns = np.zeros((self.trunc + 1, self.dim))
+        columns[k, k] = self.coefficients
+        return columns
+
+    @functools.cached_property
+    def operator(self) -> ModuleOperator:
+        """F as a module operator: block b realizes as diag(1 at coordinate b)."""
+        k = np.arange(self.dim)
+        pinch = np.zeros((self.trunc + 1, self.dim, self.dim), complex)
+        pinch[:, k, k] = self._operator_diagonals
+        return ModuleOperator._packed(self.shape, self.dim, self.dim, (pinch,))
+
+    @functools.cached_property
+    def generator(self) -> ModuleVector:
+        """The single generator v = sum (1/k!) e_k delta_k as a module vector."""
+        columns = np.zeros((self.trunc + 1, self.dim, 1), complex)
+        columns[..., 0] = self._generator_diagonals
+        return ModuleVector._packed(self.shape, self.dim, (columns,))
 
     def delta(self, k: int) -> AlgebraElement:
         """Indicator of sequence position k, 1 <= k <= trunc."""
@@ -115,9 +150,9 @@ def check_truncation(trunc: int) -> None:
 def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
     """Construct the truncated counterexample; dim defaults to trunc.
 
-    Verifies the two structural identities before returning: F fixes the
-    generator v, and ||F|| <= 1 (the realized blocks are coordinate
-    projections).
+    Verifies the two structural identities exactly on the diagonals
+    before returning: F fixes the generator v entry for entry, and every
+    diagonal entry of F has modulus at most 1, so ||F|| <= 1.
     """
     check_truncation(trunc)
     if dim is None:
@@ -127,47 +162,51 @@ def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
             f"module dimension {dim} must satisfy 1 <= dim <= trunc={trunc}"
         )
     shape = AlgebraShape((1,) * (trunc + 1))
-    k = np.arange(dim)
-    # F pinches coordinate k by delta_k: on block k its realization is the
-    # projection onto coordinate k, and v carries 1/k! there.
-    pinch = np.zeros((trunc + 1, dim, dim), complex)
-    pinch[k, k, k] = 1.0
-    operator = ModuleOperator._packed(shape, dim, dim, (pinch,))
-    coefficients = np.zeros((trunc + 1, dim, 1), complex)
-    coefficients[k, k, 0] = [1.0 / math.factorial(j) for j in range(1, dim + 1)]
-    generator = ModuleVector._packed(shape, dim, (coefficients,))
+    coefficients = np.array([1.0 / math.factorial(j) for j in range(1, dim + 1)])
+    coefficients.setflags(write=False)
+    setting = TruncatedCSetting(trunc, dim, shape, coefficients)
 
-    if (operator(generator) - generator).norm() > SELF_CHECK_ATOL:
+    f, v = setting._operator_diagonals, setting._generator_diagonals
+    if not np.array_equal(f * v, v):
         raise AssertionError("F does not fix the generator v")
-    if operator.norm() > 1.0 + SELF_CHECK_ATOL:
+    if not (np.abs(f) <= 1.0).all():
         raise AssertionError("F is not a contraction")
-    return TruncatedCSetting(trunc, dim, shape, operator, generator)
+    return setting
 
 
-def _min_coeff_norms(setting: TruncatedCSetting, stack: np.ndarray, eps: float) -> list[float]:
-    """Exact infimum of ||a|| over {a : ||y - v*a|| <= eps}, for every point y.
+def _min_coeff_norms(columns: np.ndarray, eps: float) -> list[float]:
+    """Exact infimum of ||a|| over {a : ||w_k - v*a|| <= eps}, for every witness w_k.
 
-    The algebra is commutative, so the solve decouples per block: with
-    X_b, G_b the stacked realizations of y and v at block b, the minimal
-    |a(b)| placing the residual on the eps boundary solves a real
-    quadratic in |a(b)| after aligning the phase with G_b* X_b.  Blocks
-    already within eps contribute 0; blocks where v vanishes but y does
-    not are unreachable.  stack is the points' realization stack
-    (blocks, P, dim, 1); all points and blocks are solved at once.
+    columns[k-1] is v's realization on block k-1.  The algebra is
+    commutative, so the solve decouples per block, and w_k = e_k * delta_k
+    is zero off block k-1, where it is the unit at coordinate k.  The
+    minimal |a(k-1)| placing the residual on the eps boundary solves a
+    real quadratic in |a(k-1)| with ||w_k||^2 = 1, ||v||^2 and
+    |<v, w_k>| = |v_k| on that block.  w_k within eps needs 0; a block
+    where v vanishes is unreachable.
+
+    Where ||v||^2 leaves the normal float range (v_k = 1/k!, whose square
+    is subnormal from k = 98 on and 0 from k = 102), the quadratic is
+    solved on v / ||v|| for ||v|| * |a|, whose squares are exact, and the
+    root is divided by ||v||.  w_k is not scaled: the square of
+    w_k / ||v|| would overflow.  On those blocks v has one non-zero entry,
+    so ||v|| is its modulus, the largest in the column.  Every other block
+    divides by 1 and takes the plain formula bit for bit.
     """
-    x = stack[..., 0]
-    g = setting.generator.stacks[0][:, None, :, 0]
-    nx2 = (x.conj() * x).sum(axis=-1).real
-    ng2 = (g.conj() * g).sum(axis=-1).real
-    cross_sum = (g.conj() * x).sum(axis=-1)
-    cross = np.hypot(cross_sum.real, cross_sum.imag)
-    active = nx2 > eps * eps
-    disc = cross * cross - ng2 * (nx2 - eps * eps)
+    k = np.arange(len(columns))
+    top = np.abs(columns).max(axis=1)
+    squares = (columns * columns).sum(axis=1)
+    scale = np.where((squares < np.finfo(float).tiny) & (top > 0.0), top, 1.0)
+    v = columns / scale[:, None]
+    ng2 = (v * v).sum(axis=1)
+    cross = np.abs(v[k, k])
+    active = 1.0 > eps * eps
+    disc = cross * cross - ng2 * (1.0 - eps * eps)
     unreachable = active & ((ng2 == 0.0) | (disc < 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (cross - np.sqrt(disc)) / ng2
-    worst = np.where(active, t, 0.0).max(axis=0, initial=0.0)
-    return np.where(unreachable.any(axis=0), math.inf, worst).tolist()
+        t = (cross - np.sqrt(disc)) / ng2 / scale
+    required = np.where(active, t, 0.0)
+    return np.where(unreachable, math.inf, required).tolist()
 
 
 def coeff_growth(setting: TruncatedCSetting, eps: float) -> list[tuple[int, float]]:
@@ -179,7 +218,7 @@ def coeff_growth(setting: TruncatedCSetting, eps: float) -> list[tuple[int, floa
     coefficient bound across truncations.
     """
     check_eps(eps)
-    required = _min_coeff_norms(setting, setting._witness_stacks[0], eps)
+    required = _min_coeff_norms(setting._generator_diagonals[: setting.dim], eps)
     return list(enumerate(required, start=1))
 
 

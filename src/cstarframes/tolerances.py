@@ -59,8 +59,8 @@ COHERENCE_TOL = 1e-8
 # Free submodule: largest ||<g_i, g_j> - delta_ij 1|| accepted; absolute.
 GRAM_DEFECT_ATOL = 1e-8
 
-# The counterexample's own self-checks (F fixes v, F is a contraction,
-# direct and frame tails agree); absolute.
+# The counterexample's tail self-check (direct and frame tails agree);
+# absolute.  F fixing v and F being a contraction are checked exactly.
 SELF_CHECK_ATOL = 1e-12
 
 # Default eps of a theta-series decomposition (`series_decompose` and the

@@ -169,13 +169,13 @@ def test_criterion_04_six_eps_net_transfer():
 
 def test_criterion_05_equivalence_coherence():
     rng = np.random.default_rng(75025)
-    for i in range(20):
+    for _ in range(20):
         shape = random_shape(rng)
         dim = int(rng.integers(3, 6))
         prefix = int(rng.integers(1, dim))
         sample = planted_precompact_sample(shape, dim, prefix, int(rng.integers(3, 7)), rng)
         eps = float(rng.uniform(0.3, 0.8))
-        report = certify_equivalences(sample, CertifyConfig(eps_grid=(eps,), seed=i))
+        report = certify_equivalences(sample, CertifyConfig(eps_grid=(eps,)))
         assert not report.violations
         entry = report.entries[0]
         assert entry.cert_a.verdict and entry.cert_a_scaled.verdict
@@ -185,14 +185,13 @@ def test_criterion_05_equivalence_coherence():
     growth = {}
     cases = [(n, eps) for n in range(4, 9) for eps in (0.2, 0.35, 0.5, 0.65)]
     assert len(cases) >= 20
-    for j, (n, eps) in enumerate(cases):
+    for n, eps in cases:
         setting = build_setting(n, n)
         sample = SampleSet(setting.witnesses(), label="witnesses")
         config = CertifyConfig(
             eps_grid=(eps,),
             generators=(setting.generator,),
             rank_budget=n - 1,
-            seed=j,
         )
         report = certify_equivalences(sample, config)
         assert not report.violations
@@ -308,7 +307,7 @@ def test_criterion_10_deterministic_certificates(tmp_path):
     witnesses = SampleSet(setting.witnesses(), label="witnesses")
     blobs = []
     for _ in range(2):
-        report = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5, 0.25), seed=13))
+        report = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5, 0.25)))
         cert_b = check_condition_b(witnesses, standard_basis_frame(setting.shape, 6), 0.25)
         sampler = BallSampler(shape, 4, count=24, seed=5)
         op = theta_op(ModuleVector.basis(shape, 4, 0), ModuleVector.basis(shape, 4, 0))
@@ -325,7 +324,7 @@ def test_criterion_10_deterministic_certificates(tmp_path):
             [
                 "precompact", "--condition", "all",
                 "--sample", str(sample_file),
-                "--eps", "0.5", "--seed", "21", "--out", str(out),
+                "--eps", "0.5", "--out", str(out),
             ]
         )
         assert code == 0

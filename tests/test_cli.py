@@ -305,13 +305,24 @@ def test_precompact_all_report(capsys, tmp_path):
             capsys,
             "precompact", "--condition", "all",
             "--sample", fx("sample_planted.json"), "--eps", "0.5",
-            "--seed", "3", "--out", str(out_file),
+            "--out", str(out_file),
         )
         assert code == 0
     assert first.read_bytes() == second.read_bytes()
     doc = json.loads(first.read_bytes())
     assert doc["kind"] == "equivalence_report"
     assert doc["entries"][0]["violations"] == []
+    assert "seed" not in doc
+
+
+def test_precompact_has_no_seed_flag(capsys):
+    """Nothing random runs in precompact, so there is no seed to pass."""
+    code, out, err = run(
+        capsys, "precompact", "--condition", "all",
+        "--sample", fx("sample_planted.json"), "--eps", "0.5", "--seed", "3",
+    )
+    assert (code, out) == (64, "")
+    assert "--seed" in err
 
 
 def test_precompact_missing_eps_is_usage_error(capsys, tmp_path):
@@ -568,12 +579,11 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     sample = fx("sample_planted.json")
     cli._build_parser.cache_clear()
     first = run(capsys, "precompact", "--condition", "all", "--sample", sample,
-                "--eps", "0.5", "--seed", "3")
+                "--eps", "0.5")
     second = run(capsys, "precompact", "--condition", "all", "--sample", sample)
     assert cli._build_parser.cache_info().misses == 1
-    assert json.loads(first[1])["seed"] == 3
+    assert [e["eps"] for e in json.loads(first[1])["entries"]] == [0.5]
     doc = json.loads(second[1])
-    assert doc["seed"] == 0
     assert [e["eps"] for e in doc["entries"]] == [1.0, 0.5, 0.25, 0.125]
     cli._build_parser.cache_clear()
     assert run(capsys, "precompact", "--condition", "all", "--sample", sample) == second

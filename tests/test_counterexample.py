@@ -1,15 +1,19 @@
 """Truncated factorial-growth counterexample: F, v, growth, tails."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cstarframes import (
     AlgebraElement,
     Frame,
     ModuleVector,
     SampleSet,
+    TruncatedCSetting,
     build_setting,
     coeff_growth,
     image_sample,
@@ -212,3 +216,135 @@ def test_image_sample_in_range_form():
             for b, blk in enumerate(coord.blocks):
                 if b != k - 1:
                     assert abs(blk[0, 0]) <= 1e-13
+
+
+# -- the diagonal model against the dense one -------------------------------
+
+
+def _dense_min_coeff_norms(setting, stack, eps):
+    """The dense boundary solve over (blocks, P, dim) realization stacks, kept as the oracle."""
+    x = stack[..., 0]
+    g = setting.generator.stacks[0][:, None, :, 0]
+    nx2 = (x.conj() * x).sum(axis=-1).real
+    ng2 = (g.conj() * g).sum(axis=-1).real
+    cross_sum = (g.conj() * x).sum(axis=-1)
+    cross = np.hypot(cross_sum.real, cross_sum.imag)
+    active = nx2 > eps * eps
+    disc = cross * cross - ng2 * (nx2 - eps * eps)
+    unreachable = active & ((ng2 == 0.0) | (disc < 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (cross - np.sqrt(disc)) / ng2
+    worst = np.where(active, t, 0.0).max(axis=0, initial=0.0)
+    return np.where(unreachable.any(axis=0), math.inf, worst).tolist()
+
+
+@st.composite
+def _truncations(draw, top):
+    trunc = draw(st.integers(1, top))
+    return trunc, draw(st.integers(1, trunc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=_truncations(97), eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(size=(97, 97), eps=0.25)
+@example(size=(97, 60), eps=0.999)
+def test_diagonal_solve_is_the_dense_solve_bit_for_bit(size, eps):
+    """Below k = 98, ||v_k||^2 is a normal float and the diagonal solve is the dense one."""
+    setting = build_setting(*size)
+    diagonal = [required for _, required in coeff_growth(setting, eps)]
+    dense = _dense_min_coeff_norms(setting, setting._witness_stacks[0], eps)
+    assert np.array(diagonal).tobytes() == np.array(dense).tobytes()
+
+
+@pytest.mark.parametrize("trunc, dim", [(1, 1), (9, 7), (97, 97), (170, 6)])
+def test_lazy_operator_and_generator_are_the_dense_stacks(trunc, dim):
+    setting = build_setting(trunc, dim)
+    k = np.arange(dim)
+    pinch = np.zeros((trunc + 1, dim, dim), complex)
+    pinch[k, k, k] = 1.0
+    coefficients = np.zeros((trunc + 1, dim, 1), complex)
+    coefficients[k, k, 0] = [1.0 / math.factorial(j) for j in range(1, dim + 1)]
+    (operator,) = setting.operator.stacks
+    (generator,) = setting.generator.stacks
+    assert (operator.shape, operator.dtype) == (pinch.shape, pinch.dtype)
+    assert operator.tobytes() == pinch.tobytes()
+    assert (generator.shape, generator.dtype) == (coefficients.shape, coefficients.dtype)
+    assert generator.tobytes() == coefficients.tobytes()
+    assert setting.operator is setting.operator and setting.generator is setting.generator
+
+
+# Every row against exact (1 - eps) * k!.  Rows k <= 97 are the plain
+# formula, a few ulps off at most (1.7e-15 at eps 0.8731); the rows solved
+# on normalised data, k >= 98, are within 2 ulps.
+ROW_RTOL = Fraction(1, 10**14)
+SCALED_ROW_RTOL = Fraction(1, 10**15)
+
+
+@pytest.mark.parametrize("trunc", [98, 120, 170])
+@pytest.mark.parametrize("eps", [0.25, 0.5, 0.8731])
+def test_every_row_matches_exact_factorial_growth(trunc, eps):
+    rows = coeff_growth(build_setting(trunc), eps)
+    assert [k for k, _ in rows] == list(range(1, trunc + 1))
+    for k, required in rows:
+        assert math.isfinite(required)
+        exact = (1 - Fraction(eps)) * math.factorial(k)
+        error = abs(Fraction(required) - exact) / exact
+        assert error <= (SCALED_ROW_RTOL if k >= 98 else ROW_RTOL), (k, required)
+
+
+def test_rows_past_97_were_the_underflowing_ones():
+    """The dense solve loses rows k >= 98 to the underflowing square; the diagonal solve keeps them."""
+    setting = build_setting(104)
+    dense = _dense_min_coeff_norms(setting, setting._witness_stacks[0], 0.25)
+    assert dense[101:] == [math.inf] * 3
+    diagonal = [required for _, required in coeff_growth(setting, 0.25)]
+    assert diagonal[:97] == dense[:97]
+    assert float(Fraction(3, 4) * math.factorial(101)) == diagonal[100] != dense[100]
+
+
+def _corrupted(name, where, value):
+    real = getattr(TruncatedCSetting, name)
+
+    def diagonals(self):
+        out = real.fget(self)
+        out[where] = value
+        return out
+
+    return property(diagonals)
+
+
+def test_an_operator_entry_past_one_is_not_a_contraction(monkeypatch):
+    # coordinate 1 of block 0 is off v's support, so F still fixes v
+    monkeypatch.setattr(
+        TruncatedCSetting, "_operator_diagonals", _corrupted("_operator_diagonals", (0, 1), 1.0 + 2.0**-52)
+    )
+    with pytest.raises(AssertionError, match="^F is not a contraction$"):
+        build_setting(4, 4)
+
+
+def test_a_generator_that_f_moves_is_refused(monkeypatch):
+    # coordinate 0 of block 1: F keeps only coordinate 1 there
+    monkeypatch.setattr(
+        TruncatedCSetting, "_generator_diagonals", _corrupted("_generator_diagonals", (1, 0), 2.0**-1074)
+    )
+    with pytest.raises(AssertionError, match="^F does not fix the generator v$"):
+        build_setting(4, 4)
+
+
+def test_the_cli_path_builds_no_dense_model_and_no_svd(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    setting = build_setting(12, 12)
+    assert calls == []
+    coeff_growth(setting, 0.25)
+    for n in range(setting.dim):
+        tail_obstruction(setting, n)
+    setting.witness_profiles()
+    assert "operator" not in setting.__dict__
+    assert "generator" not in setting.__dict__
