@@ -429,16 +429,50 @@ class AlgebraElement:
         return f"AlgebraElement(blocks {dims}, norm={self.norm():.4g})"
 
 
-def _density_spectra(stacks) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per class, each density's largest |rho - rho*| entry and its Hermitian part's least eigenvalue."""
-    herm = [np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks]
-    low = [np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks]
-    return herm, low
+class StateError(ValueError):
+    """A density batch entry that is not a state; `index` is its position in the batch."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
 
 
 def _trace_total(shape: AlgebraShape, stacks) -> float:
     """sum_k Re trace(rho_k) of one state's densities, the blocks added in order."""
     return float(block_sum(shape, [np.trace(s, axis1=-2, axis2=-1).real for s in stacks]))
+
+
+def checked_states(shape: AlgebraShape, stacks) -> list[tuple[np.ndarray, ...]]:
+    """Validate a batch of states; per state, its own density stacks (count, n, n).
+
+    stacks[c] holds the densities of every state on the blocks of size
+    class c, shape (count, states, n, n).  One Hermitian-defect check and
+    one eigvalsh per class serve every state; both work matrix by
+    matrix, so each value is the one a batch of one gets.  A state is
+    checked block by block in block order, Hermitian (largest
+    |rho - rho*| entry at most STATE_ATOL) and then positive semidefinite
+    (least eigenvalue of the Hermitian part at least -STATE_ATOL), and
+    then its trace total, taken on its own contiguous stacks, must be
+    within STATE_ATOL of 1.  The first faulty state raises a StateError
+    that carries its index and names the first check it fails.
+    """
+    herm = shape.gather([np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks])
+    low = shape.gather([np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks])
+    faulty = ((herm > STATE_ATOL) | (low < -STATE_ATOL)).any(axis=0)
+    out = []
+    for i in range(stacks[0].shape[1]):
+        if faulty[i]:
+            for k, (defect, least) in enumerate(zip(herm[:, i].tolist(), low[:, i].tolist())):
+                if defect > STATE_ATOL:
+                    raise StateError(i, f"density {k} is not Hermitian")
+                if least < -STATE_ATOL:
+                    raise StateError(i, f"density {k} is not positive semidefinite")
+        own = tuple(np.ascontiguousarray(s[:, i]) for s in stacks)
+        total = _trace_total(shape, own)
+        if abs(total - 1.0) > STATE_ATOL:
+            raise StateError(i, f"densities must have total trace 1, got {total}")
+        out.append(own)
+    return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -447,54 +481,23 @@ class State:
 
     Evaluation is a |-> sum_k trace(rho_k a_k) with each rho_k positive
     semidefinite and the traces summing to one.  The densities are packed
-    by size class like the blocks of an element.
+    by size class like the blocks of an element.  Construction validates
+    them as a batch of one (`checked_states`); a fault raises StateError,
+    a ValueError.
     """
 
     shape: AlgebraShape
     stacks: tuple[np.ndarray, ...]
 
     def __init__(self, shape: AlgebraShape, densities):
-        stacks = _pack_blocks(shape, densities)
-        herm, low = _density_spectra(stacks)
-        for k, (defect, least) in enumerate(
-            zip(shape.gather(herm).tolist(), shape.gather(low).tolist())
-        ):
-            if defect > STATE_ATOL:
-                raise ValueError(f"density {k} is not Hermitian")
-            if least < -STATE_ATOL:
-                raise ValueError(f"density {k} is not positive semidefinite")
-        total = _trace_total(shape, stacks)
-        if abs(total - 1.0) > STATE_ATOL:
-            raise ValueError(f"densities must have total trace 1, got {total}")
+        (stacks,) = checked_states(shape, [s[:, None] for s in _pack_blocks(shape, densities)])
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "stacks", stacks)
 
     @classmethod
-    def _validated_together(cls, shape: AlgebraShape, stacks) -> tuple["State", ...] | None:
-        """The states with densities stacks[c][:, i], or None if any would fail `State(...)`.
-
-        stacks[c] holds the densities of every state on the blocks of size
-        class c, shape (count, states, n, n).  One Hermitian-defect check
-        and one eigvalsh per class serve every state, and each value is
-        the one `State.__init__` computes for that density: both work
-        matrix by matrix.  Each state's trace total is taken on its own
-        stacks, as `State.__init__` takes it, so a verdict at the
-        STATE_ATOL boundary is the same.  None leaves the caller to build
-        the states one by one, which names the first fault.
-        """
-        try:
-            for herm, low in zip(*_density_spectra(stacks)):
-                if (herm > STATE_ATOL).any() or (low < -STATE_ATOL).any():
-                    return None
-        except np.linalg.LinAlgError:
-            return None
-        states = []
-        for i in range(stacks[0].shape[1]):
-            own = tuple(np.ascontiguousarray(s[:, i]) for s in stacks)
-            if abs(_trace_total(shape, own) - 1.0) > STATE_ATOL:
-                return None
-            states.append(bare(cls, own, shape=shape))
-        return tuple(states)
+    def _batch(cls, shape: AlgebraShape, stacks) -> tuple["State", ...]:
+        """The states with densities stacks[c][:, i], (count, states, n, n), validated together."""
+        return tuple(bare(cls, own, shape=shape) for own in checked_states(shape, stacks))
 
     @property
     def densities(self) -> tuple[np.ndarray, ...]:

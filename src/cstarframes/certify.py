@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraElement, blockwise_max, check_eps, chunks, spectral_norms, tiles
-from .frames import Frame, standard_basis_frame
+from .frames import Frame, prefix_tails, standard_basis_frame
 from .modules import (
     ModuleVector,
+    SampleSet,
     coordinate_blocks,
-    family_vectors,
-    generator_stacks,
+    generator_family,
     inner_product,
     orthogonal_span_family,
     realization_stacks,
@@ -41,7 +41,7 @@ from .modules import (
     stack_norms,
     theta_op,
 )
-from .seminorms import BallSampler, SampleSet
+from .seminorms import BallSampler
 from .tolerances import BD_RTOL, COHERENCE_TOL, GRAM_DEFECT_ATOL, SERIES_EPS
 
 
@@ -191,14 +191,14 @@ def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[t
         z, g = frame._vector_stacks, frame._dual_stacks
         require_stacks(z, sample.shape, sample.dim)
     else:
-        z = g = realization_stacks(orthogonal_span_family(sample.points), sample.shape, sample.dim)
+        z = g = orthogonal_span_family(sample).realizations
     limit = min(budget, z[0].shape[1])
     return _leading((z, g), limit), limit
 
 
 def _pair_views(shape, dim: int, pairs, rank: int) -> tuple:
     """The first `rank` theta pairs (z_j, g_j) as module vectors, views of the stacks."""
-    z, g = (family_vectors(shape, dim, side) for side in _leading(pairs, rank))
+    z, g = (SampleSet._packed(shape, dim, side).points for side in _leading(pairs, rank))
     return tuple(zip(z, g))
 
 
@@ -240,38 +240,30 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
     """Coefficients a_j(x) = <g_j, x> and residuals x - sum_{j<n} z_j a_j(x).
 
     Computed from the per-class stacks (z, g) of an approximant's theta
-    pairs alone: the approximants are summed from zero in pair order,
-    independently of the residual recursion of condition C/D.
-    residual_norms[p][n] is the residual of point p with the first n
-    pairs, so one pass over the longest approximant of a grid serves
-    every shorter one.
+    pairs alone, independently of the residual recursion of condition
+    C/D: the residuals are the tails of `prefix_tails`, which sums the
+    approximants from zero in pair order, and the coefficient norms come
+    from one batched product per size class, taken in chunks of blocks
+    under CHUNK_ENTRIES.  residual_norms[p][n] is the residual of point p
+    with the first n pairs, so one pass over the longest approximant of a
+    grid serves every shorter one.
     """
-    shape, dim = sample.shape, sample.dim
+    shape = sample.shape
     z, g = pairs
     count = z[0].shape[1]
-    coeff_norms, residual_norms = [], []
-    for xk, zk, gk in zip(sample.realizations, z, g):
-        blocks, points, rows, n = xk.shape
+    coeff_norms = []
+    for xk, gk in zip(sample.realizations, g):
+        blocks, points, _, n = xk.shape
         g_adj = gk[:, None].conj().swapaxes(-1, -2)
-        z_coords = coordinate_blocks(zk, dim)[:, None]
         cn = np.zeros((blocks, points, count))
-        rn = np.zeros((blocks, points, count + 1))
-        for part_blocks, part in tiles(blocks, points, (count + 1) * rows * n):
-            x = xk[part_blocks, part, None]
-            coeffs = g_adj[part_blocks] @ x
-            cn[part_blocks, part] = spectral_norms(coeffs)
-            terms = z_coords[part_blocks] @ coeffs[:, :, :, None]
-            start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
-            approx = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
-            residuals = x - approx.reshape(approx.shape[:3] + (rows, n))
-            rn[part_blocks, part] = spectral_norms(residuals)
+        for part in chunks(blocks, points * count * n * n):
+            cn[part] = spectral_norms(g_adj[part] @ xk[part, :, None])
         coeff_norms.append(cn)
-        residual_norms.append(rn)
     return _ReplayData(
         sample.point_norms,
         stack_norms(shape, g),
         blockwise_max(shape, coeff_norms),
-        blockwise_max(shape, residual_norms),
+        prefix_tails(sample.realizations, z, g, count).tolist(),
     )
 
 
@@ -361,6 +353,8 @@ def _empty_sample_cd(eps: float) -> Certificate:
 def check_condition_a(sample: SampleSet, generators, eps: float) -> Certificate:
     """Bounded-coefficient approximation from a fixed generator family.
 
+    The generators are a SampleSet or module vectors (`SampleSet.of`).
+
     Every sample point is solved against Span_A(generators) by the
     blockwise least-squares route; the verdict demands residual < eps for
     all points, and M_eps is the observed maximum coefficient norm.  The
@@ -372,8 +366,8 @@ def check_condition_a(sample: SampleSet, generators, eps: float) -> Certificate:
     a slack of BD_RTOL * (1 + B*D).
     """
     check_eps(eps)
-    shape, dim, gen_stacks = generator_stacks(generators)
-    return _certificate_a(_coefficient_data(sample, gen_stacks, shape, dim), eps)
+    gens = generator_family(generators)
+    return _certificate_a(_coefficient_data(sample, gens.realizations, gens.shape, gens.dim), eps)
 
 
 def check_condition_b(sample: SampleSet, frame: Frame, eps: float) -> Certificate:
@@ -430,11 +424,15 @@ def check_condition_cd(
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Inputs for the equivalence runner; None fields get derived defaults."""
+    """Inputs for the equivalence runner; None fields get derived defaults.
+
+    generators is a SampleSet or module vectors (`SampleSet.of`); None or
+    an empty family means the frame's own vectors.
+    """
 
     eps_grid: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125)
     frame: Frame | None = None
-    generators: tuple[ModuleVector, ...] | None = None
+    generators: SampleSet | tuple[ModuleVector, ...] | None = None
     rank_budget: int | None = None
 
 
@@ -551,14 +549,18 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     c1, c2 = frame.bounds
     m = frame.size
     scaled_grid = [eps * c1 / (3.0 * c2) for eps in config.eps_grid]
-    for eps_scaled in scaled_grid:
-        check_eps(eps_scaled)
+    for eps, eps_scaled in zip(config.eps_grid, scaled_grid):
+        if not (math.isfinite(eps_scaled) and eps_scaled > 0):
+            raise ValueError(
+                f"the condition A radius eps*c1/(3*c2) = {eps_scaled!r} at eps = {eps!r} "
+                f"(c1 = {c1!r}, c2 = {c2!r}) is not a finite positive number"
+            )
 
-    if config.generators:
-        gen_stacks = realization_stacks(config.generators, frame.shape, frame.dim)
-    else:
-        gen_stacks = frame._vector_stacks
-    s = gen_stacks[0].shape[1]
+    gens = SampleSet.of(config.generators or frame._family)
+    if (gens.shape, gens.dim) != (frame.shape, frame.dim):
+        raise ValueError("module vectors live in different modules")
+    gen_stacks = gens.realizations
+    s = len(gens)
     coefficients = _coefficient_data(sample, gen_stacks, frame.shape, frame.dim)
     sample_stacks = _realizations(sample, frame.shape, frame.dim)
     profiles = frame.tail_profiles(
@@ -647,14 +649,21 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
 
 
 def operator_precompact(op, sampler: BallSampler, eps: float, config: CertifyConfig | None = None) -> Certificate:
-    """Certify precompactness of the operator's unit-ball image.
+    """Check the operator's image of the sampler's draw from the unit ball.
 
     Draws the sampler's points, drops any that escaped the ball, pushes
     the rest through the operator, and runs the equivalence pipeline at
     the single eps.  The returned certificate is the finite-rank verdict
     with coherence and rejection data merged into its diagnostics; a pass
-    carries the approximant whose existence is equivalent to
-    Banach-compactness here.
+    carries an approximant of rank n.
+
+    The verdict covers only the drawn points, not the whole unit ball: a
+    pass says that the approximant moves every drawn image by less than
+    eps, and a point of the ball that the draw misses can be moved
+    farther, so a pass does not certify precompactness of the ball's
+    image.
+    The exact unit-ball route, from the operator's realized blocks, is
+    item 1 of ROADMAP.md.
     """
     points = sampler.draw()
     kept = [p for p in points if p.norm() <= 1.0 + COHERENCE_TOL]
@@ -679,22 +688,19 @@ class SeriesDecomposition:
     at full length (nonzero exactly when the frame misses part of the
     range), achieved_rank the first prefix meeting the tolerance.
     pairs[j] = (x_j, T* g_j) gives the j-th term theta_{x_j, T* g_j}; the
-    pairs are built from the stored realizations only when read.
+    pairs are built from the two families' stored realizations only when
+    read.
     """
 
     errors: tuple[float, ...]
     floor: float
     achieved_rank: int | None
-    _vectors: tuple[ModuleVector, ...] = field(repr=False)
-    _adjoint_stacks: tuple[np.ndarray, ...] = field(repr=False)
+    _family: SampleSet = field(repr=False)
+    _adjoints: SampleSet = field(repr=False)
 
     @functools.cached_property
     def pairs(self) -> tuple[tuple[ModuleVector, ModuleVector], ...]:
-        if not self._vectors:
-            return ()
-        y0 = self._adjoint_stacks[0]
-        adjoints = family_vectors(self._vectors[0].shape, y0.shape[2] // y0.shape[3], self._adjoint_stacks)
-        return tuple(zip(self._vectors, adjoints))
+        return tuple(zip(self._family, self._adjoints))
 
     def to_json_dict(self) -> dict:
         return {
@@ -703,7 +709,7 @@ class SeriesDecomposition:
             "errors": list(self.errors),
             "floor": self.floor,
             "achieved_rank": self.achieved_rank,
-            "rank_count": len(self._vectors),
+            "rank_count": len(self._family),
         }
 
 
@@ -756,12 +762,12 @@ def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) ->
             op(ModuleVector.basis(shape, op.source_dim, j))
             for j in range(op.source_dim)
         ]
-        vectors = tuple(orthogonal_span_family(columns))
-        x_stacks = g_stacks = realization_stacks(vectors, shape, op.target_dim)
+        family = orthogonal_span_family(columns)
+        x_stacks = g_stacks = family.realizations
     else:
         if frame.shape != shape or frame.dim != op.target_dim:
             raise ValueError("operator/vector dimension mismatch")
-        vectors = frame.vectors
+        family = frame._family
         x_stacks, g_stacks = frame._vector_stacks, frame._dual_stacks
 
     y_stacks = tuple(
@@ -772,12 +778,14 @@ def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) ->
         shape, [_series_errors(tk, xk, yk) for tk, xk, yk in zip(op.stacks, x_stacks, y_stacks)]
     )
     achieved = next((n for n, err in enumerate(errors) if err < eps), None)
-    return SeriesDecomposition(tuple(errors), errors[-1], achieved, vectors, y_stacks)
+    adjoints = SampleSet._packed(shape, op.source_dim, y_stacks)
+    return SeriesDecomposition(tuple(errors), errors[-1], achieved, family, adjoints)
 
 
 def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certificate:
     """Approximation by a free orthonormal submodule, with the 2*eps check.
 
+    The generators are a SampleSet or module vectors (`SampleSet.of`).
     Generators must satisfy <g_i,g_j> = delta_ij * 1 within
     GRAM_DEFECT_ATOL, else a GramDefectError carries the defect.  The
     verdict demands
@@ -786,29 +794,24 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
     ||x - Px|| < 2*eps amplification recorded literally.
     """
     check_eps(eps)
-    generators = list(generators)
-    if not generators:
-        raise ValueError("at least one generator required")
-    shape = generators[0].shape
+    gens = generator_family(generators)
+    shape, dim = gens.shape, gens.dim
     ident = AlgebraElement.identity(shape)
     zero = AlgebraElement.zero(shape)
     defect = 0.0
-    for i, gi in enumerate(generators):
-        for j, gj in enumerate(generators):
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
             want = ident if i == j else zero
             defect = max(defect, (inner_product(gi, gj) - want).norm())
     if defect > GRAM_DEFECT_ATOL:
         raise GramDefectError(defect)
 
     projector = None
-    for g in generators:
+    for g in gens:
         t = theta_op(g, g)
         projector = t if projector is None else projector + t
 
-    dim = generators[0].dim
-    _, dists, _ = span_least_squares(
-        _realizations(sample, shape, dim), realization_stacks(generators, shape, dim), shape, dim
-    )
+    _, dists, _ = span_least_squares(_realizations(sample, shape, dim), gens.realizations, shape, dim)
     residuals = [(x - projector(x)).norm() for x in sample.points]
     verdict = all(d < eps for d in dists)
     two_eps_ok = all(
@@ -818,7 +821,7 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
         condition="FREE",
         eps=eps,
         verdict=verdict,
-        witness={"generator_count": len(generators)},
+        witness={"generator_count": len(gens)},
         diagnostics={
             "distances": dists,
             "projection_residuals": residuals,

@@ -150,7 +150,7 @@ def _usage_error(message: str) -> int:
 def _cmd_precompact(args) -> int:
     sample = _load("sample_set", args.sample)
     frame = _load("frame", args.frame) if args.frame else None
-    gens = _load("sample_set", args.gens).points if args.gens else None
+    gens = _load("sample_set", args.gens) if args.gens else None
 
     if args.condition == "all":
         grid = (args.eps,) if args.eps is not None else CertifyConfig().eps_grid

@@ -20,8 +20,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, check_eps, fold_pair_maxima, frozen, spectral_norms
 from .frames import Frame, standard_basis_frame
-from .modules import ModuleOperator, ModuleVector, family_vectors, realization_stacks
-from .seminorms import BallSampler, SampleSet
+from .modules import ModuleOperator, ModuleVector, SampleSet, realization_stacks
+from .seminorms import BallSampler
 from .tolerances import SELF_CHECK_ATOL
 
 # Largest truncation the float64 model holds: the generator carries 1/k!,
@@ -106,7 +106,7 @@ class TruncatedCSetting:
 
     @functools.cached_property
     def _witnesses(self) -> tuple[ModuleVector, ...]:
-        return family_vectors(self.shape, self.dim, self._witness_stacks)
+        return SampleSet._packed(self.shape, self.dim, self._witness_stacks).points
 
     @functools.cached_property
     def _witness_stacks(self) -> tuple[np.ndarray]:

@@ -17,7 +17,7 @@ from .algebra import AlgebraShape, fold_pair_maxima, hermitian_part, spectral_no
 from .modules import (
     ModuleOperator,
     ModuleVector,
-    family_vectors,
+    SampleSet,
     gram_block,
     inner_product,
     realization_stacks,
@@ -31,6 +31,44 @@ class DegenerateFrameError(ValueError):
     """Family whose smallest gram eigenvalue vanishes, or whose gram overflows."""
 
 
+def prefix_tails(stacks, z_stacks, g_stacks, stop: int) -> np.ndarray:
+    """||x - sum_{j<n} z_j <g_j,x>|| for n = 0..stop, every point in one pass.
+
+    stacks[c] holds the realizations x_k of the points on the blocks of
+    size class c, shape (count, P, dim*n, n), and z_stacks[c] and
+    g_stacks[c] those Z_jk and G_jk of the theta pairs (z_j, g_j), shape
+    (count, size, dim*n, n), size >= stop; for a frame they are its
+    vectors and its canonical dual.  On every block the terms
+    Z_jk (G_jk* x_k) of all points are formed in one batched matmul and
+    summed cumulatively in pair order from zero, so prefix n holds
+    exactly the sum `Frame.reconstruct(x, range(n))` forms.  Each tail is
+    the largest spectral norm of x_k minus its partial sum.  Blocks and
+    points are taken in tiles that bound the size of the term tensor.
+
+    A (block, point) pair with x_k = 0 is skipped (`fold_pair_maxima`):
+    each of its terms is Z_jk (G_jk* 0), an exact zero for finite Z and
+    G, and so is every partial sum, so each of its tails is +0.0.  A
+    frame's X and G are finite: construction refuses a family whose gram
+    is not finite, and inverts only gram eigenvalues above
+    FRAME_RTOL * max(c2, 1) >= FRAME_RTOL.
+    Returns (P, stop+1).
+    """
+    tails = np.zeros((stacks[0].shape[1], stop + 1))
+    for xs, zs, gs in zip(stacks, z_stacks, g_stacks):
+        _, _, rows, n = xs.shape
+
+        def norms(blocks, x):
+            x = x[:, :, None]
+            g_adj = gs[blocks, None, :stop].conj().swapaxes(-1, -2)
+            terms = zs[blocks, None, :stop] @ (g_adj @ x)
+            start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
+            partial = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
+            return spectral_norms(x - partial)
+
+        fold_pair_maxima(tails, xs, (stop + 1) * rows * n, norms)
+    return tails
+
+
 class Frame:
     """Finite frame with bounds and canonical dual, plus lazy module operators.
 
@@ -42,39 +80,27 @@ class Frame:
     pseudo-inverse, so reconstruction reproduces the projection onto the
     family's span.  Either mode refuses a family whose gram is not finite
     (its entries overflow in the products), naming the first such block.
-    Construction stacks the family once, per size class of the algebra,
-    and computes the bounds and the realizations of the dual from that
-    stack; the module-level objects (analysis operator, gram operator,
-    dual vectors) are built on first use.  Instances are read-only.
+    The family is a SampleSet or module vectors (`SampleSet.of`); a set
+    built from a stack, as a parsed document is, is not stacked again.
+    Construction computes the bounds and the realizations of the dual
+    from the family's stacks; the module-level objects (analysis
+    operator, gram operator, dual vectors) are built on first use.
+    Instances are read-only.
     """
 
     def __init__(self, vectors, spanning: str = "ambient"):
-        vectors = tuple(vectors)
-        if not vectors:
+        family = SampleSet.of(vectors)
+        if not len(family):
             raise ValueError("a frame needs at least one vector")
         if spanning not in ("ambient", "range"):
             raise ValueError(f"unknown spanning mode {spanning!r}")
-        first = vectors[0]
-        self._vectors = vectors
-        self._build(first.shape, first.dim, realization_stacks(vectors, first.shape, first.dim), spanning)
-
-    @classmethod
-    def _from_stacks(cls, shape: AlgebraShape, dim: int, stacks, spanning: str = "ambient") -> "Frame":
-        """The frame of the family realized by per-class stacks (count, size, dim*n, n).
-
-        Validated as `Frame(vectors)` validates; the vectors are views of
-        the stacks, built on first use.
-        """
-        frame = object.__new__(cls)
-        frame._build(shape, dim, stacks, spanning)
-        return frame
-
-    def _build(self, shape: AlgebraShape, dim: int, stacks, spanning: str) -> None:
+        shape = family.shape
+        self._family = family
         self._spanning = spanning
         self._shape = shape
-        self._dim = dim
+        self._dim = family.dim
         # Per class, the realizations X_j of the family, (count, size, dim*n, n).
-        self._vector_stacks = stacks
+        self._vector_stacks = family.realizations
         with np.errstate(over="ignore", invalid="ignore"):
             self._grams = tuple(
                 gram_block(x.reshape(x.shape[:2] + (self._dim, x.shape[-1], x.shape[-1])))
@@ -140,16 +166,12 @@ class Frame:
         frame._spanning = "ambient"
         frame._shape = shape
         frame._dim = dim
-        frame._vector_stacks = frame._dual_stacks = tuple(stacks)
+        frame._family = SampleSet._packed(shape, dim, stacks)
+        frame._vector_stacks = frame._dual_stacks = frame._family.realizations
         frame._grams = tuple(identities)
         frame._gram_inv = identities
         frame._bounds = (1.0, 1.0)
         return frame
-
-    @functools.cached_property
-    def _vectors(self) -> tuple[ModuleVector, ...]:
-        # set by __init__; a frame built from stacks makes its vectors on first use
-        return family_vectors(self._shape, self._dim, self._vector_stacks)
 
     @functools.cached_property
     def _theta(self) -> ModuleOperator:
@@ -170,15 +192,11 @@ class Frame:
     def _gram(self) -> ModuleOperator:
         return self._theta_star @ self._theta
 
-    @functools.cached_property
-    def _dual(self) -> tuple[ModuleVector, ...]:
-        return family_vectors(self._shape, self._dim, self._dual_stacks)
-
     # -- basic accessors --------------------------------------------------
 
     @property
     def vectors(self) -> tuple[ModuleVector, ...]:
-        return self._vectors
+        return self._family.points
 
     @property
     def spanning(self) -> str:
@@ -194,7 +212,7 @@ class Frame:
 
     @property
     def size(self) -> int:
-        return self._vector_stacks[0].shape[1]
+        return len(self._family)
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -212,8 +230,8 @@ class Frame:
         return self._gram
 
     def canonical_dual(self) -> tuple[ModuleVector, ...]:
-        """g_j = S^(-1) x_j (pseudo-inverse in range mode)."""
-        return self._dual
+        """g_j = S^(-1) x_j (pseudo-inverse in range mode), views of the stored realizations."""
+        return SampleSet._packed(self._shape, self._dim, self._dual_stacks).points
 
     def gram_inverse(self) -> ModuleOperator:
         return ModuleOperator._packed(self._shape, self._dim, self._dim, self._gram_inv)
@@ -230,46 +248,16 @@ class Frame:
     def reconstruct(self, x: ModuleVector, indices=None) -> ModuleVector:
         """sum_{j in indices} x_j <g_j, x>; all indices by default."""
         idx = range(self.size) if indices is None else self._check_indices(indices)
+        vectors, dual = self.vectors, self.canonical_dual()
         out = ModuleVector.zero(self._shape, self._dim)
         for j in idx:
-            out = out + self._vectors[j] * inner_product(self._dual[j], x)
+            out = out + vectors[j] * inner_product(dual[j], x)
         return out
 
     def _prefix_tails(self, stacks, stop: int) -> np.ndarray:
-        """||x - sum_{j<n} x_j <g_j,x>|| for n = 0..stop, every point in one pass.
-
-        stacks[c] holds the realizations x_k of the points on the blocks of
-        size class c, shape (count, P, dim*n, n).  Works on the stored
-        realizations X_jk of x_j and G_jk of g_j: on every block the terms
-        X_jk (G_jk* x_k) of all points are formed in one batched matmul and
-        summed cumulatively in frame order from zero, so prefix n holds
-        exactly the sum `reconstruct(x, range(n))` forms.  Each tail is the
-        largest spectral norm of x_k minus its partial sum.  Blocks and
-        points are taken in tiles that bound the size of the term tensor.
-
-        A (block, point) pair with x_k = 0 is skipped (`fold_pair_maxima`):
-        each of its terms is X_jk (G_jk* 0), an exact zero for finite X and
-        G, and so is every partial sum, so each of its tails is +0.0.  X and
-        G are finite: construction refuses a family whose gram is not
-        finite, and inverts only gram eigenvalues above
-        FRAME_RTOL * max(c2, 1) >= FRAME_RTOL.
-        Returns (P, stop+1).
-        """
+        """`prefix_tails` of the stacked points along this frame and its dual, n = 0..stop."""
         require_stacks(stacks, self._shape, self._dim)
-        tails = np.zeros((stacks[0].shape[1], stop + 1))
-        for xs, vs, gs in zip(stacks, self._vector_stacks, self._dual_stacks):
-            _, _, rows, n = xs.shape
-
-            def norms(blocks, x):
-                x = x[:, :, None]
-                g_adj = gs[blocks, None, :stop].conj().swapaxes(-1, -2)
-                terms = vs[blocks, None, :stop] @ (g_adj @ x)
-                start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
-                partial = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
-                return spectral_norms(x - partial)
-
-            fold_pair_maxima(tails, xs, (stop + 1) * rows * n, norms)
-        return tails
+        return prefix_tails(stacks, self._vector_stacks, self._dual_stacks, stop)
 
     def tail_profiles(self, stacks) -> np.ndarray:
         """Every prefix tail of every stacked point: row p is point p's profile.
@@ -297,9 +285,10 @@ class Frame:
     def partial_sum_op(self, indices) -> ModuleOperator:
         """P_J' = sum_{j in J'} theta_{x_j, g_j}; norm bounded by c2/c1."""
         idx = self._check_indices(indices)
+        vectors, dual = self.vectors, self.canonical_dual()
         out = ModuleOperator.zero(self._shape, self._dim, self._dim)
         for j in idx:
-            out = out + theta_op(self._vectors[j], self._dual[j])
+            out = out + theta_op(vectors[j], dual[j])
         return out
 
     def partial_sum_factored(self, indices) -> ModuleOperator:

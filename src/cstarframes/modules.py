@@ -12,11 +12,12 @@ The realization is also the stored form.  A vector keeps, per size class
 of the algebra (see `AlgebraShape.classes`), the stack of R_k(x) over
 the class's blocks, and an operator the stack of its realized blocks;
 coordinates and entries are views of those stacks.  A family of vectors
-is handled as one (count, len, dim*n, n) array per class.
+is a `SampleSet`, stored as one (count, len, dim*n, n) array per class.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,10 +372,93 @@ def realization_stacks(vectors, shape: AlgebraShape, dim: int) -> tuple[np.ndarr
     return tuple(np.stack([v.stacks[c] for v in vectors], axis=1) for c in range(len(shape.classes)))
 
 
-def family_vectors(shape: AlgebraShape, dim: int, stacks) -> tuple[ModuleVector, ...]:
-    """The members of a stacked family, each a view of the stacks."""
-    size = stacks[0].shape[1]
-    return tuple(ModuleVector._packed(shape, dim, tuple(s[:, j] for s in stacks)) for j in range(size))
+class SampleSet:
+    """Finite labelled family of vectors in a common module: the library's one family type.
+
+    The family is held as `realizations`, one (count, len, dim*n, n) stack
+    per size class.  A set built from points stacks them on first use; a
+    set built from a stack (`_packed`: a parsed document, a frame's dual,
+    a span family) keeps it, and its points are views of it, built on
+    first use.  Every function that takes a family takes a SampleSet or
+    module vectors (`of`).  `len`, iteration and indexing go over the
+    points.  Instances are read-only.
+    """
+
+    def __init__(self, points, label: str = ""):
+        points = tuple(points)
+        if points:
+            first = points[0]
+            for p in points:
+                first._require_compatible(p)
+        self.points = points
+        self.label = label
+        self._shape, self._dim = (first.shape, first.dim) if points else (None, None)
+        self._size = len(points)
+
+    @classmethod
+    def of(cls, vectors) -> "SampleSet":
+        """`vectors` itself when it is a SampleSet, else the set of those module vectors."""
+        return vectors if isinstance(vectors, SampleSet) else cls(vectors)
+
+    @classmethod
+    def _packed(cls, shape: AlgebraShape, dim: int, stacks, label: str = "") -> "SampleSet":
+        """The set whose points are realized by per-class stacks (count, len, dim*n, n)."""
+        sample = object.__new__(cls)
+        sample.realizations = frozen(stacks)
+        sample.label = label
+        sample._shape, sample._dim = shape, dim
+        sample._size = sample.realizations[0].shape[1]
+        return sample
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def __getitem__(self, index):
+        return self.points[index]
+
+    def __repr__(self) -> str:
+        return f"SampleSet(size={self._size}, dim={self._dim}, label={self.label!r})"
+
+    @property
+    def shape(self):
+        return self._shape
+
+    @property
+    def dim(self):
+        return self._dim
+
+    @functools.cached_property
+    def points(self) -> tuple[ModuleVector, ...]:
+        # set by __init__; a packed set builds its points, views of the stacks, on first use
+        return tuple(
+            ModuleVector._packed(self._shape, self._dim, tuple(s[:, j] for s in self.realizations))
+            for j in range(self._size)
+        )
+
+    @functools.cached_property
+    def realizations(self) -> tuple[np.ndarray, ...]:
+        """Per size class, the points' stacked realizations, shape (count, len, dim*n, n)."""
+        if not self._size:
+            return ()
+        return realization_stacks(self.points, self._shape, self._dim)
+
+    @functools.cached_property
+    def point_norms(self) -> list[float]:
+        """The module norm of every point, in order, from the stacked realizations."""
+        if not self._size:
+            return []
+        return stack_norms(self._shape, self.realizations)
+
+
+def generator_family(generators) -> SampleSet:
+    """The generators as a SampleSet (`SampleSet.of`); an empty family is refused."""
+    family = SampleSet.of(generators)
+    if not len(family):
+        raise ValueError("at least one generator required")
+    return family
 
 
 def gram_block(coords: np.ndarray) -> np.ndarray:
@@ -438,7 +522,7 @@ def spectral_normalize(v: ModuleVector) -> ModuleVector:
     return v._with(_support_normalized(v.shape, v.stacks))
 
 
-def orthogonal_span_family(vectors) -> list[ModuleVector]:
+def orthogonal_span_family(vectors) -> SampleSet:
     """Gram-Schmidt over the module: an orthogonal family spanning the input.
 
     Each output w satisfies <w,w> = projection and w<w,w> = w, distinct
@@ -447,29 +531,33 @@ def orthogonal_span_family(vectors) -> list[ModuleVector]:
     built so far are dropped: those whose residual is at most
     SPAN_DROP_RTOL * max(1, ||input||).
 
-    Runs on the stacked realizations: when w joins the family, every later
-    input takes its step r - w<w,r> in one batched update per size class,
-    so each input meets the family members in the order they joined, with
-    the arithmetic of one vector at a time.
+    Takes a SampleSet or module vectors (`SampleSet.of`) and runs on the
+    stacked realizations: when w joins the family, every later input
+    takes its step r - w<w,r> in one batched update per size class, so
+    each input meets the family members in the order they joined, with
+    the arithmetic of one vector at a time.  Each member is written into
+    one output stack per size class as it joins, and the family comes
+    back as a SampleSet packed on those stacks.
     """
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    shape, dim = vectors[0].shape, vectors[0].dim
-    residuals = realization_stacks(vectors, shape, dim)
-    scales = stack_norms(shape, residuals)
-    fam = []
-    for i, scale in enumerate(scales):
+    family = SampleSet.of(vectors)
+    if not len(family):
+        return SampleSet(())
+    shape, dim = family.shape, family.dim
+    residuals = [s.copy() for s in family.realizations]
+    members = [np.empty_like(s) for s in residuals]
+    size = 0
+    for i, scale in enumerate(family.point_norms):
         r = [s[:, i] for s in residuals]
         if stack_norms(shape, [rk[:, None] for rk in r])[0] <= SPAN_DROP_RTOL * max(1.0, scale):
             continue
         w = _support_normalized(shape, r)
-        fam.append(ModuleVector._packed(shape, dim, w))
-        for s, wk in zip(residuals, w):
+        for s, m, wk in zip(residuals, members, w):
+            m[:, size] = wk
             rest = s[:, i + 1 :]
             coeffs = wk.conj().swapaxes(-1, -2)[:, None] @ rest
             rest -= (coordinate_blocks(wk, dim)[:, None] @ coeffs[:, :, None]).reshape(rest.shape)
-    return fam
+        size += 1
+    return SampleSet._packed(shape, dim, (m[:, :size] for m in members))
 
 
 # -- distance to finitely generated submodules ---------------------------
@@ -504,15 +592,6 @@ def span_least_squares(
     return coeffs, residuals, blockwise_max(shape, pinv_norms)
 
 
-def generator_stacks(generators) -> tuple[AlgebraShape, int, tuple[np.ndarray, ...]]:
-    """Shape, dimension and realization stacks of a non-empty family in one module."""
-    generators = list(generators)
-    if not generators:
-        raise ValueError("at least one generator required")
-    first = generators[0]
-    return first.shape, first.dim, realization_stacks(generators, first.shape, first.dim)
-
-
 def submodule_distance(x: ModuleVector, generators) -> tuple[float, list[AlgebraElement]]:
     """Distance from x to Span_A(generators) with the realizing coefficients.
 
@@ -537,11 +616,11 @@ def submodule_distance(x: ModuleVector, generators) -> tuple[float, list[Algebra
     that no coefficients reach eps.  "Range" means the numerical range:
     singular values of G below PINV_RTOL times the largest are cut.
     """
-    shape, dim, gen_stacks = generator_stacks(generators)
+    gens = generator_family(generators)
     coeffs, residuals, _ = span_least_squares(
-        realization_stacks([x], x.shape, x.dim), gen_stacks, shape, dim
+        realization_stacks([x], x.shape, x.dim), gens.realizations, gens.shape, gens.dim
     )
-    s = gen_stacks[0].shape[1]
+    s = len(gens)
     split = [coordinate_blocks(ck[:, 0], s) for ck in coeffs]
     elements = [
         AlgebraElement._packed(x.shape, tuple(c[:, i] for c in split))
@@ -557,5 +636,7 @@ def synthesis_pinv_norm(generators) -> float:
     finite-dimensional algebras: the minimal-norm solution of
     sum_i g_i a_i = y satisfies ||(a_1..a_s)|| <= B ||y||.
     """
-    shape, dim, gen_stacks = generator_stacks(generators)
-    return span_least_squares(realization_stacks((), shape, dim), gen_stacks, shape, dim)[2]
+    gens = generator_family(generators)
+    return span_least_squares(
+        realization_stacks((), gens.shape, gens.dim), gens.realizations, gens.shape, gens.dim
+    )[2]

@@ -30,20 +30,11 @@ from .algebra import (
     State,
     block_sum,
     check_eps,
-    frozen,
     hermitian_part,
     norm_attaining_state,
     spectral_norms,
 )
-from .modules import (
-    ModuleVector,
-    coordinate_blocks,
-    family_vectors,
-    gram_block,
-    inner_product,
-    realization_stacks,
-    stack_norms,
-)
+from .modules import ModuleVector, SampleSet, coordinate_blocks, gram_block, inner_product
 from .tolerances import ADMISSIBLE_TOL
 
 
@@ -74,71 +65,6 @@ class TailDecaySignal(Exception):
             f"no point exceeds {threshold:.6g} on coordinate window "
             f"{window} (best {best:.6g}); tails already decay"
         )
-
-
-class SampleSet:
-    """Finite labelled family of vectors in a common module.
-
-    The family is held as `realizations`, one (count, len, dim*n, n) stack
-    per size class.  A set built from points stacks them on first use; a
-    set built from a stack (`_packed`, as a parsed document is) keeps it,
-    and its points are views of it, built on first use.  Instances are
-    read-only.
-    """
-
-    def __init__(self, points, label: str = ""):
-        points = tuple(points)
-        if points:
-            first = points[0]
-            for p in points:
-                first._require_compatible(p)
-        self.points = points
-        self.label = label
-        self._shape, self._dim = (first.shape, first.dim) if points else (None, None)
-        self._size = len(points)
-
-    @classmethod
-    def _packed(cls, shape, dim: int, stacks, label: str = "") -> "SampleSet":
-        """The set whose points are realized by per-class stacks (count, len, dim*n, n)."""
-        sample = object.__new__(cls)
-        sample.realizations = frozen(stacks)
-        sample.label = label
-        sample._shape, sample._dim = shape, dim
-        sample._size = sample.realizations[0].shape[1]
-        return sample
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __repr__(self) -> str:
-        return f"SampleSet(size={self._size}, dim={self._dim}, label={self.label!r})"
-
-    @property
-    def shape(self):
-        return self._shape
-
-    @property
-    def dim(self):
-        return self._dim
-
-    @functools.cached_property
-    def points(self) -> tuple[ModuleVector, ...]:
-        # set by __init__; a packed set builds its points on first use
-        return family_vectors(self._shape, self._dim, self.realizations)
-
-    @functools.cached_property
-    def realizations(self) -> tuple[np.ndarray, ...]:
-        """Per size class, the points' stacked realizations, shape (count, len, dim*n, n)."""
-        if not self._size:
-            return ()
-        return realization_stacks(self.points, self._shape, self._dim)
-
-    @functools.cached_property
-    def point_norms(self) -> list[float]:
-        """The module norm of every point, in order, from the stacked realizations."""
-        if not self._size:
-            return []
-        return stack_norms(self._shape, self.realizations)
 
 
 def _require_same_module(a: SampleSet, b: SampleSet):
@@ -208,7 +134,7 @@ class AdmissibilityReport:
 
 
 def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityReport:
-    """Decide admissibility of a candidate system: module vectors, or a SampleSet of them.
+    """Decide admissibility of a candidate system: a SampleSet or module vectors (`SampleSet.of`).
 
     Norm condition: ||x_i|| <= 1 + ADMISSIBLE_TOL for every i.  Gram
     condition: the operator inequality sum_i <x,x_i><x_i,x> <= <x,x> for
@@ -221,7 +147,7 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
     A SampleSet is checked on its stored realizations, so a parsed system
     is not stacked again.
     """
-    system = vectors if isinstance(vectors, SampleSet) else SampleSet(vectors)
+    system = SampleSet.of(vectors)
     if not len(system):
         raise ValueError("empty system")
     max_norm, bad_norm = 0.0, None
@@ -259,21 +185,13 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
 class AdmissibleSystem:
     """Validated admissible system; construction rejects violators.
 
-    The vectors are held as a `SampleSet`, so a system parsed from a
-    document keeps its decoded stack (`_packed`) and is validated on it.
+    Takes a SampleSet or module vectors (`SampleSet.of`) and holds them as
+    a SampleSet, so a system parsed from a document keeps its decoded
+    stack and is validated on it.
     """
 
     def __init__(self, vectors):
-        self._validate(SampleSet(vectors))
-
-    @classmethod
-    def _packed(cls, shape, dim: int, stacks) -> "AdmissibleSystem":
-        """The system realized by per-class stacks (count, len, dim*n, n), validated."""
-        system = object.__new__(cls)
-        system._validate(SampleSet._packed(shape, dim, stacks))
-        return system
-
-    def _validate(self, family: SampleSet) -> None:
+        family = SampleSet.of(vectors)
         report = admissible_check(family)
         if not report:
             raise ValueError(

@@ -14,23 +14,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, State
+from .algebra import AlgebraElement, AlgebraShape, State, StateError
 from .counterexample import TruncatedCSetting, build_setting, check_truncation
 from .frames import DegenerateFrameError, Frame
 from .modules import (
     ModuleOperator,
     ModuleVector,
+    SampleSet,
     coordinate_blocks,
     entry_blocks,
     from_entry_blocks,
     realization_stacks,
 )
-from .seminorms import AdmissibleSystem, SampleSet, SeminormSpec
+from .seminorms import AdmissibleSystem, SeminormSpec
 
 
 class SchemaError(ValueError):
@@ -289,16 +289,18 @@ def _parse_family(raw: list, shape: AlgebraShape, path: str) -> tuple[int, tuple
 
 
 def _parse_states(raw: list, shape: AlgebraShape, path: str) -> tuple[State, ...]:
-    """The state payloads raw[i], decoded and validated together.
+    """The state payloads raw[i], decoded and validated together (`State._batch`).
 
-    When the decode or the joint validation refuses them, each state is
-    parsed on its own at path[i], which names the first fault.
+    The first faulty state is refused at path[i].  Payloads the decode
+    refuses are walked one state at a time, which names the first fault.
     """
     decoded = _decode_blocks(raw, shape)
-    states = None if decoded is None else State._validated_together(shape, decoded)
-    if states is not None:
-        return states
-    return tuple(parse_state_payload(s, shape, f"{path}[{i}]") for i, s in enumerate(raw))
+    if decoded is None:
+        return tuple(parse_state_payload(s, shape, f"{path}[{i}]") for i, s in enumerate(raw))
+    try:
+        return State._batch(shape, decoded)
+    except StateError as e:
+        raise SchemaError(f"{path}[{e.index}]", str(e)) from e
 
 
 def state_payload(s: State) -> list:
@@ -365,8 +367,6 @@ def document(value) -> dict:
         }
     if isinstance(value, Frame):
         return _frame_document(value, value._vector_stacks)
-    if isinstance(value, _CanonicalDual):
-        return _frame_document(value.frame, value.frame._dual_stacks)
     if isinstance(value, SampleSet):
         if not len(value):
             raise ValueError("an empty sample set has no shape and cannot be serialized")
@@ -410,18 +410,13 @@ def _frame_document(frame: Frame, stacks) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class _CanonicalDual:
-    """The canonical dual family of a frame, documented as a frame of its own."""
-
-    frame: Frame
-
-
 def serialize(value) -> bytes:
-    """Canonical bytes: sorted keys, no whitespace, shortest decimals."""
-    return json.dumps(
-        document(value), sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    """Canonical bytes of a library value, or of a document already built.
+
+    Sorted keys, no whitespace, shortest decimals.
+    """
+    doc = value if isinstance(value, dict) else document(value)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def serialize_dual(frame: Frame) -> bytes:
@@ -434,7 +429,7 @@ def serialize_dual(frame: Frame) -> bytes:
     would redo the gram and its eigensystem, and the absolute floor of
     that check rejects valid duals of frames with large bounds.
     """
-    return serialize(_CanonicalDual(frame))
+    return serialize(_frame_document(frame, frame._dual_stacks))
 
 
 def _parse_shape_doc(doc: dict) -> AlgebraShape:
@@ -507,7 +502,7 @@ def _parse_frame_doc(doc: dict) -> Frame:
         raise SchemaError("$.vectors", "frame needs at least one vector")
     dim, stacks = _parse_family(raw, shape, "$.vectors")
     try:
-        return Frame._from_stacks(shape, dim, stacks, spanning)
+        return Frame(SampleSet._packed(shape, dim, stacks), spanning)
     except DegenerateFrameError as e:
         raise SchemaError("$.vectors", str(e)) from e
 
@@ -533,7 +528,7 @@ def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
         raise SchemaError("$.system", "admissible system needs at least one vector")
     dim, stacks = _parse_family(raw_sys, shape, "$.system")
     try:
-        system = AdmissibleSystem._packed(shape, dim, stacks)
+        system = AdmissibleSystem(SampleSet._packed(shape, dim, stacks))
     except ValueError as e:
         raise SchemaError("$.system", str(e)) from e
     raw_states = _expect_list(_get(doc, "states", "$"), "$.states")
@@ -574,9 +569,10 @@ _PARSERS = {
 def parse(kind: str, data):
     """Parse bytes or text into the typed value for the given kind.
 
-    Rejects wrong versions, mismatched kinds, unknown fields, malformed
-    payloads, and invariant violations; every error carries the JSON
-    path of the offending field.
+    Rejects text that is not JSON (nesting too deep to decode and
+    integer literals too long to convert included), wrong versions,
+    mismatched kinds, unknown fields, malformed payloads, and invariant
+    violations; every error carries the JSON path of the offending field.
     """
     if kind not in _PARSERS:
         raise SchemaError("$", f"unknown entity kind {kind!r}")
@@ -584,7 +580,8 @@ def parse(kind: str, data):
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, an integer literal past the int digit limit, nesting past the stack
         raise SchemaError("$", f"not valid JSON: {e}") from e
     _expect_object(doc, "$")
     version = _get(doc, "version", "$")

@@ -17,6 +17,8 @@ from conftest import (
     random_state,
 )
 from cstarframes import AlgebraElement, AlgebraShape, State, norm_attaining_state
+from cstarframes.algebra import StateError
+from cstarframes.tolerances import STATE_ATOL
 
 C2 = AlgebraShape((1, 1))
 C3 = AlgebraShape((1, 1, 1))
@@ -202,3 +204,73 @@ def test_tiny_one_by_one_norm_goes_through_the_svd():
     a = AlgebraElement(AlgebraShape((1,)), (np.array([[1e-300]]),))
     assert a.norm() == 9.999999999999999e-301
     assert abs(a.blocks[0][0, 0]) == 1e-300
+
+
+# -- the batched state check ---------------------------------------------------
+
+_FAULTS = ("none", "hermitian", "negative", "trace")
+
+
+def _faulty_densities(shape, rng, fault, block, factor):
+    """One state's densities, exactly Hermitian, with `fault` planted at factor * STATE_ATOL.
+
+    Each density is U diag(w) U* on its block; "hermitian" adds i*c to the
+    diagonal of `block` so that the largest |rho - rho*| entry is
+    factor * STATE_ATOL, "negative" gives `block` the eigenvalue
+    -factor * STATE_ATOL (unless it is the state's only eigenvalue), and
+    "trace" scales the total trace to 1 + factor * STATE_ATOL.  Factors
+    below 1 sit just inside the cut; within 1e-9 of 1, the rounding of
+    the checks' own arithmetic decides the verdict.
+    """
+    spectra = [rng.uniform(0.1, 1.0, n) for n in shape.block_dims]
+    if fault == "negative" and shape.realization_dim > 1:
+        spectra[block][0] = -factor * STATE_ATOL
+    positive = sum(w[w > 0].sum() for w in spectra)
+    scale = (1.0 + factor * STATE_ATOL if fault == "trace" else 1.0) / positive
+    out = []
+    for k, (n, w) in enumerate(zip(shape.block_dims, spectra)):
+        w = np.where(w > 0, w * scale, w)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        rho = (u * w) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        if fault == "hermitian" and k == block:
+            rho = rho + 0.5j * factor * STATE_ATOL * np.eye(n)
+        out.append(rho)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dims=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=4),
+    plan=st.lists(
+        st.tuples(st.sampled_from(_FAULTS), st.integers(0, 3), st.sampled_from([0.5, 0.99, 1 - 1e-9, 1 + 1e-9, 1.01, 2.0])),
+        min_size=1,
+        max_size=5,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_batched_state_check_is_the_check_of_each_state(dims, plan, seed):
+    """State._batch and State(...) agree on the verdict, the first faulty state, its text and the bytes."""
+    shape = AlgebraShape(tuple(dims))
+    rng = np.random.default_rng(seed)
+    batch = [_faulty_densities(shape, rng, fault, k % len(dims), f) for fault, k, f in plan]
+    first, single = None, []
+    for i, densities in enumerate(batch):
+        try:
+            single.append(State(shape, tuple(densities)))
+        except StateError as e:
+            assert e.index == 0
+            first = first or (i, str(e))
+    stacks = [
+        np.ascontiguousarray(np.array([[batch[i][k] for k in ks] for i in range(len(batch))]).swapaxes(0, 1))
+        for _, ks in shape.classes
+    ]
+    if first is None:
+        states = State._batch(shape, stacks)
+        assert len(states) == len(single)
+        for a, b in zip(states, single):
+            assert [s.tobytes() for s in a.stacks] == [s.tobytes() for s in b.stacks]
+    else:
+        with pytest.raises(StateError) as err:
+            State._batch(shape, stacks)
+        assert (err.value.index, str(err.value)) == first

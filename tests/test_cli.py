@@ -678,3 +678,92 @@ def test_system_whose_gram_overflows_is_data_error(capsys, tmp_path):
     assert err == "cstarframes: error: $.system: system is not admissible " \
         "(max norm 1e+200, gram slack -inf)\n"
     assert seen == []
+
+
+# --- text that json cannot decode ---
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"version": 1, "kind": "frame", "shape": [1], "vectors": [[[[[' + "9" * 5000 + ", 0]]]]]}",
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+    ids=["nesting", "long-integer"],
+)
+def test_undecodable_json_is_a_data_error_at_the_root(capsys, tmp_path, text, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "frame-bounds", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("cstarframes: error: $: not valid JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert reason in err
+
+
+# --- the condition A radius of the equivalence runner ---
+
+
+def test_precompact_all_names_the_condition_a_radius_that_underflows(capsys):
+    code, out, err = run(
+        capsys, "precompact", "--condition", "all", "--sample", fx("sample_planted.json"),
+        "--eps", "5e-324",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "cstarframes: error: the condition A radius eps*c1/(3*c2) = 0.0 at eps = 5e-324 "
+        "(c1 = 1.0, c2 = 1.0) is not a finite positive number\n"
+    )
+
+
+# --- parsed families go through the public constructors ---
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frame-bounds", fx("frame_random.json")),
+        ("dual", fx("frame_random.json")),
+        ("reconstruct", fx("frame_random.json"), fx("vector.json")),
+        ("series", fx("operator.json"), "--frame", fx("frame_random.json")),
+    ],
+    ids=["frame-bounds", "dual", "reconstruct", "series"],
+)
+def test_a_parsed_frame_is_built_through_frame_init_once(capsys, monkeypatch, argv):
+    """The benchmark's frames.build span wraps Frame.__init__; a parsed frame must pass through it."""
+    calls = []
+    init = Frame.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Frame, "__init__", counted)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+
+
+def test_precompact_all_builds_no_vector_for_its_generators(capsys, monkeypatch, tmp_path):
+    from cstarframes import cli
+
+    loaded = {}
+    load = cli._load
+
+    def keep(kind, path):
+        loaded[path] = load(kind, path)
+        return loaded[path]
+
+    monkeypatch.setattr(cli, "_load", keep)
+    out_file = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "precompact", "--condition", "all",
+        "--sample", fx("sample_witnesses_6.json"), "--gens", fx("generator_6.json"),
+        "--eps", "0.4", "--rank-budget", "5", "--out", str(out_file),
+    )
+    assert (code, out, err) == (1, "", "")
+    assert out_file.read_bytes() == (GOLDEN / "all_sample_witnesses_6.json").read_bytes()
+    gens = loaded[fx("generator_6.json")]
+    assert isinstance(gens, SampleSet) and len(gens) == 1
+    assert "points" not in vars(gens)

@@ -14,6 +14,7 @@ from cstarframes import (
     DegenerateFrameError,
     Frame,
     ModuleVector,
+    SampleSet,
     inner_product,
     standard_basis_frame,
 )
@@ -281,3 +282,36 @@ def test_bounds_are_attained(rng):
     assert hi_seen <= c2 + 1e-8
     assert c1 <= lo_seen + c2  # sanity: c1 is a lower spectral point
     assert hi_seen >= 0.3 * c2  # random sampling should get within reach
+
+
+@pytest.mark.parametrize("spanning", ["ambient", "range"])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_frame_of_a_sample_set_is_the_frame_of_its_vectors(spanning, seed):
+    """Frame(SampleSet) on a stacked or a packed set stores what Frame(vectors) stores, bit for bit."""
+    rng = np.random.default_rng(seed)
+    shape = random_shape(rng)
+    dim = int(rng.integers(1, 4))
+    size = dim + int(rng.integers(0, 3)) if spanning == "ambient" else int(rng.integers(1, dim + 1))
+    vectors = [random_vector(shape, dim, rng) for _ in range(size)]
+    stacks = realization_stacks(vectors, shape, dim)
+    frames = [
+        Frame(vectors, spanning),
+        Frame(SampleSet(vectors), spanning),
+        Frame(SampleSet._packed(shape, dim, [s.copy() for s in stacks]), spanning),
+    ]
+    points = realization_stacks([random_vector(shape, dim, rng) for _ in range(3)], shape, dim)
+    want = frames[0]
+    for got in frames[1:]:
+        for name in ("_vector_stacks", "_grams", "_gram_inv", "_dual_stacks"):
+            assert _stack_bytes(getattr(got, name)) == _stack_bytes(getattr(want, name)), name
+        assert got.bounds == want.bounds and got.size == want.size == size
+        for a, b in zip(got.canonical_dual(), want.canonical_dual(), strict=True):
+            assert _stack_bytes(a.stacks) == _stack_bytes(b.stacks)
+        assert got.tail_profiles(points).tobytes() == want.tail_profiles(points).tobytes()
+    assert frames[0].vectors == tuple(vectors)
+
+
+def test_a_frame_needs_a_member_in_every_form():
+    for family in ((), SampleSet(()), SampleSet._packed(C2, 2, realization_stacks((), C2, 2))):
+        with pytest.raises(ValueError, match="at least one vector"):
+            Frame(family)

@@ -16,6 +16,7 @@ from cstarframes import (
     Functional,
     ModuleOperator,
     ModuleVector,
+    SampleSet,
     inner_product,
     orthogonal_span_family,
     spectral_normalize,
@@ -23,6 +24,7 @@ from cstarframes import (
     synthesis_pinv_norm,
     theta_op,
 )
+from cstarframes.modules import realization_stacks
 
 C2 = AlgebraShape((1, 1))
 
@@ -268,3 +270,27 @@ def test_restrict_window(rng):
     assert (win.coords[1] - x.coords[1]).norm() == 0.0
     assert (win.coords[2] - x.coords[2]).norm() == 0.0
     assert win.coords[3].norm() == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_span_family_of_a_sample_set_is_the_span_family_of_its_vectors(seed):
+    """The same members, bit for bit, from a list, a SampleSet and a packed SampleSet; dropped inputs included."""
+    rng = np.random.default_rng(seed)
+    shape = random_shape(rng)
+    vecs = [random_vector(shape, 3, rng) for _ in range(3)]
+    vecs.insert(1, vecs[0] * 2.0)  # reproduced by the first member: dropped
+    stacks = realization_stacks(vecs, shape, 3)
+    families = [
+        orthogonal_span_family(vecs),
+        orthogonal_span_family(SampleSet(vecs)),
+        orthogonal_span_family(SampleSet._packed(shape, 3, stacks)),
+    ]
+    want = families[0]
+    assert isinstance(want, SampleSet) and len(want) == 3
+    for got in families[1:]:
+        assert [s.tobytes() for s in got.realizations] == [s.tobytes() for s in want.realizations]
+        for a, b in zip(got, want, strict=True):
+            assert [s.tobytes() for s in a.stacks] == [s.tobytes() for s in b.stacks]
+    assert [s.tobytes() for s in stacks] == [s.tobytes() for s in realization_stacks(vecs, shape, 3)]
+    assert not any(s.flags.writeable for s in want.realizations)
+    assert len(orthogonal_span_family([])) == 0

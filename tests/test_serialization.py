@@ -363,7 +363,7 @@ def test_parsed_families_keep_the_decoded_stack():
     spec = parse("seminorm_spec", (FIXTURES / "seminorm_spec.json").read_bytes())
     families = [
         ("sample_planted.json", "points", sample, "points", sample.realizations),
-        ("frame_random.json", "vectors", frame, "_vectors", frame._vector_stacks),
+        ("frame_random.json", "vectors", frame._family, "points", frame._vector_stacks),
         ("seminorm_spec.json", "system", spec._system, "points", spec._system.realizations),
     ]
     for name, key, owner, members, stacks in families:
