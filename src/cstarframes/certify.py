@@ -35,8 +35,6 @@ from .modules import (
     generator_family,
     inner_product,
     orthogonal_span_family,
-    realization_stacks,
-    require_stacks,
     span_least_squares,
     stack_norms,
     theta_op,
@@ -99,13 +97,6 @@ class Certificate:
 # -- eps-free passes over the sample ------------------------------------------
 
 
-def _realizations(sample: SampleSet, shape, dim: int) -> tuple[np.ndarray, ...]:
-    """The sample's per-block stacks; zero-length ones in A^dim over shape if empty."""
-    if len(sample):
-        return sample.realizations
-    return realization_stacks((), shape, dim)
-
-
 def _check_rank_budget(rank_budget) -> None:
     """Refuse a C/D rank budget below 0; None (the module dimension) and 0 are valid."""
     if rank_budget is not None and int(rank_budget) < 0:
@@ -124,10 +115,8 @@ class _CoefficientData:
     b_const: float
 
 
-def _coefficient_data(sample: SampleSet, gen_stacks, shape, dim: int) -> _CoefficientData:
+def _coefficient_data(sample: SampleSet, gens: SampleSet) -> _CoefficientData:
     """Solve every point against Span_A(generators), one pseudo-inverse per block.
-
-    gen_stacks are the generators' realization stacks (count, s, dim*n, n).
 
     Besides each point's residual and B, records the norm of each
     coefficient, of the stacked coefficient tuple, and of the approximant
@@ -136,12 +125,10 @@ def _coefficient_data(sample: SampleSet, gen_stacks, shape, dim: int) -> _Coeffi
     generator order with np.add.accumulate, taking blocks and points in
     tiles that bound the size of the term tensor.
     """
-    coeffs, residuals, b_const = span_least_squares(
-        _realizations(sample, shape, dim), gen_stacks, shape, dim
-    )
-    s = gen_stacks[0].shape[1]
+    coeffs, residuals, b_const = span_least_squares(sample, gens)
+    shape, dim, s = gens.shape, gens.dim, len(gens)
     coeff_norms, stacked_norms, approx_norms = [], [], []
-    for ak, gk in zip(coeffs, gen_stacks):
+    for ak, gk in zip(coeffs, gens.realizations):
         count, points, _, n = ak.shape
         per_coeff = ak.reshape(count, points, s, n, n)
         coeff_norms.append(spectral_norms(per_coeff))
@@ -169,43 +156,32 @@ def _sup_tails(profiles: np.ndarray) -> list[float]:
     return [max(col, default=0.0) for col in profiles.T.tolist()]
 
 
-def _leading(pairs, rank: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The first `rank` theta pairs of per-class (z, g) stacks, as views of them."""
-    return tuple(tuple(s[:, :rank] for s in side) for side in pairs)
-
-
-def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[tuple, int]:
-    """Stacks (z, g) of the theta pairs within the C/D scan's rank limit, and that limit.
+def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[SampleSet, SampleSet]:
+    """The sets (z, g) of the theta pairs, cut to the C/D scan's rank limit.
 
     Without an explicit frame the pairs come from module Gram-Schmidt of
     the sample, i.e. a frame for the submodule the sample generates (the
     constructive b-to-c route); the orthogonalized family is self-dual,
-    so its one stack serves as z and as g.  A frame's pairs are views of
-    its vector and dual stacks; a frame from another module is refused,
-    whatever the budget.  The rank limit is the budget (default: the
+    so it serves as z and as g.  A frame's pairs are its family and its
+    dual; a frame from another module is refused, whatever the budget.
+    The rank limit, the length of both sets, is the budget (default: the
     module dimension, and checked by the caller) capped by the number of
     pairs.
     """
     budget = sample.dim if rank_budget is None else int(rank_budget)
     if frame is not None:
-        z, g = frame._vector_stacks, frame._dual_stacks
-        require_stacks(z, sample.shape, sample.dim)
+        sample.in_module(frame.shape, frame.dim)  # refuses a frame of another module
+        z, g = frame._family, frame._dual
     else:
-        z = g = orthogonal_span_family(sample).realizations
-    limit = min(budget, z[0].shape[1])
-    return _leading((z, g), limit), limit
-
-
-def _pair_views(shape, dim: int, pairs, rank: int) -> tuple:
-    """The first `rank` theta pairs (z_j, g_j) as module vectors, views of the stacks."""
-    z, g = (SampleSet._packed(shape, dim, side).points for side in _leading(pairs, rank))
-    return tuple(zip(z, g))
+        z = g = orthogonal_span_family(sample)
+    limit = min(budget, len(z))
+    return z.head(limit), g.head(limit)
 
 
 def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
     """sup_x ||x - T_n x|| for the partial sums T_n = sum_{j<=n} theta_{z_j,g_j}.
 
-    pairs holds the per-class stacks (z, g) of the theta pairs.  Runs
+    pairs holds the sets (z, g) of the theta pairs.  Runs
     from n = 0 up to the first n >= 0 whose error is below eps, or
     through all the given pairs.  One rank step updates the residuals
     r - z<g,x> of all points in one batched product per size class.
@@ -215,10 +191,10 @@ def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
     residuals = list(stacks)
     errors = [max(sample.point_norms)]
     z, g = pairs
-    for j in range(z[0].shape[1]):
+    for j in range(len(z)):
         if errors[-1] < eps:
             break
-        for c, (xk, zk, gk) in enumerate(zip(stacks, z, g)):
+        for c, (xk, zk, gk) in enumerate(zip(stacks, z.realizations, g.realizations)):
             coeffs = gk[:, j, None].conj().swapaxes(-1, -2) @ xk
             step = coordinate_blocks(zk[:, j], dim)[:, None] @ coeffs[:, :, None]
             residuals[c] = residuals[c] - step.reshape(xk.shape)
@@ -239,20 +215,20 @@ class _ReplayData:
 def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
     """Coefficients a_j(x) = <g_j, x> and residuals x - sum_{j<n} z_j a_j(x).
 
-    Computed from the per-class stacks (z, g) of an approximant's theta
-    pairs alone, independently of the residual recursion of condition
-    C/D: the residuals are the tails of `prefix_tails`, which sums the
-    approximants from zero in pair order, and the coefficient norms come
-    from one batched product per size class, taken in chunks of blocks
-    under CHUNK_ENTRIES.  residual_norms[p][n] is the residual of point p
+    Computed from the sets (z, g) of an approximant's theta pairs alone,
+    independently of the residual recursion of condition C/D: the
+    residuals are the tails of `prefix_tails`, which sums the approximants
+    from zero in pair order, and the coefficient norms come from one
+    batched product per size class, taken in chunks of blocks under
+    CHUNK_ENTRIES.  residual_norms[p][n] is the residual of point p
     with the first n pairs, so one pass over the longest approximant of a
     grid serves every shorter one.
     """
     shape = sample.shape
     z, g = pairs
-    count = z[0].shape[1]
+    count = len(z)
     coeff_norms = []
-    for xk, gk in zip(sample.realizations, g):
+    for xk, gk in zip(sample.realizations, g.realizations):
         blocks, points, _, n = xk.shape
         g_adj = gk[:, None].conj().swapaxes(-1, -2)
         cn = np.zeros((blocks, points, count))
@@ -261,9 +237,9 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
         coeff_norms.append(cn)
     return _ReplayData(
         sample.point_norms,
-        stack_norms(shape, g),
+        stack_norms(shape, g.realizations),
         blockwise_max(shape, coeff_norms),
-        prefix_tails(sample.realizations, z, g, count).tolist(),
+        prefix_tails(sample, z, g, count).tolist(),
     )
 
 
@@ -308,12 +284,16 @@ def _certificate_b(tails: list[float], eps: float) -> Certificate:
     )
 
 
-def _certificate_cd(errors: list[float], pairs: list, limit: int, eps: float) -> Certificate:
+def _certificate_cd(errors: list[float], pairs, eps: float) -> Certificate:
     """The C/D verdict at eps from an error profile computed for eps or smaller.
 
-    The scan stops at the first rank n >= 0 below eps: a sample already
-    within eps of zero passes at rank 0, with the zero operator.
+    pairs are the sets (z, g) of the theta pairs the profile scanned, cut
+    to the rank limit.  The scan stops at the first rank n >= 0 below
+    eps: a sample already within eps of zero passes at rank 0, with the
+    zero operator.  A pass carries the first n pairs (z_j, g_j): the sets'
+    points, views of their stacks, built once for every eps of a grid.
     """
+    z, g = pairs
     achieved = next((n for n in range(len(errors)) if errors[n] < eps), None)
     profile = errors[: len(errors) if achieved is None else achieved + 1]
     diagnostics = {"error_profile": profile, "best_error": min(profile)}
@@ -324,14 +304,14 @@ def _certificate_cd(errors: list[float], pairs: list, limit: int, eps: float) ->
             verdict=True,
             witness={"rank": achieved},
             diagnostics=diagnostics,
-            approximant=tuple(pairs[:achieved]),
+            approximant=tuple(zip(z, g))[:achieved],
         )
     return Certificate(
         condition="CD",
         eps=eps,
         verdict=False,
         budget_exhausted=True,
-        witness={"rank_budget": limit},
+        witness={"rank_budget": len(z)},
         diagnostics=diagnostics,
     )
 
@@ -367,7 +347,7 @@ def check_condition_a(sample: SampleSet, generators, eps: float) -> Certificate:
     """
     check_eps(eps)
     gens = generator_family(generators)
-    return _certificate_a(_coefficient_data(sample, gens.realizations, gens.shape, gens.dim), eps)
+    return _certificate_a(_coefficient_data(sample, gens), eps)
 
 
 def check_condition_b(sample: SampleSet, frame: Frame, eps: float) -> Certificate:
@@ -380,8 +360,7 @@ def check_condition_b(sample: SampleSet, frame: Frame, eps: float) -> Certificat
     uniform-tail failure.
     """
     check_eps(eps)
-    stacks = _realizations(sample, frame.shape, frame.dim)
-    return tails_certificate(frame.tail_profiles(stacks), eps)
+    return tails_certificate(frame.tail_profiles(sample), eps)
 
 
 def tails_certificate(profiles: np.ndarray, eps: float) -> Certificate:
@@ -413,10 +392,8 @@ def check_condition_cd(
     _check_rank_budget(rank_budget)
     if not len(sample):
         return _empty_sample_cd(eps)
-    pairs, limit = _theta_pairs(sample, frame, rank_budget)
-    errors = _error_profile(sample, pairs, eps)
-    views = _pair_views(sample.shape, sample.dim, pairs, len(errors) - 1)
-    return _certificate_cd(errors, views, limit, eps)
+    pairs = _theta_pairs(sample, frame, rank_budget)
+    return _certificate_cd(_error_profile(sample, pairs, eps), pairs, eps)
 
 
 # -- the equivalence runner -------------------------------------------------
@@ -516,8 +493,10 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     Violations indicate an implementation bug and are reported verbatim.
 
     Every eps of the grid, and the rank budget, is checked before any
-    work.  The generators are stacked once, and default generators are
-    the frame's own stack, so no module vector is built for them.  Each
+    work.  The sample and the generators are read in the frame's module
+    (`SampleSet.in_module`), so a family of another module is refused.
+    The generators are stacked once, and default generators are the
+    frame's own family, so no module vector is built for them.  Each
     condition's eps-free pass runs once for the whole grid:
     one least-squares pass serves A at every eps and every eps*c1/(3*c2),
     one tail pass over the generators and the sample, joined along the
@@ -557,24 +536,21 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
             )
 
     gens = SampleSet.of(config.generators or frame._family)
-    if (gens.shape, gens.dim) != (frame.shape, frame.dim):
-        raise ValueError("module vectors live in different modules")
-    gen_stacks = gens.realizations
     s = len(gens)
-    coefficients = _coefficient_data(sample, gen_stacks, frame.shape, frame.dim)
-    sample_stacks = _realizations(sample, frame.shape, frame.dim)
+    coefficients = _coefficient_data(sample, gens)
+    shape, dim = frame.shape, frame.dim
+    parts = zip(gens.in_module(shape, dim), sample.in_module(shape, dim))
     profiles = frame.tail_profiles(
-        [np.concatenate(parts, axis=1) for parts in zip(gen_stacks, sample_stacks)]
+        SampleSet._packed(shape, dim, (np.concatenate(p, axis=1) for p in parts))
     )
     gen_tails, tails_z = _sup_tails(profiles[:s]), _sup_tails(profiles[s:])
     if len(sample):
-        pairs, limit = _theta_pairs(sample, None, config.rank_budget)
+        pairs = _theta_pairs(sample, None, config.rank_budget)
         smallest = min(config.eps_grid, default=math.inf)
         errors = _error_profile(sample, pairs, smallest)
-        views = _pair_views(sample.shape, sample.dim, pairs, len(errors) - 1)
-        certs_cd = [_certificate_cd(errors, views, limit, eps) for eps in config.eps_grid]
+        certs_cd = [_certificate_cd(errors, pairs, eps) for eps in config.eps_grid]
         longest = max((len(c.approximant) for c in certs_cd if c.verdict), default=0)
-        replay = _replay_data(sample, _leading(pairs, longest)) if longest else None
+        replay = _replay_data(sample, tuple(side.head(longest) for side in pairs)) if longest else None
     else:
         certs_cd = [_empty_sample_cd(eps) for eps in config.eps_grid]
 
@@ -768,7 +744,7 @@ def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) ->
         if frame.shape != shape or frame.dim != op.target_dim:
             raise ValueError("operator/vector dimension mismatch")
         family = frame._family
-        x_stacks, g_stacks = frame._vector_stacks, frame._dual_stacks
+        x_stacks, g_stacks = family.realizations, frame._dual.realizations
 
     y_stacks = tuple(
         np.ascontiguousarray(tk.conj().swapaxes(-1, -2))[:, None] @ gk
@@ -795,7 +771,7 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
     """
     check_eps(eps)
     gens = generator_family(generators)
-    shape, dim = gens.shape, gens.dim
+    shape = gens.shape
     ident = AlgebraElement.identity(shape)
     zero = AlgebraElement.zero(shape)
     defect = 0.0
@@ -811,7 +787,7 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
         t = theta_op(g, g)
         projector = t if projector is None else projector + t
 
-    _, dists, _ = span_least_squares(_realizations(sample, shape, dim), gens.realizations, shape, dim)
+    _, dists, _ = span_least_squares(sample, gens)
     residuals = [(x - projector(x)).norm() for x in sample.points]
     verdict = all(d < eps for d in dists)
     two_eps_ok = all(

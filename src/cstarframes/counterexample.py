@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, check_eps, fold_pair_maxima, frozen, spectral_norms
+from .algebra import AlgebraElement, AlgebraShape, check_eps, fold_pair_maxima, spectral_norms
 from .frames import Frame, standard_basis_frame
-from .modules import ModuleOperator, ModuleVector, SampleSet, realization_stacks
+from .modules import ModuleOperator, ModuleVector, SampleSet
 from .seminorms import BallSampler
 from .tolerances import SELF_CHECK_ATOL
 
@@ -106,16 +106,16 @@ class TruncatedCSetting:
 
     @functools.cached_property
     def _witnesses(self) -> tuple[ModuleVector, ...]:
-        return SampleSet._packed(self.shape, self.dim, self._witness_stacks).points
+        return self._witness_set.points
 
     @functools.cached_property
-    def _witness_stacks(self) -> tuple[np.ndarray]:
+    def _witness_set(self) -> SampleSet:
         # e_k * delta_k is the unit at coordinate k of block k: one stack
         # (trunc + 1, dim, dim, 1) for the single size class.
         k = np.arange(self.dim)
         stack = np.zeros((self.trunc + 1, self.dim, self.dim, 1), complex)
         stack[k, k, k] = 1.0
-        return frozen([stack])
+        return SampleSet._packed(self.shape, self.dim, (stack,))
 
     @functools.cached_property
     def frame(self) -> Frame:
@@ -125,7 +125,7 @@ class TruncatedCSetting:
     @functools.cached_property
     def _witness_tails(self) -> tuple[list[list[float]], np.ndarray]:
         # (truncation tails, frame tail profiles) of every witness, cross-checked
-        return _checked_tails(self.frame, self._witness_stacks)
+        return _checked_tails(self.frame, self._witness_set)
 
     def witness_profiles(self) -> np.ndarray:
         """The frame's tail profile of every witness, one row each.
@@ -242,10 +242,10 @@ def _truncation_tails(stack: np.ndarray) -> np.ndarray:
     return tails
 
 
-def _checked_tails(frame: Frame, stacks) -> tuple[list[list[float]], np.ndarray]:
-    """Truncation tails of stacked points and the frame's tail profiles, checked to agree."""
-    via_frame = frame.tail_profiles(stacks)
-    direct = _truncation_tails(stacks[0])
+def _checked_tails(frame: Frame, points: SampleSet) -> tuple[list[list[float]], np.ndarray]:
+    """Truncation tails of the points and the frame's tail profiles, checked to agree."""
+    via_frame = frame.tail_profiles(points)
+    direct = _truncation_tails(points.in_module(frame.shape, frame.dim)[0])
     bad = np.argwhere(np.abs(direct - via_frame) > SELF_CHECK_ATOL)
     if len(bad):
         d, f = direct[tuple(bad[0])], via_frame[tuple(bad[0])]
@@ -260,9 +260,10 @@ def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
 
     With the default witnesses this is exactly 1, achieved at
     e_{n+1} * delta_{n+1}: the standard basis reproduces it only by its
-    own term, which every shorter prefix misses.  Pass explicit points
-    (e.g. random ball images only) to see the strictly smaller bulk
-    values.  Requires n < dim so the achieving witness exists.
+    own term, which every shorter prefix misses.  Pass explicit points,
+    a SampleSet or module vectors (`SampleSet.of`), e.g. random ball
+    images only, to see the strictly smaller bulk values.  Requires
+    n < dim so the achieving witness exists.
 
     Each point's tails come from coordinate truncation and are checked
     against the standard frame's tail profile at every prefix; the
@@ -279,8 +280,7 @@ def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
             f"prefix {n} out of range for module dimension {setting.dim}"
         )
     else:
-        stacks = realization_stacks(points, setting.shape, setting.dim)
-        profiles = _checked_tails(setting.frame, stacks)[0]
+        profiles = _checked_tails(setting.frame, SampleSet.of(points))[0]
     return max((tails[n] for tails in profiles), default=0.0)
 
 

@@ -20,8 +20,6 @@ from .modules import (
     SampleSet,
     gram_block,
     inner_product,
-    realization_stacks,
-    require_stacks,
     theta_op,
 )
 from .tolerances import FRAME_RTOL
@@ -31,14 +29,14 @@ class DegenerateFrameError(ValueError):
     """Family whose smallest gram eigenvalue vanishes, or whose gram overflows."""
 
 
-def prefix_tails(stacks, z_stacks, g_stacks, stop: int) -> np.ndarray:
+def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np.ndarray:
     """||x - sum_{j<n} z_j <g_j,x>|| for n = 0..stop, every point in one pass.
 
-    stacks[c] holds the realizations x_k of the points on the blocks of
-    size class c, shape (count, P, dim*n, n), and z_stacks[c] and
-    g_stacks[c] those Z_jk and G_jk of the theta pairs (z_j, g_j), shape
-    (count, size, dim*n, n), size >= stop; for a frame they are its
-    vectors and its canonical dual.  On every block the terms
+    The points are read in the module of the theta pairs (z_j, g_j)
+    (`SampleSet.in_module`), whose sets hold at least stop members; for a
+    frame they are its vectors and its canonical dual.  Per size class
+    the realizations x_k of the points, and Z_jk and G_jk of the pairs,
+    are stacks (count, len, dim*n, n).  On every block the terms
     Z_jk (G_jk* x_k) of all points are formed in one batched matmul and
     summed cumulatively in pair order from zero, so prefix n holds
     exactly the sum `Frame.reconstruct(x, range(n))` forms.  Each tail is
@@ -53,8 +51,9 @@ def prefix_tails(stacks, z_stacks, g_stacks, stop: int) -> np.ndarray:
     FRAME_RTOL * max(c2, 1) >= FRAME_RTOL.
     Returns (P, stop+1).
     """
+    stacks = points.in_module(z.shape, z.dim)
     tails = np.zeros((stacks[0].shape[1], stop + 1))
-    for xs, zs, gs in zip(stacks, z_stacks, g_stacks):
+    for xs, zs, gs in zip(stacks, z.realizations, g.realizations):
         _, _, rows, n = xs.shape
 
         def norms(blocks, x):
@@ -82,9 +81,10 @@ class Frame:
     (its entries overflow in the products), naming the first such block.
     The family is a SampleSet or module vectors (`SampleSet.of`); a set
     built from a stack, as a parsed document is, is not stacked again.
-    Construction computes the bounds and the realizations of the dual
-    from the family's stacks; the module-level objects (analysis
-    operator, gram operator, dual vectors) are built on first use.
+    Construction computes the bounds and the dual, a SampleSet packed on
+    its realizations, from the family's stacks; the frame's module is the
+    family's.  The module-level objects (analysis operator, gram
+    operator, dual vectors) are built on first use.
     Instances are read-only.
     """
 
@@ -94,17 +94,13 @@ class Frame:
             raise ValueError("a frame needs at least one vector")
         if spanning not in ("ambient", "range"):
             raise ValueError(f"unknown spanning mode {spanning!r}")
-        shape = family.shape
+        shape, dim = family.shape, family.dim
         self._family = family
         self._spanning = spanning
-        self._shape = shape
-        self._dim = family.dim
-        # Per class, the realizations X_j of the family, (count, size, dim*n, n).
-        self._vector_stacks = family.realizations
         with np.errstate(over="ignore", invalid="ignore"):
             self._grams = tuple(
-                gram_block(x.reshape(x.shape[:2] + (self._dim, x.shape[-1], x.shape[-1])))
-                for x in self._vector_stacks
+                gram_block(x.reshape(x.shape[:2] + (dim, x.shape[-1], x.shape[-1])))
+                for x in family.realizations
             )
             hermitian = [hermitian_part(s) for s in self._grams]
         finite = shape.gather([np.isfinite(h).all(axis=(-2, -1)) for h in hermitian])
@@ -137,9 +133,9 @@ class Frame:
         for w, u in eigensystems:
             inv_w = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
             self._gram_inv.append((u * inv_w[..., None, :]) @ u.conj().swapaxes(-1, -2))
-        # Per class, the realizations G_j = S^(-1) X_j of the dual.
-        self._dual_stacks = tuple(
-            inv[:, None] @ x for inv, x in zip(self._gram_inv, self._vector_stacks)
+        # The dual family, realized per class by G_j = S^(-1) X_j.
+        self._dual = SampleSet._packed(
+            shape, dim, (inv[:, None] @ x for inv, x in zip(self._gram_inv, family.realizations))
         )
 
     @classmethod
@@ -164,10 +160,7 @@ class Frame:
             eye = np.eye(dim * n, dtype=complex)
             identities.append(np.broadcast_to(eye, (len(ks),) + eye.shape))
         frame._spanning = "ambient"
-        frame._shape = shape
-        frame._dim = dim
-        frame._family = SampleSet._packed(shape, dim, stacks)
-        frame._vector_stacks = frame._dual_stacks = frame._family.realizations
+        frame._family = frame._dual = SampleSet._packed(shape, dim, stacks)
         frame._grams = tuple(identities)
         frame._gram_inv = identities
         frame._bounds = (1.0, 1.0)
@@ -177,10 +170,10 @@ class Frame:
     def _theta(self) -> ModuleOperator:
         # Theta(x) = (<x_j, x>)_j: row j of block k is R_k(x_j)*.
         return ModuleOperator._packed(
-            self._shape, self.size, self._dim,
+            self.shape, self.size, self.dim,
             tuple(
                 np.ascontiguousarray(x.conj().swapaxes(-1, -2)).reshape(len(x), -1, x.shape[2])
-                for x in self._vector_stacks
+                for x in self._family.realizations
             ),
         )
 
@@ -204,11 +197,11 @@ class Frame:
 
     @property
     def shape(self) -> AlgebraShape:
-        return self._shape
+        return self._family.shape
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._family.dim
 
     @property
     def size(self) -> int:
@@ -231,10 +224,10 @@ class Frame:
 
     def canonical_dual(self) -> tuple[ModuleVector, ...]:
         """g_j = S^(-1) x_j (pseudo-inverse in range mode), views of the stored realizations."""
-        return SampleSet._packed(self._shape, self._dim, self._dual_stacks).points
+        return self._dual.points
 
     def gram_inverse(self) -> ModuleOperator:
-        return ModuleOperator._packed(self._shape, self._dim, self._dim, self._gram_inv)
+        return ModuleOperator._packed(self.shape, self.dim, self.dim, self._gram_inv)
 
     # -- reconstruction ----------------------------------------------------
 
@@ -249,27 +242,22 @@ class Frame:
         """sum_{j in indices} x_j <g_j, x>; all indices by default."""
         idx = range(self.size) if indices is None else self._check_indices(indices)
         vectors, dual = self.vectors, self.canonical_dual()
-        out = ModuleVector.zero(self._shape, self._dim)
+        out = ModuleVector.zero(self.shape, self.dim)
         for j in idx:
             out = out + vectors[j] * inner_product(dual[j], x)
         return out
 
-    def _prefix_tails(self, stacks, stop: int) -> np.ndarray:
-        """`prefix_tails` of the stacked points along this frame and its dual, n = 0..stop."""
-        require_stacks(stacks, self._shape, self._dim)
-        return prefix_tails(stacks, self._vector_stacks, self._dual_stacks, stop)
+    def tail_profiles(self, points: SampleSet) -> np.ndarray:
+        """Every prefix tail of every point of a SampleSet: row p is point p's profile.
 
-    def tail_profiles(self, stacks) -> np.ndarray:
-        """Every prefix tail of every stacked point: row p is point p's profile.
-
-        stacks are per-class realization stacks such as
-        `SampleSet.realizations`; row p equals `tail_profile` of point p.
+        `prefix_tails` along this frame and its dual; row p equals
+        `tail_profile` of point p.
         """
-        return self._prefix_tails(stacks, self.size)
+        return prefix_tails(points, self._family, self._dual, self.size)
 
     def tail_profile(self, x: ModuleVector) -> list[float]:
         """Every prefix tail ||x - sum_{j<n} x_j <g_j,x>||, n = 0..size."""
-        return self.tail_profiles(realization_stacks([x], self._shape, self._dim))[0].tolist()
+        return self.tail_profiles(SampleSet((x,)))[0].tolist()
 
     def reconstruction_tail(self, x: ModuleVector, n: int) -> float:
         """||x - sum_{j<n} x_j <g_j,x>|| for the stored vector order.
@@ -279,14 +267,13 @@ class Frame:
         """
         if not 0 <= n <= self.size:
             raise ValueError(f"prefix length {n} out of range")
-        stacks = realization_stacks([x], self._shape, self._dim)
-        return float(self._prefix_tails(stacks, n)[0, n])
+        return float(prefix_tails(SampleSet((x,)), self._family, self._dual, n)[0, n])
 
     def partial_sum_op(self, indices) -> ModuleOperator:
         """P_J' = sum_{j in J'} theta_{x_j, g_j}; norm bounded by c2/c1."""
         idx = self._check_indices(indices)
         vectors, dual = self.vectors, self.canonical_dual()
-        out = ModuleOperator.zero(self._shape, self._dim, self._dim)
+        out = ModuleOperator.zero(self.shape, self.dim, self.dim)
         for j in idx:
             out = out + theta_op(vectors[j], dual[j])
         return out
@@ -301,7 +288,7 @@ class Frame:
         keep[self._check_indices(indices)] = True
         theta = self._theta
         selected = theta._with(
-            np.where(np.repeat(keep, s.shape[-1] // self._dim)[:, None], s, 0.0)
+            np.where(np.repeat(keep, s.shape[-1] // self.dim)[:, None], s, 0.0)
             for s in theta.stacks
         )
         return self._theta_star @ selected @ self.gram_inverse()

@@ -358,30 +358,18 @@ def theta_op(x: ModuleVector, f) -> ModuleOperator:
 # -- stacked families ------------------------------------------------------
 
 
-def realization_stacks(vectors, shape: AlgebraShape, dim: int) -> tuple[np.ndarray, ...]:
-    """Per size class, the stacks of `vectors` side by side: (count, len, dim*n, n).
-
-    An empty family gives zero-length stacks of the module's block shapes.
-    """
-    vectors = list(vectors)
-    for v in vectors:
-        if v.shape != shape or v.dim != dim:
-            raise ValueError("module vectors live in different modules")
-    if not vectors:
-        return tuple(np.zeros((len(ks), 0, dim * n, n), complex) for n, ks in shape.classes)
-    return tuple(np.stack([v.stacks[c] for v in vectors], axis=1) for c in range(len(shape.classes)))
-
-
 class SampleSet:
     """Finite labelled family of vectors in a common module: the library's one family type.
 
     The family is held as `realizations`, one (count, len, dim*n, n) stack
     per size class.  A set built from points stacks them on first use; a
     set built from a stack (`_packed`: a parsed document, a frame's dual,
-    a span family) keeps it, and its points are views of it, built on
-    first use.  Every function that takes a family takes a SampleSet or
-    module vectors (`of`).  `len`, iteration and indexing go over the
-    points.  Instances are read-only.
+    a span family, a `head`) keeps it, and its points are views of it,
+    built on first use.  Every function that takes a family takes a
+    SampleSet or module vectors (`of`), and every pass over two families
+    reads one of them through `in_module`, the one check that both live
+    in the same module.  `len`, iteration and indexing go over the
+    points.  Instances are read-only, and so are the stacks they hand out.
     """
 
     def __init__(self, points, label: str = ""):
@@ -443,7 +431,30 @@ class SampleSet:
         """Per size class, the points' stacked realizations, shape (count, len, dim*n, n)."""
         if not self._size:
             return ()
-        return realization_stacks(self.points, self._shape, self._dim)
+        return frozen(
+            np.stack([p.stacks[c] for p in self.points], axis=1)
+            for c in range(len(self._shape.classes))
+        )
+
+    def in_module(self, shape: AlgebraShape, dim: int) -> tuple[np.ndarray, ...]:
+        """`realizations`, as points of A^dim over `shape`.
+
+        A non-empty set of another module is refused; an empty set gives
+        zero-length stacks of the module asked for.
+        """
+        if (self._shape, self._dim) == (shape, dim):
+            return self.realizations
+        if self._size:
+            raise ValueError("module vectors live in different modules")
+        return frozen(np.zeros((len(ks), 0, dim * n, n), complex) for n, ks in shape.classes)
+
+    def head(self, n: int) -> "SampleSet":
+        """The first n members (all of them, if fewer) as a set of views of the stacks."""
+        if self._shape is None:
+            return self
+        return SampleSet._packed(
+            self._shape, self._dim, (s[:, :n] for s in self.realizations), self.label
+        )
 
     @functools.cached_property
     def point_norms(self) -> list[float]:
@@ -479,15 +490,6 @@ def gram_block(coords: np.ndarray) -> np.ndarray:
         for l in range(size):
             acc[part] = acc[part] + products[:, l]
     return from_entry_blocks(acc)
-
-
-def require_stacks(stacks, shape: AlgebraShape, dim: int) -> None:
-    """Reject stacks that do not realize points of A^dim over `shape`."""
-    if len(stacks) != len(shape.classes) or any(
-        s.ndim != 4 or s.shape[0] != len(ks) or s.shape[2:] != (dim * n, n)
-        for s, (n, ks) in zip(stacks, shape.classes)
-    ):
-        raise ValueError("module vectors live in different modules")
 
 
 def stack_norms(shape: AlgebraShape, stacks) -> list[float]:
@@ -537,7 +539,7 @@ def orthogonal_span_family(vectors) -> SampleSet:
     each input meets the family members in the order they joined, with
     the arithmetic of one vector at a time.  Each member is written into
     one output stack per size class as it joins, and the family comes
-    back as a SampleSet packed on those stacks.
+    back as the `head` of a SampleSet packed on those stacks.
     """
     family = SampleSet.of(vectors)
     if not len(family):
@@ -557,20 +559,20 @@ def orthogonal_span_family(vectors) -> SampleSet:
             coeffs = wk.conj().swapaxes(-1, -2)[:, None] @ rest
             rest -= (coordinate_blocks(wk, dim)[:, None] @ coeffs[:, :, None]).reshape(rest.shape)
         size += 1
-    return SampleSet._packed(shape, dim, (m[:, :size] for m in members))
+    return SampleSet._packed(shape, dim, members).head(size)
 
 
 # -- distance to finitely generated submodules ---------------------------
 
 
 def span_least_squares(
-    stacks, gen_stacks, shape: AlgebraShape, dim: int
+    points: SampleSet, generators: SampleSet
 ) -> tuple[list[np.ndarray], list[float], float]:
     """Minimal-norm least squares against Span_A(generators), all points at once.
 
-    stacks[c] holds the realizations of P points of A^dim on the blocks of
-    size class c, shape (count, P, dim*n, n), and gen_stacks[c] those of
-    the s generators, shape (count, s, dim*n, n) (`realization_stacks`).
+    Both families are SampleSets of one module (`SampleSet.in_module`):
+    per size class, the P points are realized in a stack
+    (count, P, dim*n, n) and the s generators in one (count, s, dim*n, n).
     One pseudo-inverse per block serves every point: G_k, the synthesis
     map (a_1..a_s) -> sum_i g_i a_i, has the generator columns side by
     side, the coefficient stack is pinv(G_k) @ X_k broadcast over the
@@ -579,9 +581,10 @@ def span_least_squares(
     stacks, shape (count, P, s*n, n), the residuals, and the constant
     B = max_k ||pinv(G_k)||_2 of `synthesis_pinv_norm`.
     """
-    require_stacks(stacks, shape, dim)
+    shape = generators.shape
+    stacks = points.in_module(shape, generators.dim)
     coeffs, norms, pinv_norms = [], [], []
-    for xk, gk in zip(stacks, gen_stacks):
+    for xk, gk in zip(stacks, generators.realizations):
         synthesis = gk.swapaxes(1, 2).reshape(len(gk), gk.shape[2], -1)
         pinv = np.linalg.pinv(synthesis, rcond=PINV_RTOL)
         ak = pinv[:, None] @ xk
@@ -617,9 +620,7 @@ def submodule_distance(x: ModuleVector, generators) -> tuple[float, list[Algebra
     singular values of G below PINV_RTOL times the largest are cut.
     """
     gens = generator_family(generators)
-    coeffs, residuals, _ = span_least_squares(
-        realization_stacks([x], x.shape, x.dim), gens.realizations, gens.shape, gens.dim
-    )
+    coeffs, residuals, _ = span_least_squares(SampleSet((x,)), gens)
     s = len(gens)
     split = [coordinate_blocks(ck[:, 0], s) for ck in coeffs]
     elements = [
@@ -636,7 +637,4 @@ def synthesis_pinv_norm(generators) -> float:
     finite-dimensional algebras: the minimal-norm solution of
     sum_i g_i a_i = y satisfies ||(a_1..a_s)|| <= B ||y||.
     """
-    gens = generator_family(generators)
-    return span_least_squares(
-        realization_stacks((), gens.shape, gens.dim), gens.realizations, gens.shape, gens.dim
-    )[2]
+    return span_least_squares(SampleSet(()), generator_family(generators))[2]

@@ -67,11 +67,6 @@ class TailDecaySignal(Exception):
         )
 
 
-def _require_same_module(a: SampleSet, b: SampleSet):
-    if len(a) and len(b) and (a.shape, a.dim) != (b.shape, b.dim):
-        raise ValueError("module vectors live in different modules")
-
-
 @dataclass(frozen=True)
 class BallSampler:
     """Deterministic unit-ball sampler: extreme witnesses plus seeded bulk.
@@ -259,11 +254,11 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
     layout, so np.trace itself is kept.
     """
     system = spec._system
-    _require_same_module(sample, system)
     if not len(sample):
         return np.zeros((0, len(system), len(system)), complex)
     traces = []
-    for s, y, rho in zip(sample.realizations, system.realizations, spec._densities):
+    stacks = sample.in_module(system.shape, system.dim)
+    for s, y, rho in zip(stacks, system.realizations, spec._densities):
         ips = s.conj().swapaxes(-1, -2)[:, :, None] @ y[:, None]
         products = rho[:, None, :, None] @ ips[:, :, None]
         n = products.shape[-1]
@@ -365,7 +360,7 @@ def _module_distances(sample: SampleSet, approx: SampleSet) -> np.ndarray:
     return np.concatenate(
         [
             spectral_norms(s[:, :, None] - a[:, None])
-            for s, a in zip(sample.realizations, approx.realizations)
+            for s, a in zip(sample.realizations, approx.in_module(sample.shape, sample.dim))
         ]
     ).max(axis=0)
 
@@ -386,7 +381,6 @@ def net_transfer(
         return []
     if not len(approx):
         raise ValueError("the approximating set is empty")
-    _require_same_module(sample, approx)
     closest = _module_distances(sample, approx).min(axis=1)
     far = np.flatnonzero(closest >= eps)
     if far.size:

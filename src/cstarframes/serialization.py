@@ -28,7 +28,6 @@ from .modules import (
     coordinate_blocks,
     entry_blocks,
     from_entry_blocks,
-    realization_stacks,
 )
 from .seminorms import AdmissibleSystem, SeminormSpec
 
@@ -271,21 +270,21 @@ def parse_vector_payload(val, shape: AlgebraShape, path: str) -> ModuleVector:
     return ModuleVector._packed(shape, dim, tuple(s[:, 0] for s in stacks))
 
 
-def _parse_family(raw: list, shape: AlgebraShape, path: str) -> tuple[int, tuple[np.ndarray, ...]]:
-    """The non-empty vector payloads raw[i] as (dim, per-class stacks (count, len, dim*n, n)).
+def _parse_family(raw: list, shape: AlgebraShape, path: str, label: str = "") -> SampleSet:
+    """The non-empty vector payloads raw[i] as a SampleSet.
 
-    Walked at path[i] only when the decode rejects them; well-formed
-    payloads of mixed dimensions are refused at path.
+    Decoded together into the set's stacks; walked at path[i] only when
+    the decode rejects them, and well-formed payloads of mixed dimensions
+    are refused at path.
     """
     decoded = _decode_family(raw, shape)
     if decoded is not None:
-        return decoded
+        return SampleSet._packed(shape, *decoded, label=label)
     vectors = [_walk_vector(v, shape, f"{path}[{i}]") for i, v in enumerate(raw)]
     dims = {v.dim for v in vectors}
     if len(dims) != 1:
         raise SchemaError(path, f"mixed module dimensions {sorted(dims)}")
-    dim = vectors[0].dim
-    return dim, realization_stacks(vectors, shape, dim)
+    return SampleSet(vectors, label=label)
 
 
 def _parse_states(raw: list, shape: AlgebraShape, path: str) -> tuple[State, ...]:
@@ -366,7 +365,7 @@ def document(value) -> dict:
             ),
         }
     if isinstance(value, Frame):
-        return _frame_document(value, value._vector_stacks)
+        return _frame_document(value, value._family)
     if isinstance(value, SampleSet):
         if not len(value):
             raise ValueError("an empty sample set has no shape and cannot be serialized")
@@ -374,7 +373,7 @@ def document(value) -> dict:
             "version": 1,
             "kind": "sample_set",
             "shape": shape_payload(value.shape),
-            "points": _vector_payloads(value.shape, value.dim, value.realizations),
+            "points": _family_payloads(value),
         }
         if value.label:
             doc["label"] = value.label
@@ -385,7 +384,7 @@ def document(value) -> dict:
             "version": 1,
             "kind": "seminorm_spec",
             "shape": shape_payload(system.shape),
-            "system": _vector_payloads(system.shape, system.dim, system.realizations),
+            "system": _family_payloads(system),
             "states": [state_payload(phi) for phi in value.states],
         }
     if isinstance(value, TruncatedCSetting):
@@ -400,13 +399,17 @@ def document(value) -> dict:
     raise TypeError(f"no schema for {type(value).__name__}")
 
 
-def _frame_document(frame: Frame, stacks) -> dict:
+def _family_payloads(family: SampleSet) -> list:
+    return _vector_payloads(family.shape, family.dim, family.realizations)
+
+
+def _frame_document(frame: Frame, family: SampleSet) -> dict:
     return {
         "version": 1,
         "kind": "frame",
         "shape": shape_payload(frame.shape),
         "spanning": frame.spanning,
-        "vectors": _vector_payloads(frame.shape, frame.dim, stacks),
+        "vectors": _family_payloads(family),
     }
 
 
@@ -429,7 +432,7 @@ def serialize_dual(frame: Frame) -> bytes:
     would redo the gram and its eigensystem, and the absolute floor of
     that check rejects valid duals of frames with large bounds.
     """
-    return serialize(_frame_document(frame, frame._dual_stacks))
+    return serialize(_frame_document(frame, frame._dual))
 
 
 def _parse_shape_doc(doc: dict) -> AlgebraShape:
@@ -500,9 +503,9 @@ def _parse_frame_doc(doc: dict) -> Frame:
     raw = _expect_list(_get(doc, "vectors", "$"), "$.vectors")
     if not raw:
         raise SchemaError("$.vectors", "frame needs at least one vector")
-    dim, stacks = _parse_family(raw, shape, "$.vectors")
+    family = _parse_family(raw, shape, "$.vectors")
     try:
-        return Frame(SampleSet._packed(shape, dim, stacks), spanning)
+        return Frame(family, spanning)
     except DegenerateFrameError as e:
         raise SchemaError("$.vectors", str(e)) from e
 
@@ -516,8 +519,7 @@ def _parse_sample_set_doc(doc: dict) -> SampleSet:
     raw = _expect_list(_get(doc, "points", "$"), "$.points")
     if not raw:
         return SampleSet((), label=label)
-    dim, stacks = _parse_family(raw, shape, "$.points")
-    return SampleSet._packed(shape, dim, stacks, label=label)
+    return _parse_family(raw, shape, "$.points", label)
 
 
 def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
@@ -526,9 +528,9 @@ def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
     raw_sys = _expect_list(_get(doc, "system", "$"), "$.system")
     if not raw_sys:
         raise SchemaError("$.system", "admissible system needs at least one vector")
-    dim, stacks = _parse_family(raw_sys, shape, "$.system")
+    family = _parse_family(raw_sys, shape, "$.system")
     try:
-        system = AdmissibleSystem(SampleSet._packed(shape, dim, stacks))
+        system = AdmissibleSystem(family)
     except ValueError as e:
         raise SchemaError("$.system", str(e)) from e
     raw_states = _expect_list(_get(doc, "states", "$"), "$.states")
@@ -569,17 +571,18 @@ _PARSERS = {
 def parse(kind: str, data):
     """Parse bytes or text into the typed value for the given kind.
 
-    Rejects text that is not JSON (nesting too deep to decode and
-    integer literals too long to convert included), wrong versions,
-    mismatched kinds, unknown fields, malformed payloads, and invariant
-    violations; every error carries the JSON path of the offending field.
+    Rejects bytes that are not UTF-8, text that is not JSON (nesting too
+    deep to decode and integer literals too long to convert included),
+    wrong versions, mismatched kinds, unknown fields, malformed payloads,
+    and invariant violations; every error carries the JSON path of the
+    offending field.
     """
     if kind not in _PARSERS:
         raise SchemaError("$", f"unknown entity kind {kind!r}")
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as e:
+        raise SchemaError("$", f"not valid UTF-8: {e}") from e
     except (ValueError, RecursionError) as e:
         # JSONDecodeError, an integer literal past the int digit limit, nesting past the stack
         raise SchemaError("$", f"not valid JSON: {e}") from e

@@ -77,8 +77,8 @@ def test_permuting_blocks_permutes_realizations_and_keeps_max_quantities(case):
         for j, p in enumerate(perm):
             assert np.array_equal(h.realize_block(j), g.realize_block(p))
     assert np.array_equal(
-        frames[0].tail_profiles(samples[0].realizations),
-        frames[1].tail_profiles(samples[1].realizations),
+        frames[0].tail_profiles(samples[0]),
+        frames[1].tail_profiles(samples[1]),
     )
     for eps in (0.5, 0.05):
         b = [check_condition_b(s, f, eps).to_json_dict() for s, f in zip(samples, frames)]
@@ -131,7 +131,7 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
         return (
             setting.witness_profiles().tobytes(),
             serialize(tails_certificate(setting.witness_profiles(), 0.5)),
-            frame.tail_profiles(sample.realizations).tobytes(),
+            frame.tail_profiles(sample).tobytes(),
             b"".join(g.tobytes() for g in frame._grams),
             serialize(certify_equivalences(sample, CertifyConfig(eps_grid=(1.0, 0.1), frame=frame))),
             serialize(series_decompose(op, frame=frame)),

@@ -10,6 +10,7 @@ also pins the canonical report bytes of two fixtures and counts the
 work one equivalence run does.
 """
 
+import functools
 import math
 from pathlib import Path
 
@@ -376,29 +377,29 @@ def test_one_run_builds_the_span_family_once_and_one_pinv_per_block(monkeypatch)
 
 def test_one_run_stacks_the_generators_once(monkeypatch):
     import cstarframes.certify as certify
-    import cstarframes.modules as modules
 
     sample, _ = _sample((1, 2), "planted", seed=7)
     gens = tuple(p * 0.5 for p in sample.points[:2])
     stacked = []
-    stack = modules.realization_stacks
+    stack = SampleSet.realizations.func
 
-    def counted(vectors, *args):
-        vectors = list(vectors)
-        stacked.append(any(v is g for v in vectors for g in gens))
-        return stack(vectors, *args)
+    def counted(family):
+        stacked.append(any(v is g for v in family.points for g in gens))
+        return stack(family)
 
-    monkeypatch.setattr(certify, "realization_stacks", counted)
-    monkeypatch.setattr(modules, "realization_stacks", counted)
+    # a set built from points stacks them in `realizations`, once per set
+    hook = functools.cached_property(counted)
+    hook.__set_name__(SampleSet, "realizations")
+    monkeypatch.setattr(SampleSet, "realizations", hook)
     certify_equivalences(sample, CertifyConfig(eps_grid=(0.5, 0.25), generators=gens))
     assert stacked.count(True) == 1
 
-    # default generators are the basis frame's own stack: its vectors are never built
+    # default generators are the basis frame's own family: its points are never built
     frames = []
     basis = certify.standard_basis_frame
     monkeypatch.setattr(certify, "standard_basis_frame", lambda *a: frames.append(basis(*a)) or frames[-1])
     certify_equivalences(sample, CertifyConfig(eps_grid=(0.5, 0.25)))
-    assert len(frames) == 1 and "_vectors" not in vars(frames[0])
+    assert len(frames) == 1 and "points" not in vars(frames[0]._family)
 
 
 def test_replay_rechecks_the_theta_pairs_not_the_error_profile(monkeypatch):

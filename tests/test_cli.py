@@ -50,6 +50,17 @@ def test_frame_bounds_general_format(capsys):
     assert 0 < c1 <= c2
 
 
+def test_frame_bounds_on_bytes_that_are_not_utf8_is_a_schema_error(capsys, tmp_path):
+    path = tmp_path / "frame.json"
+    path.write_bytes(bytes.fromhex("fffe7b7d"))
+    code, out, err = run(capsys, "frame-bounds", str(path))
+    assert code == 1 and out == ""
+    assert err == (
+        "cstarframes: error: $: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+
+
 # --- dual ---
 
 

@@ -114,7 +114,7 @@ def test_tail_obstruction_cross_checks_frame_route(monkeypatch):
     setting = build_setting(4, 4)
     exact = Frame.tail_profiles
     monkeypatch.setattr(
-        Frame, "tail_profiles", lambda self, stacks: exact(self, stacks) + 1e-9
+        Frame, "tail_profiles", lambda self, points: exact(self, points) + 1e-9
     )
     with pytest.raises(AssertionError, match="disagrees"):
         tail_obstruction(setting, 1)
@@ -125,8 +125,8 @@ def test_tail_obstruction_checks_every_prefix_of_explicit_points(monkeypatch):
     points = image_sample(setting, count=3, seed=1).points
     exact = Frame.tail_profiles
 
-    def off_at_last_prefix(self, stacks):
-        tails = exact(self, stacks)
+    def off_at_last_prefix(self, points):
+        tails = exact(self, points)
         tails[:, -1] += 1e-9
         return tails
 
@@ -252,7 +252,7 @@ def test_diagonal_solve_is_the_dense_solve_bit_for_bit(size, eps):
     """Below k = 98, ||v_k||^2 is a normal float and the diagonal solve is the dense one."""
     setting = build_setting(*size)
     diagonal = [required for _, required in coeff_growth(setting, eps)]
-    dense = _dense_min_coeff_norms(setting, setting._witness_stacks[0], eps)
+    dense = _dense_min_coeff_norms(setting, setting._witness_set.realizations[0], eps)
     assert np.array(diagonal).tobytes() == np.array(dense).tobytes()
 
 
@@ -295,7 +295,7 @@ def test_every_row_matches_exact_factorial_growth(trunc, eps):
 def test_rows_past_97_were_the_underflowing_ones():
     """The dense solve loses rows k >= 98 to the underflowing square; the diagonal solve keeps them."""
     setting = build_setting(104)
-    dense = _dense_min_coeff_norms(setting, setting._witness_stacks[0], 0.25)
+    dense = _dense_min_coeff_norms(setting, setting._witness_set.realizations[0], 0.25)
     assert dense[101:] == [math.inf] * 3
     diagonal = [required for _, required in coeff_growth(setting, 0.25)]
     assert diagonal[:97] == dense[:97]

@@ -4,6 +4,8 @@ Frozen oracle: the family {e1, e1, e2} on A^2 has gram realization
 diag(2, 1) per block, so its optimal bounds are exactly (1, 2).
 """
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from cstarframes import (
     inner_product,
     standard_basis_frame,
 )
-from cstarframes.modules import realization_stacks
 
 C2 = AlgebraShape((1, 1))
 M2 = AlgebraShape((2,))
@@ -219,8 +220,8 @@ def test_standard_basis_frame_is_the_generic_frame_bit_for_bit(dims, dim):
     shape = AlgebraShape(dims)
     closed = standard_basis_frame(shape, dim)
     generic = Frame([ModuleVector.basis(shape, dim, j) for j in range(dim)])
-    for name in ("_vector_stacks", "_grams", "_gram_inv", "_dual_stacks"):
-        assert _stack_bytes(getattr(closed, name)) == _stack_bytes(getattr(generic, name)), name
+    for name in ("_family.realizations", "_grams", "_gram_inv", "_dual.realizations"):
+        assert _stack_bytes(attrgetter(name)(closed)) == _stack_bytes(attrgetter(name)(generic)), name
     assert not any(s.flags.writeable for s in closed._grams + tuple(closed._gram_inv))
     assert closed.bounds == generic.bounds == (1.0, 1.0)
     assert repr(closed) == repr(generic)
@@ -231,7 +232,7 @@ def test_standard_basis_frame_is_the_generic_frame_bit_for_bit(dims, dim):
     rng = np.random.default_rng(dim)
     points = [random_vector(shape, dim, rng), ModuleVector.zero(shape, dim)]
     points.append(points[0].restrict(0, (dim + 1) // 2))
-    sample = realization_stacks(points, shape, dim)
+    sample = SampleSet(points)
     assert closed.tail_profiles(sample).tobytes() == generic.tail_profiles(sample).tobytes()
     for indices in (None, range(0, dim, 2)):
         got, want = closed.reconstruct(points[0], indices), generic.reconstruct(points[0], indices)
@@ -293,17 +294,17 @@ def test_a_frame_of_a_sample_set_is_the_frame_of_its_vectors(spanning, seed):
     dim = int(rng.integers(1, 4))
     size = dim + int(rng.integers(0, 3)) if spanning == "ambient" else int(rng.integers(1, dim + 1))
     vectors = [random_vector(shape, dim, rng) for _ in range(size)]
-    stacks = realization_stacks(vectors, shape, dim)
+    stacks = SampleSet(vectors).realizations
     frames = [
         Frame(vectors, spanning),
         Frame(SampleSet(vectors), spanning),
         Frame(SampleSet._packed(shape, dim, [s.copy() for s in stacks]), spanning),
     ]
-    points = realization_stacks([random_vector(shape, dim, rng) for _ in range(3)], shape, dim)
+    points = SampleSet([random_vector(shape, dim, rng) for _ in range(3)])
     want = frames[0]
     for got in frames[1:]:
-        for name in ("_vector_stacks", "_grams", "_gram_inv", "_dual_stacks"):
-            assert _stack_bytes(getattr(got, name)) == _stack_bytes(getattr(want, name)), name
+        for name in ("_family.realizations", "_grams", "_gram_inv", "_dual.realizations"):
+            assert _stack_bytes(attrgetter(name)(got)) == _stack_bytes(attrgetter(name)(want)), name
         assert got.bounds == want.bounds and got.size == want.size == size
         for a, b in zip(got.canonical_dual(), want.canonical_dual(), strict=True):
             assert _stack_bytes(a.stacks) == _stack_bytes(b.stacks)
@@ -312,6 +313,6 @@ def test_a_frame_of_a_sample_set_is_the_frame_of_its_vectors(spanning, seed):
 
 
 def test_a_frame_needs_a_member_in_every_form():
-    for family in ((), SampleSet(()), SampleSet._packed(C2, 2, realization_stacks((), C2, 2))):
+    for family in ((), SampleSet(()), SampleSet._packed(C2, 2, SampleSet(()).in_module(C2, 2))):
         with pytest.raises(ValueError, match="at least one vector"):
             Frame(family)

@@ -124,8 +124,8 @@ def test_a_unitary_module_operator_moves_frame_and_sample_together(case, points,
 
     sample = SampleSet(tuple(random_vector(shape, dim, rng, 0.5) for _ in range(points)))
     moved = SampleSet(tuple(u(x) for x in sample.points))
-    tails = basis.tail_profiles(sample.realizations)
-    moved_tails = moved_frame.tail_profiles(moved.realizations)
+    tails = basis.tail_profiles(sample)
+    moved_tails = moved_frame.tail_profiles(moved)
     assert np.abs(moved_tails - tails).max() <= 1e-10
 
     # a tiny eps runs C/D through every rank of the budget

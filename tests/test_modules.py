@@ -24,7 +24,6 @@ from cstarframes import (
     synthesis_pinv_norm,
     theta_op,
 )
-from cstarframes.modules import realization_stacks
 
 C2 = AlgebraShape((1, 1))
 
@@ -279,7 +278,7 @@ def test_span_family_of_a_sample_set_is_the_span_family_of_its_vectors(seed):
     shape = random_shape(rng)
     vecs = [random_vector(shape, 3, rng) for _ in range(3)]
     vecs.insert(1, vecs[0] * 2.0)  # reproduced by the first member: dropped
-    stacks = realization_stacks(vecs, shape, 3)
+    stacks = SampleSet(vecs).realizations
     families = [
         orthogonal_span_family(vecs),
         orthogonal_span_family(SampleSet(vecs)),
@@ -291,6 +290,6 @@ def test_span_family_of_a_sample_set_is_the_span_family_of_its_vectors(seed):
         assert [s.tobytes() for s in got.realizations] == [s.tobytes() for s in want.realizations]
         for a, b in zip(got, want, strict=True):
             assert [s.tobytes() for s in a.stacks] == [s.tobytes() for s in b.stacks]
-    assert [s.tobytes() for s in stacks] == [s.tobytes() for s in realization_stacks(vecs, shape, 3)]
+    assert [s.tobytes() for s in stacks] == [s.tobytes() for s in SampleSet(vecs).realizations]
     assert not any(s.flags.writeable for s in want.realizations)
     assert len(orthogonal_span_family([])) == 0

@@ -387,7 +387,7 @@ def np_trace_state_values(spec, sample):
 def test_state_values_are_np_trace_bit_for_bit(case, fills):
     """Signed zeros and NaN included: point p has its first block set to fills[p]."""
     spec, points = draw_case(case, 6)
-    stacks = SampleSet(points).realizations
+    stacks = [s.copy() for s in SampleSet(points).realizations]
     for p, fill in enumerate(fills):
         if fill is not None:
             stacks[0][0, p] = fill

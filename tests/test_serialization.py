@@ -27,7 +27,6 @@ from cstarframes import (
     tail_obstruction,
 )
 from cstarframes import serialization
-from cstarframes.modules import realization_stacks
 from cstarframes.serialization import document
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -278,7 +277,8 @@ def _mutate(doc, path, value):
 
 # Each malformed document and the exact message the per-cell walk gave for
 # it before the one-pass decode existed.  Several documents carry two
-# faults; the first in document order is the one named.
+# faults; the first in document order is the one named.  A row whose
+# mutation is bytes replaces the whole document with them.
 SCHEMA_ERRORS = [
     ("vector.json", [(("coords", 1, 1, 0, 1, 0), True)], "$.coords[1][1][0][1][0]: expected a number, found True"),
     ("vector.json", [(("coords", 0, 1, 1, 0, 1), "1.5")], "$.coords[0][1][1][0][1]: expected a number, found '1.5'"),
@@ -331,16 +331,21 @@ SCHEMA_ERRORS = [
     ("operator.json", [(("entries", 0, 1, 0, 0, 0, 1), "z"), (("entries", 1), "DROP_LAST")], "$.entries[0][1][0][0][0][1]: expected a number, found 'z'"),
     ("operator.json", [(("entries", 1), "ADD_ENTRY"), (("entries", 1, 0, 0, 0, 0, 0), True)], "$.entries[1]: ragged row: expected 2 entries, found 3"),
     ("seminorm_spec.json", [(("states", 0, 0, 0, 0, 0), True), (("system", 3, 0, 0, 0, 0, 0), True)], "$.system[3][0][0][0][0][0]: expected a number, found True"),
+    ("frame_random.json", bytes.fromhex("fffe7b7d"), "$: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ]
 
 
 @pytest.mark.parametrize("name, mutations, message", SCHEMA_ERRORS)
 def test_malformed_payloads_keep_their_schema_errors(name, mutations, message):
     doc = json.loads((FIXTURES / name).read_bytes())
-    for path, value in mutations:
-        _mutate(doc, path, value)
+    if isinstance(mutations, bytes):
+        data = mutations
+    else:
+        for path, value in mutations:
+            _mutate(doc, path, value)
+        data = json.dumps(doc)
     with pytest.raises(SchemaError) as err:
-        parse(doc["kind"], json.dumps(doc))
+        parse(doc["kind"], data)
     assert str(err.value) == message
 
 
@@ -363,7 +368,7 @@ def test_parsed_families_keep_the_decoded_stack():
     spec = parse("seminorm_spec", (FIXTURES / "seminorm_spec.json").read_bytes())
     families = [
         ("sample_planted.json", "points", sample, "points", sample.realizations),
-        ("frame_random.json", "vectors", frame._family, "points", frame._vector_stacks),
+        ("frame_random.json", "vectors", frame._family, "points", frame._family.realizations),
         ("seminorm_spec.json", "system", spec._system, "points", spec._system.realizations),
     ]
     for name, key, owner, members, stacks in families:
@@ -371,7 +376,7 @@ def test_parsed_families_keep_the_decoded_stack():
         doc = json.loads((FIXTURES / name).read_bytes())
         shape = AlgebraShape(tuple(doc["shape"]))
         walked = [serialization._walk_vector(v, shape, "$") for v in doc[key]]
-        expected = realization_stacks(walked, shape, walked[0].dim)
+        expected = SampleSet(walked).realizations
         assert [s.tobytes() for s in stacks] == [s.tobytes() for s in expected]
         vectors = getattr(owner, members)
         assert len(vectors) == len(walked)

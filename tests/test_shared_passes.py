@@ -1,10 +1,10 @@
 """The equivalence runner's shared passes give the bits of the separate ones.
 
 `certify_equivalences` takes the tails of the generators and of the
-sample from one `Frame.tail_profiles` call on stacks joined along the
-point axis, condition A forms every generator's part of the approximant
-in one batched product, and the C/D approximant is a view of the stacked
-span family.  Each is compared here, byte for byte, with the route it
+sample from one `Frame.tail_profiles` call on a set packed on stacks
+joined along the point axis, condition A forms every generator's part of
+the approximant in one batched product, and the C/D approximant is a
+view of the stacked span family.  Each is compared here, byte for byte, with the route it
 replaced: two tail passes, a loop over the generators, and the members
 of `orthogonal_span_family` themselves.  Zero blocks and zero points are
 mixed in, and the chunk bound is also taken at one entry, so the zero
@@ -24,7 +24,6 @@ from cstarframes.certify import _coefficient_data, check_condition_cd
 from cstarframes.modules import (
     coordinate_blocks,
     orthogonal_span_family,
-    realization_stacks,
     span_least_squares,
 )
 
@@ -73,10 +72,13 @@ def test_joined_tails_equal_two_separate_passes(case, gen_count, point_count):
     rng = np.random.default_rng(seed)
     shape = AlgebraShape(dims)
     frame = Frame([_vector(shape, dim, rng, 0.0) for _ in range(dim + 1)])
-    gens = realization_stacks(_family(shape, dim, rng, gen_count), shape, dim)
-    points = realization_stacks(_family(shape, dim, rng, point_count), shape, dim)
+    gens = SampleSet(_family(shape, dim, rng, gen_count))
+    points = SampleSet(_family(shape, dim, rng, point_count))
+    parts = zip(gens.realizations, points.in_module(shape, dim))
     with tiny_chunks(tiny):
-        joined = frame.tail_profiles([np.concatenate(p, axis=1) for p in zip(gens, points)])
+        joined = frame.tail_profiles(
+            SampleSet._packed(shape, dim, [np.concatenate(p, axis=1) for p in parts])
+        )
         apart = (frame.tail_profiles(gens), frame.tail_profiles(points))
     assert joined.shape == (gen_count + point_count, frame.size + 1)
     assert joined[:gen_count].tobytes() == apart[0].tobytes()
@@ -86,10 +88,10 @@ def test_joined_tails_equal_two_separate_passes(case, gen_count, point_count):
 def _looped_approx_norms(sample, generators):
     """max over the blocks of ||sum_i g_i a_i||, the products added one generator at a time."""
     g0 = generators[0]
-    gen_stacks = realization_stacks(generators, g0.shape, g0.dim)
-    coeffs, _, _ = span_least_squares(sample.realizations, gen_stacks, g0.shape, g0.dim)
+    gens = SampleSet(generators)
+    coeffs, _, _ = span_least_squares(sample, gens)
     per_class = []
-    for ak, gk in zip(coeffs, gen_stacks):
+    for ak, gk in zip(coeffs, gens.realizations):
         count, points, _, n = ak.shape
         per_coeff = ak.reshape(count, points, len(generators), n, n)
         gen_coords = coordinate_blocks(gk, g0.dim)
@@ -110,7 +112,7 @@ def test_batched_condition_a_approximant_equals_the_generator_loop(case, gen_cou
     gens = [_vector(shape, dim, rng, 0.3) for _ in range(gen_count)]
     want = _looped_approx_norms(sample, gens)
     with tiny_chunks(tiny):
-        got = _coefficient_data(sample, realization_stacks(gens, shape, dim), shape, dim).approx_norms
+        got = _coefficient_data(sample, SampleSet(gens)).approx_norms
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 

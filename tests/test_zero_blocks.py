@@ -20,11 +20,21 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from cstarframes import AlgebraElement, AlgebraShape, DegenerateFrameError, Frame, ModuleVector, algebra, modules
+from cstarframes import (
+    AlgebraElement,
+    AlgebraShape,
+    DegenerateFrameError,
+    Frame,
+    ModuleVector,
+    SampleSet,
+    algebra,
+    modules,
+)
 from cstarframes.algebra import chunks, spectral_norms, tiles
 from cstarframes.cli import main
 from cstarframes.counterexample import _truncation_tails
-from cstarframes.modules import coordinate_blocks, from_entry_blocks, gram_block, realization_stacks
+from cstarframes.frames import prefix_tails
+from cstarframes.modules import coordinate_blocks, from_entry_blocks, gram_block
 
 SHAPES = [(1,), (1, 1, 1, 1), (1,) * 6, (1, 2), (1, 2, 1, 3, 2)]
 
@@ -32,10 +42,11 @@ SHAPES = [(1,), (1, 1, 1, 1), (1,) * 6, (1, 2), (1, 2, 1, 3, 2)]
 # -- the dense routes, as they were before zero blocks were skipped -----------
 
 
-def oracle_prefix_tails(frame, stacks, stop):
+def oracle_prefix_tails(frame, sample, stop):
+    stacks = sample.realizations
     points = stacks[0].shape[1]
     tails = np.zeros((points, stop + 1))
-    for xs, vs, gs in zip(stacks, frame._vector_stacks, frame._dual_stacks):
+    for xs, vs, gs in zip(stacks, frame._family.realizations, frame._dual.realizations):
         count, _, rows, n = xs.shape
         v = vs[:, None, :stop]
         g_adj = gs[:, None, :stop].conj().swapaxes(-1, -2)
@@ -108,7 +119,7 @@ def _case(dims, dim, sparse, seed, magnitude=0.0):
     else:
         family = [_vector(shape, dim, rng, everywhere, scale) for _ in range(dim + 2)]
         points = [_vector(shape, dim, rng, everywhere, 0.3) for _ in range(4)]
-    return Frame(family), realization_stacks(points, shape, dim)
+    return Frame(family), SampleSet(points)
 
 
 @contextlib.contextmanager
@@ -216,11 +227,11 @@ def test_prefix_tails_match_the_dense_route(case, magnitude):
         frame, points = _case(dims, dim, sparse, seed, magnitude)
     except DegenerateFrameError:
         reject()  # scaled so small that every gram eigenvalue is below the cut
-    assert all(np.isfinite(g).all() for g in frame._dual_stacks)
+    assert all(np.isfinite(g).all() for g in frame._dual.realizations)
     assert all(np.isfinite(g).all() for g in frame._gram_inv)
     with bounds(tiny_chunks, every_skip):
         for stop in sorted({0, 1, frame.size}):
-            got = frame._prefix_tails(points, stop)
+            got = prefix_tails(points, frame._family, frame._dual, stop)
             assert got.tobytes() == oracle_prefix_tails(frame, points, stop).tobytes()
 
 
@@ -230,7 +241,8 @@ def test_truncation_tails_match_the_dense_route(case):
     dims, dim, sparse, seed, tiny_chunks, every_skip = case
     _, points = _case((1,) * len(dims), dim, sparse, seed)
     with bounds(tiny_chunks, every_skip):
-        assert _truncation_tails(points[0]).tobytes() == oracle_truncation_tails(points[0]).tobytes()
+        stack = points.realizations[0]
+        assert _truncation_tails(stack).tobytes() == oracle_truncation_tails(stack).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,7 +251,7 @@ def test_gram_matches_the_dense_route(case):
     dims, dim, sparse, seed, tiny_chunks, every_skip = case
     frame, points = _case(dims, dim, sparse, seed)
     with bounds(tiny_chunks, every_skip):
-        for stacks_ in (frame._vector_stacks, points):
+        for stacks_ in (frame._family.realizations, points.realizations):
             for s in stacks_:
                 coords = coordinate_blocks(s, dim)
                 assert gram_block(coords).tobytes() == oracle_gram_block(coords).tobytes()
@@ -250,11 +262,13 @@ def test_every_route_skips_on_the_witnesses():
     from cstarframes import build_setting
 
     setting = build_setting(9, 7)
-    stack = setting._witness_stacks[0]
+    witnesses = setting._witness_set
+    stack = witnesses.realizations[0]
     frame = setting.frame
-    assert frame._prefix_tails((stack,), 7).tobytes() == oracle_prefix_tails(frame, (stack,), 7).tobytes()
+    got = prefix_tails(witnesses, frame._family, frame._dual, 7)
+    assert got.tobytes() == oracle_prefix_tails(frame, witnesses, 7).tobytes()
     assert _truncation_tails(stack).tobytes() == oracle_truncation_tails(stack).tobytes()
-    coords = coordinate_blocks(frame._vector_stacks[0], 7)
+    coords = coordinate_blocks(frame._family.realizations[0], 7)
     assert gram_block(coords).tobytes() == oracle_gram_block(coords).tobytes()
 
 
@@ -267,7 +281,7 @@ def test_non_finite_data_takes_the_dense_route():
                                     for a, b in coords])
 
     with np.errstate(invalid="ignore", over="ignore"), bounds(False, True):
-        inf_member = realization_stacks([vec((np.inf, 1.0), (0.0, 1.0))], shape, 2)[0]
+        inf_member = SampleSet([vec((np.inf, 1.0), (0.0, 1.0))]).realizations[0]
         coords = coordinate_blocks(inf_member, 2)
         assert gram_block(coords).tobytes() == oracle_gram_block(coords).tobytes()
         assert np.isnan(gram_block(coords)).any()
