@@ -31,7 +31,6 @@ from .frames import Frame, prefix_tails, standard_basis_frame
 from .modules import (
     ModuleVector,
     SampleSet,
-    coordinate_blocks,
     generator_family,
     inner_product,
     orthogonal_span_family,
@@ -120,10 +119,10 @@ def _coefficient_data(sample: SampleSet, gens: SampleSet) -> _CoefficientData:
 
     Besides each point's residual and B, records the norm of each
     coefficient, of the stacked coefficient tuple, and of the approximant
-    sum_i g_i a_i.  The per-coordinate products g_i a_i of every
-    generator come out of one batched matmul and are summed from zero in
-    generator order with np.add.accumulate, taking blocks and points in
-    tiles that bound the size of the term tensor.
+    sum_i g_i a_i.  The products R(g_i) a_i of every generator come out
+    of one batched matmul (the stacked-left rule, README Storage) and are
+    summed from zero in generator order with np.add.accumulate, taking
+    blocks and points in tiles that bound the size of the term tensor.
     """
     coeffs, residuals, b_const = span_least_squares(sample, gens)
     shape, dim, s = gens.shape, gens.dim, len(gens)
@@ -133,13 +132,12 @@ def _coefficient_data(sample: SampleSet, gens: SampleSet) -> _CoefficientData:
         per_coeff = ak.reshape(count, points, s, n, n)
         coeff_norms.append(spectral_norms(per_coeff))
         stacked_norms.append(spectral_norms(ak))
-        gen_coords = coordinate_blocks(gk, dim)[:, None]
         an = np.zeros((count, points))
         for part_blocks, part in tiles(count, points, (s + 1) * dim * n * n):
-            terms = gen_coords[part_blocks] @ per_coeff[part_blocks, part, :, None]
+            terms = gk[part_blocks, None] @ per_coeff[part_blocks, part]
             start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
             approx = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)[:, :, -1]
-            an[part_blocks, part] = spectral_norms(approx.reshape(approx.shape[:2] + (dim * n, n)))
+            an[part_blocks, part] = spectral_norms(approx)
         approx_norms.append(an)
     return _CoefficientData(
         s,
@@ -186,7 +184,7 @@ def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
     through all the given pairs.  One rank step updates the residuals
     r - z<g,x> of all points in one batched product per size class.
     """
-    shape, dim = sample.shape, sample.dim
+    shape = sample.shape
     stacks = sample.realizations
     residuals = list(stacks)
     errors = [max(sample.point_norms)]
@@ -196,8 +194,7 @@ def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
             break
         for c, (xk, zk, gk) in enumerate(zip(stacks, z.realizations, g.realizations)):
             coeffs = gk[:, j, None].conj().swapaxes(-1, -2) @ xk
-            step = coordinate_blocks(zk[:, j], dim)[:, None] @ coeffs[:, :, None]
-            residuals[c] = residuals[c] - step.reshape(xk.shape)
+            residuals[c] = residuals[c] - zk[:, j, None] @ coeffs
         errors.append(max(stack_norms(shape, residuals)))
     return errors
 
@@ -694,10 +691,11 @@ def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray
 
     tk holds the realized (m*n, d*n) blocks of T, shape (count, m*n, d*n),
     xk the stacked realizations (count, size, m*n, n) of the x_j and yk
-    those (count, size, d*n, n) of the y_j.  Every (n, n) product
-    x_ji y_jl* of every term comes out of one batched matmul on
-    contiguous adjoints, which is the arithmetic of the algebra product
-    x_i * y_l.adjoint(); the partial sums S_n add the terms in frame order
+    those (count, size, d*n, n) of the y_j.  Column l of a term is the
+    product R(x_j) y_jl* on a contiguous adjoint, all in one batched
+    matmul, which gives each block x_ji y_jl* the arithmetic of the
+    algebra product x_i * y_l.adjoint() (the stacked-left rule, README
+    Storage); the partial sums S_n add the terms in frame order
     from S_1 = theta_0, as repeated operator sums do, and all size + 1
     spectral norms are one batched call.  The blocks are taken in chunks
     that bound the size of the term tensor.  Returns (count, size + 1).
@@ -708,11 +706,11 @@ def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray
     for part in chunks(count, (size + 1) * rows * cols):
         t = tk[part, None]
         blocks = len(t)
-        x = xk[part].reshape(blocks, size, rows // n, 1, n, n)
         y_adj = np.ascontiguousarray(
-            yk[part].reshape(blocks, size, 1, cols // n, n, n).conj().swapaxes(-1, -2)
+            yk[part].reshape(blocks, size, cols // n, n, n).conj().swapaxes(-1, -2)
         )
-        terms = (x @ y_adj).transpose(0, 1, 2, 4, 3, 5).reshape(blocks, size, rows, cols)
+        terms = xk[part, :, None] @ y_adj
+        terms = terms.transpose(0, 1, 3, 2, 4).reshape(blocks, size, rows, cols)
         residuals = t - np.add.accumulate(terms, axis=1)
         out.append(spectral_norms(np.concatenate((t, residuals), axis=1)))
     return np.concatenate(out)

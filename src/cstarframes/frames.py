@@ -98,10 +98,7 @@ class Frame:
         self._family = family
         self._spanning = spanning
         with np.errstate(over="ignore", invalid="ignore"):
-            self._grams = tuple(
-                gram_block(x.reshape(x.shape[:2] + (dim, x.shape[-1], x.shape[-1])))
-                for x in family.realizations
-            )
+            self._grams = tuple(gram_block(x, dim) for x in family.realizations)
             hermitian = [hermitian_part(s) for s in self._grams]
         finite = shape.gather([np.isfinite(h).all(axis=(-2, -1)) for h in hermitian])
         if not finite.all():

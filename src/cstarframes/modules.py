@@ -126,11 +126,8 @@ class ModuleVector:
         if isinstance(other, AlgebraElement):
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-            # coordinate by coordinate: one (n, n) product per coordinate block
-            return self._with(
-                (coordinate_blocks(s, self.dim) @ a[:, None]).reshape(s.shape)
-                for s, a in zip(self.stacks, other.stacks)
-            )
+            # R_k(x) @ a_k: by the stacked-left rule each coordinate gets the bits of x_i * a
+            return self._with(s @ a for s, a in zip(self.stacks, other.stacks))
         return self._with(s * complex(other) for s in self.stacks)
 
     def __truediv__(self, scalar) -> "ModuleVector":
@@ -351,7 +348,8 @@ def theta_op(x: ModuleVector, f) -> ModuleOperator:
     out = []
     for xs, ys in zip(x.stacks, y.stacks):
         y_adj = np.ascontiguousarray(coordinate_blocks(ys, y.dim).conj().swapaxes(-1, -2))
-        out.append(from_entry_blocks(coordinate_blocks(xs, x.dim)[:, :, None] @ y_adj[:, None]))
+        columns = xs[:, None] @ y_adj  # column j of the entries: R_k(x) (y_j)*
+        out.append(columns.transpose(0, 2, 1, 3).reshape(len(xs), xs.shape[1], -1))
     return ModuleOperator._packed(x.shape, x.dim, y.dim, out)
 
 
@@ -472,24 +470,25 @@ def generator_family(generators) -> SampleSet:
     return family
 
 
-def gram_block(coords: np.ndarray) -> np.ndarray:
-    """Realized gram blocks S = Theta* Theta of a family, from its coordinate blocks.
+def gram_block(stack: np.ndarray, dim: int) -> np.ndarray:
+    """Realized gram blocks S = Theta* Theta of a family of A^dim, from its realizations.
 
-    coords has shape (count, size, dim, n, n): for each block of a size
-    class, the blocks x_{l,i} of the coordinates of the family members
-    x_l.  Entry (i, j) of S is sum_l x_{l,i} x_{l,j}*: the products come
-    out of one batched matmul per chunk of blocks and are added in family
-    order l = 0, 1, ..., which is the arithmetic of the operator product
-    Theta* @ Theta entry by entry.  Returns (count, dim*n, dim*n).
+    stack has shape (count, size, dim*n, n): for each block of a size
+    class, the realizations X_l of the family members x_l.  Entry (i, j)
+    of S is sum_l x_{l,i} x_{l,j}*; column j of a term is the one product
+    X_l x_{l,j}* (the stacked-left rule, README Storage).  The products
+    come out of one batched matmul per chunk of blocks and are added in
+    family order l = 0, 1, ..., which is the arithmetic of the operator
+    product Theta* @ Theta entry by entry.  Returns (count, dim*n, dim*n).
     """
-    count, size, dim, n, _ = coords.shape
-    acc = np.zeros((count, dim, dim, n, n), complex)
-    adjoints = np.ascontiguousarray(coords.conj().swapaxes(-1, -2))
-    for part in chunks(count, size * dim * dim * n * n):
-        products = coords[part, :, :, None] @ adjoints[part, :, None, :]
+    count, size, rows, n = stack.shape
+    acc = np.zeros((count, dim, rows, n), complex)
+    adjoints = np.ascontiguousarray(coordinate_blocks(stack, dim).conj().swapaxes(-1, -2))
+    for part in chunks(count, size * dim * rows * n):
+        products = stack[part, :, None] @ adjoints[part]
         for l in range(size):
             acc[part] = acc[part] + products[:, l]
-    return from_entry_blocks(acc)
+    return acc.transpose(0, 2, 1, 3).reshape(count, rows, rows)
 
 
 def stack_norms(shape: AlgebraShape, stacks) -> list[float]:
@@ -509,8 +508,7 @@ def _support_normalized(shape: AlgebraShape, stacks) -> list[np.ndarray]:
         w, u = np.linalg.eigh(hermitian_part(a))
         inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, cut, None)), 0.0)
         scale = (u * inv_sqrt[..., None, :]) @ u.conj().swapaxes(-1, -2)
-        n = vk.shape[-1]
-        out.append((vk.reshape(len(vk), -1, n, n) @ scale[:, None]).reshape(vk.shape))
+        out.append(vk @ scale)
     return out
 
 
@@ -537,9 +535,10 @@ def orthogonal_span_family(vectors) -> SampleSet:
     stacked realizations: when w joins the family, every later input
     takes its step r - w<w,r> in one batched update per size class, so
     each input meets the family members in the order they joined, with
-    the arithmetic of one vector at a time.  Each member is written into
-    one output stack per size class as it joins, and the family comes
-    back as the `head` of a SampleSet packed on those stacks.
+    the arithmetic of one vector at a time (w<w,r> is one product R(w)
+    @ <w,r>: the stacked-left rule, README Storage).  Each member is
+    written into one work stack per size class as it joins, and the
+    family is packed on copies of the kept members, so it holds no more.
     """
     family = SampleSet.of(vectors)
     if not len(family):
@@ -557,9 +556,9 @@ def orthogonal_span_family(vectors) -> SampleSet:
             m[:, size] = wk
             rest = s[:, i + 1 :]
             coeffs = wk.conj().swapaxes(-1, -2)[:, None] @ rest
-            rest -= (coordinate_blocks(wk, dim)[:, None] @ coeffs[:, :, None]).reshape(rest.shape)
+            rest -= wk[:, None] @ coeffs
         size += 1
-    return SampleSet._packed(shape, dim, members).head(size)
+    return SampleSet._packed(shape, dim, (m[:, :size].copy() for m in members))
 
 
 # -- distance to finitely generated submodules ---------------------------

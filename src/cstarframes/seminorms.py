@@ -30,11 +30,12 @@ from .algebra import (
     State,
     block_sum,
     check_eps,
+    frozen,
     hermitian_part,
     norm_attaining_state,
     spectral_norms,
 )
-from .modules import ModuleVector, SampleSet, coordinate_blocks, gram_block, inner_product
+from .modules import ModuleVector, SampleSet, gram_block, inner_product
 from .tolerances import ADMISSIBLE_TOL
 
 
@@ -155,7 +156,7 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
     least = []
     for xs in system.realizations:
         with np.errstate(over="ignore", invalid="ignore"):
-            defect = np.eye(xs.shape[2]) - gram_block(coordinate_blocks(xs, system.dim))
+            defect = np.eye(xs.shape[2]) - gram_block(xs, system.dim)
             h = hermitian_part(defect)
         finite = np.isfinite(h).all(axis=(-2, -1))
         spectra = np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))
@@ -219,6 +220,18 @@ class SeminormSpec:
             )
         object.__setattr__(self, "states", states)
 
+    @classmethod
+    def _packed(cls, system: AdmissibleSystem, densities) -> "SeminormSpec":
+        """The spec whose state i has the densities densities[c][:, i], (count, states, n, n).
+
+        The states are validated together (`State._batch`), and the
+        stacks, made read-only, are the spec's `_densities`: a parsed spec
+        keeps its decoded densities instead of stacking its states again.
+        """
+        spec = cls(system, State._batch(system._family.shape, densities))
+        spec.__dict__["_densities"] = frozen(densities)
+        return spec
+
     @property
     def _system(self) -> SampleSet:
         return self.system._family
@@ -242,7 +255,10 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
     per block, <x_p, x_i> is R(x_p)* R(x_i) on the stacked realizations
     and phi_k contributes trace(rho @ <x_p, x_i>); the blocks are added in
     order.  Here every pair comes out of one batched product per size
-    class; each product is a matmul per matrix, as in `State.__call__`.
+    class, and all densities of a block meet <x_p, x_i> in one product of
+    their stacked (states*n, n) column, which gives each the bits of
+    rho @ <x_p, x_i> in `State.__call__` (the stacked-left rule, README
+    Storage).
 
     The trace of an n x n product is np.trace's arithmetic.  On the
     product's C-ordered layout np.trace adds the diagonal to a zero
@@ -259,15 +275,17 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
     traces = []
     stacks = sample.in_module(system.shape, system.dim)
     for s, y, rho in zip(stacks, system.realizations, spec._densities):
+        count, points, _, n = s.shape
         ips = s.conj().swapaxes(-1, -2)[:, :, None] @ y[:, None]
-        products = rho[:, None, :, None] @ ips[:, :, None]
-        n = products.shape[-1]
+        products = rho.reshape(count, -1, n)[:, None, None] @ ips
+        products = products.reshape(count, points, len(system), len(system), n, n)
         if n == 1:
-            traces.append(0.0 + products[..., 0, 0])
+            trace = 0.0 + products[..., 0, 0]
         elif n == 2:
-            traces.append(products[..., 1, 1] + (0.0 + products[..., 0, 0]))
+            trace = products[..., 1, 1] + (0.0 + products[..., 0, 0])
         else:
-            traces.append(np.trace(products, axis1=-2, axis2=-1))
+            trace = np.trace(products, axis1=-2, axis2=-1)
+        traces.append(trace.swapaxes(-1, -2))
     return block_sum(sample.shape, traces)
 
 

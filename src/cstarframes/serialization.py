@@ -287,19 +287,28 @@ def _parse_family(raw: list, shape: AlgebraShape, path: str, label: str = "") ->
     return SampleSet(vectors, label=label)
 
 
-def _parse_states(raw: list, shape: AlgebraShape, path: str) -> tuple[State, ...]:
-    """The state payloads raw[i], decoded and validated together (`State._batch`).
+def _parse_spec_states(
+    system: AdmissibleSystem, raw: list, shape: AlgebraShape, path: str
+) -> SeminormSpec:
+    """The spec of `system` and the state payloads raw[i], decoded and validated together.
 
-    The first faulty state is refused at path[i].  Payloads the decode
-    refuses are walked one state at a time, which names the first fault.
+    Decoded states go to `SeminormSpec._packed`, which validates them
+    together and keeps their decoded stacks; the first faulty state is
+    refused at path[i].  Payloads the decode refuses are walked one state
+    at a time, which names the first fault.  A state count other than the
+    system's size is refused at path.
     """
     decoded = _decode_blocks(raw, shape)
     if decoded is None:
-        return tuple(parse_state_payload(s, shape, f"{path}[{i}]") for i, s in enumerate(raw))
+        states = tuple(parse_state_payload(s, shape, f"{path}[{i}]") for i, s in enumerate(raw))
     try:
-        return State._batch(shape, decoded)
+        if decoded is None:
+            return SeminormSpec(system, states)
+        return SeminormSpec._packed(system, decoded)
     except StateError as e:
         raise SchemaError(f"{path}[{e.index}]", str(e)) from e
+    except ValueError as e:
+        raise SchemaError(path, str(e)) from e
 
 
 def state_payload(s: State) -> list:
@@ -534,11 +543,7 @@ def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
     except ValueError as e:
         raise SchemaError("$.system", str(e)) from e
     raw_states = _expect_list(_get(doc, "states", "$"), "$.states")
-    states = _parse_states(raw_states, shape, "$.states")
-    try:
-        return SeminormSpec(system, states)
-    except ValueError as e:
-        raise SchemaError("$.states", str(e)) from e
+    return _parse_spec_states(system, raw_states, shape, "$.states")
 
 
 def _parse_setting_doc(doc: dict) -> TruncatedCSetting:

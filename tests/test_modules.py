@@ -293,3 +293,14 @@ def test_span_family_of_a_sample_set_is_the_span_family_of_its_vectors(seed):
     assert [s.tobytes() for s in stacks] == [s.tobytes() for s in SampleSet(vecs).realizations]
     assert not any(s.flags.writeable for s in want.realizations)
     assert len(orthogonal_span_family([])) == 0
+
+
+def test_span_family_owns_exactly_its_members(rng):
+    """64 points spanning 2 members of A^3 over (1, 2): the stacks hold those 2 members, not 64."""
+    shape = AlgebraShape((1, 2))
+    u, v = random_vector(shape, 3, rng), random_vector(shape, 3, rng)
+    points = [u, v] + [u * random_element(shape, rng) + v * random_element(shape, rng) for _ in range(62)]
+    family = orthogonal_span_family(points)
+    assert len(family) == 2
+    assert [s.shape for s in family.realizations] == [(1, 2, 3, 1), (1, 2, 6, 2)]
+    assert all(s.base is None and s.flags.owndata for s in family.realizations)

@@ -435,6 +435,28 @@ def test_a_spec_makes_one_eigvalsh_per_size_class_for_all_its_states(monkeypatch
     assert serialize(spec) == raw.encode()
 
 
+def test_a_parsed_spec_keeps_its_decoded_densities(monkeypatch):
+    """_densities[c] is the decoded (count, states, n, n) stack, read-only, and no state is stacked again."""
+    decoded = []
+    decode = serialization._decode_blocks
+
+    def recorded(payloads, shape):
+        out = decode(payloads, shape)
+        decoded.append(out)
+        return out
+
+    monkeypatch.setattr(serialization, "_decode_blocks", recorded)
+    shape = AlgebraShape((1, 2, 1, 3))
+    spec = parse("seminorm_spec", json.dumps(_spec_document(shape, 4, seed=4)))
+    states_stacks = decoded[-1]
+    assert [d.shape for d in spec._densities] == [(2, 4, 1, 1), (1, 4, 2, 2), (1, 4, 3, 3)]
+    for c, (d, s) in enumerate(zip(spec._densities, states_stacks)):
+        assert np.shares_memory(d, s) and d.shape == s.shape
+        assert not d.flags.writeable
+        assert np.shares_memory(d.reshape(len(d), -1, d.shape[-1]), d)  # the stacked product's view
+        assert d.tobytes() == np.stack([phi.stacks[c] for phi in spec.states], axis=1).tobytes()
+
+
 @pytest.mark.parametrize(
     "name, path, where",
     [
