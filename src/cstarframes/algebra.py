@@ -443,7 +443,7 @@ def _trace_total(shape: AlgebraShape, stacks) -> float:
 
 
 def checked_states(shape: AlgebraShape, stacks) -> list[tuple[np.ndarray, ...]]:
-    """Validate a batch of states; per state, its own density stacks (count, n, n).
+    """Validate a batch of states; per state, views of its density stacks (count, n, n).
 
     stacks[c] holds the densities of every state on the blocks of size
     class c, shape (count, states, n, n).  One Hermitian-defect check and
@@ -452,9 +452,12 @@ def checked_states(shape: AlgebraShape, stacks) -> list[tuple[np.ndarray, ...]]:
     checked block by block in block order, Hermitian (largest
     |rho - rho*| entry at most STATE_ATOL) and then positive semidefinite
     (least eigenvalue of the Hermitian part at least -STATE_ATOL), and
-    then its trace total, taken on its own contiguous stacks, must be
-    within STATE_ATOL of 1.  The first faulty state raises a StateError
-    that carries its index and names the first check it fails.
+    then its trace total must be within STATE_ATOL of 1.  The first
+    faulty state raises a StateError that carries its index and names
+    the first check it fails.  A state's stacks are the slices
+    stacks[c][:, i], not copies: a trace sums each diagonal in the same
+    order on a slice as on a contiguous copy, and each density stays a
+    contiguous n x n matrix, so values are the copies' bit for bit.
     """
     herm = shape.gather([np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks])
     low = shape.gather([np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks])
@@ -467,7 +470,7 @@ def checked_states(shape: AlgebraShape, stacks) -> list[tuple[np.ndarray, ...]]:
                     raise StateError(i, f"density {k} is not Hermitian")
                 if least < -STATE_ATOL:
                     raise StateError(i, f"density {k} is not positive semidefinite")
-        own = tuple(np.ascontiguousarray(s[:, i]) for s in stacks)
+        own = tuple(s[:, i] for s in stacks)
         total = _trace_total(shape, own)
         if abs(total - 1.0) > STATE_ATOL:
             raise StateError(i, f"densities must have total trace 1, got {total}")

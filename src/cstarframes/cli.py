@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -97,6 +98,15 @@ def _load(kind: str, path: str):
     return parse(kind, Path(path).read_bytes())
 
 
+def _csv(header: str, rows) -> str:
+    """A CSV table: the header line, then one line per row of reprs.
+
+    Commands build every table before their first write, so a command
+    that is refused part way prints nothing to stdout.
+    """
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)])
+
+
 def _emit(data: bytes, out: str | None) -> None:
     if out:
         Path(out).write_bytes(data)
@@ -118,27 +128,21 @@ def _cmd_dual(args) -> int:
 def _cmd_reconstruct(args) -> int:
     frame = _load("frame", args.frame_file)
     x = _load("vector", args.vector_file)
-    print("prefix,tail")
-    for n, tail in enumerate(frame.tail_profile(x)):
-        print(f"{n},{tail!r}")
+    print(_csv("prefix,tail", enumerate(frame.tail_profile(x))))
     return 0
 
 
 def _cmd_seminorm(args) -> int:
     spec = _load("seminorm_spec", args.spec_file)
     sample = _load("sample_set", args.sample_file)
-    print("index,seminorm")
-    for i, value in enumerate(seminorm_values(spec, sample).tolist()):
-        print(f"{i},{value!r}")
+    print(_csv("index,seminorm", enumerate(seminorm_values(spec, sample).tolist())))
     return 0
 
 
 def _cmd_net(args) -> int:
     sample = _load("sample_set", args.sample_file)
     spec = _load("seminorm_spec", args.spec_file)
-    print("net_index")
-    for i in epsilon_net(sample, spec, args.eps):
-        print(i)
+    print(_csv("net_index", ((i,) for i in epsilon_net(sample, spec, args.eps))))
     return 0
 
 
@@ -196,15 +200,13 @@ def _cmd_series(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     setting = build_setting(args.trunc, args.dim)
-    print("k,required_norm")
-    for k, required in coeff_growth(setting, args.eps):
-        print(f"{k},{required!r}")
-    print("prefix,tail")
-    for n in range(setting.dim):
-        print(f"{n},{tail_obstruction(setting, n)!r}")
+    growth = _csv("k,required_norm", coeff_growth(setting, args.eps))
+    tails = _csv("prefix,tail", ((n, tail_obstruction(setting, n)) for n in range(setting.dim)))
     cert = tails_certificate(setting.witness_profiles(), args.eps)
     if args.out:
         _emit(serialize(cert), args.out)
+    print(growth)
+    print(tails)
     return cert.exit_code
 
 
@@ -227,6 +229,13 @@ def main(argv=None) -> int:
         return 0 if exc.code is None else int(exc.code)
     if args.command is None:
         return _usage_error("a subcommand is required (see --help)")
+    # A command builds acyclic trees of small objects (decoded JSON lists,
+    # arrays, result tuples) that reference counting frees; the cyclic
+    # collector's passes over them collect nothing.  So it is paused while
+    # the command runs and left as it was found.  The library itself
+    # never touches it: that would be a side effect on embedding programs.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except (SchemaError, DegenerateFrameError, GramDefectError) as exc:
@@ -235,6 +244,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"cstarframes: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

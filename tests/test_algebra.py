@@ -17,7 +17,7 @@ from conftest import (
     random_state,
 )
 from cstarframes import AlgebraElement, AlgebraShape, State, norm_attaining_state
-from cstarframes.algebra import StateError
+from cstarframes.algebra import StateError, _trace_total, block_sum
 from cstarframes.tolerances import STATE_ATOL
 
 C2 = AlgebraShape((1, 1))
@@ -274,3 +274,28 @@ def test_the_batched_state_check_is_the_check_of_each_state(dims, plan, seed):
         with pytest.raises(StateError) as err:
             State._batch(shape, stacks)
         assert (err.value.index, str(err.value)) == first
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_batched_states_view_their_stacks_with_the_bits_of_copies(n):
+    """A batch's states hold read-only views of its stacks, not copies.
+
+    Their trace totals, and their values on random elements, are the
+    bits that contiguous copies of the same slices give.
+    """
+    shape = AlgebraShape((n, 1, n, 2))
+    rng = np.random.default_rng(n)
+    batch = [random_state(shape, rng).densities for _ in range(5)]
+    stacks = [
+        np.ascontiguousarray(np.array([[d[k] for k in ks] for d in batch]).swapaxes(0, 1))
+        for _, ks in shape.classes
+    ]
+    elements = [random_element(shape, rng) for _ in range(4)]
+    for i, phi in enumerate(State._batch(shape, stacks)):
+        copies = tuple(np.ascontiguousarray(s[:, i]) for s in stacks)
+        for view, s in zip(phi.stacks, stacks):
+            assert np.shares_memory(view, s) and not view.flags.writeable
+        assert _trace_total(shape, phi.stacks).hex() == _trace_total(shape, copies).hex()
+        for a in elements:
+            traces = [np.trace(rho @ blk, axis1=-2, axis2=-1) for rho, blk in zip(copies, a.stacks)]
+            assert repr(phi(a)) == repr(complex(block_sum(shape, traces)))

@@ -1,21 +1,27 @@
 """End-to-end CLI coverage: every subcommand, exit code, and output format."""
 
+import gc
 import json
 import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import random_state, random_unit_vector
 from cstarframes import (
+    AdmissibleSystem,
     AlgebraShape,
     Frame,
     ModuleVector,
     SampleSet,
+    SeminormSpec,
     parse,
     serialize,
     theta_op,
 )
+from cstarframes import cli
 from cstarframes.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -112,9 +118,9 @@ def test_reconstruct_csv(capsys):
 
 
 def test_reconstruct_module_mismatch_is_data_error(capsys):
-    code, _, err = run(capsys, "reconstruct", fx("parseval.json"), fx("vector_c3.json"))
-    assert code == 1
-    assert "different modules" in err
+    code, out, err = run(capsys, "reconstruct", fx("parseval.json"), fx("vector_c3.json"))
+    assert (code, out) == (1, "")
+    assert err == "cstarframes: error: module vectors live in different modules\n"
 
 
 # --- seminorm ---
@@ -478,9 +484,8 @@ def test_bad_eps_is_data_error(capsys, command, eps):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert code == 1
+    assert (code, out) == (1, "")
     assert err == "cstarframes: error: eps must be a finite positive number\n"
-    assert "inf" not in out and "pass" not in out
 
 
 @pytest.mark.parametrize("condition", ["a", "free"])
@@ -492,6 +497,29 @@ def test_bad_eps_with_generators_is_data_error(capsys, tmp_path, condition):
     )
     assert (code, out) == (1, "")
     assert "finite positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seminorm", fx("seminorm_spec.json"), fx("sample_witnesses_6.json")),
+        ("net", fx("sample_witnesses_6.json"), fx("seminorm_spec.json"), "--eps", "0.5"),
+    ],
+)
+def test_a_table_refused_part_way_prints_nothing(capsys, argv):
+    """Every row is computed before the header is written."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "cstarframes: error: module vectors live in different modules\n"
+
+
+def test_counterexample_that_cannot_write_its_certificate_prints_nothing(capsys, tmp_path):
+    out_file = tmp_path / "absent" / "cert.json"
+    code, out, err = run(
+        capsys, "counterexample", "--trunc", "4", "--eps", "0.25", "--out", str(out_file)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("cstarframes: error: ") and err.count("\n") == 1
 
 
 # --- usage and data errors ---
@@ -778,3 +806,109 @@ def test_precompact_all_builds_no_vector_for_its_generators(capsys, monkeypatch,
     gens = loaded[fx("generator_6.json")]
     assert isinstance(gens, SampleSet) and len(gens) == 1
     assert "points" not in vars(gens)
+
+
+# --- the cyclic collector, paused while a command runs ---
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state and callbacks after the test."""
+    enabled = gc.isenabled()
+    callbacks = list(gc.callbacks)
+    yield
+    gc.callbacks[:] = callbacks
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("frame-bounds", fx("parseval.json")), 0),
+        (("frame-bounds", fx("vector.json")), 1),
+        (("frame-bounds", fx("absent.json")), 1),
+        (("precompact", "--condition", "cd", "--sample", fx("sample_witnesses_5_5.json"),
+          "--eps", "0.5", "--rank-budget", "2"), 2),
+        (("precompact", "--condition", "a", "--sample", fx("sample_planted.json"), "--eps", "0.5"), 64),
+        (("frobnicate",), 64),
+        ((), 64),
+    ],
+)
+def test_main_leaves_the_collector_as_it_found_it(capsys, collector, enabled, argv, exit_code):
+    gc.enable() if enabled else gc.disable()
+    assert run(capsys, *argv)[0] == exit_code
+    assert gc.isenabled() is enabled
+
+
+def test_a_command_that_raises_leaves_the_collector_enabled(collector, monkeypatch):
+    def broken(args):
+        assert not gc.isenabled()
+        raise RuntimeError("broken command")
+
+    monkeypatch.setitem(cli._COMMANDS, "frame-bounds", broken)
+    gc.enable()
+    with pytest.raises(RuntimeError, match="broken command"):
+        main(["frame-bounds", fx("parseval.json")])
+    assert gc.isenabled()
+
+
+def _net_job_files(tmp_path):
+    """A net job the size of a benchmark one: 64 points of A^3 over (1, 2, 3), 3 states."""
+    shape, dim = AlgebraShape((1, 2, 3)), 3
+    rng = np.random.default_rng(17)
+    system = AdmissibleSystem(tuple(ModuleVector.basis(shape, dim, j) * 0.5 for j in range(dim)))
+    spec = SeminormSpec(system, tuple(random_state(shape, rng) for _ in range(dim)))
+    sample = SampleSet(tuple(random_unit_vector(shape, dim, rng) for _ in range(64)))
+    (tmp_path / "spec.json").write_bytes(serialize(spec))
+    (tmp_path / "sample.json").write_bytes(serialize(sample))
+    return str(tmp_path / "sample.json"), str(tmp_path / "spec.json")
+
+
+def test_a_net_job_makes_no_collector_pass(capsys, collector, tmp_path):
+    """Decoding 64 points allocates thousands of lists: enough for several passes if GC ran."""
+    sample, spec = _net_job_files(tmp_path)
+    gc.enable()
+    gc.collect()  # empties generation 0, so parsing the arguments cannot fill it
+    passes = []
+    gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info["generation"]))
+    code, out, _ = run(capsys, "net", sample, spec, "--eps", "0.5")
+    assert code == 0 and out.startswith("net_index\n0\n")
+    assert passes == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frame-bounds", fx("frame_random.json")),
+        ("dual", fx("frame_range.json")),
+        ("dual", fx("frame_random.json"), "--out", "{tmp}/dual.json"),
+        ("reconstruct", fx("frame_random.json"), fx("vector.json")),
+        ("seminorm", fx("seminorm_spec.json"), fx("sample_planted.json")),
+        ("net", fx("sample_planted.json"), fx("seminorm_spec.json"), "--eps", "0.5"),
+        ("precompact", "--condition", "a", "--sample", fx("sample_planted.json"),
+         "--gens", "{gens}", "--eps", "1e-6"),
+        ("precompact", "--condition", "b", "--sample", fx("sample_witnesses_6.json"), "--eps", "0.5"),
+        ("precompact", "--condition", "cd", "--sample", fx("sample_witnesses_5_5.json"),
+         "--eps", "0.5", "--rank-budget", "2"),
+        ("precompact", "--condition", "all", "--sample", fx("sample_planted.json")),
+        ("precompact", "--condition", "free", "--sample", fx("sample_planted.json"),
+         "--gens", "{gens}", "--eps", "1e-6"),
+        ("series", fx("operator.json"), "--frame", fx("frame_random.json")),
+        ("counterexample", "--trunc", "8", "--eps", "0.25", "--out", "{tmp}/cert.json"),
+        ("net", fx("sample_planted.json"), fx("seminorm_spec.json"), "--eps", "nan"),
+        ("frame-bounds", fx("vector.json")),
+        ("frame-bounds", "{tmp}/absent.json"),
+    ],
+)
+def test_a_command_leaves_no_cyclic_garbage(capsys, collector, tmp_path, argv):
+    """Reference counting frees all a command builds, so pausing the collector costs no memory."""
+    gens = _basis_sample_file(tmp_path, (1, 1, 1), 4)
+    argv = [a.format(tmp=tmp_path, gens=gens) for a in argv]
+    gc.disable()
+    gc.collect()
+    run(capsys, *argv)
+    assert gc.collect() == 0

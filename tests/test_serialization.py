@@ -455,6 +455,7 @@ def test_a_parsed_spec_keeps_its_decoded_densities(monkeypatch):
         assert not d.flags.writeable
         assert np.shares_memory(d.reshape(len(d), -1, d.shape[-1]), d)  # the stacked product's view
         assert d.tobytes() == np.stack([phi.stacks[c] for phi in spec.states], axis=1).tobytes()
+        assert all(np.shares_memory(phi.stacks[c], d) for phi in spec.states)
 
 
 @pytest.mark.parametrize(
