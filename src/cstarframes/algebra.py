@@ -197,19 +197,17 @@ class AlgebraShape:
         return joined if order is None else joined[order]
 
 
-def blockwise_max(shape: AlgebraShape, per_class):
-    """max() over the blocks, in block order, entry by entry, as nested floats.
+def blockwise_max(per_class):
+    """Max over the blocks, entry by entry, as a float or nested lists of floats.
 
     per_class holds one array per size class with a leading axis over the
     class's blocks and a common trailing shape.  A module norm is the
-    largest block norm; this takes that max as Python's max() takes it
-    over the blocks in order.  A scalar per block gives a float.
+    largest block norm: this is np.maximum over the per-class maxima.
+    Every input is a spectral norm, +0.0 or positive and never NaN, so
+    the value is the one Python's max() takes over the blocks in block
+    order.  A scalar per block gives a float.
     """
-    stacked = shape.gather(per_class)
-    if stacked.ndim == 1:
-        return max(stacked.tolist())
-    rows = stacked.reshape(len(stacked), -1).T.tolist()
-    return np.reshape([max(r) for r in rows], stacked.shape[1:]).tolist()
+    return functools.reduce(np.maximum, [a.max(axis=0) for a in per_class]).tolist()
 
 
 def block_sum(shape: AlgebraShape, per_class) -> np.ndarray:
@@ -365,7 +363,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """C*-norm: the largest singular value across blocks."""
-        return blockwise_max(self.shape, [spectral_norms(a) for a in self.stacks])
+        return blockwise_max([spectral_norms(a) for a in self.stacks])
 
     def is_selfadjoint(self) -> bool:
         """a* = a within ELEMENT_RTOL * max(||a||, 1), entry by entry."""

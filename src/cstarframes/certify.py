@@ -125,7 +125,7 @@ def _coefficient_data(sample: SampleSet, gens: SampleSet) -> _CoefficientData:
     blocks and points in tiles that bound the size of the term tensor.
     """
     coeffs, residuals, b_const = span_least_squares(sample, gens)
-    shape, dim, s = gens.shape, gens.dim, len(gens)
+    dim, s = gens.dim, len(gens)
     coeff_norms, stacked_norms, approx_norms = [], [], []
     for ak, gk in zip(coeffs, gens.realizations):
         count, points, _, n = ak.shape
@@ -142,9 +142,9 @@ def _coefficient_data(sample: SampleSet, gens: SampleSet) -> _CoefficientData:
     return _CoefficientData(
         s,
         residuals,
-        blockwise_max(shape, coeff_norms),
-        blockwise_max(shape, stacked_norms),
-        blockwise_max(shape, approx_norms),
+        blockwise_max(coeff_norms),
+        blockwise_max(stacked_norms),
+        blockwise_max(approx_norms),
         b_const,
     )
 
@@ -182,9 +182,9 @@ def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
     pairs holds the sets (z, g) of the theta pairs.  Runs
     from n = 0 up to the first n >= 0 whose error is below eps, or
     through all the given pairs.  One rank step updates the residuals
-    r - z<g,x> of all points in one batched product per size class.
+    r - z<g,x> of all points in one batched product per size class, and
+    its error is the largest of their spectral norms.
     """
-    shape = sample.shape
     stacks = sample.realizations
     residuals = list(stacks)
     errors = [max(sample.point_norms)]
@@ -195,7 +195,7 @@ def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
         for c, (xk, zk, gk) in enumerate(zip(stacks, z.realizations, g.realizations)):
             coeffs = gk[:, j, None].conj().swapaxes(-1, -2) @ xk
             residuals[c] = residuals[c] - zk[:, j, None] @ coeffs
-        errors.append(max(stack_norms(shape, residuals)))
+        errors.append(max(float(spectral_norms(r).max()) for r in residuals))
     return errors
 
 
@@ -221,7 +221,6 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
     with the first n pairs, so one pass over the longest approximant of a
     grid serves every shorter one.
     """
-    shape = sample.shape
     z, g = pairs
     count = len(z)
     coeff_norms = []
@@ -234,8 +233,8 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
         coeff_norms.append(cn)
     return _ReplayData(
         sample.point_norms,
-        stack_norms(shape, g.realizations),
-        blockwise_max(shape, coeff_norms),
+        stack_norms(g.realizations),
+        blockwise_max(coeff_norms),
         prefix_tails(sample, z, g, count).tolist(),
     )
 
@@ -749,7 +748,7 @@ def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) ->
         for tk, gk in zip(op.stacks, g_stacks)
     )
     errors = blockwise_max(
-        shape, [_series_errors(tk, xk, yk) for tk, xk, yk in zip(op.stacks, x_stacks, y_stacks)]
+        [_series_errors(tk, xk, yk) for tk, xk, yk in zip(op.stacks, x_stacks, y_stacks)]
     )
     achieved = next((n for n, err in enumerate(errors) if err < eps), None)
     adjoints = SampleSet._packed(shape, op.source_dim, y_stacks)

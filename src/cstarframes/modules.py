@@ -18,6 +18,7 @@ is a `SampleSet`, stored as one (count, len, dim*n, n) array per class.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,7 @@ class ModuleVector:
         return self.stacks[c][j]
 
     def norm(self) -> float:
-        return blockwise_max(self.shape, [spectral_norms(s) for s in self.stacks])
+        return blockwise_max([spectral_norms(s) for s in self.stacks])
 
     def restrict(self, start: int, stop: int) -> "ModuleVector":
         """Zero out every coordinate outside [start, stop)."""
@@ -306,7 +307,7 @@ class ModuleOperator:
         and the supremum of ||Tx|| over the unit ball is attained on each
         block at its leading right singular vector.
         """
-        return blockwise_max(self.shape, [spectral_norms(s) for s in self.stacks])
+        return blockwise_max([spectral_norms(s) for s in self.stacks])
 
     def __repr__(self) -> str:
         return (
@@ -459,7 +460,7 @@ class SampleSet:
         """The module norm of every point, in order, from the stacked realizations."""
         if not self._size:
             return []
-        return stack_norms(self._shape, self.realizations)
+        return stack_norms(self.realizations)
 
 
 def generator_family(generators) -> SampleSet:
@@ -491,22 +492,49 @@ def gram_block(stack: np.ndarray, dim: int) -> np.ndarray:
     return acc.transpose(0, 2, 1, 3).reshape(count, rows, rows)
 
 
-def stack_norms(shape: AlgebraShape, stacks) -> list[float]:
+def stack_norms(stacks) -> list[float]:
     """Module norm of every stacked point: its largest block spectral norm."""
-    return blockwise_max(shape, [spectral_norms(s) for s in stacks])
+    return blockwise_max([spectral_norms(s) for s in stacks])
 
 
 # -- span geometry ------------------------------------------------------
 
 
-def _support_normalized(shape: AlgebraShape, stacks) -> list[np.ndarray]:
-    """Realization of v (a^+)^(1/2), a = <v,v>, from that of v (one stack per class)."""
-    grams = [vk.conj().swapaxes(-1, -2) @ vk for vk in stacks]
-    cut = max(blockwise_max(shape, [spectral_norms(a) for a in grams]), 0.0) * PINV_RTOL
+# A vector of norm above this is scaled by an exact power of two before its
+# gram <v,v> is formed: the gram's entries reach ||v||^2, which passes the
+# float range (about 1.8e308) once ||v|| passes about 1.3e154.
+GRAM_SCALE_LIMIT = 2.0**500
+
+
+def _support_normalized(stacks, norm: float, drop_at: float = -math.inf) -> list[np.ndarray] | None:
+    """Realization of v (a^+)^(1/2), a = <v,v>, from that of v (one stack per class).
+
+    One eigh of the Hermitian part of a, per size class, decides
+    everything.  Its largest eigenvalue over the blocks is lambda =
+    ||v||^2 (the C*-identity ||<v,v>|| = ||v||^2).  v is dropped, and
+    None returned, when sqrt(lambda) <= drop_at; eigenvalues at or below
+    PINV_RTOL * lambda are cut, and the others are inverted under a
+    square root.
+
+    norm is ||v||, or a bound on it.  Above GRAM_SCALE_LIMIT, v and
+    drop_at are first scaled by 2^-e, e the binary exponent of norm, so
+    that a stays finite.  Multiplying by a power of two is exact (for
+    entries above 2^(e-1022); smaller ones lie far below the cut), and
+    v (a^+)^(1/2) is the same for v and v t, t > 0, in exact arithmetic.
+    Below the limit nothing is scaled.
+    """
+    if norm > GRAM_SCALE_LIMIT:
+        e = math.frexp(norm)[1]
+        stacks = [vk * math.ldexp(1.0, -e) for vk in stacks]
+        drop_at = math.ldexp(drop_at, -e)
+    spectra = [np.linalg.eigh(hermitian_part(vk.conj().swapaxes(-1, -2) @ vk)) for vk in stacks]
+    top = max(0.0, *(float(w[..., -1].max()) for w, _ in spectra))
+    if math.sqrt(top) <= drop_at:
+        return None
+    cut = top * PINV_RTOL
     out = []
-    for vk, a in zip(stacks, grams):
-        w, u = np.linalg.eigh(hermitian_part(a))
-        inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, cut, None)), 0.0)
+    for vk, (w, u) in zip(stacks, spectra):
+        inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
         scale = (u * inv_sqrt[..., None, :]) @ u.conj().swapaxes(-1, -2)
         out.append(vk @ scale)
     return out
@@ -517,9 +545,11 @@ def spectral_normalize(v: ModuleVector) -> ModuleVector:
 
     w = v (a^+)^(1/2) with a = <v,v>; then <w,w> is the support
     projection of a and w<w,w> = w, which makes theta_{w,w} an orthogonal
-    projection onto the A-span of v.
+    projection onto the A-span of v.  A vector of norm above
+    GRAM_SCALE_LIMIT is normalized through an exact power-of-two scaling
+    (`_support_normalized`), so its gram does not overflow.
     """
-    return v._with(_support_normalized(v.shape, v.stacks))
+    return v._with(_support_normalized(v.stacks, v.norm()))
 
 
 def orthogonal_span_family(vectors) -> SampleSet:
@@ -527,9 +557,19 @@ def orthogonal_span_family(vectors) -> SampleSet:
 
     Each output w satisfies <w,w> = projection and w<w,w> = w, distinct
     outputs are exactly orthogonal, and sum_j theta_{w_j,w_j} reproduces
-    every input vector.  Inputs that are already reproduced by the family
-    built so far are dropped: those whose residual is at most
-    SPAN_DROP_RTOL * max(1, ||input||).
+    every input vector.
+
+    Each input x takes one step on its residual r, the part of x the
+    family built so far does not reproduce: one eigh of the Hermitian
+    part of <r,r> per size class (`_support_normalized`).  Its largest
+    eigenvalue over the blocks, lambda = ||r||^2, makes every decision:
+    r is dropped when sqrt(lambda) <= SPAN_DROP_RTOL * max(1, ||x||),
+    eigenvalues at or below PINV_RTOL * lambda are cut, and the others
+    give the new member w = r (<r,r>^+)^(1/2).  When ||x|| (from
+    `SampleSet.point_norms`) exceeds GRAM_SCALE_LIMIT, the step is taken
+    on r 2^-e, e the binary exponent of ||x||, which bounds ||r||: the
+    gram stays finite, and w is the same in exact arithmetic.  Inputs of
+    norm at most the limit are not scaled.
 
     Takes a SampleSet or module vectors (`SampleSet.of`) and runs on the
     stacked realizations: when w joins the family, every later input
@@ -543,22 +583,20 @@ def orthogonal_span_family(vectors) -> SampleSet:
     family = SampleSet.of(vectors)
     if not len(family):
         return SampleSet(())
-    shape, dim = family.shape, family.dim
     residuals = [s.copy() for s in family.realizations]
     members = [np.empty_like(s) for s in residuals]
     size = 0
-    for i, scale in enumerate(family.point_norms):
-        r = [s[:, i] for s in residuals]
-        if stack_norms(shape, [rk[:, None] for rk in r])[0] <= SPAN_DROP_RTOL * max(1.0, scale):
+    for i, norm in enumerate(family.point_norms):
+        w = _support_normalized([s[:, i] for s in residuals], norm, SPAN_DROP_RTOL * max(1.0, norm))
+        if w is None:
             continue
-        w = _support_normalized(shape, r)
         for s, m, wk in zip(residuals, members, w):
             m[:, size] = wk
             rest = s[:, i + 1 :]
             coeffs = wk.conj().swapaxes(-1, -2)[:, None] @ rest
             rest -= wk[:, None] @ coeffs
         size += 1
-    return SampleSet._packed(shape, dim, (m[:, :size].copy() for m in members))
+    return SampleSet._packed(family.shape, family.dim, (m[:, :size].copy() for m in members))
 
 
 # -- distance to finitely generated submodules ---------------------------
@@ -591,7 +629,7 @@ def span_least_squares(
         coeffs.append(ak)
         pinv_norms.append(spectral_norms(pinv))
     residuals = [max(0.0, *vals) for vals in shape.gather(norms).T.tolist()]
-    return coeffs, residuals, blockwise_max(shape, pinv_norms)
+    return coeffs, residuals, blockwise_max(pinv_norms)
 
 
 def submodule_distance(x: ModuleVector, generators) -> tuple[float, list[AlgebraElement]]:

@@ -29,12 +29,14 @@ STATE_TIE_ATOL = 1e-15
 # phase; absolute.
 STATE_PHASE_ATOL = 1e-14
 
-# Pseudo-inverse and support cut on realizations; times the largest
-# singular value (numpy's rcond).
+# Pseudo-inverse cut on synthesis realizations, times their largest
+# singular value (numpy's rcond); support cut of a normalization
+# v (<v,v>^+)^(1/2), times lambda_max(<v,v>) = ||v||^2.
 PINV_RTOL = 1e-12
 
-# Module Gram-Schmidt drops an input whose residual is at most this; times
-# max(1, the input's norm).
+# Module Gram-Schmidt drops an input whose residual r has
+# ||r|| = sqrt(lambda_max(<r,r>)) at most this; times max(1, the input's
+# norm).
 SPAN_DROP_RTOL = 1e-9
 
 # Frame degeneracy and the gram pseudo-inverse cut; times max(c2, 1).  So

@@ -349,12 +349,18 @@ def test_all_conditions_report_bytes_are_pinned(tmp_path, name, capsys):
 def test_one_run_builds_the_span_family_once_and_one_pinv_per_block(monkeypatch):
     import cstarframes.certify as certify
 
-    counts = {"span": 0, "pinv": 0, "tails": 0}
+    counts = {"span": 0, "pinv": 0, "tails": 0, "span_svd": 0, "span_eigh": 0}
+    in_span = []
     span, pinv, tails = certify.orthogonal_span_family, np.linalg.pinv, Frame.tail_profiles
+    svd, eigh = np.linalg.svd, np.linalg.eigh
 
     def counted_span(*args, **kwargs):
         counts["span"] += 1
-        return span(*args, **kwargs)
+        in_span.append(True)
+        try:
+            return span(*args, **kwargs)
+        finally:
+            in_span.pop()
 
     def counted_pinv(*args, **kwargs):
         counts["pinv"] += 1
@@ -364,15 +370,31 @@ def test_one_run_builds_the_span_family_once_and_one_pinv_per_block(monkeypatch)
         counts["tails"] += 1
         return tails(*args, **kwargs)
 
+    def counted_svd(*args, **kwargs):
+        counts["span_svd"] += bool(in_span)
+        return svd(*args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        counts["span_eigh"] += bool(in_span)
+        return eigh(*args, **kwargs)
+
     monkeypatch.setattr(certify, "orthogonal_span_family", counted_span)
     monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     monkeypatch.setattr(Frame, "tail_profiles", counted_tails)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     sample, _ = _sample((1, 1, 2), "planted", seed=5)
+    sample.point_norms  # a cached property of the sample: the C/D profile reads the same norms
     report = certify_equivalences(sample, CertifyConfig(eps_grid=(1.0, 0.5, 0.25, 0.125)))
     assert len(report.entries) == 4
     # one batched pinv per size class: the 1x1 blocks together, then the 2x2 block;
-    # one tail pass serves the generators and the sample
-    assert counts == {"span": 1, "pinv": 2, "tails": 1}
+    # one tail pass serves the generators and the sample; Gram-Schmidt takes no SVD,
+    # and one eigh per size class for every input it considers
+    classes = len(sample.shape.classes)
+    assert classes == 2
+    assert counts == {
+        "span": 1, "pinv": 2, "tails": 1, "span_svd": 0, "span_eigh": classes * len(sample)
+    }
 
 
 def test_one_run_stacks_the_generators_once(monkeypatch):

@@ -1,5 +1,7 @@
 """Module vectors, inner products, operators, and submodule geometry."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,12 @@ from conftest import (
 from cstarframes import (
     AlgebraElement,
     AlgebraShape,
+    CertifyConfig,
     Functional,
     ModuleOperator,
     ModuleVector,
     SampleSet,
+    certify_equivalences,
     inner_product,
     orthogonal_span_family,
     spectral_normalize,
@@ -304,3 +308,49 @@ def test_span_family_owns_exactly_its_members(rng):
     assert len(family) == 2
     assert [s.shape for s in family.realizations] == [(1, 2, 3, 1), (1, 2, 6, 2)]
     assert all(s.base is None and s.flags.owndata for s in family.realizations)
+
+
+def _overflow_points(s):
+    """Two points of A^2 over (1, 2) with block entries {1, 2, 3} * s."""
+    shape = AlgebraShape((1, 2))
+
+    def element(a, diag):
+        return AlgebraElement(shape, [[[a * s]], np.diag(diag) * s])
+
+    return [
+        ModuleVector(shape, [element(1.0, [1.0, 1.0]), AlgebraElement.zero(shape)]),
+        ModuleVector(shape, [element(2.0, [1.0, 3.0]), element(1.0, [0.0, 0.0])]),
+    ]
+
+
+@pytest.mark.parametrize("s", [1e160, 1e200])
+def test_gram_schmidt_scales_a_residual_whose_gram_overflows(s):
+    """||x||^2 passes the float range: each step runs on x 2^-e, and the family is the same.
+
+    Without the scaling the grams overflow to inf and NaN (a RuntimeWarning,
+    an error here), and the family built from them reproduces nothing.
+    """
+    points = _overflow_points(s)
+    family = orthogonal_span_family(points)
+    assert len(family) == 2
+    report = certify_equivalences(SampleSet(points), CertifyConfig(eps_grid=(s * 1e-6,)))
+    entry = report.entries[0]
+    assert entry.cert_a.verdict and entry.cert_cd.verdict and not entry.violations
+    assert entry.cert_cd.witness["rank"] == 2
+    assert entry.cert_cd.diagnostics["error_profile"][-1] <= 1e-12 * s
+    for w in family:
+        gram = inner_product(w, w)
+        assert (gram * gram - gram).norm() <= 1e-12
+        assert (w * gram - w).norm() <= 1e-12
+    for x in points:
+        recon = ModuleVector.zero(x.shape, 2)
+        for w in family:
+            recon = recon + w * inner_product(w, x)
+        assert (x - recon).norm() <= 1e-12 * x.norm()
+
+    # the step on a vector above the limit is the step on its exact power-of-two scaling
+    for x in points:
+        e = math.frexp(x.norm())[1]
+        assert e > 500
+        got, want = spectral_normalize(x), spectral_normalize(x * math.ldexp(1.0, -e))
+        assert [a.tobytes() for a in got.stacks] == [b.tobytes() for b in want.stacks]

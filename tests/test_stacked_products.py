@@ -172,9 +172,9 @@ def test_right_action_and_theta_equal_the_coordinate_products(dims, dims_xy, see
         assert [s.tobytes() for s in got.stacks] == [s.tobytes() for s in want]
 
 
-def per_coordinate_support_normalized(shape, stacks):
+def per_coordinate_support_normalized(stacks):
     grams = [vk.conj().swapaxes(-1, -2) @ vk for vk in stacks]
-    cut = max(blockwise_max(shape, [spectral_norms(a) for a in grams]), 0.0) * PINV_RTOL
+    cut = max(blockwise_max([spectral_norms(a) for a in grams]), 0.0) * PINV_RTOL
     out = []
     for vk, a in zip(stacks, grams):
         w, u = np.linalg.eigh(hermitian_part(a))
@@ -186,15 +186,15 @@ def per_coordinate_support_normalized(shape, stacks):
 
 
 def per_coordinate_span_family(family):
-    shape, dim = family.shape, family.dim
+    dim = family.dim
     residuals = [s.copy() for s in family.realizations]
     members = [np.empty_like(s) for s in residuals]
     size = 0
     for i, scale in enumerate(family.point_norms):
         r = [s[:, i] for s in residuals]
-        if stack_norms(shape, [rk[:, None] for rk in r])[0] <= SPAN_DROP_RTOL * max(1.0, scale):
+        if stack_norms([rk[:, None] for rk in r])[0] <= SPAN_DROP_RTOL * max(1.0, scale):
             continue
-        w = per_coordinate_support_normalized(shape, r)
+        w = per_coordinate_support_normalized(r)
         for s, m, wk in zip(residuals, members, w):
             m[:, size] = wk
             rest = s[:, i + 1 :]
@@ -205,7 +205,7 @@ def per_coordinate_span_family(family):
 
 
 def per_coordinate_error_profile(sample, pairs, eps):
-    shape, dim = sample.shape, sample.dim
+    dim = sample.dim
     stacks = sample.realizations
     residuals = list(stacks)
     errors = [max(sample.point_norms)]
@@ -217,7 +217,7 @@ def per_coordinate_error_profile(sample, pairs, eps):
             coeffs = gk[:, j, None].conj().swapaxes(-1, -2) @ xk
             step = coordinate_blocks(zk[:, j], dim)[:, None] @ coeffs[:, :, None]
             residuals[c] = residuals[c] - step.reshape(xk.shape)
-        errors.append(max(stack_norms(shape, residuals)))
+        errors.append(max(stack_norms(residuals)))
     return errors
 
 
@@ -241,8 +241,8 @@ def test_span_family_and_error_profile_equal_the_coordinate_products(dims, dim, 
     family = _family(rng, shape, dim, count, magnitude)
     stacks = [s[:, 0] for s in family.realizations]
     with np.errstate(divide="ignore"):  # a zero point: every eigenvalue is cut
-        got = modules._support_normalized(shape, stacks)
-        want = per_coordinate_support_normalized(shape, stacks)
+        got = modules._support_normalized(stacks, family.point_norms[0])
+        want = per_coordinate_support_normalized(stacks)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
     span = modules.orthogonal_span_family(family)
@@ -308,7 +308,7 @@ def per_coordinate_approx_norms(sample, gens):
             approx = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)[:, :, -1]
             an[part_blocks, part] = spectral_norms(approx.reshape(approx.shape[:2] + (dim * n, n)))
         approx_norms.append(an)
-    return blockwise_max(gens.shape, approx_norms)
+    return blockwise_max(approx_norms)
 
 
 @settings(max_examples=40, deadline=None)
