@@ -9,24 +9,30 @@ g_j = S^(-1) x_j, computed by one Hermitian solve per block.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .algebra import AlgebraShape, fold_pair_maxima, hermitian_part, spectral_norms
-from .modules import (
-    ModuleOperator,
-    ModuleVector,
-    SampleSet,
-    gram_block,
-    inner_product,
-    theta_op,
-)
+from .modules import ModuleOperator, ModuleVector, SampleSet, gram_block
 from .tolerances import FRAME_RTOL
 
 
 class DegenerateFrameError(ValueError):
     """Family whose smallest gram eigenvalue vanishes, or whose gram overflows."""
+
+
+def partial_sums(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_{j<m} z_j (g_j* x) for m = 0..len, on realized blocks: the frame formula's kernel.
+
+    x holds the realizations of points, (blocks, P, rows, n), and z and g
+    those of the pairs (z_j, g_j) on the same blocks, (blocks, len, rows,
+    n).  The terms Z_j (G_j* x) of every point come out of one batched
+    matmul and are summed cumulatively in pair order from +0, so prefix
+    m holds the sum of the first m terms added one at a time.  Returns
+    (blocks, P, len + 1, rows, n).
+    """
+    terms = z[:, None] @ (g[:, None].conj().swapaxes(-1, -2) @ x[:, :, None])
+    start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
+    return np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
 
 
 def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np.ndarray:
@@ -36,12 +42,12 @@ def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np
     (`SampleSet.in_module`), whose sets hold at least stop members; for a
     frame they are its vectors and its canonical dual.  Per size class
     the realizations x_k of the points, and Z_jk and G_jk of the pairs,
-    are stacks (count, len, dim*n, n).  On every block the terms
-    Z_jk (G_jk* x_k) of all points are formed in one batched matmul and
-    summed cumulatively in pair order from zero, so prefix n holds
-    exactly the sum `Frame.reconstruct(x, range(n))` forms.  Each tail is
-    the largest spectral norm of x_k minus its partial sum.  Blocks and
-    points are taken in tiles that bound the size of the term tensor.
+    are stacks (count, len, dim*n, n).  The partial sums of every point
+    come from `partial_sums`, the kernel `Frame.reconstruct` takes its
+    last partial sum from, so prefix n holds exactly
+    `Frame.reconstruct(x, range(n))`.  Each tail is the largest spectral
+    norm of x_k minus its partial sum.  Blocks and points are taken in
+    tiles that bound the size of the term tensor.
 
     A (block, point) pair with x_k = 0 is skipped (`fold_pair_maxima`):
     each of its terms is Z_jk (G_jk* 0), an exact zero for finite Z and
@@ -57,19 +63,15 @@ def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np
         _, _, rows, n = xs.shape
 
         def norms(blocks, x):
-            x = x[:, :, None]
-            g_adj = gs[blocks, None, :stop].conj().swapaxes(-1, -2)
-            terms = zs[blocks, None, :stop] @ (g_adj @ x)
-            start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
-            partial = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
-            return spectral_norms(x - partial)
+            partial = partial_sums(x, zs[blocks, :stop], gs[blocks, :stop])
+            return spectral_norms(x[:, :, None] - partial)
 
         fold_pair_maxima(tails, xs, (stop + 1) * rows * n, norms)
     return tails
 
 
 class Frame:
-    """Finite frame with bounds and canonical dual, plus lazy module operators.
+    """Finite frame with its optimal bounds and canonical dual.
 
     A gram eigenvalue counts as zero when it is at most
     FRAME_RTOL * max(c2, 1).  spanning="ambient" (default) demands a
@@ -83,8 +85,9 @@ class Frame:
     built from a stack, as a parsed document is, is not stacked again.
     Construction computes the bounds and the dual, a SampleSet packed on
     its realizations, from the family's stacks; the frame's module is the
-    family's.  The module-level objects (analysis operator, gram
-    operator, dual vectors) are built on first use.
+    family's.  No module operators are kept: reconstruction, partial sums
+    and tails run on those stacks (`partial_sums`, `gram_block`,
+    `prefix_tails`), and the dual's points are views built on first use.
     Instances are read-only.
     """
 
@@ -98,7 +101,7 @@ class Frame:
         self._family = family
         self._spanning = spanning
         with np.errstate(over="ignore", invalid="ignore"):
-            self._grams = tuple(gram_block(x, dim) for x in family.realizations)
+            self._grams = tuple(gram_block(x, x, dim) for x in family.realizations)
             hermitian = [hermitian_part(s) for s in self._grams]
         finite = shape.gather([np.isfinite(h).all(axis=(-2, -1)) for h in hermitian])
         if not finite.all():
@@ -135,53 +138,6 @@ class Frame:
             shape, dim, (inv[:, None] @ x for inv, x in zip(self._gram_inv, family.realizations))
         )
 
-    @classmethod
-    def _standard_basis(cls, shape: AlgebraShape, dim: int) -> "Frame":
-        """{e_j} from known values: no gram, no eigh and no dual product are formed.
-
-        Per size class, member j holds the unit at coordinate j; the gram
-        and its inverse are the identity and the dual is the family
-        itself.  The generic route gives exactly these bits: every gram
-        entry is a sum of exact products of 0 and 1, and `eigh` of an
-        identity returns eigenvalues 1.0 and eigenvectors u with |u| = I,
-        so the gram inverse is I and the dual product I X is X, signed
-        zeros included.  The stacks are read-only broadcast views.
-        """
-        frame = object.__new__(cls)
-        stacks, identities = [], []
-        for n, ks in shape.classes:
-            members = np.zeros((dim, dim, n, n), complex)
-            members[np.arange(dim), np.arange(dim)] = np.eye(n)
-            stack = members.reshape(dim, dim * n, n)
-            stacks.append(np.broadcast_to(stack, (len(ks),) + stack.shape))
-            eye = np.eye(dim * n, dtype=complex)
-            identities.append(np.broadcast_to(eye, (len(ks),) + eye.shape))
-        frame._spanning = "ambient"
-        frame._family = frame._dual = SampleSet._packed(shape, dim, stacks)
-        frame._grams = tuple(identities)
-        frame._gram_inv = identities
-        frame._bounds = (1.0, 1.0)
-        return frame
-
-    @functools.cached_property
-    def _theta(self) -> ModuleOperator:
-        # Theta(x) = (<x_j, x>)_j: row j of block k is R_k(x_j)*.
-        return ModuleOperator._packed(
-            self.shape, self.size, self.dim,
-            tuple(
-                np.ascontiguousarray(x.conj().swapaxes(-1, -2)).reshape(len(x), -1, x.shape[2])
-                for x in self._family.realizations
-            ),
-        )
-
-    @functools.cached_property
-    def _theta_star(self) -> ModuleOperator:
-        return self._theta.adjoint()
-
-    @functools.cached_property
-    def _gram(self) -> ModuleOperator:
-        return self._theta_star @ self._theta
-
     # -- basic accessors --------------------------------------------------
 
     @property
@@ -209,22 +165,9 @@ class Frame:
         """Optimal frame constants (c1, c2)."""
         return self._bounds
 
-    @property
-    def analysis_op(self) -> ModuleOperator:
-        """Theta: x -> (<x_j,x>)_j."""
-        return self._theta
-
-    @property
-    def gram_op(self) -> ModuleOperator:
-        """S = Theta* Theta."""
-        return self._gram
-
     def canonical_dual(self) -> tuple[ModuleVector, ...]:
         """g_j = S^(-1) x_j (pseudo-inverse in range mode), views of the stored realizations."""
         return self._dual.points
-
-    def gram_inverse(self) -> ModuleOperator:
-        return ModuleOperator._packed(self.shape, self.dim, self.dim, self._gram_inv)
 
     # -- reconstruction ----------------------------------------------------
 
@@ -236,13 +179,21 @@ class Frame:
         return idx
 
     def reconstruct(self, x: ModuleVector, indices=None) -> ModuleVector:
-        """sum_{j in indices} x_j <g_j, x>; all indices by default."""
-        idx = range(self.size) if indices is None else self._check_indices(indices)
-        vectors, dual = self.vectors, self.canonical_dual()
-        out = ModuleVector.zero(self.shape, self.dim)
-        for j in idx:
-            out = out + vectors[j] * inner_product(dual[j], x)
-        return out
+        """sum_{j in indices} x_j <g_j, x>; all indices by default.
+
+        The last partial sum of `partial_sums` over the listed pairs, so
+        the terms are added in list order from +0.  x is read in the
+        frame's module (`SampleSet.in_module`), whatever the indices.
+        """
+        idx = list(range(self.size)) if indices is None else self._check_indices(indices)
+        stacks = SampleSet((x,)).in_module(self.shape, self.dim)
+        return ModuleVector._packed(
+            self.shape, self.dim,
+            tuple(
+                partial_sums(xs, zs[:, idx], gs[:, idx])[:, 0, -1]
+                for xs, zs, gs in zip(stacks, self._family.realizations, self._dual.realizations)
+            ),
+        )
 
     def tail_profiles(self, points: SampleSet) -> np.ndarray:
         """Every prefix tail of every point of a SampleSet: row p is point p's profile.
@@ -267,28 +218,15 @@ class Frame:
         return float(prefix_tails(SampleSet((x,)), self._family, self._dual, n)[0, n])
 
     def partial_sum_op(self, indices) -> ModuleOperator:
-        """P_J' = sum_{j in J'} theta_{x_j, g_j}; norm bounded by c2/c1."""
+        """P_J' = sum_{j in J'} theta_{x_j, g_j} (`gram_block`); norm bounded by c2/c1."""
         idx = self._check_indices(indices)
-        vectors, dual = self.vectors, self.canonical_dual()
-        out = ModuleOperator.zero(self.shape, self.dim, self.dim)
-        for j in idx:
-            out = out + theta_op(vectors[j], dual[j])
-        return out
-
-    def partial_sum_factored(self, indices) -> ModuleOperator:
-        """Same operator through Theta* pi_J' Theta S^(-1): the proof's route.
-
-        pi_J' Theta keeps the rows of Theta that belong to J' and zeroes
-        the others.
-        """
-        keep = np.zeros(self.size, bool)
-        keep[self._check_indices(indices)] = True
-        theta = self._theta
-        selected = theta._with(
-            np.where(np.repeat(keep, s.shape[-1] // self.dim)[:, None], s, 0.0)
-            for s in theta.stacks
+        return ModuleOperator._packed(
+            self.shape, self.dim, self.dim,
+            tuple(
+                gram_block(xs[:, idx], gs[:, idx], self.dim)
+                for xs, gs in zip(self._family.realizations, self._dual.realizations)
+            ),
         )
-        return self._theta_star @ selected @ self.gram_inverse()
 
     def __repr__(self) -> str:
         c1, c2 = self._bounds
@@ -299,7 +237,31 @@ class Frame:
 
 
 def standard_basis_frame(shape: AlgebraShape, dim: int) -> Frame:
-    """The Parseval frame {e_j}: bounds (1,1), self-dual, built in closed form."""
+    """The Parseval frame {e_j}: bounds (1,1), self-dual, built in closed form.
+
+    No gram, no eigh and no dual product is formed.  Per size class,
+    member j holds the unit at coordinate j; the gram and its inverse are
+    the identity and the dual is the family itself.  `Frame.__init__`
+    gives exactly these bits: every gram entry is a sum of exact products
+    of 0 and 1, and `eigh` of an identity returns eigenvalues 1.0 and
+    eigenvectors u with |u| = I, so the gram inverse is I and the dual
+    product I X is X, signed zeros included.  The stacks are read-only
+    broadcast views.
+    """
     if dim < 1:
         raise ValueError("a frame needs at least one vector")
-    return Frame._standard_basis(shape, dim)
+    frame = object.__new__(Frame)
+    stacks, identities = [], []
+    for n, ks in shape.classes:
+        members = np.zeros((dim, dim, n, n), complex)
+        members[np.arange(dim), np.arange(dim)] = np.eye(n)
+        stack = members.reshape(dim, dim * n, n)
+        stacks.append(np.broadcast_to(stack, (len(ks),) + stack.shape))
+        eye = np.eye(dim * n, dtype=complex)
+        identities.append(np.broadcast_to(eye, (len(ks),) + eye.shape))
+    frame._spanning = "ambient"
+    frame._family = frame._dual = SampleSet._packed(shape, dim, stacks)
+    frame._grams = tuple(identities)
+    frame._gram_inv = identities
+    frame._bounds = (1.0, 1.0)
+    return frame

@@ -240,16 +240,6 @@ class ModuleOperator:
             tuple(np.tile(np.eye(dim * n, dtype=complex), (len(ks), 1, 1)) for n, ks in shape.classes),
         )
 
-    @classmethod
-    def zero(cls, shape: AlgebraShape, target_dim: int, source_dim: int) -> "ModuleOperator":
-        return cls._packed(
-            shape, target_dim, source_dim,
-            tuple(
-                np.zeros((len(ks), target_dim * n, source_dim * n), complex)
-                for n, ks in shape.classes
-            ),
-        )
-
     # -- action and algebra ----------------------------------------------
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
@@ -258,21 +248,6 @@ class ModuleOperator:
         return ModuleVector._packed(
             self.shape, self.target_dim, tuple(t @ v for t, v in zip(self.stacks, x.stacks))
         )
-
-    def __matmul__(self, other: "ModuleOperator") -> "ModuleOperator":
-        """Entry (i, j) is sum_l self[i][l] other[l][j]: per-entry products added in l order."""
-        if other.shape != self.shape or other.target_dim != self.source_dim:
-            raise ValueError("operator composition dimension mismatch")
-        out = []
-        for a, b in zip(self.stacks, other.stacks):
-            left = entry_blocks(a, self.target_dim, self.source_dim)
-            right = entry_blocks(b, other.target_dim, other.source_dim)
-            count, n = len(a), left.shape[-1]
-            acc = np.zeros((count, self.target_dim, other.source_dim, n, n), complex)
-            for l in range(self.source_dim):
-                acc = acc + left[:, :, l, None] @ right[:, None, l]
-            out.append(from_entry_blocks(acc))
-        return ModuleOperator._packed(self.shape, self.target_dim, other.source_dim, out)
 
     def __add__(self, other: "ModuleOperator") -> "ModuleOperator":
         if (
@@ -471,22 +446,25 @@ def generator_family(generators) -> SampleSet:
     return family
 
 
-def gram_block(stack: np.ndarray, dim: int) -> np.ndarray:
-    """Realized gram blocks S = Theta* Theta of a family of A^dim, from its realizations.
+def gram_block(xs: np.ndarray, ys: np.ndarray, dim: int) -> np.ndarray:
+    """Realized sum_l theta_{x_l, y_l} of two families of A^dim lined up member by member.
 
-    stack has shape (count, size, dim*n, n): for each block of a size
-    class, the realizations X_l of the family members x_l.  Entry (i, j)
-    of S is sum_l x_{l,i} x_{l,j}*; column j of a term is the one product
-    X_l x_{l,j}* (the stacked-left rule, README Storage).  The products
-    come out of one batched matmul per chunk of blocks and are added in
-    family order l = 0, 1, ..., which is the arithmetic of the operator
-    product Theta* @ Theta entry by entry.  Returns (count, dim*n, dim*n).
+    xs and ys have shape (count, size, dim*n, n): for each block of a
+    size class, the realizations X_l and Y_l of the members x_l and y_l.
+    Entry (i, j) of the sum is sum_l x_{l,i} y_{l,j}*; column j of a term
+    is the one product X_l y_{l,j}* (the stacked-left rule, README
+    Storage).  The products come out of one batched matmul per chunk of
+    blocks and are added in family order l = 0, 1, ... from +0.  With
+    ys = xs this is the gram S = Theta* Theta, entry by entry the
+    arithmetic of the operator product Theta* @ Theta; with a frame's
+    members and dual it is a partial sum P_J'.  Returns (count, dim*n,
+    dim*n).
     """
-    count, size, rows, n = stack.shape
+    count, size, rows, n = xs.shape
     acc = np.zeros((count, dim, rows, n), complex)
-    adjoints = np.ascontiguousarray(coordinate_blocks(stack, dim).conj().swapaxes(-1, -2))
+    adjoints = np.ascontiguousarray(coordinate_blocks(ys, dim).conj().swapaxes(-1, -2))
     for part in chunks(count, size * dim * rows * n):
-        products = stack[part, :, None] @ adjoints[part]
+        products = xs[part, :, None] @ adjoints[part]
         for l in range(size):
             acc[part] = acc[part] + products[:, l]
     return acc.transpose(0, 2, 1, 3).reshape(count, rows, rows)

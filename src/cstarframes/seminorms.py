@@ -156,7 +156,7 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
     least = []
     for xs in system.realizations:
         with np.errstate(over="ignore", invalid="ignore"):
-            defect = np.eye(xs.shape[2]) - gram_block(xs, system.dim)
+            defect = np.eye(xs.shape[2]) - gram_block(xs, xs, system.dim)
             h = hermitian_part(defect)
         finite = np.isfinite(h).all(axis=(-2, -1))
         spectra = np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))

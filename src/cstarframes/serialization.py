@@ -12,6 +12,7 @@ schema error with a path, not a crash later.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import chain
@@ -28,6 +29,7 @@ from .modules import (
     coordinate_blocks,
     entry_blocks,
     from_entry_blocks,
+    stack_norms,
 )
 from .seminorms import AdmissibleSystem, SeminormSpec
 
@@ -262,6 +264,27 @@ def _decode_family(raw: list, shape: AlgebraShape) -> tuple[int, tuple[np.ndarra
     return dim, tuple(s.reshape(len(s), len(raw), dim * s.shape[-1], s.shape[-1]) for s in stacks)
 
 
+def _refuse_norm_overflow(stacks, path: str) -> None:
+    """Refuse a point whose module norm overflows though every entry is finite.
+
+    stacks are a family's realizations, (count, P, rows, n) per size
+    class.  max |entry| * sqrt(rows * n) bounds the Frobenius norm of a
+    block, hence its spectral norm, so only the points whose bound is not
+    finite get their exact norm (`stack_norms`); the first of them whose
+    norm is not finite is refused at path.format(p).
+    """
+    with np.errstate(over="ignore"):
+        bound = functools.reduce(np.maximum, [
+            np.abs(s).max(axis=(0, 2, 3)) * math.sqrt(s.shape[2] * s.shape[3]) for s in stacks
+        ])
+    flagged = np.flatnonzero(~np.isfinite(bound))
+    if not len(flagged):
+        return
+    for p, norm in zip(flagged.tolist(), stack_norms([s[:, flagged] for s in stacks])):
+        if not math.isfinite(norm):
+            raise SchemaError(path.format(p), "module norm overflows the float range")
+
+
 def parse_vector_payload(val, shape: AlgebraShape, path: str) -> ModuleVector:
     decoded = _decode_family([val], shape)
     if decoded is None:
@@ -464,7 +487,9 @@ def _parse_state_doc(doc: dict) -> State:
 def _parse_vector_doc(doc: dict) -> ModuleVector:
     _reject_unknown(doc, {"version", "kind", "shape", "coords"}, "$")
     shape = parse_shape_payload(_get(doc, "shape", "$"), "$.shape")
-    return parse_vector_payload(_get(doc, "coords", "$"), shape, "$.coords")
+    vector = parse_vector_payload(_get(doc, "coords", "$"), shape, "$.coords")
+    _refuse_norm_overflow([s[:, None] for s in vector.stacks], "$")
+    return vector
 
 
 def _parse_operator_doc(doc: dict) -> ModuleOperator:
@@ -528,7 +553,9 @@ def _parse_sample_set_doc(doc: dict) -> SampleSet:
     raw = _expect_list(_get(doc, "points", "$"), "$.points")
     if not raw:
         return SampleSet((), label=label)
-    return _parse_family(raw, shape, "$.points", label)
+    sample = _parse_family(raw, shape, "$.points", label)
+    _refuse_norm_overflow(sample.realizations, "$.points[{}]")
+    return sample
 
 
 def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:

@@ -12,10 +12,12 @@ from cstarframes import (
     AlgebraElement,
     AlgebraShape,
     Frame,
+    ModuleOperator,
     ModuleVector,
     SampleSet,
     State,
 )
+from cstarframes.modules import entry_blocks, from_entry_blocks
 
 
 def random_shape(rng, max_blocks=3):
@@ -89,6 +91,33 @@ def planted_precompact_sample(shape, dim, prefix, count, rng, scale=0.4):
         prefix_supported_vector(shape, dim, prefix, rng, scale) for _ in range(count)
     )
     return SampleSet(points, label="planted-precompact")
+
+
+def analysis_operator(frame):
+    """Theta(x) = (<x_j, x>)_j of a frame as a module operator: row j of block k is R_k(x_j)*."""
+    return ModuleOperator._packed(
+        frame.shape, frame.size, frame.dim,
+        tuple(
+            np.ascontiguousarray(x.conj().swapaxes(-1, -2)).reshape(len(x), -1, x.shape[2])
+            for x in frame._family.realizations
+        ),
+    )
+
+
+def compose(a, b):
+    """The operator product a @ b: entry (i, j) is sum_l a[i][l] b[l][j], added in l order."""
+    if b.shape != a.shape or b.target_dim != a.source_dim:
+        raise ValueError("operator composition dimension mismatch")
+    out = []
+    for sa, sb in zip(a.stacks, b.stacks):
+        left = entry_blocks(sa, a.target_dim, a.source_dim)
+        right = entry_blocks(sb, b.target_dim, b.source_dim)
+        count, n = len(sa), left.shape[-1]
+        acc = np.zeros((count, a.target_dim, b.source_dim, n, n), complex)
+        for l in range(a.source_dim):
+            acc = acc + left[:, :, l, None] @ right[:, None, l]
+        out.append(from_entry_blocks(acc))
+    return ModuleOperator._packed(a.shape, a.target_dim, b.source_dim, out)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Precompactness conditions, coherence, operators, free submodules."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,21 @@ def test_free_check_rejects_repeated_generator(rng):
     with pytest.raises(GramDefectError) as err:
         free_submodule_check(SampleSet((e1,)), [e1, e1], eps=0.5)
     assert err.value.defect == pytest.approx(1.0, abs=1e-12)
+
+
+def test_free_check_refuses_generators_whose_gram_overflows():
+    """<v,v> of a norm-1e160 generator is inf, so its defect is NaN: refused, without a warning.
+
+    A maximum that skipped NaN defects would let {e_0, 1e160 e_1} pass
+    the gram check, since <e_0, e_1> = 0.
+    """
+    shape = AlgebraShape((1, 2))
+    e0 = ModuleVector.basis(shape, 2, 0)
+    huge = ModuleVector.basis(shape, 2, 1) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GramDefectError, match="gram defect nan"):
+            free_submodule_check(SampleSet((e0,)), [e0, huge], eps=0.5)
 
 
 def test_orthonormalized_generators_accepted(rng):

@@ -2,12 +2,14 @@
 
 The reference functions below recompute every condition one sample
 point at a time with module-vector arithmetic: a pseudo-inverse per
-point for condition A, `Frame.reconstruct` for every prefix tail,
-`inner_product` and `ModuleVector` sums for the span family, the C/D
-residual recursion and the d=>a replay.  Every verdict, witness and
-diagnostics list must equal the library's with exact ==.  The file
-also pins the canonical report bytes of two fixtures and counts the
-work one equivalence run does.
+point for condition A, a per-vector reconstruction for every prefix
+tail, `inner_product` and `ModuleVector` sums for the span family, the
+C/D residual recursion and the d=>a replay.  Every verdict, witness and
+diagnostics list must equal the library's with exact ==.  The
+per-object routes of `Frame.reconstruct`, `Frame.partial_sum_op` and
+`free_submodule_check` are kept here too, and the stacked passes must
+equal them byte for byte.  The file also pins the canonical report bytes
+of two fixtures and counts the work one equivalence run does.
 """
 
 import functools
@@ -16,25 +18,34 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from conftest import random_element, random_frame, random_vector
 from cstarframes import (
     AlgebraElement,
     AlgebraShape,
     CertifyConfig,
+    DegenerateFrameError,
     Frame,
+    ModuleOperator,
     ModuleVector,
     SampleSet,
     certify_equivalences,
     check_condition_a,
     check_condition_b,
     check_condition_cd,
+    free_submodule_check,
     inner_product,
+    serialize,
     standard_basis_frame,
+    theta_op,
 )
+from cstarframes.algebra import check_eps
+from cstarframes.certify import Certificate, GramDefectError
 from cstarframes.cli import main
-from cstarframes.modules import PINV_RTOL
-from cstarframes.tolerances import COHERENCE_TOL
+from cstarframes.modules import PINV_RTOL, generator_family, span_least_squares
+from cstarframes.tolerances import COHERENCE_TOL, GRAM_DEFECT_ATOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SHAPES = [(1,), (2,), (1, 2), (1, 1, 2), (2, 2)]
@@ -100,9 +111,73 @@ def ref_condition_a(sample, gens, eps, tol=1e-9):
     }
 
 
+def ref_reconstruct(frame, x, indices=None):
+    """sum_{j in indices} x_j <g_j, x>, one module vector at a time from zero."""
+    idx = range(frame.size) if indices is None else frame._check_indices(indices)
+    vectors, dual = frame.vectors, frame.canonical_dual()
+    out = ModuleVector.zero(frame.shape, frame.dim)
+    for j in idx:
+        out = out + vectors[j] * inner_product(dual[j], x)
+    return out
+
+
+def ref_partial_sum(frame, indices):
+    """P_J' = sum_{j in J'} theta_{x_j, g_j}, one theta operator at a time from zero."""
+    idx = frame._check_indices(indices)
+    vectors, dual = frame.vectors, frame.canonical_dual()
+    shape, dim = frame.shape, frame.dim
+    out = ModuleOperator._packed(
+        shape, dim, dim,
+        tuple(np.zeros((len(ks), dim * n, dim * n), complex) for n, ks in shape.classes),
+    )
+    for j in idx:
+        out = out + theta_op(vectors[j], dual[j])
+    return out
+
+
+def ref_free(sample, generators, eps):
+    """free_submodule_check, one generator pair and one sample point at a time."""
+    check_eps(eps)
+    gens = generator_family(generators)
+    shape = gens.shape
+    ident = AlgebraElement.identity(shape)
+    zero = AlgebraElement.zero(shape)
+    defect = 0.0
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            want = ident if i == j else zero
+            defect = max(defect, (inner_product(gi, gj) - want).norm())
+    if defect > GRAM_DEFECT_ATOL:
+        raise GramDefectError(defect)
+
+    projector = None
+    for g in gens:
+        t = theta_op(g, g)
+        projector = t if projector is None else projector + t
+
+    _, dists, _ = span_least_squares(sample, gens)
+    residuals = [(x - projector(x)).norm() for x in sample.points]
+    verdict = all(d < eps for d in dists)
+    two_eps_ok = all(
+        r < 2.0 * eps for d, r in zip(dists, residuals) if d < eps
+    )
+    return Certificate(
+        condition="FREE",
+        eps=eps,
+        verdict=verdict,
+        witness={"generator_count": len(gens)},
+        diagnostics={
+            "distances": dists,
+            "projection_residuals": residuals,
+            "two_eps_ok": two_eps_ok,
+            "gram_defect": defect,
+        },
+    )
+
+
 def ref_tails(frame, points):
     profiles = [
-        [(x - frame.reconstruct(x, range(n))).norm() for n in range(frame.size + 1)]
+        [(x - ref_reconstruct(frame, x, range(n))).norm() for n in range(frame.size + 1)]
         for x in points
     ]
     return [max((p[n] for p in profiles), default=0.0) for n in range(frame.size + 1)]
@@ -438,3 +513,142 @@ def test_replay_rechecks_the_theta_pairs_not_the_error_profile(monkeypatch):
     assert entry.cert_cd.verdict and entry.cert_cd.witness["rank"] == 1
     assert any(v.startswith("d=>a residual broken") for v in entry.violations)
     assert report.exit_code == 1
+
+
+# -- the stacked frame passes and the free check against the per-object routes -----------
+
+MAGNITUDES = (1.0, 1e150, 1e-150)
+
+
+def _planted_stacks(draw, shape, dim, count, scale, rng):
+    """Random realizations (blocks, count, dim*n, n) times scale, maybe with -0.0 planted.
+
+    When planted, about a quarter of the real and of the imaginary parts
+    become -0.0, and one (block, member) pair becomes an all -0.0 block.
+    """
+    plant = draw(st.booleans())
+    stacks = []
+    for n, ks in shape.classes:
+        size = (len(ks), count, dim * n, n)
+        s = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        if plant:
+            s.real[rng.random(size) < 0.25] = -0.0
+            s.imag[rng.random(size) < 0.25] = -0.0
+        stacks.append(s)
+    if plant and count:
+        c = int(rng.integers(len(stacks)))
+        stacks[c][int(rng.integers(len(stacks[c]))), int(rng.integers(count))] = complex(-0.0, -0.0)
+    return stacks
+
+
+@st.composite
+def frame_cases(draw):
+    """(frame, point, index list): ambient or range frames, points of any magnitude."""
+    shape = AlgebraShape(draw(st.sampled_from(SHAPES)))
+    dim = draw(st.integers(1, 3))
+    spanning = draw(st.sampled_from(["ambient", "range"]))
+    size = draw(st.integers(dim if spanning == "ambient" else 1, dim + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = _planted_stacks(draw, shape, dim, size, draw(st.sampled_from((1.0, 1e150))), rng)
+    try:
+        frame = Frame(SampleSet._packed(shape, dim, family), spanning)
+    except DegenerateFrameError:
+        reject()
+    point = _planted_stacks(draw, shape, dim, 1, draw(st.sampled_from(MAGNITUDES)), rng)
+    x = ModuleVector._packed(shape, dim, (s[:, 0] for s in point))
+    indices = draw(st.lists(st.integers(0, size - 1), max_size=2 * size))
+    return frame, x, indices
+
+
+def _index_error(call, *args):
+    with pytest.raises(IndexError) as refused:
+        call(*args)
+    return str(refused.value)
+
+
+def _same_stacks(got, want):
+    assert [(s.shape, s.tobytes()) for s in got.stacks] == [(s.shape, s.tobytes()) for s in want.stacks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=frame_cases())
+def test_reconstruct_and_partial_sums_equal_the_per_object_route(case):
+    frame, x, indices = case
+    for idx in (None, indices, sorted(indices), indices[::-1], [], list(range(frame.size))):
+        _same_stacks(frame.reconstruct(x, idx), ref_reconstruct(frame, x, idx))
+        if idx is not None:
+            _same_stacks(frame.partial_sum_op(idx), ref_partial_sum(frame, idx))
+    for idx in ([frame.size], indices + [-1]):
+        assert _index_error(frame.reconstruct, x, idx) == _index_error(ref_reconstruct, frame, x, idx)
+        assert _index_error(frame.partial_sum_op, idx) == _index_error(ref_partial_sum, frame, idx)
+
+
+def _orthonormal_stacks(shape, dim, count, rng):
+    """Per block, the first count column groups of a random unitary: <g_i,g_j> = delta_ij."""
+    stacks = []
+    for n, ks in shape.classes:
+        size = (len(ks), dim * n, dim * n)
+        q, _ = np.linalg.qr(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        stacks.append(q[:, :, : count * n].reshape(len(ks), dim * n, count, n).swapaxes(1, 2))
+    return stacks
+
+
+def _basis_stacks(shape, dim, count, rng, plant):
+    """e_0 .. e_{count-1}, with -0.0 for some of their zeros when planted."""
+    stacks = []
+    for n, ks in shape.classes:
+        s = np.zeros((len(ks), count, dim, n, n), complex)
+        s[:, np.arange(count), np.arange(count)] = np.eye(n)
+        if plant:
+            zeros = (s == 0) & (rng.random(s.shape) < 0.5)
+            s.real[zeros] = -0.0
+            s.imag[(s == 0) & (rng.random(s.shape) < 0.5)] = -0.0
+        stacks.append(s.reshape(len(ks), count, dim * n, n))
+    return stacks
+
+
+@st.composite
+def free_cases(draw):
+    """(sample, generators, eps): orthonormal sets, and sets the gram check refuses."""
+    shape = AlgebraShape(draw(st.sampled_from(SHAPES)))
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["unitary", "basis", "scaled", "gaussian"]))
+    if kind == "basis":
+        gens = _basis_stacks(shape, dim, count, rng, draw(st.booleans()))
+    elif kind == "gaussian":
+        gens = _planted_stacks(draw, shape, dim, count, 1.0, rng)
+    else:
+        gens = _orthonormal_stacks(shape, dim, count, rng)
+        if kind == "scaled":
+            scale = draw(st.sampled_from(MAGNITUDES[1:]))
+            gens = [g * scale for g in gens]
+    generators = SampleSet._packed(shape, dim, gens)
+    points = _planted_stacks(
+        draw, shape, dim, draw(st.integers(0, 4)), draw(st.sampled_from(MAGNITUDES)), rng
+    )
+    if draw(st.booleans()):  # points inside the span, up to rounding
+        coeffs = [rng.standard_normal((len(p), p.shape[1], count * p.shape[-1], p.shape[-1]))
+                  for p in points]
+        points = [
+            g.swapaxes(1, 2).reshape(len(g), g.shape[2], -1)[:, None] @ c
+            for g, c in zip(gens, coeffs)
+        ]
+    sample = SampleSet._packed(shape, dim, points)
+    return sample, generators, draw(st.sampled_from([1e-6, 0.5, 1e300]))
+
+
+def _certificate_or_refusal(check, *args):
+    try:
+        return serialize(check(*args))
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=free_cases())
+def test_free_check_equals_the_per_object_route(case):
+    sample, gens, eps = case
+    got = _certificate_or_refusal(free_submodule_check, sample, gens, eps)
+    assert got == _certificate_or_refusal(ref_free, sample, gens, eps)

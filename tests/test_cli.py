@@ -609,6 +609,49 @@ def test_integer_beyond_float_range_is_data_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def _coordinate(v):
+    """A coordinate over the shape (1, 2): v on the 1x1 block, v times the unit on the 2x2 block."""
+    return [[[[v, 0.0]]], [[[v, 0.0], [0.0, 0.0]], [[0.0, 0.0], [v, 0.0]]]]
+
+
+def test_sample_point_whose_norm_overflows_is_refused_at_parse(capsys, tmp_path):
+    """Finite entries of 1.5e308 whose module norm, about 2.1e308, is not finite."""
+    doc = {"version": 1, "kind": "sample_set", "shape": [1, 2], "points": [
+        [_coordinate(1.5e308), _coordinate(0.0)],  # norm 1.5e308: flagged by the bound, kept
+        [_coordinate(1.5e308), _coordinate(1.5e308)],
+    ]}
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(capsys, "precompact", "--condition", "cd", "--eps", "1e300",
+                     "--sample", str(path))
+    assert result == (1, "", "cstarframes: error: $.points[1]: module norm overflows the float range\n")
+    doc["points"].pop()
+    assert parse("sample_set", json.dumps(doc).encode()).point_norms == [1.5e308]
+
+
+def test_vector_whose_norm_overflows_is_refused_at_parse(capsys, tmp_path):
+    path = tmp_path / "vector.json"
+    path.write_text(json.dumps({
+        "version": 1, "kind": "vector", "shape": [1, 2],
+        "coords": [_coordinate(1.5e308), _coordinate(1.5e308)],
+    }))
+    result = run(capsys, "reconstruct", fx("parseval.json"), str(path))
+    assert result == (1, "", "cstarframes: error: $: module norm overflows the float range\n")
+
+
+def test_parsing_points_takes_no_norm(monkeypatch):
+    """The entrywise bound clears every fixture point: no SVD runs at parse."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran at parse")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for kind, name in [("sample_set", "sample_planted.json"), ("sample_set", "generator_6.json"),
+                       ("sample_set", "sample_witnesses_6.json"), ("vector", "vector.json")]:
+        parse(kind, (FIXTURES / name).read_bytes())
+
+
 # --- the parser ---
 
 
@@ -643,6 +686,37 @@ def test_counterexample_golden(capsys, tmp_path, trunc, dim, eps):
     assert (code, err) == (1, "")
     assert out == (GOLDEN / f"{stem}.csv").read_text()
     assert out_file.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+def _scaled_basis_sample_file(tmp_path, shape_dims, dim, scale):
+    shape = AlgebraShape(shape_dims)
+    points = tuple(ModuleVector.basis(shape, dim, i) * scale for i in range(dim))
+    path = tmp_path / "scaled_gens.json"
+    path.write_bytes(serialize(SampleSet(points, label="scaled basis")))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "gens, eps, golden, two_eps_ok",
+    [
+        # the test_precompact_free inputs
+        (lambda p: _basis_sample_file(p, (1, 1, 1), 4), "1e-6", "free_sample_planted.json", True),
+        # generators off orthonormal by 2^-32 (within GRAM_DEFECT_ATOL): every point lies
+        # in their span, but P = sum theta_{g,g} scales it by (1 + 2^-33)^2, past 2*eps
+        (lambda p: _scaled_basis_sample_file(p, (1, 1, 1), 4, 1.0 + 2.0**-33), "1e-11",
+         "free_sample_planted_scaled.json", False),
+    ],
+)
+def test_precompact_free_golden(capsys, tmp_path, gens, eps, golden, two_eps_ok):
+    out_file = tmp_path / "cert.json"
+    code, out, err = run(
+        capsys, "precompact", "--condition", "free",
+        "--sample", fx("sample_planted.json"), "--gens", gens(tmp_path), "--eps", eps,
+        "--out", str(out_file),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert out_file.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert json.loads(out_file.read_bytes())["diagnostics"]["two_eps_ok"] is two_eps_ok
 
 
 def test_precompact_witnesses_with_generator_golden(capsys, tmp_path):

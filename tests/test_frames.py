@@ -9,12 +9,20 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from conftest import random_element, random_frame, random_shape, random_vector
+from conftest import (
+    analysis_operator,
+    compose,
+    random_element,
+    random_frame,
+    random_shape,
+    random_vector,
+)
 from cstarframes import (
     AlgebraElement,
     AlgebraShape,
     DegenerateFrameError,
     Frame,
+    ModuleOperator,
     ModuleVector,
     SampleSet,
     inner_product,
@@ -25,18 +33,39 @@ C2 = AlgebraShape((1, 1))
 M2 = AlgebraShape((2,))
 
 
+def gram_operator(fr):
+    """S = Theta* Theta as a module operator."""
+    theta = analysis_operator(fr)
+    return compose(theta.adjoint(), theta)
+
+
+def partial_sum_factored(fr, indices):
+    """P_J' through Theta* pi_J' Theta S^(-1): the proof's route.
+
+    pi_J' Theta keeps the rows of Theta that belong to J' and zeroes the others.
+    """
+    keep = np.zeros(fr.size, bool)
+    keep[list(indices)] = True
+    theta = analysis_operator(fr)
+    selected = theta._with(
+        np.where(np.repeat(keep, s.shape[-1] // fr.dim)[:, None], s, 0.0) for s in theta.stacks
+    )
+    gram_inverse = ModuleOperator._packed(fr.shape, fr.dim, fr.dim, fr._gram_inv)
+    return compose(compose(theta.adjoint(), selected), gram_inverse)
+
+
 def test_standard_basis_analysis_is_identity(rng):
     shape = random_shape(rng)
     fr = standard_basis_frame(shape, 3)
     x = random_vector(shape, 3, rng)
-    assert (fr.analysis_op(x) - x).norm() <= 1e-14
+    assert (analysis_operator(fr)(x) - x).norm() <= 1e-14
 
 
 def test_scaled_singleton_gram():
     x = ModuleVector.basis(C2, 1, 0) * 2.0
     fr = Frame((x,))
     ident = AlgebraElement.identity(C2)
-    gram_on_e = fr.gram_op(ModuleVector.basis(C2, 1, 0))
+    gram_on_e = gram_operator(fr)(ModuleVector.basis(C2, 1, 0))
     assert (gram_on_e.coords[0] - ident * 4.0).norm() <= 1e-14
     assert fr.bounds == (pytest.approx(4.0, abs=1e-12), pytest.approx(4.0, abs=1e-12))
 
@@ -54,7 +83,8 @@ def test_analysis_preserves_gram_sum(rng):
     shape = random_shape(rng)
     fr = random_frame(shape, 2, 4, rng)
     x = random_vector(shape, 2, rng)
-    lhs = inner_product(fr.analysis_op(x), fr.analysis_op(x))
+    theta = analysis_operator(fr)
+    lhs = inner_product(theta(x), theta(x))
     rhs = AlgebraElement.zero(shape)
     for v in fr.vectors:
         ip = inner_product(x, v)
@@ -124,7 +154,7 @@ def test_partial_sum_factored_route_agrees(rng):
     fr = random_frame(shape, 2, 5, rng)
     indices = (0, 2, 3)
     direct = fr.partial_sum_op(indices)
-    factored = fr.partial_sum_factored(indices)
+    factored = partial_sum_factored(fr, indices)
     assert (direct - factored).norm() <= 1e-9 * max(1.0, direct.norm())
 
 
@@ -182,6 +212,15 @@ def test_tail_profile_is_every_reconstruction_tail(seed, dims):
             assert tail == fr.reconstruction_tail(x, n)
 
 
+def test_reconstruct_rejects_other_module_for_every_index_list(rng):
+    """x is read in the frame's module whatever the index list, the empty one included."""
+    fr = random_frame(C2, 2, 3, rng)
+    for other in (random_vector(C2, 3, rng), random_vector(M2, 2, rng)):
+        for indices in (None, (), [1, 1, 0]):
+            with pytest.raises(ValueError, match="different modules"):
+                fr.reconstruct(other, indices)
+
+
 def test_tail_profile_rejects_other_module(rng):
     fr = random_frame(C2, 2, 3, rng)
     with pytest.raises(ValueError, match="different modules"):
@@ -199,8 +238,9 @@ def test_blockwise_gram_matches_operator_product(seed):
         spanning="range",
     )
     for fr in (ambient, span):
+        gram = gram_operator(fr)
         for k, (c, j) in enumerate(shape.slots):
-            via_operator = fr.gram_op.realize_block(k)
+            via_operator = gram.realize_block(k)
             assert fr._grams[c][j].shape == via_operator.shape
             assert fr._grams[c][j].tobytes() == via_operator.tobytes()
 
@@ -228,7 +268,6 @@ def test_standard_basis_frame_is_the_generic_frame_bit_for_bit(dims, dim):
     for family in ((closed.vectors, generic.vectors), (closed.canonical_dual(), generic.canonical_dual())):
         for a, b in zip(*family, strict=True):
             assert _stack_bytes(a.stacks) == _stack_bytes(b.stacks)
-    assert _stack_bytes(closed.gram_inverse().stacks) == _stack_bytes(generic.gram_inverse().stacks)
     rng = np.random.default_rng(dim)
     points = [random_vector(shape, dim, rng), ModuleVector.zero(shape, dim)]
     points.append(points[0].restrict(0, (dim + 1) // 2))
@@ -273,7 +312,7 @@ def test_bounds_are_attained(rng):
     c1, c2 = fr.bounds
     lo_seen = np.inf
     hi_seen = 0.0
-    gram = fr.gram_op
+    gram = gram_operator(fr)
     for _ in range(200):
         x = random_vector(shape, 2, rng)
         x = x / max(x.norm(), 1e-12)

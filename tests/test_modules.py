@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    compose,
     random_element,
     random_shape,
     random_vector,
@@ -262,7 +263,7 @@ def test_operator_composition_matches_action(rng):
         tuple(tuple(random_element(shape, rng) for _ in range(2)) for _ in range(2)),
     )
     x = random_vector(shape, 2, rng)
-    assert ((op1 @ op2)(x) - op1(op2(x))).norm() <= 1e-10 * max(1.0, x.norm())
+    assert (compose(op1, op2)(x) - op1(op2(x))).norm() <= 1e-10 * max(1.0, x.norm())
 
 
 def test_restrict_window(rng):

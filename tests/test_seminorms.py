@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    compose,
     prefix_supported_vector,
     random_shape,
     random_state,
@@ -475,7 +476,7 @@ def oracle_admissibility(vectors):
     """Largest norm and gram slack through module operators: Id - Theta* @ Theta."""
     shape, dim = vectors[0].shape, vectors[0].dim
     theta = ModuleOperator(shape, tuple(tuple(c.adjoint() for c in v.coords) for v in vectors))
-    defect = ModuleOperator.identity(shape, dim) - theta.adjoint() @ theta
+    defect = ModuleOperator.identity(shape, dim) - compose(theta.adjoint(), theta)
     slack = min(
         float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
         for m in (defect.realize_block(k) for k in range(shape.num_blocks))

@@ -480,8 +480,12 @@ def test_integer_beyond_float_range_is_a_schema_error(name, path, where, value):
 def test_largest_integer_below_float_range_parses():
     doc = json.loads((FIXTURES / "vector.json").read_bytes())
     doc["coords"][0][0][0][0] = [2**1024 - 2**970 - 1, -(2**1023)]
-    x = parse("vector", json.dumps(doc))
-    assert x.coords[0].blocks[0][0, 0] == complex(1.7976931348623157e308, -8.98846567431158e307)
+    element = {"version": 1, "kind": "element", "shape": doc["shape"], "blocks": doc["coords"][0]}
+    a = parse("element", json.dumps(element))
+    assert a.blocks[0][0, 0] == complex(1.7976931348623157e308, -8.98846567431158e307)
+    # the scalar's modulus, about 2.0e308, bounds the norm of a vector holding it from below
+    with pytest.raises(SchemaError, match=r"^\$: module norm overflows the float range$"):
+        parse("vector", json.dumps(doc))
 
 
 def test_non_finite_serialize_names_the_first_bad_scalar():

@@ -254,7 +254,7 @@ def test_gram_matches_the_dense_route(case):
         for stacks_ in (frame._family.realizations, points.realizations):
             for s in stacks_:
                 coords = coordinate_blocks(s, dim)
-                assert gram_block(s, dim).tobytes() == oracle_gram_block(coords).tobytes()
+                assert gram_block(s, s, dim).tobytes() == oracle_gram_block(coords).tobytes()
 
 
 def test_every_route_skips_on_the_witnesses():
@@ -269,7 +269,7 @@ def test_every_route_skips_on_the_witnesses():
     assert got.tobytes() == oracle_prefix_tails(frame, witnesses, 7).tobytes()
     assert _truncation_tails(stack).tobytes() == oracle_truncation_tails(stack).tobytes()
     stack = frame._family.realizations[0]
-    assert gram_block(stack, 7).tobytes() == oracle_gram_block(coordinate_blocks(stack, 7)).tobytes()
+    assert gram_block(stack, stack, 7).tobytes() == oracle_gram_block(coordinate_blocks(stack, 7)).tobytes()
 
 
 def test_non_finite_data_takes_the_dense_route():
@@ -283,8 +283,8 @@ def test_non_finite_data_takes_the_dense_route():
     with np.errstate(invalid="ignore", over="ignore"), bounds(False, True):
         inf_member = SampleSet([vec((np.inf, 1.0), (0.0, 1.0))]).realizations[0]
         coords = coordinate_blocks(inf_member, 2)
-        assert gram_block(inf_member, 2).tobytes() == oracle_gram_block(coords).tobytes()
-        assert np.isnan(gram_block(inf_member, 2)).any()
+        assert gram_block(inf_member, inf_member, 2).tobytes() == oracle_gram_block(coords).tobytes()
+        assert np.isnan(gram_block(inf_member, inf_member, 2)).any()
 
     # finite input whose gram overflows on block 0: refused, without a warning
     with pytest.raises(DegenerateFrameError, match="gram of block 0 is not finite"):
@@ -313,8 +313,8 @@ def test_counterexample_work_scales_with_the_non_zero_pairs(monkeypatch):
     seen = _counting_svd(monkeypatch)
     gram = modules.gram_block
 
-    def counted_gram(stack, dim):
-        return gram(stack.view(_CountedProducts), dim)
+    def counted_gram(xs, ys, dim):
+        return gram(xs.view(_CountedProducts), ys, dim)
 
     monkeypatch.setattr(_CountedProducts, "formed", 0)
     monkeypatch.setattr("cstarframes.frames.gram_block", counted_gram)
