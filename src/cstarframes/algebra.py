@@ -210,13 +210,35 @@ def blockwise_max(per_class):
     return functools.reduce(np.maximum, [a.max(axis=0) for a in per_class]).tolist()
 
 
-def block_sum(shape: AlgebraShape, per_class) -> np.ndarray:
-    """Sum over the blocks, in block order and starting from zero, of per-class arrays."""
-    stacked = shape.gather(per_class)
-    total = np.zeros(stacked.shape[1:], stacked.dtype)
-    for part in stacked:
-        total = total + part
+def ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of `terms` along `axis`: a total from +0.0, one term at a time in index order.
+
+    The library's one summation order: every fixed-order sum goes through
+    this or `ordered_sums`, so its bits do not depend on memory layout,
+    as those of numpy's pairwise reductions (and np.trace from n = 4) do.
+    In round-to-nearest x + (-x) = +0 and +0 + (-0) = +0, so the total,
+    which holds one term's worth of memory, never holds -0.0: adding a
+    +-0 term leaves every bit of it unchanged, and for s the same sum
+    started at the first term, 0.0 + s equals it bit for bit.
+    """
+    parts = np.moveaxis(terms, axis, 0)
+    total = np.zeros(parts.shape[1:], parts.dtype)
+    for part in parts:
+        total += part
     return total
+
+
+def ordered_sums(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Every prefix of `ordered_sum` along `axis` (prefix 0 is +0.0), by np.add.accumulate."""
+    shape = list(terms.shape)
+    shape[axis] = 1
+    start = np.zeros(shape, terms.dtype)
+    return np.add.accumulate(np.concatenate((start, terms), axis=axis), axis=axis)
+
+
+def block_sum(shape: AlgebraShape, per_class) -> np.ndarray:
+    """Sum over the blocks, in block order (`ordered_sum`), of per-class arrays."""
+    return ordered_sum(shape.gather(per_class), 0)
 
 
 def hermitian_part(stack: np.ndarray) -> np.ndarray:
@@ -435,11 +457,6 @@ class StateError(ValueError):
         super().__init__(message)
 
 
-def _trace_total(shape: AlgebraShape, stacks) -> float:
-    """sum_k Re trace(rho_k) of one state's densities, the blocks added in order."""
-    return float(block_sum(shape, [np.trace(s, axis1=-2, axis2=-1).real for s in stacks]))
-
-
 def checked_states(shape: AlgebraShape, stacks) -> list[tuple[np.ndarray, ...]]:
     """Validate a batch of states; per state, views of its density stacks (count, n, n).
 
@@ -450,30 +467,28 @@ def checked_states(shape: AlgebraShape, stacks) -> list[tuple[np.ndarray, ...]]:
     checked block by block in block order, Hermitian (largest
     |rho - rho*| entry at most STATE_ATOL) and then positive semidefinite
     (least eigenvalue of the Hermitian part at least -STATE_ATOL), and
-    then its trace total must be within STATE_ATOL of 1.  The first
-    faulty state raises a StateError that carries its index and names
-    the first check it fails.  A state's stacks are the slices
-    stacks[c][:, i], not copies: a trace sums each diagonal in the same
-    order on a slice as on a contiguous copy, and each density stays a
-    contiguous n x n matrix, so values are the copies' bit for bit.
+    then its trace total, one np.trace per class for all states summed by
+    `block_sum`, must be within STATE_ATOL of 1.  The first faulty state
+    raises a StateError that carries its index and names the first check
+    it fails.  A state's stacks are the slices stacks[c][:, i], not
+    copies: np.trace sums each diagonal in the same order on the batch as
+    on a contiguous copy, and each density stays a contiguous n x n
+    matrix, so values are the copies' bit for bit.
     """
     herm = shape.gather([np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks])
     low = shape.gather([np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks])
     faulty = ((herm > STATE_ATOL) | (low < -STATE_ATOL)).any(axis=0)
-    out = []
-    for i in range(stacks[0].shape[1]):
+    totals = block_sum(shape, [np.trace(s, axis1=-2, axis2=-1).real for s in stacks]).tolist()
+    for i, total in enumerate(totals):
         if faulty[i]:
             for k, (defect, least) in enumerate(zip(herm[:, i].tolist(), low[:, i].tolist())):
                 if defect > STATE_ATOL:
                     raise StateError(i, f"density {k} is not Hermitian")
                 if least < -STATE_ATOL:
                     raise StateError(i, f"density {k} is not positive semidefinite")
-        own = tuple(s[:, i] for s in stacks)
-        total = _trace_total(shape, own)
         if abs(total - 1.0) > STATE_ATOL:
             raise StateError(i, f"densities must have total trace 1, got {total}")
-        out.append(own)
-    return out
+    return [tuple(s[:, i] for s in stacks) for i in range(len(totals))]
 
 
 @dataclass(frozen=True, eq=False, repr=False)

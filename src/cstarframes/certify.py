@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import blockwise_max, check_eps, chunks, spectral_norms, tiles
+from .algebra import blockwise_max, check_eps, chunks, ordered_sum, ordered_sums, spectral_norms, tiles
 from .frames import Frame, prefix_tails, standard_basis_frame
 from .modules import (
     ModuleVector,
@@ -120,8 +120,8 @@ def _coefficient_data(sample: SampleSet, gens: SampleSet) -> _CoefficientData:
     coefficient, of the stacked coefficient tuple, and of the approximant
     sum_i g_i a_i.  The products R(g_i) a_i of every generator come out
     of one batched matmul (the stacked-left rule, README Storage) and are
-    summed from zero in generator order with np.add.accumulate, taking
-    blocks and points in tiles that bound the size of the term tensor.
+    summed in generator order (`ordered_sum`), taking blocks and points
+    in tiles that bound the size of the term tensor.
     """
     coeffs, residuals, b_const = span_least_squares(sample, gens)
     dim, s = gens.dim, len(gens)
@@ -134,9 +134,7 @@ def _coefficient_data(sample: SampleSet, gens: SampleSet) -> _CoefficientData:
         an = np.zeros((count, points))
         for part_blocks, part in tiles(count, points, (s + 1) * dim * n * n):
             terms = gk[part_blocks, None] @ per_coeff[part_blocks, part]
-            start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
-            approx = np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)[:, :, -1]
-            an[part_blocks, part] = spectral_norms(approx)
+            an[part_blocks, part] = spectral_norms(ordered_sum(terms, 2))
         approx_norms.append(an)
     return _CoefficientData(
         s,
@@ -214,7 +212,7 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
     Computed from the sets (z, g) of an approximant's theta pairs alone,
     independently of the residual recursion of condition C/D: the
     residuals are the tails of `prefix_tails`, which sums the approximants
-    from zero in pair order, and the coefficient norms come from one
+    in pair order, and the coefficient norms come from one
     batched product per size class, taken in chunks of blocks under
     CHUNK_ENTRIES.  residual_norms[p][n] is the residual of point p
     with the first n pairs, so one pass over the longest approximant of a
@@ -693,10 +691,11 @@ def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray
     product R(x_j) y_jl* on a contiguous adjoint, all in one batched
     matmul, which gives each block x_ji y_jl* the arithmetic of the
     algebra product x_i * y_l.adjoint() (the stacked-left rule, README
-    Storage); the partial sums S_n add the terms in frame order
-    from S_1 = theta_0, as repeated operator sums do, and all size + 1
-    spectral norms are one batched call.  The blocks are taken in chunks
-    that bound the size of the term tensor.  Returns (count, size + 1).
+    Storage).  The partial sums S_n are the prefixes of `ordered_sums` in
+    frame order: T_k - S_0 is T_k, and S_n differs from the repeated
+    operator sum theta_0 + ... only in the sign of a zero entry.  All
+    size + 1 spectral norms are one batched call, on blocks taken in
+    chunks that bound the size of the term tensor.  Returns (count, size + 1).
     """
     count, size, _, n = xk.shape
     rows, cols = tk.shape[1:]
@@ -709,8 +708,7 @@ def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray
         )
         terms = xk[part, :, None] @ y_adj
         terms = terms.transpose(0, 1, 3, 2, 4).reshape(blocks, size, rows, cols)
-        residuals = t - np.add.accumulate(terms, axis=1)
-        out.append(spectral_norms(np.concatenate((t, residuals), axis=1)))
+        out.append(spectral_norms(t - ordered_sums(terms, 1)))
     return np.concatenate(out)
 
 

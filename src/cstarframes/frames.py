@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraShape, fold_pair_maxima, hermitian_part, spectral_norms
+from .algebra import AlgebraShape, fold_pair_maxima, hermitian_part, ordered_sums, spectral_norms
 from .modules import ModuleOperator, ModuleVector, SampleSet, gram_block
 from .tolerances import FRAME_RTOL
 
@@ -26,13 +26,10 @@ def partial_sums(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
     x holds the realizations of points, (blocks, P, rows, n), and z and g
     those of the pairs (z_j, g_j) on the same blocks, (blocks, len, rows,
     n).  The terms Z_j (G_j* x) of every point come out of one batched
-    matmul and are summed cumulatively in pair order from +0, so prefix
-    m holds the sum of the first m terms added one at a time.  Returns
-    (blocks, P, len + 1, rows, n).
+    matmul, and prefix m is the sum of the first m of them in pair order
+    (`ordered_sums`).  Returns (blocks, P, len + 1, rows, n).
     """
-    terms = z[:, None] @ (g[:, None].conj().swapaxes(-1, -2) @ x[:, :, None])
-    start = np.zeros(terms.shape[:2] + (1,) + terms.shape[3:], complex)
-    return np.add.accumulate(np.concatenate((start, terms), axis=2), axis=2)
+    return ordered_sums(z[:, None] @ (g[:, None].conj().swapaxes(-1, -2) @ x[:, :, None]), 2)
 
 
 def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np.ndarray:
@@ -182,7 +179,7 @@ class Frame:
         """sum_{j in indices} x_j <g_j, x>; all indices by default.
 
         The last partial sum of `partial_sums` over the listed pairs, so
-        the terms are added in list order from +0.  x is read in the
+        the terms are added in list order.  x is read in the
         frame's module (`SampleSet.in_module`), whatever the indices.
         """
         idx = list(range(self.size)) if indices is None else self._check_indices(indices)

@@ -31,6 +31,7 @@ from .algebra import (
     chunks,
     frozen,
     hermitian_part,
+    ordered_sum,
     spectral_norms,
 )
 from .tolerances import PINV_RTOL, SPAN_DROP_RTOL
@@ -454,19 +455,16 @@ def gram_block(xs: np.ndarray, ys: np.ndarray, dim: int) -> np.ndarray:
     Entry (i, j) of the sum is sum_l x_{l,i} y_{l,j}*; column j of a term
     is the one product X_l y_{l,j}* (the stacked-left rule, README
     Storage).  The products come out of one batched matmul per chunk of
-    blocks and are added in family order l = 0, 1, ... from +0.  With
-    ys = xs this is the gram S = Theta* Theta, entry by entry the
-    arithmetic of the operator product Theta* @ Theta; with a frame's
-    members and dual it is a partial sum P_J'.  Returns (count, dim*n,
-    dim*n).
+    blocks and are added in family order (`ordered_sum`).  With ys = xs
+    this is the gram S = Theta* Theta, entry by entry the arithmetic of
+    the operator product Theta* @ Theta; with a frame's members and dual
+    it is a partial sum P_J'.  Returns (count, dim*n, dim*n).
     """
     count, size, rows, n = xs.shape
     acc = np.zeros((count, dim, rows, n), complex)
     adjoints = np.ascontiguousarray(coordinate_blocks(ys, dim).conj().swapaxes(-1, -2))
     for part in chunks(count, size * dim * rows * n):
-        products = xs[part, :, None] @ adjoints[part]
-        for l in range(size):
-            acc[part] = acc[part] + products[:, l]
+        acc[part] = ordered_sum(xs[part, :, None] @ adjoints[part], 1)
     return acc.transpose(0, 2, 1, 3).reshape(count, rows, rows)
 
 

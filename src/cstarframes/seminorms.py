@@ -33,6 +33,8 @@ from .algebra import (
     frozen,
     hermitian_part,
     norm_attaining_state,
+    ordered_sum,
+    ordered_sums,
     spectral_norms,
 )
 from .modules import ModuleVector, SampleSet, gram_block, inner_product
@@ -123,13 +125,12 @@ class AdmissibilityReport:
     max_norm: float
     gram_slack: float
     bad_norm_index: int | None = None
-    bad_probe_index: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityReport:
+def admissible_check(vectors) -> AdmissibilityReport:
     """Decide admissibility of a candidate system: a SampleSet or module vectors (`SampleSet.of`).
 
     Norm condition: ||x_i|| <= 1 + ADMISSIBLE_TOL for every i.  Gram
@@ -138,10 +139,8 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
     lambda_min(Id - Theta*Theta) >= -ADMISSIBLE_TOL on the realization:
     per block, I - S_k with S_k the realized gram block (`gram_block`).
     A block whose gram is not finite (the entries overflow in the
-    products) fails it with slack -inf.  Probe points, when given, are
-    rechecked individually so a failure can name the offending probe.
-    A SampleSet is checked on its stored realizations, so a parsed system
-    is not stacked again.
+    products) fails it with slack -inf.  A SampleSet is checked on its
+    stored realizations, so a parsed system is not stacked again.
     """
     system = SampleSet.of(vectors)
     if not len(system):
@@ -162,20 +161,8 @@ def admissible_check(vectors, probes: SampleSet | None = None) -> AdmissibilityR
         spectra = np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))
         least.append(np.where(finite, spectra.min(axis=-1), -math.inf))
     slack = min(math.inf, *system.shape.gather(least).tolist())
-
-    bad_probe = None
-    if probes is not None:
-        for j, x in enumerate(probes.points):
-            lhs = inner_product(x, x)
-            for v in system.points:
-                ip = inner_product(x, v)
-                lhs = lhs - ip * ip.adjoint()
-            if lhs.min_eigenvalue() < -ADMISSIBLE_TOL * max(1.0, x.norm()) ** 2:
-                bad_probe = j
-                break
-
-    ok = bad_norm is None and slack >= -ADMISSIBLE_TOL and bad_probe is None
-    return AdmissibilityReport(ok, max_norm, slack, bad_norm, bad_probe)
+    ok = bad_norm is None and slack >= -ADMISSIBLE_TOL
+    return AdmissibilityReport(ok, max_norm, slack, bad_norm)
 
 
 class AdmissibleSystem:
@@ -218,6 +205,8 @@ class SeminormSpec:
                 f"need exactly one state per system element: "
                 f"{len(states)} states for {len(self.system)} vectors"
             )
+        if any(phi.shape != self._system.shape for phi in states):
+            raise ValueError("state and element shapes differ")
         object.__setattr__(self, "states", states)
 
     @classmethod
@@ -239,12 +228,9 @@ class SeminormSpec:
     @functools.cached_property
     def _densities(self) -> tuple[np.ndarray, ...]:
         # Per size class, the densities of all states, shape (count, len, n, n).
-        shape = self._system.shape
-        if any(phi.shape != shape for phi in self.states):
-            raise ValueError("state and element shapes differ")
         return tuple(
             np.stack([phi.stacks[c] for phi in self.states], axis=1)
-            for c in range(len(shape.classes))
+            for c in range(len(self._system.shape.classes))
         )
 
 
@@ -260,14 +246,12 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
     rho @ <x_p, x_i> in `State.__call__` (the stacked-left rule, README
     Storage).
 
-    The trace of an n x n product is np.trace's arithmetic.  On the
-    product's C-ordered layout np.trace adds the diagonal to a zero
-    start, the running sum as the second operand: for n = 1 it forms
-    0 + d0, and for n = 2 it forms d1 + (0 + d0).  Those two are written
-    out here, which gives the same bits (signed zeros and NaN payloads
-    included) without the reduce over the product's strided diagonal.
-    From n = 3 on, the association of the reduce depends on the memory
-    layout, so np.trace itself is kept.
+    The trace of an n x n product is np.trace's arithmetic.  For n <= 2
+    np.trace forms 0 + d0 and d1 + (0 + d0), the `ordered_sum` of the
+    diagonal with one addition's operands swapped, which changes no bit
+    but which of two NaN payloads is kept; the kernel skips the reduce
+    over the strided diagonal.  From n = 3 on, the association of the
+    reduce depends on the memory layout, so np.trace itself is kept.
     """
     system = spec._system
     if not len(sample):
@@ -279,10 +263,8 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
         ips = s.conj().swapaxes(-1, -2)[:, :, None] @ y[:, None]
         products = rho.reshape(count, -1, n)[:, None, None] @ ips
         products = products.reshape(count, points, len(system), len(system), n, n)
-        if n == 1:
-            trace = 0.0 + products[..., 0, 0]
-        elif n == 2:
-            trace = products[..., 1, 1] + (0.0 + products[..., 0, 0])
+        if n <= 2:
+            trace = ordered_sum(np.diagonal(products, axis1=-2, axis2=-1), -1)
         else:
             trace = np.trace(products, axis1=-2, axis2=-1)
         traces.append(trace.swapaxes(-1, -2))
@@ -292,11 +274,11 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
 def _nu(values: np.ndarray) -> np.ndarray:
     """nu over the last two axes (k, i) of state values: max_k sum_{i>=k} |.|^2."""
     # hypot and pow are the libm calls behind abs(complex) and float ** 2;
-    # numpy's own complex abs and square can round differently.  Zeros
-    # below the diagonal leave the running sum from i = k unchanged, so
-    # each tail is accumulated in index order as a scalar loop would.
+    # numpy's own complex abs and square can round differently.  The zeros
+    # below the diagonal leave an `ordered_sum` unchanged, so each tail is
+    # the sum from i = k.
     squares = np.float_power(np.hypot(values.real, values.imag), 2)
-    tails = np.add.accumulate(np.triu(squares), axis=-1)[..., -1]
+    tails = ordered_sums(np.triu(squares), -1)[..., -1]
     return np.sqrt(tails.max(axis=-1))
 
 
@@ -460,6 +442,8 @@ def adversarial_witness(
         raise ValueError("the schedule needs at least two prefixes")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule prefixes must strictly increase")
+    if schedule[0] < 0:
+        raise ValueError("schedule prefixes must be non-negative")
     dim = sample.dim
     if schedule[-1] > dim:
         raise ValueError("schedule exceeds the module dimension")

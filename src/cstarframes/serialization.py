@@ -267,8 +267,9 @@ def _decode_family(raw: list, shape: AlgebraShape) -> tuple[int, tuple[np.ndarra
 def _refuse_norm_overflow(stacks, path: str) -> None:
     """Refuse a point whose module norm overflows though every entry is finite.
 
-    stacks are a family's realizations, (count, P, rows, n) per size
-    class.  max |entry| * sqrt(rows * n) bounds the Frobenius norm of a
+    stacks are a family's realizations, (count, P, rows, cols) per size
+    class; an operator is a family of one.  max |entry| * sqrt(rows *
+    cols) bounds the Frobenius norm of a
     block, hence its spectral norm, so only the points whose bound is not
     finite get their exact norm (`stack_norms`); the first of them whose
     norm is not finite is refused at path.format(p).
@@ -503,12 +504,15 @@ def _parse_operator_doc(doc: dict) -> ModuleOperator:
     if width and all(type(row) is list and len(row) == width for row in rows):
         decoded = _decode_blocks([e for row in rows for e in row], shape)
     if decoded is None:
-        return ModuleOperator(shape, _walk_operator_entries(rows, shape))
-    stacks = tuple(
-        from_entry_blocks(s.reshape(len(s), len(rows), width, s.shape[-1], s.shape[-1]))
-        for s in decoded
-    )
-    return ModuleOperator._packed(shape, len(rows), width, stacks)
+        op = ModuleOperator(shape, _walk_operator_entries(rows, shape))
+    else:
+        stacks = tuple(
+            from_entry_blocks(s.reshape(len(s), len(rows), width, s.shape[-1], s.shape[-1]))
+            for s in decoded
+        )
+        op = ModuleOperator._packed(shape, len(rows), width, stacks)
+    _refuse_norm_overflow([s[:, None] for s in op.stacks], "$.entries")
+    return op
 
 
 def _walk_operator_entries(rows: list, shape: AlgebraShape) -> list:

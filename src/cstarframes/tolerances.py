@@ -45,8 +45,7 @@ SPAN_DROP_RTOL = 1e-9
 FRAME_RTOL = 1e-10
 
 # Admissibility: member norms at most 1 + this and gram slack at least
-# minus this, absolute; a probe's defect is cut at this times
-# max(1, ||x||)^2.
+# minus this, absolute.
 ADMISSIBLE_TOL = 1e-8
 
 # Condition A's automatic bound on the minimal-norm coefficients; times

@@ -17,7 +17,7 @@ from conftest import (
     random_state,
 )
 from cstarframes import AlgebraElement, AlgebraShape, State, norm_attaining_state
-from cstarframes.algebra import StateError, _trace_total, block_sum
+from cstarframes.algebra import StateError, block_sum
 from cstarframes.tolerances import STATE_ATOL
 
 C2 = AlgebraShape((1, 1))
@@ -276,12 +276,18 @@ def test_the_batched_state_check_is_the_check_of_each_state(dims, plan, seed):
         assert (err.value.index, str(err.value)) == first
 
 
+def trace_totals(shape, stacks):
+    """sum_k Re trace(rho_k) of every state of a (count, states, n, n) batch, blocks in order."""
+    return block_sum(shape, [np.trace(s, axis1=-2, axis2=-1).real for s in stacks])
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_batched_states_view_their_stacks_with_the_bits_of_copies(n):
     """A batch's states hold read-only views of its stacks, not copies.
 
-    Their trace totals, and their values on random elements, are the
-    bits that contiguous copies of the same slices give.
+    Their trace totals, taken for the whole batch as `checked_states`
+    takes them, and their values on random elements, are the bits that
+    contiguous copies of the same slices give.
     """
     shape = AlgebraShape((n, 1, n, 2))
     rng = np.random.default_rng(n)
@@ -291,11 +297,12 @@ def test_batched_states_view_their_stacks_with_the_bits_of_copies(n):
         for _, ks in shape.classes
     ]
     elements = [random_element(shape, rng) for _ in range(4)]
+    totals = trace_totals(shape, stacks)
     for i, phi in enumerate(State._batch(shape, stacks)):
         copies = tuple(np.ascontiguousarray(s[:, i]) for s in stacks)
         for view, s in zip(phi.stacks, stacks):
             assert np.shares_memory(view, s) and not view.flags.writeable
-        assert _trace_total(shape, phi.stacks).hex() == _trace_total(shape, copies).hex()
+        assert totals[i].tobytes() == trace_totals(shape, [c[:, None] for c in copies]).tobytes()
         for a in elements:
             traces = [np.trace(rho @ blk, axis1=-2, axis2=-1) for rho, blk in zip(copies, a.stacks)]
             assert repr(phi(a)) == repr(complex(block_sum(shape, traces)))

@@ -641,6 +641,33 @@ def test_vector_whose_norm_overflows_is_refused_at_parse(capsys, tmp_path):
     assert result == (1, "", "cstarframes: error: $: module norm overflows the float range\n")
 
 
+def _operator_doc(value):
+    """A 2x2 operator over the shape (1,) with every entry `value`."""
+    entry = [[[[value, 0.0]]]]
+    return {"version": 1, "kind": "operator", "shape": [1], "entries": [[entry, entry], [entry, entry]]}
+
+
+@pytest.mark.parametrize("frame", [False, True])
+def test_operator_whose_norm_overflows_is_refused_at_parse(capsys, tmp_path, frame):
+    """Finite entries of 1.5e308 whose operator norm, 3e308, is not finite."""
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(_operator_doc(1.5e308)))
+    argv = ["series", str(path)]
+    if frame:
+        basis = tmp_path / "frame.json"
+        basis.write_bytes(serialize(Frame(tuple(ModuleVector.basis(AlgebraShape((1,)), 2, j) for j in range(2)))))
+        argv += ["--frame", str(basis)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(capsys, *argv)
+    assert result == (1, "", "cstarframes: error: $.entries: module norm overflows the float range\n")
+
+
+def test_operator_entries_of_1e300_keep_their_bytes():
+    data = json.dumps(_operator_doc(1e300), sort_keys=True, separators=(",", ":")).encode()
+    assert serialize(parse("operator", data)) == data
+
+
 def test_parsing_points_takes_no_norm(monkeypatch):
     """The entrywise bound clears every fixture point: no SVD runs at parse."""
     def no_svd(*args, **kwargs):

@@ -101,6 +101,14 @@ def test_spec_requires_matching_lengths(rng):
         SeminormSpec(system, (State.normalized_trace(shape),))
 
 
+def test_spec_requires_states_over_the_system_algebra():
+    """Refused when the spec is built, not at its first evaluation."""
+    shape = AlgebraShape((1, 2))
+    system = AdmissibleSystem((ModuleVector.basis(shape, 2, 0) * 0.5,))
+    with pytest.raises(ValueError, match="state and element shapes differ"):
+        SeminormSpec(system, (State.normalized_trace(AlgebraShape((2, 1))),))
+
+
 def test_seminorm_of_zero(rng):
     shape = random_shape(rng)
     spec = simple_spec(shape, 3)
@@ -268,6 +276,14 @@ def test_witness_signals_decayed_tails():
     with pytest.raises(TailDecaySignal) as err:
         adversarial_witness(SampleSet(pts), (2, 4, 6), delta=1.0)
     assert err.value.threshold == pytest.approx(0.75)
+
+
+def test_witness_refuses_a_negative_prefix():
+    """restrict would read the window (-2, 1) as (0, 1)."""
+    shape = AlgebraShape((1, 2))
+    points = tuple(ModuleVector.basis(shape, 3, j) for j in range(3))
+    with pytest.raises(ValueError, match="schedule prefixes must be non-negative"):
+        adversarial_witness(SampleSet(points), (-2, 1, 3), delta=1.0)
 
 
 def test_witness_system_is_admissible():
