@@ -220,6 +220,10 @@ def ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     which holds one term's worth of memory, never holds -0.0: adding a
     +-0 term leaves every bit of it unchanged, and for s the same sum
     started at the first term, 0.0 + s equals it bit for bit.
+
+    NaN, in both kernels, is where the loop has it, with the sign and
+    payload the hardware add returns: IEEE 754-2019 leaves open which
+    input NaN an addition propagates (§6.2.3).
     """
     parts = np.moveaxis(terms, axis, 0)
     total = np.zeros(parts.shape[1:], parts.dtype)
@@ -229,11 +233,15 @@ def ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
 
 
 def ordered_sums(terms: np.ndarray, axis: int) -> np.ndarray:
-    """Every prefix of `ordered_sum` along `axis` (prefix 0 is +0.0), by np.add.accumulate."""
+    """Every prefix of `ordered_sum` along `axis`: np.add.accumulate in place behind a +0.0 prefix."""
+    axis %= terms.ndim
     shape = list(terms.shape)
-    shape[axis] = 1
-    start = np.zeros(shape, terms.dtype)
-    return np.add.accumulate(np.concatenate((start, terms), axis=axis), axis=axis)
+    shape[axis] += 1
+    out = np.empty(shape, terms.dtype)
+    head = (slice(None),) * axis
+    out[head + (0,)] = 0.0
+    out[head + (slice(1, None),)] = terms
+    return np.add.accumulate(out, axis=axis, out=out)
 
 
 def block_sum(shape: AlgebraShape, per_class) -> np.ndarray:

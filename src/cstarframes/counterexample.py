@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, check_eps, fold_pair_maxima, spectral_norms
-from .frames import Frame, standard_basis_frame
+from .frames import Frame, frame_residuals, standard_basis_frame
 from .modules import ModuleOperator, ModuleVector, SampleSet
 from .seminorms import BallSampler
 from .tolerances import SELF_CHECK_ATOL
@@ -40,8 +40,9 @@ class TruncatedCSetting:
     is 1/k!, the generator's entry at coordinate k of block k-1.
 
     F and v are diagonal: on block b, F keeps coordinate b and v carries
-    1/(b+1)! there.  The model is stored as those diagonals; `operator`
-    and `generator` build the dense module objects on first use.
+    1/(b+1)! there.  The model is stored as those diagonals, each built
+    once; `operator` and `generator` build the dense module objects on
+    first use.
     """
 
     trunc: int
@@ -49,20 +50,22 @@ class TruncatedCSetting:
     shape: AlgebraShape
     coefficients: np.ndarray = field(repr=False)
 
-    @property
+    @functools.cached_property
     def _operator_diagonals(self) -> np.ndarray:
-        """F's realization on every block, as its diagonal: (trunc + 1, dim)."""
+        """F's realization on every block, as its diagonal: (trunc + 1, dim), read-only."""
         k = np.arange(self.dim)
         diagonals = np.zeros((self.trunc + 1, self.dim))
         diagonals[k, k] = 1.0
+        diagonals.setflags(write=False)
         return diagonals
 
-    @property
+    @functools.cached_property
     def _generator_diagonals(self) -> np.ndarray:
-        """v's realization on every block, as one column each: (trunc + 1, dim)."""
+        """v's realization on every block, as one column each: (trunc + 1, dim), read-only."""
         k = np.arange(self.dim)
         columns = np.zeros((self.trunc + 1, self.dim))
         columns[k, k] = self.coefficients
+        columns.setflags(write=False)
         return columns
 
     @functools.cached_property
@@ -131,7 +134,8 @@ class TruncatedCSetting:
         """The frame's tail profile of every witness, one row each.
 
         Shared with `tail_obstruction`: the profiles are computed and
-        cross-checked against coordinate truncation once per setting.
+        cross-checked against coordinate truncation once per setting, and
+        the array is read-only.
         """
         return self._witness_tails[1]
 
@@ -222,36 +226,47 @@ def coeff_growth(setting: TruncatedCSetting, eps: float) -> list[tuple[int, floa
     return list(enumerate(required, start=1))
 
 
-def _truncation_tails(stack: np.ndarray) -> np.ndarray:
-    """||x - x.restrict(0, n)|| for n = 0..dim, for every stacked point.
+def _truncation_residuals(x: np.ndarray) -> np.ndarray:
+    """x - x.restrict(0, n) for n = 0..dim on (b, p, dim, 1) realizations over 1x1 blocks.
 
-    stack is the points' realization stack (blocks, P, dim, 1) over the
-    setting's 1x1 blocks.  The residual keeps coordinates n.. of x and is
-    exactly zero before them, so on each block it is the realization of x
-    with its first n rows zeroed.  A block where x is zero gives zero
-    residuals, whose tails are +0.0, so only the blocks where x is not
-    zero are visited (`fold_pair_maxima`).  Returns (P, dim+1).
+    That is x with its first n rows zeroed, laid out as `frame_residuals`.
     """
-    _, points, dim, _ = stack.shape
+    dim = x.shape[2]
     kept = (np.arange(dim) >= np.arange(dim + 1)[:, None])[:, :, None]
-    tails = np.zeros((points, dim + 1))
-    fold_pair_maxima(
-        tails, stack, (dim + 1) * dim,
-        lambda _, x: spectral_norms(np.where(kept, x[:, :, None], 0.0)),
-    )
-    return tails
+    return np.where(kept, x[:, :, None], 0.0)
+
+
+def _tail_routes(frame: Frame, points: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """The frame's tail profiles of the points, (P, size+1), and their truncation tails, (P, dim+1).
+
+    One `fold_pair_maxima` over the points' (block, point) pairs: per
+    chunk both routes' residuals, the frame's as in `Frame.tail_profiles`,
+    are joined on the prefix axis for one `spectral_norms` call.  Zero
+    pairs are left out, exact for both routes: the frame is finite.
+    """
+    size, dim = frame.size, frame.dim
+    xs = points.in_module(frame.shape, dim)[0]
+    zs, gs = frame._family.realizations[0], frame._dual.realizations[0]
+
+    def norms(blocks, x):
+        residuals = (frame_residuals(x, zs[blocks], gs[blocks]), _truncation_residuals(x))
+        return spectral_norms(np.concatenate(residuals, axis=2))
+
+    tails = np.zeros((xs.shape[1], size + dim + 2))
+    fold_pair_maxima(tails, xs, (size + dim + 2) * dim, norms)
+    return tails[:, : size + 1], tails[:, size + 1 :]
 
 
 def _checked_tails(frame: Frame, points: SampleSet) -> tuple[list[list[float]], np.ndarray]:
-    """Truncation tails of the points and the frame's tail profiles, checked to agree."""
-    via_frame = frame.tail_profiles(points)
-    direct = _truncation_tails(points.in_module(frame.shape, frame.dim)[0])
+    """Truncation tails of the points and the frame's tail profiles (read-only), checked to agree."""
+    via_frame, direct = _tail_routes(frame, points)
     bad = np.argwhere(np.abs(direct - via_frame) > SELF_CHECK_ATOL)
     if len(bad):
         d, f = direct[tuple(bad[0])], via_frame[tuple(bad[0])]
         raise AssertionError(
             f"direct tail {float(d)!r} disagrees with frame tail {float(f)!r}"
         )
+    via_frame.setflags(write=False)
     return direct.tolist(), via_frame
 
 

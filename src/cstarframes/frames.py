@@ -32,6 +32,11 @@ def partial_sums(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ordered_sums(z[:, None] @ (g[:, None].conj().swapaxes(-1, -2) @ x[:, :, None]), 2)
 
 
+def frame_residuals(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x minus each of its `partial_sums`, same arguments and shape: the residuals of the prefix tails."""
+    return x[:, :, None] - partial_sums(x, z, g)
+
+
 def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np.ndarray:
     """||x - sum_{j<n} z_j <g_j,x>|| for n = 0..stop, every point in one pass.
 
@@ -43,8 +48,8 @@ def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np
     come from `partial_sums`, the kernel `Frame.reconstruct` takes its
     last partial sum from, so prefix n holds exactly
     `Frame.reconstruct(x, range(n))`.  Each tail is the largest spectral
-    norm of x_k minus its partial sum.  Blocks and points are taken in
-    tiles that bound the size of the term tensor.
+    norm of x_k minus its partial sum (`frame_residuals`).  Blocks and
+    points are taken in tiles that bound the size of the term tensor.
 
     A (block, point) pair with x_k = 0 is skipped (`fold_pair_maxima`):
     each of its terms is Z_jk (G_jk* 0), an exact zero for finite Z and
@@ -60,8 +65,7 @@ def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np
         _, _, rows, n = xs.shape
 
         def norms(blocks, x):
-            partial = partial_sums(x, zs[blocks, :stop], gs[blocks, :stop])
-            return spectral_norms(x[:, :, None] - partial)
+            return spectral_norms(frame_residuals(x, zs[blocks, :stop], gs[blocks, :stop]))
 
         fold_pair_maxima(tails, xs, (stop + 1) * rows * n, norms)
     return tails

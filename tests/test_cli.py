@@ -435,9 +435,11 @@ def test_counterexample_deterministic(capsys):
 
 
 def test_counterexample_profiles_each_witness_once(capsys, monkeypatch, tmp_path):
-    """One batched tail pass over the witnesses serves the tail table and condition B."""
-    calls = {"tail_profile": 0, "tail_profiles": 0}
-    for name in calls:
+    """One fold over the witnesses, with one SVD call, serves both tail routes, the tail table and condition B."""
+    import cstarframes.counterexample as counterexample
+
+    calls = {"tail_profile": 0, "tail_profiles": 0, "fold": 0, "svd": 0}
+    for name in ("tail_profile", "tail_profiles"):
         original = getattr(Frame, name)
 
         def counted(self, arg, _name=name, _original=original):
@@ -445,12 +447,24 @@ def test_counterexample_profiles_each_witness_once(capsys, monkeypatch, tmp_path
             return _original(self, arg)
 
         monkeypatch.setattr(Frame, name, counted)
+    fold, svd = counterexample.fold_pair_maxima, np.linalg.svd
+
+    def counted_fold(*args):
+        calls["fold"] += 1
+        return fold(*args)
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(counterexample, "fold_pair_maxima", counted_fold)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     out_file = tmp_path / "cert.json"
     code, _, _ = run(
         capsys, "counterexample", "--trunc", "6", "--eps", "0.25", "--out", str(out_file)
     )
     assert code == 1
-    assert calls == {"tail_profile": 0, "tail_profiles": 1}
+    assert calls == {"tail_profile": 0, "tail_profiles": 0, "fold": 1, "svd": 1}
     doc = json.loads(out_file.read_bytes())
     assert doc["diagnostics"]["tail_profile"] == [1.0] * 6 + [0.0]
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cstarframes import (
     AlgebraElement,
-    Frame,
     ModuleVector,
     SampleSet,
     TruncatedCSetting,
@@ -21,6 +20,8 @@ from cstarframes import (
     tail_obstruction,
     theta_op,
 )
+from cstarframes import counterexample
+from cstarframes.certify import tails_certificate
 
 
 def test_smallest_truncation():
@@ -110,29 +111,59 @@ def test_tail_obstruction_needs_witness():
         tail_obstruction(setting, 4)
 
 
-def test_tail_obstruction_cross_checks_frame_route(monkeypatch):
-    setting = build_setting(4, 4)
-    exact = Frame.tail_profiles
-    monkeypatch.setattr(
-        Frame, "tail_profiles", lambda self, points: exact(self, points) + 1e-9
-    )
+def _perturbed(name, where=...):
+    """The residual builder `name` of the cross-check, with 1e-9 added at prefixes `where`."""
+    exact = getattr(counterexample, name)
+
+    def off(*args):
+        residuals = exact(*args)
+        residuals[:, :, where] += 1e-9
+        return residuals
+
+    return off
+
+
+@pytest.mark.parametrize("route", ["frame_residuals", "_truncation_residuals"])
+def test_tail_obstruction_cross_checks_each_route(monkeypatch, route):
+    """Either route of the one pass, perturbed alone, fails the check on the witnesses."""
+    monkeypatch.setattr(counterexample, route, _perturbed(route))
     with pytest.raises(AssertionError, match="disagrees"):
-        tail_obstruction(setting, 1)
+        tail_obstruction(build_setting(4, 4), 1)
 
 
-def test_tail_obstruction_checks_every_prefix_of_explicit_points(monkeypatch):
+@pytest.mark.parametrize("route", ["frame_residuals", "_truncation_residuals"])
+def test_tail_obstruction_checks_every_prefix_of_explicit_points(monkeypatch, route):
     setting = build_setting(4, 4)
     points = image_sample(setting, count=3, seed=1).points
-    exact = Frame.tail_profiles
-
-    def off_at_last_prefix(self, points):
-        tails = exact(self, points)
-        tails[:, -1] += 1e-9
-        return tails
-
-    monkeypatch.setattr(Frame, "tail_profiles", off_at_last_prefix)
+    monkeypatch.setattr(counterexample, route, _perturbed(route, -1))
     with pytest.raises(AssertionError, match="disagrees"):
         tail_obstruction(setting, 0, points=points)
+
+
+def test_the_cross_check_shares_the_frame_tails_arithmetic():
+    """The pass's frame route is `Frame.tail_profiles`, bit for bit, on witnesses and ball images."""
+    setting = build_setting(8, 6)
+    for points in (setting._witness_set, image_sample(setting, count=5, seed=2)):
+        via_frame, _ = counterexample._tail_routes(setting.frame, points)
+        assert via_frame.tobytes() == setting.frame.tail_profiles(points).tobytes()
+
+
+def test_witness_profiles_are_read_only():
+    setting = build_setting(4, 4)
+    before = setting.witness_profiles().tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        setting.witness_profiles()[0, 0] = 7.0
+    assert setting.witness_profiles().tobytes() == before
+    assert tails_certificate(setting.witness_profiles(), 0.5).diagnostics["tail_profile"] == [1.0] * 4 + [0.0]
+
+
+def test_each_diagonal_is_built_once_and_read_only():
+    setting = build_setting(5, 4)
+    for name in ("_operator_diagonals", "_generator_diagonals"):
+        diagonals = getattr(setting, name)
+        assert getattr(setting, name) is diagonals
+        assert not diagonals.flags.writeable
+    assert setting._generator_diagonals[3, 3] == 1.0 / 24
 
 
 def test_tail_obstruction_rejects_prefix_beyond_dim():
@@ -306,7 +337,7 @@ def _corrupted(name, where, value):
     real = getattr(TruncatedCSetting, name)
 
     def diagonals(self):
-        out = real.fget(self)
+        out = real.func(self).copy()
         out[where] = value
         return out
 

@@ -267,8 +267,12 @@ def per_coordinate_series_errors(tk, xk, yk):
             yk[part].reshape(blocks, size, 1, cols // n, n, n).conj().swapaxes(-1, -2)
         )
         terms = (x @ y_adj).transpose(0, 1, 2, 4, 3, 5).reshape(blocks, size, rows, cols)
-        residuals = t - np.add.accumulate(terms, axis=1)
-        out.append(spectral_norms(np.concatenate((t, residuals), axis=1)))
+        # the library's sums start at +0.0 (test_summation_order.py); a sum
+        # started at the first term can end at -0.0 where it ends at +0.0,
+        # and t - S then has the other zero sign, which LAPACK's SVD reads
+        start = np.zeros(terms.shape[:1] + (1,) + terms.shape[2:], complex)
+        partial = np.add.accumulate(np.concatenate((start, terms), axis=1), axis=1)
+        out.append(spectral_norms(t - partial))
     return np.concatenate(out)
 
 

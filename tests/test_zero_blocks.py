@@ -1,14 +1,15 @@
 """Exact-zero blocks cost nothing and change no bit.
 
 An all-zero matrix gets its spectral norm, +0.0, without an SVD
-(`spectral_norms`); the frame's prefix tails and the counterexample's
-truncation tails visit only the (block, point) pairs whose realization
-is non-zero.  The dense routes these replaced, and the gram's route, are
-copied below as oracles, and every result must equal theirs byte for
-byte, on block-sparse and dense data, under the default chunk bound and
-under a bound of one entry, with the size below which a zero skip is not
-tried at its default and at zero.  A last test counts the work of one
-counterexample run, a deterministic stand-in for a wall-clock gate.
+(`spectral_norms`); the frame's prefix tails, and the counterexample's
+one pass over its frame and truncation tails, visit only the (block,
+point) pairs whose realization is non-zero.  The dense routes these
+replaced, and the gram's route, are copied below as oracles, and every
+result must equal theirs byte for byte, on block-sparse and dense data,
+under the default chunk bound and under a bound of one entry, with the
+size below which a zero skip is not tried at its default and at zero.
+A last test counts the work of one counterexample run, a deterministic
+stand-in for a wall-clock gate.
 """
 
 import contextlib
@@ -28,12 +29,13 @@ from cstarframes import (
     ModuleVector,
     SampleSet,
     algebra,
+    build_setting,
     modules,
 )
 from cstarframes.algebra import chunks, spectral_norms, tiles
 from cstarframes.cli import main
-from cstarframes.counterexample import _truncation_tails
-from cstarframes.frames import prefix_tails
+from cstarframes.counterexample import _tail_routes
+from cstarframes.frames import prefix_tails, standard_basis_frame
 from cstarframes.modules import coordinate_blocks, from_entry_blocks, gram_block
 
 SHAPES = [(1,), (1, 1, 1, 1), (1,) * 6, (1, 2), (1, 2, 1, 3, 2)]
@@ -235,14 +237,45 @@ def test_prefix_tails_match_the_dense_route(case, magnitude):
             assert got.tobytes() == oracle_prefix_tails(frame, points, stop).tobytes()
 
 
+def _plant_minus_zeros(points, rng):
+    """The points with about a third of their real and imaginary parts set to -0.0."""
+    stack = points.realizations[0].copy()
+    for part in (stack.real, stack.imag):
+        part[rng.random(part.shape) < 0.3] = -0.0
+    return SampleSet._packed(points.shape, points.dim, (stack,))
+
+
 @settings(max_examples=60, deadline=None)
-@given(case=cases)
-def test_truncation_tails_match_the_dense_route(case):
+@given(case=cases, basis=st.booleans())
+def test_one_pass_gives_both_tail_routes_of_the_dense_oracles(case, basis):
+    """The counterexample's fused pass, on a random or the basis frame over 1x1 blocks."""
     dims, dim, sparse, seed, tiny_chunks, every_skip = case
-    _, points = _case((1,) * len(dims), dim, sparse, seed)
+    frame, points = _case((1,) * len(dims), dim, sparse, seed)
+    if basis:
+        frame = standard_basis_frame(frame.shape, dim)
+    points = _plant_minus_zeros(points, np.random.default_rng(seed))
     with bounds(tiny_chunks, every_skip):
-        stack = points.realizations[0]
-        assert _truncation_tails(stack).tobytes() == oracle_truncation_tails(stack).tobytes()
+        via_frame, direct = _tail_routes(frame, points)
+    assert via_frame.tobytes() == oracle_prefix_tails(frame, points, frame.size).tobytes()
+    assert direct.tobytes() == oracle_truncation_tails(points.realizations[0]).tobytes()
+
+
+@pytest.mark.parametrize("trunc", [4, 12, 40, 170])
+def test_one_pass_on_the_witnesses(trunc):
+    """Witness k's tails are 1.0 before prefix k and +0.0 from it, on both routes.
+
+    Up to trunc 40 both routes also equal the dense oracles; at 170 the
+    dense frame oracle would take minutes, and the closed form stands.
+    """
+    setting = build_setting(trunc)
+    witnesses = setting._witness_set
+    via_frame, direct = _tail_routes(setting.frame, witnesses)
+    k = np.arange(1, trunc + 1)[:, None]
+    exact = np.where(np.arange(trunc + 1) < k, 1.0, 0.0)
+    assert via_frame.tobytes() == direct.tobytes() == exact.tobytes()
+    if trunc <= 40:
+        assert via_frame.tobytes() == oracle_prefix_tails(setting.frame, witnesses, trunc).tobytes()
+        assert direct.tobytes() == oracle_truncation_tails(witnesses.realizations[0]).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,15 +292,15 @@ def test_gram_matches_the_dense_route(case):
 
 def test_every_route_skips_on_the_witnesses():
     """The counterexample's witnesses are one non-zero pair each, and match the dense routes."""
-    from cstarframes import build_setting
-
     setting = build_setting(9, 7)
     witnesses = setting._witness_set
     stack = witnesses.realizations[0]
     frame = setting.frame
     got = prefix_tails(witnesses, frame._family, frame._dual, 7)
     assert got.tobytes() == oracle_prefix_tails(frame, witnesses, 7).tobytes()
-    assert _truncation_tails(stack).tobytes() == oracle_truncation_tails(stack).tobytes()
+    via_frame, direct = _tail_routes(frame, witnesses)
+    assert via_frame.tobytes() == got.tobytes()
+    assert direct.tobytes() == oracle_truncation_tails(stack).tobytes()
     stack = frame._family.realizations[0]
     assert gram_block(stack, stack, 7).tobytes() == oracle_gram_block(coordinate_blocks(stack, 7)).tobytes()
 
