@@ -692,10 +692,13 @@ def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray
     matmul, which gives each block x_ji y_jl* the arithmetic of the
     algebra product x_i * y_l.adjoint() (the stacked-left rule, README
     Storage).  The partial sums S_n are the prefixes of `ordered_sums` in
-    frame order: T_k - S_0 is T_k, and S_n differs from the repeated
-    operator sum theta_0 + ... only in the sign of a zero entry.  All
-    size + 1 spectral norms are one batched call, on blocks taken in
-    chunks that bound the size of the term tensor.  Returns (count, size + 1).
+    frame order, started at +0.0, and T_k - S_0 is T_k.  S_n can differ
+    from the repeated operator sum theta_0 + ... in the sign of a zero
+    entry, and the SVD reads that sign, so a norm can differ by an ulp:
+    the bytes are the ones
+    `test_series_errors_equal_the_coordinate_products` pins.  All size + 1
+    spectral norms are one batched call, on blocks taken in chunks that
+    bound the size of the term tensor.  Returns (count, size + 1).
     """
     count, size, _, n = xk.shape
     rows, cols = tk.shape[1:]

@@ -45,8 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser of every subcommand, built on first use and kept for the process."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the subcommand parsers by name, built on first use and kept."""
     parser = _Parser(prog="cstarframes", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
@@ -91,7 +91,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--out", default=None)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of one job, each string read by one parser.
+
+    When argv[0] names a command, that command's parser reads the rest,
+    as the top-level parser would have handed it over, and leftovers are
+    refused through the top-level parser as `parse_args` refuses them.
+    Any other argv (empty, an option first, an unknown or abbreviated
+    name) goes through the top-level parser, so help, usage lines and
+    error messages are argparse's own either way.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def _load(kind: str, path: str):
@@ -224,7 +245,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     if args.command is None:

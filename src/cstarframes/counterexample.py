@@ -178,32 +178,29 @@ def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
     return setting
 
 
-def _min_coeff_norms(columns: np.ndarray, eps: float) -> list[float]:
+def _min_coeff_norms(coefficients: np.ndarray, eps: float) -> list[float]:
     """Exact infimum of ||a|| over {a : ||w_k - v*a|| <= eps}, for every witness w_k.
 
-    columns[k-1] is v's realization on block k-1.  The algebra is
-    commutative, so the solve decouples per block, and w_k = e_k * delta_k
-    is zero off block k-1, where it is the unit at coordinate k.  The
-    minimal |a(k-1)| placing the residual on the eps boundary solves a
-    real quadratic in |a(k-1)| with ||w_k||^2 = 1, ||v||^2 and
-    |<v, w_k>| = |v_k| on that block.  w_k within eps needs 0; a block
-    where v vanishes is unreachable.
+    coefficients[k-1] = v_k is v's only non-zero entry on block k-1, at
+    coordinate k.  The algebra is commutative, so the solve decouples per
+    block, and w_k = e_k * delta_k is zero off block k-1, where it is the
+    unit at coordinate k.  The minimal |a(k-1)| placing the residual on
+    the eps boundary solves a real quadratic in |a(k-1)| with
+    ||w_k||^2 = 1, ||v||^2 = v_k^2 and |<v, w_k>| = |v_k| on that block.
+    w_k within eps needs 0; a block where v vanishes is unreachable.
 
-    Where ||v||^2 leaves the normal float range (v_k = 1/k!, whose square
-    is subnormal from k = 98 on and 0 from k = 102), the quadratic is
-    solved on v / ||v|| for ||v|| * |a|, whose squares are exact, and the
-    root is divided by ||v||.  w_k is not scaled: the square of
-    w_k / ||v|| would overflow.  On those blocks v has one non-zero entry,
-    so ||v|| is its modulus, the largest in the column.  Every other block
-    divides by 1 and takes the plain formula bit for bit.
+    Where v_k^2 leaves the normal float range (v_k = 1/k!, whose square is
+    subnormal from k = 98 on and 0 from k = 102), the quadratic is solved
+    on v / ||v|| for ||v|| * |a|, whose squares are exact, and the root is
+    divided by ||v|| = |v_k|.  w_k is not scaled: the square of
+    w_k / ||v|| would overflow.  Every other block divides by 1 and takes
+    the plain formula bit for bit.
     """
-    k = np.arange(len(columns))
-    top = np.abs(columns).max(axis=1)
-    squares = (columns * columns).sum(axis=1)
-    scale = np.where((squares < np.finfo(float).tiny) & (top > 0.0), top, 1.0)
-    v = columns / scale[:, None]
-    ng2 = (v * v).sum(axis=1)
-    cross = np.abs(v[k, k])
+    top = np.abs(coefficients)
+    scale = np.where((coefficients * coefficients < np.finfo(float).tiny) & (top > 0.0), top, 1.0)
+    v = coefficients / scale
+    ng2 = v * v
+    cross = np.abs(v)
     active = 1.0 > eps * eps
     disc = cross * cross - ng2 * (1.0 - eps * eps)
     unreachable = active & ((ng2 == 0.0) | (disc < 0.0))
@@ -222,7 +219,7 @@ def coeff_growth(setting: TruncatedCSetting, eps: float) -> list[tuple[int, floa
     coefficient bound across truncations.
     """
     check_eps(eps)
-    required = _min_coeff_norms(setting._generator_diagonals[: setting.dim], eps)
+    required = _min_coeff_norms(setting.coefficients, eps)
     return list(enumerate(required, start=1))
 
 

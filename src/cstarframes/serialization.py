@@ -125,33 +125,33 @@ def _matrix_out(mat: np.ndarray) -> list:
 _NUMBER_TYPES = {int, float}
 
 
-def _lists_of(items: list, width: int) -> bool:
-    """Whether every item is a list of exactly `width` entries."""
-    return set(map(type, items)) == {list} and set(map(len, items)) == {width}
-
-
 def _decode_blocks(payloads: list, shape: AlgebraShape) -> list[np.ndarray] | None:
     """One-pass decode of element payloads: per size class, a (count, size, n, n) stack.
 
-    Each of the `size` payloads is a list of per-block matrices of [re, im]
-    cells.  Per size class, the payloads' blocks are flattened one level
-    at a time, block -> row -> cell -> [re, im], and at every level each
-    item must be a list of the expected length; every leaf must be an int
-    or a float, so bools and strings are refused before any conversion.
-    The leaves then become one float array, which must be finite, and the
-    complex stack is a view of the contiguous [re, im] pairs, so every
-    bit, the sign of a zero included, is the walk's.  Returns None on any
-    malformed payload: the caller then walks the payloads cell by cell,
-    which names the fault.
+    Each of the `size` payloads must be a list of the shape's per-block
+    matrices of [re, im] cells.  Per size class, the payloads' blocks are
+    flattened one level at a time, block -> row -> cell -> [re, im], and
+    at every level each item must have the expected length, which a
+    number, bool or null does not have.  A string or object of that
+    length flattens to string leaves, and every leaf must be an int or a
+    float, so bools and strings are refused before any conversion, at
+    whatever level they stood.  The leaves then become one float array,
+    which must be finite, and the complex stack is a view of the
+    contiguous [re, im] pairs, so every bit, the sign of a zero included,
+    is the walk's.  Returns None on any malformed payload: the caller then
+    walks the payloads cell by cell, which names the fault.
     """
     size = len(payloads)
-    if not size or not _lists_of(payloads, shape.num_blocks):
+    if set(map(type, payloads)) != {list} or set(map(len, payloads)) != {shape.num_blocks}:
         return None
     stacks = []
     for n, ks in shape.classes:
         level = [e[k] for e in payloads for k in ks]
         for width in (n, n, 2):
-            if not _lists_of(level, width):
+            try:
+                if set(map(len, level)) != {width}:
+                    return None
+            except TypeError:  # a number, bool or null where a list belongs
                 return None
             level = list(chain.from_iterable(level))
         if not set(map(type, level)) <= _NUMBER_TYPES:

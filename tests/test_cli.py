@@ -1,8 +1,10 @@
 """End-to-end CLI coverage: every subcommand, exit code, and output format."""
 
+import argparse
 import gc
 import json
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -710,6 +712,95 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert [e["eps"] for e in doc["entries"]] == [1.0, 0.5, 0.25, 0.125]
     cli._build_parser.cache_clear()
     assert run(capsys, "precompact", "--condition", "all", "--sample", sample) == second
+
+
+def _two_pass_parse(argv):
+    """The parse before dispatch on the command name: the whole tree, the tail read twice."""
+    parser, _ = cli._build_parser()
+    return parser.parse_args(argv)
+
+
+JOB_ARGV = [
+    ("frame-bounds", fx("parseval.json")),
+    ("dual", fx("parseval.json")),
+    ("reconstruct", fx("parseval.json"), fx("vector.json")),
+    ("seminorm", fx("seminorm_spec.json"), fx("sample_planted.json")),
+    ("net", fx("sample_planted.json"), fx("seminorm_spec.json"), "--eps", "0.5"),
+    ("precompact", "--condition", "cd", "--sample", fx("sample_witnesses_5_5.json"), "--eps", "0.5"),
+    ("series", fx("operator.json")),
+    ("counterexample", "--trunc", "4", "--eps", "0.25"),
+]
+
+
+@pytest.mark.parametrize("argv", JOB_ARGV, ids=lambda argv: argv[0])
+def test_a_job_parses_its_arguments_once(capsys, monkeypatch, argv):
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, *argv)[0] in (0, 1)
+    assert calls == [f"cstarframes {argv[0]}"]
+
+
+ARGV_TABLE = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("--he",),
+    *((command, "-h") for command in cli._COMMANDS),
+    ("counterexample", "--eps", "0.25", "--help"),
+    # a missing required option or positional
+    ("net", fx("sample_planted.json"), fx("seminorm_spec.json")),
+    ("counterexample", "--eps", "0.25"),
+    ("precompact", "--sample", fx("sample_planted.json")),
+    ("reconstruct", fx("parseval.json")),
+    ("frame-bounds",),
+    # a value its type or choices refuse
+    ("counterexample", "--trunc", "four", "--eps", "0.25"),
+    ("net", fx("sample_planted.json"), fx("seminorm_spec.json"), "--eps", "x"),
+    ("precompact", "--condition", "z", "--sample", fx("sample_planted.json")),
+    ("counterexample", "--trunc", "-3", "--eps", "0.25"),
+    # an unknown flag, an extra positional
+    ("frame-bounds", fx("parseval.json"), "--loud"),
+    ("counterexample", "--trunc", "2", "--eps", "0.5", "--seed", "1"),
+    ("counterexample", "--trunc", "2", "--loud", "--eps", "0.5", "extra"),
+    ("frame-bounds", fx("parseval.json"), "extra"),
+    ("counterexample", "counterexample"),
+    # "--", "--opt=value", an abbreviated option
+    ("frame-bounds", "--", fx("parseval.json")),
+    ("counterexample", "--trunc", "2", "--eps", "0.5", "--"),
+    ("counterexample", "--trunc", "2", "--", "--eps", "0.5"),
+    ("--", "counterexample", "--trunc", "2", "--eps", "0.5"),
+    ("counterexample", "--trunc=2", "--eps=0.5"),
+    ("counterexample", "--tr", "2", "--eps", "0.5"),
+    ("precompact", "--cond", "cd", "--sam", fx("sample_witnesses_5_5.json"), "--e=0.5"),
+    # a command name that is not one
+    ("counter", "--trunc", "2", "--eps", "0.5"),
+    ("Counterexample", "--trunc", "2", "--eps", "0.5"),
+    ("frobnicate",),
+    # an option before the command
+    ("-h", "counterexample"),
+    ("--trunc", "2", "counterexample", "--eps", "0.5"),
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE)
+def test_every_argv_runs_as_through_the_two_pass_parse(capsys, monkeypatch, argv):
+    """Exit code, stdout and stderr of `main` are the two-pass parse's, help and usage errors included."""
+    one_pass = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", _two_pass_parse)
+    assert run(capsys, *argv) == one_pass
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["counterexample", "--trunc", "3", "--eps", "0.5"]
+    monkeypatch.setattr(sys, "argv", ["cstarframes", *argv])
+    from_sys = main(), capsys.readouterr()
+    assert (from_sys[0], from_sys[1].out, from_sys[1].err) == run(capsys, *argv)
 
 
 # --- goldens of the counterexample and witness-certificate routes ---

@@ -287,6 +287,35 @@ def test_diagonal_solve_is_the_dense_solve_bit_for_bit(size, eps):
     assert np.array(diagonal).tobytes() == np.array(dense).tobytes()
 
 
+def _matrix_min_coeff_norms(columns, eps):
+    """The boundary solve on v's (dim, dim) block diagonals, one row per block, kept as the oracle."""
+    k = np.arange(len(columns))
+    top = np.abs(columns).max(axis=1)
+    squares = (columns * columns).sum(axis=1)
+    scale = np.where((squares < np.finfo(float).tiny) & (top > 0.0), top, 1.0)
+    v = columns / scale[:, None]
+    ng2 = (v * v).sum(axis=1)
+    cross = np.abs(v[k, k])
+    active = 1.0 > eps * eps
+    disc = cross * cross - ng2 * (1.0 - eps * eps)
+    unreachable = active & ((ng2 == 0.0) | (disc < 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (cross - np.sqrt(disc)) / ng2 / scale
+    required = np.where(active, t, 0.0)
+    return np.where(unreachable, math.inf, required).tolist()
+
+
+@pytest.mark.parametrize("trunc, dim", [(98, 98), (104, 100), (120, 120), (170, 170), (170, 99)])
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 0.25, 0.9, 1.0, 1.5])
+def test_coefficient_solve_is_the_matrix_solve_bit_for_bit(trunc, dim, eps):
+    """On block k-1, v has the one entry v_k, so each row sum of the matrix solve is that entry's square."""
+    setting = build_setting(trunc, dim)
+    coefficient = [required for _, required in coeff_growth(setting, eps)]
+    matrix = _matrix_min_coeff_norms(setting._generator_diagonals[:dim], eps)
+    assert np.array(coefficient).tobytes() == np.array(matrix).tobytes()
+    assert (eps >= 1.0) == (coefficient == [0.0] * dim)
+
+
 @pytest.mark.parametrize("trunc, dim", [(1, 1), (9, 7), (97, 97), (170, 6)])
 def test_lazy_operator_and_generator_are_the_dense_stacks(trunc, dim):
     setting = build_setting(trunc, dim)

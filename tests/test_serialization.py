@@ -335,6 +335,36 @@ SCHEMA_ERRORS = [
 ]
 
 
+def _misplaced(path, width):
+    """An object, a bool, a null and a string at `path` of vector.json, the object and string `width` long.
+
+    The decode checks only lengths above the leaves: an object or string
+    of the right length flattens to string leaves, which it must refuse.
+    """
+    where = "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    for value in (dict.fromkeys(["re", "im"][:width], 0.0), True, None, "ab"[:width]):
+        if len(path) == 6:
+            message = f"{where}: expected a number, found {value!r}"
+        else:
+            message = f"{where}: expected an array, found {type(value).__name__}"
+        yield ("vector.json", [(path, value)], message)
+
+
+# vector.json has shape (1, 2): block 0 is 1x1, block 1 is 2x2.  Each
+# nesting level: coordinate, block, row, cell, part.
+SCHEMA_ERRORS += [
+    row
+    for path, width in [
+        (("coords", 1), 2),
+        (("coords", 0, 0), 1), (("coords", 1, 1), 2),
+        (("coords", 1, 0, 0), 1), (("coords", 0, 1, 1), 2),
+        (("coords", 0, 0, 0, 0), 2), (("coords", 1, 1, 0, 1), 2),
+        (("coords", 1, 0, 0, 0, 1), 2), (("coords", 0, 1, 1, 0, 0), 2),
+    ]
+    for row in _misplaced(path, width)
+]
+
+
 @pytest.mark.parametrize("name, mutations, message", SCHEMA_ERRORS)
 def test_malformed_payloads_keep_their_schema_errors(name, mutations, message):
     doc = json.loads((FIXTURES / name).read_bytes())
