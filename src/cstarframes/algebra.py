@@ -112,14 +112,16 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
 def fold_pair_maxima(out, stack, item_entries: int, norms_of) -> None:
     """Fold into out[p] the entrywise max over blocks of point p's norms, for every point p.
 
-    stack has shape (count, P, rows, n): the realizations of P points on
-    the blocks of one size class.  norms_of(blocks, x) gets a (b, p, rows,
-    n) selection x of the stack and `blocks`, which picks the same b
-    blocks out of any per-block array: a[blocks, None] lines up with x
-    along the point axis.  It returns the pairs' norms, (b, p, K), and out
-    is (P, K), every entry >= +0.0.
+    stack has shape (count, P, rows, n): any per-class stack whose zero
+    (block, point) pairs have zero norms, such as the realizations of P
+    points, their coefficient stacks, or an operator's blocks as a family
+    of one point.  norms_of(blocks, x) gets a (b, p, rows, n) selection x
+    of the stack and `blocks`, which picks the same b blocks out of any
+    per-block array: a[blocks, None] lines up with x along the point
+    axis.  It returns the pairs' norms, (b, p, K), and out is (P, K),
+    every entry >= +0.0.
 
-    A (block, point) pair whose realization is all zero is left out.
+    A (block, point) pair whose entries are all zero is left out.
     That is exact when norms_of gives +0.0 for such a pair, which fmax
     against out leaves unchanged: true when norms_of only multiplies the
     pair's data by finite factors (inf * 0 would be a NaN).  If every

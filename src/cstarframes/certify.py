@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import blockwise_max, check_eps, chunks, ordered_sum, ordered_sums, spectral_norms, tiles
-from .frames import Frame, prefix_tails, standard_basis_frame
+from .algebra import check_eps, fold_pair_maxima, ordered_sum, ordered_sums, spectral_norms
+from .frames import Frame, frame_residuals, standard_basis_frame
 from .modules import (
     ModuleVector,
     SampleSet,
@@ -118,30 +118,31 @@ def _coefficient_data(sample: SampleSet, gens: SampleSet) -> _CoefficientData:
 
     Besides each point's residual and B, records the norm of each
     coefficient, of the stacked coefficient tuple, and of the approximant
-    sum_i g_i a_i.  The products R(g_i) a_i of every generator come out
-    of one batched matmul (the stacked-left rule, README Storage) and are
-    summed in generator order (`ordered_sum`), taking blocks and points
-    in tiles that bound the size of the term tensor.
+    sum_i g_i a_i, from one `fold_pair_maxima` per size class over the
+    coefficient stacks.  The products R(g_i) a_i of every generator come
+    out of one batched matmul (the stacked-left rule, README Storage) and
+    are summed in generator order (`ordered_sum`).  A zero pair has zero
+    coefficients and, the generators being finite, a zero approximant.
     """
     coeffs, residuals, b_const = span_least_squares(sample, gens)
     dim, s = gens.dim, len(gens)
-    coeff_norms, stacked_norms, approx_norms = [], [], []
+    norms = np.zeros((len(sample), s + 2))
     for ak, gk in zip(coeffs, gens.realizations):
-        count, points, _, n = ak.shape
-        per_coeff = ak.reshape(count, points, s, n, n)
-        coeff_norms.append(spectral_norms(per_coeff))
-        stacked_norms.append(spectral_norms(ak))
-        an = np.zeros((count, points))
-        for part_blocks, part in tiles(count, points, (s + 1) * dim * n * n):
-            terms = gk[part_blocks, None] @ per_coeff[part_blocks, part]
-            an[part_blocks, part] = spectral_norms(ordered_sum(terms, 2))
-        approx_norms.append(an)
+        n = ak.shape[-1]
+
+        def norms_of(blocks, a):
+            per_coeff = a.reshape(a.shape[:2] + (s, n, n))
+            approx = ordered_sum(gk[blocks, None] @ per_coeff, 2)
+            whole = np.stack((spectral_norms(a), spectral_norms(approx)), axis=-1)
+            return np.concatenate((spectral_norms(per_coeff), whole), axis=-1)
+
+        fold_pair_maxima(norms, ak, (s + 1) * dim * n * n, norms_of)
     return _CoefficientData(
         s,
         residuals,
-        blockwise_max(coeff_norms),
-        blockwise_max(stacked_norms),
-        blockwise_max(approx_norms),
+        norms[:, :s].tolist(),
+        norms[:, s].tolist(),
+        norms[:, s + 1].tolist(),
         b_const,
     )
 
@@ -210,29 +211,31 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
     """Coefficients a_j(x) = <g_j, x> and residuals x - sum_{j<n} z_j a_j(x).
 
     Computed from the sets (z, g) of an approximant's theta pairs alone,
-    independently of the residual recursion of condition C/D: the
-    residuals are the tails of `prefix_tails`, which sums the approximants
-    in pair order, and the coefficient norms come from one
-    batched product per size class, taken in chunks of blocks under
-    CHUNK_ENTRIES.  residual_norms[p][n] is the residual of point p
-    with the first n pairs, so one pass over the longest approximant of a
-    grid serves every shorter one.
+    independently of the residual recursion of condition C/D: one
+    `fold_pair_maxima` per size class over the sample gives the norms of
+    every <g_j, x> and of every residual of `frame_residuals`, which sums
+    the approximants in pair order.  On a zero pair each <g_j, 0> is
+    zero, and so is every residual, for finite pairs.  residual_norms[p][n]
+    is the residual of point p with the first n pairs, so one pass over
+    the longest approximant of a grid serves every shorter one.
     """
     z, g = pairs
     count = len(z)
-    coeff_norms = []
-    for xk, gk in zip(sample.realizations, g.realizations):
-        blocks, points, _, n = xk.shape
-        g_adj = gk[:, None].conj().swapaxes(-1, -2)
-        cn = np.zeros((blocks, points, count))
-        for part in chunks(blocks, points * count * n * n):
-            cn[part] = spectral_norms(g_adj[part] @ xk[part, :, None])
-        coeff_norms.append(cn)
+    norms = np.zeros((len(sample), 2 * count + 1))
+    for xk, zk, gk in zip(sample.realizations, z.realizations, g.realizations):
+        rows, n = xk.shape[2:]
+
+        def norms_of(blocks, x):
+            coefficients = gk[blocks, None].conj().swapaxes(-1, -2) @ x[:, :, None]
+            residuals = frame_residuals(x, zk[blocks], gk[blocks])
+            return np.concatenate((spectral_norms(coefficients), spectral_norms(residuals)), axis=-1)
+
+        fold_pair_maxima(norms, xk, (count + 1) * rows * n, norms_of)
     return _ReplayData(
         sample.point_norms,
         stack_norms(g.realizations),
-        blockwise_max(coeff_norms),
-        prefix_tails(sample, z, g, count).tolist(),
+        norms[:, :count].tolist(),
+        norms[:, count:].tolist(),
     )
 
 
@@ -682,39 +685,6 @@ class SeriesDecomposition:
         }
 
 
-def _series_errors(tk: np.ndarray, xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
-    """||T_k - S_n|| on every block of one size class for n = 0..size, from the term factors.
-
-    tk holds the realized (m*n, d*n) blocks of T, shape (count, m*n, d*n),
-    xk the stacked realizations (count, size, m*n, n) of the x_j and yk
-    those (count, size, d*n, n) of the y_j.  Column l of a term is the
-    product R(x_j) y_jl* on a contiguous adjoint, all in one batched
-    matmul, which gives each block x_ji y_jl* the arithmetic of the
-    algebra product x_i * y_l.adjoint() (the stacked-left rule, README
-    Storage).  The partial sums S_n are the prefixes of `ordered_sums` in
-    frame order, started at +0.0, and T_k - S_0 is T_k.  S_n can differ
-    from the repeated operator sum theta_0 + ... in the sign of a zero
-    entry, and the SVD reads that sign, so a norm can differ by an ulp:
-    the bytes are the ones
-    `test_series_errors_equal_the_coordinate_products` pins.  All size + 1
-    spectral norms are one batched call, on blocks taken in chunks that
-    bound the size of the term tensor.  Returns (count, size + 1).
-    """
-    count, size, _, n = xk.shape
-    rows, cols = tk.shape[1:]
-    out = []
-    for part in chunks(count, (size + 1) * rows * cols):
-        t = tk[part, None]
-        blocks = len(t)
-        y_adj = np.ascontiguousarray(
-            yk[part].reshape(blocks, size, cols // n, n, n).conj().swapaxes(-1, -2)
-        )
-        terms = xk[part, :, None] @ y_adj
-        terms = terms.transpose(0, 1, 3, 2, 4).reshape(blocks, size, rows, cols)
-        out.append(spectral_norms(t - ordered_sums(terms, 1)))
-    return np.concatenate(out)
-
-
 def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) -> SeriesDecomposition:
     """Expand an operator into theta terms along a frame for its range.
 
@@ -724,9 +694,21 @@ def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) ->
     reconstructions composed with the operator.
 
     Works on block realizations only: per size class, Y = T_k* G stacks
-    the realizations of every T* g_j in one batched product, and
-    `_series_errors` gives the error of every partial sum on every block;
-    errors[n] is the largest over the blocks, taken in block order.
+    the realizations of every T* g_j in one batched product, and one
+    `fold_pair_maxima` over T's realized blocks, a family of one point,
+    gives errors[n] = max_k ||T_k - S_n|| for n = 0..size.  Column l of
+    a term is the product R(x_j) y_jl* on a contiguous adjoint, all in
+    one batched matmul, which gives each block x_ji y_jl* the arithmetic
+    of the algebra product x_i * y_l.adjoint() (the stacked-left rule,
+    README Storage).  The partial sums S_n are the prefixes of
+    `ordered_sums` in frame order, started at +0.0, and T_k - S_0 is
+    T_k.  S_n can differ from the repeated operator sum theta_0 + ... in
+    the sign of a zero entry, and the SVD reads that sign, so a norm can
+    differ by an ulp: the bytes are the ones
+    `test_series_errors_equal_the_coordinate_products` pins.  A zero
+    block T_k is skipped: there every y_j = T_k* g_j is zero, for the
+    finite g_j of a frame or a span family, so is every term, and each
+    error is +0.0.
     """
     check_eps(eps)
     shape = op.shape
@@ -747,9 +729,22 @@ def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) ->
         np.ascontiguousarray(tk.conj().swapaxes(-1, -2))[:, None] @ gk
         for tk, gk in zip(op.stacks, g_stacks)
     )
-    errors = blockwise_max(
-        [_series_errors(tk, xk, yk) for tk, xk, yk in zip(op.stacks, x_stacks, y_stacks)]
-    )
+    size = len(family)
+    norms = np.zeros((1, size + 1))
+    for tk, xk, yk in zip(op.stacks, x_stacks, y_stacks):
+        n = xk.shape[-1]
+        rows, cols = tk.shape[1:]
+
+        def norms_of(blocks, t):
+            y_adj = np.ascontiguousarray(
+                yk[blocks].reshape(len(t), size, cols // n, n, n).conj().swapaxes(-1, -2)
+            )
+            terms = xk[blocks, :, None] @ y_adj
+            terms = terms.transpose(0, 1, 3, 2, 4).reshape(len(t), size, rows, cols)
+            return spectral_norms(t - ordered_sums(terms, 1))[:, None]
+
+        fold_pair_maxima(norms, tk[:, None], (size + 1) * rows * cols, norms_of)
+    errors = norms[0].tolist()
     achieved = next((n for n, err in enumerate(errors) if err < eps), None)
     adjoints = SampleSet._packed(shape, op.source_dim, y_stacks)
     return SeriesDecomposition(tuple(errors), errors[-1], achieved, family, adjoints)

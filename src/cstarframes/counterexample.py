@@ -105,10 +105,6 @@ class TruncatedCSetting:
         Built on the first call and shared by every later one; the
         vectors are immutable, so callers may keep or reuse the tuple.
         """
-        return self._witnesses
-
-    @functools.cached_property
-    def _witnesses(self) -> tuple[ModuleVector, ...]:
         return self._witness_set.points
 
     @functools.cached_property

@@ -102,8 +102,7 @@ class Frame:
         self._family = family
         self._spanning = spanning
         with np.errstate(over="ignore", invalid="ignore"):
-            self._grams = tuple(gram_block(x, x, dim) for x in family.realizations)
-            hermitian = [hermitian_part(s) for s in self._grams]
+            hermitian = [hermitian_part(gram_block(x, x, dim)) for x in family.realizations]
         finite = shape.gather([np.isfinite(h).all(axis=(-2, -1)) for h in hermitian])
         if not finite.all():
             raise DegenerateFrameError(
@@ -130,13 +129,13 @@ class Frame:
             c1 = min(positive)
         self._bounds = (c1, hi)
 
-        self._gram_inv = []
+        gram_inv = []
         for w, u in eigensystems:
             inv_w = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-            self._gram_inv.append((u * inv_w[..., None, :]) @ u.conj().swapaxes(-1, -2))
+            gram_inv.append((u * inv_w[..., None, :]) @ u.conj().swapaxes(-1, -2))
         # The dual family, realized per class by G_j = S^(-1) X_j.
         self._dual = SampleSet._packed(
-            shape, dim, (inv[:, None] @ x for inv, x in zip(self._gram_inv, family.realizations))
+            shape, dim, (inv[:, None] @ x for inv, x in zip(gram_inv, family.realizations))
         )
 
     # -- basic accessors --------------------------------------------------
@@ -252,17 +251,13 @@ def standard_basis_frame(shape: AlgebraShape, dim: int) -> Frame:
     if dim < 1:
         raise ValueError("a frame needs at least one vector")
     frame = object.__new__(Frame)
-    stacks, identities = [], []
+    stacks = []
     for n, ks in shape.classes:
         members = np.zeros((dim, dim, n, n), complex)
         members[np.arange(dim), np.arange(dim)] = np.eye(n)
         stack = members.reshape(dim, dim * n, n)
         stacks.append(np.broadcast_to(stack, (len(ks),) + stack.shape))
-        eye = np.eye(dim * n, dtype=complex)
-        identities.append(np.broadcast_to(eye, (len(ks),) + eye.shape))
     frame._spanning = "ambient"
     frame._family = frame._dual = SampleSet._packed(shape, dim, stacks)
-    frame._grams = tuple(identities)
-    frame._gram_inv = identities
     frame._bounds = (1.0, 1.0)
     return frame

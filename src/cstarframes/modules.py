@@ -1,4 +1,4 @@
-"""Vectors, operators, functionals, and submodules of the free module A^n.
+"""Vectors, operators, and submodules of the free module A^n.
 
 The module A^n carries the algebra-valued inner product
 <x,y> = sum_i x_i* y_i and the norm ||x|| = ||<x,x>||^(1/2).  Everything
@@ -292,34 +292,13 @@ class ModuleOperator:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Functional:
-    """Bounded A-linear functional f(z) = <y,z> stored by its vector y.
+def theta_op(x: ModuleVector, y: ModuleVector) -> ModuleOperator:
+    """Elementary compact operator z -> x<y,z>, theta_{x,y}.
 
-    Finite free modules over these algebras are self-dual, so every
-    bounded functional has this form and nothing is lost.  In this
-    finite-dimensional setting the compact operators K and the
-    Banach-compact operators BK coincide: every operator is a finite sum
-    of the elementary operators theta_{x,f}.  The truncated counterexample
-    (`counterexample.py`) exists to show what the limit loses.
+    The functional z -> <y,z> is given by its representing vector y: the
+    finite free modules here are self-dual, so every bounded A-linear
+    functional has that form.  The matrix form is entries[i][j] = x_i (y_j)*.
     """
-
-    vector: ModuleVector
-
-    def __call__(self, z: ModuleVector) -> AlgebraElement:
-        return inner_product(self.vector, z)
-
-    def norm(self) -> float:
-        return self.vector.norm()
-
-
-def theta_op(x: ModuleVector, f) -> ModuleOperator:
-    """Elementary compact operator z -> x*f(z).
-
-    `f` may be a Functional or its representing vector y; either way the
-    matrix form is entries[i][j] = x_i (y_j)*.
-    """
-    y = f.vector if isinstance(f, Functional) else f
     if y.shape != x.shape:
         raise ValueError("theta operands live over different algebras")
     out = []

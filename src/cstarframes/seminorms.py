@@ -271,13 +271,41 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
     return block_sum(sample.shape, traces)
 
 
+# A (k, i) matrix of state values whose largest magnitude m > 0 lies outside
+# [NU_LOW, NU_HIGH] is taken through m's binary exponent: its squares would
+# leave the normal float range (NU_LOW^2 is the least normal double) or
+# their sums could overflow.
+NU_LOW, NU_HIGH = 2.0**-511, 2.0**500
+
+
 def _nu(values: np.ndarray) -> np.ndarray:
-    """nu over the last two axes (k, i) of state values: max_k sum_{i>=k} |.|^2."""
+    """nu over the last two axes (k, i) of state values: max_k sum_{i>=k} |.|^2.
+
+    A matrix whose largest magnitude m > 0 lies outside [NU_LOW, NU_HIGH]
+    is evaluated on its entries times 2^-e, e the binary exponent of m,
+    and its nu is multiplied back by 2^e: both scalings are exact, and
+    nu(2^e v) = 2^e nu(v).  Every other matrix, an all-zero one included,
+    gets the plain formula's bits (its e is 0), and when no matrix needs
+    the scaling the plain formula is all that runs.
+    """
     # hypot and pow are the libm calls behind abs(complex) and float ** 2;
-    # numpy's own complex abs and square can round differently.  The zeros
-    # below the diagonal leave an `ordered_sum` unchanged, so each tail is
-    # the sum from i = k.
-    squares = np.float_power(np.hypot(values.real, values.imag), 2)
+    # numpy's own complex abs and square can round differently.
+    magnitudes = np.hypot(values.real, values.imag)
+    top = magnitudes.max(axis=(-2, -1), initial=0.0)
+    outside = (top > 0.0) & ((top < NU_LOW) | (top > NU_HIGH))
+    if not outside.any():
+        return _largest_tail(magnitudes)
+    e = np.where(outside, np.frexp(top)[1], 0)
+    shift = -e[..., None, None]
+    scaled = np.hypot(np.ldexp(values.real, shift), np.ldexp(values.imag, shift))
+    return np.ldexp(_largest_tail(scaled), e)
+
+
+def _largest_tail(magnitudes: np.ndarray) -> np.ndarray:
+    """sqrt(max_k sum_{i>=k} m_ki^2) over the last two axes of |state values|."""
+    # The zeros below the diagonal leave an `ordered_sum` unchanged, so
+    # each tail is the sum from i = k.
+    squares = np.float_power(magnitudes, 2)
     tails = ordered_sums(np.triu(squares), -1)[..., -1]
     return np.sqrt(tails.max(axis=-1))
 

@@ -111,6 +111,7 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     """Tiles of one block and one point give the bits of one whole batch."""
     from cstarframes import CertifyConfig, algebra, build_setting, certify_equivalences, serialize
     from cstarframes import series_decompose, tails_certificate, theta_op
+    from cstarframes.modules import gram_block
 
     rng = np.random.default_rng(7)
     shape = AlgebraShape((1, 2, 1, 3))
@@ -132,7 +133,7 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
             setting.witness_profiles().tobytes(),
             serialize(tails_certificate(setting.witness_profiles(), 0.5)),
             frame.tail_profiles(sample).tobytes(),
-            b"".join(g.tobytes() for g in frame._grams),
+            b"".join(gram_block(x, x, frame.dim).tobytes() for x in frame._family.realizations),
             serialize(certify_equivalences(sample, CertifyConfig(eps_grid=(1.0, 0.1), frame=frame))),
             serialize(series_decompose(op, frame=frame)),
         )

@@ -28,6 +28,7 @@ from cstarframes import (
     inner_product,
     standard_basis_frame,
 )
+from cstarframes.modules import gram_block
 
 C2 = AlgebraShape((1, 1))
 M2 = AlgebraShape((2,))
@@ -50,7 +51,9 @@ def partial_sum_factored(fr, indices):
     selected = theta._with(
         np.where(np.repeat(keep, s.shape[-1] // fr.dim)[:, None], s, 0.0) for s in theta.stacks
     )
-    gram_inverse = ModuleOperator._packed(fr.shape, fr.dim, fr.dim, fr._gram_inv)
+    gram = gram_operator(fr)
+    inverses = tuple(np.linalg.inv(s) for s in gram.stacks)
+    gram_inverse = ModuleOperator._packed(fr.shape, fr.dim, fr.dim, inverses)
     return compose(compose(theta.adjoint(), selected), gram_inverse)
 
 
@@ -239,10 +242,11 @@ def test_blockwise_gram_matches_operator_product(seed):
     )
     for fr in (ambient, span):
         gram = gram_operator(fr)
+        grams = [gram_block(x, x, fr.dim) for x in fr._family.realizations]
         for k, (c, j) in enumerate(shape.slots):
             via_operator = gram.realize_block(k)
-            assert fr._grams[c][j].shape == via_operator.shape
-            assert fr._grams[c][j].tobytes() == via_operator.tobytes()
+            assert grams[c][j].shape == via_operator.shape
+            assert grams[c][j].tobytes() == via_operator.tobytes()
 
 
 def _stack_bytes(stacks):
@@ -260,9 +264,9 @@ def test_standard_basis_frame_is_the_generic_frame_bit_for_bit(dims, dim):
     shape = AlgebraShape(dims)
     closed = standard_basis_frame(shape, dim)
     generic = Frame([ModuleVector.basis(shape, dim, j) for j in range(dim)])
-    for name in ("_family.realizations", "_grams", "_gram_inv", "_dual.realizations"):
+    for name in ("_family.realizations", "_dual.realizations"):
         assert _stack_bytes(attrgetter(name)(closed)) == _stack_bytes(attrgetter(name)(generic)), name
-    assert not any(s.flags.writeable for s in closed._grams + tuple(closed._gram_inv))
+    assert not any(s.flags.writeable for s in closed._family.realizations + closed._dual.realizations)
     assert closed.bounds == generic.bounds == (1.0, 1.0)
     assert repr(closed) == repr(generic)
     for family in ((closed.vectors, generic.vectors), (closed.canonical_dual(), generic.canonical_dual())):
@@ -342,7 +346,7 @@ def test_a_frame_of_a_sample_set_is_the_frame_of_its_vectors(spanning, seed):
     points = SampleSet([random_vector(shape, dim, rng) for _ in range(3)])
     want = frames[0]
     for got in frames[1:]:
-        for name in ("_family.realizations", "_grams", "_gram_inv", "_dual.realizations"):
+        for name in ("_family.realizations", "_dual.realizations"):
             assert _stack_bytes(attrgetter(name)(got)) == _stack_bytes(attrgetter(name)(want)), name
         assert got.bounds == want.bounds and got.size == want.size == size
         for a, b in zip(got.canonical_dual(), want.canonical_dual(), strict=True):

@@ -17,7 +17,6 @@ from cstarframes import (
     AlgebraElement,
     AlgebraShape,
     CertifyConfig,
-    Functional,
     ModuleOperator,
     ModuleVector,
     SampleSet,
@@ -140,16 +139,6 @@ def test_theta_action_replay(rng):
     got = theta_op(x, y)(z)
     want = x * inner_product(y, z)
     assert (got - want).norm() <= 1e-11 * max(1.0, x.norm() * y.norm() * z.norm())
-
-
-def test_theta_with_functional_matches_vector_form(rng):
-    shape = random_shape(rng)
-    x = random_vector(shape, 2, rng)
-    y = random_vector(shape, 2, rng)
-    z = random_vector(shape, 2, rng)
-    via_functional = theta_op(x, Functional(y))(z)
-    via_vector = theta_op(x, y)(z)
-    assert (via_functional - via_vector).norm() <= 1e-12 * max(1.0, z.norm())
 
 
 def test_parseval_resolution_of_identity(rng):

@@ -1,6 +1,8 @@
 """Admissible systems, seminorms, greedy nets, transfer, witnesses."""
 
+import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,8 @@ from cstarframes import (
     state_values,
 )
 from cstarframes.algebra import block_sum
+from cstarframes.cli import main
+from cstarframes.seminorms import _nu
 
 FIXTURES = Path(__file__).parent / "fixtures"
 C2 = AlgebraShape((1, 1))
@@ -516,3 +520,100 @@ def test_admissible_slack_of_the_fixture_spec():
     vectors = spec.system.vectors
     report = admissible_check(vectors)
     assert (report.max_norm, report.gram_slack) == oracle_admissibility(vectors)
+
+
+# -- nu outside the float range of its squares ---------------------------------------
+
+
+@st.composite
+def value_tensors(draw):
+    """(P, k, k) state values: parts +-2^U(-40, 20), a third of them +-0.0, and one zero matrix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 6))
+    shape = (draw(st.integers(1, 8)), k, k, 2)
+    parts = rng.choice([-1.0, 1.0], shape) * np.exp2(rng.uniform(-40.0, 20.0, shape))
+    parts[rng.random(shape) < 0.3] = rng.choice([0.0, -0.0])
+    parts[0] = 0.0
+    return parts[..., 0] + 1j * parts[..., 1]
+
+
+def _ldexp(values, k):
+    with np.errstate(under="ignore"):
+        return np.ldexp(values.real, k) + 1j * np.ldexp(values.imag, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=value_tensors())
+def test_nu_of_values_scaled_out_of_range_is_one_route(values):
+    """nu(2^k V), k = +-600 and +-1000, is one value times 2^k, and the plain nu(V) times 2^k to an ulp.
+
+    Every 2^k V is taken to the same V 2^-e, so the four agree bit for
+    bit.  V is first rounded to the values 2^-1000 V holds (its smallest
+    entries are subnormal there), and entries stay below 2^20 so that
+    2^1000 V is finite.  Against the plain formula on V itself the bits
+    agree except where libm's pow(h, 2) rounds h and h 2^-e apart, one
+    ulp at most: over 20,000 such tensors, 8 differed.
+    """
+    values = _ldexp(_ldexp(values, -1000), 1000)
+    with np.errstate(over="raise", invalid="raise"):
+        base = _nu(_ldexp(values, 600))
+        for k in (-600, 1000, -1000):
+            with np.errstate(under="ignore"):
+                want = np.ldexp(base, k - 600)
+            assert _nu(_ldexp(values, k)).tobytes() == want.tobytes()
+        plain = np.ldexp(_nu(values), 600)
+    assert base[0] == 0.0 and np.isfinite(base).all()
+    assert (np.abs(base - plain) <= np.spacing(plain)).all()
+
+
+def _scaled_fixture(tmp_path, e):
+    doc = json.loads((FIXTURES / "sample_planted.json").read_text())
+
+    def scale(v):
+        return [scale(x) for x in v] if isinstance(v, list) else math.ldexp(v, e)
+
+    doc["points"] = scale(doc["points"])
+    path = tmp_path / f"sample_{e}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _cli(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out.splitlines()
+
+
+@pytest.mark.parametrize("e", [520, -560])
+def test_seminorm_and_net_of_a_sample_scaled_out_of_range(tmp_path, capsys, e):
+    """The planted sample times 2^520 or 2^-560: its seminorms times 2^e exactly, and the same nets."""
+    spec = str(FIXTURES / "seminorm_spec.json")
+    plain = str(FIXTURES / "sample_planted.json")
+    scaled = _scaled_fixture(tmp_path, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _cli(["seminorm", spec, plain], capsys)
+        got = _cli(["seminorm", spec, scaled], capsys)
+        assert got[0] == want[0] == "index,seminorm"
+        for row, plain_row in zip(got[1:], want[1:], strict=True):
+            i, value = row.split(",")
+            j, plain_value = plain_row.split(",")
+            assert i == j and float(value) == math.ldexp(float(plain_value), e) > 0.0
+        for eps, scaled_eps in ((0.5, math.ldexp(0.5, e)), (1e-200, 1e-200)):
+            net = _cli(["net", scaled, spec, "--eps", repr(scaled_eps)], capsys)
+            assert net == _cli(["net", plain, spec, "--eps", repr(eps)], capsys)
+    assert _cli(["net", scaled, spec, "--eps", "1e-200"], capsys)[1:] == ["0", "4", "1", "3", "5", "2"]
+
+
+def test_in_range_values_never_take_the_scaled_route(monkeypatch):
+    """In-range values, and the zero matrix of a point against itself in each greedy step, stay plain."""
+
+    def forbidden(*args):
+        raise AssertionError("scaled route taken")
+
+    sample = parse("sample_set", (FIXTURES / "sample_planted.json").read_bytes())
+    spec = parse("seminorm_spec", (FIXTURES / "seminorm_spec.json").read_bytes())
+    monkeypatch.setattr(np, "frexp", forbidden)
+    assert epsilon_net(sample, spec, 1e-200) == [0, 4, 1, 3, 5, 2]
+    assert (seminorm_values(spec, sample) > 0.0).all()

@@ -17,6 +17,7 @@ library's result to equal it byte for byte.  The gram's oracle is
 
 import contextlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from cstarframes import (
     AlgebraElement,
     AlgebraShape,
     Frame,
+    ModuleOperator,
     ModuleVector,
     SampleSet,
     SeminormSpec,
@@ -286,15 +288,29 @@ def per_coordinate_series_errors(tk, xk, yk):
     tiny=st.booleans(),
 )
 def test_series_errors_equal_the_coordinate_products(count, n, md, size, seed, tiny):
+    """`series_decompose`'s fold against the oracle's largest error over the blocks.
+
+    The pairs (x_j, g_j) are drawn freely and stand in for a frame's
+    family and dual; y_j = T_k* g_j is formed as `series_decompose` forms
+    it, the invariant under which a zero block T_k is skipped, and about
+    one block in three of T is zero, with 0.0 and -0.0 entries.
+    """
     rng = np.random.default_rng(seed)
     m, d = md
     tk = _entries(rng, (count, m * n, d * n), 60.0)
+    zero = rng.random(count) < 0.3
+    tk[zero] = np.where(rng.random(tk[zero].shape) < 0.5, 0.0, complex(-0.0, -0.0))
     xk = _entries(rng, (count, size, m * n, n), 60.0)
-    yk = _entries(rng, (count, size, d * n, n), 60.0)
+    gk = _entries(rng, (count, size, m * n, n), 60.0)
+    yk = np.ascontiguousarray(tk.conj().swapaxes(-1, -2))[:, None] @ gk
+    shape = AlgebraShape((n,) * count)
+    op = ModuleOperator._packed(shape, m, d, (tk,))
+    family, dual = SampleSet._packed(shape, m, (xk,)), SampleSet._packed(shape, m, (gk,))
+    pairs = SimpleNamespace(shape=shape, dim=m, _family=family, _dual=dual)
     with tiny_chunks(tiny):
-        got = certify._series_errors(tk, xk, yk)
-        want = per_coordinate_series_errors(tk, xk, yk)
-    assert got.tobytes() == want.tobytes()
+        got = certify.series_decompose(op, pairs).errors
+        want = blockwise_max([per_coordinate_series_errors(tk, xk, yk)])
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def per_coordinate_approx_norms(sample, gens):

@@ -1,42 +1,60 @@
 """Exact-zero blocks cost nothing and change no bit.
 
 An all-zero matrix gets its spectral norm, +0.0, without an SVD
-(`spectral_norms`); the frame's prefix tails, and the counterexample's
-one pass over its frame and truncation tails, visit only the (block,
-point) pairs whose realization is non-zero.  The dense routes these
-replaced, and the gram's route, are copied below as oracles, and every
-result must equal theirs byte for byte, on block-sparse and dense data,
-under the default chunk bound and under a bound of one entry, with the
-size below which a zero skip is not tried at its default and at zero.
-A last test counts the work of one counterexample run, a deterministic
-stand-in for a wall-clock gate.
+(`spectral_norms`).  Every per-point norm profile is one
+`fold_pair_maxima`, which visits only the (block, point) pairs that are
+not all zero: the frame's prefix tails, the counterexample's one pass
+over its frame and truncation tails, condition A's norms over the
+coefficient stacks, the d=>a replay over the sample, and the series
+errors over the operator's blocks.  The dense routes these replaced,
+and the gram's route, are copied below as oracles, and every result must
+equal theirs byte for byte, on block-sparse and dense data, under the
+default chunk bound and under a bound of one entry, with the size below
+which a zero skip is not tried at its default and at zero.  The last
+tests count the folds of each pass and the work of one counterexample
+run, a deterministic stand-in for a wall-clock gate.
 """
 
+import ast
 import contextlib
 import io
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import cstarframes
 from cstarframes import (
     AlgebraElement,
     AlgebraShape,
     DegenerateFrameError,
     Frame,
+    ModuleOperator,
     ModuleVector,
     SampleSet,
     algebra,
     build_setting,
+    certify,
+    frames,
     modules,
+    series_decompose,
 )
-from cstarframes.algebra import chunks, spectral_norms, tiles
+from cstarframes.algebra import blockwise_max, chunks, ordered_sum, ordered_sums, spectral_norms, tiles
+from cstarframes.certify import _coefficient_data, _replay_data
 from cstarframes.cli import main
 from cstarframes.counterexample import _tail_routes
 from cstarframes.frames import prefix_tails, standard_basis_frame
-from cstarframes.modules import coordinate_blocks, from_entry_blocks, gram_block
+from cstarframes.modules import (
+    coordinate_blocks,
+    from_entry_blocks,
+    gram_block,
+    orthogonal_span_family,
+    span_least_squares,
+)
 
 SHAPES = [(1,), (1, 1, 1, 1), (1,) * 6, (1, 2), (1, 2, 1, 3, 2)]
 
@@ -71,6 +89,64 @@ def oracle_truncation_tails(stack):
         norms = np.linalg.norm(residuals, 2, axis=(-2, -1))
         tails[part] = np.fmax(tails[part], np.fmax.reduce(norms, axis=0))
     return tails
+
+
+def _dense_norms(a):
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def oracle_coefficient_norms(sample, gens):
+    """Condition A's coefficient, stacked and approximant norms, block by block in tiles."""
+    coeffs, _, _ = span_least_squares(sample, gens)
+    dim, s = gens.dim, len(gens)
+    coeff_norms, stacked_norms, approx_norms = [], [], []
+    for ak, gk in zip(coeffs, gens.realizations):
+        count, points, _, n = ak.shape
+        per_coeff = ak.reshape(count, points, s, n, n)
+        coeff_norms.append(_dense_norms(per_coeff))
+        stacked_norms.append(_dense_norms(ak))
+        an = np.zeros((count, points))
+        for part_blocks, part in tiles(count, points, (s + 1) * dim * n * n):
+            terms = gk[part_blocks, None] @ per_coeff[part_blocks, part]
+            an[part_blocks, part] = _dense_norms(ordered_sum(terms, 2))
+        approx_norms.append(an)
+    return blockwise_max(coeff_norms), blockwise_max(stacked_norms), blockwise_max(approx_norms)
+
+
+def oracle_replay_norms(sample, z, g):
+    """The d=>a replay's coefficient norms in chunks of blocks, and its residuals as dense tails."""
+    count = len(z)
+    coeff_norms = []
+    for xk, gk in zip(sample.realizations, g.realizations):
+        blocks, points, _, n = xk.shape
+        g_adj = gk[:, None].conj().swapaxes(-1, -2)
+        cn = np.zeros((blocks, points, count))
+        for part in chunks(blocks, points * count * n * n):
+            cn[part] = _dense_norms(g_adj[part] @ xk[part, :, None])
+        coeff_norms.append(cn)
+    pairs = SimpleNamespace(_family=z, _dual=g)
+    return blockwise_max(coeff_norms), oracle_prefix_tails(pairs, sample, count).tolist()
+
+
+def oracle_series_errors(op, x_stacks, g_stacks):
+    """max over the blocks of ||T_k - S_n||, every block in chunks, none skipped."""
+    per_class = []
+    for tk, xk, gk in zip(op.stacks, x_stacks, g_stacks):
+        yk = np.ascontiguousarray(tk.conj().swapaxes(-1, -2))[:, None] @ gk
+        count, size, _, n = xk.shape
+        rows, cols = tk.shape[1:]
+        out = []
+        for part in chunks(count, (size + 1) * rows * cols):
+            t = tk[part, None]
+            blocks = len(t)
+            y_adj = np.ascontiguousarray(
+                yk[part].reshape(blocks, size, cols // n, n, n).conj().swapaxes(-1, -2)
+            )
+            terms = xk[part, :, None] @ y_adj
+            terms = terms.transpose(0, 1, 3, 2, 4).reshape(blocks, size, rows, cols)
+            out.append(_dense_norms(t - ordered_sums(terms, 1)))
+        per_class.append(np.concatenate(out))
+    return blockwise_max(per_class)
 
 
 def oracle_gram_block(coords):
@@ -220,8 +296,11 @@ def test_nan_matrix_still_raises():
 # -- tails and gram against the dense routes -------------------------------------------
 
 
+magnitudes = st.one_of(st.just(0.0), st.floats(-150.0, 150.0))
+
+
 @settings(max_examples=60, deadline=None)
-@given(case=cases, magnitude=st.one_of(st.just(0.0), st.floats(-150.0, 150.0)))
+@given(case=cases, magnitude=magnitudes)
 def test_prefix_tails_match_the_dense_route(case, magnitude):
     """Also at frame scales 1e-150 to 1e150, where every accepted frame has a finite dual."""
     dims, dim, sparse, seed, tiny_chunks, every_skip = case
@@ -230,19 +309,21 @@ def test_prefix_tails_match_the_dense_route(case, magnitude):
     except DegenerateFrameError:
         reject()  # scaled so small that every gram eigenvalue is below the cut
     assert all(np.isfinite(g).all() for g in frame._dual.realizations)
-    assert all(np.isfinite(g).all() for g in frame._gram_inv)
     with bounds(tiny_chunks, every_skip):
         for stop in sorted({0, 1, frame.size}):
             got = prefix_tails(points, frame._family, frame._dual, stop)
             assert got.tobytes() == oracle_prefix_tails(frame, points, stop).tobytes()
 
 
-def _plant_minus_zeros(points, rng):
-    """The points with about a third of their real and imaginary parts set to -0.0."""
-    stack = points.realizations[0].copy()
-    for part in (stack.real, stack.imag):
-        part[rng.random(part.shape) < 0.3] = -0.0
-    return SampleSet._packed(points.shape, points.dim, (stack,))
+def _plant_minus_zeros(points, rng, scale=1.0):
+    """The points times scale, with about a third of their real and imaginary parts set to -0.0."""
+    stacks = []
+    for stack in points.realizations:
+        stack = stack * scale
+        for part in (stack.real, stack.imag):
+            part[rng.random(part.shape) < 0.3] = -0.0
+        stacks.append(stack)
+    return SampleSet._packed(points.shape, points.dim, stacks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,6 +357,85 @@ def test_one_pass_on_the_witnesses(trunc):
     if trunc <= 40:
         assert via_frame.tobytes() == oracle_prefix_tails(setting.frame, witnesses, trunc).tobytes()
         assert direct.tobytes() == oracle_truncation_tails(witnesses.realizations[0]).tobytes()
+
+
+def _operator(shape, target_dim, source_dim, rng, scale):
+    """Random realized blocks times scale; about a third of the blocks are zero, with -0.0 parts."""
+    stacks = []
+    for n, ks in shape.classes:
+        t = rng.standard_normal((len(ks), target_dim * n, source_dim * n, 2)) @ [1.0, 1j] * scale
+        for part in (t.real, t.imag):
+            part[rng.random(part.shape) < 0.3] = -0.0
+        t[rng.random(len(ks)) < 0.3] = complex(-0.0, 0.0)
+        stacks.append(t)
+    return ModuleOperator._packed(shape, target_dim, source_dim, stacks)
+
+
+def _bits(values):
+    return np.array(values, float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases, magnitude=magnitudes, source_dim=st.integers(1, 3))
+def test_every_folded_pass_matches_its_dense_loop(case, magnitude, source_dim):
+    """Condition A, the d=>a replay and the series errors against their loops, no pair skipped.
+
+    Sample and operator are scaled by 10**magnitude, carry -0.0 parts,
+    and (when sparse) zero (block, point) pairs; the operator has zero
+    blocks.  The replay runs on the sample's span family and on the
+    frame's pairs, the series on the frame and on the operator's columns.
+    """
+    dims, dim, sparse, seed, tiny_chunks, every_skip = case
+    frame, points = _case(dims, dim, sparse, seed)
+    rng = np.random.default_rng(seed)
+    sample = _plant_minus_zeros(points, rng, 10.0**magnitude)
+    op = _operator(frame.shape, dim, source_dim, rng, 10.0**magnitude)
+    span = orthogonal_span_family(sample)
+    with bounds(tiny_chunks, every_skip):
+        data = _coefficient_data(sample, frame._family)
+        pairs = [(z, g) for z, g in ((span, span), (frame._family, frame._dual)) if len(z)]
+        replays = [(z, g, _replay_data(sample, (z, g))) for z, g in pairs]
+        by_frame, by_columns = series_decompose(op, frame), series_decompose(op)
+
+    got = data.coefficient_norms, data.stacked_norms, data.approx_norms
+    assert list(map(_bits, got)) == list(map(_bits, oracle_coefficient_norms(sample, frame._family)))
+    for z, g, replay in replays:
+        coefficient_norms, residual_norms = oracle_replay_norms(sample, z, g)
+        assert _bits(replay.coefficient_norms) == _bits(coefficient_norms)
+        assert _bits(replay.residual_norms) == _bits(residual_norms)
+    frame_stacks = frame._family.realizations, frame._dual.realizations
+    assert _bits(by_frame.errors) == _bits(oracle_series_errors(op, *frame_stacks))
+    columns = by_columns._family.realizations
+    assert _bits(by_columns.errors) == _bits(oracle_series_errors(op, columns, columns))
+
+
+def test_each_pass_folds_once_per_size_class(monkeypatch):
+    """One `fold_pair_maxima` per size class in each pass; the replay makes no tail pass."""
+    frame, sample = _case((1, 2, 1, 3, 2), 2, True, 5)
+    op = _operator(frame.shape, 2, 2, np.random.default_rng(5), 1.0)
+    classes = len(frame.shape.classes)
+    folds = []
+    fold = certify.fold_pair_maxima
+
+    def counted(out, stack, item_entries, norms_of):
+        folds.append(stack.shape)
+        fold(out, stack, item_entries, norms_of)
+
+    def forbidden(*args):
+        raise AssertionError("prefix_tails called")
+
+    monkeypatch.setattr(certify, "fold_pair_maxima", counted)
+    monkeypatch.setattr(frames, "prefix_tails", forbidden)
+    span = orthogonal_span_family(sample)
+    for run in (
+        lambda: _coefficient_data(sample, frame._family),
+        lambda: _replay_data(sample, (span, span)),
+        lambda: series_decompose(op, frame),
+        lambda: series_decompose(op),
+    ):
+        folds.clear()
+        run()
+        assert len(folds) == classes
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,3 +521,62 @@ def test_counterexample_work_scales_with_the_non_zero_pairs(monkeypatch):
     assert norms < (trunc + 1) * dim * (dim + 1) // 4
     # the basis frame is built in closed form: no gram product at all
     assert _CountedProducts.formed == 0
+
+
+# -- confinement ---------------------------------------------------------------------------
+
+
+PACKAGE = Path(cstarframes.__file__).parent
+
+
+def _uses(source: str) -> list[tuple[str, str]]:
+    """(name, scope) of every `tiles`, `chunks` and `np.fmax` in the source.
+
+    scope is the enclosing top-level function or class, "<import>" for
+    an import of the name, and "<module>" elsewhere.
+    """
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.alias) and node.name in ("tiles", "chunks"):
+            found.append((node.name, "<import>"))
+        elif isinstance(node, ast.Name) and node.id in ("tiles", "chunks"):
+            found.append((node.id, scope))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fmax"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "np"
+        ):
+            found.append(("np.fmax", scope))
+        for child in ast.iter_child_nodes(node):
+            top = isinstance(node, ast.Module) and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            )
+            visit(child, child.name if top else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_scan_sees_every_use():
+    source = (
+        "from .algebra import chunks, tiles as t\n"
+        "def f(a):\n    return [np.fmax.at(a, p, 1) for p in chunks(3, 1)]\n"
+        "class C:\n    def g(self):\n        return tiles(1, 1, 1)\n"
+        "x = np.maximum(1, 2)\n"
+    )
+    assert _uses(source) == [
+        ("chunks", "<import>"), ("tiles", "<import>"), ("np.fmax", "f"), ("chunks", "f"), ("tiles", "C"),
+    ]
+
+
+def test_chunking_and_the_fold_stay_in_algebra():
+    """`tiles` and `np.fmax` only in algebra.py; `chunks` there and in `modules.gram_block`, a sum."""
+    outside = {
+        (path.name, name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "algebra.py"
+        for name, scope in _uses(path.read_text())
+    }
+    assert outside == {("modules.py", "chunks", "<import>"), ("modules.py", "chunks", "gram_block")}
