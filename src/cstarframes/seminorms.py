@@ -283,10 +283,11 @@ def _nu(values: np.ndarray) -> np.ndarray:
 
     A matrix whose largest magnitude m > 0 lies outside [NU_LOW, NU_HIGH]
     is evaluated on its entries times 2^-e, e the binary exponent of m,
-    and its nu is multiplied back by 2^e: both scalings are exact, and
-    nu(2^e v) = 2^e nu(v).  Every other matrix, an all-zero one included,
-    gets the plain formula's bits (its e is 0), and when no matrix needs
-    the scaling the plain formula is all that runs.
+    and its nu is multiplied back by 2^e: both scalings are exact, and in
+    exact arithmetic nu(2^e v) = 2^e nu(v).  Every other matrix, an
+    all-zero one included, gets the plain formula's bits (its e is 0),
+    and when no matrix needs the scaling the plain formula is all that
+    runs.
     """
     # hypot and pow are the libm calls behind abs(complex) and float ** 2;
     # numpy's own complex abs and square can round differently.
