@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import check_eps, fold_pair_maxima, ordered_sum, ordered_sums, spectral_norms
-from .frames import Frame, frame_residuals, standard_basis_frame
+from .frames import Frame, frame_coefficients, frame_residuals, standard_basis_frame
 from .modules import (
     ModuleVector,
     SampleSet,
@@ -162,7 +162,8 @@ def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[S
     dual; a frame from another module is refused, whatever the budget.
     The rank limit, the length of both sets, is the budget (default: the
     module dimension, and checked by the caller) capped by the number of
-    pairs.
+    pairs (`SampleSet.head`); an empty sample without a module has no
+    dimension and no cap, and stops at rank 0 whatever the cap.
     """
     budget = sample.dim if rank_budget is None else int(rank_budget)
     if frame is not None:
@@ -170,8 +171,7 @@ def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[S
         z, g = frame._family, frame._dual
     else:
         z = g = orthogonal_span_family(sample)
-    limit = min(budget, len(z))
-    return z.head(limit), g.head(limit)
+    return z.head(budget), g.head(budget)
 
 
 def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
@@ -181,11 +181,13 @@ def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
     from n = 0 up to the first n >= 0 whose error is below eps, or
     through all the given pairs.  One rank step updates the residuals
     r - z<g,x> of all points in one batched product per size class, and
-    its error is the largest of their spectral norms.
+    its error is the largest of their spectral norms (0.0 for an empty
+    sample).  These products are the scan's own: the d=>a replay checks
+    them along a second route (`_replay_data`).
     """
     stacks = sample.realizations
     residuals = list(stacks)
-    errors = [max(sample.point_norms)]
+    errors = [max(sample.point_norms, default=0.0)]
     z, g = pairs
     for j in range(len(z)):
         if errors[-1] < eps:
@@ -213,8 +215,9 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
     Computed from the sets (z, g) of an approximant's theta pairs alone,
     independently of the residual recursion of condition C/D: one
     `fold_pair_maxima` per size class over the sample gives the norms of
-    every <g_j, x> and of every residual of `frame_residuals`, which sums
-    the approximants in pair order.  On a zero pair each <g_j, 0> is
+    every <g_j, x> (`frame_coefficients`) and of every residual of
+    `frame_residuals` on those same coefficients, which sums the
+    approximants in pair order.  On a zero pair each <g_j, 0> is
     zero, and so is every residual, for finite pairs.  residual_norms[p][n]
     is the residual of point p with the first n pairs, so one pass over
     the longest approximant of a grid serves every shorter one.
@@ -226,8 +229,8 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
         rows, n = xk.shape[2:]
 
         def norms_of(blocks, x):
-            coefficients = gk[blocks, None].conj().swapaxes(-1, -2) @ x[:, :, None]
-            residuals = frame_residuals(x, zk[blocks], gk[blocks])
+            coefficients = frame_coefficients(gk[blocks], x)
+            residuals = frame_residuals(x, zk[blocks], coefficients)
             return np.concatenate((spectral_norms(coefficients), spectral_norms(residuals)), axis=-1)
 
         fold_pair_maxima(norms, xk, (count + 1) * rows * n, norms_of)
@@ -312,17 +315,6 @@ def _certificate_cd(errors: list[float], pairs, eps: float) -> Certificate:
     )
 
 
-def _empty_sample_cd(eps: float) -> Certificate:
-    return Certificate(
-        condition="CD",
-        eps=eps,
-        verdict=True,
-        witness={"rank": 0},
-        diagnostics={"error_profile": [0.0], "best_error": 0.0},
-        approximant=(),
-    )
-
-
 # -- the conditions -------------------------------------------------------------
 
 
@@ -386,8 +378,6 @@ def check_condition_cd(
     """
     check_eps(eps)
     _check_rank_budget(rank_budget)
-    if not len(sample):
-        return _empty_sample_cd(eps)
     pairs = _theta_pairs(sample, frame, rank_budget)
     return _certificate_cd(_error_profile(sample, pairs, eps), pairs, eps)
 
@@ -540,15 +530,11 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
         SampleSet._packed(shape, dim, (np.concatenate(p, axis=1) for p in parts))
     )
     gen_tails, tails_z = _sup_tails(profiles[:s]), _sup_tails(profiles[s:])
-    if len(sample):
-        pairs = _theta_pairs(sample, None, config.rank_budget)
-        smallest = min(config.eps_grid, default=math.inf)
-        errors = _error_profile(sample, pairs, smallest)
-        certs_cd = [_certificate_cd(errors, pairs, eps) for eps in config.eps_grid]
-        longest = max((len(c.approximant) for c in certs_cd if c.verdict), default=0)
-        replay = _replay_data(sample, tuple(side.head(longest) for side in pairs)) if longest else None
-    else:
-        certs_cd = [_empty_sample_cd(eps) for eps in config.eps_grid]
+    pairs = _theta_pairs(sample, None, config.rank_budget)
+    errors = _error_profile(sample, pairs, min(config.eps_grid, default=math.inf))
+    certs_cd = [_certificate_cd(errors, pairs, eps) for eps in config.eps_grid]
+    longest = max((len(c.approximant) for c in certs_cd if c.verdict), default=0)
+    replay = _replay_data(sample, tuple(side.head(longest) for side in pairs)) if longest else None
 
     entries = []
     for eps, eps_scaled, cert_cd in zip(config.eps_grid, scaled_grid, certs_cd):
@@ -557,7 +543,8 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
         cert_b = _certificate_b(tails_z, eps)
         violations: list[str] = []
 
-        if cert_a_scaled.verdict and len(sample):
+        # On an empty sample M = 0, thresh = inf and every tails_z[n] = 0.0: no violation.
+        if cert_a_scaled.verdict:
             m_coeff = cert_a_scaled.coefficient_bound or 0.0
             thresh = math.inf if m_coeff == 0.0 else eps / (3.0 * s * m_coeff)
             ratio = c2 / c1
@@ -584,7 +571,8 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
                         f"reports N={cert_b.witness['N']}"
                     )
 
-        if cert_cd.verdict and len(sample) and cert_cd.approximant:
+        # Only a pass carries an approximant, and an empty sample's is ().
+        if cert_cd.verdict and cert_cd.approximant:
             rank = len(cert_cd.approximant)
             r_const = max(replay.point_norms)
             f_max = max(replay.pair_norms[:rank])

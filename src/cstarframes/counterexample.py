@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, check_eps, fold_pair_maxima, spectral_norms
-from .frames import Frame, frame_residuals, standard_basis_frame
+from .frames import Frame, frame_coefficients, frame_residuals, standard_basis_frame
 from .modules import ModuleOperator, ModuleVector, SampleSet
 from .seminorms import BallSampler
 from .tolerances import SELF_CHECK_ATOL
@@ -242,8 +242,8 @@ def _tail_routes(frame: Frame, points: SampleSet) -> tuple[np.ndarray, np.ndarra
     zs, gs = frame._family.realizations[0], frame._dual.realizations[0]
 
     def norms(blocks, x):
-        residuals = (frame_residuals(x, zs[blocks], gs[blocks]), _truncation_residuals(x))
-        return spectral_norms(np.concatenate(residuals, axis=2))
+        via_frame = frame_residuals(x, zs[blocks], frame_coefficients(gs[blocks], x))
+        return spectral_norms(np.concatenate((via_frame, _truncation_residuals(x)), axis=2))
 
     tails = np.zeros((xs.shape[1], size + dim + 2))
     fold_pair_maxima(tails, xs, (size + dim + 2) * dim, norms)

@@ -20,36 +20,46 @@ class DegenerateFrameError(ValueError):
     """Family whose smallest gram eigenvalue vanishes, or whose gram overflows."""
 
 
-def partial_sums(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_{j<m} z_j (g_j* x) for m = 0..len, on realized blocks: the frame formula's kernel.
+def frame_coefficients(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<g_j, x> = G_j* x of every pair and point, (blocks, P, len, n, n), in one batched matmul.
 
-    x holds the realizations of points, (blocks, P, rows, n), and z and g
-    those of the pairs (z_j, g_j) on the same blocks, (blocks, len, rows,
-    n).  The terms Z_j (G_j* x) of every point come out of one batched
-    matmul, and prefix m is the sum of the first m of them in pair order
-    (`ordered_sums`).  Returns (blocks, P, len + 1, rows, n).
+    x holds the realizations of points, (blocks, P, rows, n), and g those
+    of the g_j on the same blocks, (blocks, len, rows, n).  `partial_sums`
+    and `frame_residuals` take these, so a pass forms each product once.
     """
-    return ordered_sums(z[:, None] @ (g[:, None].conj().swapaxes(-1, -2) @ x[:, :, None]), 2)
+    return g[:, None].conj().swapaxes(-1, -2) @ x[:, :, None]
 
 
-def frame_residuals(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """x minus each of its `partial_sums`, same arguments and shape: the residuals of the prefix tails."""
-    return x[:, :, None] - partial_sums(x, z, g)
+def partial_sums(z: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_{j<m} z_j <g_j, x> for m = 0..len, on realized blocks: the frame formula's kernel.
+
+    z holds the realizations of the z_j, (blocks, len, rows, n), and
+    coefficients the points' `frame_coefficients` on the same blocks.  The
+    terms Z_j (G_j* x) come out of one batched matmul, and prefix m is the
+    sum of the first m in pair order (`ordered_sums`).  Returns (blocks,
+    P, len + 1, rows, n).
+    """
+    return ordered_sums(z[:, None] @ coefficients, 2)
 
 
-def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np.ndarray:
-    """||x - sum_{j<n} z_j <g_j,x>|| for n = 0..stop, every point in one pass.
+def frame_residuals(x: np.ndarray, z: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """x minus each of its `partial_sums`, of the same z and coefficients: the residuals of the prefix tails."""
+    return x[:, :, None] - partial_sums(z, coefficients)
+
+
+def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet) -> np.ndarray:
+    """||x - sum_{j<n} z_j <g_j,x>|| for n = 0..len(z), every point in one pass.
 
     The points are read in the module of the theta pairs (z_j, g_j)
-    (`SampleSet.in_module`), whose sets hold at least stop members; for a
-    frame they are its vectors and its canonical dual.  Per size class
-    the realizations x_k of the points, and Z_jk and G_jk of the pairs,
-    are stacks (count, len, dim*n, n).  The partial sums of every point
-    come from `partial_sums`, the kernel `Frame.reconstruct` takes its
-    last partial sum from, so prefix n holds exactly
+    (`SampleSet.in_module`); for a frame they are its vectors and its
+    dual, or their `SampleSet.head`s.  Per size class the realizations
+    x_k of the points, and Z_jk and G_jk of the pairs, are stacks (count,
+    len, dim*n, n).  The partial sums come from `partial_sums`, the
+    kernel of `Frame.reconstruct`, so prefix n holds exactly
     `Frame.reconstruct(x, range(n))`.  Each tail is the largest spectral
-    norm of x_k minus its partial sum (`frame_residuals`).  Blocks and
-    points are taken in tiles that bound the size of the term tensor.
+    norm of x_k minus its partial sum (`frame_residuals`).  The fold takes
+    (block, point) tiles of views when no pair is zero, else chunks of
+    the gathered non-zero pairs, to bound the term tensor.
 
     A (block, point) pair with x_k = 0 is skipped (`fold_pair_maxima`):
     each of its terms is Z_jk (G_jk* 0), an exact zero for finite Z and
@@ -57,17 +67,17 @@ def prefix_tails(points: SampleSet, z: SampleSet, g: SampleSet, stop: int) -> np
     frame's X and G are finite: construction refuses a family whose gram
     is not finite, and inverts only gram eigenvalues above
     FRAME_RTOL * max(c2, 1) >= FRAME_RTOL.
-    Returns (P, stop+1).
+    Returns (P, len(z) + 1).
     """
     stacks = points.in_module(z.shape, z.dim)
-    tails = np.zeros((stacks[0].shape[1], stop + 1))
+    tails = np.zeros((stacks[0].shape[1], len(z) + 1))
     for xs, zs, gs in zip(stacks, z.realizations, g.realizations):
         _, _, rows, n = xs.shape
 
         def norms(blocks, x):
-            return spectral_norms(frame_residuals(x, zs[blocks, :stop], gs[blocks, :stop]))
+            return spectral_norms(frame_residuals(x, zs[blocks], frame_coefficients(gs[blocks], x)))
 
-        fold_pair_maxima(tails, xs, (stop + 1) * rows * n, norms)
+        fold_pair_maxima(tails, xs, (len(z) + 1) * rows * n, norms)
     return tails
 
 
@@ -190,7 +200,7 @@ class Frame:
         return ModuleVector._packed(
             self.shape, self.dim,
             tuple(
-                partial_sums(xs, zs[:, idx], gs[:, idx])[:, 0, -1]
+                partial_sums(zs[:, idx], frame_coefficients(gs[:, idx], xs))[:, 0, -1]
                 for xs, zs, gs in zip(stacks, self._family.realizations, self._dual.realizations)
             ),
         )
@@ -201,7 +211,7 @@ class Frame:
         `prefix_tails` along this frame and its dual; row p equals
         `tail_profile` of point p.
         """
-        return prefix_tails(points, self._family, self._dual, self.size)
+        return prefix_tails(points, self._family, self._dual)
 
     def tail_profile(self, x: ModuleVector) -> list[float]:
         """Every prefix tail ||x - sum_{j<n} x_j <g_j,x>||, n = 0..size."""
@@ -210,12 +220,12 @@ class Frame:
     def reconstruction_tail(self, x: ModuleVector, n: int) -> float:
         """||x - sum_{j<n} x_j <g_j,x>|| for the stored vector order.
 
-        The same arithmetic as `tail_profile`, stopped at prefix n; use
-        `tail_profile` when several prefixes of one point are needed.
+        The same arithmetic as `tail_profile`, on the first n pairs
+        (`SampleSet.head`); `tail_profile` gives every prefix of one point.
         """
         if not 0 <= n <= self.size:
             raise ValueError(f"prefix length {n} out of range")
-        return float(prefix_tails(SampleSet((x,)), self._family, self._dual, n)[0, n])
+        return float(prefix_tails(SampleSet((x,)), self._family.head(n), self._dual.head(n))[0, n])
 
     def partial_sum_op(self, indices) -> ModuleOperator:
         """P_J' = sum_{j in J'} theta_{x_j, g_j} (`gram_block`); norm bounded by c2/c1."""

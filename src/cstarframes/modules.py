@@ -402,8 +402,8 @@ class SampleSet:
             raise ValueError("module vectors live in different modules")
         return frozen(np.zeros((len(ks), 0, dim * n, n), complex) for n, ks in shape.classes)
 
-    def head(self, n: int) -> "SampleSet":
-        """The first n members (all of them, if fewer) as a set of views of the stacks."""
+    def head(self, n: int | None) -> "SampleSet":
+        """The first n members (all of them, if fewer or n is None) as a set of views of the stacks."""
         if self._shape is None:
             return self
         return SampleSet._packed(

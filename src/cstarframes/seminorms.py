@@ -254,8 +254,6 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
     reduce depends on the memory layout, so np.trace itself is kept.
     """
     system = spec._system
-    if not len(sample):
-        return np.zeros((0, len(system), len(system)), complex)
     traces = []
     stacks = sample.in_module(system.shape, system.dim)
     for s, y, rho in zip(stacks, system.realizations, spec._densities):
@@ -268,7 +266,7 @@ def state_values(spec: SeminormSpec, sample: SampleSet) -> np.ndarray:
         else:
             trace = np.trace(products, axis1=-2, axis2=-1)
         traces.append(trace.swapaxes(-1, -2))
-    return block_sum(sample.shape, traces)
+    return block_sum(system.shape, traces)
 
 
 # A (k, i) matrix of state values whose largest magnitude m > 0 lies outside

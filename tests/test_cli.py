@@ -24,6 +24,7 @@ from cstarframes import (
     theta_op,
 )
 from cstarframes import cli
+from cstarframes.certify import Certificate
 from cstarframes.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -292,6 +293,47 @@ def test_precompact_negative_rank_budget_is_data_error_for_an_empty_sample(capsy
     )
     assert (code, out) == (1, "")
     assert err == "cstarframes: error: rank budget must be at least 0, got -1\n"
+
+
+def _empty_sample_cd(eps):
+    """The C/D certificate a hard-coded branch once gave an empty sample: the oracle of the scan."""
+    return Certificate(
+        condition="CD",
+        eps=eps,
+        verdict=True,
+        witness={"rank": 0},
+        diagnostics={"error_profile": [0.0], "best_error": 0.0},
+        approximant=(),
+    )
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 1, 1)])
+@pytest.mark.parametrize("frame", [None, "frame_random.json", "frame_range.json", "parseval.json"])
+@pytest.mark.parametrize("budget", [None, 0, 2])
+@pytest.mark.parametrize("condition", ["cd", "all"])
+def test_precompact_empty_sample_runs_the_cd_scan_to_the_old_certificate(
+    capsys, tmp_path, shape, frame, budget, condition
+):
+    """An empty sample goes through the C/D scan, which stops at rank 0 with error 0.0.
+
+    With no frame, `--condition all` stays vacuous: there is no module
+    to build a frame in.
+    """
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"version": 1, "kind": "sample_set", "shape": list(shape), "points": []}))
+    argv = ["precompact", "--condition", condition, "--sample", str(empty), "--eps", "0.5"]
+    argv += [] if frame is None else ["--frame", fx(frame)]
+    argv += [] if budget is None else ["--rank-budget", str(budget)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if condition == "cd":
+        assert out == serialize(_empty_sample_cd(0.5)).decode() + "\n"
+        return
+    (entry,) = json.loads(out)["entries"]
+    if frame is None:
+        assert entry["cd"]["witness"] == {"vacuous": True}
+    else:
+        assert entry["cd"] == _empty_sample_cd(0.5).to_json_dict()
 
 
 @pytest.mark.parametrize("budget", ["0", "1"])

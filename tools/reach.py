@@ -1,0 +1,253 @@
+"""Reach of the CLI: which function lines of src/cstarframes a fixed command list runs.
+
+Run from the root of a checkout:
+
+    python3 tools/reach.py              # the counts
+    python3 tools/reach.py --unreached  # and every unreached function, largest first
+    python3 tools/reach.py --list       # only the command list, one argv per line
+
+The command list (`commands`) is the 300 jobs of the four benchmark
+workloads at seeds 1-3, from perfbench/gen.py imported as it is, and
+the fixture commands of `fixture_commands`: every subcommand on the
+files of tests/fixtures, on empty sample documents of three shapes and
+on scaled copies of the planted sample.  Their inputs and outputs go to
+a temporary directory.  Every command runs through
+`cstarframes.cli.main` in this one process, its output discarded, under
+`sys.setprofile`, which records each function of the package that is
+called.  A line of a function body counts once, for the innermost
+function (or lambda) that holds it, and is reached when that function
+was called at least once.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PACKAGE = SRC / "cstarframes"
+FIXTURES = ROOT / "tests" / "fixtures"
+
+FRAMES = ("frame_random.json", "frame_range.json", "parseval.json")
+SAMPLES = ("sample_planted.json", "sample_witnesses_5_5.json", "sample_witnesses_6.json")
+EMPTY_SHAPES = ((1, 1), (1, 2), (1, 1, 1))
+BUDGETS = (None, 0, 1, 3)
+EMPTY_BUDGETS = (None, 0, 2)
+EPS = ("1.0", "0.5", "0.25", "0.125", "0.01")
+# The planted sample times each factor: norms past the gram and nu scaling
+# limits, and below the normal range.
+SCALES = (1e155, 1e-170, 1e154, 2.0**520, 2.0**-560, 1.0)
+
+
+def _budget(budget) -> list[str]:
+    return [] if budget is None else ["--rank-budget", str(budget)]
+
+
+def _scaled_sample(source: Path, factor: float, target: Path) -> str:
+    doc = json.loads(source.read_bytes())
+    for point in doc["points"]:
+        for element in point:
+            for block in element:
+                for row in block:
+                    for entry in row:
+                        entry[0] *= factor
+                        entry[1] *= factor
+    target.write_text(json.dumps(doc))
+    return str(target)
+
+
+def fixture_commands(work: Path) -> list[list[str]]:
+    """Every subcommand on the fixtures, the empty samples and the scaled samples.
+
+    Writes the empty and scaled sample documents into `work`; outputs
+    named with --out go there too.
+    """
+    fx = {name: str(FIXTURES / name) for name in FRAMES + SAMPLES}
+    spec, operator = str(FIXTURES / "seminorm_spec.json"), str(FIXTURES / "operator.json")
+    gens = str(FIXTURES / "generator_6.json")
+    vectors = [str(FIXTURES / "vector.json"), str(FIXTURES / "vector_c3.json")]
+    out = str(work / "out.json")
+    empties = []
+    for shape in EMPTY_SHAPES:
+        path = work / f"empty_{'_'.join(map(str, shape))}.json"
+        path.write_text(json.dumps({"version": 1, "kind": "sample_set", "shape": list(shape), "points": []}))
+        empties.append(str(path))
+    scaled = [
+        _scaled_sample(FIXTURES / "sample_planted.json", factor, work / f"planted_{i}.json")
+        for i, factor in enumerate(SCALES)
+    ]
+
+    cmds = []
+    for frame in FRAMES:
+        f = fx[frame]
+        cmds += [["frame-bounds", f], ["dual", f], ["dual", f, "--out", out]]
+        cmds += [["reconstruct", f, v] for v in vectors]
+        cmds += [["series", operator, "--frame", f], ["series", operator, "--frame", f, "--eps", "0.5"]]
+    cmds += [["series", operator], ["series", operator, "--eps", "0.5"], ["series", operator, "--out", out]]
+
+    for sample in SAMPLES:
+        s = fx[sample]
+        for budget in BUDGETS:
+            for eps in EPS:
+                cmds.append(["precompact", "--condition", "cd", "--sample", s, "--eps", eps, *_budget(budget)])
+            cmds.append(["precompact", "--condition", "all", "--sample", s, *_budget(budget)])
+            cmds.append(["precompact", "--condition", "all", "--sample", s, "--eps", "0.25", *_budget(budget)])
+        for condition in ("cd", "all", "b"):
+            cmds.append(["precompact", "--condition", condition, "--sample", s, "--eps", "0.5",
+                         "--frame", fx["frame_random.json"]])
+        cmds.append(["precompact", "--condition", "b", "--sample", s, "--eps", "0.5"])
+        cmds.append(["precompact", "--condition", "a", "--sample", s, "--eps", "0.5", "--gens", gens])
+        cmds.append(["precompact", "--condition", "a", "--sample", s, "--eps", "0.5", "--gens", s])
+        cmds.append(["precompact", "--condition", "free", "--sample", s, "--eps", "0.5", "--gens", gens])
+        cmds.append(["precompact", "--condition", "all", "--sample", s, "--gens", s, "--out", out])
+
+    for empty in empties:
+        for frame in (None, *FRAMES):
+            with_frame = [] if frame is None else ["--frame", fx[frame]]
+            for budget in EMPTY_BUDGETS:
+                for condition in ("cd", "all", "b"):
+                    cmds.append(["precompact", "--condition", condition, "--sample", empty,
+                                 "--eps", "0.5", *with_frame, *_budget(budget)])
+                cmds.append(["precompact", "--condition", "all", "--sample", empty, *with_frame, *_budget(budget)])
+
+    for sample in [fx[s] for s in SAMPLES] + empties + scaled:
+        cmds.append(["seminorm", spec, sample])
+        cmds += [["net", sample, spec, "--eps", eps] for eps in ("2.0", "0.5", "0.05")]
+
+    for trunc in (4, 8, 12, 40, 120):
+        for eps in ("0.25", "0.8731"):
+            cmds.append(["counterexample", "--trunc", str(trunc), "--eps", eps])
+    cmds += [["counterexample", "--trunc", "12", "--dim", "6", "--eps", "0.25", "--out", out],
+             ["counterexample", "--trunc", "4", "--dim", "9", "--eps", "0.25"]]
+
+    cmds += [[], ["--help"], ["precompact"], ["precompact", "--condition", "x", "--sample", fx[SAMPLES[0]]],
+             ["precompact", "--condition", "a", "--sample", fx[SAMPLES[0]], "--eps", "0.5"],
+             ["precompact", "--condition", "cd", "--sample", fx[SAMPLES[0]]],
+             ["precompact", "--condition", "cd", "--sample", fx[SAMPLES[0]], "--eps", "0.5", "--rank-budget", "-1"],
+             ["precompact", "--condition", "cd", "--sample", fx[SAMPLES[0]], "--eps", "nan"],
+             ["net", fx[SAMPLES[0]], spec], ["series"], ["frame-bounds", str(work / "missing.json")],
+             ["counterexample", "--trunc", "171", "--eps", "0.25"], ["bogus"]]
+    return cmds
+
+
+def workload_commands(work: Path, seeds=(1, 2, 3)) -> list[list[str]]:
+    """The argv of every job of the four benchmark workloads at the seeds, inputs written under `work`."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [
+        job.argv
+        for workload in gen.WORKLOADS
+        for seed in seeds
+        for job in gen.generate(workload, seed, work / f"{workload}-{seed}")[0]
+    ]
+
+
+def commands(work: Path) -> list[list[str]]:
+    """The committed command list: the workload jobs, then the fixture commands."""
+    return workload_commands(work) + fixture_commands(work)
+
+
+def function_lines(package: Path = PACKAGE) -> dict[tuple[str, int], tuple[str, set[int]]]:
+    """Per function of the package, keyed by (file, first line of its code object): its name and lines.
+
+    A line belongs to the innermost function or lambda that holds it.
+    The first line of a decorated function's code object is its first
+    decorator's.
+    """
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner: dict[int, tuple[str, int]] = {}
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                    decorators = getattr(child, "decorator_list", [])
+                    first = min([child.lineno] + [d.lineno for d in decorators])
+                    key = (str(path), first)
+                    for line in range(first, child.end_lineno + 1):
+                        owner[line] = key
+                    out.setdefault(key, (f"{path.name}:{first} {name}", set()))
+                    visit(child, name + ".")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(tree, "")
+        for line, key in owner.items():
+            out[key][1].add(line)
+    return out
+
+
+def run(cmds: list[list[str]]) -> set[tuple[str, int]]:
+    """Run each argv through `cstarframes.cli.main` in this process; the package code objects called."""
+    called = set()
+    prefix = str(PACKAGE)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(prefix):
+                called.add((code.co_filename, code.co_firstlineno))
+
+    sys.path.insert(0, str(SRC))
+    sys.setprofile(profile)  # what runs at import counts too
+    try:
+        from cstarframes import cli
+    finally:
+        sys.setprofile(None)
+    sink = io.StringIO()
+    for argv in cmds:
+        sys.setprofile(profile)
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        sink.seek(0)
+        sink.truncate()
+    return called
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--list", action="store_true", help="print the command list and stop")
+    ap.add_argument("--unreached", action="store_true", help="list every unreached function")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        cmds = commands(work)
+        if args.list:
+            for c in cmds:
+                print(json.dumps([a.replace(tmp, "@") for a in c]))
+            return 0
+        called = run(cmds)
+    functions = function_lines()
+    total = sum(len(lines) for _, lines in functions.values())
+    unreached = sorted(
+        ((len(lines), name) for key, (name, lines) in functions.items() if key not in called),
+        reverse=True,
+    )
+    missed = sum(n for n, _ in unreached)
+    print(f"{len(cmds)} commands; function lines: {total - missed} reached, {missed} unreached of {total}")
+    print(f"functions: {len(functions) - len(unreached)} reached, {len(unreached)} unreached of {len(functions)}")
+    if args.unreached:
+        for n, name in unreached:
+            print(f"{n:5d}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
