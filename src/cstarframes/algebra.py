@@ -111,38 +111,47 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def fold_pair_maxima(out, stack, item_entries: int, norms_of) -> None:
+def fold_pair_maxima(out, stack, item_entries: int, norms_of, pairs=None) -> None:
     """Fold into out[p] the entrywise max over blocks of point p's norms, for every point p.
 
-    stack has shape (count, P, rows, n): any per-class stack whose zero
-    (block, point) pairs have zero norms, such as the realizations of P
-    points, their coefficient stacks, or an operator's blocks as a family
-    of one point.  norms_of(blocks, x) gets a (b, p, rows, n) selection x
-    of the stack and `blocks`, which picks the same b blocks out of any
-    per-block array: a[blocks, None] lines up with x along the point
-    axis.  It returns the pairs' norms, (b, p, K), and out is (P, K),
-    every entry >= +0.0.
+    The (block, point) pairs come from one of two sources:
+    - found here: stack has shape (count, P, rows, n), any per-class
+      stack whose zero (block, point) pairs have zero norms, such as the
+      realizations of P points, their coefficient stacks, or an
+      operator's blocks as a family of one point;
+    - known to the caller: pairs = (blocks, points), two index arrays of
+      equal length, and stack holds those pairs' realizations, one pair
+      per row, (len(blocks), 1, rows, n).  Every pair left out must have
+      zero norms, as a zero pair has here.
+    norms_of(blocks, x) gets a (b, p, rows, n) selection x of the pairs
+    and `blocks`, which picks the same b blocks out of any per-block
+    array: a[blocks, None] lines up with x along the point axis.  It
+    returns the pairs' norms, (b, p, K), and out is (P, K), every entry
+    >= +0.0.
 
     A (block, point) pair whose entries are all zero is left out.
     That is exact when norms_of gives +0.0 for such a pair, which fmax
     against out leaves unchanged: true when norms_of only multiplies the
     pair's data by finite factors (inf * 0 would be a NaN).  If every
-    pair is non-zero, the pairs are taken in `tiles`, as views, nothing
-    gathered; otherwise the non-zero pairs are gathered one pair per row
-    (p = 1), in chunks under CHUNK_ENTRIES, and folded in with
-    np.fmax.at.
+    pair of a stack is non-zero, the pairs are taken in `tiles`, as
+    views, nothing gathered; otherwise the non-zero pairs are gathered
+    one pair per row (p = 1).  Gathered or known, the pairs are folded
+    in chunks under CHUNK_ENTRIES, with np.fmax.at.
     """
-    count, points = stack.shape[:2]
-    nonzero = nonzero_matrices(stack)
-    if nonzero is None:
-        for blocks, part in tiles(count, points, item_entries):
-            norms = norms_of(blocks, stack[blocks, part])
-            out[part] = np.fmax(out[part], np.fmax.reduce(norms, axis=0))
-        return
-    pair_blocks, pair_points = np.nonzero(nonzero)
+    known = pairs is not None
+    if not known:
+        count, points = stack.shape[:2]
+        nonzero = nonzero_matrices(stack)
+        if nonzero is None:
+            for blocks, part in tiles(count, points, item_entries):
+                norms = norms_of(blocks, stack[blocks, part])
+                out[part] = np.fmax(out[part], np.fmax.reduce(norms, axis=0))
+            return
+        pairs = np.nonzero(nonzero)
+    pair_blocks, pair_points = pairs
     for piece in chunks(len(pair_blocks), item_entries):
         blocks, part = pair_blocks[piece], pair_points[piece]
-        norms = norms_of(blocks, stack[blocks, part, None])
+        norms = norms_of(blocks, stack[piece] if known else stack[blocks, part, None])
         np.fmax.at(out, part, norms[:, 0])
 
 

@@ -148,8 +148,12 @@ def _coefficient_data(sample: SampleSet, gens: SampleSet) -> _CoefficientData:
 
 
 def _sup_tails(profiles: np.ndarray) -> list[float]:
-    """tails[n] = sup over the points of their n-th prefix tail (0 if none)."""
-    return [max(col, default=0.0) for col in profiles.T.tolist()]
+    """tails[n] = sup over the points of their n-th prefix tail (0 if none).
+
+    Every tail is a spectral norm, >= +0.0 and never NaN, so the max from
+    +0.0 is the largest tail.
+    """
+    return profiles.max(axis=0, initial=0.0).tolist()
 
 
 def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[SampleSet, SampleSet]:

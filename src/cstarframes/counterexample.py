@@ -28,6 +28,9 @@ from .tolerances import SELF_CHECK_ATOL
 # and 171! overflows a double.
 MAX_TRUNC = 170
 
+# The smallest positive normal double: a square below it lost bits.
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True, eq=False)
 class TruncatedCSetting:
@@ -109,8 +112,9 @@ class TruncatedCSetting:
 
     @functools.cached_property
     def _witness_set(self) -> SampleSet:
-        # e_k * delta_k is the unit at coordinate k of block k: one stack
-        # (trunc + 1, dim, dim, 1) for the single size class.
+        # e_k * delta_k is the unit at coordinate k of block k: one dense
+        # stack (trunc + 1, dim, dim, 1) for the single size class, built
+        # only for `witnesses`; the tails read the witnesses' pairs.
         k = np.arange(self.dim)
         stack = np.zeros((self.trunc + 1, self.dim, self.dim, 1), complex)
         stack[k, k, k] = 1.0
@@ -122,9 +126,15 @@ class TruncatedCSetting:
         return standard_basis_frame(self.shape, self.dim)
 
     @functools.cached_property
-    def _witness_tails(self) -> tuple[list[list[float]], np.ndarray]:
-        # (truncation tails, frame tail profiles) of every witness, cross-checked
-        return _checked_tails(self.frame, self._witness_set)
+    def _witness_tails(self) -> tuple[list[float], np.ndarray]:
+        # (sup of the truncation tails per prefix, frame tail profiles) of
+        # the witnesses, cross-checked.  Witness k's one non-zero (block,
+        # point) pair is (k, k), with the unit column at coordinate k
+        # (0-based): the pairs the fold would find in `_witness_set`.
+        k = np.arange(self.dim)
+        columns = np.zeros((self.dim, 1, self.dim, 1), complex)
+        columns[k, 0, k] = 1.0
+        return _checked_tails(*_fold_tail_routes(self.frame, columns, self.dim, (k, k)))
 
     def witness_profiles(self) -> np.ndarray:
         """The frame's tail profile of every witness, one row each.
@@ -190,20 +200,26 @@ def _min_coeff_norms(coefficients: np.ndarray, eps: float) -> list[float]:
     on v / ||v|| for ||v|| * |a|, whose squares are exact, and the root is
     divided by ||v|| = |v_k|.  w_k is not scaled: the square of
     w_k / ||v|| would overflow.  Every other block divides by 1 and takes
-    the plain formula bit for bit.
+    the plain formula bit for bit.  One pass over the coefficients as
+    Python floats: each row is the same IEEE operations, in the same
+    order, as one lane of the numpy formula it replaced.
     """
-    top = np.abs(coefficients)
-    scale = np.where((coefficients * coefficients < np.finfo(float).tiny) & (top > 0.0), top, 1.0)
-    v = coefficients / scale
-    ng2 = v * v
-    cross = np.abs(v)
-    active = 1.0 > eps * eps
-    disc = cross * cross - ng2 * (1.0 - eps * eps)
-    unreachable = active & ((ng2 == 0.0) | (disc < 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (cross - np.sqrt(disc)) / ng2 / scale
-    required = np.where(active, t, 0.0)
-    return np.where(unreachable, math.inf, required).tolist()
+    if not 1.0 > eps * eps:
+        return [0.0] * len(coefficients)
+    keep = 1.0 - eps * eps
+    required = []
+    for c in coefficients.tolist():
+        top = abs(c)
+        scale = top if c * c < _TINY and top > 0.0 else 1.0
+        v = c / scale
+        ng2 = v * v
+        cross = abs(v)
+        disc = cross * cross - ng2 * keep
+        if ng2 == 0.0 or disc < 0.0:
+            required.append(math.inf)
+        else:
+            required.append((cross - math.sqrt(disc)) / ng2 / scale)
+    return required
 
 
 def coeff_growth(setting: TruncatedCSetting, eps: float) -> list[tuple[int, float]]:
@@ -232,27 +248,41 @@ def _truncation_residuals(x: np.ndarray) -> np.ndarray:
 def _tail_routes(frame: Frame, points: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """The frame's tail profiles of the points, (P, size+1), and their truncation tails, (P, dim+1).
 
-    One `fold_pair_maxima` over the points' (block, point) pairs: per
+    `_fold_tail_routes` over the points' realizations, whose (block,
+    point) pairs the fold finds.
+    """
+    xs = points.in_module(frame.shape, frame.dim)[0]
+    return _fold_tail_routes(frame, xs, xs.shape[1])
+
+
+def _fold_tail_routes(frame: Frame, xs: np.ndarray, count: int, pairs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Both tail routes of `count` points, from one `fold_pair_maxima` over their (block, point) pairs.
+
+    xs and pairs are the fold's: the points' realizations (blocks, P,
+    dim, 1), or with pairs the realizations of those pairs only.  Per
     chunk both routes' residuals, the frame's as in `Frame.tail_profiles`,
     are joined on the prefix axis for one `spectral_norms` call.  Zero
     pairs are left out, exact for both routes: the frame is finite.
     """
     size, dim = frame.size, frame.dim
-    xs = points.in_module(frame.shape, dim)[0]
     zs, gs = frame._family.realizations[0], frame._dual.realizations[0]
 
     def norms(blocks, x):
         via_frame = frame_residuals(x, zs[blocks], frame_coefficients(gs[blocks], x))
         return spectral_norms(np.concatenate((via_frame, _truncation_residuals(x)), axis=2))
 
-    tails = np.zeros((xs.shape[1], size + dim + 2))
-    fold_pair_maxima(tails, xs, (size + dim + 2) * dim, norms)
+    tails = np.zeros((count, size + dim + 2))
+    fold_pair_maxima(tails, xs, (size + dim + 2) * dim, norms, pairs)
     return tails[:, : size + 1], tails[:, size + 1 :]
 
 
-def _checked_tails(frame: Frame, points: SampleSet) -> tuple[list[list[float]], np.ndarray]:
-    """Truncation tails of the points and the frame's tail profiles (read-only), checked to agree."""
-    via_frame, direct = _tail_routes(frame, points)
+def _checked_tails(via_frame: np.ndarray, direct: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Sup of the truncation tails per prefix and the frame's tail profiles (read-only), checked to agree.
+
+    The two routes are compared at every point and prefix.  Every tail is
+    a spectral norm, >= +0.0 and never NaN, so the sup from +0.0 is the
+    largest tail, and 0.0 without points.
+    """
     bad = np.argwhere(np.abs(direct - via_frame) > SELF_CHECK_ATOL)
     if len(bad):
         d, f = direct[tuple(bad[0])], via_frame[tuple(bad[0])]
@@ -260,7 +290,7 @@ def _checked_tails(frame: Frame, points: SampleSet) -> tuple[list[list[float]], 
             f"direct tail {float(d)!r} disagrees with frame tail {float(f)!r}"
         )
     via_frame.setflags(write=False)
-    return direct.tolist(), via_frame
+    return direct.max(axis=0, initial=0.0).tolist(), via_frame
 
 
 def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
@@ -275,21 +305,22 @@ def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
 
     Each point's tails come from coordinate truncation and are checked
     against the standard frame's tail profile at every prefix; the
-    witnesses' tails are computed once per setting.
+    witnesses' tails, and their sup at every prefix, are computed once
+    per setting.
     """
     if points is None:
         if not 0 <= n < setting.dim:
             raise ValueError(
                 f"prefix {n} has no witness at module dimension {setting.dim}"
             )
-        profiles = setting._witness_tails[0]
+        sups = setting._witness_tails[0]
     elif not 0 <= n <= setting.dim:
         raise ValueError(
             f"prefix {n} out of range for module dimension {setting.dim}"
         )
     else:
-        profiles = _checked_tails(setting.frame, SampleSet.of(points))[0]
-    return max((tails[n] for tails in profiles), default=0.0)
+        sups = _checked_tails(*_tail_routes(setting.frame, SampleSet.of(points)))[0]
+    return sups[n]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Truncated factorial-growth counterexample: F, v, growth, tails."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from cstarframes import (
     theta_op,
 )
 from cstarframes import counterexample
+from cstarframes.algebra import chunks
 from cstarframes.certify import tails_certificate
 
 
@@ -316,6 +321,46 @@ def test_coefficient_solve_is_the_matrix_solve_bit_for_bit(trunc, dim, eps):
     assert (eps >= 1.0) == (coefficient == [0.0] * dim)
 
 
+def _vector_min_coeff_norms(coefficients, eps):
+    """The numpy formula that `_min_coeff_norms` replaced, one lane per coefficient, kept as the oracle.
+
+    Squares of coefficients past 1e154 overflow, and their rows are NaN.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        top = np.abs(coefficients)
+        scale = np.where((coefficients * coefficients < np.finfo(float).tiny) & (top > 0.0), top, 1.0)
+        v = coefficients / scale
+        ng2 = v * v
+        cross = np.abs(v)
+        active = 1.0 > eps * eps
+        disc = cross * cross - ng2 * (1.0 - eps * eps)
+        unreachable = active & ((ng2 == 0.0) | (disc < 0.0))
+        t = (cross - np.sqrt(disc)) / ng2 / scale
+    required = np.where(active, t, 0.0)
+    return np.where(unreachable, math.inf, required).tolist()
+
+
+_FACTORIAL_INVERSES = st.integers(1, 170).map(lambda k: 1.0 / math.factorial(k))
+_COEFFICIENTS = st.lists(st.one_of(_FACTORIAL_INVERSES, st.floats(1e-160, 1e160)), min_size=1, max_size=24)
+# eps below about 1.5e-154 has a square that is subnormal or 0
+_EPS = st.one_of(st.floats(0.0, 2.0, exclude_min=True), st.floats(5e-324, 1.5e-154))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficients=_COEFFICIENTS, eps=_EPS)
+@example(coefficients=[1.0 / math.factorial(k) for k in range(1, 171)], eps=0.25)
+@example(coefficients=[1.0 / math.factorial(k) for k in range(1, 171)], eps=1e-160)
+@example(coefficients=[1e-160, 1e160, 1.0], eps=5e-324)
+@example(coefficients=[1e-160, 1e160, 1.0], eps=1.0)
+@example(coefficients=[1e-160, 1e160, 1.0], eps=2.0)
+@example(coefficients=[0.0, -0.0, -1e-160, -0.5], eps=0.25)  # v vanishes: unreachable
+def test_the_scalar_solve_is_the_vector_formula_bit_for_bit(coefficients, eps):
+    """Each row of the scalar pass is one lane of the numpy formula: the same IEEE operations in order."""
+    coefficients = np.array(coefficients)
+    scalar = counterexample._min_coeff_norms(coefficients, eps)
+    assert np.array(scalar).tobytes() == np.array(_vector_min_coeff_norms(coefficients, eps)).tobytes()
+
+
 @pytest.mark.parametrize("trunc, dim", [(1, 1), (9, 7), (97, 97), (170, 6)])
 def test_lazy_operator_and_generator_are_the_dense_stacks(trunc, dim):
     setting = build_setting(trunc, dim)
@@ -408,3 +453,53 @@ def test_the_cli_path_builds_no_dense_model_and_no_svd(monkeypatch):
     setting.witness_profiles()
     assert "operator" not in setting.__dict__
     assert "generator" not in setting.__dict__
+    assert "_witness_set" not in setting.__dict__
+
+
+# -- the witnesses' tails from their known pairs ------------------------------
+
+
+@pytest.mark.parametrize(
+    "trunc, dim", [(1, 1), (4, 4), (12, 6), (12, 12), (98, 98), (102, 100), (170, 170)]
+)
+def test_the_witness_tails_from_their_pairs_are_the_dense_routes(trunc, dim):
+    """The fold of the witnesses' (k, k) pairs gives the bits of both routes over the dense stack."""
+    setting = build_setting(trunc, dim)
+    sups, profiles = setting._witness_tails
+    assert "_witness_set" not in setting.__dict__
+    via_frame, direct = counterexample._tail_routes(setting.frame, setting._witness_set)
+    assert profiles.tobytes() == via_frame.tobytes()
+    assert profiles.tobytes() == setting.frame.tail_profiles(setting._witness_set).tobytes()
+    assert np.array(sups).tobytes() == direct.max(axis=0, initial=0.0).tobytes()
+    assert sups == [1.0] * dim + [0.0]
+    if trunc >= 102:
+        assert len(chunks(dim, (2 * dim + 2) * dim)) > 1
+
+
+# The child reads its peak from VmHWM, the high-water mark of its own
+# address space: on Linux, getrusage's ru_maxrss keeps the peak of the
+# process image it replaced, here a fork of the test runner.
+_PEAK_RSS = """
+import contextlib, io
+from cstarframes.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["counterexample", "--trunc", "170", "--eps", "0.25"])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+def test_the_largest_truncation_runs_in_under_80_mb():
+    """`counterexample --trunc 170` in a fresh interpreter: no dense witness stack (79 MB) is built.
+
+    The dense stack's run peaks near 118 MB.
+    """
+    src = str(Path(counterexample.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS], env=env, capture_output=True, text=True, check=True
+    )
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 1
+    assert peak_kib < 80 * 1024, f"peak RSS {peak_kib / 1024:.1f} MB"

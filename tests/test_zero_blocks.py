@@ -505,6 +505,32 @@ def test_the_fold_takes_views_of_a_dense_stack_and_gathers_around_a_zero_pair():
         assert x.shape[1] == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 3), st.integers(1, 2)),
+    seed=st.integers(0, 2**32 - 1),
+    tiny_chunks=st.booleans(),
+)
+def test_known_pairs_fold_to_the_bits_of_the_found_ones(shape, seed, tiny_chunks):
+    """Handed the non-zero pairs and their rows, the fold gives what it gives when it finds them."""
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kind = rng.integers(0, 3, size=shape[:2])
+    stack[kind == 0] = 0.0
+    stack[kind == 1] = -0.0
+    weights = rng.random((shape[0], 1, 1)) + 0.5
+
+    def norms_of(blocks, x):
+        return np.stack((spectral_norms(x), spectral_norms(x * weights[blocks, None])), axis=-1)
+
+    found, known = np.zeros((shape[1], 2)), np.zeros((shape[1], 2))
+    blocks, points = np.nonzero(stack.any(axis=(-2, -1)))
+    with bounds(tiny_chunks, False):
+        algebra.fold_pair_maxima(found, stack, 4, norms_of)
+        algebra.fold_pair_maxima(known, stack[blocks, points, None], 4, norms_of, (blocks, points))
+    assert known.tobytes() == found.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=cases)
 def test_gram_matches_the_dense_route(case):

@@ -1,0 +1,168 @@
+"""Byte diff of the CLI between two checkouts: exit code, stdout, stderr and --out bytes per command.
+
+Run with the roots of two checkouts:
+
+    python3 tools/bytediff.py PARENT CHANGE
+    python3 tools/bytediff.py PARENT CHANGE --coretype Haswell Sandybridge
+
+Each tree runs the command list of its own tools/reach.py
+(`reach.commands`: the 300 jobs of the benchmark workloads at seeds 1-3
+and the fixture commands) in a fresh interpreter of its own, with that
+tree's src first on sys.path, BLAS on one thread and no bytecode
+written.  The commands run one after another through
+`cstarframes.cli.main`, as in tools/reach.py, with stdout and stderr
+captured; each --out file is read and removed after its command, and an
+exception that escapes `main` is recorded in place of the exit code.
+The tree's root and the work directory holding the generated inputs
+are replaced by fixed markers in every argv, stream and --out file, so
+two trees compare equal when they differ only in where they lie.
+Warnings follow the interpreter's defaults, once per location over the
+whole list, the same in both trees.
+
+With --coretype, the change side runs again under each
+OPENBLAS_CORETYPE named, and each of those runs is compared with the
+parent's run on the default kernel.  Each run generates its own
+inputs, so an argument that perfbench/gen.py derives with numpy can
+differ under another kernel; such a command differs in `argv`.
+
+Every differing command is printed with the fields that differ, then a
+count per subcommand.  Exits 1 if any command differs in any
+comparison, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+import traceback
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+FIELDS = ("argv", "code", "stdout", "stderr", "out")
+CHILD = "import sys; sys.path.insert(0, {tools!r}); import bytediff; bytediff.record({tree!r}, {result!r})"
+
+
+def record(tree: str, result: str) -> None:
+    """Run the tree's command list in this interpreter and write one record per command to `result`.
+
+    A record holds the normalized argv, the exit code (or the exception
+    that escaped), and the length and SHA-256 of the normalized stdout,
+    stderr and --out bytes.
+    """
+    root = Path(tree).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "tools")]
+    import reach
+    from cstarframes import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(root):
+        raise RuntimeError(f"cstarframes imported from {cli.__file__}, outside {root}")
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        markers = ((tmp, "<work>"), (str(root), "<tree>"))
+
+        def normalized(text: str) -> str:
+            for path, marker in markers:
+                text = text.replace(path, marker)
+            return text
+
+        def summary(text: str) -> list:
+            text = normalized(text)
+            return [len(text), hashlib.sha256(text.encode("latin-1")).hexdigest()]
+
+        for argv in reach.commands(Path(tmp)):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:
+                    code = f"raised {type(exc).__name__}"
+                    stderr.write("".join(traceback.format_exception_only(exc)))
+            out = None
+            if "--out" in argv:
+                path = Path(argv[argv.index("--out") + 1])
+                if path.exists():
+                    out = summary(path.read_bytes().decode("latin-1"))
+                    path.unlink()
+            runs.append({
+                "argv": [normalized(a) for a in argv],
+                "code": code,
+                "stdout": summary(stdout.getvalue()),
+                "stderr": summary(stderr.getvalue()),
+                "out": out,
+            })
+    Path(result).write_text(json.dumps(runs))
+
+
+def run_tree(tree: Path, work: Path, label: str, coretype: str | None = None) -> list[dict]:
+    """The records of `tree`'s command list, from a fresh interpreter (`record`)."""
+    result = work / f"{label}.json"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "OPENBLAS_CORETYPE")}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    code = CHILD.format(tools=str(TOOLS), tree=str(tree.resolve()), result=str(result))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=work, capture_output=True, text=True)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"bytediff: the run of {label} failed with exit code {proc.returncode}")
+    runs = json.loads(result.read_text())
+    print(f"{label}: {len(runs)} commands in {time.perf_counter() - start:.1f} s")
+    return runs
+
+
+def compare(base: list[dict], other: list[dict]) -> list[tuple[list[str], list[str]]]:
+    """(argv, differing fields) of every command whose record differs; a missing command differs in all."""
+    diffs = []
+    for a, b in itertools.zip_longest(base, other):
+        if a is None or b is None:
+            diffs.append(((a or b)["argv"], list(FIELDS)))
+        elif fields := [f for f in FIELDS if a[f] != b[f]]:
+            diffs.append((b["argv"], fields))
+    return diffs
+
+
+def report(label: str, diffs, total: int) -> None:
+    for argv, fields in diffs:
+        print(f"  {','.join(fields):<20} {' '.join(argv) or '(no arguments)'}")
+    counts = collections.Counter(argv[0] if argv else "(none)" for argv, _ in diffs)
+    per = ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))
+    print(f"{label}: {len(diffs)} of {total} commands differ" + (f" ({per})" if per else ""))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="root of the parent checkout")
+    ap.add_argument("change", type=Path, help="root of the changed checkout")
+    ap.add_argument("--coretype", nargs="+", default=[], metavar="NAME",
+                    help="also run the change under each OPENBLAS_CORETYPE NAME")
+    args = ap.parse_args(argv)
+    for tree in (args.parent, args.change):
+        if not (tree / "tools" / "reach.py").is_file():
+            ap.error(f"{tree} has no tools/reach.py")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        base = run_tree(args.parent, work, "parent")
+        sides = [("change", run_tree(args.change, work, "change"))]
+        sides += [(f"change under OPENBLAS_CORETYPE={name}", run_tree(args.change, work, f"change-{name}", name))
+                  for name in args.coretype]
+    differ = False
+    for label, runs in sides:
+        diffs = compare(base, runs)
+        report(f"parent vs {label}", diffs, max(len(base), len(runs)))
+        differ |= bool(diffs)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
