@@ -25,12 +25,10 @@ from .certify import (
     tails_certificate,
 )
 from .counterexample import (
-    SingleGeneratorApprox,
     TruncatedCSetting,
     build_setting,
     coeff_growth,
     image_sample,
-    single_generator_approx,
     tail_obstruction,
 )
 from .frames import DegenerateFrameError, Frame, standard_basis_frame
@@ -40,9 +38,7 @@ from .modules import (
     SampleSet,
     inner_product,
     orthogonal_span_family,
-    spectral_normalize,
     submodule_distance,
-    synthesis_pinv_norm,
     theta_op,
 )
 from .seminorms import (
@@ -86,7 +82,6 @@ __all__ = [
     "SchemaError",
     "SeminormSpec",
     "SeriesDecomposition",
-    "SingleGeneratorApprox",
     "State",
     "TailDecaySignal",
     "TruncatedCSetting",
@@ -114,12 +109,9 @@ __all__ = [
     "seminorm_values",
     "serialize",
     "series_decompose",
-    "single_generator_approx",
-    "spectral_normalize",
     "standard_basis_frame",
     "state_values",
     "submodule_distance",
-    "synthesis_pinv_norm",
     "tail_obstruction",
     "tails_certificate",
     "theta_op",

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import (
-    CLOSE_RTOL,
-    ELEMENT_RTOL,
-    STATE_ATOL,
-    STATE_PHASE_ATOL,
-    STATE_TIE_ATOL,
-)
+from .tolerances import STATE_ATOL, STATE_PHASE_ATOL, STATE_TIE_ATOL
 
 # Batched intermediates are cut along one axis into chunks of at most this
 # many entries (one item per chunk at least), so the memory of a pass does
@@ -176,10 +170,6 @@ class AlgebraShape:
     @property
     def realization_dim(self) -> int:
         return sum(self.block_dims)
-
-    @property
-    def is_commutative(self) -> bool:
-        return all(n == 1 for n in self.block_dims)
 
     @functools.cached_property
     def classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -354,15 +344,6 @@ class AlgebraElement:
         return cls._packed(shape, _scalar_blocks(shape, lambda k, n: np.zeros((n, n))))
 
     @classmethod
-    def from_scalars(cls, shape: AlgebraShape, values) -> "AlgebraElement":
-        """Element of a commutative shape from one complex value per block."""
-        if not shape.is_commutative:
-            raise ValueError("from_scalars requires all blocks 1x1")
-        if len(values) != shape.num_blocks:
-            raise ValueError("one value per block required")
-        return cls(shape, tuple(np.array([[v]], complex) for v in values))
-
-    @classmethod
     def block_unit(cls, shape: AlgebraShape, k: int) -> "AlgebraElement":
         """Central projection supported on block k: identity there, zero elsewhere."""
         if not 0 <= k < shape.num_blocks:
@@ -408,62 +389,10 @@ class AlgebraElement:
         """C*-norm: the largest singular value across blocks."""
         return blockwise_max([spectral_norms(a) for a in self.stacks])
 
-    def is_selfadjoint(self) -> bool:
-        """a* = a within ELEMENT_RTOL * max(||a||, 1), entry by entry."""
-        scale = max(self.norm(), 1.0)
-        return all(
-            (np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= ELEMENT_RTOL * scale).all()
-            for a in self.stacks
-        )
-
-    def is_positive(self) -> bool:
-        """Positivity test: every block eigenvalue >= -ELEMENT_RTOL * max(||a||, 1).
-
-        The input must be self-adjoint within the same relative tolerance;
-        eigenvalues are taken on the Hermitian symmetrization.
-        """
-        if not self.is_selfadjoint():
-            raise ValueError("positivity is only defined for self-adjoint elements")
-        slack = ELEMENT_RTOL * max(self.norm(), 1.0)
-        return not any(
-            (np.linalg.eigvalsh(hermitian_part(a)).min(axis=-1) < -slack).any()
-            for a in self.stacks
-        )
-
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue across the Hermitian symmetrizations of all blocks."""
         mins = [np.linalg.eigvalsh(hermitian_part(a)).min(axis=-1) for a in self.stacks]
         return min(self.shape.gather(mins).tolist())
-
-    def inverse(self) -> "AlgebraElement":
-        """Blockwise inverse; rejects a block whose smallest singular value is
-        at most ELEMENT_RTOL * max(||a||, 1)."""
-        scale = max(self.norm(), 1.0)
-        smins = [np.linalg.svd(a, compute_uv=False).min(axis=-1) for a in self.stacks]
-        for k, smin in enumerate(self.shape.gather(smins).tolist()):
-            if smin <= ELEMENT_RTOL * scale:
-                raise np.linalg.LinAlgError(
-                    f"block {k} is singular (smallest singular value {smin:.3e})"
-                )
-        return self._with(np.linalg.inv(a) for a in self.stacks)
-
-    def sqrt(self) -> "AlgebraElement":
-        """Positive square root via blockwise spectral calculus."""
-        if not self.is_positive():
-            raise ValueError("sqrt requires a positive element")
-        out = []
-        for a in self.stacks:
-            w, v = np.linalg.eigh(hermitian_part(a))
-            root = np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-            out.append((v * root) @ v.conj().swapaxes(-1, -2))
-        return self._with(out)
-
-    # -- misc -----------------------------------------------------------
-
-    def allclose(self, other: "AlgebraElement") -> bool:
-        """||a - b|| <= CLOSE_RTOL * max(1, ||a||, ||b||)."""
-        self._require_same_shape(other)
-        return (self - other).norm() <= CLOSE_RTOL * max(1.0, self.norm(), other.norm())
 
     def __repr__(self) -> str:
         dims = "+".join(str(n) for n in self.shape.block_dims)
@@ -549,23 +478,6 @@ class State:
             for rho, blk in zip(self.stacks, a.stacks)
         ]
         return complex(block_sum(self.shape, traces))
-
-    @classmethod
-    def normalized_trace(cls, shape: AlgebraShape) -> "State":
-        d = shape.realization_dim
-        return cls(shape, tuple(np.eye(n, dtype=complex) / d for n in shape.block_dims))
-
-    @classmethod
-    def block_state(cls, shape: AlgebraShape, k: int) -> "State":
-        """Normalized trace concentrated on block k.
-
-        On a commutative shape this is evaluation at coordinate k.
-        """
-        if not 0 <= k < shape.num_blocks:
-            raise ValueError(f"block index {k} out of range")
-        densities = [np.zeros((n, n), complex) for n in shape.block_dims]
-        densities[k] = np.eye(shape.block_dims[k], dtype=complex) / shape.block_dims[k]
-        return cls(shape, tuple(densities))
 
     @classmethod
     def vector_state(cls, shape: AlgebraShape, k: int, w: np.ndarray) -> "State":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, check_eps, fold_pair_maxima, spectral_norms
+from .algebra import AlgebraShape, check_eps, fold_pair_maxima, spectral_norms
 from .frames import Frame, frame_coefficients, frame_residuals, standard_basis_frame
 from .modules import ModuleOperator, ModuleVector, SampleSet
 from .seminorms import BallSampler
@@ -85,22 +85,6 @@ class TruncatedCSetting:
         columns = np.zeros((self.trunc + 1, self.dim, 1), complex)
         columns[..., 0] = self._generator_diagonals
         return ModuleVector._packed(self.shape, self.dim, (columns,))
-
-    def delta(self, k: int) -> AlgebraElement:
-        """Indicator of sequence position k, 1 <= k <= trunc."""
-        if not 1 <= k <= self.trunc:
-            raise ValueError(f"position {k} outside 1..{self.trunc}")
-        return AlgebraElement.block_unit(self.shape, k - 1)
-
-    def basis_vector(self, k: int) -> ModuleVector:
-        """Free-basis vector e_k of the module, 1 <= k <= dim."""
-        if not 1 <= k <= self.dim:
-            raise ValueError(f"basis index {k} outside 1..{self.dim}")
-        return ModuleVector.basis(self.shape, self.dim, k - 1)
-
-    def witness(self, k: int) -> ModuleVector:
-        """The extreme image point e_k * delta_k = F(e_k)."""
-        return self.basis_vector(k) * self.delta(k)
 
     def witnesses(self) -> tuple[ModuleVector, ...]:
         """All extreme image points e_k * delta_k, k = 1..dim, in order.
@@ -245,16 +229,6 @@ def _truncation_residuals(x: np.ndarray) -> np.ndarray:
     return np.where(kept, x[:, :, None], 0.0)
 
 
-def _tail_routes(frame: Frame, points: SampleSet) -> tuple[np.ndarray, np.ndarray]:
-    """The frame's tail profiles of the points, (P, size+1), and their truncation tails, (P, dim+1).
-
-    `_fold_tail_routes` over the points' realizations, whose (block,
-    point) pairs the fold finds.
-    """
-    xs = points.in_module(frame.shape, frame.dim)[0]
-    return _fold_tail_routes(frame, xs, xs.shape[1])
-
-
 def _fold_tail_routes(frame: Frame, xs: np.ndarray, count: int, pairs=None) -> tuple[np.ndarray, np.ndarray]:
     """Both tail routes of `count` points, from one `fold_pair_maxima` over their (block, point) pairs.
 
@@ -293,92 +267,23 @@ def _checked_tails(via_frame: np.ndarray, direct: np.ndarray) -> tuple[list[floa
     return direct.max(axis=0, initial=0.0).tolist(), via_frame
 
 
-def tail_obstruction(setting: TruncatedCSetting, n: int, points=None) -> float:
+def tail_obstruction(setting: TruncatedCSetting, n: int) -> float:
     """Sup of the n-term reconstruction tail over the witness set.
 
-    With the default witnesses this is exactly 1, achieved at
-    e_{n+1} * delta_{n+1}: the standard basis reproduces it only by its
-    own term, which every shorter prefix misses.  Pass explicit points,
-    a SampleSet or module vectors (`SampleSet.of`), e.g. random ball
-    images only, to see the strictly smaller bulk values.  Requires
-    n < dim so the achieving witness exists.
+    This is exactly 1, achieved at e_{n+1} * delta_{n+1}: the standard
+    basis reproduces it only by its own term, which every shorter prefix
+    misses.  Requires n < dim so the achieving witness exists.
 
-    Each point's tails come from coordinate truncation and are checked
+    Each witness's tails come from coordinate truncation and are checked
     against the standard frame's tail profile at every prefix; the
     witnesses' tails, and their sup at every prefix, are computed once
     per setting.
     """
-    if points is None:
-        if not 0 <= n < setting.dim:
-            raise ValueError(
-                f"prefix {n} has no witness at module dimension {setting.dim}"
-            )
-        sups = setting._witness_tails[0]
-    elif not 0 <= n <= setting.dim:
+    if not 0 <= n < setting.dim:
         raise ValueError(
-            f"prefix {n} out of range for module dimension {setting.dim}"
+            f"prefix {n} has no witness at module dimension {setting.dim}"
         )
-    else:
-        sups = _checked_tails(*_tail_routes(setting.frame, SampleSet.of(points)))[0]
-    return sups[n]
-
-
-@dataclass(frozen=True)
-class SingleGeneratorApprox:
-    """Outcome of approximating y by v * a with the proof's prefix rule.
-
-    coefficient realizes the best prefix; floor is the residual left at
-    the full prefix, zero exactly when y has the range form (coordinate k
-    supported on position k).
-    """
-
-    coefficient: AlgebraElement
-    prefix: int
-    residual: float
-    floor: float
-    achieved: bool
-    residual_profile: tuple[float, ...]
-
-
-def single_generator_approx(setting: TruncatedCSetting, y: ModuleVector, eps: float) -> SingleGeneratorApprox:
-    """Approximate an image point from the single generator v.
-
-    The prefix-K coefficient is a_K = sum_{k<=K} delta_k * y_k(k) * k!,
-    which reproduces the diagonal part of the first K coordinates; K is
-    the first prefix whose residual drops below eps.  If even the full
-    prefix misses (y is not of F's range form), the floor residual is
-    reported with achieved False.
-    """
-    check_eps(eps)
-    if y.shape != setting.shape or y.dim != setting.dim:
-        raise ValueError("point does not live in the setting's module")
-
-    diagonal = [
-        complex(y.realize_block(k - 1)[k - 1, 0])
-        for k in range(1, setting.dim + 1)
-    ]
-
-    def coefficient(prefix):
-        a = AlgebraElement.zero(setting.shape)
-        for k in range(1, prefix + 1):
-            a = a + setting.delta(k) * (diagonal[k - 1] * math.factorial(k))
-        return a
-
-    profile = []
-    best = None
-    for prefix in range(setting.dim + 1):
-        a = coefficient(prefix)
-        residual = (y - setting.generator * a).norm()
-        profile.append(residual)
-        if best is None and residual < eps:
-            best = (prefix, a, residual)
-    floor = profile[-1]
-    if best is not None:
-        prefix, a, residual = best
-        return SingleGeneratorApprox(a, prefix, residual, floor, True, tuple(profile))
-    return SingleGeneratorApprox(
-        coefficient(setting.dim), setting.dim, floor, floor, False, tuple(profile)
-    )
+    return setting._witness_tails[0][n]
 
 
 def image_sample(

@@ -495,18 +495,6 @@ def _support_normalized(stacks, norm: float, drop_at: float = -math.inf) -> list
     return out
 
 
-def spectral_normalize(v: ModuleVector) -> ModuleVector:
-    """Scale v on the right so that <w,w> becomes a projection.
-
-    w = v (a^+)^(1/2) with a = <v,v>; then <w,w> is the support
-    projection of a and w<w,w> = w, which makes theta_{w,w} an orthogonal
-    projection onto the A-span of v.  A vector of norm above
-    GRAM_SCALE_LIMIT is normalized through an exact power-of-two scaling
-    (`_support_normalized`), so its gram does not overflow.
-    """
-    return v._with(_support_normalized(v.stacks, v.norm()))
-
-
 def orthogonal_span_family(vectors) -> SampleSet:
     """Gram-Schmidt over the module: an orthogonal family spanning the input.
 
@@ -571,7 +559,9 @@ def span_least_squares(
     points, and a point's residual is max_k ||X_k - G_k A_k||_2, the
     exact distance (see `submodule_distance`).  Returns the coefficient
     stacks, shape (count, P, s*n, n), the residuals, and the constant
-    B = max_k ||pinv(G_k)||_2 of `synthesis_pinv_norm`.
+    B = max_k ||pinv(G_k)||_2, the norm of the synthesis map's inverse
+    off its kernel: the minimal-norm solution of sum_i g_i a_i = y has
+    ||(a_1..a_s)|| <= B ||y||.
     """
     shape = generators.shape
     stacks = points.in_module(shape, generators.dim)
@@ -621,12 +611,3 @@ def submodule_distance(x: ModuleVector, generators) -> tuple[float, list[Algebra
     ]
     return residuals[0], elements
 
-
-def synthesis_pinv_norm(generators) -> float:
-    """Norm of the inverse of the synthesis map off its kernel.
-
-    This is the constant B of the bounded-coefficient argument for
-    finite-dimensional algebras: the minimal-norm solution of
-    sum_i g_i a_i = y satisfies ||(a_1..a_s)|| <= B ||y||.
-    """
-    return span_least_squares(SampleSet(()), generator_family(generators))[2]

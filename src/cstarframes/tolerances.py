@@ -4,19 +4,13 @@ The paper's verdicts are exact inequalities; in floating point each
 "is zero", "is positive" or "is within eps" becomes a cut at a small
 slack.  The policy: a cut on a quantity whose rounding error grows with
 the size of its input is relative, the constant times a named scale
-(such as max(||a||, 1) or the largest singular value); a cut on a
+(such as max(c2, 1) or the largest singular value); a cut on a
 quantity that is normalized by construction (a trace that must be 1, a
 norm that must be at most 1, a gram that must be the identity) is
 absolute.  The comment on each constant names the scale it multiplies,
 or says "absolute".  Callers cannot set a cut: each decision has one
 value, and every site reads it from here.
 """
-
-# Element self-adjoint, positive, invertible; times max(||a||, 1).
-ELEMENT_RTOL = 1e-10
-
-# Element closeness ||a - b||; times max(1, ||a||, ||b||).
-CLOSE_RTOL = 1e-12
 
 # State density Hermitian, positive semidefinite, total trace 1; absolute.
 STATE_ATOL = 1e-8

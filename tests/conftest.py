@@ -17,6 +17,7 @@ from cstarframes import (
     SampleSet,
     State,
 )
+from cstarframes.counterexample import _fold_tail_routes
 from cstarframes.modules import entry_blocks, from_entry_blocks
 
 
@@ -76,6 +77,20 @@ def random_state(shape, rng):
     return State(shape, tuple(d / total for d in densities))
 
 
+def block_state(shape, k):
+    """Normalized trace on block k and zero elsewhere: on 1x1 blocks, evaluation at coordinate k."""
+    densities = [np.zeros((n, n), complex) for n in shape.block_dims]
+    n = shape.block_dims[k]
+    densities[k] = np.eye(n, dtype=complex) / n
+    return State(shape, tuple(densities))
+
+
+def normalized_trace(shape):
+    """Trace of the block realization divided by its dimension."""
+    d = shape.realization_dim
+    return State(shape, tuple(np.eye(n, dtype=complex) / d for n in shape.block_dims))
+
+
 def prefix_supported_vector(shape, dim, prefix, rng, scale=1.0):
     """Random vector supported on the first `prefix` coordinates."""
     coords = [
@@ -118,6 +133,12 @@ def compose(a, b):
             acc = acc + left[:, :, l, None] @ right[:, None, l]
         out.append(from_entry_blocks(acc))
     return ModuleOperator._packed(a.shape, a.target_dim, b.source_dim, out)
+
+
+def tail_routes(frame, points):
+    """The frame tail profiles (P, size+1) and truncation tails (P, dim+1) of a set, from the fold that finds its pairs."""
+    xs = points.in_module(frame.shape, frame.dim)[0]
+    return _fold_tail_routes(frame, xs, xs.shape[1])
 
 
 @pytest.fixture

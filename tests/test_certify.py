@@ -497,7 +497,6 @@ EPS_ENTRY_POINTS = (
     "check_condition_a", "check_condition_b", "check_condition_cd", "tails_certificate",
     "certify_equivalences", "operator_precompact", "free_submodule_check",
     "series_decompose", "epsilon_net", "net_transfer", "coeff_growth",
-    "single_generator_approx",
 )
 
 
@@ -508,7 +507,6 @@ def _eps_entry_points():
         epsilon_net,
         net_transfer,
         parse,
-        single_generator_approx,
         tails_certificate,
     )
 
@@ -534,8 +532,6 @@ def _eps_entry_points():
         ("epsilon_net", lambda e: epsilon_net(sample, spec, e)),
         ("net_transfer", lambda e: net_transfer(sample, sample, spec, e)),
         ("coeff_growth", lambda e: coeff_growth(setting, e)),
-        ("single_generator_approx",
-         lambda e: single_generator_approx(setting, setting.witness(1), e)),
     ])
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,15 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import tail_routes
 from cstarframes import (
     AlgebraElement,
     ModuleVector,
-    SampleSet,
     TruncatedCSetting,
     build_setting,
     coeff_growth,
     image_sample,
-    single_generator_approx,
     tail_obstruction,
     theta_op,
 )
@@ -29,20 +29,29 @@ from cstarframes.algebra import chunks
 from cstarframes.certify import tails_certificate
 
 
+def delta(setting, k):
+    """Indicator of sequence position k, 1 <= k <= trunc: the unit of block k - 1."""
+    return AlgebraElement.block_unit(setting.shape, k - 1)
+
+
+def basis_vector(setting, k):
+    """Free-basis vector e_k of the setting's module, 1 <= k <= dim."""
+    return ModuleVector.basis(setting.shape, setting.dim, k - 1)
+
+
 def test_smallest_truncation():
     setting = build_setting(1, 1)
     assert (setting.operator(setting.generator) - setting.generator).norm() <= 1e-12
     # at (1,1), F acts as theta_{e1 delta1, e1} on the module part
-    theta = theta_op(setting.witness(1), setting.basis_vector(1))
-    x = setting.basis_vector(1) * setting.delta(1) * 2.0
+    theta = theta_op(setting.witnesses()[0], basis_vector(setting, 1))
+    x = basis_vector(setting, 1) * delta(setting, 1) * 2.0
     assert (setting.operator(x) - theta(x)).norm() <= 1e-12
 
 
 def test_f_fixes_witnesses():
     for trunc, dim in ((3, 2), (5, 5), (9, 7)):
         setting = build_setting(trunc, dim)
-        for k in range(1, dim + 1):
-            w = setting.witness(k)
+        for w in setting.witnesses():
             assert (setting.operator(w) - w).norm() <= 1e-13
 
 
@@ -63,12 +72,12 @@ def test_dim_defaults_to_trunc():
     assert setting.dim == 5
 
 
-def test_limit_coordinate_kills_indicators():
+def test_limit_coordinate_kills_witnesses():
     setting = build_setting(4, 4)
     ident = AlgebraElement.identity(setting.shape)
     assert ident.blocks[-1][0, 0] == 1.0
-    for k in range(1, 5):
-        assert setting.delta(k).blocks[-1][0, 0] == 0.0
+    for w in setting.witnesses():
+        assert not w.realize_block(setting.trunc).any()
 
 
 def test_coeff_growth_first_step():
@@ -137,19 +146,19 @@ def test_tail_obstruction_cross_checks_each_route(monkeypatch, route):
 
 
 @pytest.mark.parametrize("route", ["frame_residuals", "_truncation_residuals"])
-def test_tail_obstruction_checks_every_prefix_of_explicit_points(monkeypatch, route):
+def test_the_cross_check_covers_every_prefix_of_explicit_points(monkeypatch, route):
     setting = build_setting(4, 4)
-    points = image_sample(setting, count=3, seed=1).points
+    points = image_sample(setting, count=3, seed=1)
     monkeypatch.setattr(counterexample, route, _perturbed(route, -1))
     with pytest.raises(AssertionError, match="disagrees"):
-        tail_obstruction(setting, 0, points=points)
+        counterexample._checked_tails(*tail_routes(setting.frame, points))
 
 
 def test_the_cross_check_shares_the_frame_tails_arithmetic():
     """The pass's frame route is `Frame.tail_profiles`, bit for bit, on witnesses and ball images."""
     setting = build_setting(8, 6)
     for points in (setting._witness_set, image_sample(setting, count=5, seed=2)):
-        via_frame, _ = counterexample._tail_routes(setting.frame, points)
+        via_frame, _ = tail_routes(setting.frame, points)
         assert via_frame.tobytes() == setting.frame.tail_profiles(points).tobytes()
 
 
@@ -171,12 +180,6 @@ def test_each_diagonal_is_built_once_and_read_only():
     assert setting._generator_diagonals[3, 3] == 1.0 / 24
 
 
-def test_tail_obstruction_rejects_prefix_beyond_dim():
-    setting = build_setting(4, 4)
-    with pytest.raises(ValueError, match="out of range"):
-        tail_obstruction(setting, 5, points=setting.witnesses())
-
-
 def test_setting_frame_is_built_once():
     setting = build_setting(4, 3)
     assert setting.frame is setting.frame
@@ -194,9 +197,51 @@ def test_tail_over_bulk_strictly_smaller():
     setting = build_setting(6, 6)
     bulk = image_sample(setting, count=12, seed=3, include_witnesses=False)
     n = setting.dim - 1
-    bulk_value = tail_obstruction(setting, n, points=bulk.points)
+    bulk_value = counterexample._checked_tails(*tail_routes(setting.frame, bulk))[0][n]
     assert bulk_value < 0.999
     assert tail_obstruction(setting, n) == pytest.approx(1.0, abs=1e-12)
+
+
+@dataclass(frozen=True)
+class SingleGeneratorApprox:
+    """Outcome of approximating y by v * a with the proof's prefix rule.
+
+    coefficient realizes the best prefix; floor is the residual left at
+    the full prefix, zero exactly when y has the range form (coordinate k
+    supported on position k).
+    """
+
+    coefficient: AlgebraElement
+    prefix: int
+    residual: float
+    floor: float
+    achieved: bool
+    residual_profile: tuple[float, ...]
+
+
+def single_generator_approx(setting, y, eps):
+    """Approximate an image point y from the single generator v.
+
+    The prefix-K coefficient is a_K = sum_{k<=K} delta_k * y_k(k) * k!,
+    which reproduces the diagonal part of the first K coordinates; K is
+    the first prefix whose residual drops below eps.  If even the full
+    prefix misses (y is not of F's range form), the floor residual is
+    reported with achieved False.
+    """
+    diagonal = [complex(y.realize_block(k - 1)[k - 1, 0]) for k in range(1, setting.dim + 1)]
+
+    def coefficient(prefix):
+        a = AlgebraElement.zero(setting.shape)
+        for k in range(1, prefix + 1):
+            a = a + delta(setting, k) * (diagonal[k - 1] * math.factorial(k))
+        return a
+
+    profile = [(y - setting.generator * coefficient(prefix)).norm() for prefix in range(setting.dim + 1)]
+    prefix = next((p for p, residual in enumerate(profile) if residual < eps), None)
+    achieved = prefix is not None
+    if not achieved:
+        prefix = setting.dim
+    return SingleGeneratorApprox(coefficient(prefix), prefix, profile[prefix], profile[-1], achieved, tuple(profile))
 
 
 def test_single_generator_reproduces_generator():
@@ -208,16 +253,16 @@ def test_single_generator_reproduces_generator():
     # the proof's coefficient at full prefix: sum of all position indicators
     want = AlgebraElement.zero(setting.shape)
     for k in range(1, 9):
-        want = want + setting.delta(k)
+        want = want + delta(setting, k)
     assert (res.coefficient - want).norm() <= 1e-9
 
 
 def test_single_generator_witness_coefficient():
     setting = build_setting(6, 6)
-    res = single_generator_approx(setting, setting.witness(4), eps=1e-9)
+    res = single_generator_approx(setting, setting.witnesses()[3], eps=1e-9)
     assert res.achieved
     assert res.residual <= 1e-12
-    want = setting.delta(4) * float(math.factorial(4))
+    want = delta(setting, 4) * float(math.factorial(4))
     assert (res.coefficient - want).norm() <= 1e-9
 
 
@@ -236,7 +281,7 @@ def test_single_generator_on_random_images():
 
 def test_single_generator_floor_off_range():
     setting = build_setting(4, 4)
-    off = setting.basis_vector(1) * setting.delta(2)
+    off = basis_vector(setting, 1) * delta(setting, 2)
     res = single_generator_approx(setting, off, eps=1e-6)
     assert not res.achieved
     assert res.floor == pytest.approx(1.0, abs=1e-12)
@@ -467,7 +512,7 @@ def test_the_witness_tails_from_their_pairs_are_the_dense_routes(trunc, dim):
     setting = build_setting(trunc, dim)
     sups, profiles = setting._witness_tails
     assert "_witness_set" not in setting.__dict__
-    via_frame, direct = counterexample._tail_routes(setting.frame, setting._witness_set)
+    via_frame, direct = tail_routes(setting.frame, setting._witness_set)
     assert profiles.tobytes() == via_frame.tobytes()
     assert profiles.tobytes() == setting.frame.tail_profiles(setting._witness_set).tobytes()
     assert np.array(sups).tobytes() == direct.max(axis=0, initial=0.0).tobytes()

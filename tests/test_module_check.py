@@ -15,13 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_vector
+from conftest import block_state, random_vector
 from cstarframes import (
     AlgebraShape,
     CertifyConfig,
     ModuleVector,
     SampleSet,
-    State,
     certify_equivalences,
     check_condition_a,
     check_condition_b,
@@ -45,7 +44,7 @@ G = (ModuleVector.basis(B, 2, 0),)
 
 def _spec(shape):
     system = AdmissibleSystem((ModuleVector.basis(shape, 2, 0),))
-    return SeminormSpec(system, (State.block_state(shape, 1),))
+    return SeminormSpec(system, (block_state(shape, 1),))
 
 
 FOREIGN_CALLS = {

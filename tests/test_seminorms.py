@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    block_state,
     compose,
+    normalized_trace,
     prefix_supported_vector,
     random_shape,
     random_state,
@@ -26,7 +28,6 @@ from cstarframes import (
     ModuleVector,
     SampleSet,
     SeminormSpec,
-    State,
     TailDecaySignal,
     admissible_check,
     adversarial_witness,
@@ -56,7 +57,7 @@ def basis_system(shape, dim, scale=1.0):
 def simple_spec(shape, dim, scale=1.0):
     system = AdmissibleSystem(basis_system(shape, dim, scale))
     states = tuple(
-        State.block_state(shape, k % shape.num_blocks) for k in range(dim)
+        block_state(shape, k % shape.num_blocks) for k in range(dim)
     )
     return SeminormSpec(system, states)
 
@@ -84,7 +85,7 @@ def test_shrunk_basis_admissible(rng):
 
 def test_admissible_check_refuses_a_gram_that_overflows():
     """1e200 on block 0 overflows that block's gram: slack -inf, not the other block's."""
-    big = ModuleVector(C2, (AlgebraElement.from_scalars(C2, [1e200, 0.5]),))
+    big = ModuleVector(C2, (AlgebraElement(C2, ([[1e200]], [[0.5]])),))
     report = admissible_check((big,))
     assert not report.ok
     assert report.gram_slack == -math.inf
@@ -102,7 +103,7 @@ def test_spec_requires_matching_lengths(rng):
     shape = random_shape(rng)
     system = AdmissibleSystem(basis_system(shape, 2))
     with pytest.raises(ValueError):
-        SeminormSpec(system, (State.normalized_trace(shape),))
+        SeminormSpec(system, (normalized_trace(shape),))
 
 
 def test_spec_requires_states_over_the_system_algebra():
@@ -110,7 +111,7 @@ def test_spec_requires_states_over_the_system_algebra():
     shape = AlgebraShape((1, 2))
     system = AdmissibleSystem((ModuleVector.basis(shape, 2, 0) * 0.5,))
     with pytest.raises(ValueError, match="state and element shapes differ"):
-        SeminormSpec(system, (State.normalized_trace(AlgebraShape((2, 1))),))
+        SeminormSpec(system, (normalized_trace(AlgebraShape((2, 1))),))
 
 
 def test_seminorm_of_zero(rng):
@@ -121,7 +122,7 @@ def test_seminorm_of_zero(rng):
 
 def test_seminorm_point_state_one():
     system = AdmissibleSystem((ModuleVector.basis(C2, 1, 0),))
-    spec = SeminormSpec(system, (State.block_state(C2, 0),))
+    spec = SeminormSpec(system, (block_state(C2, 0),))
     assert seminorm_eval(spec, ModuleVector.basis(C2, 1, 0)) == pytest.approx(
         1.0, abs=1e-14
     )
@@ -202,7 +203,7 @@ def test_net_deterministic(rng):
 def test_net_saturates_under_rank_one_spec(rng):
     """Coarse spec collapses a grid to a line: net size saturates."""
     system = AdmissibleSystem((ModuleVector.basis(C2, 2, 0) * 0.9,))
-    spec = SeminormSpec(system, (State.block_state(C2, 0),))
+    spec = SeminormSpec(system, (block_state(C2, 0),))
     e1 = ModuleVector.basis(C2, 2, 0)
     e2 = ModuleVector.basis(C2, 2, 1)
     sizes = []

@@ -2,18 +2,22 @@
 
 A literal in scientific notation anywhere else in the package is a cut
 that escaped the policy, and a public parameter or field named `tol` is
-a per-call knob on one.
+a per-call knob on one.  Every constant there is a cut some module
+makes, and README's Tolerances table has one row for each.
 """
 
+import ast
 import dataclasses
 import inspect
 import io
+import re
 import tokenize
 from pathlib import Path
 
 import cstarframes
 
 PACKAGE = Path(cstarframes.__file__).parent
+README = PACKAGE.parent.parent / "README.md"
 
 
 def _scientific_literals(source: bytes) -> list[tuple[int, str]]:
@@ -66,3 +70,28 @@ def test_no_public_name_takes_a_tol():
             if "tol" in inspect.signature(fn).parameters:
                 knobs.append(f"{name}: {fn.__qualname__}")
     assert knobs == []
+
+
+def _constants() -> set[str]:
+    """The names tolerances.py assigns."""
+    tree = ast.parse((PACKAGE / "tolerances.py").read_text())
+    return {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+
+
+def test_every_constant_is_read_by_another_module():
+    read = {
+        node.id
+        for path in PACKAGE.glob("*.py")
+        if path.name != "tolerances.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert _constants() - read == set()
+
+
+def test_the_readme_table_names_exactly_the_constants():
+    section = README.read_text().split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| ")]
+    named = {name for row in rows[1:] for name in re.findall(r"`([A-Z][A-Z0-9_]*)`", row[2])}
+    assert rows[0][2].strip() == "constant"
+    assert named == _constants()

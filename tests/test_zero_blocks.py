@@ -28,6 +28,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import cstarframes
+from conftest import tail_routes
 from cstarframes import (
     AlgebraElement,
     AlgebraShape,
@@ -46,7 +47,6 @@ from cstarframes import (
 from cstarframes.algebra import blockwise_max, chunks, ordered_sum, ordered_sums, spectral_norms, tiles
 from cstarframes.certify import _coefficient_data, _replay_data
 from cstarframes.cli import main
-from cstarframes.counterexample import _tail_routes
 from cstarframes.frames import prefix_tails, standard_basis_frame
 from cstarframes.modules import (
     coordinate_blocks,
@@ -336,7 +336,7 @@ def test_one_pass_gives_both_tail_routes_of_the_dense_oracles(case, basis):
         frame = standard_basis_frame(frame.shape, dim)
     points = _plant_minus_zeros(points, np.random.default_rng(seed))
     with bounds(tiny_chunks, every_skip):
-        via_frame, direct = _tail_routes(frame, points)
+        via_frame, direct = tail_routes(frame, points)
     assert via_frame.tobytes() == oracle_prefix_tails(frame, points, frame.size).tobytes()
     assert direct.tobytes() == oracle_truncation_tails(points.realizations[0]).tobytes()
 
@@ -350,7 +350,7 @@ def test_one_pass_on_the_witnesses(trunc):
     """
     setting = build_setting(trunc)
     witnesses = setting._witness_set
-    via_frame, direct = _tail_routes(setting.frame, witnesses)
+    via_frame, direct = tail_routes(setting.frame, witnesses)
     k = np.arange(1, trunc + 1)[:, None]
     exact = np.where(np.arange(trunc + 1) < k, 1.0, 0.0)
     assert via_frame.tobytes() == direct.tobytes() == exact.tobytes()
@@ -551,7 +551,7 @@ def test_every_route_skips_on_the_witnesses():
     frame = setting.frame
     got = prefix_tails(witnesses, frame._family.head(7), frame._dual.head(7))
     assert got.tobytes() == oracle_prefix_tails(frame, witnesses, 7).tobytes()
-    via_frame, direct = _tail_routes(frame, witnesses)
+    via_frame, direct = tail_routes(frame, witnesses)
     assert via_frame.tobytes() == got.tobytes()
     assert direct.tobytes() == oracle_truncation_tails(stack).tobytes()
     stack = frame._family.realizations[0]

@@ -5,6 +5,8 @@ Run from the root of a checkout:
     python3 tools/reach.py              # the counts
     python3 tools/reach.py --unreached  # and every unreached function, largest first
     python3 tools/reach.py --list       # only the command list, one argv per line
+    python3 tools/reach.py --public     # and every public name no command calls
+    python3 tools/reach.py --size       # only the size of src/cstarframes
 
 The command list (`commands`) is the 300 jobs of the four benchmark
 workloads at seeds 1-3, from perfbench/gen.py imported as it is, and
@@ -17,6 +19,18 @@ a temporary directory.  Every command runs through
 called.  A line of a function body counts once, for the innermost
 function (or lambda) that holds it, and is reached when that function
 was called at least once.
+
+`--public` then lists the public API that neither serves a CLI route
+nor is the subject of a paper criterion: every name of
+`cstarframes.__all__` that no command calls and tests/test_acceptance.py
+never names (as a `Name` or an `Attribute` anywhere in its ast), and
+under the same two conditions every public method or property defined
+on an exported class.  A class counts as called when any function
+defined in its body was; a class whose body defines none, an exception
+or a plain record, runs no package code when it is built, so the
+profile cannot see it and it is not listed.  `--size` prints the size of the package: its
+file lines, its functions (`def` and `lambda`) and their parameters
+(every positional, keyword-only, `*args` and `**kwargs` slot).
 """
 
 from __future__ import annotations
@@ -24,6 +38,8 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import functools
+import inspect
 import io
 import json
 import sys
@@ -34,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "cstarframes"
 FIXTURES = ROOT / "tests" / "fixtures"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 FRAMES = ("frame_random.json", "frame_range.json", "parseval.json")
 SAMPLES = ("sample_planted.json", "sample_witnesses_5_5.json", "sample_witnesses_6.json")
@@ -191,6 +208,65 @@ def function_lines(package: Path = PACKAGE) -> dict[tuple[str, int], tuple[str, 
     return out
 
 
+def size(package: Path = PACKAGE) -> tuple[int, int, int]:
+    """(file lines, functions, parameters) of the package's modules."""
+    lines = functions = params = 0
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        lines += len(source.splitlines())
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                functions += 1
+                params += len(a.posonlyargs) + len(a.args) + len(a.kwonlyargs)
+                params += (a.vararg is not None) + (a.kwarg is not None)
+    return lines, functions, params
+
+
+def _function(member):
+    """The package function behind a class attribute (method, property or cached property), else None."""
+    if isinstance(member, (staticmethod, classmethod)):
+        member = member.__func__
+    elif isinstance(member, property):
+        member = member.fget
+    elif isinstance(member, functools.cached_property):
+        member = member.func
+    # A dataclass's generated methods are compiled from a string, not read from the package.
+    if inspect.isfunction(member) and member.__code__.co_filename.startswith(str(PACKAGE)):
+        return member
+    return None
+
+
+def unused_public(called: set[tuple[str, int]]) -> list[str]:
+    """The public names and public class members that no command called and the criteria never name."""
+    import cstarframes
+
+    tree = ast.parse(ACCEPTANCE.read_text())
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+    def reached(fn) -> bool:
+        return (fn.__code__.co_filename, fn.__code__.co_firstlineno) in called
+
+    out = []
+    for name in cstarframes.__all__:
+        obj = getattr(cstarframes, name)
+        if not inspect.isclass(obj):
+            if name not in named and not reached(obj):
+                out.append(name)
+            continue
+        members = {attr: _function(m) for attr, m in vars(obj).items()}
+        members = {attr: fn for attr, fn in members.items() if fn is not None}
+        if members and name not in named and not any(reached(fn) for fn in members.values()):
+            out.append(name)
+        out += [
+            f"{name}.{attr}"
+            for attr, fn in members.items()
+            if not attr.startswith("_") and attr not in named and not reached(fn)
+        ]
+    return out
+
+
 def run(cmds: list[list[str]]) -> set[tuple[str, int]]:
     """Run each argv through `cstarframes.cli.main` in this process; the package code objects called."""
     called = set()
@@ -225,7 +301,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--list", action="store_true", help="print the command list and stop")
     ap.add_argument("--unreached", action="store_true", help="list every unreached function")
+    ap.add_argument("--public", action="store_true", help="list every public name no command calls")
+    ap.add_argument("--size", action="store_true", help="print the size of the package and stop")
     args = ap.parse_args(argv)
+    if args.size:
+        lines, functions, params = size()
+        print(f"src/cstarframes: {lines} lines, {functions} functions, {params} parameters")
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         cmds = commands(work)
@@ -246,6 +328,11 @@ def main(argv=None) -> int:
     if args.unreached:
         for n, name in unreached:
             print(f"{n:5d}  {name}")
+    if args.public:
+        unused = unused_public(called)
+        print(f"public names neither called nor named by {ACCEPTANCE.relative_to(ROOT)}: {len(unused)}")
+        for name in unused:
+            print(f"  {name}")
     return 0
 
 
