@@ -1,4 +1,4 @@
-"""Block algebra arithmetic, norms, and states.
+"""Block algebra arithmetic, norms, order, and states.
 
 Oracles: dense block-diagonal realizations multiply/measure with plain
 numpy, independently of the blockwise code paths under test.
@@ -92,6 +92,84 @@ def test_cstar_identity(seed):
     assert lhs == pytest.approx(a.norm() ** 2, rel=1e-10, abs=1e-12)
 
 
+def test_shape_needs_at_least_one_block():
+    with pytest.raises(ValueError, match="at least one block"):
+        AlgebraShape(())
+
+
+@pytest.mark.parametrize("dims", [(0,), (2, -1), (1, 0, 3)])
+def test_shape_rejects_non_positive_block_dims(dims):
+    with pytest.raises(ValueError, match="block dimensions must be positive"):
+        AlgebraShape(dims)
+
+
+def test_blocks_are_checked_against_the_shape():
+    with pytest.raises(ValueError, match="expected 2 blocks, got 3"):
+        AlgebraElement(C2, ([[1.0]], [[2.0]], [[3.0]]))
+    with pytest.raises(ValueError, match=r"block 1 has shape \(2, 2\), expected \(1, 1\)"):
+        AlgebraElement(C2, ([[1.0]], np.eye(2)))
+
+
+def test_arithmetic_rejects_elements_of_another_shape(rng):
+    a = random_element(C2, rng)
+    b = random_element(AlgebraShape((2, 1)), rng)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(a, b)
+
+
+def test_block_unit_rejects_an_index_outside_the_shape():
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=f"block index {k} out of range"):
+            AlgebraElement.block_unit(C3, k)
+
+
+def test_block_units_are_central_projections_summing_to_one(rng):
+    shape = AlgebraShape((2, 1, 2))
+    a = random_element(shape, rng)
+    units = [AlgebraElement.block_unit(shape, k) for k in range(shape.num_blocks)]
+    total = AlgebraElement.zero(shape)
+    for u in units:
+        assert (u * u - u).norm() == 0.0
+        assert (u.adjoint() - u).norm() == 0.0
+        assert (u * a - a * u).norm() == 0.0
+        total = total + u
+    assert (total - AlgebraElement.identity(shape)).norm() == 0.0
+
+
+# -- the order: least eigenvalue of the Hermitian part -------------------------
+
+
+def test_squares_are_positive(rng):
+    shape = random_shape(rng)
+    a = random_element(shape, rng)
+    square = a.adjoint() * a
+    assert square.min_eigenvalue() >= -1e-12 * max(1.0, square.norm())
+    assert square.min_eigenvalue() == pytest.approx(
+        np.linalg.eigvalsh(dense(square)).min(), abs=1e-12
+    )
+
+
+def test_indefinite_diag_not_positive():
+    a = AlgebraElement(M2, (np.diag([1.0, -1.0]).astype(complex),))
+    assert a.min_eigenvalue() == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_min_eigenvalue_reads_the_hermitian_part(rng):
+    shape = AlgebraShape((2, 1, 2))
+    a = random_element(shape, rng)
+    want = np.linalg.eigvalsh((dense(a) + dense(a).conj().T) / 2.0).min()
+    assert a.min_eigenvalue() == pytest.approx(want, abs=1e-12)
+    skew = AlgebraElement.identity(shape) * 1j
+    assert skew.min_eigenvalue() == 0.0
+
+
+def test_min_eigenvalue_is_the_least_over_all_blocks():
+    shape = AlgebraShape((1, 2, 1))
+    a = AlgebraElement(shape, ([[3.0]], np.diag([4.0, 5.0]), [[-2.0]]))
+    assert a.min_eigenvalue() == pytest.approx(-2.0, abs=1e-15)
+
+
 def test_state_unital(rng):
     shape = random_shape(rng)
     phi = random_state(shape, rng)
@@ -109,6 +187,29 @@ def test_point_evaluation_on_indicator():
         phi = block_state(C3, j)
         delta = AlgebraElement.block_unit(C3, j)
         assert phi(delta) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_vector_state_is_w_star_b_k_w(rng):
+    shape = AlgebraShape((2, 1, 2))
+    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    phi = State.vector_state(shape, 2, 3.0 * w)
+    b = random_element(shape, rng)
+    want = np.vdot(w, b.blocks[2] @ w) / np.vdot(w, w).real
+    assert phi(b) == pytest.approx(want, abs=1e-12)
+    assert phi(AlgebraElement.identity(shape)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_vector_state_rejects_a_wrong_length_or_a_zero_vector():
+    with pytest.raises(ValueError, match="vector length must match"):
+        State.vector_state(M2, 0, np.ones(3))
+    with pytest.raises(ValueError, match="zero vector"):
+        State.vector_state(M2, 0, np.zeros(2))
+
+
+def test_state_rejects_an_element_of_another_shape(rng):
+    phi = random_state(C2, rng)
+    with pytest.raises(ValueError, match="state and element shapes differ"):
+        phi(AlgebraElement.identity(M2))
 
 
 def test_state_rejects_bad_trace():

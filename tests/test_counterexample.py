@@ -125,6 +125,13 @@ def test_tail_obstruction_needs_witness():
         tail_obstruction(setting, 4)
 
 
+def test_tail_obstruction_rejects_prefix_beyond_dim():
+    setting = build_setting(4, 4)
+    for n in (5, -1):
+        with pytest.raises(ValueError, match=f"prefix {n} has no witness at module dimension 4"):
+            tail_obstruction(setting, n)
+
+
 def _perturbed(name, where=...):
     """The residual builder `name` of the cross-check, with 1e-9 added at prefixes `where`."""
     exact = getattr(counterexample, name)
@@ -191,6 +198,18 @@ def test_truncation_ceiling_rejected_before_building():
     build_setting(170, 1)
     with pytest.raises(ValueError, match="exceeds 170"):
         build_setting(171, 1)
+
+
+def test_truncation_level_below_one_rejected():
+    for trunc in (0, -3):
+        with pytest.raises(ValueError, match="truncation level must be at least 1"):
+            build_setting(trunc)
+
+
+@pytest.mark.parametrize("trunc, dim", [(4, 0), (4, 5), (1, 2)])
+def test_module_dimension_outside_one_to_trunc_rejected(trunc, dim):
+    with pytest.raises(ValueError, match=f"module dimension {dim} must satisfy 1 <= dim <= trunc={trunc}"):
+        build_setting(trunc, dim)
 
 
 def test_tail_over_bulk_strictly_smaller():
