@@ -12,8 +12,10 @@ The command list (`commands`) is the 300 jobs of the four benchmark
 workloads at seeds 1-3, from perfbench/gen.py imported as it is, and
 the fixture commands of `fixture_commands`: every subcommand on the
 files of tests/fixtures, on empty sample documents of three shapes and
-on scaled copies of the planted sample.  Their inputs and outputs go to
-a temporary directory.  Every command runs through
+on scaled copies of the planted sample, then the malformed inputs of
+`_malformed`, each of which the CLI refuses with exit code 1 and the
+JSON path at fault.  Their inputs and outputs go to a temporary
+directory.  Every command runs through
 `cstarframes.cli.main` in this one process, its output discarded, under
 `sys.setprofile`, which records each function of the package that is
 called.  A line of a function body counts once, for the innermost
@@ -80,11 +82,35 @@ def _scaled_sample(source: Path, factor: float, target: Path) -> str:
     return str(target)
 
 
-def fixture_commands(work: Path) -> list[list[str]]:
-    """Every subcommand on the fixtures, the empty samples and the scaled samples.
+def _malformed(work: Path) -> dict[str, str]:
+    """Per kind the CLI reads, the path of a fixture copy with one fault, written into `work`.
 
-    Writes the empty and scaled sample documents into `work`; outputs
-    named with --out go there too.
+    Also a file that is not JSON, under "not_json".
+    """
+    names = {"frame": "frame_random.json", "sample_set": "sample_planted.json",
+             "seminorm_spec": "seminorm_spec.json", "vector": "vector.json", "operator": "operator.json"}
+    docs = {kind: json.loads((FIXTURES / name).read_bytes()) for kind, name in names.items()}
+    docs["frame"]["vectors"][2][1][1][0][1] = True  # a cell that is `true`
+    docs["sample_set"]["points"][3][0][0][0] = []  # a short row
+    docs["seminorm_spec"]["states"][1][2][0][0] = [1.0, 0.5]  # a non-Hermitian density
+    docs["vector"]["coords"][1][1][0][1] = [1.0, 0.0, 0.0]  # a 3-entry scalar
+    docs["operator"]["entries"][1].pop()  # a ragged row
+    paths = {}
+    for kind, doc in docs.items():
+        path = work / f"malformed_{kind}.json"
+        path.write_text(json.dumps(doc))
+        paths[kind] = str(path)
+    path = work / "malformed_not_json.json"
+    path.write_text("{nope")
+    paths["not_json"] = str(path)
+    return paths
+
+
+def fixture_commands(work: Path) -> list[list[str]]:
+    """Every subcommand on the fixtures, the empty samples and the scaled samples, then the malformed inputs.
+
+    Writes the empty, scaled and malformed documents into `work`;
+    outputs named with --out go there too.
     """
     fx = {name: str(FIXTURES / name) for name in FRAMES + SAMPLES}
     spec, operator = str(FIXTURES / "seminorm_spec.json"), str(FIXTURES / "operator.json")
@@ -151,6 +177,15 @@ def fixture_commands(work: Path) -> list[list[str]]:
              ["precompact", "--condition", "cd", "--sample", fx[SAMPLES[0]], "--eps", "nan"],
              ["net", fx[SAMPLES[0]], spec], ["series"], ["frame-bounds", str(work / "missing.json")],
              ["counterexample", "--trunc", "171", "--eps", "0.25"], ["bogus"]]
+
+    bad = _malformed(work)
+    cmds += [["frame-bounds", bad["frame"]],
+             ["precompact", "--condition", "cd", "--sample", bad["sample_set"], "--eps", "0.5"],
+             ["net", fx[SAMPLES[0]], bad["seminorm_spec"], "--eps", "0.5"],
+             ["reconstruct", fx["frame_random.json"], bad["vector"]],
+             ["series", bad["operator"]],
+             ["precompact", "--condition", "cd", "--sample", fx["frame_random.json"], "--eps", "0.5"],
+             ["frame-bounds", bad["not_json"]]]
     return cmds
 
 
