@@ -130,8 +130,15 @@ class TruncatedCSetting:
         return self._witness_tails[1]
 
 
-def check_truncation(trunc: int) -> None:
-    """Reject a truncation level outside 1..MAX_TRUNC with a ValueError."""
+def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
+    """Construct the truncated counterexample; dim defaults to trunc.
+
+    A truncation level outside 1..MAX_TRUNC, or a dim outside 1..trunc,
+    is a ValueError.  Verifies the two structural identities exactly on
+    the diagonals before returning: F fixes the generator v entry for
+    entry, and every diagonal entry of F has modulus at most 1, so
+    ||F|| <= 1.
+    """
     if trunc < 1:
         raise ValueError("truncation level must be at least 1")
     if trunc > MAX_TRUNC:
@@ -139,16 +146,6 @@ def check_truncation(trunc: int) -> None:
             f"truncation level {trunc} exceeds {MAX_TRUNC}: the generator "
             f"coefficient 1/{trunc}! is outside float64 range"
         )
-
-
-def build_setting(trunc: int, dim: int | None = None) -> TruncatedCSetting:
-    """Construct the truncated counterexample; dim defaults to trunc.
-
-    Verifies the two structural identities exactly on the diagonals
-    before returning: F fixes the generator v entry for entry, and every
-    diagonal entry of F has modulus at most 1, so ||F|| <= 1.
-    """
-    check_truncation(trunc)
     if dim is None:
         dim = trunc
     if not 1 <= dim <= trunc:

@@ -1,9 +1,11 @@
-"""Strict JSON schemas for every value the CLI reads or writes.
+"""Strict JSON schemas for the documents the CLI reads or writes.
 
-Documents are objects with "version": 1 and a "kind" tag; unknown fields
-are rejected so schema drift fails loudly.  Complex scalars are [re, im]
-pairs of finite floats, matrices are row lists, and nested payloads
-(shapes, elements, vectors) are bare arrays without the version stutter.
+The CLI reads five kinds: frame, sample_set, seminorm_spec, vector and
+operator.  Documents are objects with "version": 1 and a "kind" tag;
+unknown fields are rejected so schema drift fails loudly.  Complex
+scalars are [re, im] pairs of finite floats, matrices are row lists, and
+nested payloads (shapes, elements, vectors) are bare arrays without the
+version stutter.
 Serialization uses sorted keys, no whitespace, and shortest round-trip
 decimals, so equal values produce identical bytes.  Parsing enforces the
 domain invariants too: a non-PSD density or a degenerate frame is a
@@ -20,7 +22,6 @@ from itertools import chain
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, State, StateError
-from .counterexample import TruncatedCSetting, build_setting, check_truncation
 from .frames import DegenerateFrameError, Frame
 from .modules import (
     ModuleOperator,
@@ -209,10 +210,6 @@ def parse_shape_payload(val, path: str) -> AlgebraShape:
     return AlgebraShape(tuple(out))
 
 
-def element_payload(a: AlgebraElement) -> list:
-    return _element_payloads(a.shape, a.stacks)
-
-
 def _walk_element(val, shape: AlgebraShape, path: str) -> AlgebraElement:
     blocks = _expect_list(val, path)
     if len(blocks) != shape.num_blocks:
@@ -222,13 +219,6 @@ def _walk_element(val, shape: AlgebraShape, path: str) -> AlgebraElement:
         for k, (b, n) in enumerate(zip(blocks, shape.block_dims))
     )
     return AlgebraElement(shape, mats)
-
-
-def parse_element_payload(val, shape: AlgebraShape, path: str) -> AlgebraElement:
-    decoded = _decode_blocks([val], shape)
-    if decoded is None:
-        return _walk_element(val, shape, path)
-    return AlgebraElement._packed(shape, tuple(s[:, 0] for s in decoded))
 
 
 def _vector_payloads(shape: AlgebraShape, dim: int, stacks) -> list:
@@ -364,22 +354,6 @@ def parse_state_payload(val, shape: AlgebraShape, path: str) -> State:
 
 def document(value) -> dict:
     """JSON document for a library value; inverse of parse for its kind."""
-    if isinstance(value, AlgebraShape):
-        return {"version": 1, "kind": "shape", "blocks": shape_payload(value)}
-    if isinstance(value, AlgebraElement):
-        return {
-            "version": 1,
-            "kind": "element",
-            "shape": shape_payload(value.shape),
-            "blocks": element_payload(value),
-        }
-    if isinstance(value, State):
-        return {
-            "version": 1,
-            "kind": "state",
-            "shape": shape_payload(value.shape),
-            "densities": state_payload(value),
-        }
     if isinstance(value, ModuleVector):
         return {
             "version": 1,
@@ -420,13 +394,6 @@ def document(value) -> dict:
             "system": _family_payloads(system),
             "states": [state_payload(phi) for phi in value.states],
         }
-    if isinstance(value, TruncatedCSetting):
-        return {
-            "version": 1,
-            "kind": "setting",
-            "trunc": value.trunc,
-            "dim": value.dim,
-        }
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     raise TypeError(f"no schema for {type(value).__name__}")
@@ -466,23 +433,6 @@ def serialize_dual(frame: Frame) -> bytes:
     that check rejects valid duals of frames with large bounds.
     """
     return serialize(_frame_document(frame, frame._dual))
-
-
-def _parse_shape_doc(doc: dict) -> AlgebraShape:
-    _reject_unknown(doc, {"version", "kind", "blocks"}, "$")
-    return parse_shape_payload(_get(doc, "blocks", "$"), "$.blocks")
-
-
-def _parse_element_doc(doc: dict) -> AlgebraElement:
-    _reject_unknown(doc, {"version", "kind", "shape", "blocks"}, "$")
-    shape = parse_shape_payload(_get(doc, "shape", "$"), "$.shape")
-    return parse_element_payload(_get(doc, "blocks", "$"), shape, "$.blocks")
-
-
-def _parse_state_doc(doc: dict) -> State:
-    _reject_unknown(doc, {"version", "kind", "shape", "densities"}, "$")
-    shape = parse_shape_payload(_get(doc, "shape", "$"), "$.shape")
-    return parse_state_payload(_get(doc, "densities", "$"), shape, "$.densities")
 
 
 def _parse_vector_doc(doc: dict) -> ModuleVector:
@@ -577,30 +527,12 @@ def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
     return _parse_spec_states(system, raw_states, shape, "$.states")
 
 
-def _parse_setting_doc(doc: dict) -> TruncatedCSetting:
-    _reject_unknown(doc, {"version", "kind", "trunc", "dim"}, "$")
-    trunc = _expect_int(_get(doc, "trunc", "$"), "$.trunc")
-    dim = _expect_int(_get(doc, "dim", "$"), "$.dim")
-    try:
-        check_truncation(trunc)
-    except ValueError as e:
-        raise SchemaError("$.trunc", str(e)) from e
-    try:
-        return build_setting(trunc, dim)
-    except ValueError as e:
-        raise SchemaError("$.dim", str(e)) from e
-
-
 _PARSERS = {
-    "shape": _parse_shape_doc,
-    "element": _parse_element_doc,
-    "state": _parse_state_doc,
     "vector": _parse_vector_doc,
     "operator": _parse_operator_doc,
     "frame": _parse_frame_doc,
     "sample_set": _parse_sample_set_doc,
     "seminorm_spec": _parse_seminorm_spec_doc,
-    "setting": _parse_setting_doc,
 }
 
 

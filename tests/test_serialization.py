@@ -1,5 +1,6 @@
 """Schema round trips, strictness, and the shipped fixture corpus."""
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -14,7 +15,6 @@ from cstarframes import (
     AdmissibleSystem,
     AlgebraElement,
     AlgebraShape,
-    Frame,
     ModuleVector,
     SampleSet,
     SchemaError,
@@ -24,27 +24,16 @@ from cstarframes import (
     parse,
     serialize,
     standard_basis_frame,
-    tail_obstruction,
 )
 from cstarframes import serialization
 from cstarframes.serialization import document
 
 FIXTURES = Path(__file__).parent / "fixtures"
+CLI = Path(serialization.__file__).with_name("cli.py")
 
+# Every fixture document with the kind it names.
 FIXTURE_KINDS = {
-    "shape.json": "shape",
-    "element.json": "element",
-    "state.json": "state",
-    "vector.json": "vector",
-    "vector_c3.json": "vector",
-    "operator.json": "operator",
-    "parseval.json": "frame",
-    "frame_random.json": "frame",
-    "frame_range.json": "frame",
-    "sample_planted.json": "sample_set",
-    "sample_witnesses_5_5.json": "sample_set",
-    "seminorm_spec.json": "seminorm_spec",
-    "setting_8_8.json": "setting",
+    path.name: json.loads(path.read_bytes())["kind"] for path in sorted(FIXTURES.glob("*.json"))
 }
 
 
@@ -55,45 +44,51 @@ def test_fixture_round_trip_bytes(name, kind):
     assert serialize(value) == raw
 
 
+def test_parse_reads_exactly_the_kinds_the_cli_loads(rng):
+    calls = [
+        node
+        for node in ast.walk(ast.parse(CLI.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load"
+    ]
+    assert calls and all(isinstance(call.args[0], ast.Constant) for call in calls)
+    assert {call.args[0].value for call in calls} == set(serialization._PARSERS)
+    shape = AlgebraShape((1, 2))
+    for value in (shape, AlgebraElement.zero(shape), random_state(shape, rng), build_setting(3)):
+        with pytest.raises(TypeError, match=f"no schema for {type(value).__name__}"):
+            serialize(value)
+
+
 def test_round_trip_random_values(rng):
     shape = random_shape(rng)
-    values = [
-        shape,
-        random_vector(shape, 3, rng),
-        random_state(shape, rng),
-        SampleSet(tuple(random_vector(shape, 2, rng) for _ in range(3)), label="x"),
-    ]
-    kinds = ["shape", "vector", "state", "sample_set"]
-    for kind, value in zip(kinds, values):
+    system = AdmissibleSystem(tuple(ModuleVector.basis(shape, 2, j) * 0.5 for j in range(2)))
+    values = {
+        "vector": random_vector(shape, 3, rng),
+        "sample_set": SampleSet(tuple(random_vector(shape, 2, rng) for _ in range(3)), label="x"),
+        "seminorm_spec": SeminormSpec(system, tuple(random_state(shape, rng) for _ in range(2))),
+    }
+    for kind, value in values.items():
         data = serialize(value)
         assert serialize(parse(kind, data)) == data
 
 
-def test_setting_fixture_reproduces_obstruction():
-    setting = parse("setting", (FIXTURES / "setting_8_8.json").read_bytes())
-    assert setting.trunc == 8 and setting.dim == 8
-    for n in range(8):
-        assert tail_obstruction(setting, n) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_wrong_version_rejected():
-    doc = document(AlgebraShape((1,)))
+    doc = json.loads((FIXTURES / "vector.json").read_bytes())
     doc["version"] = 2
     with pytest.raises(SchemaError, match=r"\$\.version"):
-        parse("shape", json.dumps(doc))
+        parse("vector", json.dumps(doc))
 
 
 def test_wrong_kind_rejected():
-    data = serialize(AlgebraShape((1,)))
+    data = (FIXTURES / "vector.json").read_bytes()
     with pytest.raises(SchemaError, match=r"\$\.kind"):
-        parse("vector", data)
+        parse("sample_set", data)
 
 
 def test_unknown_field_rejected():
-    doc = document(AlgebraShape((1, 2)))
+    doc = json.loads((FIXTURES / "vector.json").read_bytes())
     doc["extra"] = True
     with pytest.raises(SchemaError, match="unknown field"):
-        parse("shape", json.dumps(doc))
+        parse("vector", json.dumps(doc))
 
 
 def test_unknown_entity_kind():
@@ -103,7 +98,7 @@ def test_unknown_entity_kind():
 
 def test_malformed_json():
     with pytest.raises(SchemaError, match="not valid JSON"):
-        parse("shape", b"{nope")
+        parse("vector", b"{nope")
 
 
 def test_bad_density_names_state_index():
@@ -116,33 +111,32 @@ def test_bad_density_names_state_index():
 
 
 def test_non_finite_scalar_rejected():
-    doc = document(AlgebraShape((1,)))
-    element_doc = {
+    vector_doc = {
         "version": 1,
-        "kind": "element",
+        "kind": "vector",
         "shape": [1],
-        "blocks": [[[[math.inf, 0.0]]]],
+        "coords": [[[[[math.inf, 0.0]]]]],
     }
     with pytest.raises(SchemaError, match="non-finite"):
-        parse("element", json.dumps(element_doc))
+        parse("vector", json.dumps(vector_doc))
 
 
 def test_non_finite_serialize_rejected():
     shape = AlgebraShape((1,))
-    bad = AlgebraElement(shape, (np.array([[np.inf]], dtype=complex),))
+    bad = ModuleVector(shape, (AlgebraElement(shape, (np.array([[np.inf]], dtype=complex),)),))
     with pytest.raises(ValueError):
         serialize(bad)
 
 
 def test_complex_pair_length_checked():
-    element_doc = {
+    vector_doc = {
         "version": 1,
-        "kind": "element",
+        "kind": "vector",
         "shape": [1],
-        "blocks": [[[[1.0]]]],
+        "coords": [[[[[1.0]]]]],
     }
     with pytest.raises(SchemaError, match="complex scalar"):
-        parse("element", json.dumps(element_doc))
+        parse("vector", json.dumps(vector_doc))
 
 
 def test_ragged_operator_rejected():
@@ -164,28 +158,6 @@ def test_degenerate_frame_rejected_at_parse():
     doc["vectors"] = [doc["vectors"][0]]  # drop e2: no longer spans
     with pytest.raises(SchemaError, match=r"\$\.vectors"):
         parse("frame", json.dumps(doc))
-
-
-def test_setting_invariant_checked_at_parse():
-    doc = {"version": 1, "kind": "setting", "trunc": 3, "dim": 9}
-    with pytest.raises(SchemaError, match=r"\$\.dim"):
-        parse("setting", json.dumps(doc))
-
-
-@pytest.mark.parametrize(
-    "trunc, dim, path, message",
-    [
-        (0, 1, "$.trunc", "at least 1"),
-        (171, 1, "$.trunc", "exceeds 170"),
-        (4, 5, "$.dim", "1 <= dim <= trunc=4"),
-    ],
-)
-def test_setting_errors_name_the_offending_field(trunc, dim, path, message):
-    doc = {"version": 1, "kind": "setting", "trunc": trunc, "dim": dim}
-    with pytest.raises(SchemaError) as err:
-        parse("setting", json.dumps(doc))
-    assert err.value.path == path
-    assert message in str(err.value)
 
 
 def test_mixed_point_dims_rejected():
@@ -255,9 +227,9 @@ def test_decode_equals_the_walk_bit_for_bit(case):
         [[[[float(p) for p in cell] for cell in row] for row in block] for block in e]
         for e in payloads
     ]
-    for e, expected in zip(payloads, as_floats):
-        out = serialization.element_payload(serialization.parse_element_payload(e, shape, "$"))
-        assert json.dumps(out) == json.dumps(expected)  # "-0.0" keeps its sign
+    # the payloads as the coordinates of one vector
+    out = serialization.vector_payload(serialization.parse_vector_payload(payloads, shape, "$"))
+    assert json.dumps(out) == json.dumps(as_floats)  # "-0.0" keeps its sign
 
 
 def _mutate(doc, path, value):
@@ -298,10 +270,10 @@ SCHEMA_ERRORS = [
     ("vector.json", [(("coords",), [])], "$.coords: module vector needs at least one coordinate"),
     ("vector.json", [(("coords",), 3)], "$.coords: expected an array, found int"),
     ("vector.json", [(("coords", 1, 1, 1, 0, 1), None)], "$.coords[1][1][1][0][1]: expected a number, found None"),
-    ("element.json", [(("blocks", 1, 1, 1, 1), math.inf)], "$.blocks[1][1][1][1]: non-finite value inf"),
-    ("element.json", [(("blocks", 0, 0, 0), [0.5, 0.5, 0.5])], "$.blocks[0][0][0]: complex scalar needs [re, im], found 3 entries"),
-    ("state.json", [(("densities", 0, 0, 0, 0), True)], "$.densities[0][0][0][0]: expected a number, found True"),
-    ("state.json", [(("densities", 1), [[[1.0, 0.0]]])], "$.densities[1]: expected 2 rows, found 1"),
+    ("vector.json", [(("coords", 0, 1, 1, 1, 1), math.inf)], "$.coords[0][1][1][1][1]: non-finite value inf"),
+    ("vector.json", [(("coords", 0, 0, 0, 0), [0.5, 0.5, 0.5])], "$.coords[0][0][0][0]: complex scalar needs [re, im], found 3 entries"),
+    ("seminorm_spec.json", [(("states", 0, 0, 0, 0, 0), True)], "$.states[0][0][0][0][0]: expected a number, found True"),
+    ("seminorm_spec.json", [(("states", 1, 1), [[[1.0, 0.0]], [[0.0, 0.0]]])], "$.states[1][1]: expected 1 rows, found 2"),
     ("frame_random.json", [(("vectors", 2, 1, 1, 1, 0, 0), False)], "$.vectors[2][1][1][1][0][0]: expected a number, found False"),
     ("frame_random.json", [(("vectors", 3, 0, 0, 0, 0), [1.0])], "$.vectors[3][0][0][0][0]: complex scalar needs [re, im], found 1 entries"),
     ("frame_random.json", [(("vectors", 1), "EXTRA_COORD")], "$.vectors: mixed module dimensions [2, 3]"),
@@ -493,7 +465,7 @@ def test_a_parsed_spec_keeps_its_decoded_densities(monkeypatch):
     [
         ("vector.json", ("coords", 0, 0, 0, 0, 0), "$.coords[0][0][0][0][0]"),
         ("frame_random.json", ("vectors", 2, 1, 1, 0, 1, 1), "$.vectors[2][1][1][0][1][1]"),
-        ("state.json", ("densities", 1, 1, 0, 1), "$.densities[1][1][0][1]"),
+        ("seminorm_spec.json", ("states", 1, 1, 0, 0, 1), "$.states[1][1][0][0][1]"),
         ("operator.json", ("entries", 1, 1, 0, 0, 0, 0), "$.entries[1][1][0][0][0][0]"),
     ],
 )
@@ -508,12 +480,11 @@ def test_integer_beyond_float_range_is_a_schema_error(name, path, where, value):
 
 
 def test_largest_integer_below_float_range_parses():
-    doc = json.loads((FIXTURES / "vector.json").read_bytes())
-    doc["coords"][0][0][0][0] = [2**1024 - 2**970 - 1, -(2**1023)]
-    element = {"version": 1, "kind": "element", "shape": doc["shape"], "blocks": doc["coords"][0]}
-    a = parse("element", json.dumps(element))
-    assert a.blocks[0][0, 0] == complex(1.7976931348623157e308, -8.98846567431158e307)
-    # the scalar's modulus, about 2.0e308, bounds the norm of a vector holding it from below
+    doc = {"version": 1, "kind": "vector", "shape": [1], "coords": [[[[[2**1024 - 2**970 - 1, 0]]]]]}
+    x = parse("vector", json.dumps(doc))
+    assert x.coords[0].blocks[0][0, 0] == complex(1.7976931348623157e308, 0.0)
+    # with -2**1023 beside it the scalar's modulus, about 2.0e308, is the vector's norm
+    doc["coords"][0][0][0][0][1] = -(2**1023)
     with pytest.raises(SchemaError, match=r"^\$: module norm overflows the float range$"):
         parse("vector", json.dumps(doc))
 
@@ -522,5 +493,5 @@ def test_non_finite_serialize_names_the_first_bad_scalar():
     shape = AlgebraShape((2,))
     block = np.array([[0.0, 1 + 2j], [complex(math.inf, 1.0), complex(math.nan, 0.0)]])
     with pytest.raises(ValueError) as err:
-        serialize(AlgebraElement(shape, (block,)))
+        serialize(ModuleVector(shape, (AlgebraElement(shape, (block,)),)))
     assert str(err.value) == "cannot serialize non-finite scalar (inf+1j)"
