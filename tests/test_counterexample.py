@@ -206,6 +206,22 @@ def test_truncation_level_below_one_rejected():
             build_setting(trunc)
 
 
+@pytest.mark.parametrize(
+    "trunc, dim, message",
+    [
+        (0, 5, "truncation level must be at least 1"),
+        (-1, -1, "truncation level must be at least 1"),
+        (171, 1, "truncation level 171 exceeds 170: the generator coefficient 1/171! is outside float64 range"),
+        (171, 172, "truncation level 171 exceeds 170: the generator coefficient 1/171! is outside float64 range"),
+    ],
+)
+def test_truncation_is_checked_before_the_dimension(trunc, dim, message):
+    # the --trunc range is reported whole, even when --dim is out of range too
+    with pytest.raises(ValueError) as err:
+        build_setting(trunc, dim)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("trunc, dim", [(4, 0), (4, 5), (1, 2)])
 def test_module_dimension_outside_one_to_trunc_rejected(trunc, dim):
     with pytest.raises(ValueError, match=f"module dimension {dim} must satisfy 1 <= dim <= trunc={trunc}"):

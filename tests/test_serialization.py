@@ -96,6 +96,16 @@ def test_unknown_entity_kind():
         parse("certificate", b"{}")
 
 
+@pytest.mark.parametrize("kind", ["shape", "element", "state", "setting"])
+def test_retired_kinds_are_unknown(kind):
+    doc = json.dumps({"version": 1, "kind": kind})
+    with pytest.raises(SchemaError) as err:
+        parse(kind, doc)
+    assert (err.value.path, str(err.value)) == ("$", f"$: unknown entity kind {kind!r}")
+    with pytest.raises(SchemaError, match=rf"^\$\.kind: expected kind 'vector', found {kind!r}$"):
+        parse("vector", doc)
+
+
 def test_malformed_json():
     with pytest.raises(SchemaError, match="not valid JSON"):
         parse("vector", b"{nope")
