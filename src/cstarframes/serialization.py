@@ -178,15 +178,20 @@ def _zip_blocks(blocks: list, depth: int) -> list:
 def _element_payloads(shape: AlgebraShape, stacks) -> list:
     """Payloads of the elements in per-class stacks (count, *lead, n, n), nested by the lead axes.
 
-    One tolist() per size class gives every [re, im] pair; the blocks are
-    then put back in block order under each lead index.  A non-finite
-    scalar is reported as a walk in document order meets it first.
+    One tolist() per size class, of the stack read as contiguous float64
+    [re, im] pairs, gives every pair with its bits, the sign of a zero
+    included; the blocks are then put back in block order under each lead
+    index.  A non-finite scalar is reported as a walk in document order
+    meets it first.
     """
     if not all(np.isfinite(s).all() for s in stacks):
         for index in np.ndindex(*stacks[0].shape[1:-2]):
             for c, j in shape.slots:
                 _matrix_out(stacks[c][(j,) + index])
-    lists = [np.stack((s.real, s.imag), -1).tolist() for s in stacks]
+    lists = [
+        np.ascontiguousarray(s, dtype=complex).view(float).reshape(s.shape + (2,)).tolist()
+        for s in stacks
+    ]
     return _zip_blocks([lists[c][j] for c, j in shape.slots], stacks[0].ndim - 3)
 
 
@@ -416,10 +421,20 @@ def _frame_document(frame: Frame, family: SampleSet) -> dict:
 def serialize(value) -> bytes:
     """Canonical bytes of a library value, or of a document already built.
 
-    Sorted keys, no whitespace, shortest decimals.
+    Sorted keys, no whitespace, shortest decimals.  The encoder keeps no
+    table of the containers it is inside: every document built here is a
+    fresh tree, so the bytes are those of the default encoder.  A document
+    that contains itself, or nests past the interpreter's recursion limit,
+    is refused with ValueError; so is a NaN or an infinity.
     """
     doc = value if isinstance(value, dict) else document(value)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    try:
+        text = json.dumps(
+            doc, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+        )
+    except RecursionError:
+        raise ValueError("document contains itself or nests too deep to serialize") from None
+    return text.encode("utf-8")
 
 
 def serialize_dual(frame: Frame) -> bytes:
@@ -541,9 +556,9 @@ def parse(kind: str, data):
 
     Rejects bytes that are not UTF-8, text that is not JSON (nesting too
     deep to decode and integer literals too long to convert included),
-    wrong versions, mismatched kinds, unknown fields, malformed payloads,
-    and invariant violations; every error carries the JSON path of the
-    offending field.
+    any version but the integer 1 (`true` and `1.0` included), mismatched
+    kinds, unknown fields, malformed payloads, and invariant violations;
+    every error carries the JSON path of the offending field.
     """
     if kind not in _PARSERS:
         raise SchemaError("$", f"unknown entity kind {kind!r}")
@@ -556,7 +571,7 @@ def parse(kind: str, data):
         raise SchemaError("$", f"not valid JSON: {e}") from e
     _expect_object(doc, "$")
     version = _get(doc, "version", "$")
-    if version != 1:
+    if type(version) is not int or version != 1:
         raise SchemaError("$.version", f"unsupported schema version {version!r}")
     actual = _get(doc, "kind", "$")
     if actual != kind:

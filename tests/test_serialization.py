@@ -71,11 +71,14 @@ def test_round_trip_random_values(rng):
         assert serialize(parse(kind, data)) == data
 
 
-def test_wrong_version_rejected():
+@pytest.mark.parametrize("version", [True, 1.0, 2, "1"])
+def test_wrong_version_rejected(version):
+    # True and 1.0 compare equal to 1, but only the integer 1 is version 1
     doc = json.loads((FIXTURES / "vector.json").read_bytes())
-    doc["version"] = 2
-    with pytest.raises(SchemaError, match=r"\$\.version"):
+    doc["version"] = version
+    with pytest.raises(SchemaError) as err:
         parse("vector", json.dumps(doc))
+    assert str(err.value) == f"$.version: unsupported schema version {version!r}"
 
 
 def test_wrong_kind_rejected():
@@ -196,6 +199,71 @@ def test_certificate_documents_are_deterministic(rng):
     r1 = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5,)))
     r2 = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5,)))
     assert serialize(r1) == serialize(r2)
+
+
+# -- the canonical writer -----------------------------------------------------
+
+GOLDEN_JSON = sorted((FIXTURES / "golden").glob("*.json"))
+
+
+def _default_bytes(doc) -> bytes:
+    """The canonical bytes as the default encoder, with its cycle check, writes them."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.glob("*.json")) + GOLDEN_JSON, ids=lambda p: p.parent.name + "/" + p.name
+)
+def test_writer_bytes_equal_the_default_encoder_on_every_document(path):
+    raw = path.read_bytes()
+    doc = json.loads(raw)
+    assert serialize(doc) == _default_bytes(doc) == raw
+
+
+json_leaves = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.dictionaries(st.text(max_size=3), json_trees, max_size=5))
+def test_writer_bytes_equal_the_default_encoder_on_drawn_documents(doc):
+    assert serialize(doc) == _default_bytes(doc)
+
+
+@pytest.mark.parametrize("where", ["top", "list", "dict"])
+def test_a_document_that_contains_itself_is_a_value_error(where):
+    doc = {"version": 1, "kind": "certificate"}
+    if where == "top":
+        doc["self"] = doc
+    elif where == "list":
+        doc["rows"] = [[0.5, -0.0], doc]
+    else:
+        doc["witness"] = {"inner": {"back": doc}}
+    with pytest.raises(ValueError, match="contains itself"):  # not a RecursionError
+        serialize(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [("x",), ("rows", 1, 0), ("deep", "a", 0, "b")])
+def test_a_non_finite_float_anywhere_is_a_value_error(bad, where):
+    doc = {"x": 1.0, "rows": [[0.5], [0.25, 2.0]], "deep": {"a": [{"b": 3.0}]}}
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = bad
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        serialize(doc)
 
 
 # -- the one-pass decode ------------------------------------------------------

@@ -85,16 +85,21 @@ def _scaled_sample(source: Path, factor: float, target: Path) -> str:
 def _malformed(work: Path) -> dict[str, str]:
     """Per kind the CLI reads, the path of a fixture copy with one fault, written into `work`.
 
-    Also a file that is not JSON, under "not_json".
+    Also a spec whose fourth state lacks density blocks, under
+    "spec_states"; a vector with "version": true, under "version"; and a
+    file that is not JSON, under "not_json".
     """
     names = {"frame": "frame_random.json", "sample_set": "sample_planted.json",
-             "seminorm_spec": "seminorm_spec.json", "vector": "vector.json", "operator": "operator.json"}
+             "seminorm_spec": "seminorm_spec.json", "vector": "vector.json", "operator": "operator.json",
+             "spec_states": "seminorm_spec.json", "version": "vector.json"}
     docs = {kind: json.loads((FIXTURES / name).read_bytes()) for kind, name in names.items()}
     docs["frame"]["vectors"][2][1][1][0][1] = True  # a cell that is `true`
     docs["sample_set"]["points"][3][0][0][0] = []  # a short row
     docs["seminorm_spec"]["states"][1][2][0][0] = [1.0, 0.5]  # a non-Hermitian density
     docs["vector"]["coords"][1][1][0][1] = [1.0, 0.0, 0.0]  # a 3-entry scalar
     docs["operator"]["entries"][1].pop()  # a ragged row
+    del docs["spec_states"]["states"][3][1:]  # a state with 1 of 3 density blocks
+    docs["version"]["version"] = True  # equal to 1, but not the integer 1
     paths = {}
     for kind, doc in docs.items():
         path = work / f"malformed_{kind}.json"
@@ -185,7 +190,9 @@ def fixture_commands(work: Path) -> list[list[str]]:
              ["reconstruct", fx["frame_random.json"], bad["vector"]],
              ["series", bad["operator"]],
              ["precompact", "--condition", "cd", "--sample", fx["frame_random.json"], "--eps", "0.5"],
-             ["frame-bounds", bad["not_json"]]]
+             ["frame-bounds", bad["not_json"]],
+             ["seminorm", bad["spec_states"], fx[SAMPLES[0]]],
+             ["reconstruct", fx["frame_random.json"], bad["version"]]]
     return cmds
 
 
