@@ -423,7 +423,10 @@ def checked_states(shape: AlgebraShape, stacks) -> list[tuple[np.ndarray, ...]]:
     it fails.  A state's stacks are the slices stacks[c][:, i], not
     copies: np.trace sums each diagonal in the same order on the batch as
     on a contiguous copy, and each density stays a contiguous n x n
-    matrix, so values are the copies' bit for bit.
+    matrix, so values are the copies' bit for bit.  A batch of no states
+    passes and gives an empty list.  `State(...)` is this check on a
+    batch of one, and a seminorm spec's density stacks
+    (`SeminormSpec._packed`) are checked as one batch.
     """
     herm = shape.gather([np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks])
     low = shape.gather([np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks])
@@ -459,11 +462,6 @@ class State:
         (stacks,) = checked_states(shape, [s[:, None] for s in _pack_blocks(shape, densities)])
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "stacks", stacks)
-
-    @classmethod
-    def _batch(cls, shape: AlgebraShape, stacks) -> tuple["State", ...]:
-        """The states with densities stacks[c][:, i], (count, states, n, n), validated together."""
-        return tuple(bare(cls, own, shape=shape) for own in checked_states(shape, stacks))
 
     @property
     def densities(self) -> tuple[np.ndarray, ...]:

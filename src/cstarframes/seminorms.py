@@ -28,8 +28,10 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     State,
+    bare,
     block_sum,
     check_eps,
+    checked_states,
     frozen,
     hermitian_part,
     norm_attaining_state,
@@ -191,34 +193,39 @@ class AdmissibleSystem:
         return len(self._family)
 
 
-@dataclass(frozen=True, eq=False)
 class SeminormSpec:
-    """A pair (X, Phi): one state per system index."""
+    """A pair (X, Phi): one state per system index, stored as its density stacks.
 
-    system: AdmissibleSystem
-    states: tuple[State, ...]
+    `_densities[c]` holds the densities of every state on the blocks of
+    size class c, shape (count, states, n, n), read-only, as a SampleSet
+    holds its realizations.  The public constructor stacks its states
+    once; a parsed spec (`_packed`) keeps the decoded stacks.  `states`
+    gives the states back as views of the stacks, built on first use.
+    """
 
-    def __post_init__(self):
-        states = tuple(self.states)
-        if len(states) != len(self.system):
-            raise ValueError(
-                f"need exactly one state per system element: "
-                f"{len(states)} states for {len(self.system)} vectors"
-            )
-        if any(phi.shape != self._system.shape for phi in states):
+    def __init__(self, system: AdmissibleSystem, states):
+        states = tuple(states)
+        _one_state_each(system, len(states))
+        shape = system._family.shape
+        if any(phi.shape != shape for phi in states):
             raise ValueError("state and element shapes differ")
-        object.__setattr__(self, "states", states)
+        self.system = system
+        self._densities = frozen(
+            np.stack([phi.stacks[c] for phi in states], axis=1) for c in range(len(shape.classes))
+        )
 
     @classmethod
     def _packed(cls, system: AdmissibleSystem, densities) -> "SeminormSpec":
         """The spec whose state i has the densities densities[c][:, i], (count, states, n, n).
 
-        The states are validated together (`State._batch`), and the
-        stacks, made read-only, are the spec's `_densities`: a parsed spec
-        keeps its decoded densities instead of stacking its states again.
+        The states are validated together (`checked_states`), then their
+        count, and the stacks, made read-only, are the spec's
+        `_densities`.
         """
-        spec = cls(system, State._batch(system._family.shape, densities))
-        spec.__dict__["_densities"] = frozen(densities)
+        _one_state_each(system, len(checked_states(system._family.shape, densities)))
+        spec = object.__new__(cls)
+        spec.system = system
+        spec._densities = frozen(densities)
         return spec
 
     @property
@@ -226,11 +233,19 @@ class SeminormSpec:
         return self.system._family
 
     @functools.cached_property
-    def _densities(self) -> tuple[np.ndarray, ...]:
-        # Per size class, the densities of all states, shape (count, len, n, n).
+    def states(self) -> tuple[State, ...]:
+        """The states, whose stacks are read-only views of `_densities`."""
+        shape = self._system.shape
         return tuple(
-            np.stack([phi.stacks[c] for phi in self.states], axis=1)
-            for c in range(len(self._system.shape.classes))
+            bare(State, tuple(s[:, i] for s in self._densities), shape=shape)
+            for i in range(len(self.system))
+        )
+
+
+def _one_state_each(system: AdmissibleSystem, count: int) -> None:
+    if count != len(system):
+        raise ValueError(
+            f"need exactly one state per system element: {count} states for {len(system)} vectors"
         )
 
 

@@ -10,6 +10,11 @@ Serialization uses sorted keys, no whitespace, and shortest round-trip
 decimals, so equal values produce identical bytes.  Parsing enforces the
 domain invariants too: a non-PSD density or a degenerate frame is a
 schema error with a path, not a crash later.
+
+Every parsed value is built through a `_packed` constructor on the
+stacks of the one-pass decode (`_decode_blocks`).  When the decode
+refuses a payload, a walk goes through it cell by cell only to name
+the fault at its path; the walks build nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, State, StateError
+from .algebra import AlgebraShape, StateError, checked_states
 from .frames import DegenerateFrameError, Frame
 from .modules import (
     ModuleOperator,
@@ -76,11 +81,10 @@ def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
         raise SchemaError(f"{path}.{extra[0]}", "unknown field (strict schema)")
 
 
-def _complex_in(val, path: str) -> complex:
+def _complex_in(val, path: str) -> None:
     pair = _expect_list(val, path)
     if len(pair) != 2:
         raise SchemaError(path, f"complex scalar needs [re, im], found {len(pair)} entries")
-    parts = []
     for i, p in enumerate(pair):
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise SchemaError(f"{path}[{i}]", f"expected a number, found {p!r}")
@@ -90,37 +94,18 @@ def _complex_in(val, path: str) -> complex:
             raise SchemaError(f"{path}[{i}]", "integer beyond float range") from None
         if not math.isfinite(part):
             raise SchemaError(f"{path}[{i}]", f"non-finite value {p!r}")
-        parts.append(part)
-    return complex(parts[0], parts[1])
 
 
-def _complex_out(z: complex) -> list:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"cannot serialize non-finite scalar {z!r}")
-    return [z.real, z.imag]
-
-
-def _matrix_in(val, n: int, path: str) -> np.ndarray:
+def _matrix_in(val, n: int, path: str) -> None:
     rows = _expect_list(val, path)
     if len(rows) != n:
         raise SchemaError(path, f"expected {n} rows, found {len(rows)}")
-    out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
         row = _expect_list(row, f"{path}[{i}]")
         if len(row) != n:
             raise SchemaError(f"{path}[{i}]", f"expected {n} columns, found {len(row)}")
         for j, cell in enumerate(row):
-            out[i, j] = _complex_in(cell, f"{path}[{i}][{j}]")
-    return out
-
-
-def _matrix_out(mat: np.ndarray) -> list:
-    mat = np.asarray(mat, dtype=complex)
-    finite = np.isfinite(mat)
-    if not finite.all():
-        _complex_out(mat[~finite][0])
-    return np.stack((mat.real, mat.imag), -1).tolist()
+            _complex_in(cell, f"{path}[{i}][{j}]")
 
 
 _NUMBER_TYPES = {int, float}
@@ -139,18 +124,20 @@ def _decode_blocks(payloads: list, shape: AlgebraShape) -> list[np.ndarray] | No
     whatever level they stood.  The leaves then become one float array,
     which must be finite, and the complex stack is a view of the
     contiguous [re, im] pairs, so every bit, the sign of a zero included,
-    is the walk's.  Returns None on any malformed payload: the caller then
-    walks the payloads cell by cell, which names the fault.
+    is that of float(re) and float(im).  An empty list of payloads gives
+    zero-length stacks.  Returns None on any malformed payload, and only
+    then: the payloads are then walked cell by cell (`_decoded`), which
+    names the fault.
     """
     size = len(payloads)
-    if set(map(type, payloads)) != {list} or set(map(len, payloads)) != {shape.num_blocks}:
+    if not set(map(type, payloads)) <= {list} or not set(map(len, payloads)) <= {shape.num_blocks}:
         return None
     stacks = []
     for n, ks in shape.classes:
         level = [e[k] for e in payloads for k in ks]
         for width in (n, n, 2):
             try:
-                if set(map(len, level)) != {width}:
+                if not set(map(len, level)) <= {width}:
                     return None
             except TypeError:  # a number, bool or null where a list belongs
                 return None
@@ -181,13 +168,16 @@ def _element_payloads(shape: AlgebraShape, stacks) -> list:
     One tolist() per size class, of the stack read as contiguous float64
     [re, im] pairs, gives every pair with its bits, the sign of a zero
     included; the blocks are then put back in block order under each lead
-    index.  A non-finite scalar is reported as a walk in document order
-    meets it first.
+    index.  A non-finite scalar is refused with ValueError, the first in
+    document order (lead index, block, row, column) named.
     """
     if not all(np.isfinite(s).all() for s in stacks):
         for index in np.ndindex(*stacks[0].shape[1:-2]):
             for c, j in shape.slots:
-                _matrix_out(stacks[c][(j,) + index])
+                block = stacks[c][(j,) + index]
+                bad = block[~np.isfinite(block)]
+                if bad.size:
+                    raise ValueError(f"cannot serialize non-finite scalar {complex(bad[0])!r}")
     lists = [
         np.ascontiguousarray(s, dtype=complex).view(float).reshape(s.shape + (2,)).tolist()
         for s in stacks
@@ -215,15 +205,26 @@ def parse_shape_payload(val, path: str) -> AlgebraShape:
     return AlgebraShape(tuple(out))
 
 
-def _walk_element(val, shape: AlgebraShape, path: str) -> AlgebraElement:
-    blocks = _expect_list(val, path)
-    if len(blocks) != shape.num_blocks:
-        raise SchemaError(path, f"expected {shape.num_blocks} blocks, found {len(blocks)}")
-    mats = tuple(
-        _matrix_in(b, n, f"{path}[{k}]")
-        for k, (b, n) in enumerate(zip(blocks, shape.block_dims))
-    )
-    return AlgebraElement(shape, mats)
+def _decoded(decoded, walk, *args):
+    """`decoded`, a decode's result, unless the decode refused the payloads (None).
+
+    Then `walk(*args)` goes through them cell by cell and raises the
+    SchemaError that names the first fault.  The decodes refuse exactly
+    the payloads their walks raise on, so a walk that returns is a bug.
+    """
+    if decoded is None:
+        walk(*args)
+        raise AssertionError("the decode refused payloads its walk accepts")
+    return decoded
+
+
+def _walk_element(val, shape: AlgebraShape, path: str, blocks: str = "blocks") -> None:
+    """Name the first fault of an element payload, or of a state's densities (blocks="density blocks")."""
+    mats = _expect_list(val, path)
+    if len(mats) != shape.num_blocks:
+        raise SchemaError(path, f"expected {shape.num_blocks} {blocks}, found {len(mats)}")
+    for k, (m, n) in enumerate(zip(mats, shape.block_dims)):
+        _matrix_in(m, n, f"{path}[{k}]")
 
 
 def _vector_payloads(shape: AlgebraShape, dim: int, stacks) -> list:
@@ -235,14 +236,21 @@ def vector_payload(v: ModuleVector) -> list:
     return _vector_payloads(v.shape, v.dim, v.stacks)
 
 
-def _walk_vector(val, shape: AlgebraShape, path: str) -> ModuleVector:
+def _walk_vector(val, shape: AlgebraShape, path: str) -> int:
+    """Name the first fault of a vector payload; the dimension of a well-formed one."""
     coords = _expect_list(val, path)
     if not coords:
         raise SchemaError(path, "module vector needs at least one coordinate")
-    return ModuleVector(
-        shape,
-        tuple(_walk_element(c, shape, f"{path}[{i}]") for i, c in enumerate(coords)),
-    )
+    for i, c in enumerate(coords):
+        _walk_element(c, shape, f"{path}[{i}]")
+    return len(coords)
+
+
+def _walk_family(raw: list, shape: AlgebraShape, path: str) -> None:
+    """Name the first fault of the vector payloads raw[i]: at path[i], or mixed dimensions at path."""
+    dims = {_walk_vector(v, shape, f"{path}[{i}]") for i, v in enumerate(raw)}
+    if len(dims) != 1:
+        raise SchemaError(path, f"mixed module dimensions {sorted(dims)}")
 
 
 def _decode_family(raw: list, shape: AlgebraShape) -> tuple[int, tuple[np.ndarray, ...]] | None:
@@ -282,28 +290,28 @@ def _refuse_norm_overflow(stacks, path: str) -> None:
 
 
 def parse_vector_payload(val, shape: AlgebraShape, path: str) -> ModuleVector:
-    decoded = _decode_family([val], shape)
-    if decoded is None:
-        return _walk_vector(val, shape, path)
-    dim, stacks = decoded
+    dim, stacks = _decoded(_decode_family([val], shape), _walk_vector, val, shape, path)
     return ModuleVector._packed(shape, dim, tuple(s[:, 0] for s in stacks))
 
 
 def _parse_family(raw: list, shape: AlgebraShape, path: str, label: str = "") -> SampleSet:
-    """The non-empty vector payloads raw[i] as a SampleSet.
+    """The non-empty vector payloads raw[i], decoded together, as a SampleSet that keeps the stacks."""
+    return SampleSet._packed(
+        shape, *_decoded(_decode_family(raw, shape), _walk_family, raw, shape, path), label=label
+    )
 
-    Decoded together into the set's stacks; walked at path[i] only when
-    the decode rejects them, and well-formed payloads of mixed dimensions
-    are refused at path.
+
+def _walk_states(raw: list, shape: AlgebraShape, path: str) -> None:
+    """Name the first fault of the state payloads raw[i], in order.
+
+    The first payload that does not decode alone is walked at path[i],
+    after the states before it, which do, are checked together: a
+    StateError then names an earlier state's fault.
     """
-    decoded = _decode_family(raw, shape)
-    if decoded is not None:
-        return SampleSet._packed(shape, *decoded, label=label)
-    vectors = [_walk_vector(v, shape, f"{path}[{i}]") for i, v in enumerate(raw)]
-    dims = {v.dim for v in vectors}
-    if len(dims) != 1:
-        raise SchemaError(path, f"mixed module dimensions {sorted(dims)}")
-    return SampleSet(vectors, label=label)
+    for i, val in enumerate(raw):
+        if _decode_blocks([val], shape) is None:
+            checked_states(shape, _decode_blocks(raw[:i], shape))
+            _walk_element(val, shape, f"{path}[{i}]", "density blocks")
 
 
 def _parse_spec_states(
@@ -311,45 +319,18 @@ def _parse_spec_states(
 ) -> SeminormSpec:
     """The spec of `system` and the state payloads raw[i], decoded and validated together.
 
-    Decoded states go to `SeminormSpec._packed`, which validates them
-    together and keeps their decoded stacks; the first faulty state is
-    refused at path[i].  Payloads the decode refuses are walked one state
-    at a time, which names the first fault.  A state count other than the
-    system's size is refused at path.
+    The decoded stacks go to `SeminormSpec._packed`, which checks the
+    states and keeps the stacks; the first faulty state is refused at
+    path[i], and then a state count other than the system's size at path.
     """
-    decoded = _decode_blocks(raw, shape)
-    if decoded is None:
-        states = tuple(parse_state_payload(s, shape, f"{path}[{i}]") for i, s in enumerate(raw))
     try:
-        if decoded is None:
-            return SeminormSpec(system, states)
-        return SeminormSpec._packed(system, decoded)
+        return SeminormSpec._packed(
+            system, _decoded(_decode_blocks(raw, shape), _walk_states, raw, shape, path)
+        )
     except StateError as e:
         raise SchemaError(f"{path}[{e.index}]", str(e)) from e
-    except ValueError as e:
-        raise SchemaError(path, str(e)) from e
-
-
-def state_payload(s: State) -> list:
-    return _element_payloads(s.shape, s.stacks)
-
-
-def parse_state_payload(val, shape: AlgebraShape, path: str) -> State:
-    decoded = _decode_blocks([val], shape)
-    if decoded is not None:
-        densities = tuple(decoded[c][j, 0] for c, j in shape.slots)
-    else:
-        mats = _expect_list(val, path)
-        if len(mats) != shape.num_blocks:
-            raise SchemaError(
-                path, f"expected {shape.num_blocks} density blocks, found {len(mats)}"
-            )
-        densities = tuple(
-            _matrix_in(m, n, f"{path}[{k}]")
-            for k, (m, n) in enumerate(zip(mats, shape.block_dims))
-        )
-    try:
-        return State(shape, densities)
+    except SchemaError:
+        raise
     except ValueError as e:
         raise SchemaError(path, str(e)) from e
 
@@ -397,7 +378,7 @@ def document(value) -> dict:
             "kind": "seminorm_spec",
             "shape": shape_payload(system.shape),
             "system": _family_payloads(system),
-            "states": [state_payload(phi) for phi in value.states],
+            "states": _element_payloads(system.shape, value._densities),
         }
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
@@ -468,21 +449,17 @@ def _parse_operator_doc(doc: dict) -> ModuleOperator:
     decoded = None
     if width and all(type(row) is list and len(row) == width for row in rows):
         decoded = _decode_blocks([e for row in rows for e in row], shape)
-    if decoded is None:
-        op = ModuleOperator(shape, _walk_operator_entries(rows, shape))
-    else:
-        stacks = tuple(
-            from_entry_blocks(s.reshape(len(s), len(rows), width, s.shape[-1], s.shape[-1]))
-            for s in decoded
-        )
-        op = ModuleOperator._packed(shape, len(rows), width, stacks)
+    stacks = tuple(
+        from_entry_blocks(s.reshape(len(s), len(rows), width, s.shape[-1], s.shape[-1]))
+        for s in _decoded(decoded, _walk_operator_entries, rows, shape)
+    )
+    op = ModuleOperator._packed(shape, len(rows), width, stacks)
     _refuse_norm_overflow([s[:, None] for s in op.stacks], "$.entries")
     return op
 
 
-def _walk_operator_entries(rows: list, shape: AlgebraShape) -> list:
+def _walk_operator_entries(rows: list, shape: AlgebraShape) -> None:
     width = None
-    entries = []
     for i, row in enumerate(rows):
         row = _expect_list(row, f"$.entries[{i}]")
         if not row:
@@ -493,8 +470,8 @@ def _walk_operator_entries(rows: list, shape: AlgebraShape) -> list:
             raise SchemaError(
                 f"$.entries[{i}]", f"ragged row: expected {width} entries, found {len(row)}"
             )
-        entries.append([_walk_element(e, shape, f"$.entries[{i}][{j}]") for j, e in enumerate(row)])
-    return entries
+        for j, e in enumerate(row):
+            _walk_element(e, shape, f"$.entries[{i}][{j}]")
 
 
 def _parse_frame_doc(doc: dict) -> Frame:

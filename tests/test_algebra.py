@@ -18,8 +18,16 @@ from conftest import (
     random_shape,
     random_state,
 )
-from cstarframes import AlgebraElement, AlgebraShape, State, norm_attaining_state
-from cstarframes.algebra import StateError, block_sum
+from cstarframes import (
+    AdmissibleSystem,
+    AlgebraElement,
+    AlgebraShape,
+    ModuleVector,
+    SeminormSpec,
+    State,
+    norm_attaining_state,
+)
+from cstarframes.algebra import StateError, block_sum, checked_states
 from cstarframes.tolerances import STATE_ATOL
 
 C2 = AlgebraShape((1, 1))
@@ -298,7 +306,7 @@ def _faulty_densities(shape, rng, fault, block, factor):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_the_batched_state_check_is_the_check_of_each_state(dims, plan, seed):
-    """State._batch and State(...) agree on the verdict, the first faulty state, its text and the bytes."""
+    """checked_states and State(...) agree on the verdict, the first faulty state, its text and the bytes."""
     shape = AlgebraShape(tuple(dims))
     rng = np.random.default_rng(seed)
     batch = [_faulty_densities(shape, rng, fault, k % len(dims), f) for fault, k, f in plan]
@@ -314,13 +322,13 @@ def test_the_batched_state_check_is_the_check_of_each_state(dims, plan, seed):
         for _, ks in shape.classes
     ]
     if first is None:
-        states = State._batch(shape, stacks)
+        states = checked_states(shape, stacks)
         assert len(states) == len(single)
         for a, b in zip(states, single):
-            assert [s.tobytes() for s in a.stacks] == [s.tobytes() for s in b.stacks]
+            assert [s.tobytes() for s in a] == [s.tobytes() for s in b.stacks]
     else:
         with pytest.raises(StateError) as err:
-            State._batch(shape, stacks)
+            checked_states(shape, stacks)
         assert (err.value.index, str(err.value)) == first
 
 
@@ -331,7 +339,7 @@ def trace_totals(shape, stacks):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_batched_states_view_their_stacks_with_the_bits_of_copies(n):
-    """A batch's states hold read-only views of its stacks, not copies.
+    """A spec's states (`SeminormSpec._packed`) hold read-only views of its density stacks, not copies.
 
     Their trace totals, taken for the whole batch as `checked_states`
     takes them, and their values on random elements, are the bits that
@@ -346,7 +354,8 @@ def test_batched_states_view_their_stacks_with_the_bits_of_copies(n):
     ]
     elements = [random_element(shape, rng) for _ in range(4)]
     totals = trace_totals(shape, stacks)
-    for i, phi in enumerate(State._batch(shape, stacks)):
+    system = AdmissibleSystem(tuple(ModuleVector.basis(shape, 5, j) * 0.5 for j in range(5)))
+    for i, phi in enumerate(SeminormSpec._packed(system, stacks).states):
         copies = tuple(np.ascontiguousarray(s[:, i]) for s in stacks)
         for view, s in zip(phi.stacks, stacks):
             assert np.shares_memory(view, s) and not view.flags.writeable

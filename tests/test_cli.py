@@ -28,6 +28,7 @@ from cstarframes.certify import Certificate
 from cstarframes.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+TOOLS = Path(__file__).parent.parent / "tools"
 
 
 def fx(name: str) -> str:
@@ -1160,3 +1161,23 @@ def test_a_command_leaves_no_cyclic_garbage(capsys, collector, tmp_path, argv):
     gc.collect()
     run(capsys, *argv)
     assert gc.collect() == 0
+
+
+def test_every_malformed_input_of_the_reach_list_is_refused_at_a_path(capsys, tmp_path):
+    """Each fault input of tools/reach.py still reaches a refusal: exit 1 and the JSON path at fault.
+
+    tools/bytediff.py compares the stderr of these commands between two
+    trees; an input that stopped reaching its refusal would compare
+    nothing.
+    """
+    sys.path.insert(0, str(TOOLS))
+    try:
+        import reach
+    finally:
+        sys.path.remove(str(TOOLS))
+    bad = set(reach._malformed(tmp_path).values())
+    cmds = [argv for argv in reach.fixture_commands(tmp_path) if bad & set(argv)]
+    assert {arg for argv in cmds for arg in argv} >= bad
+    for argv in cmds:
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("cstarframes: error: $"), (argv, err)

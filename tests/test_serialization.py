@@ -290,17 +290,22 @@ def element_payloads(draw):
     return AlgebraShape(tuple(dims)), payloads
 
 
+def cell_by_cell(payload) -> list[np.ndarray]:
+    """The blocks of a well-formed element payload, each cell complex(re, im): the decode's reference."""
+    return [np.array([[complex(re, im) for re, im in row] for row in block], dtype=complex) for block in payload]
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=element_payloads())
 def test_decode_equals_the_walk_bit_for_bit(case):
     shape, payloads = case
     stacks = serialization._decode_blocks(payloads, shape)
-    walked = [serialization._walk_element(e, shape, "$") for e in payloads]
+    walked = [cell_by_cell(e) for e in payloads]
     assert stacks is not None
     for stack, (_, ks) in zip(stacks, shape.classes):
         assert stack.dtype == complex
         for j, k in enumerate(ks):
-            assert stack[j].tobytes() == np.array([w.blocks[k] for w in walked]).tobytes()
+            assert stack[j].tobytes() == np.array([w[k] for w in walked]).tobytes()
     as_floats = [
         [[[[float(p) for p in cell] for cell in row] for row in block] for block in e]
         for e in payloads
@@ -382,6 +387,9 @@ SCHEMA_ERRORS = [
     ("operator.json", [(("entries", 1), "ADD_ENTRY"), (("entries", 1, 0, 0, 0, 0, 0), True)], "$.entries[1]: ragged row: expected 2 entries, found 3"),
     ("seminorm_spec.json", [(("states", 0, 0, 0, 0, 0), True), (("system", 3, 0, 0, 0, 0, 0), True)], "$.system[3][0][0][0][0][0]: expected a number, found True"),
     ("frame_random.json", bytes.fromhex("fffe7b7d"), "$: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("seminorm_spec.json", [(("states",), [])], "$.states: need exactly one state per system element: 0 states for 4 vectors"),
+    ("seminorm_spec.json", [(("states",), "DROP_LAST")], "$.states: need exactly one state per system element: 3 states for 4 vectors"),
+    ("seminorm_spec.json", [(("states", 0, 2, 0, 0), [0.0, 0.5]), (("states", 2, 1, 0, 0, 1), True)], "$.states[0]: density 2 is not Hermitian"),
 ]
 
 
@@ -429,6 +437,74 @@ def test_malformed_payloads_keep_their_schema_errors(name, mutations, message):
     assert str(err.value) == message
 
 
+# One fault planted at one place of valid payloads: a bool, a string, [],
+# a 3-entry scalar, a dropped item (a row, a cell, a block, ...), an
+# integer past float range, or Infinity.
+FAULTS = (True, "ab", [], [0.5, 0.5, 0.5], "DROP", 10**400, math.inf)
+
+
+def _places(node, path=()):
+    """The path of every item nested in a list of payloads."""
+    for i, item in enumerate(node):
+        yield path + (i,)
+        if isinstance(item, list):
+            yield from _places(item, path + (i,))
+
+
+@st.composite
+def faulty_payloads(draw):
+    """(kind, shape, payloads): valid element, vector or state payloads with one fault planted."""
+    kind = draw(st.sampled_from(["element", "vector", "state"]))
+    shape = AlgebraShape(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
+    count = draw(st.integers(1, 3))
+
+    def element():
+        return [
+            [[[draw(finite_parts), draw(finite_parts)] for _ in range(n)] for _ in range(n)]
+            for n in shape.block_dims
+        ]
+
+    if kind == "state":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        states = [random_state(shape, rng) for _ in range(count)]
+        payloads = [[np.stack((d.real, d.imag), -1).tolist() for d in phi.densities] for phi in states]
+    elif kind == "vector":
+        dim = draw(st.integers(1, 3))
+        payloads = [[element() for _ in range(dim)] for _ in range(count)]
+    else:
+        payloads = [element() for _ in range(count)]
+    path = draw(st.sampled_from(list(_places(payloads))))
+    fault = draw(st.sampled_from(FAULTS))
+    target = payloads
+    for key in path[:-1]:
+        target = target[key]
+    if fault == "DROP":
+        del target[path[-1]]
+    else:
+        target[path[-1]] = fault
+    return kind, shape, payloads
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=faulty_payloads())
+def test_the_decode_refuses_exactly_what_the_walk_raises_on(case):
+    """The walks build nothing, so every parsed value must come from a decode: they agree on every payload."""
+    kind, shape, payloads = case
+    decode = serialization._decode_family if kind == "vector" else serialization._decode_blocks
+    try:
+        if kind == "vector":
+            serialization._walk_family(payloads, shape, "$")
+        elif kind == "state":
+            serialization._walk_states(payloads, shape, "$")
+        else:
+            for i, e in enumerate(payloads):
+                serialization._walk_element(e, shape, f"$[{i}]")
+    except SchemaError:
+        assert decode(payloads, shape) is None
+    else:
+        assert decode(payloads, shape) is not None
+
+
 def test_valid_documents_never_take_the_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("a valid payload was walked cell by cell")
@@ -455,7 +531,7 @@ def test_parsed_families_keep_the_decoded_stack():
         assert members not in vars(owner)  # built on first use
         doc = json.loads((FIXTURES / name).read_bytes())
         shape = AlgebraShape(tuple(doc["shape"]))
-        walked = [serialization._walk_vector(v, shape, "$") for v in doc[key]]
+        walked = [ModuleVector(shape, [AlgebraElement(shape, cell_by_cell(c)) for c in v]) for v in doc[key]]
         expected = SampleSet(walked).realizations
         assert [s.tobytes() for s in stacks] == [s.tobytes() for s in expected]
         vectors = getattr(owner, members)

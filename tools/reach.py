@@ -86,12 +86,20 @@ def _malformed(work: Path) -> dict[str, str]:
     """Per kind the CLI reads, the path of a fixture copy with one fault, written into `work`.
 
     Also a spec whose fourth state lacks density blocks, under
-    "spec_states"; a vector with "version": true, under "version"; and a
-    file that is not JSON, under "not_json".
+    "spec_states"; a vector with "version": true, under "version"; a
+    file that is not JSON, under "not_json"; a spec with no states and
+    one with a state too few, under "spec_no_states" and "spec_short"; a
+    spec whose state 0 is well-formed but not Hermitian and whose state 2
+    is malformed, under "spec_two_faults"; a frame with vectors of two
+    module dimensions, under "frame_dims"; and an operator with an empty
+    row, under "operator_row".
     """
     names = {"frame": "frame_random.json", "sample_set": "sample_planted.json",
              "seminorm_spec": "seminorm_spec.json", "vector": "vector.json", "operator": "operator.json",
-             "spec_states": "seminorm_spec.json", "version": "vector.json"}
+             "spec_states": "seminorm_spec.json", "version": "vector.json",
+             "spec_no_states": "seminorm_spec.json", "spec_short": "seminorm_spec.json",
+             "spec_two_faults": "seminorm_spec.json", "frame_dims": "frame_random.json",
+             "operator_row": "operator.json"}
     docs = {kind: json.loads((FIXTURES / name).read_bytes()) for kind, name in names.items()}
     docs["frame"]["vectors"][2][1][1][0][1] = True  # a cell that is `true`
     docs["sample_set"]["points"][3][0][0][0] = []  # a short row
@@ -100,6 +108,13 @@ def _malformed(work: Path) -> dict[str, str]:
     docs["operator"]["entries"][1].pop()  # a ragged row
     del docs["spec_states"]["states"][3][1:]  # a state with 1 of 3 density blocks
     docs["version"]["version"] = True  # equal to 1, but not the integer 1
+    docs["spec_no_states"]["states"] = []  # no state for a system of four vectors
+    del docs["spec_short"]["states"][3]  # three states for four vectors
+    docs["spec_two_faults"]["states"][0][2][0][0] = [0.0, 0.5]  # a non-Hermitian density in state 0
+    docs["spec_two_faults"]["states"][2][1][0][0][1] = True  # and a cell that is `true` in state 2
+    vectors = docs["frame_dims"]["vectors"]
+    vectors[1] = vectors[1] + vectors[1][:1]  # three coordinates among vectors of two
+    docs["operator_row"]["entries"][1] = []  # an empty row
     paths = {}
     for kind, doc in docs.items():
         path = work / f"malformed_{kind}.json"
@@ -192,7 +207,12 @@ def fixture_commands(work: Path) -> list[list[str]]:
              ["precompact", "--condition", "cd", "--sample", fx["frame_random.json"], "--eps", "0.5"],
              ["frame-bounds", bad["not_json"]],
              ["seminorm", bad["spec_states"], fx[SAMPLES[0]]],
-             ["reconstruct", fx["frame_random.json"], bad["version"]]]
+             ["reconstruct", fx["frame_random.json"], bad["version"]],
+             ["seminorm", bad["spec_no_states"], fx[SAMPLES[0]]],
+             ["net", fx[SAMPLES[0]], bad["spec_short"], "--eps", "0.5"],
+             ["seminorm", bad["spec_two_faults"], fx[SAMPLES[0]]],
+             ["dual", bad["frame_dims"]],
+             ["series", bad["operator_row"]]]
     return cmds
 
 
