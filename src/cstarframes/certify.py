@@ -462,6 +462,106 @@ class EquivalenceReport:
         return doc
 
 
+@dataclass(frozen=True)
+class _PassData:
+    """What the implication checks read of the runner's eps-free passes.
+
+    The frame bounds (c1, c2), the generator count s, the sup tails of
+    the generators and of the sample along the frame, and the d=>a
+    replay (None when no eps of the grid passes C/D).
+    """
+
+    bounds: tuple[float, float]
+    generator_count: int
+    gen_tails: list[float]
+    tails: list[float]
+    replay: _ReplayData | None
+
+
+def _a_implies_b(data: _PassData, a, a_scaled, b, cd) -> list[str]:
+    """A at eps*c1/(3*c2) forces B at eps once the generator tails reach eps/(3*s*M).
+
+    The three-term estimate is rechecked prefix by prefix.  On an empty
+    sample M = 0, the threshold is inf and every sample tail is 0.0: no
+    violation.
+    """
+    if not a_scaled.verdict:
+        return []
+    c1, c2 = data.bounds
+    s, gen_tails, tails = data.generator_count, data.gen_tails, data.tails
+    m = len(gen_tails) - 1
+    m_coeff = a_scaled.coefficient_bound or 0.0
+    thresh = math.inf if m_coeff == 0.0 else b.eps / (3.0 * s * m_coeff)
+    stable = None
+    for n in range(m, -1, -1):
+        if gen_tails[n] <= thresh:
+            stable = n
+        else:
+            break
+    out = []
+    for n in range(m + 1):
+        if gen_tails[n] > thresh:
+            continue
+        estimate = a_scaled.eps * (1.0 + c2 / c1) + s * gen_tails[n] * m_coeff
+        if tails[n] > estimate + COHERENCE_TOL:
+            out.append(
+                f"a=>b chain broken at prefix {n}: tail {tails[n]:.6g} "
+                f"exceeds the three-term estimate {estimate:.6g}"
+            )
+    if stable is not None and stable < m:
+        if not b.verdict or b.witness["N"] > stable:
+            out.append(
+                f"a at eps*c1/(3c2) holds and generator tails reach "
+                f"{thresh:.6g} from prefix {stable}, yet condition b "
+                f"reports N={b.witness['N']}"
+            )
+    return out
+
+
+def _d_implies_a(data: _PassData, a, a_scaled, b, cd) -> list[str]:
+    """A C/D pass at eps yields condition-A data with a_k(x) = <g_k, x> bounded by R*max||g_k||.
+
+    Both the bound and the residual are replayed against the theta pairs
+    directly.  Only a pass carries an approximant, and an empty sample's
+    is ().
+    """
+    if not (cd.verdict and cd.approximant):
+        return []
+    replay, rank = data.replay, len(cd.approximant)
+    m_da = max(replay.point_norms) * max(replay.pair_norms[:rank])
+    out = []
+    for i, (coeff_norms, residuals) in enumerate(
+        zip(replay.coefficient_norms, replay.residual_norms)
+    ):
+        if any(c > m_da + COHERENCE_TOL * (1.0 + m_da) for c in coeff_norms[:rank]):
+            out.append(
+                f"d=>a bound broken at point {i}: coefficient norm "
+                f"exceeds R*max||f_k|| = {m_da:.6g}"
+            )
+        if residuals[rank] >= cd.eps + COHERENCE_TOL:
+            out.append(
+                f"d=>a residual broken at point {i}: direct coefficient "
+                f"replay misses the eps bound"
+            )
+    return out
+
+
+def _bd_bound(data: _PassData, a, a_scaled, b, cd) -> list[str]:
+    """The minimal-norm coefficients of a passing A stay within the finite-dimensional bound B*D."""
+    if a.verdict and not a.diagnostics.get("bd_bound_ok", True):
+        return ["finite-dimensional coefficient bound B*D violated by the minimal-norm solution"]
+    return []
+
+
+# Every implication the runner replays, as (premise, conclusion, check).  A check
+# takes the pass data and one eps's certificates A, A at eps*c1/(3*c2), B and C/D.
+IMPLICATIONS = (
+    ("A", "B", _a_implies_b),
+    ("CD", "A", _d_implies_a),
+    ("A", "A", _bd_bound),
+)
+
+
 def _vacuous_certificate(condition: str, eps: float) -> Certificate:
     return Certificate(condition=condition, eps=eps, verdict=True,
                        witness={"vacuous": True}, diagnostics={})
@@ -470,15 +570,14 @@ def _vacuous_certificate(condition: str, eps: float) -> Certificate:
 def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None) -> EquivalenceReport:
     """Run conditions A, B, and C/D and recheck the proof's constant chains.
 
-    Coherence checks, each a numerical replay of one implication:
-      * A at eps*c1/(3*c2) forces B at eps once the generators'
-        own reconstruction tails reach eps/(3*s*M); the three-term
-        estimate is rechecked prefix by prefix.
-      * A passing C/D at eps yields condition-A data with coefficients
-        a_k(x) = <g_k, x> bounded by R*max||g_k||; both the bound and the
-        residual are replayed against the theta pairs directly.
-      * The minimal-norm coefficients of condition A stay within the
-        automatic finite-dimensional bound B*D.
+    The coherence checks are the rows of `IMPLICATIONS`, each a numerical
+    replay of one implication of the proof, run on every entry in row order:
+
+      premise  conclusion  message prefixes
+      A        B           "a=>b chain broken", "a at eps*c1/(3c2) holds"
+      CD       A           "d=>a bound broken", "d=>a residual broken"
+      A        A           "finite-dimensional coefficient bound B*D"
+
     Each replay allows a slack of COHERENCE_TOL (see `tolerances`).
     Violations indicate an implementation bug and are reported verbatim.
 
@@ -516,7 +615,6 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
 
     frame = config.frame or standard_basis_frame(sample.shape, sample.dim)
     c1, c2 = frame.bounds
-    m = frame.size
     scaled_grid = [eps * c1 / (3.0 * c2) for eps in config.eps_grid]
     for eps, eps_scaled in zip(config.eps_grid, scaled_grid):
         if not (math.isfinite(eps_scaled) and eps_scaled > 0):
@@ -540,72 +638,17 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     longest = max((len(c.approximant) for c in certs_cd if c.verdict), default=0)
     replay = _replay_data(sample, tuple(side.head(longest) for side in pairs)) if longest else None
 
+    data = _PassData((c1, c2), s, gen_tails, tails_z, replay)
     entries = []
     for eps, eps_scaled, cert_cd in zip(config.eps_grid, scaled_grid, certs_cd):
-        cert_a = _certificate_a(coefficients, eps)
-        cert_a_scaled = _certificate_a(coefficients, eps_scaled)
-        cert_b = _certificate_b(tails_z, eps)
-        violations: list[str] = []
-
-        # On an empty sample M = 0, thresh = inf and every tails_z[n] = 0.0: no violation.
-        if cert_a_scaled.verdict:
-            m_coeff = cert_a_scaled.coefficient_bound or 0.0
-            thresh = math.inf if m_coeff == 0.0 else eps / (3.0 * s * m_coeff)
-            ratio = c2 / c1
-            stable = None
-            for n in range(m, -1, -1):
-                if gen_tails[n] <= thresh:
-                    stable = n
-                else:
-                    break
-            for n in range(m + 1):
-                if gen_tails[n] > thresh:
-                    continue
-                estimate = eps_scaled * (1.0 + ratio) + s * gen_tails[n] * m_coeff
-                if tails_z[n] > estimate + COHERENCE_TOL:
-                    violations.append(
-                        f"a=>b chain broken at prefix {n}: tail {tails_z[n]:.6g} "
-                        f"exceeds the three-term estimate {estimate:.6g}"
-                    )
-            if stable is not None and stable < m:
-                if not cert_b.verdict or cert_b.witness["N"] > stable:
-                    violations.append(
-                        f"a at eps*c1/(3c2) holds and generator tails reach "
-                        f"{thresh:.6g} from prefix {stable}, yet condition b "
-                        f"reports N={cert_b.witness['N']}"
-                    )
-
-        # Only a pass carries an approximant, and an empty sample's is ().
-        if cert_cd.verdict and cert_cd.approximant:
-            rank = len(cert_cd.approximant)
-            r_const = max(replay.point_norms)
-            f_max = max(replay.pair_norms[:rank])
-            m_da = r_const * f_max
-            for i, (coeff_norms, residuals) in enumerate(
-                zip(replay.coefficient_norms, replay.residual_norms)
-            ):
-                if any(c > m_da + COHERENCE_TOL * (1.0 + m_da) for c in coeff_norms[:rank]):
-                    violations.append(
-                        f"d=>a bound broken at point {i}: coefficient norm "
-                        f"exceeds R*max||f_k|| = {m_da:.6g}"
-                    )
-                if residuals[rank] >= eps + COHERENCE_TOL:
-                    violations.append(
-                        f"d=>a residual broken at point {i}: direct coefficient "
-                        f"replay misses the eps bound"
-                    )
-
-        if cert_a.verdict and not cert_a.diagnostics.get("bd_bound_ok", True):
-            violations.append(
-                "finite-dimensional coefficient bound B*D violated by the "
-                "minimal-norm solution"
-            )
-
-        entries.append(
-            EquivalenceEntry(
-                eps, cert_a, cert_a_scaled, cert_b, cert_cd, tuple(violations)
-            )
+        certs = (
+            _certificate_a(coefficients, eps),
+            _certificate_a(coefficients, eps_scaled),
+            _certificate_b(tails_z, eps),
+            cert_cd,
         )
+        violations = tuple(v for _, _, check in IMPLICATIONS for v in check(data, *certs))
+        entries.append(EquivalenceEntry(eps, *certs, violations))
     return EquivalenceReport(tuple(entries), (c1, c2))
 
 
@@ -747,7 +790,8 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
 
     The generators are a SampleSet or module vectors (`SampleSet.of`).
     Generators must satisfy <g_i,g_j> = delta_ij * 1 within
-    GRAM_DEFECT_ATOL, else a GramDefectError carries the defect.  The
+    GRAM_DEFECT_ATOL, else a GramDefectError carries the defect: NaN for
+    a gram with a non-finite entry, refused before any SVD sees it.  The
     verdict demands
     dist(x, Span_A(generators)) < eps for every sample point; the
     projection P = sum theta_{g_j,g_j} is then applied and the
@@ -765,9 +809,11 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
     for gk, (n, _) in zip(gens.realizations, shape.classes):
         with np.errstate(over="ignore", invalid="ignore"):
             grams = gk.conj().swapaxes(-1, -2)[:, :, None] @ gk[:, None]
-            defects.append(spectral_norms(grams - np.eye(s)[:, :, None, None] * np.eye(n)))
+        if not np.isfinite(grams).all():  # an overflowing gram has a NaN defect, and no SVD
+            raise GramDefectError(math.nan)
+        defects.append(spectral_norms(grams - np.eye(s)[:, :, None, None] * np.eye(n)))
     defect = float(np.max([d.max() for d in defects]))
-    if not defect <= GRAM_DEFECT_ATOL:  # a gram that overflows has a NaN defect
+    if not defect <= GRAM_DEFECT_ATOL:
         raise GramDefectError(defect)
 
     stacks = sample.in_module(shape, dim)

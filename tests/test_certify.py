@@ -320,6 +320,86 @@ def test_equivalences_counterexample_profile():
     assert report.violations == ()
 
 
+# -- the implication table ------------------------------------------------------
+
+
+def _row(premise, conclusion):
+    """The check of the table row premise => conclusion; a KeyError once the row leaves the table."""
+    return {(p, c): check for p, c, check in certify.IMPLICATIONS}[premise, conclusion]
+
+
+def _pass_data(**fields):
+    """Planted eps-free pass data: a frame with bounds (1, 1), one generator, no replay."""
+    planted = {"bounds": (1.0, 1.0), "generator_count": 1, "gen_tails": [0.0, 0.0],
+               "tails": [0.0, 0.0], "replay": None}
+    return certify._PassData(**{**planted, **fields})
+
+
+def test_the_implication_table_has_exactly_the_checked_edges():
+    """A => B, C/D => A and the B*D bound on A; no edge leaves B, so the cycle is not yet closed."""
+    edges = [(p, c) for p, c, _ in certify.IMPLICATIONS]
+    assert len(edges) == len(set(edges))
+    assert set(edges) == {("A", "B"), ("CD", "A"), ("A", "A")}
+    assert not any(p == "B" for p, _ in edges)
+
+
+def test_the_a_implies_b_row_flags_a_tail_above_the_estimate_and_a_late_b():
+    """Generator tails reach eps/(3sM) = 0.1 from prefix 1, but the sample's tail there is 5."""
+    data = _pass_data(gen_tails=[1.0, 0.0, 0.0], tails=[5.0, 5.0, 0.0])
+    a_scaled = certify.Certificate("A", 0.1, True, coefficient_bound=1.0)
+    b = certify.Certificate("B", 0.3, False, witness={"N": 2})
+    assert _row("A", "B")(data, None, a_scaled, b, None) == [
+        "a=>b chain broken at prefix 1: tail 5 exceeds the three-term estimate 0.2",
+        "a at eps*c1/(3c2) holds and generator tails reach 0.1 from prefix 1, yet condition b reports N=2",
+    ]
+    failed = certify.Certificate("A", 0.1, False, coefficient_bound=1.0)
+    assert _row("A", "B")(data, None, failed, b, None) == []
+
+
+def test_the_d_implies_a_row_flags_the_coefficient_bound_and_the_residual():
+    """R = max||f_k|| = 1: point 0 has a coefficient of norm 5, point 1 a residual of 0.9 at rank 1."""
+    replay = certify._ReplayData(
+        point_norms=[1.0, 1.0],
+        pair_norms=[1.0],
+        coefficient_norms=[[5.0], [1.0]],
+        residual_norms=[[1.0, 0.0], [1.0, 0.9]],
+    )
+    e0 = ModuleVector.basis(C2, 1, 0)
+    cd = certify.Certificate("CD", 0.5, True, witness={"rank": 1}, approximant=((e0, e0),))
+    assert _row("CD", "A")(_pass_data(replay=replay), None, None, None, cd) == [
+        "d=>a bound broken at point 0: coefficient norm exceeds R*max||f_k|| = 1",
+        "d=>a residual broken at point 1: direct coefficient replay misses the eps bound",
+    ]
+    missed = certify.Certificate("CD", 0.5, False, budget_exhausted=True, witness={"rank_budget": 1})
+    assert _row("CD", "A")(_pass_data(replay=replay), None, None, None, missed) == []
+
+
+def test_the_bd_row_flags_a_passing_a_beyond_its_bound():
+    a = certify.Certificate("A", 0.5, True, diagnostics={"bd_bound_ok": False})
+    assert _row("A", "A")(_pass_data(), a, a, None, None) == [
+        "finite-dimensional coefficient bound B*D violated by the minimal-norm solution"
+    ]
+    failed = certify.Certificate("A", 0.5, False, diagnostics={"bd_bound_ok": False})
+    assert _row("A", "A")(_pass_data(), failed, a, None, None) == []
+
+
+def test_the_runner_takes_every_violation_from_the_table_in_row_order(monkeypatch, rng):
+    seen = []
+
+    def record(data, *certs):
+        seen.append(certs)
+        return [f"first at {certs[0].eps}"]
+
+    rows = (("A", "B", record), ("CD", "A", lambda data, *certs: ["second", "third"]))
+    monkeypatch.setattr(certify, "IMPLICATIONS", rows)
+    sample = planted_precompact_sample(random_shape(rng), 5, 2, 6, rng)
+    report = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5, 0.25)))
+    assert [e.violations for e in report.entries] == [
+        ("first at 0.5", "second", "third"), ("first at 0.25", "second", "third")
+    ]
+    assert seen == [(e.cert_a, e.cert_a_scaled, e.cert_b, e.cert_cd) for e in report.entries]
+
+
 # -- operators ----------------------------------------------------------------
 
 

@@ -3,7 +3,10 @@
 import argparse
 import gc
 import json
+import os
+import random
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -966,6 +969,42 @@ def test_system_whose_gram_overflows_is_data_error(capsys, tmp_path):
     assert err == "cstarframes: error: $.system: system is not admissible " \
         "(max norm 1e+200, gram slack -inf)\n"
     assert seen == []
+
+
+def _huge_generators(shape, dim, count, seed):
+    """Generator points whose real and imaginary parts are +-(1 to 1.9) * 2^510, signs at random."""
+    rng = random.Random(seed)
+
+    def cell():
+        return [rng.choice((-1, 1)) * rng.uniform(1.0, 1.9) * 2.0**510 for _ in range(2)]
+
+    return [
+        [[[[cell() for _ in range(n)] for _ in range(n)] for n in shape] for _ in range(dim)]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("shape, dim, count, seed", [((3,), 2, 1, 0), ((1, 1, 3), 3, 2, 3)])
+def test_free_check_refuses_an_overflowing_gram_before_any_svd(tmp_path, shape, dim, count, seed):
+    """Generators near 2^510 have finite norms but an overflowing gram: one error line, fd 1 empty.
+
+    An SVD of the gram's NaN entries makes LAPACK write DLASCL complaints
+    to the process's C-level stdout, and on the second draw it ends in
+    "SVD did not converge"; so the command runs in a fresh interpreter,
+    whose fd 1 is read whole.
+    """
+    gens, empty = tmp_path / "gens.json", tmp_path / "empty.json"
+    gens.write_text(json.dumps({"version": 1, "kind": "sample_set", "shape": list(shape),
+                                "points": _huge_generators(shape, dim, count, seed)}))
+    empty.write_text(json.dumps({"version": 1, "kind": "sample_set", "shape": list(shape), "points": []}))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "cstarframes.cli", "precompact", "--condition", "free",
+         "--sample", str(empty), "--gens", str(gens), "--eps", "0.5"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == b"cstarframes: error: generators are not orthonormal: gram defect nan\n"
 
 
 # --- text that json cannot decode ---

@@ -12,7 +12,9 @@ The command list (`commands`) is the 300 jobs of the four benchmark
 workloads at seeds 1-3, from perfbench/gen.py imported as it is, and
 the fixture commands of `fixture_commands`: every subcommand on the
 files of tests/fixtures, on empty sample documents of three shapes and
-on scaled copies of the planted sample, then the malformed inputs of
+on scaled copies of the planted sample, conditions B, C/D and `all`
+along each fixture frame on a sample of its module (`_frame_sample`),
+then the malformed inputs of
 `_malformed`, each of which the CLI refuses with exit code 1 and the
 JSON path at fault.  Their inputs and outputs go to a temporary
 directory.  Every command runs through
@@ -48,6 +50,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "cstarframes"
@@ -56,6 +60,9 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 FRAMES = ("frame_random.json", "frame_range.json", "parseval.json")
 SAMPLES = ("sample_planted.json", "sample_witnesses_5_5.json", "sample_witnesses_6.json")
+# The fixture frames of each frame module, by the frame that spans the sample written into it.
+FRAME_MODULES = {"frame_random.json": ("frame_random.json", "parseval.json"),
+                 "frame_range.json": ("frame_range.json",)}
 EMPTY_SHAPES = ((1, 1), (1, 2), (1, 1, 1))
 BUDGETS = (None, 0, 1, 3)
 EMPTY_BUDGETS = (None, 0, 2)
@@ -79,6 +86,32 @@ def _scaled_sample(source: Path, factor: float, target: Path) -> str:
                         entry[0] *= factor
                         entry[1] *= factor
     target.write_text(json.dumps(doc))
+    return str(target)
+
+
+def _frame_sample(frame: Path, target: Path) -> str:
+    """Six points sum_j v_j a_j of a frame's module, written into `target`.
+
+    The v_j are the frame's vectors and the a_j algebra elements whose
+    parts are uniform in [-1, 1) (`numpy.random.default_rng(0)`), times
+    2^-(p+3) for point p: every point lies in the frame's range, and the
+    norms decay.  The products are `numpy.einsum` loops, not BLAS, so the
+    points are the same under every OpenBLAS kernel.
+    """
+    doc = json.loads(frame.read_bytes())
+    rng = np.random.default_rng(0)
+    count = 6
+    points = [[[] for _ in doc["vectors"][0]] for _ in range(count)]
+    scales = 2.0 ** -np.arange(3, count + 3)
+    for k, n in enumerate(doc["shape"]):
+        parts = np.array([[coord[k] for coord in vector] for vector in doc["vectors"]])
+        v = parts[..., 0] + 1j * parts[..., 1]
+        a = rng.uniform(-1.0, 1.0, (count, len(v), n, n)) + 1j * rng.uniform(-1.0, 1.0, (count, len(v), n, n))
+        blocks = np.einsum("jirt,pjtc->pirc", v, a * scales[:, None, None, None])
+        for point, point_blocks in zip(points, blocks):
+            for coord, block in zip(point, point_blocks):
+                coord.append(np.stack((block.real, block.imag), axis=-1).tolist())
+    target.write_text(json.dumps({"version": 1, "kind": "sample_set", "shape": doc["shape"], "points": points}))
     return str(target)
 
 
@@ -127,9 +160,9 @@ def _malformed(work: Path) -> dict[str, str]:
 
 
 def fixture_commands(work: Path) -> list[list[str]]:
-    """Every subcommand on the fixtures, the empty samples and the scaled samples, then the malformed inputs.
+    """Every subcommand on the fixtures, the empty, scaled and frame-module samples, then the malformed inputs.
 
-    Writes the empty, scaled and malformed documents into `work`;
+    Writes the empty, scaled, frame-module and malformed documents into `work`;
     outputs named with --out go there too.
     """
     fx = {name: str(FIXTURES / name) for name in FRAMES + SAMPLES}
@@ -170,6 +203,13 @@ def fixture_commands(work: Path) -> list[list[str]]:
         cmds.append(["precompact", "--condition", "a", "--sample", s, "--eps", "0.5", "--gens", s])
         cmds.append(["precompact", "--condition", "free", "--sample", s, "--eps", "0.5", "--gens", gens])
         cmds.append(["precompact", "--condition", "all", "--sample", s, "--gens", s, "--out", out])
+
+    for source, frames in FRAME_MODULES.items():
+        s = _frame_sample(FIXTURES / source, work / f"module_{source}")
+        for frame in frames:
+            with_frame = ["--sample", s, "--frame", fx[frame]]
+            cmds += [["precompact", "--condition", c, *with_frame, "--eps", "0.5"] for c in ("b", "cd", "all")]
+            cmds.append(["precompact", "--condition", "all", *with_frame])
 
     for empty in empties:
         for frame in (None, *FRAMES):
