@@ -8,7 +8,6 @@ certify inequalities rather than estimate them.
 
 from .algebra import AlgebraElement, AlgebraShape, State, norm_attaining_state
 from .certify import (
-    BallSampler,
     Certificate,
     CertifyConfig,
     EquivalenceEntry,
@@ -28,7 +27,6 @@ from .counterexample import (
     TruncatedCSetting,
     build_setting,
     coeff_growth,
-    image_sample,
     tail_obstruction,
 )
 from .frames import DegenerateFrameError, Frame, standard_basis_frame
@@ -68,7 +66,6 @@ __all__ = [
     "AlgebraElement",
     "AlgebraShape",
     "ApproximationHypothesisError",
-    "BallSampler",
     "Certificate",
     "CertifyConfig",
     "DegenerateFrameError",
@@ -96,7 +93,6 @@ __all__ = [
     "coeff_growth",
     "epsilon_net",
     "free_submodule_check",
-    "image_sample",
     "inner_product",
     "net_covers",
     "net_transfer",

@@ -15,6 +15,9 @@ sample, batched per size class on the stacked realizations, and a
 cheap certificate built from that data for one eps.  The equivalence
 runner makes each pass once and builds every certificate of its eps grid
 from it.
+
+For an operator T the sample is the image of the whole unit ball, and
+C/D has a closed form from T's realized blocks (`operator_precompact`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import check_eps, fold_pair_maxima, ordered_sum, ordered_sums, spectral_norms
+from .algebra import blockwise_max, check_eps, fold_pair_maxima, ordered_sum, ordered_sums, spectral_norms
 from .frames import Frame, frame_coefficients, frame_residuals, standard_basis_frame
 from .modules import (
     ModuleVector,
@@ -37,7 +40,6 @@ from .modules import (
     span_least_squares,
     stack_norms,
 )
-from .seminorms import BallSampler
 from .tolerances import BD_RTOL, COHERENCE_TOL, GRAM_DEFECT_ATOL, SERIES_EPS
 
 
@@ -96,7 +98,7 @@ class Certificate:
 
 
 def _check_rank_budget(rank_budget) -> None:
-    """Refuse a C/D rank budget below 0; None (the module dimension) and 0 are valid."""
+    """Refuse a C/D rank budget below 0; None (the default) and 0 are valid."""
     if rank_budget is not None and int(rank_budget) < 0:
         raise ValueError(f"rank budget must be at least 0, got {int(rank_budget)}")
 
@@ -164,17 +166,19 @@ def _theta_pairs(sample: SampleSet, frame: Frame | None, rank_budget) -> tuple[S
     constructive b-to-c route); the orthogonalized family is self-dual,
     so it serves as z and as g.  A frame's pairs are its family and its
     dual; a frame from another module is refused, whatever the budget.
-    The rank limit, the length of both sets, is the budget (default: the
-    module dimension, and checked by the caller) capped by the number of
-    pairs (`SampleSet.head`); an empty sample without a module has no
-    dimension and no cap, and stops at rank 0 whatever the cap.
+    The rank limit, the length of both sets, is the budget (checked by
+    the caller) capped by the number of pairs (`SampleSet.head`).  The
+    default budget is the frame's size along a frame, and the module
+    dimension for the span family; an empty sample without a module has
+    no dimension and no cap, and stops at rank 0 whatever the cap.
     """
-    budget = sample.dim if rank_budget is None else int(rank_budget)
+    budget = None if rank_budget is None else int(rank_budget)
     if frame is not None:
         sample.in_module(frame.shape, frame.dim)  # refuses a frame of another module
         z, g = frame._family, frame._dual
     else:
         z = g = orthogonal_span_family(sample)
+        budget = sample.dim if budget is None else budget
     return z.head(budget), g.head(budget)
 
 
@@ -374,7 +378,8 @@ def check_condition_cd(
     """Finite-rank uniform approximation of the identity on the sample.
 
     Scans partial sums T_n = sum_{j<=n} theta_{z_j,g_j} for n = 0, 1, ...
-    up to the budget and passes at the first n with
+    up to the budget (default: the whole frame when one is given, else
+    the module dimension) and passes at the first n with
     sup_x ||x - T_n x|| < eps, returning its n theta pairs (none at
     n = 0: the zero operator).  A miss is
     reported with budget_exhausted set: other frames or operators remain
@@ -655,36 +660,81 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
 # -- operators ---------------------------------------------------------------
 
 
-def operator_precompact(op, sampler: BallSampler, eps: float, config: CertifyConfig | None = None) -> Certificate:
-    """Check the operator's image of the sampler's draw from the unit ball.
+def _singular_profile(op, budget: int) -> tuple[list[float], SampleSet]:
+    """errors[n] = max_k sigma_{n*n_k+1}(R_k T) for n = 0..budget, and the vectors u_j of the approximants.
 
-    Draws the sampler's points, drops any that escaped the ball, pushes
-    the rest through the operator, and runs the equivalence pipeline at
-    the single eps.  The returned certificate is the finite-rank verdict
-    with coherence and rejection data merged into its diagnostics; a pass
-    carries an approximant of rank n.
-
-    The verdict covers only the drawn points, not the whole unit ball: a
-    pass says that the approximant moves every drawn image by less than
-    eps, and a point of the ball that the draw misses can be moved
-    farther, so a pass does not certify precompactness of the ball's
-    image.
-    The exact unit-ball route, from the operator's realized blocks, is
-    item 1 of ROADMAP.md.
+    One SVD per size class of the operator's realized blocks R_k T.  A sum
+    of n thetas realizes on block k as a matrix of rank at most n*n_k,
+    and every such matrix is one, so by Eckart-Young-Mirsky (Mirsky,
+    Quart. J. Math. 11, 1960) errors[n] is the least sup over the unit
+    ball of ||Tx - FTx|| among sums F of n thetas; a singular value past
+    the matrix size counts as 0.  Block k of u_j is the j-th group of n_k
+    leading left singular vectors of R_k T, zero past the last of them,
+    so sum_{j<n} theta_{u_j,u_j} T is the truncated SVD of every block.
     """
-    points = sampler.draw()
-    kept = [p for p in points if p.norm() <= 1.0 + COHERENCE_TOL]
-    rejected = len(points) - len(kept)
-    image = SampleSet(tuple(op(p) for p in kept), label="operator image")
-    base = config or CertifyConfig()
-    cfg = dataclasses.replace(base, eps_grid=(eps,))
-    report = certify_equivalences(image, cfg)
-    entry = report.entries[0]
-    diag = dict(entry.cert_cd.diagnostics)
-    diag["rejected_samples"] = rejected
-    diag["coherence_violations"] = list(report.violations)
-    diag["condition_b_verdict"] = entry.cert_b.verdict
-    return dataclasses.replace(entry.cert_cd, diagnostics=diag)
+    errors = np.zeros(budget + 1)
+    stacks = []
+    for tk, (n, _) in zip(op.stacks, op.shape.classes):
+        left, values, _ = np.linalg.svd(tk, full_matrices=False)
+        top = values[:, ::n][:, : budget + 1].max(axis=0)
+        errors[: len(top)] = np.maximum(errors[: len(top)], top)
+        width = min(left.shape[-1], budget * n)
+        groups = np.zeros(tk.shape[:2] + (budget * n,), complex)
+        groups[..., :width] = left[..., :width]
+        stacks.append(groups.reshape(len(tk), -1, budget, n).swapaxes(1, 2))
+    return errors.tolist(), SampleSet._packed(op.shape, op.target_dim, stacks)
+
+
+def operator_precompact(op, eps: float, rank_budget: int | None = None) -> Certificate:
+    """Condition C/D on the image of the unit ball under an operator, exactly.
+
+    The error profile is `_singular_profile` for n = 0 up to the rank
+    budget, which defaults to (and is capped at) the target dimension,
+    where the error is 0.  The certificate is the C/D certificate of that
+    profile: a pass at the first n below eps carries the n pairs
+    (u_j, u_j) of the truncated SVD.  A miss at the budget is certified
+    (exit 1), since no sum of that many thetas does better.
+
+    Two replays along other routes report into
+    diagnostics["coherence_violations"], each a bug in the program:
+      - the approximant's own error ||T - sum_j theta_{u_j,u_j} T|| (the
+        rank-`budget` one on a miss), summed by `gram_block`, must equal
+        the profile's within COHERENCE_TOL * (1 + error);
+      - at every n the profile must not exceed the tail ||T - P_n T||
+        along the standard basis (`series_decompose`) by more than
+        COHERENCE_TOL, since P_n T is a sum of n thetas.
+    diagnostics["condition_b_verdict"] is condition B at eps on those
+    same tails.
+    """
+    check_eps(eps)
+    _check_rank_budget(rank_budget)
+    shape, dim = op.shape, op.target_dim
+    budget = dim if rank_budget is None else min(int(rank_budget), dim)
+    errors, u = _singular_profile(op, budget)
+    cert = _certificate_cd(errors, (u, u), eps)
+    rank = len(cert.approximant) if cert.verdict else budget
+    heads = u.head(rank).realizations
+    replayed = blockwise_max(
+        [spectral_norms(tk - gram_block(uk, uk, dim) @ tk) for tk, uk in zip(op.stacks, heads)]
+    )
+    violations = []
+    if abs(replayed - errors[rank]) > COHERENCE_TOL * (1.0 + errors[rank]):
+        violations.append(
+            f"rank {rank} approximant replays to error {replayed:.6g}, "
+            f"not the profile's {errors[rank]:.6g}"
+        )
+    tails = series_decompose(op, standard_basis_frame(shape, dim)).errors
+    violations += [
+        f"c/d error {err:.6g} at rank {n} exceeds the b tail {tail:.6g}"
+        for n, (err, tail) in enumerate(zip(errors, tails))
+        if err > tail + COHERENCE_TOL
+    ]
+    diagnostics = dict(
+        cert.diagnostics,
+        coherence_violations=violations,
+        condition_b_verdict=_certificate_b(list(tails), eps).verdict,
+    )
+    return dataclasses.replace(cert, budget_exhausted=False, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, check_eps, fold_pair_maxima, spectral_norms
 from .frames import Frame, frame_coefficients, frame_residuals, standard_basis_frame
-from .modules import ModuleOperator, ModuleVector, SampleSet
-from .seminorms import BallSampler
+from .modules import ModuleVector, SampleSet
 from .tolerances import SELF_CHECK_ATOL
 
 # Largest truncation the float64 model holds: the generator carries 1/k!,
@@ -44,8 +43,7 @@ class TruncatedCSetting:
 
     F and v are diagonal: on block b, F keeps coordinate b and v carries
     1/(b+1)! there.  The model is stored as those diagonals, each built
-    once; `operator` and `generator` build the dense module objects on
-    first use.
+    once; `generator` builds v as a module vector on first use.
     """
 
     trunc: int
@@ -70,14 +68,6 @@ class TruncatedCSetting:
         columns[k, k] = self.coefficients
         columns.setflags(write=False)
         return columns
-
-    @functools.cached_property
-    def operator(self) -> ModuleOperator:
-        """F as a module operator: block b realizes as diag(1 at coordinate b)."""
-        k = np.arange(self.dim)
-        pinch = np.zeros((self.trunc + 1, self.dim, self.dim), complex)
-        pinch[:, k, k] = self._operator_diagonals
-        return ModuleOperator._packed(self.shape, self.dim, self.dim, (pinch,))
 
     @functools.cached_property
     def generator(self) -> ModuleVector:
@@ -281,25 +271,3 @@ def tail_obstruction(setting: TruncatedCSetting, n: int) -> float:
             f"prefix {n} has no witness at module dimension {setting.dim}"
         )
     return setting._witness_tails[0][n]
-
-
-def image_sample(
-    setting: TruncatedCSetting,
-    count: int = 16,
-    seed: int = 0,
-    include_witnesses: bool = True,
-) -> SampleSet:
-    """F applied to a seeded ball sample, the set whose compactness fails.
-
-    The extreme points e_k * delta_k are included by default; they carry
-    the whole obstruction.  With include_witnesses False only the random
-    bulk is pushed through F, which is how one sees that random sampling
-    alone misses the obstruction.
-    """
-    sampler = BallSampler(setting.shape, setting.dim, count=count, seed=seed)
-    if include_witnesses:
-        points = list(setting.witnesses())
-        points.extend(setting.operator(p) for p in sampler.draw())
-    else:
-        points = [setting.operator(p) for p in sampler.bulk()]
-    return SampleSet(tuple(points), label=f"F-ball-image-{setting.trunc}-{setting.dim}")

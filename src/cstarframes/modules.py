@@ -561,15 +561,23 @@ def span_least_squares(
     stacks, shape (count, P, s*n, n), the residuals, and the constant
     B = max_k ||pinv(G_k)||_2, the norm of the synthesis map's inverse
     off its kernel: the minimal-norm solution of sum_i g_i a_i = y has
-    ||(a_1..a_s)|| <= B ||y||.
+    ||(a_1..a_s)|| <= B ||y||.  Generators so small (or points so large)
+    that the pseudo-inverse or a coefficient overflows are refused with a
+    ValueError.
     """
     shape = generators.shape
     stacks = points.in_module(shape, generators.dim)
     coeffs, norms, pinv_norms = [], [], []
     for xk, gk in zip(stacks, generators.realizations):
         synthesis = gk.swapaxes(1, 2).reshape(len(gk), gk.shape[2], -1)
-        pinv = np.linalg.pinv(synthesis, rcond=PINV_RTOL)
-        ak = pinv[:, None] @ xk
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, before any SVD sees it
+            pinv = np.linalg.pinv(synthesis, rcond=PINV_RTOL)
+            ak = pinv[:, None] @ xk
+        if not (np.isfinite(pinv).all() and np.isfinite(ak).all()):
+            raise ValueError(
+                "least squares against the generators passes the float range: "
+                "the pseudo-inverse of their synthesis map or the coefficients overflow"
+            )
         norms.append(spectral_norms(xk - synthesis[:, None] @ ak))
         coeffs.append(ak)
         pinv_norms.append(spectral_norms(pinv))

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
-    AlgebraShape,
     State,
     bare,
     block_sum,
@@ -70,55 +68,6 @@ class TailDecaySignal(Exception):
             f"no point exceeds {threshold:.6g} on coordinate window "
             f"{window} (best {best:.6g}); tails already decay"
         )
-
-
-@dataclass(frozen=True)
-class BallSampler:
-    """Deterministic unit-ball sampler: extreme witnesses plus seeded bulk.
-
-    The witnesses are the basis vectors e_k and every e_k scaled by a
-    central block unit; the obstruction of interest lives on them, not on
-    the random bulk.  Random draws use blockwise complex Gaussians
-    rescaled into the ball.
-    """
-
-    shape: AlgebraShape
-    dim: int
-    count: int = 32
-    seed: int = 0
-
-    def witnesses(self) -> list[ModuleVector]:
-        """The deterministic extreme points: e_k and e_k times block units."""
-        out = []
-        for k in range(self.dim):
-            e_k = ModuleVector.basis(self.shape, self.dim, k)
-            out.append(e_k)
-            for b in range(self.shape.num_blocks):
-                out.append(e_k * AlgebraElement.block_unit(self.shape, b))
-        return out
-
-    def bulk(self) -> list[ModuleVector]:
-        """The seeded random portion alone, rescaled into the ball."""
-        rng = np.random.default_rng(self.seed)
-        out = []
-        for _ in range(self.count):
-            coords = []
-            for _ in range(self.dim):
-                blocks = tuple(
-                    (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-                    / math.sqrt(2.0)
-                    for n in self.shape.block_dims
-                )
-                coords.append(AlgebraElement(self.shape, blocks))
-            x = ModuleVector(self.shape, tuple(coords))
-            nx = x.norm()
-            if nx > 1.0:
-                x = x / nx
-            out.append(x)
-        return out
-
-    def draw(self) -> list[ModuleVector]:
-        return self.witnesses() + self.bulk()
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,9 @@ ADMISSIBLE_TOL = 1e-8
 BD_RTOL = 1e-9
 
 # Coherence replay between conditions: absolute slack on the a=>b tail
-# estimate, the d=>a residual and the unit-ball rejection of operator
-# samples; times (1 + R*max||f_k||) on the d=>a coefficient bound.
+# estimate, the d=>a residual and an operator's C/D error against its B
+# tail; times (1 + R*max||f_k||) on the d=>a coefficient bound, and times
+# (1 + error) on an operator approximant's replayed error.
 COHERENCE_TOL = 1e-8
 
 # Free submodule: largest ||<g_i, g_j> - delta_ij 1|| accepted; absolute.

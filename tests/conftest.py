@@ -5,6 +5,9 @@ test can be replayed from its seed alone.  Frames produced here are
 generic (full realized rank) unless a test asks for a degenerate one.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -139,6 +142,82 @@ def tail_routes(frame, points):
     """The frame tail profiles (P, size+1) and truncation tails (P, dim+1) of a set, from the fold that finds its pairs."""
     xs = points.in_module(frame.shape, frame.dim)[0]
     return _fold_tail_routes(frame, xs, xs.shape[1])
+
+
+@dataclass(frozen=True)
+class BallSampler:
+    """Deterministic unit-ball sampler: extreme witnesses plus seeded bulk.
+
+    The witnesses are the basis vectors e_k and every e_k scaled by a
+    central block unit; the obstruction of interest lives on them, not on
+    the random bulk.  Random draws use blockwise complex Gaussians
+    rescaled into the ball.  A one-sided oracle: the sup of any error
+    over a draw is at most its sup over the ball.
+    """
+
+    shape: AlgebraShape
+    dim: int
+    count: int = 32
+    seed: int = 0
+
+    def witnesses(self):
+        """The deterministic extreme points: e_k and e_k times block units."""
+        out = []
+        for k in range(self.dim):
+            e_k = ModuleVector.basis(self.shape, self.dim, k)
+            out.append(e_k)
+            for b in range(self.shape.num_blocks):
+                out.append(e_k * AlgebraElement.block_unit(self.shape, b))
+        return out
+
+    def bulk(self):
+        """The seeded random portion alone, rescaled into the ball."""
+        rng = np.random.default_rng(self.seed)
+        out = []
+        for _ in range(self.count):
+            coords = []
+            for _ in range(self.dim):
+                blocks = tuple(
+                    (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                    / math.sqrt(2.0)
+                    for n in self.shape.block_dims
+                )
+                coords.append(AlgebraElement(self.shape, blocks))
+            x = ModuleVector(self.shape, tuple(coords))
+            nx = x.norm()
+            if nx > 1.0:
+                x = x / nx
+            out.append(x)
+        return out
+
+    def draw(self):
+        return self.witnesses() + self.bulk()
+
+
+def setting_operator(setting):
+    """The counterexample's F as a module operator: block b realizes as diag(1 at coordinate b)."""
+    k = np.arange(setting.dim)
+    pinch = np.zeros((setting.trunc + 1, setting.dim, setting.dim), complex)
+    pinch[:, k, k] = setting._operator_diagonals
+    return ModuleOperator._packed(setting.shape, setting.dim, setting.dim, (pinch,))
+
+
+def image_sample(setting, count=16, seed=0, include_witnesses=True):
+    """F applied to a seeded ball sample, the set whose compactness fails.
+
+    The extreme points e_k * delta_k are included by default; they carry
+    the whole obstruction.  With include_witnesses False only the random
+    bulk is pushed through F, which is how one sees that random sampling
+    alone misses the obstruction.
+    """
+    sampler = BallSampler(setting.shape, setting.dim, count=count, seed=seed)
+    f = setting_operator(setting)
+    if include_witnesses:
+        points = list(setting.witnesses())
+        points.extend(f(p) for p in sampler.draw())
+    else:
+        points = [f(p) for p in sampler.bulk()]
+    return SampleSet(tuple(points), label=f"F-ball-image-{setting.trunc}-{setting.dim}")
 
 
 @pytest.fixture

@@ -27,7 +27,6 @@ from cstarframes import (
     AdmissibleSystem,
     AlgebraElement,
     AlgebraShape,
-    BallSampler,
     CertifyConfig,
     GramDefectError,
     ModuleVector,
@@ -309,9 +308,8 @@ def test_criterion_10_deterministic_certificates(tmp_path):
     for _ in range(2):
         report = certify_equivalences(sample, CertifyConfig(eps_grid=(0.5, 0.25)))
         cert_b = check_condition_b(witnesses, standard_basis_frame(setting.shape, 6), 0.25)
-        sampler = BallSampler(shape, 4, count=24, seed=5)
         op = theta_op(ModuleVector.basis(shape, 4, 0), ModuleVector.basis(shape, 4, 0))
-        cert_op = operator_precompact(op, sampler, 0.3)
+        cert_op = operator_precompact(op, 0.3)
         blobs.append(serialize(report) + serialize(cert_b) + serialize(cert_op))
     assert blobs[0] == blobs[1]
 

@@ -1,22 +1,27 @@
 """Precompactness conditions, coherence, operators, free submodules."""
 
+import dataclasses
 import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    BallSampler,
+    compose,
     planted_precompact_sample,
     prefix_supported_vector,
     random_element,
+    random_frame,
     random_shape,
     random_vector,
 )
 from cstarframes import (
     AlgebraShape,
-    BallSampler,
     CertifyConfig,
     Frame,
     GramDefectError,
@@ -54,6 +59,16 @@ def test_a_exact_span_zero_residuals(rng):
     assert cert.verdict
     assert max(cert.diagnostics["residuals"]) <= 1e-9
     assert cert.diagnostics["bd_bound_ok"]
+
+
+@pytest.mark.parametrize("gens_scale, point_scale", [(2.0**-1040, 2.0**-1040), (2.0**-1022, 2.0**60)])
+def test_a_refuses_coefficients_past_the_float_range(gens_scale, point_scale):
+    """Generators whose synthesis map inverts past 2^1024, or points they reach only so, are refused."""
+    shape = AlgebraShape((1, 2))
+    gens = [ModuleVector.basis(shape, 2, 0) * gens_scale, ModuleVector.basis(shape, 2, 1) * gens_scale]
+    sample = SampleSet((ModuleVector.basis(shape, 2, 1) * point_scale,))
+    with pytest.raises(ValueError, match="^least squares against the generators passes the float range"):
+        check_condition_a(sample, gens, 0.5)
 
 
 def test_a_planted_noise_passes_with_finite_bound(rng):
@@ -403,6 +418,43 @@ def test_the_runner_takes_every_violation_from_the_table_in_row_order(monkeypatc
 # -- operators ----------------------------------------------------------------
 
 
+def random_operator(shape, target_dim, source_dim, rng):
+    return ModuleOperator(
+        shape,
+        tuple(tuple(random_element(shape, rng) for _ in range(source_dim)) for _ in range(target_dim)),
+    )
+
+
+def reproduction_operator():
+    """T = theta(x0,x1) + 0.5 theta(x2,x3) over (1,2,2), dim 3, scaled to norm 1.
+
+    Each x_i is a real-Gaussian combination of the basis vectors, one
+    standard_normal(3) of default_rng(1) per vector.  A sampler's draw
+    sees a rank-0 error of 0.894 at most; the exact one is 1.
+    """
+    shape, dim = AlgebraShape((1, 2, 2)), 3
+    gen = np.random.default_rng(1)
+    basis = [ModuleVector.basis(shape, dim, j) for j in range(dim)]
+    xs = []
+    for _ in range(4):
+        c = gen.standard_normal(dim)
+        x = basis[0] * float(c[0])
+        for j in range(1, dim):
+            x = x + basis[j] * float(c[j])
+        xs.append(x)
+    op = theta_op(xs[0], xs[1]) + theta_op(xs[2], xs[3]) * 0.5
+    return op * (1.0 / op.norm())
+
+
+def approximant_error(op, pairs):
+    """||T - sum_j theta_{u_j,u_j} T|| from module-operator arithmetic: theta_{u,u} T = theta_{u, T* u}."""
+    adjoint = op.adjoint()
+    out = op
+    for u, v in pairs:
+        out = out - theta_op(u, adjoint(v))
+    return out.norm()
+
+
 def test_ball_sampler_deterministic_and_bounded(rng):
     shape = random_shape(rng)
     sampler = BallSampler(shape, 3, count=8, seed=4)
@@ -421,8 +473,7 @@ def test_operator_precompact_theta_rank_one(rng):
     x = random_vector(shape, 3, rng)
     y = random_vector(shape, 3, rng)
     op = theta_op(x, y)
-    sampler = BallSampler(shape, 3, count=6, seed=1)
-    cert = operator_precompact(op, sampler, eps=1e-7)
+    cert = operator_precompact(op, eps=1e-7)
     assert cert.verdict
     assert cert.witness["rank"] <= 1
     assert cert.diagnostics["coherence_violations"] == []
@@ -432,15 +483,175 @@ def test_operator_precompact_identity_needs_full_rank(rng):
     shape = random_shape(rng)
     dim = 3
     ident = ModuleOperator.identity(shape, dim)
-    sampler = BallSampler(shape, dim, count=6, seed=2)
-    cert = operator_precompact(ident, sampler, eps=1e-6)
+    cert = operator_precompact(ident, eps=1e-6)
     assert cert.verdict
     assert cert.witness["rank"] == dim
-    short = operator_precompact(
-        ident, sampler, eps=1e-6, config=CertifyConfig(rank_budget=dim - 1)
-    )
+    short = operator_precompact(ident, eps=1e-6, rank_budget=dim - 1)
     assert not short.verdict
-    assert short.budget_exhausted
+    assert not short.budget_exhausted
+    assert short.exit_code == 1
+    assert short.witness == {"rank_budget": dim - 1}
+    assert short.diagnostics["error_profile"] == [1.0] * dim
+    assert short.diagnostics["coherence_violations"] == []
+
+
+@pytest.mark.parametrize("eps", [0.95, 0.155])
+def test_the_sampled_reproduction_passes_at_rank_one(eps):
+    op = reproduction_operator()
+    cert = operator_precompact(op, eps)
+    assert (cert.verdict, cert.witness) == (True, {"rank": 1})
+    assert cert.diagnostics["coherence_violations"] == []
+    assert cert.diagnostics["error_profile"] == pytest.approx([1.0, 0.150646], abs=1e-6)
+    assert len(cert.approximant) == 1
+    profile = operator_precompact(op, 1e-15).diagnostics["error_profile"]
+    assert profile == pytest.approx([1.0, 0.150646, 6.1e-17], abs=1e-6)
+    assert profile[2] < 1e-15
+
+
+def test_the_sampled_reproduction_misses_the_rank_zero_sup():
+    """The draw stays below 0.95 at rank 0, but the ball does not."""
+    op = reproduction_operator()
+    draw = BallSampler(op.shape, op.source_dim, count=64, seed=3).draw()
+    assert max(op(x).norm() for x in draw) < 0.95
+    assert operator_precompact(op, 0.95).witness == {"rank": 1}
+
+
+@st.composite
+def operator_cases(draw):
+    dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3))
+    target, source = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    terms = draw(st.sampled_from([None, 1, 2]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = AlgebraShape(tuple(dims))
+    if terms is None:
+        return random_operator(shape, target, source, gen)
+    op = None
+    for _ in range(terms):
+        t = theta_op(random_vector(shape, target, gen), random_vector(shape, source, gen))
+        op = t if op is None else op + t
+    return op
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=operator_cases())
+def test_the_exact_profile_is_the_dense_block_svd(op):
+    """errors[n] = max_k sigma_{n*n_k+1}(R_k T) from each block's own SVD, and the approximant meets it."""
+    shape, dim = op.shape, op.target_dim
+    reference = []
+    for n in range(dim + 1):
+        sigmas = []
+        for k, size in enumerate(shape.block_dims):
+            values = np.linalg.svd(op.realize_block(k), compute_uv=False)
+            sigmas.append(values[n * size] if n * size < len(values) else 0.0)
+        reference.append(max(sigmas))
+    for n in range(dim + 1):
+        eps = reference[n] * (1 + 1e-6) + 1e-12
+        cert = operator_precompact(op, eps)
+        assert cert.diagnostics["coherence_violations"] == []
+        assert cert.verdict and cert.witness["rank"] <= n
+        profile = cert.diagnostics["error_profile"]
+        assert profile == pytest.approx(reference[: len(profile)], rel=1e-9, abs=1e-12)
+        rank = cert.witness["rank"]
+        assert approximant_error(op, cert.approximant) == pytest.approx(profile[rank], rel=1e-9, abs=1e-12)
+
+
+def block_unitary(shape, dim, rng):
+    """A unitary module operator on A^dim: each realized block is the Q of a complex Gaussian's QR."""
+    stacks = []
+    for n, ks in shape.classes:
+        size = (len(ks), dim * n, dim * n)
+        stacks.append(np.linalg.qr(rng.standard_normal(size) + 1j * rng.standard_normal(size))[0])
+    return ModuleOperator._packed(shape, dim, dim, stacks)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_exact_profile_is_invariant_under_block_unitaries(seed):
+    gen = np.random.default_rng(seed)
+    shape = random_shape(gen)
+    target, source = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+    op = random_operator(shape, target, source, gen)
+    u, v = block_unitary(shape, target, gen), block_unitary(shape, source, gen)
+    moved = compose(compose(u, op), v.adjoint())
+    for eps in (1e-12, 0.5 * op.norm()):
+        a, b = operator_precompact(op, eps), operator_precompact(moved, eps)
+        assert a.witness == b.witness
+        assert b.diagnostics["error_profile"] == pytest.approx(a.diagnostics["error_profile"], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_ball_draw_never_beats_the_exact_error(seed):
+    """One-sided oracle: at every rank, ||Tx - F Tx|| <= error(rank) + tol for each drawn x."""
+    gen = np.random.default_rng(seed)
+    shape = random_shape(gen)
+    op = random_operator(shape, int(gen.integers(1, 4)), int(gen.integers(1, 4)), gen)
+    draw = BallSampler(shape, op.source_dim, count=24, seed=seed).draw()
+    full = operator_precompact(op, 5e-324)
+    errors, pairs = full.diagnostics["error_profile"], full.approximant
+    for rank, error in enumerate(errors):
+        adjoint, f = op.adjoint(), None
+        for u, w in pairs[:rank]:
+            t = theta_op(u, adjoint(w))
+            f = t if f is None else f + t
+        rest = op if f is None else op - f
+        sampled = max(rest(x).norm() for x in draw)
+        assert sampled <= error + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cd_never_exceeds_b_on_random_shapes(seed):
+    """P_n T along any frame is a sum of n thetas, so the exact C/D error is at most B's tail."""
+    gen = np.random.default_rng(seed)
+    shape = random_shape(gen)
+    dim = int(gen.integers(1, 4))
+    op = random_operator(shape, dim, int(gen.integers(1, 4)), gen)
+    errors = operator_precompact(op, 5e-324).diagnostics["error_profile"]
+    for frame in (standard_basis_frame(shape, dim), random_frame(shape, dim, dim + 2, gen)):
+        tails = series_decompose(op, frame).errors
+        assert all(e <= t + 1e-9 for e, t in zip(errors, tails))
+    assert operator_precompact(op, 0.5).diagnostics["coherence_violations"] == []
+
+
+def test_a_wrong_approximant_fires_the_replay(monkeypatch):
+    real = certify._singular_profile
+
+    def reversed_groups(op, budget):
+        errors, u = real(op, budget)
+        return errors, SampleSet._packed(u.shape, u.dim, (s[:, ::-1] for s in u.realizations))
+
+    monkeypatch.setattr(certify, "_singular_profile", reversed_groups)
+    op = ModuleOperator.identity(AlgebraShape((1, 2)), 3) + theta_op(
+        ModuleVector.basis(AlgebraShape((1, 2)), 3, 0), ModuleVector.basis(AlgebraShape((1, 2)), 3, 0)
+    )
+    cert = operator_precompact(op, 1.5)
+    assert cert.witness == {"rank": 1}
+    (violation,) = cert.diagnostics["coherence_violations"]
+    assert violation.startswith("rank 1 approximant replays to error 2, not the profile's 1")
+
+
+def test_a_b_tail_below_the_exact_error_fires_the_cd_b_check(monkeypatch):
+    real = certify.series_decompose
+
+    def halved(op, frame=None, eps=certify.SERIES_EPS):
+        out = real(op, frame, eps)
+        return dataclasses.replace(out, errors=tuple(0.5 * e for e in out.errors))
+
+    monkeypatch.setattr(certify, "series_decompose", halved)
+    op = ModuleOperator.identity(C2, 2)
+    cert = operator_precompact(op, 0.5)
+    assert cert.diagnostics["coherence_violations"] == [
+        "c/d error 1 at rank 0 exceeds the b tail 0.5",
+        "c/d error 1 at rank 1 exceeds the b tail 0.5",
+    ]
+
+
+def test_a_miss_at_the_budget_is_certified():
+    op = ModuleOperator.identity(C2, 2)
+    cert = operator_precompact(op, 0.5, rank_budget=1)
+    assert (cert.verdict, cert.budget_exhausted, cert.exit_code) == (False, False, 1)
+    assert cert.to_json_dict()["budget_exhausted"] is False
+    assert operator_precompact(op, 0.5, rank_budget=9).witness == {"rank": 2}
+    with pytest.raises(ValueError, match="rank budget must be at least 0, got -1"):
+        operator_precompact(op, 0.5, rank_budget=-1)
 
 
 # -- series -------------------------------------------------------------------
@@ -606,7 +817,7 @@ def _eps_entry_points():
         ("certify_equivalences",
          lambda e: certify_equivalences(sample, CertifyConfig(eps_grid=(e,)))),
         ("operator_precompact",
-         lambda e: operator_precompact(op, BallSampler(shape, dim, count=2), e)),
+         lambda e: operator_precompact(op, e)),
         ("free_submodule_check", lambda e: free_submodule_check(sample, gens, e)),
         ("series_decompose", lambda e: series_decompose(op, eps=e)),
         ("epsilon_net", lambda e: epsilon_net(sample, spec, e)),

@@ -224,8 +224,8 @@ def ref_condition_cd(sample, eps, rank_budget=None, frame=None):
         pairs = list(zip(frame.vectors, frame.canonical_dual()))
     else:
         pairs = [(w, w) for w in ref_span_family(sample.points)]
-    budget = sample.dim if rank_budget is None else rank_budget
-    limit = min(budget, len(pairs))
+    default = sample.dim if frame is None else len(pairs)  # a frame is scanned whole
+    limit = min(default if rank_budget is None else rank_budget, len(pairs))
     residuals = list(sample.points)
     errors = [max(r.norm() for r in residuals)]
     n = 0

@@ -1202,6 +1202,27 @@ def test_a_command_leaves_no_cyclic_garbage(capsys, collector, tmp_path, argv):
     assert gc.collect() == 0
 
 
+def test_cd_along_a_frame_scans_the_whole_frame_by_default(capsys, monkeypatch, tmp_path):
+    """With --frame and no --rank-budget, C/D runs through the frame's size, not the module dimension.
+
+    On tools/reach.py's sample of frame_random.json's module (dim 2, 4
+    frame vectors) the scan needs all four pairs to reach eps 0.5.
+    """
+    monkeypatch.setattr(sys, "path", [str(TOOLS), *sys.path])
+    import reach
+
+    sample = reach._frame_sample(FIXTURES / "frame_random.json", tmp_path / "module.json")
+    argv = ("precompact", "--condition", "cd", "--sample", sample, "--frame", fx("frame_random.json"),
+            "--eps", "0.5")
+    code, out, err = run(capsys, *argv)
+    doc = json.loads(out)
+    assert (code, err, doc["witness"]) == (0, "", {"rank": 4})
+    assert doc["diagnostics"]["best_error"] < 1e-14
+    assert run(capsys, *argv, "--rank-budget", "4") == (code, out, err)
+    code, out, _ = run(capsys, *argv, "--rank-budget", "2")
+    assert (code, json.loads(out)["witness"]) == (2, {"rank_budget": 2})
+
+
 def test_every_malformed_input_of_the_reach_list_is_refused_at_a_path(capsys, tmp_path):
     """Each fault input of tools/reach.py still reaches a refusal: exit 1 and the JSON path at fault.
 

@@ -13,14 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import tail_routes
+from conftest import image_sample, setting_operator, tail_routes
 from cstarframes import (
     AlgebraElement,
     ModuleVector,
     TruncatedCSetting,
     build_setting,
     coeff_growth,
-    image_sample,
     tail_obstruction,
     theta_op,
 )
@@ -41,23 +40,25 @@ def basis_vector(setting, k):
 
 def test_smallest_truncation():
     setting = build_setting(1, 1)
-    assert (setting.operator(setting.generator) - setting.generator).norm() <= 1e-12
+    f = setting_operator(setting)
+    assert (f(setting.generator) - setting.generator).norm() <= 1e-12
     # at (1,1), F acts as theta_{e1 delta1, e1} on the module part
     theta = theta_op(setting.witnesses()[0], basis_vector(setting, 1))
     x = basis_vector(setting, 1) * delta(setting, 1) * 2.0
-    assert (setting.operator(x) - theta(x)).norm() <= 1e-12
+    assert (f(x) - theta(x)).norm() <= 1e-12
 
 
 def test_f_fixes_witnesses():
     for trunc, dim in ((3, 2), (5, 5), (9, 7)):
         setting = build_setting(trunc, dim)
+        f = setting_operator(setting)
         for w in setting.witnesses():
-            assert (setting.operator(w) - w).norm() <= 1e-13
+            assert (f(w) - w).norm() <= 1e-13
 
 
 def test_f_norm_is_one():
     setting = build_setting(8, 8)
-    assert setting.operator.norm() == pytest.approx(1.0, abs=1e-12)
+    assert setting_operator(setting).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dimension_bound_enforced():
@@ -449,13 +450,13 @@ def test_lazy_operator_and_generator_are_the_dense_stacks(trunc, dim):
     pinch[k, k, k] = 1.0
     coefficients = np.zeros((trunc + 1, dim, 1), complex)
     coefficients[k, k, 0] = [1.0 / math.factorial(j) for j in range(1, dim + 1)]
-    (operator,) = setting.operator.stacks
+    (operator,) = setting_operator(setting).stacks
     (generator,) = setting.generator.stacks
     assert (operator.shape, operator.dtype) == (pinch.shape, pinch.dtype)
     assert operator.tobytes() == pinch.tobytes()
     assert (generator.shape, generator.dtype) == (coefficients.shape, coefficients.dtype)
     assert generator.tobytes() == coefficients.tobytes()
-    assert setting.operator is setting.operator and setting.generator is setting.generator
+    assert setting.generator is setting.generator
 
 
 # Every row against exact (1 - eps) * k!.  Rows k <= 97 are the plain
@@ -531,7 +532,6 @@ def test_the_cli_path_builds_no_dense_model_and_no_svd(monkeypatch):
     for n in range(setting.dim):
         tail_obstruction(setting, n)
     setting.witness_profiles()
-    assert "operator" not in setting.__dict__
     assert "generator" not in setting.__dict__
     assert "_witness_set" not in setting.__dict__
 

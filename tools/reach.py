@@ -14,6 +14,7 @@ the fixture commands of `fixture_commands`: every subcommand on the
 files of tests/fixtures, on empty sample documents of three shapes and
 on scaled copies of the planted sample, conditions B, C/D and `all`
 along each fixture frame on a sample of its module (`_frame_sample`),
+C/D there once more with the frame's size as an explicit rank budget,
 then the malformed inputs of
 `_malformed`, each of which the CLI refuses with exit code 1 and the
 JSON path at fault.  Their inputs and outputs go to a temporary
@@ -210,6 +211,8 @@ def fixture_commands(work: Path) -> list[list[str]]:
             with_frame = ["--sample", s, "--frame", fx[frame]]
             cmds += [["precompact", "--condition", c, *with_frame, "--eps", "0.5"] for c in ("b", "cd", "all")]
             cmds.append(["precompact", "--condition", "all", *with_frame])
+            size = len(json.loads(Path(fx[frame]).read_bytes())["vectors"])
+            cmds.append(["precompact", "--condition", "cd", *with_frame, "--eps", "0.5", *_budget(size)])
 
     for empty in empties:
         for frame in (None, *FRAMES):
