@@ -247,6 +247,11 @@ def ordered_sums(terms: np.ndarray, axis: int) -> np.ndarray:
     return np.add.accumulate(out, axis=axis, out=out)
 
 
+def stack_norms(stacks):
+    """Module norm of every stacked point, or of one value: its largest block spectral norm."""
+    return blockwise_max([spectral_norms(s) for s in stacks])
+
+
 def block_sum(shape: AlgebraShape, per_class) -> np.ndarray:
     """Sum over the blocks, in block order (`ordered_sum`), of per-class arrays."""
     return ordered_sum(shape.gather(per_class), 0)
@@ -265,13 +270,13 @@ def frozen(stacks) -> tuple[np.ndarray, ...]:
     return stacks
 
 
-def bare(cls, stacks, **attrs):
-    """An instance of cls storing `stacks` and `attrs`, built without its validation.
+def stored(obj, stacks, **attrs):
+    """obj with `stacks`, made read-only, and `attrs` stored on it; every constructor ends here.
 
-    Library results are already in shape; only values coming from outside
-    go through a class's public constructor.
+    A public constructor fills `self` after its validation.  Library
+    results are already in shape and fill a fresh `object.__new__(cls)`
+    without it; only values coming from outside are validated.
     """
-    obj = object.__new__(cls)
     object.__setattr__(obj, "stacks", frozen(stacks))
     for name, value in attrs.items():
         object.__setattr__(obj, name, value)
@@ -295,17 +300,111 @@ def _pack_blocks(shape: AlgebraShape, blocks) -> tuple[np.ndarray, ...]:
     return frozen(np.stack([arrays[k] for k in ks]) for _, ks in shape.classes)
 
 
-def _scalar_blocks(shape: AlgebraShape, fill) -> tuple[np.ndarray, ...]:
-    """Per class, `fill(k, n)` (an (n, n) matrix) for each block k."""
-    return tuple(
-        np.array([fill(k, n) for k in ks], complex).reshape(len(ks), n, n)
-        for n, ks in shape.classes
-    )
+def entry_blocks(stack: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A matrix stack (count, rows*n, cols*n) seen as its (count, rows, cols, n, n) entries."""
+    n = stack.shape[-1] // cols
+    return stack.reshape(len(stack), rows, n, cols, n).transpose(0, 1, 3, 2, 4)
+
+
+def from_entry_blocks(entries: np.ndarray) -> np.ndarray:
+    """Inverse of `entry_blocks`: (count, rows, cols, n, n) to (count, rows*n, cols*n)."""
+    count, rows, cols, n, _ = entries.shape
+    return entries.transpose(0, 1, 3, 2, 4).reshape(count, rows * n, cols * n)
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class _Matrix:
+    """A rows x cols matrix over the algebra, stored as its block realizations.
+
+    Every value is an adjointable map between free modules: an element a
+    is the 1x1 matrix, a vector x of A^m the m x 1 matrix (the map
+    a |-> x a from A to A^m), an operator A^s -> A^m the m x s matrix.
+    All of them are stored the same way: stacks[c] holds the realizations
+    of the blocks of size class c, shape (count_c, rows*n_c, cols*n_c).
+    The arithmetic here keeps the type of its operand: sums and
+    differences within one module, negation, scaling, the right action of
+    an element on a one-column matrix, and the norm.  Two operands are
+    compatible when they have one type, one algebra shape and the same
+    rows and cols; each class names a mismatch in its own words
+    (`_MISMATCH`, formatted with the two operands).
+    """
+
+    shape: AlgebraShape
+    _rows: int
+    _cols: int
+    stacks: tuple[np.ndarray, ...]
+
+    def _set_entries(self, shape: AlgebraShape, rows) -> None:
+        """Store a matrix of algebra elements given as rows of equal length."""
+        stored(self, (
+            from_entry_blocks(
+                np.stack([np.stack([e.stacks[c] for e in row], axis=1) for row in rows], axis=1)
+            )
+            for c in range(len(shape.classes))
+        ), shape=shape, _rows=len(rows), _cols=len(rows[0]))
+
+    def _with(self, stacks):
+        return stored(
+            object.__new__(type(self)), stacks, shape=self.shape, _rows=self._rows, _cols=self._cols
+        )
+
+    def _require_compatible(self, other) -> None:
+        if other.shape != self.shape or type(other) is not type(self) or (
+            (other._rows, other._cols) != (self._rows, self._cols)
+        ):
+            raise ValueError(self._MISMATCH.format(self, other))
+
+    def __add__(self, other):
+        self._require_compatible(other)
+        return self._with(a + b for a, b in zip(self.stacks, other.stacks))
+
+    def __sub__(self, other):
+        self._require_compatible(other)
+        return self._with(a - b for a, b in zip(self.stacks, other.stacks))
+
+    def __neg__(self):
+        return self._with(-a for a in self.stacks)
+
+    def _scaled(self, scalar):
+        return self._with(a * complex(scalar) for a in self.stacks)
+
+    def __mul__(self, other):
+        """Right action x*a of an algebra element on one column, scaling for scalars."""
+        if isinstance(other, AlgebraElement):
+            if other.shape != self.shape:
+                raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+            # R_k(x) @ a_k: by the stacked-left rule each entry gets the bits of x_i * a
+            return self._with(s @ a for s, a in zip(self.stacks, other.stacks))
+        return self._scaled(other)
+
+    def _adjoint(self):
+        """Entrywise adjoint of the transpose; satisfies <T*y,x> = <y,Tx>."""
+        return stored(
+            object.__new__(type(self)),
+            (np.ascontiguousarray(a.conj().swapaxes(-1, -2)) for a in self.stacks),
+            shape=self.shape, _rows=self._cols, _cols=self._rows,
+        )
+
+    def _block(self, k: int) -> np.ndarray:
+        """The realization of block k, shape (rows*n_k, cols*n_k): a read-only view."""
+        c, j = self.shape.slots[k]
+        return self.stacks[c][j]
+
+    def norm(self) -> float:
+        """C*-norm: the largest spectral norm of a block realization.
+
+        Exact, because the block realization is a faithful representation:
+        an element's norm is its largest singular value across blocks, a
+        vector's ||<x,x>||^(1/2) is the largest one of R_k(x), and the
+        supremum of ||Tx|| over the unit ball is attained on each block
+        at its leading right singular vector.
+        """
+        return stack_norms(self.stacks)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class AlgebraElement:
-    """One member of the algebra: a matrix per block.
+class AlgebraElement(_Matrix):
+    """One member of the algebra: a matrix per block, the 1x1 case of `_Matrix`.
 
     stacks[c] holds the blocks of size class c, shape (count_c, n_c, n_c);
     `blocks` gives them back in block order as read-only views.  Values
@@ -313,20 +412,18 @@ class AlgebraElement:
     elements, so instances are safe to share across threads.
     """
 
-    shape: AlgebraShape
-    stacks: tuple[np.ndarray, ...]
+    _MISMATCH = "shape mismatch: {0.shape} vs {1.shape}"
 
     def __init__(self, shape: AlgebraShape, blocks):
-        object.__setattr__(self, "shape", shape)
-        self.__post_init__(blocks)
+        self.__post_init__(shape, blocks)
 
-    def __post_init__(self, blocks):
+    def __post_init__(self, shape: AlgebraShape, blocks):
         # Every validated construction passes here; library results use `_packed`.
-        object.__setattr__(self, "stacks", _pack_blocks(self.shape, blocks))
+        stored(self, _pack_blocks(shape, blocks), shape=shape, _rows=1, _cols=1)
 
     @classmethod
     def _packed(cls, shape: AlgebraShape, stacks) -> "AlgebraElement":
-        return bare(cls, stacks, shape=shape)
+        return stored(object.__new__(cls), stacks, shape=shape, _rows=1, _cols=1)
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -337,57 +434,32 @@ class AlgebraElement:
 
     @classmethod
     def identity(cls, shape: AlgebraShape) -> "AlgebraElement":
-        return cls._packed(shape, _scalar_blocks(shape, lambda k, n: np.eye(n)))
+        return cls._packed(
+            shape, (np.tile(np.eye(n, dtype=complex), (len(ks), 1, 1)) for n, ks in shape.classes)
+        )
 
     @classmethod
     def zero(cls, shape: AlgebraShape) -> "AlgebraElement":
-        return cls._packed(shape, _scalar_blocks(shape, lambda k, n: np.zeros((n, n))))
+        return cls._packed(shape, (np.zeros((len(ks), n, n), complex) for n, ks in shape.classes))
 
     @classmethod
     def block_unit(cls, shape: AlgebraShape, k: int) -> "AlgebraElement":
         """Central projection supported on block k: identity there, zero elsewhere."""
         if not 0 <= k < shape.num_blocks:
             raise ValueError(f"block index {k} out of range")
-        return cls._packed(shape, _scalar_blocks(shape, lambda b, n: np.eye(n) * (b == k)))
+        stacks = [np.zeros((len(ks), n, n), complex) for n, ks in shape.classes]
+        c, j = shape.slots[k]
+        stacks[c][j] = np.eye(shape.block_dims[k])
+        return cls._packed(shape, stacks)
 
-    # -- arithmetic -----------------------------------------------------
-
-    def _require_same_shape(self, other: "AlgebraElement"):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
-    def _with(self, stacks) -> "AlgebraElement":
-        return AlgebraElement._packed(self.shape, stacks)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same_shape(other)
-        return self._with(a + b for a, b in zip(self.stacks, other.stacks))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same_shape(other)
-        return self._with(a - b for a, b in zip(self.stacks, other.stacks))
-
-    def __neg__(self) -> "AlgebraElement":
-        return self._with(-a for a in self.stacks)
-
-    def __mul__(self, other) -> "AlgebraElement":
-        """Algebra product for element operands, scaling for scalar operands."""
-        if isinstance(other, AlgebraElement):
-            self._require_same_shape(other)
-            return self._with(a @ b for a, b in zip(self.stacks, other.stacks))
-        return self._with(a * complex(other) for a in self.stacks)
+    # -- arithmetic (the rest is `_Matrix`'s) ----------------------------
 
     def __rmul__(self, scalar) -> "AlgebraElement":
         return self._with(complex(scalar) * a for a in self.stacks)
 
-    def adjoint(self) -> "AlgebraElement":
-        return self._with(np.ascontiguousarray(a.conj().swapaxes(-1, -2)) for a in self.stacks)
+    adjoint = _Matrix._adjoint
 
-    # -- norm and order -------------------------------------------------
-
-    def norm(self) -> float:
-        """C*-norm: the largest singular value across blocks."""
-        return blockwise_max([spectral_norms(a) for a in self.stacks])
+    # -- order ------------------------------------------------------------
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue across the Hermitian symmetrizations of all blocks."""
@@ -460,8 +532,7 @@ class State:
 
     def __init__(self, shape: AlgebraShape, densities):
         (stacks,) = checked_states(shape, [s[:, None] for s in _pack_blocks(shape, densities)])
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "stacks", stacks)
+        stored(self, stacks, shape=shape)
 
     @property
     def densities(self) -> tuple[np.ndarray, ...]:

@@ -11,8 +11,11 @@ least-squares problems decouple per block.
 The realization is also the stored form.  A vector keeps, per size class
 of the algebra (see `AlgebraShape.classes`), the stack of R_k(x) over
 the class's blocks, and an operator the stack of its realized blocks;
-coordinates and entries are views of those stacks.  A family of vectors
-is a `SampleSet`, stored as one (count, len, dim*n, n) array per class.
+coordinates and entries are views of those stacks.  Both are matrices
+over the algebra, m x 1 and m x s, and share that form and the
+arithmetic that keeps their type with the algebra's elements
+(`algebra._Matrix`).  A family of vectors is a `SampleSet`, stored as
+one (count, len, dim*n, n) array per class.
 """
 
 from __future__ import annotations
@@ -26,13 +29,16 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
-    bare,
+    _Matrix,
     blockwise_max,
     chunks,
+    entry_blocks,
     frozen,
     hermitian_part,
     ordered_sum,
     spectral_norms,
+    stack_norms,
+    stored,
 )
 from .tolerances import PINV_RTOL, SPAN_DROP_RTOL
 
@@ -44,17 +50,15 @@ def coordinate_blocks(stack: np.ndarray, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ModuleVector:
-    """Element of A^n, stored as its block realizations.
+class ModuleVector(_Matrix):
+    """Element of A^n, stored as its block realizations: the n x 1 case of `_Matrix`.
 
     stacks[c] has shape (count_c, dim*n_c, n_c): R_k(x) for every block k
     of size class c.  `coords` gives the n coordinates back as algebra
     elements whose blocks are views of the stacks.
     """
 
-    shape: AlgebraShape
-    dim: int
-    stacks: tuple[np.ndarray, ...]
+    _MISMATCH = "module vectors live in different modules"
 
     def __init__(self, shape: AlgebraShape, coords):
         coords = tuple(coords)
@@ -63,20 +67,15 @@ class ModuleVector:
         for c in coords:
             if c.shape != shape:
                 raise ValueError("all coordinates must share the algebra shape")
-        stacks = frozen(
-            np.stack([c.stacks[i] for c in coords], axis=1).reshape(len(ks), -1, n)
-            for i, (n, ks) in enumerate(shape.classes)
-        )
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "dim", len(coords))
-        object.__setattr__(self, "stacks", stacks)
+        self._set_entries(shape, [(c,) for c in coords])
 
     @classmethod
     def _packed(cls, shape: AlgebraShape, dim: int, stacks) -> "ModuleVector":
-        return bare(cls, stacks, shape=shape, dim=dim)
+        return stored(object.__new__(cls), stacks, shape=shape, _rows=dim, _cols=1)
 
-    def _with(self, stacks) -> "ModuleVector":
-        return ModuleVector._packed(self.shape, self.dim, stacks)
+    @property
+    def dim(self) -> int:
+        return self._rows
 
     @property
     def coords(self) -> tuple[AlgebraElement, ...]:
@@ -106,44 +105,13 @@ class ModuleVector:
             stacks.append(s.reshape(len(ks), dim * n, n))
         return cls._packed(shape, dim, stacks)
 
-    # -- linear structure -----------------------------------------------
-
-    def _require_compatible(self, other: "ModuleVector"):
-        if self.shape != other.shape or self.dim != other.dim:
-            raise ValueError("module vectors live in different modules")
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        self._require_compatible(other)
-        return self._with(a + b for a, b in zip(self.stacks, other.stacks))
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        self._require_compatible(other)
-        return self._with(a - b for a, b in zip(self.stacks, other.stacks))
-
-    def __neg__(self) -> "ModuleVector":
-        return self._with(-a for a in self.stacks)
-
-    def __mul__(self, other) -> "ModuleVector":
-        """Right module action x*a for algebra elements, scaling for scalars."""
-        if isinstance(other, AlgebraElement):
-            if other.shape != self.shape:
-                raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-            # R_k(x) @ a_k: by the stacked-left rule each coordinate gets the bits of x_i * a
-            return self._with(s @ a for s, a in zip(self.stacks, other.stacks))
-        return self._with(s * complex(other) for s in self.stacks)
+    # -- linear and metric structure (the rest is `_Matrix`'s) -----------
 
     def __truediv__(self, scalar) -> "ModuleVector":
         return self * (1.0 / complex(scalar))
 
-    # -- metric structure -----------------------------------------------
-
-    def realize_block(self, k: int) -> np.ndarray:
-        """Stacked k-th blocks of all coordinates, shape (dim*n_k, n_k)."""
-        c, j = self.shape.slots[k]
-        return self.stacks[c][j]
-
-    def norm(self) -> float:
-        return blockwise_max([spectral_norms(s) for s in self.stacks])
+    realize_block = _Matrix._block
+    norm = _Matrix.norm  # an entry of its own: perfbench/tracer.py wraps ModuleVector.norm
 
     def restrict(self, start: int, stop: int) -> "ModuleVector":
         """Zero out every coordinate outside [start, stop)."""
@@ -165,20 +133,8 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     )
 
 
-def entry_blocks(stack: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """An operator stack (count, rows*n, cols*n) seen as its (count, rows, cols, n, n) entries."""
-    n = stack.shape[-1] // cols
-    return stack.reshape(len(stack), rows, n, cols, n).transpose(0, 1, 3, 2, 4)
-
-
-def from_entry_blocks(entries: np.ndarray) -> np.ndarray:
-    """Inverse of `entry_blocks`: (count, rows, cols, n, n) to (count, rows*n, cols*n)."""
-    count, rows, cols, n, _ = entries.shape
-    return entries.transpose(0, 1, 3, 2, 4).reshape(count, rows * n, cols * n)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class ModuleOperator:
+class ModuleOperator(_Matrix):
     """A-linear map A^n -> A^m given by an m-by-n matrix over the algebra.
 
     The action is T(x)_i = sum_j entries[i][j] x_j, so right
@@ -187,10 +143,7 @@ class ModuleOperator:
     class c; `entries` gives the matrix back as algebra elements.
     """
 
-    shape: AlgebraShape
-    target_dim: int
-    source_dim: int
-    stacks: tuple[np.ndarray, ...]
+    _MISMATCH = "operator sum dimension mismatch"
 
     def __init__(self, shape: AlgebraShape, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -203,23 +156,19 @@ class ModuleOperator:
             for e in row:
                 if e.shape != shape:
                     raise ValueError("all entries must share the algebra shape")
-        stacks = frozen(
-            from_entry_blocks(
-                np.stack([np.stack([e.stacks[c] for e in row], axis=1) for row in rows], axis=1)
-            )
-            for c in range(len(shape.classes))
-        )
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "target_dim", len(rows))
-        object.__setattr__(self, "source_dim", width)
-        object.__setattr__(self, "stacks", stacks)
+        self._set_entries(shape, rows)
 
     @classmethod
     def _packed(cls, shape, target_dim: int, source_dim: int, stacks) -> "ModuleOperator":
-        return bare(cls, stacks, shape=shape, target_dim=target_dim, source_dim=source_dim)
+        return stored(object.__new__(cls), stacks, shape=shape, _rows=target_dim, _cols=source_dim)
 
-    def _with(self, stacks) -> "ModuleOperator":
-        return ModuleOperator._packed(self.shape, self.target_dim, self.source_dim, stacks)
+    @property
+    def target_dim(self) -> int:
+        return self._rows
+
+    @property
+    def source_dim(self) -> int:
+        return self._cols
 
     @property
     def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:
@@ -241,7 +190,7 @@ class ModuleOperator:
             tuple(np.tile(np.eye(dim * n, dtype=complex), (len(ks), 1, 1)) for n, ks in shape.classes),
         )
 
-    # -- action and algebra ----------------------------------------------
+    # -- action and algebra (the rest is `_Matrix`'s) --------------------
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
         if x.shape != self.shape or x.dim != self.source_dim:
@@ -250,40 +199,9 @@ class ModuleOperator:
             self.shape, self.target_dim, tuple(t @ v for t, v in zip(self.stacks, x.stacks))
         )
 
-    def __add__(self, other: "ModuleOperator") -> "ModuleOperator":
-        if (
-            other.shape != self.shape
-            or other.target_dim != self.target_dim
-            or other.source_dim != self.source_dim
-        ):
-            raise ValueError("operator sum dimension mismatch")
-        return self._with(a + b for a, b in zip(self.stacks, other.stacks))
-
-    def __sub__(self, other: "ModuleOperator") -> "ModuleOperator":
-        return self + (other * (-1.0))
-
-    def __mul__(self, scalar) -> "ModuleOperator":
-        return self._with(s * complex(scalar) for s in self.stacks)
-
-    def adjoint(self) -> "ModuleOperator":
-        """Entrywise adjoint of the transpose; satisfies <T*y,x> = <y,Tx>."""
-        return ModuleOperator._packed(
-            self.shape, self.source_dim, self.target_dim,
-            tuple(np.ascontiguousarray(s.conj().swapaxes(-1, -2)) for s in self.stacks),
-        )
-
-    def realize_block(self, k: int) -> np.ndarray:
-        c, j = self.shape.slots[k]
-        return self.stacks[c][j]
-
-    def norm(self) -> float:
-        """C*-norm of the matrix over A: max over blocks of the spectral norm.
-
-        Exact, because the block realization is a faithful representation
-        and the supremum of ||Tx|| over the unit ball is attained on each
-        block at its leading right singular vector.
-        """
-        return blockwise_max([spectral_norms(s) for s in self.stacks])
+    __mul__ = _Matrix._scaled  # an operator is only scaled; x*a acts on vectors
+    adjoint = _Matrix._adjoint
+    realize_block = _Matrix._block
 
     def __repr__(self) -> str:
         return (
@@ -445,11 +363,6 @@ def gram_block(xs: np.ndarray, ys: np.ndarray, dim: int) -> np.ndarray:
     for part in chunks(count, size * dim * rows * n):
         acc[part] = ordered_sum(xs[part, :, None] @ adjoints[part], 1)
     return acc.transpose(0, 2, 1, 3).reshape(count, rows, rows)
-
-
-def stack_norms(stacks) -> list[float]:
-    """Module norm of every stacked point: its largest block spectral norm."""
-    return blockwise_max([spectral_norms(s) for s in stacks])
 
 
 # -- span geometry ------------------------------------------------------

@@ -26,7 +26,6 @@ import numpy as np
 
 from .algebra import (
     State,
-    bare,
     block_sum,
     check_eps,
     checked_states,
@@ -36,6 +35,7 @@ from .algebra import (
     ordered_sum,
     ordered_sums,
     spectral_norms,
+    stored,
 )
 from .modules import ModuleVector, SampleSet, gram_block, inner_product
 from .tolerances import ADMISSIBLE_TOL
@@ -186,7 +186,7 @@ class SeminormSpec:
         """The states, whose stacks are read-only views of `_densities`."""
         shape = self._system.shape
         return tuple(
-            bare(State, tuple(s[:, i] for s in self._densities), shape=shape)
+            stored(object.__new__(State), tuple(s[:, i] for s in self._densities), shape=shape)
             for i in range(len(self.system))
         )
 

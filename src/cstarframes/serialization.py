@@ -26,15 +26,13 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import AlgebraShape, StateError, checked_states
+from .algebra import AlgebraShape, StateError, checked_states, entry_blocks, from_entry_blocks
 from .frames import DegenerateFrameError, Frame
 from .modules import (
     ModuleOperator,
     ModuleVector,
     SampleSet,
     coordinate_blocks,
-    entry_blocks,
-    from_entry_blocks,
     stack_norms,
 )
 from .seminorms import AdmissibleSystem, SeminormSpec

@@ -21,7 +21,7 @@ from cstarframes import (
     State,
 )
 from cstarframes.counterexample import _fold_tail_routes
-from cstarframes.modules import entry_blocks, from_entry_blocks
+from cstarframes.algebra import entry_blocks, from_entry_blocks
 
 
 def random_shape(rng, max_blocks=3):

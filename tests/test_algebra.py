@@ -124,6 +124,11 @@ def test_arithmetic_rejects_elements_of_another_shape(rng):
     for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
         with pytest.raises(ValueError, match="shape mismatch"):
             op(a, b)
+    # a one-coordinate vector has the stored form of an element, but not its type
+    x = ModuleVector(C2, (a,))
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(a, x)
 
 
 def test_block_unit_rejects_an_index_outside_the_shape():

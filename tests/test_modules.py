@@ -269,6 +269,92 @@ def test_restrict_window(rng):
     assert win.coords[3].norm() == 0.0
 
 
+def _operands(rng):
+    """Elements, vectors and operators over one shape."""
+    shape = AlgebraShape((1, 2, 2))
+    ops = [
+        ModuleOperator(shape, tuple(tuple(random_element(shape, rng) for _ in range(s)) for _ in range(t)))
+        for t, s in ((2, 3), (2, 3), (3, 2))
+    ]
+    return dict(
+        a=random_element(shape, rng), b=random_element(shape, rng),
+        x=random_vector(shape, 3, rng), y=random_vector(shape, 3, rng),
+        x1=random_vector(shape, 1, rng), y2=random_vector(shape, 2, rng),
+        op=ops[0], op2=ops[1], op_t=ops[2],
+    )
+
+
+def _dims(value):
+    if isinstance(value, ModuleOperator):
+        return (value.target_dim, value.source_dim)
+    return (value.dim,) if isinstance(value, ModuleVector) else ()
+
+
+@pytest.mark.parametrize(
+    "expr, cls, dims",
+    [
+        ("x * a", ModuleVector, (3,)),
+        ("x1 * a", ModuleVector, (1,)),
+        ("x1 * 2.0", ModuleVector, (1,)),
+        ("x1 / 2.0", ModuleVector, (1,)),
+        ("-x1", ModuleVector, (1,)),
+        ("x - y", ModuleVector, (3,)),
+        ("a * b", AlgebraElement, ()),
+        ("2.0 * a", AlgebraElement, ()),
+        ("a - b", AlgebraElement, ()),
+        ("a.adjoint()", AlgebraElement, ()),
+        ("inner_product(x, y)", AlgebraElement, ()),
+        ("inner_product(x1, x1)", AlgebraElement, ()),
+        ("op(x)", ModuleVector, (2,)),
+        ("op.adjoint()", ModuleOperator, (3, 2)),
+        ("op * 2.0", ModuleOperator, (2, 3)),
+        ("op - op2", ModuleOperator, (2, 3)),
+        ("-op", ModuleOperator, (2, 3)),
+    ],
+)
+def test_the_shared_arithmetic_keeps_each_result_type(rng, expr, cls, dims):
+    value = eval(expr, {"inner_product": inner_product}, _operands(rng))
+    assert type(value) is cls
+    assert _dims(value) == dims
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("x + y2", "module vectors live in different modules"),
+        ("x - y2", "module vectors live in different modules"),
+        ("x1 + a", "module vectors live in different modules"),
+        ("op + op_t", "operator sum dimension mismatch"),
+        ("op - op_t", "operator sum dimension mismatch"),
+    ],
+)
+def test_a_mismatched_sum_keeps_its_class_message(rng, expr, message):
+    """The vector and operator cases; test_algebra.py covers the element's "shape mismatch"."""
+    with pytest.raises(ValueError, match=message):
+        eval(expr, {}, _operands(rng))
+
+
+def test_one_stored_form_and_one_difference(rng):
+    """A vector stacks its coordinates as the one-column operator does, and every `-` is a - b.
+
+    p + q * (-1) is not p - q: for p = -0 and q = -0.5i the real part of
+    p - q is -0, that of p + q * (-1) is +0.
+    """
+    env = _operands(rng)
+    shape, coords = env["x"].shape, env["x"].coords
+    column = ModuleOperator(shape, [[c] for c in coords])
+    for c, (n, ks) in enumerate(shape.classes):
+        want = np.stack([e.stacks[c] for e in coords], axis=1).reshape(len(ks), 3 * n, n)
+        assert env["x"].stacks[c].tobytes() == column.stacks[c].tobytes() == want.tobytes()
+    zero = AlgebraElement(shape, [np.full((n, n), complex(-0.0, 0.0)) for n in shape.block_dims])
+    tilted = AlgebraElement(shape, [np.full((n, n), complex(0.0, -0.5)) for n in shape.block_dims])
+    signed = (ModuleOperator(shape, [[zero]]), ModuleOperator(shape, [[tilted]]))
+    for p, q in ((env["a"], env["b"]), (env["x"], env["y"]), (env["op"], env["op2"]), signed):
+        for s, t, d in zip(p.stacks, q.stacks, (p - q).stacks):
+            assert d.tobytes() == (s - t).tobytes()
+    assert math.copysign(1.0, (signed[0] - signed[1]).stacks[0][0, 0, 0].real) == -1.0
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_span_family_of_a_sample_set_is_the_span_family_of_its_vectors(seed):
     """The same members, bit for bit, from a list, a SampleSet and a packed SampleSet; dropped inputs included."""

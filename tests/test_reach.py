@@ -6,6 +6,12 @@ no command calls and tests/test_acceptance.py never names.  That list is
 pinned here, so a public name that loses its last route, or a new one
 that never had one, fails this test until it is wired in or leaves the
 package.
+
+A class's members include those it inherits from a base in the package
+(`reach._members`).  Members that are one function are reached together:
+`ModuleVector.realize_block` and `ModuleOperator.realize_block` are both
+`_Matrix._block`, so a route that calls either one drops both from the
+list.  A class itself is reached through the functions of its own body.
 """
 
 import sys
@@ -43,3 +49,15 @@ def test_the_public_names_no_route_reaches_are_the_listed_ones(monkeypatch, tmp_
 
     called = reach.run(reach.commands(tmp_path))
     assert reach.unused_public(called) == UNREACHED_PUBLIC
+
+
+def test_an_inherited_member_counts_as_a_member_of_the_exported_class(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(TOOLS), *sys.path])
+    import reach
+    from cstarframes import AlgebraElement, ModuleOperator, ModuleVector
+    from cstarframes.algebra import _Matrix
+
+    assert reach._members(AlgebraElement)["norm"] is _Matrix.norm
+    assert reach._members(ModuleVector)["__add__"] is _Matrix.__add__
+    assert reach._members(ModuleOperator)["__mul__"] is _Matrix._scaled  # the class's own binding wins
+    assert "entries" not in reach._members(ModuleVector)

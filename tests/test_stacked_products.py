@@ -39,8 +39,8 @@ from cstarframes import (
     modules,
     theta_op,
 )
-from cstarframes.algebra import block_sum, blockwise_max, hermitian_part, spectral_norms, tiles
-from cstarframes.modules import coordinate_blocks, from_entry_blocks, stack_norms
+from cstarframes.algebra import block_sum, blockwise_max, from_entry_blocks, hermitian_part, spectral_norms, tiles
+from cstarframes.modules import coordinate_blocks, stack_norms
 from cstarframes.seminorms import state_values
 from cstarframes.serialization import parse, serialize
 from cstarframes.tolerances import PINV_RTOL, SPAN_DROP_RTOL

@@ -44,13 +44,20 @@ from cstarframes import (
     modules,
     series_decompose,
 )
-from cstarframes.algebra import blockwise_max, chunks, ordered_sum, ordered_sums, spectral_norms, tiles
+from cstarframes.algebra import (
+    blockwise_max,
+    chunks,
+    from_entry_blocks,
+    ordered_sum,
+    ordered_sums,
+    spectral_norms,
+    tiles,
+)
 from cstarframes.certify import _coefficient_data, _replay_data
 from cstarframes.cli import main
 from cstarframes.frames import prefix_tails, standard_basis_frame
 from cstarframes.modules import (
     coordinate_blocks,
-    from_entry_blocks,
     gram_block,
     orthogonal_span_family,
     span_least_squares,

@@ -49,15 +49,30 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 FIELDS = ("argv", "code", "stdout", "stderr", "out")
-CHILD = "import sys; sys.path.insert(0, {tools!r}); import bytediff; bytediff.record({tree!r}, {result!r})"
+CHILD = "import sys; sys.path.insert(0, {tools!r}); import bytediff; bytediff.record({tree!r}, {result!r}, {only!r})"
 
 
-def record(tree: str, result: str) -> None:
+def violations(*texts: str | None) -> int:
+    """How many coherence violations the first equivalence report among `texts` lists; 0 if none is one."""
+    for text in texts:
+        try:
+            doc = json.loads(text)
+        except (TypeError, ValueError):
+            continue
+        if isinstance(doc, dict) and doc.get("kind") == "equivalence_report":
+            return sum(len(entry["violations"]) for entry in doc["entries"])
+    return 0
+
+
+def record(tree: str, result: str, only: str | None = None) -> None:
     """Run the tree's command list in this interpreter and write one record per command to `result`.
 
     A record holds the normalized argv, the exit code (or the exception
-    that escaped), and the length and SHA-256 of the normalized stdout,
-    stderr and --out bytes.
+    that escaped), the length and SHA-256 of the normalized stdout,
+    stderr and --out bytes, and the number of coherence violations in
+    the equivalence report on stdout or in the --out file
+    (`violations`).  With `only`, just the commands of that subcommand
+    run.
     """
     root = Path(tree).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tools")]
@@ -80,6 +95,8 @@ def record(tree: str, result: str) -> None:
             return [len(text), hashlib.sha256(text.encode("latin-1")).hexdigest()]
 
         for argv in reach.commands(Path(tmp)):
+            if only is not None and argv[:1] != [only]:
+                continue
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
@@ -91,26 +108,29 @@ def record(tree: str, result: str) -> None:
             if "--out" in argv:
                 path = Path(argv[argv.index("--out") + 1])
                 if path.exists():
-                    out = summary(path.read_bytes().decode("latin-1"))
+                    out = path.read_bytes().decode("latin-1")
                     path.unlink()
             runs.append({
                 "argv": [normalized(a) for a in argv],
                 "code": code,
                 "stdout": summary(stdout.getvalue()),
                 "stderr": summary(stderr.getvalue()),
-                "out": out,
+                "out": None if out is None else summary(out),
+                "violations": violations(stdout.getvalue(), out),
             })
     Path(result).write_text(json.dumps(runs))
 
 
-def run_tree(tree: Path, work: Path, label: str, coretype: str | None = None) -> list[dict]:
-    """The records of `tree`'s command list, from a fresh interpreter (`record`)."""
+def run_tree(
+    tree: Path, work: Path, label: str, coretype: str | None = None, only: str | None = None
+) -> list[dict]:
+    """The records of `tree`'s command list (of subcommand `only`), from a fresh interpreter (`record`)."""
     result = work / f"{label}.json"
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "OPENBLAS_CORETYPE")}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
-    code = CHILD.format(tools=str(TOOLS), tree=str(tree.resolve()), result=str(result))
+    code = CHILD.format(tools=str(TOOLS), tree=str(tree.resolve()), result=str(result), only=only)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=work, capture_output=True, text=True)
     if proc.returncode:

@@ -29,9 +29,12 @@ was called at least once.
 nor is the subject of a paper criterion: every name of
 `cstarframes.__all__` that no command calls and tests/test_acceptance.py
 never names (as a `Name` or an `Attribute` anywhere in its ast), and
-under the same two conditions every public method or property defined
-on an exported class.  A class counts as called when any function
-defined in its body was; a class whose body defines none, an exception
+under the same two conditions every public method or property of an
+exported class, inherited ones included (its MRO over the package's
+classes).  Members that are one function, such as an alias in a class
+body of a method of a shared base, are reached together.  A class
+counts as called when any function defined in its body was, its own
+aliases included; a class whose body defines none, an exception
 or a plain record, runs no package code when it is built, so the
 profile cannot see it and it is not listed.  `--size` prints the size of the package: its
 file lines, its functions (`def` and `lambda`) and their parameters
@@ -342,6 +345,20 @@ def _function(member):
     return None
 
 
+def _members(cls) -> dict:
+    """The package function behind each attribute of cls, inherited ones included (`_function`).
+
+    The walk goes down cls's MRO over the classes defined in the package;
+    the first class that defines a name gives its member.
+    """
+    members = {}
+    for klass in cls.__mro__:
+        if klass.__module__.partition(".")[0] == PACKAGE.name:
+            for attr, member in vars(klass).items():
+                members.setdefault(attr, _function(member))
+    return members
+
+
 def unused_public(called: set[tuple[str, int]]) -> list[str]:
     """The public names and public class members that no command called and the criteria never name."""
     import cstarframes
@@ -360,10 +377,10 @@ def unused_public(called: set[tuple[str, int]]) -> list[str]:
             if name not in named and not reached(obj):
                 out.append(name)
             continue
-        members = {attr: _function(m) for attr, m in vars(obj).items()}
-        members = {attr: fn for attr, fn in members.items() if fn is not None}
-        if members and name not in named and not any(reached(fn) for fn in members.values()):
+        own = [fn for fn in map(_function, vars(obj).values()) if fn is not None]
+        if own and name not in named and not any(reached(fn) for fn in own):
             out.append(name)
+        members = {attr: fn for attr, fn in _members(obj).items() if fn is not None}
         out += [
             f"{name}.{attr}"
             for attr, fn in members.items()
