@@ -15,6 +15,12 @@ Every parsed value is built through a `_packed` constructor on the
 stacks of the one-pass decode (`_decode_blocks`).  When the decode
 refuses a payload, a walk goes through it cell by cell only to name
 the fault at its path; the walks build nothing.
+
+Text is read by `orjson.loads`, and the value is built from its tree.
+The stdlib's `json.loads` stays the reference: it decodes every text
+that orjson refuses or might read otherwise (`_orjson_tree`), and every
+text whose orjson tree the schema refuses, so each refusal keeps the
+stdlib's message.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import math
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .algebra import AlgebraShape, StateError, checked_states, entry_blocks, from_entry_blocks
 from .frames import DegenerateFrameError, Frame
@@ -526,6 +533,61 @@ _PARSERS = {
 }
 
 
+# orjson builds its tree by recursion on the native stack, about 140
+# bytes a level of objects, and ends the process where the stack runs
+# out: past 50,000 levels of objects on an 8 MB stack.  json.loads raises
+# RecursionError there instead.  Text with more opening brackets than
+# this, which bound its depth, is left to json.loads.  Valid documents
+# open about one bracket per 29 bytes, so up to about 470 kB of them
+# go through orjson.
+_ORJSON_MAX_OPENS = 2**14
+
+
+def _orjson_tree(data):
+    """orjson's tree of `data`, or None where the stdlib decodes it.
+
+    None for input that is neither bytes nor text, text with a lone
+    surrogate, text with more than _ORJSON_MAX_OPENS brackets, text
+    orjson refuses, and text whose tree may have lost a value to a
+    repeated key (which json.loads might have refused as too deep).  On
+    all other text the two trees are equal, but for an integer literal
+    outside [-2^63, 2^64), which orjson reads as the correctly rounded
+    float: the schema takes one only as a number cell, whose decode
+    makes the same float of the integer.
+    """
+    if isinstance(data, str):
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    if not isinstance(data, bytes):
+        return None
+    text = np.frombuffer(data, np.uint8)
+    if np.count_nonzero(text == ord("[")) + np.count_nonzero(text == ord("{")) > _ORJSON_MAX_OPENS:
+        return None
+    try:
+        tree = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return None
+    # Every member of every object has a colon outside strings, so a text
+    # with no more colons than the root has keys repeats no key, and the
+    # tree holds all of it.  Valid documents hold no other object.
+    if not isinstance(tree, dict) or np.count_nonzero(text == ord(":")) != len(tree):
+        return None
+    return tree
+
+
+def _json_tree(data):
+    """The stdlib's tree of `data`: the reference decode, which names every fault of the text."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as e:
+        raise SchemaError("$", f"not valid UTF-8: {e}") from e
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, an integer literal past the int digit limit, nesting past the stack
+        raise SchemaError("$", f"not valid JSON: {e}") from e
+
+
 def parse(kind: str, data):
     """Parse bytes or text into the typed value for the given kind.
 
@@ -534,16 +596,27 @@ def parse(kind: str, data):
     any version but the integer 1 (`true` and `1.0` included), mismatched
     kinds, unknown fields, malformed payloads, and invariant violations;
     every error carries the JSON path of the offending field.
+
+    `orjson.loads` decodes the text, and the value is built from its
+    tree.  The stdlib's `json.loads` decodes it instead where orjson
+    refuses it or might read it otherwise (`_orjson_tree`): a lone
+    surrogate, `NaN`, `Infinity` or a number past float range, a BOM,
+    bytes that are not UTF-8, more than 2^14 brackets, or a repeated
+    key.  It decodes it again where the schema refuses orjson's tree, so
+    the stdlib's tree decides every refusal and its message.
     """
     if kind not in _PARSERS:
         raise SchemaError("$", f"unknown entity kind {kind!r}")
-    try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except UnicodeDecodeError as e:
-        raise SchemaError("$", f"not valid UTF-8: {e}") from e
-    except (ValueError, RecursionError) as e:
-        # JSONDecodeError, an integer literal past the int digit limit, nesting past the stack
-        raise SchemaError("$", f"not valid JSON: {e}") from e
+    tree = _orjson_tree(data)
+    if tree is not None:
+        try:
+            return _parse_tree(kind, tree)
+        except (SchemaError, RecursionError):  # the repr of a deep value in a message
+            pass
+    return _parse_tree(kind, _json_tree(data))
+
+
+def _parse_tree(kind: str, doc):
     _expect_object(doc, "$")
     version = _get(doc, "version", "$")
     if type(version) is not int or version != 1:

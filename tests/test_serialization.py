@@ -6,8 +6,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_shape, random_state, random_vector
@@ -649,3 +650,176 @@ def test_non_finite_serialize_names_the_first_bad_scalar():
     with pytest.raises(ValueError) as err:
         serialize(ModuleVector(shape, (AlgebraElement(shape, (block,)),)))
     assert str(err.value) == "cannot serialize non-finite scalar (inf+1j)"
+
+
+# -- orjson's decode against the stdlib's -------------------------------------
+
+
+def _outcome(kind, data):
+    """The canonical bytes of what `parse` reads from `data`, or the text of its SchemaError."""
+    try:
+        return serialize(parse(kind, data))
+    except SchemaError as e:
+        return f"SchemaError: {e}"
+
+
+def _refuse(data):
+    raise orjson.JSONDecodeError("refused", "", 0)
+
+
+def assert_the_stdlib_route_agrees(kind, data):
+    """`parse` gives the outcome of the stdlib route alone, where a fast decoder refuses every text."""
+    fast = _outcome(kind, data)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(serialization.orjson, "loads", _refuse)
+        assert fast == _outcome(kind, data)
+
+
+# Cells that any element takes, most of them moderate so that most drawn
+# frames and families are valid.
+cells = st.one_of(st.floats(-4.0, 4.0, allow_subnormal=True), finite_parts)
+
+
+@st.composite
+def drawn_documents(draw):
+    """(kind, data): a document of each kind `parse` reads, as bytes or text, its cells drawn."""
+    kind = draw(st.sampled_from(sorted(serialization._PARSERS)))
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    dim = draw(st.integers(1, 3))
+
+    def element():
+        return [[[[draw(cells), draw(cells)] for _ in range(n)] for _ in range(n)] for n in dims]
+
+    def family():  # not empty: an empty sample set has no canonical bytes
+        return [[element() for _ in range(dim)] for _ in range(draw(st.integers(1, 4)))]
+
+    if kind == "seminorm_spec":
+        doc = _spec_document(AlgebraShape(tuple(dims)), dim, draw(st.integers(0, 2**32 - 1)))
+    else:
+        doc = {"version": 1, "kind": kind, "shape": dims}
+        if kind == "vector":
+            doc["coords"] = [element() for _ in range(dim)]
+        elif kind == "operator":
+            doc["entries"] = [[element() for _ in range(dim)] for _ in range(dim)]
+        elif kind == "frame":
+            doc.update(spanning=draw(st.sampled_from(["ambient", "range"])), vectors=family())
+        else:
+            doc.update(label=draw(st.text(max_size=4)), points=family())
+    text = json.dumps(doc)
+    return kind, text.encode() if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=drawn_documents())
+def test_parse_reads_drawn_documents_as_the_stdlib_route_does(case):
+    assert_the_stdlib_route_agrees(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=faulty_payloads())
+def test_parse_refuses_faulty_payloads_as_the_stdlib_route_does(case):
+    kind, shape, payloads = case
+    assume(payloads)  # a dropped last item: an empty sample set has no canonical bytes
+    if kind == "element":
+        doc = {"version": 1, "kind": "vector", "shape": list(shape.block_dims), "coords": payloads}
+    elif kind == "vector":
+        doc = {"version": 1, "kind": "sample_set", "shape": list(shape.block_dims), "points": payloads}
+    else:
+        doc = _spec_document(shape, len(payloads), 0)
+        doc["states"] = payloads
+    assert_the_stdlib_route_agrees(doc["kind"], json.dumps(doc))
+
+
+def _edge_texts():
+    """(id, kind, data): texts that orjson refuses or reads otherwise than json.loads."""
+    vector = json.loads((FIXTURES / "vector.json").read_bytes())
+    sample = json.loads((FIXTURES / "sample_planted.json").read_bytes())
+
+    def edit(doc, path, value):
+        doc = json.loads(json.dumps(doc))
+        _mutate(doc, path, value)
+        return json.dumps(doc)
+
+    cell = ("coords", 1, 1, 0, 1, 0)
+    deep = "[" * 100_000 + "]" * 100_000
+    nested = "[" * 2000 + "]" * 2000  # orjson reads it, json.loads does not
+    yield "version 10**20", "vector", edit(vector, ("version",), 10**20)
+    yield "shape [10**20]", "vector", edit(vector, ("shape",), [10**20])
+    yield "shape [1, 10**20]", "vector", edit(vector, ("shape", 1), 10**20)
+    for value in (2**70, -(2**70), 10**308, 2**64, 2**63, -(2**63) - 1, math.nan, math.inf, -math.inf):
+        yield f"cell {value}", "vector", edit(vector, cell, value)
+    yield "cell 1e400", "vector", edit(vector, cell, 0.125).replace("0.125", "1e400")
+    yield "label \\ud800", "sample_set", edit(sample, ("label",), "\ud800")
+    yield "label lone surrogate", "sample_set", json.dumps({**sample, "label": "\ud800"}, ensure_ascii=False)
+    yield "label a:b", "sample_set", edit(sample, ("label",), "a:b")
+    yield "BOM", "vector", b"\xef\xbb\xbf" + (FIXTURES / "vector.json").read_bytes()
+    yield "invalid UTF-8", "sample_set", edit(sample, ("label",), "xy").encode().replace(b"xy", b"\xff")
+    yield "deep root", "vector", deep
+    yield "deep unknown field", "vector", edit(vector, ("extra",), 0).replace('"extra": 0', '"extra": ' + deep)
+    # the repeated key drops the nested value from orjson's tree
+    yield "deep repeated key", "vector", '{"version": ' + nested + ", " + json.dumps(vector)[1:]
+    yield "deep version", "vector", edit(vector, ("version",), 0).replace('"version": 0', '"version": ' + nested)
+    yield "deep objects", "vector", '{"a": ' * 70_000 + "1" + "}" * 70_000
+
+
+@pytest.mark.parametrize(
+    "kind, data", [case[1:] for case in _edge_texts()], ids=[case[0] for case in _edge_texts()]
+)
+def test_parse_reads_edge_texts_as_the_stdlib_route_does(kind, data):
+    assert_the_stdlib_route_agrees(kind, data)
+
+
+def _decoded_bits(spelling: str):
+    """What orjson.loads and float(json.loads) make of a number's spelling: a float's bits, or "refused"."""
+    out = []
+    for loads in (orjson.loads, json.loads):
+        try:
+            out.append(float(loads(spelling)).hex())
+        except (ValueError, OverflowError):  # orjson.JSONDecodeError is a ValueError
+            out.append("refused")
+    return out
+
+
+# The edges of every binade, subnormals included: each power of two and
+# its two neighbours, then zero and the largest double.
+BINADE_EDGES = [
+    x
+    for e in range(-1074, 1024)
+    for x in (math.ldexp(1.0, e), math.nextafter(math.ldexp(1.0, e), 0.0), math.nextafter(math.ldexp(1.0, e), math.inf))
+] + [0.0, 1.7976931348623157e308]
+
+
+def test_orjson_reads_the_edges_of_every_binade_bit_for_bit():
+    for x in BINADE_EDGES:
+        for y in (x, -x):
+            for spelling in (repr(y), "%.17e" % y):
+                orj, std = _decoded_bits(spelling)
+                assert orj == std == y.hex(), spelling
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+def test_orjson_reads_every_double_spelling_bit_for_bit(x):
+    for spelling in (repr(x), "%.17e" % x):
+        orj, std = _decoded_bits(spelling)
+        assert orj == std == x.hex(), spelling
+
+
+@st.composite
+def wide_integers(draw):
+    """An integer in [2^63, 2^1030), or the halfway point of two doubles there, or one beside it, either sign."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2**63, 2**1030 - 1))
+    else:
+        x = draw(st.floats(2.0**63, 1.7976931348623157e308))
+        up = math.nextafter(x, math.inf)
+        top = 2**1024 if math.isinf(up) else int(up)
+        n = (int(x) + top) // 2 + draw(st.sampled_from([-1, 0, 1]))
+    return n if draw(st.booleans()) else -n
+
+
+@settings(max_examples=2000, deadline=None)
+@given(n=wide_integers())
+def test_orjson_reads_wide_integers_as_float_does(n):
+    orj, std = _decoded_bits(str(n))
+    assert orj == std

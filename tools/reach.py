@@ -11,8 +11,9 @@ Run from the root of a checkout:
 The command list (`commands`) is the 300 jobs of the four benchmark
 workloads at seeds 1-3, from perfbench/gen.py imported as it is, and
 the fixture commands of `fixture_commands`: every subcommand on the
-files of tests/fixtures, on empty sample documents of three shapes and
-on scaled copies of the planted sample, conditions B, C/D and `all`
+files of tests/fixtures, on empty sample documents of three shapes,
+on scaled copies of the planted sample and on a copy labelled with a
+lone surrogate escape, conditions B, C/D and `all`
 along each fixture frame on a sample of its module (`_frame_sample`),
 C/D there once more with the frame's size as an explicit rank budget,
 then the malformed inputs of
@@ -129,14 +130,19 @@ def _malformed(work: Path) -> dict[str, str]:
     spec whose state 0 is well-formed but not Hermitian and whose state 2
     is malformed, under "spec_two_faults"; a frame with vectors of two
     module dimensions, under "frame_dims"; and an operator with an empty
-    row, under "operator_row".
+    row, under "operator_row"; a vector whose version is 10**20, under
+    "version_wide", and one whose shape is [10**20], under "shape_wide",
+    which orjson would read as 1e+20; and a frame with an unknown field
+    nested 2,000 levels deep, under "deep_field", which orjson reads and
+    json.loads refuses.
     """
     names = {"frame": "frame_random.json", "sample_set": "sample_planted.json",
              "seminorm_spec": "seminorm_spec.json", "vector": "vector.json", "operator": "operator.json",
              "spec_states": "seminorm_spec.json", "version": "vector.json",
              "spec_no_states": "seminorm_spec.json", "spec_short": "seminorm_spec.json",
              "spec_two_faults": "seminorm_spec.json", "frame_dims": "frame_random.json",
-             "operator_row": "operator.json"}
+             "operator_row": "operator.json", "version_wide": "vector.json",
+             "shape_wide": "vector.json", "deep_field": "frame_random.json"}
     docs = {kind: json.loads((FIXTURES / name).read_bytes()) for kind, name in names.items()}
     docs["frame"]["vectors"][2][1][1][0][1] = True  # a cell that is `true`
     docs["sample_set"]["points"][3][0][0][0] = []  # a short row
@@ -152,10 +158,13 @@ def _malformed(work: Path) -> dict[str, str]:
     vectors = docs["frame_dims"]["vectors"]
     vectors[1] = vectors[1] + vectors[1][:1]  # three coordinates among vectors of two
     docs["operator_row"]["entries"][1] = []  # an empty row
+    docs["version_wide"]["version"] = 10**20  # orjson reads 1e+20
+    docs["shape_wide"]["shape"] = [10**20]
+    docs["deep_field"]["deep"] = "DEEP"  # an unknown field, written as 2,000 nested arrays
     paths = {}
     for kind, doc in docs.items():
         path = work / f"malformed_{kind}.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace('"DEEP"', "[" * 2000 + "]" * 2000))
         paths[kind] = str(path)
     path = work / "malformed_not_json.json"
     path.write_text("{nope")
@@ -226,7 +235,12 @@ def fixture_commands(work: Path) -> list[list[str]]:
                                  "--eps", "0.5", *with_frame, *_budget(budget)])
                 cmds.append(["precompact", "--condition", "all", "--sample", empty, *with_frame, *_budget(budget)])
 
-    for sample in [fx[s] for s in SAMPLES] + empties + scaled:
+    # the planted sample labelled with a lone surrogate escape, which orjson refuses and json.loads reads
+    surrogate = work / "planted_surrogate.json"
+    surrogate.write_text(json.dumps({**json.loads((FIXTURES / "sample_planted.json").read_bytes()), "label": "\ud800"}))
+    cmds.append(["precompact", "--condition", "all", "--sample", str(surrogate)])
+
+    for sample in [fx[s] for s in SAMPLES] + empties + scaled + [str(surrogate)]:
         cmds.append(["seminorm", spec, sample])
         cmds += [["net", sample, spec, "--eps", eps] for eps in ("2.0", "0.5", "0.05")]
 
@@ -258,7 +272,10 @@ def fixture_commands(work: Path) -> list[list[str]]:
              ["net", fx[SAMPLES[0]], bad["spec_short"], "--eps", "0.5"],
              ["seminorm", bad["spec_two_faults"], fx[SAMPLES[0]]],
              ["dual", bad["frame_dims"]],
-             ["series", bad["operator_row"]]]
+             ["series", bad["operator_row"]],
+             ["reconstruct", fx["frame_random.json"], bad["version_wide"]],
+             ["reconstruct", fx["frame_random.json"], bad["shape_wide"]],
+             ["frame-bounds", bad["deep_field"]]]
     return cmds
 
 
