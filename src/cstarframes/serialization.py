@@ -21,6 +21,12 @@ The stdlib's `json.loads` stays the reference: it decodes every text
 that orjson refuses or might read otherwise (`_orjson_tree`), and every
 text whose orjson tree the schema refuses, so each refusal keeps the
 stdlib's message.
+
+Documents are written by `orjson.dumps`, their payload blocks straight
+from read-only views of the stored stacks, and each number orjson
+spells unlike `repr` is respelled (`_respelled`).  The stdlib's
+`json.dumps` stays the reference: it writes every document that orjson
+refuses or writes otherwise (`serialize`).
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from itertools import chain
 
 import numpy as np
@@ -161,7 +168,7 @@ def _decode_blocks(payloads: list, shape: AlgebraShape) -> list[np.ndarray] | No
 
 
 def _zip_blocks(blocks: list, depth: int) -> list:
-    """Nested lists, one per block and all nested alike, regrouped so the blocks come innermost."""
+    """Arrays, one per block and all shaped alike, regrouped along their lead axes so the blocks come innermost."""
     if depth == 0:
         return blocks
     return [_zip_blocks(list(parts), depth - 1) for parts in zip(*blocks)]
@@ -170,11 +177,13 @@ def _zip_blocks(blocks: list, depth: int) -> list:
 def _element_payloads(shape: AlgebraShape, stacks) -> list:
     """Payloads of the elements in per-class stacks (count, *lead, n, n), nested by the lead axes.
 
-    One tolist() per size class, of the stack read as contiguous float64
-    [re, im] pairs, gives every pair with its bits, the sign of a zero
-    included; the blocks are then put back in block order under each lead
-    index.  A non-finite scalar is refused with ValueError, the first in
-    document order (lead index, block, row, column) named.
+    Each block of a payload is a read-only, C-contiguous (n, n, 2) view
+    of its class's stack read as float64 [re, im] pairs (a contiguous
+    stack is not copied), so it holds every bit, the sign of a zero
+    included; the blocks are put back in block order under each lead
+    index.  `serialize` writes the views.  A non-finite scalar is
+    refused with ValueError, the first in document order (lead index,
+    block, row, column) named.
     """
     if not all(np.isfinite(s).all() for s in stacks):
         for index in np.ndindex(*stacks[0].shape[1:-2]):
@@ -183,11 +192,12 @@ def _element_payloads(shape: AlgebraShape, stacks) -> list:
                 bad = block[~np.isfinite(block)]
                 if bad.size:
                     raise ValueError(f"cannot serialize non-finite scalar {complex(bad[0])!r}")
-    lists = [
-        np.ascontiguousarray(s, dtype=complex).view(float).reshape(s.shape + (2,)).tolist()
-        for s in stacks
-    ]
-    return _zip_blocks([lists[c][j] for c, j in shape.slots], stacks[0].ndim - 3)
+    pairs = []
+    for s in stacks:
+        view = np.ascontiguousarray(s, dtype=complex).view(float).reshape(s.shape + (2,))
+        view.flags.writeable = False
+        pairs.append(view)
+    return _zip_blocks([pairs[c][j] for c, j in shape.slots], stacks[0].ndim - 3)
 
 
 # -- nested payloads ----------------------------------------------------------
@@ -344,7 +354,11 @@ def _parse_spec_states(
 
 
 def document(value) -> dict:
-    """JSON document for a library value; inverse of parse for its kind."""
+    """JSON document for a library value; inverse of parse for its kind.
+
+    Its payload blocks are float64 arrays (`_element_payloads`), which
+    `serialize` writes as nested lists of [re, im] pairs.
+    """
     if isinstance(value, ModuleVector):
         return {
             "version": 1,
@@ -404,23 +418,118 @@ def _frame_document(frame: Frame, family: SampleSet) -> dict:
     }
 
 
+_ORJSON_OPTIONS = (
+    orjson.OPT_SORT_KEYS
+    | orjson.OPT_SERIALIZE_NUMPY
+    | orjson.OPT_PASSTHROUGH_SUBCLASS
+    | orjson.OPT_PASSTHROUGH_DATACLASS
+    | orjson.OPT_PASSTHROUGH_DATETIME
+)
+
+
 def serialize(value) -> bytes:
     """Canonical bytes of a library value, or of a document already built.
 
-    Sorted keys, no whitespace, shortest decimals.  The encoder keeps no
-    table of the containers it is inside: every document built here is a
-    fresh tree, so the bytes are those of the default encoder.  A document
-    that contains itself, or nests past the interpreter's recursion limit,
-    is refused with ValueError; so is a NaN or an infinity.
+    Sorted keys, no whitespace, and each float spelled by `repr`: the
+    bytes of `json.dumps(doc, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)`, where the float64 arrays of payload blocks are
+    written as nested lists.  `orjson.dumps` writes the document, the
+    arrays straight from their memory, and each number it spells unlike
+    `repr` is respelled (`_respelled`).  `json.dumps` stays the
+    reference and writes the whole document instead wherever orjson
+    refuses it (an int beyond 64 bits, a non-str key, a subclass of
+    float, str, int, list or dict but an enum, a dataclass, a datetime,
+    an array that is not C-contiguous or not of a dtype orjson writes,
+    more than 255 levels of nesting, a document that contains itself)
+    or writes text that `json.dumps` writes otherwise: `null` (None, a
+    NaN or an infinity), a backslash, DEL or a byte past ASCII
+    (`json.dumps` escapes these).  A document that contains itself, or nests past the
+    interpreter's recursion limit, is refused with ValueError; so is a
+    NaN or an infinity.
+
+    orjson writes some values `json.dumps` refuses: a `uuid.UUID`, a
+    plain `Enum` member, and numpy scalars and arrays of integers, bools
+    and float32.  No document of the library holds any of them.
     """
     doc = value if isinstance(value, dict) else document(value)
     try:
+        text = orjson.dumps(doc, option=_ORJSON_OPTIONS)
+    except orjson.JSONEncodeError:
+        return _json_bytes(doc)
+    # a null holds a u, which memchr finds at once; a search for all four bytes crawls over digits
+    if not text.isascii() or b"u" in text and b"null" in text or b"\\" in text or b"\x7f" in text:
+        return _json_bytes(doc)
+    return _respelled(text)
+
+
+def _json_bytes(doc) -> bytes:
+    """The reference bytes of `doc`, written by `json.dumps`, float64 arrays as nested lists."""
+    try:
         text = json.dumps(
-            doc, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+            doc,
+            sort_keys=True,
+            separators=(",", ":"),
+            allow_nan=False,
+            check_circular=False,
+            default=_listed,
         )
     except RecursionError:
         raise ValueError("document contains itself or nests too deep to serialize") from None
     return text.encode("utf-8")
+
+
+def _listed(value) -> list:
+    """A float64 array as nested lists of floats; any other value is refused as `json.dumps` refuses it."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# orjson and repr both write the shortest digits that read back to the
+# same double, but repr writes an exponent of at least two digits with
+# its sign (1e+16, 1e-07), where orjson writes 1e16 and 1e-7, and repr
+# writes each value in [1e-5, 1e-4) with an exponent (1.5e-05), where
+# orjson writes a decimal (0.000015).
+_MANTISSA = frozenset(b"0123456789.")
+_NUMBER = re.compile(rb"[0-9.]+(?:e-?[0-9]+)?")
+
+
+def _respelled(text: bytes) -> bytes:
+    """orjson's `text` with each number that orjson spells unlike repr respelled as repr(float(number)).
+
+    Those are the numbers outside strings that hold an exponent or start
+    with 0.0000; a number's sign stays where it is.  Every string of
+    `text` is printable ASCII with no backslash, so each quote opens or
+    closes a string: a mark lies inside one after an odd count of
+    quotes, and past the last quote every string is closed.
+    """
+    starts = []
+    at = text.find(b"0.0000")
+    while at >= 0:
+        if text[at - 1] not in _MANTISSA:  # not the tail of 10.00001
+            starts.append(at)
+        at = text.find(b"0.0000", at + 6)
+    at = text.find(b"e")
+    while at >= 0:
+        if text[at - 1] in _MANTISSA:  # not the e of true, false or a key
+            start = at - 1
+            while text[start - 1] in _MANTISSA:
+                start -= 1
+            starts.append(start)
+        at = text.find(b"e", at + 1)
+    pieces, done, counted, quotes = [], 0, 0, 0
+    last_quote = text.rfind(b'"')
+    for start in sorted(starts):
+        if start < last_quote:
+            quotes += text.count(b'"', counted, start)
+            counted = start
+            if quotes % 2:
+                continue
+        end = _NUMBER.match(text, start).end()
+        pieces += (text[done:start], repr(float(text[start:end])).encode())
+        done = end
+    pieces.append(text[done:])
+    return b"".join(pieces)
 
 
 def serialize_dual(frame: Frame) -> bytes:

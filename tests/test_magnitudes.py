@@ -10,7 +10,9 @@ stdout) are seen.  For every command:
 - the exit code is 0, 1 or 2, and no exception escapes `main`;
 - stderr is empty, or one `cstarframes: error:` line with stdout empty;
 - stdout is the documented JSON or CSV and nothing else: it parses, and
-  holds no inf or NaN.
+  holds no inf or NaN;
+- JSON stdout is canonical: the bytes `json.dumps` writes of what it
+  parses to, with sorted keys and no whitespace, and a newline.
 """
 
 import json
@@ -141,7 +143,9 @@ def _check_stdout(command: str, stdout: str) -> None:
             if line not in CSV_HEADERS:
                 assert all(math.isfinite(float(f)) for f in line.split(",")), line
     else:
-        json.loads(stdout, parse_constant=_no_constant)
+        doc = json.loads(stdout, parse_constant=_no_constant)
+        # the canonical bytes: sorted keys, no whitespace, each float spelled by repr
+        assert stdout == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", command
 
 
 @pytest.fixture(scope="module")

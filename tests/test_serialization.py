@@ -1,6 +1,10 @@
 """Schema round trips, strictness, and the shipped fixture corpus."""
 
 import ast
+import collections
+import dataclasses
+import datetime
+import enum
 import json
 import math
 from pathlib import Path
@@ -16,6 +20,7 @@ from cstarframes import (
     AdmissibleSystem,
     AlgebraElement,
     AlgebraShape,
+    Frame,
     ModuleVector,
     SampleSet,
     SchemaError,
@@ -27,7 +32,6 @@ from cstarframes import (
     standard_basis_frame,
 )
 from cstarframes import serialization
-from cstarframes.serialization import document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CLI = Path(serialization.__file__).with_name("cli.py")
@@ -168,7 +172,7 @@ def test_ragged_operator_rejected():
 
 def test_degenerate_frame_rejected_at_parse():
     e1 = ModuleVector.basis(AlgebraShape((1, 1)), 2, 0)
-    doc = document(standard_basis_frame(AlgebraShape((1, 1)), 2))
+    doc = json.loads(serialize(standard_basis_frame(AlgebraShape((1, 1)), 2)))
     doc["vectors"] = [doc["vectors"][0]]  # drop e2: no longer spans
     with pytest.raises(SchemaError, match=r"\$\.vectors"):
         parse("frame", json.dumps(doc))
@@ -176,8 +180,8 @@ def test_degenerate_frame_rejected_at_parse():
 
 def test_mixed_point_dims_rejected():
     shape = AlgebraShape((1,))
-    doc_a = document(SampleSet((ModuleVector.basis(shape, 2, 0),)))
-    doc_b = document(SampleSet((ModuleVector.basis(shape, 3, 0),)))
+    doc_a = json.loads(serialize(SampleSet((ModuleVector.basis(shape, 2, 0),))))
+    doc_b = json.loads(serialize(SampleSet((ModuleVector.basis(shape, 3, 0),))))
     doc_a["points"].append(doc_b["points"][0])
     with pytest.raises(SchemaError, match="mixed module dimensions"):
         parse("sample_set", json.dumps(doc_a))
@@ -312,7 +316,7 @@ def test_decode_equals_the_walk_bit_for_bit(case):
         for e in payloads
     ]
     # the payloads as the coordinates of one vector
-    out = serialization.vector_payload(serialization.parse_vector_payload(payloads, shape, "$"))
+    out = json.loads(serialize(serialization.parse_vector_payload(payloads, shape, "$")))["coords"]
     assert json.dumps(out) == json.dumps(as_floats)  # "-0.0" keeps its sign
 
 
@@ -823,3 +827,196 @@ def wide_integers(draw):
 def test_orjson_reads_wide_integers_as_float_does(n):
     orj, std = _decoded_bits(str(n))
     assert orj == std
+
+
+# -- orjson's encode against the stdlib's -------------------------------------
+
+
+def assert_respelled_as_repr(values):
+    """orjson's text of `values`, as floats and as a float64 array, respelled, is repr's.
+
+    Before the respelling, orjson's spelling of a value differs from
+    repr's only where repr's holds an exponent.
+    """
+    text = orjson.dumps({"x": values}, option=serialization._ORJSON_OPTIONS)
+    assert orjson.dumps({"x": np.array(values)}, option=serialization._ORJSON_OPTIONS) == text
+    reprs = [repr(v) for v in values]
+    assert serialization._respelled(text) == ('{"x":[' + ",".join(reprs) + "]}").encode()
+    for spelled, spelling in zip(text[6:-2].decode().split(","), reprs):
+        assert spelled == spelling or "e" in spelling, (spelled, spelling)
+
+
+def test_orjson_respelled_is_repr_on_the_edges_of_every_binade():
+    assert_respelled_as_repr([y for x in BINADE_EDGES for y in (x, -x)])
+
+
+# Where repr's spelling switches between a decimal and an exponent: at
+# 1e-5, 1e-4 and 1e16, each decade around them, and the doubles beside
+# each switch point.
+SWITCH_POINTS = [
+    float(f"{mantissa}e{exponent}")
+    for switch in (-5, -4, 16)
+    for exponent in (switch - 1, switch)
+    for mantissa in ("1", "1.5", "2", "5", "9.5", "9.999999999999998", "9.999999999999999")
+] + [
+    math.nextafter(10.0**switch, toward)
+    for switch in (-5, -4, 16)
+    for toward in (0.0, math.inf)
+]
+# Decimals that hold 0.0000 past their first digit, which stay as they are.
+ZEROS_INSIDE = [10.00001, 100.000015, 1000.00009, 20.0000001, 0.10000012]
+
+
+def test_orjson_respelled_is_repr_around_the_switch_points():
+    assert_respelled_as_repr([y for x in SWITCH_POINTS + ZEROS_INSIDE for y in (x, -x)])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+def test_orjson_respelled_is_repr_on_drawn_doubles(x):
+    assert_respelled_as_repr([x, -x])
+
+
+def _written(value):
+    """What `serialize` makes of `value`: its bytes, or the type and text of what it raises."""
+    try:
+        return serialize(value)
+    except (TypeError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _refuse_to_write(doc, option=None):
+    raise orjson.JSONEncodeError("refused")
+
+
+def assert_the_stdlib_writer_agrees(value):
+    """`serialize` gives the outcome of the stdlib route alone, where the fast encoder refuses every document."""
+    fast = _written(value)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(serialization.orjson, "dumps", _refuse_to_write)
+        assert fast == _written(value)
+
+
+# Strings that hold what a writer could take for a number or a mark, and
+# each kind of character the two encoders write otherwise.
+tricky_text = st.sampled_from(
+    ["1e-7", "0.00001", "1e16", "x2e-9", "0.000015,", ",[]:", '"', 'a"1e-7"b', "\\", "\\u0041",
+     "\x7f", "\x01", "\n", "\xe9", "\u20ac", "\ud800", "a\udfffb", "null", "true"]
+) | st.text(max_size=4)
+tricky_floats = st.one_of(
+    st.floats(allow_subnormal=True),  # NaN and the infinities included
+    st.floats(1e-5, 1e-4),
+    st.sampled_from([1e16, 1e-7, 5e-324, -0.0, 1.7976931348623157e308, 0.0001, 1e-05, *ZEROS_INSIDE]),
+)
+
+
+def _float64_array(values: list, layout: str) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    if layout == "strided":  # not contiguous
+        return np.repeat(array, 2)[::2]
+    if layout == "fortran":  # 2-D and not C-contiguous
+        return np.stack([array, -array]).T
+    return np.stack([array, -array])
+
+
+writer_leaves = st.one_of(
+    tricky_floats,
+    tricky_floats.map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**64, 2**64 - 1, -(2**63), -(2**63) - 1]),
+    st.booleans(),
+    st.none(),
+    tricky_text,
+    st.builds(
+        _float64_array,
+        st.lists(tricky_floats, max_size=5),
+        st.sampled_from(["strided", "fortran", "contiguous"]),
+    ),
+)
+writer_trees = st.recursive(
+    writer_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(tricky_text, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=st.dictionaries(tricky_text, writer_trees, max_size=5))
+def test_serialize_writes_drawn_documents_as_the_stdlib_route_does(doc):
+    assert_the_stdlib_writer_agrees(doc)
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+@dataclasses.dataclass
+class _Record:
+    x: float = 1.0
+
+
+def _nested(depth: int):
+    doc = 1e-7
+    for i in range(depth):
+        doc = [doc] if i % 2 else {"k": doc}
+    return {"deep": doc}
+
+
+def _writer_edges():
+    """(id, document): what orjson refuses or writes otherwise than json.dumps, and library values at the switch points."""
+    looped_list, looped_dict = {"rows": [0.5]}, {"k": 1e-7}
+    looped_list["rows"].append(looped_list)
+    looped_dict["back"] = {"inner": looped_dict}
+    yield "contains itself in a list", looped_list
+    yield "contains itself in a dict", looped_dict
+    for depth in (254, 255, 256, 300):
+        yield f"{depth} deep", _nested(depth)
+    yield "int key", {1: 0.5}
+    yield "None key", {"a": {None: 1e16}}
+    yield "float subclass", {"x": _Float(1e-7)}
+    yield "str subclass", {"x": _Str("a")}
+    yield "str subclass key", {_Str("a"): 1}
+    yield "dict subclass", {"x": collections.OrderedDict(a=1e-5)}
+    yield "IntEnum", {"x": _Level.ONE}
+    yield "dataclass", {"x": _Record()}
+    yield "datetime", {"x": datetime.datetime(2020, 1, 1)}
+    yield "NaN float64", {"x": np.float64("nan")}
+    yield "NaN in an array", {"x": np.array([1e-7, math.nan])}
+    yield "0-d array", {"x": np.array(1e-7)}
+    yield "read-only array", {"x": np.frombuffer(np.array([1e-5, 1e16]).tobytes())}
+    rng = np.random.default_rng(0)
+    shape = AlgebraShape((1, 2))
+    for exponent in (-60, -17, -14, 0, 54):
+        vectors = [random_vector(shape, 2, rng) * 2.0**exponent for _ in range(3)]
+        yield f"vector 2^{exponent}", vectors[0]
+        yield f"sample 2^{exponent}", SampleSet(vectors, label="1e-7")
+    for exponent in (0, 12, 30, 54):  # the dual's entries about 2^-exponent
+        frame = Frame([random_vector(shape, 2, rng) * 2.0**exponent for _ in range(3)])
+        yield f"frame 2^{exponent}", frame
+        yield f"dual of frame 2^{exponent}", serialization._frame_document(frame, frame._dual)
+
+
+@pytest.mark.parametrize(
+    "value", [case[1] for case in _writer_edges()], ids=[case[0] for case in _writer_edges()]
+)
+def test_serialize_writes_edge_documents_as_the_stdlib_route_does(value):
+    assert_the_stdlib_writer_agrees(value)
+
+
+def test_library_documents_take_the_fast_route(monkeypatch):
+    """No payload of a document the library builds sends it to the stdlib route."""
+    calls = []
+    monkeypatch.setattr(serialization, "_json_bytes", lambda doc: calls.append(doc))
+    for name, kind in sorted(FIXTURE_KINDS.items()):
+        serialize(parse(kind, (FIXTURES / name).read_bytes()))
+    assert calls == []

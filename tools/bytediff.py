@@ -25,9 +25,13 @@ parent's run on the default kernel.  Each run generates its own
 inputs, so an argument that perfbench/gen.py derives with numpy can
 differ under another kernel; such a command differs in `argv`.
 
-Every differing command is printed with the fields that differ, then a
-count per subcommand.  Exits 1 if any command differs in any
-comparison, else 0.
+Records are paired by their normalized argv (the n-th run of an argv
+with the n-th run of it on the other side), not by their place in the
+list, so a command that only one list runs is listed as new or dropped
+and shifts no other pairing.  Every differing command both lists run is
+printed with the fields that differ, then a count per subcommand, then
+the new and the dropped commands.  Exits 1 if any command both lists
+run differs in any comparison, else 0.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import collections
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -141,23 +144,50 @@ def run_tree(
     return runs
 
 
-def compare(base: list[dict], other: list[dict]) -> list[tuple[list[str], list[str]]]:
-    """(argv, differing fields) of every command whose record differs; a missing command differs in all."""
-    diffs = []
-    for a, b in itertools.zip_longest(base, other):
-        if a is None or b is None:
-            diffs.append(((a or b)["argv"], list(FIELDS)))
-        elif fields := [f for f in FIELDS if a[f] != b[f]]:
-            diffs.append((b["argv"], fields))
-    return diffs
+def _keyed(runs: list[dict]) -> dict:
+    """The records by (argv, n): the n-th run of that normalized argv in the list."""
+    seen = collections.Counter()
+    keyed = {}
+    for run in runs:
+        argv = tuple(run["argv"])
+        keyed[argv, seen[argv]] = run
+        seen[argv] += 1
+    return keyed
 
 
-def report(label: str, diffs, total: int) -> None:
+def compare(base: list[dict], other: list[dict]) -> tuple[list[tuple[list[str], list[str]]], list, list]:
+    """The records of two runs paired by argv (`_keyed`).
+
+    Returns (argv, differing fields) of each command both run whose
+    records differ, then the argv of each command only `other` runs
+    (new) and of each only `base` runs (dropped), in list order.
+    """
+    a, b = _keyed(base), _keyed(other)
+    diffs = [
+        (run["argv"], fields)
+        for key, run in b.items()
+        if key in a and (fields := [f for f in FIELDS if a[key][f] != run[f]])
+    ]
+    return diffs, [run["argv"] for key, run in b.items() if key not in a], [
+        run["argv"] for key, run in a.items() if key not in b
+    ]
+
+
+def _shown(argv: list[str]) -> str:
+    return " ".join(argv) or "(no arguments)"
+
+
+def report(label: str, diffs, added, dropped, shared: int) -> None:
     for argv, fields in diffs:
-        print(f"  {','.join(fields):<20} {' '.join(argv) or '(no arguments)'}")
+        print(f"  {','.join(fields):<20} {_shown(argv)}")
     counts = collections.Counter(argv[0] if argv else "(none)" for argv, _ in diffs)
     per = ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))
-    print(f"{label}: {len(diffs)} of {total} commands differ" + (f" ({per})" if per else ""))
+    print(f"{label}: {len(diffs)} of the {shared} commands both run differ" + (f" ({per})" if per else ""))
+    for mark, argvs in (("new", added), ("dropped", dropped)):
+        for argv in argvs:
+            print(f"  {mark:<20} {_shown(argv)}")
+        if argvs:
+            print(f"{label}: {len(argvs)} {mark} commands")
 
 
 def main(argv=None) -> int:
@@ -178,8 +208,8 @@ def main(argv=None) -> int:
                   for name in args.coretype]
     differ = False
     for label, runs in sides:
-        diffs = compare(base, runs)
-        report(f"parent vs {label}", diffs, max(len(base), len(runs)))
+        diffs, added, dropped = compare(base, runs)
+        report(f"parent vs {label}", diffs, added, dropped, len(runs) - len(added))
         differ |= bool(diffs)
     return 1 if differ else 0
 

@@ -12,9 +12,10 @@ The command list (`commands`) is the 300 jobs of the four benchmark
 workloads at seeds 1-3, from perfbench/gen.py imported as it is, and
 the fixture commands of `fixture_commands`: every subcommand on the
 files of tests/fixtures, on empty sample documents of three shapes,
-on scaled copies of the planted sample and on a copy labelled with a
-lone surrogate escape, conditions B, C/D and `all`
-along each fixture frame on a sample of its module (`_frame_sample`),
+on scaled copies of the planted sample and of frame_random.json, on a
+copy of the sample labelled with a lone surrogate escape, conditions
+B, C/D and `all` along each fixture frame on a sample of its module
+(`_frame_sample`),
 C/D there once more with the frame's size as an explicit rank budget,
 then the malformed inputs of
 `_malformed`, each of which the CLI refuses with exit code 1 and the
@@ -75,15 +76,19 @@ EPS = ("1.0", "0.5", "0.25", "0.125", "0.01")
 # The planted sample times each factor: norms past the gram and nu scaling
 # limits, and below the normal range.
 SCALES = (1e155, 1e-170, 1e154, 2.0**520, 2.0**-560, 1.0)
+# frame_random.json times each factor: its dual's entries fall in
+# [1e-5, 1e-4), where repr's spelling takes an exponent, and near 1e-9.
+FRAME_SCALES = (2.0**12, 2.0**30)
 
 
 def _budget(budget) -> list[str]:
     return [] if budget is None else ["--rank-budget", str(budget)]
 
 
-def _scaled_sample(source: Path, factor: float, target: Path) -> str:
+def _scaled(source: Path, factor: float, target: Path) -> str:
+    """A copy of a sample or frame document with every vector entry times `factor`, written to `target`."""
     doc = json.loads(source.read_bytes())
-    for point in doc["points"]:
+    for point in doc["points" if doc["kind"] == "sample_set" else "vectors"]:
         for element in point:
             for block in element:
                 for row in block:
@@ -189,8 +194,12 @@ def fixture_commands(work: Path) -> list[list[str]]:
         path.write_text(json.dumps({"version": 1, "kind": "sample_set", "shape": list(shape), "points": []}))
         empties.append(str(path))
     scaled = [
-        _scaled_sample(FIXTURES / "sample_planted.json", factor, work / f"planted_{i}.json")
+        _scaled(FIXTURES / "sample_planted.json", factor, work / f"planted_{i}.json")
         for i, factor in enumerate(SCALES)
+    ]
+    scaled_frames = [
+        _scaled(FIXTURES / "frame_random.json", factor, work / f"frame_random_{i}.json")
+        for i, factor in enumerate(FRAME_SCALES)
     ]
 
     cmds = []
@@ -200,6 +209,8 @@ def fixture_commands(work: Path) -> list[list[str]]:
         cmds += [["reconstruct", f, v] for v in vectors]
         cmds += [["series", operator, "--frame", f], ["series", operator, "--frame", f, "--eps", "0.5"]]
     cmds += [["series", operator], ["series", operator, "--eps", "0.5"], ["series", operator, "--out", out]]
+    for f in scaled_frames:
+        cmds += [["dual", f], ["dual", f, "--out", out]]
 
     for sample in SAMPLES:
         s = fx[sample]
@@ -239,6 +250,8 @@ def fixture_commands(work: Path) -> list[list[str]]:
     surrogate = work / "planted_surrogate.json"
     surrogate.write_text(json.dumps({**json.loads((FIXTURES / "sample_planted.json").read_bytes()), "label": "\ud800"}))
     cmds.append(["precompact", "--condition", "all", "--sample", str(surrogate)])
+
+    cmds += [["precompact", "--condition", "all", "--sample", s, "--out", out] for s in scaled[:2]]
 
     for sample in [fx[s] for s in SAMPLES] + empties + scaled + [str(surrogate)]:
         cmds.append(["seminorm", spec, sample])
