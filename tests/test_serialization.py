@@ -871,6 +871,12 @@ def test_orjson_respelled_is_repr_around_the_switch_points():
     assert_respelled_as_repr([y for x in SWITCH_POINTS + ZEROS_INSIDE for y in (x, -x)])
 
 
+def test_a_signed_exponent_is_respelled_whole():
+    """An exponent spelled with its sign, as repr spells it, is read whole, not cut at the sign."""
+    text = b'{"x":[1e+16,-2.5e+300,1e-07,1.5e-05]}'
+    assert serialization._respelled(text) == text
+
+
 @settings(max_examples=2000, deadline=None)
 @given(x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
 def test_orjson_respelled_is_repr_on_drawn_doubles(x):

@@ -23,15 +23,17 @@ With --coretype, the change side runs again under each
 OPENBLAS_CORETYPE named, and each of those runs is compared with the
 parent's run on the default kernel.  Each run generates its own
 inputs, so an argument that perfbench/gen.py derives with numpy can
-differ under another kernel; such a command differs in `argv`.
+differ under another kernel; such a command is dropped and its new
+argv is new.
 
 Records are paired by their normalized argv (the n-th run of an argv
 with the n-th run of it on the other side), not by their place in the
 list, so a command that only one list runs is listed as new or dropped
 and shifts no other pairing.  Every differing command both lists run is
 printed with the fields that differ, then a count per subcommand, then
-the new and the dropped commands.  Exits 1 if any command both lists
-run differs in any comparison, else 0.
+the new and the dropped commands.  Exits 1 if, in any comparison, a
+command both lists run differs or a command of the parent is dropped,
+else 0; new commands alone do not fail.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import traceback
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
-FIELDS = ("argv", "code", "stdout", "stderr", "out")
+FIELDS = ("code", "stdout", "stderr", "out")
 CHILD = "import sys; sys.path.insert(0, {tools!r}); import bytediff; bytediff.record({tree!r}, {result!r}, {only!r})"
 
 
@@ -210,7 +212,7 @@ def main(argv=None) -> int:
     for label, runs in sides:
         diffs, added, dropped = compare(base, runs)
         report(f"parent vs {label}", diffs, added, dropped, len(runs) - len(added))
-        differ |= bool(diffs)
+        differ |= bool(diffs or dropped)
     return 1 if differ else 0
 
 
