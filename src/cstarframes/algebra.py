@@ -20,23 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import STATE_ATOL, STATE_PHASE_ATOL, STATE_TIE_ATOL
+from .tolerances import STATE_ATOL, STATE_PHASE_ATOL, STATE_TIE_ATOL, below
 
 # Batched intermediates are cut along one axis into chunks of at most this
 # many entries (one item per chunk at least), so the memory of a pass does
 # not grow with the number of blocks or points it covers.
 CHUNK_ENTRIES = 1 << 18
-
-
-def check_eps(eps: float) -> None:
-    """Reject an approximation radius that is not a finite positive number.
-
-    Every eps comparison in the library is a strict `< eps`; NaN makes
-    all of them false (a greedy net never closes, a tail never settles)
-    and inf makes them all true, so both are refused up front.
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be a finite positive number")
 
 
 def chunks(count: int, item_entries: int) -> list[slice]:
@@ -502,17 +491,18 @@ def checked_states(shape: AlgebraShape, stacks) -> list[tuple[np.ndarray, ...]]:
     """
     herm = shape.gather([np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for s in stacks])
     low = shape.gather([np.linalg.eigvalsh(hermitian_part(s)).min(axis=-1) for s in stacks])
-    faulty = ((herm > STATE_ATOL) | (low < -STATE_ATOL)).any(axis=0)
-    totals = block_sum(shape, [np.trace(s, axis1=-2, axis2=-1).real for s in stacks]).tolist()
-    for i, total in enumerate(totals):
-        if faulty[i]:
-            for k, (defect, least) in enumerate(zip(herm[:, i].tolist(), low[:, i].tolist())):
-                if defect > STATE_ATOL:
-                    raise StateError(i, f"density {k} is not Hermitian")
-                if least < -STATE_ATOL:
-                    raise StateError(i, f"density {k} is not positive semidefinite")
-        if abs(total - 1.0) > STATE_ATOL:
-            raise StateError(i, f"densities must have total trace 1, got {total}")
+    totals = block_sum(shape, [np.trace(s, axis1=-2, axis2=-1).real for s in stacks])
+    hermitian = below(herm, 0.0, STATE_ATOL)
+    sound = hermitian & below(-low, 0.0, STATE_ATOL)
+    faulty = np.flatnonzero(~sound.all(axis=0) | ~below(np.abs(totals - 1.0), 0.0, STATE_ATOL))
+    if faulty.size:
+        i = int(faulty[0])
+        blocks = np.flatnonzero(~sound[:, i])
+        if not blocks.size:
+            raise StateError(i, f"densities must have total trace 1, got {float(totals[i])}")
+        k = int(blocks[0])
+        fault = "Hermitian" if not hermitian[k, i] else "positive semidefinite"
+        raise StateError(i, f"density {k} is not {fault}")
     return [tuple(s[:, i] for s in stacks) for i in range(len(totals))]
 
 
@@ -575,11 +565,11 @@ def norm_attaining_state(a: AlgebraElement) -> State:
     spectra = [np.linalg.eigh(s.conj().swapaxes(-1, -2) @ s) for s in a.stacks]
     best_block, best_val = 0, -1.0
     for k, top in enumerate(a.shape.gather([w[:, -1] for w, _ in spectra]).tolist()):
-        if top > best_val + STATE_TIE_ATOL:
+        if not below(top, best_val, STATE_TIE_ATOL):
             best_block, best_val = k, top
     c, j = a.shape.slots[best_block]
     vec = spectra[c][1][j][:, -1].copy()
-    nz = np.flatnonzero(np.abs(vec) > STATE_PHASE_ATOL)
+    nz = np.flatnonzero(~below(np.abs(vec), 0.0, STATE_PHASE_ATOL))
     if nz.size:
         phase = vec[nz[0]] / abs(vec[nz[0]])
         vec = vec / phase

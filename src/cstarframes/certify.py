@@ -10,7 +10,8 @@ flags any incoherence as an implementation bug, since the theorem leaves
 no room for disagreement.
 
 Nothing a condition computes depends on eps except its final comparison,
-so each condition is split in two: an eps-free pass over the whole
+made, like every cut and slack, by `tolerances.below`, so each condition
+is split in two: an eps-free pass over the whole
 sample, batched per size class on the stacked realizations, and a
 cheap certificate built from that data for one eps.  The equivalence
 runner makes each pass once and builds every certificate of its eps grid
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import blockwise_max, check_eps, fold_pair_maxima, ordered_sum, ordered_sums, spectral_norms
+from .algebra import blockwise_max, fold_pair_maxima, ordered_sum, ordered_sums, spectral_norms
 from .frames import Frame, frame_coefficients, frame_residuals, standard_basis_frame
 from .modules import (
     ModuleVector,
@@ -40,7 +41,7 @@ from .modules import (
     span_least_squares,
     stack_norms,
 )
-from .tolerances import BD_RTOL, COHERENCE_TOL, GRAM_DEFECT_ATOL, SERIES_EPS
+from .tolerances import BD_RTOL, COHERENCE_TOL, GRAM_DEFECT_ATOL, SERIES_EPS, below, check_eps
 
 
 class GramDefectError(ValueError):
@@ -198,7 +199,7 @@ def _error_profile(sample: SampleSet, pairs, eps: float) -> list[float]:
     errors = [max(sample.point_norms, default=0.0)]
     z, g = pairs
     for j in range(len(z)):
-        if errors[-1] < eps:
+        if below(errors[-1], eps):
             break
         for c, (xk, zk, gk) in enumerate(zip(stacks, z.realizations, g.realizations)):
             coeffs = gk[:, j, None].conj().swapaxes(-1, -2) @ xk
@@ -253,12 +254,24 @@ def _replay_data(sample: SampleSet, pairs) -> _ReplayData:
 # -- certificates for one eps -------------------------------------------------
 
 
+def _first_below(values: list[float], eps: float) -> int | None:
+    """The first index n with values[n] below eps, or None."""
+    hits = np.flatnonzero(below(values, eps))
+    return int(hits[0]) if hits.size else None
+
+
+def _settled_from(values: list[float], bound: float) -> int:
+    """The least n with every value from n on below bound: len(values) when the last is not."""
+    unsettled = np.flatnonzero(~below(values, bound))
+    return int(unsettled[-1]) + 1 if unsettled.size else 0
+
+
 def _certificate_a(data: _CoefficientData, eps: float) -> Certificate:
-    verdict = all(r < eps for r in data.residuals)
+    verdict = bool(below(data.residuals, eps).all())
     m_eps = max((max(cn) for cn in data.coefficient_norms if cn), default=0.0)
     d_const = max(data.approx_norms, default=0.0)
     bd = data.b_const * d_const
-    bd_ok = all(s <= bd + BD_RTOL * (1.0 + bd) for s in data.stacked_norms)
+    bd_ok = bool(below(data.stacked_norms, bd, BD_RTOL, 1.0 + bd).all())
     return Certificate(
         condition="A",
         eps=eps,
@@ -277,15 +290,11 @@ def _certificate_a(data: _CoefficientData, eps: float) -> Certificate:
 
 
 def _certificate_b(tails: list[float], eps: float) -> Certificate:
-    m = len(tails) - 1
-    n_stable = 0
-    for n in range(m):
-        if tails[n] >= eps:
-            n_stable = n + 1
+    n_stable = _settled_from(tails[:-1], eps)
     return Certificate(
         condition="B",
         eps=eps,
-        verdict=n_stable < m,
+        verdict=n_stable < len(tails) - 1,
         witness={"N": n_stable},
         diagnostics={"tail_profile": list(tails)},
     )
@@ -301,7 +310,7 @@ def _certificate_cd(errors: list[float], pairs, eps: float) -> Certificate:
     points, views of their stacks, built once for every eps of a grid.
     """
     z, g = pairs
-    achieved = next((n for n in range(len(errors)) if errors[n] < eps), None)
+    achieved = _first_below(errors, eps)
     profile = errors[: len(errors) if achieved is None else achieved + 1]
     diagnostics = {"error_profile": profile, "best_error": min(profile)}
     if achieved is not None:
@@ -493,27 +502,19 @@ def _a_implies_b(data: _PassData, a, a_scaled, b, cd) -> list[str]:
     if not a_scaled.verdict:
         return []
     c1, c2 = data.bounds
-    s, gen_tails, tails = data.generator_count, data.gen_tails, data.tails
+    s, gen_tails, tails = data.generator_count, np.asarray(data.gen_tails), data.tails
     m = len(gen_tails) - 1
     m_coeff = a_scaled.coefficient_bound or 0.0
     thresh = math.inf if m_coeff == 0.0 else b.eps / (3.0 * s * m_coeff)
-    stable = None
-    for n in range(m, -1, -1):
-        if gen_tails[n] <= thresh:
-            stable = n
-        else:
-            break
-    out = []
-    for n in range(m + 1):
-        if gen_tails[n] > thresh:
-            continue
-        estimate = a_scaled.eps * (1.0 + c2 / c1) + s * gen_tails[n] * m_coeff
-        if tails[n] > estimate + COHERENCE_TOL:
-            out.append(
-                f"a=>b chain broken at prefix {n}: tail {tails[n]:.6g} "
-                f"exceeds the three-term estimate {estimate:.6g}"
-            )
-    if stable is not None and stable < m:
+    estimates = a_scaled.eps * (1.0 + c2 / c1) + s * gen_tails * m_coeff
+    broken = below(gen_tails, thresh) & ~below(tails, estimates, COHERENCE_TOL)
+    out = [
+        f"a=>b chain broken at prefix {n}: tail {tails[n]:.6g} "
+        f"exceeds the three-term estimate {estimates[n]:.6g}"
+        for n in np.flatnonzero(broken).tolist()
+    ]
+    stable = _settled_from(gen_tails, thresh)
+    if stable < m:
         if not b.verdict or b.witness["N"] > stable:
             out.append(
                 f"a at eps*c1/(3c2) holds and generator tails reach "
@@ -534,16 +535,17 @@ def _d_implies_a(data: _PassData, a, a_scaled, b, cd) -> list[str]:
         return []
     replay, rank = data.replay, len(cd.approximant)
     m_da = max(replay.point_norms) * max(replay.pair_norms[:rank])
+    coefficients = np.asarray(replay.coefficient_norms)[:, :rank]
+    bound_broken = ~below(coefficients, m_da, COHERENCE_TOL, 1.0 + m_da).all(axis=1)
+    residual_broken = ~below(np.asarray(replay.residual_norms)[:, rank], cd.eps, COHERENCE_TOL)
     out = []
-    for i, (coeff_norms, residuals) in enumerate(
-        zip(replay.coefficient_norms, replay.residual_norms)
-    ):
-        if any(c > m_da + COHERENCE_TOL * (1.0 + m_da) for c in coeff_norms[:rank]):
+    for i in np.flatnonzero(bound_broken | residual_broken).tolist():
+        if bound_broken[i]:
             out.append(
                 f"d=>a bound broken at point {i}: coefficient norm "
                 f"exceeds R*max||f_k|| = {m_da:.6g}"
             )
-        if residuals[rank] >= cd.eps + COHERENCE_TOL:
+        if residual_broken[i]:
             out.append(
                 f"d=>a residual broken at point {i}: direct coefficient "
                 f"replay misses the eps bound"
@@ -583,7 +585,7 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
       CD       A           "d=>a bound broken", "d=>a residual broken"
       A        A           "finite-dimensional coefficient bound B*D"
 
-    Each replay allows a slack of COHERENCE_TOL (see `tolerances`).
+    Each replay's slack is COHERENCE_TOL, under the rule of `tolerances`.
     Violations indicate an implementation bug and are reported verbatim.
 
     Every eps of the grid, and the rank budget, is checked before any
@@ -622,7 +624,7 @@ def certify_equivalences(sample: SampleSet, config: CertifyConfig | None = None)
     c1, c2 = frame.bounds
     scaled_grid = [eps * c1 / (3.0 * c2) for eps in config.eps_grid]
     for eps, eps_scaled in zip(config.eps_grid, scaled_grid):
-        if not (math.isfinite(eps_scaled) and eps_scaled > 0):
+        if not (math.isfinite(eps_scaled) and below(0.0, eps_scaled)):
             raise ValueError(
                 f"the condition A radius eps*c1/(3*c2) = {eps_scaled!r} at eps = {eps!r} "
                 f"(c1 = {c1!r}, c2 = {c2!r}) is not a finite positive number"
@@ -718,16 +720,16 @@ def operator_precompact(op, eps: float, rank_budget: int | None = None) -> Certi
         [spectral_norms(tk - gram_block(uk, uk, dim) @ tk) for tk, uk in zip(op.stacks, heads)]
     )
     violations = []
-    if abs(replayed - errors[rank]) > COHERENCE_TOL * (1.0 + errors[rank]):
+    if not below(abs(replayed - errors[rank]), 0.0, COHERENCE_TOL, 1.0 + errors[rank]):
         violations.append(
             f"rank {rank} approximant replays to error {replayed:.6g}, "
             f"not the profile's {errors[rank]:.6g}"
         )
     tails = series_decompose(op, standard_basis_frame(shape, dim)).errors
+    above = ~below(errors, np.asarray(tails[: len(errors)]), COHERENCE_TOL)
     violations += [
-        f"c/d error {err:.6g} at rank {n} exceeds the b tail {tail:.6g}"
-        for n, (err, tail) in enumerate(zip(errors, tails))
-        if err > tail + COHERENCE_TOL
+        f"c/d error {errors[n]:.6g} at rank {n} exceeds the b tail {tails[n]:.6g}"
+        for n in np.flatnonzero(above).tolist()
     ]
     diagnostics = dict(
         cert.diagnostics,
@@ -830,7 +832,7 @@ def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) ->
 
         fold_pair_maxima(norms, tk[:, None], (size + 1) * rows * cols, norms_of)
     errors = norms[0].tolist()
-    achieved = next((n for n, err in enumerate(errors) if err < eps), None)
+    achieved = _first_below(errors, eps)
     adjoints = SampleSet._packed(shape, op.source_dim, y_stacks)
     return SeriesDecomposition(tuple(errors), errors[-1], achieved, family, adjoints)
 
@@ -863,7 +865,7 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
             raise GramDefectError(math.nan)
         defects.append(spectral_norms(grams - np.eye(s)[:, :, None, None] * np.eye(n)))
     defect = float(np.max([d.max() for d in defects]))
-    if not defect <= GRAM_DEFECT_ATOL:
+    if not below(defect, 0.0, GRAM_DEFECT_ATOL):
         raise GramDefectError(defect)
 
     stacks = sample.in_module(shape, dim)
@@ -871,10 +873,9 @@ def free_submodule_check(sample: SampleSet, generators, eps: float) -> Certifica
         xk - gram_block(gk, gk, dim)[:, None] @ xk for xk, gk in zip(stacks, gens.realizations)
     )
     _, dists, _ = span_least_squares(sample, gens)
-    verdict = all(d < eps for d in dists)
-    two_eps_ok = all(
-        r < 2.0 * eps for d, r in zip(dists, residuals) if d < eps
-    )
+    near = below(dists, eps)
+    verdict = bool(near.all())
+    two_eps_ok = bool(below(residuals, 2.0 * eps)[near].all())
     return Certificate(
         condition="FREE",
         eps=eps,

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraShape, check_eps, fold_pair_maxima, spectral_norms
+from .algebra import AlgebraShape, fold_pair_maxima, spectral_norms
 from .frames import Frame, frame_coefficients, frame_residuals, standard_basis_frame
 from .modules import ModuleVector, SampleSet
-from .tolerances import SELF_CHECK_ATOL
+from .tolerances import SELF_CHECK_ATOL, below, check_eps
 
 # Largest truncation the float64 model holds: the generator carries 1/k!,
 # and 171! overflows a double.
@@ -175,7 +175,7 @@ def _min_coeff_norms(coefficients: np.ndarray, eps: float) -> list[float]:
     Python floats: each row is the same IEEE operations, in the same
     order, as one lane of the numpy formula it replaced.
     """
-    if not 1.0 > eps * eps:
+    if not below(eps * eps, 1.0):
         return [0.0] * len(coefficients)
     keep = 1.0 - eps * eps
     required = []
@@ -244,7 +244,7 @@ def _checked_tails(via_frame: np.ndarray, direct: np.ndarray) -> tuple[list[floa
     a spectral norm, >= +0.0 and never NaN, so the sup from +0.0 is the
     largest tail, and 0.0 without points.
     """
-    bad = np.argwhere(np.abs(direct - via_frame) > SELF_CHECK_ATOL)
+    bad = np.argwhere(~below(np.abs(direct - via_frame), 0.0, SELF_CHECK_ATOL))
     if len(bad):
         d, f = direct[tuple(bad[0])], via_frame[tuple(bad[0])]
         raise AssertionError(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, fold_pair_maxima, hermitian_part, ordered_sums, spectral_norms
 from .modules import ModuleOperator, ModuleVector, SampleSet, gram_block
-from .tolerances import FRAME_RTOL
+from .tolerances import FRAME_RTOL, below
 
 
 class DegenerateFrameError(ValueError):
@@ -122,17 +122,17 @@ class Frame:
         eigensystems = [np.linalg.eigh(h) for h in hermitian]
         lo = min(np.inf, *shape.gather([w.min(axis=-1) for w, _ in eigensystems]).tolist())
         hi = max(0.0, *shape.gather([w.max(axis=-1) for w, _ in eigensystems]).tolist())
-        cut = FRAME_RTOL * max(hi, 1.0)
+        kept = [~below(w, 0.0, FRAME_RTOL, max(hi, 1.0)) for w, _ in eigensystems]
         if spanning == "ambient":
-            if lo <= cut:
+            if not all(keep.all() for keep in kept):
                 raise DegenerateFrameError(
                     f"smallest gram eigenvalue {lo:.3e} is below tolerance; "
                     "the family does not span the module"
                 )
             c1 = lo
         else:
-            least = shape.gather([np.where(w > cut, w, np.inf).min(axis=-1) for w, _ in eigensystems])
-            found = shape.gather([(w > cut).any(axis=-1) for w, _ in eigensystems])
+            least = shape.gather([np.where(keep, w, np.inf).min(axis=-1) for keep, (w, _) in zip(kept, eigensystems)])
+            found = shape.gather([keep.any(axis=-1) for keep in kept])
             positive = [v for v, ok in zip(least.tolist(), found.tolist()) if ok]
             if not positive:
                 raise DegenerateFrameError("the family consists of zero vectors")
@@ -140,8 +140,8 @@ class Frame:
         self._bounds = (c1, hi)
 
         gram_inv = []
-        for w, u in eigensystems:
-            inv_w = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
+        for keep, (w, u) in zip(kept, eigensystems):
+            inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
             gram_inv.append((u * inv_w[..., None, :]) @ u.conj().swapaxes(-1, -2))
         # The dual family, realized per class by G_j = S^(-1) X_j.
         self._dual = SampleSet._packed(

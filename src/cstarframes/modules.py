@@ -40,7 +40,7 @@ from .algebra import (
     stack_norms,
     stored,
 )
-from .tolerances import PINV_RTOL, SPAN_DROP_RTOL
+from .tolerances import PINV_RTOL, SPAN_DROP_RTOL, below
 
 
 def coordinate_blocks(stack: np.ndarray, dim: int) -> np.ndarray:
@@ -374,35 +374,37 @@ def gram_block(xs: np.ndarray, ys: np.ndarray, dim: int) -> np.ndarray:
 GRAM_SCALE_LIMIT = 2.0**500
 
 
-def _support_normalized(stacks, norm: float, drop_at: float = -math.inf) -> list[np.ndarray] | None:
+def _support_normalized(stacks, norm: float, drop: bool = False) -> list[np.ndarray] | None:
     """Realization of v (a^+)^(1/2), a = <v,v>, from that of v (one stack per class).
 
     One eigh of the Hermitian part of a, per size class, decides
     everything.  Its largest eigenvalue over the blocks is lambda =
-    ||v||^2 (the C*-identity ||<v,v>|| = ||v||^2).  v is dropped, and
-    None returned, when sqrt(lambda) <= drop_at; eigenvalues at or below
+    ||v||^2 (the C*-identity ||<v,v>|| = ||v||^2).  With drop set, v is
+    dropped, and None returned, when sqrt(lambda) is at most the span
+    drop cut, SPAN_DROP_RTOL * max(1, norm); eigenvalues at or below
     PINV_RTOL * lambda are cut, and the others are inverted under a
     square root.
 
-    norm is ||v||, or a bound on it.  Above GRAM_SCALE_LIMIT, v and
-    drop_at are first scaled by 2^-e, e the binary exponent of norm, so
-    that a stays finite.  Multiplying by a power of two is exact (for
-    entries above 2^(e-1022); smaller ones lie far below the cut), and
-    v (a^+)^(1/2) is the same for v and v t, t > 0, in exact arithmetic.
-    Below the limit nothing is scaled.
+    norm is ||v||, or a bound on it.  Above GRAM_SCALE_LIMIT, v and the
+    drop cut's scale are first scaled by 2^-e, e the binary exponent of
+    norm, so that a stays finite.  Multiplying by a power of two is
+    exact (for entries above 2^(e-1022); smaller ones lie far below the
+    cut), and v (a^+)^(1/2) is the same for v and v t, t > 0, in exact
+    arithmetic.  Below the limit nothing is scaled.
     """
+    drop_scale = max(1.0, norm)
     if norm > GRAM_SCALE_LIMIT:
         e = math.frexp(norm)[1]
         stacks = [vk * math.ldexp(1.0, -e) for vk in stacks]
-        drop_at = math.ldexp(drop_at, -e)
+        drop_scale = math.ldexp(drop_scale, -e)
     spectra = [np.linalg.eigh(hermitian_part(vk.conj().swapaxes(-1, -2) @ vk)) for vk in stacks]
     top = max(0.0, *(float(w[..., -1].max()) for w, _ in spectra))
-    if math.sqrt(top) <= drop_at:
+    if drop and below(math.sqrt(top), 0.0, SPAN_DROP_RTOL, drop_scale):
         return None
-    cut = top * PINV_RTOL
     out = []
     for vk, (w, u) in zip(stacks, spectra):
-        inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
+        kept = ~below(w, 0.0, PINV_RTOL, top)
+        inv_sqrt = np.where(kept, 1.0 / np.sqrt(np.where(kept, w, 1.0)), 0.0)
         scale = (u * inv_sqrt[..., None, :]) @ u.conj().swapaxes(-1, -2)
         out.append(vk @ scale)
     return out
@@ -443,7 +445,7 @@ def orthogonal_span_family(vectors) -> SampleSet:
     members = [np.empty_like(s) for s in residuals]
     size = 0
     for i, norm in enumerate(family.point_norms):
-        w = _support_normalized([s[:, i] for s in residuals], norm, SPAN_DROP_RTOL * max(1.0, norm))
+        w = _support_normalized([s[:, i] for s in residuals], norm, drop=True)
         if w is None:
             continue
         for s, m, wk in zip(residuals, members, w):

@@ -27,7 +27,6 @@ import numpy as np
 from .algebra import (
     State,
     block_sum,
-    check_eps,
     checked_states,
     frozen,
     hermitian_part,
@@ -38,7 +37,7 @@ from .algebra import (
     stored,
 )
 from .modules import ModuleVector, SampleSet, gram_block, inner_product
-from .tolerances import ADMISSIBLE_TOL
+from .tolerances import ADMISSIBLE_TOL, below, check_eps
 
 
 class ApproximationHypothesisError(ValueError):
@@ -96,12 +95,10 @@ def admissible_check(vectors) -> AdmissibilityReport:
     system = SampleSet.of(vectors)
     if not len(system):
         raise ValueError("empty system")
-    max_norm, bad_norm = 0.0, None
-    for i, nv in enumerate(system.point_norms):
-        if nv > max_norm:
-            max_norm = nv
-        if nv > 1.0 + ADMISSIBLE_TOL and bad_norm is None:
-            bad_norm = i
+    norms = system.point_norms
+    max_norm = max(0.0, *norms)
+    too_long = np.flatnonzero(~below(norms, 1.0, ADMISSIBLE_TOL))
+    bad_norm = int(too_long[0]) if too_long.size else None
 
     least = []
     for xs in system.realizations:
@@ -112,7 +109,7 @@ def admissible_check(vectors) -> AdmissibilityReport:
         spectra = np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))
         least.append(np.where(finite, spectra.min(axis=-1), -math.inf))
     slack = min(math.inf, *system.shape.gather(least).tolist())
-    ok = bad_norm is None and slack >= -ADMISSIBLE_TOL
+    ok = bad_norm is None and bool(below(-slack, 0.0, ADMISSIBLE_TOL))
     return AdmissibilityReport(ok, max_norm, slack, bad_norm)
 
 
@@ -306,7 +303,7 @@ def _greedy_net(values: np.ndarray, eps: float) -> list[int]:
     dist = _nu(values - values[0])
     while True:
         far = int(np.argmax(dist))
-        if dist[far] < eps:
+        if below(dist[far], eps):
             return net
         net.append(far)
         dist = np.minimum(dist, _nu(values - values[far]))
@@ -316,7 +313,7 @@ def _covers(values: np.ndarray, centres: np.ndarray, radius: float) -> bool:
     if not len(centres):
         return not len(values)
     dist = _nu(values[:, None] - centres[None])
-    return bool((dist.min(axis=1) < radius).all())
+    return bool(below(dist.min(axis=1), radius).all())
 
 
 def epsilon_net(sample: SampleSet, spec: SeminormSpec, eps: float) -> list[int]:
@@ -373,7 +370,7 @@ def net_transfer(
     if not len(approx):
         raise ValueError("the approximating set is empty")
     closest = _module_distances(sample, approx).min(axis=1)
-    far = np.flatnonzero(closest >= eps)
+    far = np.flatnonzero(~below(closest, eps))
     if far.size:
         i = int(far[0])
         raise ApproximationHypothesisError(i, float(closest[i]), eps)
@@ -382,7 +379,7 @@ def net_transfer(
     approx_values = state_values(spec, approx)
     chosen: list[int] = []
     for j in _greedy_net(approx_values, eps):
-        near = np.flatnonzero(_nu(sample_values - approx_values[j]) < 3.0 * eps)
+        near = np.flatnonzero(below(_nu(sample_values - approx_values[j]), 3.0 * eps))
         if near.size and int(near[0]) not in chosen:
             chosen.append(int(near[0]))
     if not _covers(sample_values, sample_values[chosen], 6.0 * eps):

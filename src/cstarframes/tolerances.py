@@ -1,16 +1,53 @@
-"""Every tolerance cut of the library, one named constant per decision.
+"""Every tolerance decision of the library: one rule, and one named constant per cut.
 
 The paper's verdicts are exact inequalities; in floating point each
-"is zero", "is positive" or "is within eps" becomes a cut at a small
-slack.  The policy: a cut on a quantity whose rounding error grows with
-the size of its input is relative, the constant times a named scale
-(such as max(c2, 1) or the largest singular value); a cut on a
-quantity that is normalized by construction (a trace that must be 1, a
-norm that must be at most 1, a gram that must be the identity) is
-absolute.  The comment on each constant names the scale it multiplies,
-or says "absolute".  Callers cannot set a cut: each decision has one
-value, and every site reads it from here.
+"is zero", "is positive" or "is within eps" becomes a comparison, and
+every one of them is made by `below`, with one rule:
+
+- an eps verdict passes on the strict value < eps;
+- a cut or a slack passes on value <= bound + tol * scale, where tol is
+  one of the constants below and scale is the data scale its comment
+  names (1.0 for an absolute cut);
+- NaN passes neither.
+
+A cut on a quantity whose rounding error grows with the size of its
+input is relative, the constant times a named scale (such as max(c2, 1)
+or the largest singular value); a cut on a quantity that is normalized
+by construction (a trace that must be 1, a norm that must be at most 1,
+a gram that must be the identity) is absolute.  Callers cannot set a
+cut: each decision has one value, and every site reads it from here.
 """
+
+import math
+
+import numpy as np
+
+
+def below(value, bound, tol=None, scale=1.0):
+    """Whether `value` passes against `bound`, entry by entry: the library's one decision rule.
+
+    Without tol, an eps verdict: value < bound.  With tol, one of this
+    module's constants, a cut or a slack: value <= bound + tol * scale.
+    NaN passes neither.  value may be a float, a list of floats or an
+    array, and bound and scale broadcast against it; the result is a
+    numpy bool or bool array.
+    """
+    value = np.asarray(value)
+    if tol is None:
+        return value < bound
+    return value <= bound + tol * scale
+
+
+def check_eps(eps: float) -> None:
+    """Reject an approximation radius that is not a finite positive number.
+
+    NaN would fail every eps verdict (a greedy net never closes, a tail
+    never settles) and inf would pass them all, so both are refused up
+    front.
+    """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be a finite positive number")
+
 
 # State density Hermitian, positive semidefinite, total trace 1; absolute.
 STATE_ATOL = 1e-8

@@ -235,6 +235,12 @@ def test_state_rejects_non_psd():
         State(M2, (np.diag([1.5, -0.5]).astype(complex),))
 
 
+def test_state_rejects_a_nan_density():
+    """NaN passes no cut: a NaN entry fails the Hermitian check of its density."""
+    with pytest.raises(StateError, match="density 0 is not Hermitian"):
+        State(C2, (np.array([[np.nan]]), np.array([[1.0]])))
+
+
 def test_norm_attaining_state_on_positives(rng):
     shape = random_shape(rng)
     a = random_positive(shape, rng)

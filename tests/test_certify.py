@@ -702,6 +702,49 @@ def test_series_reports_floor_when_frame_misses_range(rng):
     assert dec.floor == pytest.approx(op.norm(), rel=1e-9)
 
 
+# -- the one decision rule at eps ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "profiles, eps, n",
+    [
+        ([[math.nan, 0.0]], 0.5, 1),
+        ([[1.0, math.nan, 0.0]], 0.5, 2),
+        ([[0.5, 0.0]], 0.5, 1),
+        ([[0.5, 0.0]], math.nextafter(0.5, 1.0), 0),
+    ],
+)
+def test_a_tail_settles_only_strictly_below_eps(profiles, eps, n):
+    """A tail equal to eps is not below it, and a NaN tail is below nothing: B settles only after both."""
+    cert = certify.tails_certificate(np.array(profiles), eps)
+    assert cert.verdict == (n < len(profiles[0]) - 1)
+    assert cert.witness == {"N": n}
+
+
+def test_a_residual_equal_to_eps_fails_condition_a():
+    point = ModuleVector.basis(C2, 2, 0) * 0.5 + ModuleVector.basis(C2, 2, 1) * 0.375
+    gens = (ModuleVector.basis(C2, 2, 0),)
+    (r,) = check_condition_a(SampleSet((point,)), gens, 1.0).diagnostics["residuals"]
+    assert r > 0.0
+    assert not check_condition_a(SampleSet((point,)), gens, r).verdict
+    assert check_condition_a(SampleSet((point,)), gens, math.nextafter(r, math.inf)).verdict
+
+
+def test_a_cd_error_equal_to_eps_does_not_pass():
+    sample = SampleSet((ModuleVector.basis(C2, 2, 0) * 0.5,))
+    assert check_condition_cd(sample, 0.5, rank_budget=0).budget_exhausted
+    assert check_condition_cd(sample, math.nextafter(0.5, 1.0), rank_budget=0).witness == {"rank": 0}
+
+
+def test_a_series_error_equal_to_eps_is_not_achieved():
+    op = theta_op(ModuleVector.basis(C2, 2, 0), ModuleVector.basis(C2, 2, 0) * 0.5)
+    frame = standard_basis_frame(C2, 2)
+    errors = series_decompose(op, frame).errors
+    assert errors[:2] == (0.5, 0.0)
+    assert series_decompose(op, frame, eps=0.5).achieved_rank == 1
+    assert series_decompose(op, frame, eps=math.nextafter(0.5, 1.0)).achieved_rank == 0
+
+
 # -- free submodules ----------------------------------------------------------
 
 

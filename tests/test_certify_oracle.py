@@ -41,7 +41,7 @@ from cstarframes import (
     standard_basis_frame,
     theta_op,
 )
-from cstarframes.algebra import check_eps
+from cstarframes.tolerances import check_eps
 from cstarframes.certify import Certificate, GramDefectError
 from cstarframes.cli import main
 from cstarframes.modules import PINV_RTOL, generator_family, span_least_squares

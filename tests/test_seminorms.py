@@ -193,6 +193,17 @@ def test_net_covers_at_radius(rng):
     assert net_covers(sample, spec, net, eps)
 
 
+def test_a_point_at_exactly_eps_joins_the_net():
+    """The greedy net stops only when every distance is below eps: a distance equal to it is not."""
+    spec = simple_spec(C2, 2)
+    sample = SampleSet((ModuleVector.zero(C2, 2), ModuleVector.basis(C2, 2, 0) * 0.5))
+    d = pseudometric_eval(spec, sample.points[0], sample.points[1])
+    assert d == 0.5
+    assert epsilon_net(sample, spec, d) == [0, 1]
+    assert epsilon_net(sample, spec, math.nextafter(d, 1.0)) == [0]
+    assert not net_covers(sample, spec, [0], d)
+
+
 def test_net_deterministic(rng):
     shape = random_shape(rng)
     spec = simple_spec(shape, 3)

@@ -66,8 +66,8 @@ MUTANTS = {
     ),
     "b_off_by_one": (
         "certify.py",
-        "            n_stable = n + 1\n",
-        "            n_stable = n\n",
+        "    n_stable = _settled_from(tails[:-1], eps)\n",
+        "    n_stable = max(0, _settled_from(tails[:-1], eps) - 1)\n",
     ),
     "a_residual_half": (
         "certify.py",
@@ -86,8 +86,8 @@ MUTANTS = {
     ),
     "cd_eps_le": (
         "certify.py",
-        "if errors[n] < eps), None)",
-        "if errors[n] <= eps * (1 + 1e-12)), None)",
+        "    achieved = _first_below(errors, eps)\n    profile",
+        "    achieved = next((n for n, e in enumerate(errors) if e <= eps * (1 + 1e-12)), None)\n    profile",
     ),
     "span_drop_x1e6": ("tolerances.py", "SPAN_DROP_RTOL = 1e-9\n", "SPAN_DROP_RTOL = 1e-9 * 1e6\n"),
     "frame_rtol_x1e6": ("tolerances.py", "FRAME_RTOL = 1e-10\n", "FRAME_RTOL = 1e-10 * 1e6\n"),

@@ -11,7 +11,8 @@ Run from the root of a checkout:
 The command list (`commands`) is the 300 jobs of the four benchmark
 workloads at seeds 1-3, from perfbench/gen.py imported as it is, and
 the fixture commands of `fixture_commands`: every subcommand on the
-files of tests/fixtures, on empty sample documents of three shapes,
+files of tests/fixtures, `series` along the first vector of
+parseval.json as a range frame, on empty sample documents of three shapes,
 on scaled copies of the planted sample and of frame_random.json, on a
 copy of the sample labelled with a lone surrogate escape, conditions
 B, C/D and `all` along each fixture frame on a sample of its module
@@ -209,6 +210,12 @@ def fixture_commands(work: Path) -> list[list[str]]:
         cmds += [["reconstruct", f, v] for v in vectors]
         cmds += [["series", operator, "--frame", f], ["series", operator, "--frame", f, "--eps", "0.5"]]
     cmds += [["series", operator], ["series", operator, "--eps", "0.5"], ["series", operator, "--out", out]]
+    # parseval.json's first vector alone, as a range frame: `series` misses every eps along it, and
+    # its null achieved_rank goes through the writer's stdlib route
+    first = work / "parseval_first.json"
+    doc = json.loads((FIXTURES / "parseval.json").read_bytes())
+    first.write_text(json.dumps({**doc, "spanning": "range", "vectors": doc["vectors"][:1]}))
+    cmds += [["series", operator, "--frame", str(first)], ["series", operator, "--frame", str(first), "--out", out]]
     for f in scaled_frames:
         cmds += [["dual", f], ["dual", f, "--out", out]]
 
