@@ -408,7 +408,11 @@ class AlgebraElement(_Matrix):
 
     def __post_init__(self, shape: AlgebraShape, blocks):
         # Every validated construction passes here; library results use `_packed`.
-        stored(self, _pack_blocks(shape, blocks), shape=shape, _rows=1, _cols=1)
+        stacks = _pack_blocks(shape, blocks)
+        finite = shape.gather([np.isfinite(s).all(axis=(-2, -1)) for s in stacks])
+        if not finite.all():
+            raise ValueError(f"block {int(np.argmin(finite))} has a non-finite entry")
+        stored(self, stacks, shape=shape, _rows=1, _cols=1)
 
     @classmethod
     def _packed(cls, shape: AlgebraShape, stacks) -> "AlgebraElement":

@@ -776,7 +776,8 @@ def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) ->
     """Expand an operator into theta terms along a frame for its range.
 
     With no frame given, one is built from the operator's columns by
-    module Gram-Schmidt (the columns generate the range).  Each term is
+    module Gram-Schmidt (the columns generate the range), views of T's
+    stacks: column block j of each realized block is R_k(T e_j).  Each term is
     theta_{x_j, T* g_j}, so the partial sums are the frame's partial
     reconstructions composed with the operator.
 
@@ -800,10 +801,10 @@ def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) ->
     check_eps(eps)
     shape = op.shape
     if frame is None:
-        columns = [
-            op(ModuleVector.basis(shape, op.source_dim, j))
-            for j in range(op.source_dim)
-        ]
+        m, s = op.target_dim, op.source_dim
+        columns = SampleSet._packed(shape, m, (
+            t.reshape(len(t), m * n, s, n).swapaxes(1, 2) for t, (n, _) in zip(op.stacks, shape.classes)
+        ))
         family = orthogonal_span_family(columns)
         x_stacks = g_stacks = family.realizations
     else:

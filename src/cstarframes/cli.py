@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .certify import (
     CertifyConfig,
-    GramDefectError,
     certify_equivalences,
     check_condition_a,
     check_condition_b,
@@ -28,9 +27,9 @@ from .certify import (
     tails_certificate,
 )
 from .counterexample import build_setting, coeff_growth, tail_obstruction
-from .frames import DegenerateFrameError, standard_basis_frame
+from .frames import standard_basis_frame
 from .seminorms import epsilon_net, seminorm_values
-from .serialization import SchemaError, parse, serialize, serialize_dual
+from .serialization import parse, serialize, serialize_dual
 from .tolerances import SERIES_EPS
 
 USAGE_EXIT = 64
@@ -259,9 +258,6 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return _COMMANDS[args.command](args)
-    except (SchemaError, DegenerateFrameError, GramDefectError) as exc:
-        print(f"cstarframes: error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
         print(f"cstarframes: error: {exc}", file=sys.stderr)
         return 1

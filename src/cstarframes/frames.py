@@ -85,10 +85,10 @@ class Frame:
     """Finite frame with its optimal bounds and canonical dual.
 
     A gram eigenvalue counts as zero when it is at most
-    FRAME_RTOL * max(c2, 1).  spanning="ambient" (default) demands a
-    frame for the whole module and rejects degenerate families.
-    spanning="range" accepts families that only span a submodule: bounds
-    come from the nonzero gram spectrum and the dual uses the
+    FRAME_RTOL * max(c2, 1); c1 is the least nonzero one in either mode.
+    spanning="ambient" (default) demands a frame for the whole module
+    and rejects a family with a zero eigenvalue.  spanning="range"
+    accepts families that only span a submodule, and the dual uses the
     pseudo-inverse, so reconstruction reproduces the projection onto the
     family's span.  Either mode refuses a family whose gram is not finite
     (its entries overflow in the products), naming the first such block.
@@ -120,23 +120,18 @@ class Frame:
                 "the family's entries overflow"
             )
         eigensystems = [np.linalg.eigh(h) for h in hermitian]
-        lo = min(np.inf, *shape.gather([w.min(axis=-1) for w, _ in eigensystems]).tolist())
         hi = max(0.0, *shape.gather([w.max(axis=-1) for w, _ in eigensystems]).tolist())
         kept = [~below(w, 0.0, FRAME_RTOL, max(hi, 1.0)) for w, _ in eigensystems]
-        if spanning == "ambient":
-            if not all(keep.all() for keep in kept):
-                raise DegenerateFrameError(
-                    f"smallest gram eigenvalue {lo:.3e} is below tolerance; "
-                    "the family does not span the module"
-                )
-            c1 = lo
-        else:
-            least = shape.gather([np.where(keep, w, np.inf).min(axis=-1) for keep, (w, _) in zip(kept, eigensystems)])
-            found = shape.gather([keep.any(axis=-1) for keep in kept])
-            positive = [v for v, ok in zip(least.tolist(), found.tolist()) if ok]
-            if not positive:
-                raise DegenerateFrameError("the family consists of zero vectors")
-            c1 = min(positive)
+        least = shape.gather([np.where(keep, w, np.inf).min(axis=-1) for keep, (w, _) in zip(kept, eigensystems)])
+        if spanning == "ambient" and not all(keep.all() for keep in kept):
+            lo = min(shape.gather([w.min(axis=-1) for w, _ in eigensystems]).tolist())
+            raise DegenerateFrameError(
+                f"smallest gram eigenvalue {lo:.3e} is below tolerance; "
+                "the family does not span the module"
+            )
+        c1 = float(least.min())
+        if c1 == np.inf:
+            raise DegenerateFrameError("the family consists of zero vectors")
         self._bounds = (c1, hi)
 
         gram_inv = []

@@ -87,12 +87,6 @@ def _get(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
-    extra = sorted(set(doc) - allowed)
-    if extra:
-        raise SchemaError(f"{path}.{extra[0]}", "unknown field (strict schema)")
-
-
 def _complex_in(val, path: str) -> None:
     pair = _expect_list(val, path)
     if len(pair) != 2:
@@ -360,48 +354,32 @@ def document(value) -> dict:
     `serialize` writes as nested lists of [re, im] pairs.
     """
     if isinstance(value, ModuleVector):
-        return {
-            "version": 1,
-            "kind": "vector",
-            "shape": shape_payload(value.shape),
-            "coords": vector_payload(value),
-        }
+        return _head("vector", value.shape, coords=vector_payload(value))
     if isinstance(value, ModuleOperator):
-        return {
-            "version": 1,
-            "kind": "operator",
-            "shape": shape_payload(value.shape),
-            "entries": _element_payloads(
-                value.shape,
-                [entry_blocks(s, value.target_dim, value.source_dim) for s in value.stacks],
-            ),
-        }
+        return _head("operator", value.shape, entries=_element_payloads(
+            value.shape, [entry_blocks(s, value.target_dim, value.source_dim) for s in value.stacks]
+        ))
     if isinstance(value, Frame):
         return _frame_document(value, value._family)
     if isinstance(value, SampleSet):
         if not len(value):
             raise ValueError("an empty sample set has no shape and cannot be serialized")
-        doc = {
-            "version": 1,
-            "kind": "sample_set",
-            "shape": shape_payload(value.shape),
-            "points": _family_payloads(value),
-        }
+        doc = _head("sample_set", value.shape, points=_family_payloads(value))
         if value.label:
             doc["label"] = value.label
         return doc
     if isinstance(value, SeminormSpec):
         system = value._system
-        return {
-            "version": 1,
-            "kind": "seminorm_spec",
-            "shape": shape_payload(system.shape),
-            "system": _family_payloads(system),
-            "states": _element_payloads(system.shape, value._densities),
-        }
+        return _head("seminorm_spec", system.shape, system=_family_payloads(system),
+                     states=_element_payloads(system.shape, value._densities))
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     raise TypeError(f"no schema for {type(value).__name__}")
+
+
+def _head(kind: str, shape: AlgebraShape, **payload) -> dict:
+    """The document of `kind` over `shape`: the version and kind tags, the shape, and `payload`'s fields."""
+    return {"version": 1, "kind": kind, "shape": shape_payload(shape), **payload}
 
 
 def _family_payloads(family: SampleSet) -> list:
@@ -409,13 +387,7 @@ def _family_payloads(family: SampleSet) -> list:
 
 
 def _frame_document(frame: Frame, family: SampleSet) -> dict:
-    return {
-        "version": 1,
-        "kind": "frame",
-        "shape": shape_payload(frame.shape),
-        "spanning": frame.spanning,
-        "vectors": _family_payloads(family),
-    }
+    return _head("frame", frame.shape, spanning=frame.spanning, vectors=_family_payloads(family))
 
 
 _ORJSON_OPTIONS = (
@@ -548,29 +520,20 @@ def serialize_dual(frame: Frame) -> bytes:
     return serialize(_frame_document(frame, frame._dual))
 
 
-def _parse_vector_doc(doc: dict) -> ModuleVector:
-    _reject_unknown(doc, {"version", "kind", "shape", "coords"}, "$")
-    shape = parse_shape_payload(_get(doc, "shape", "$"), "$.shape")
+def _parse_vector_doc(doc: dict, shape: AlgebraShape) -> ModuleVector:
     vector = parse_vector_payload(_get(doc, "coords", "$"), shape, "$.coords")
     _refuse_norm_overflow([s[:, None] for s in vector.stacks], "$")
     return vector
 
 
-def _parse_operator_doc(doc: dict) -> ModuleOperator:
-    _reject_unknown(doc, {"version", "kind", "shape", "entries"}, "$")
-    shape = parse_shape_payload(_get(doc, "shape", "$"), "$.shape")
+def _parse_operator_doc(doc: dict, shape: AlgebraShape) -> ModuleOperator:
     rows = _expect_list(_get(doc, "entries", "$"), "$.entries")
     if not rows:
         raise SchemaError("$.entries", "operator needs at least one row")
-    width = len(rows[0]) if type(rows[0]) is list else None
-    decoded = None
-    if width and all(type(row) is list and len(row) == width for row in rows):
-        decoded = _decode_blocks([e for row in rows for e in row], shape)
-    stacks = tuple(
-        from_entry_blocks(s.reshape(len(s), len(rows), width, s.shape[-1], s.shape[-1]))
-        for s in _decoded(decoded, _walk_operator_entries, rows, shape)
+    width, stacks = _decoded(_decode_family(rows, shape), _walk_operator_entries, rows, shape)
+    op = ModuleOperator._packed(
+        shape, len(rows), width, tuple(from_entry_blocks(coordinate_blocks(s, width)) for s in stacks)
     )
-    op = ModuleOperator._packed(shape, len(rows), width, stacks)
     _refuse_norm_overflow([s[:, None] for s in op.stacks], "$.entries")
     return op
 
@@ -591,9 +554,7 @@ def _walk_operator_entries(rows: list, shape: AlgebraShape) -> None:
             _walk_element(e, shape, f"$.entries[{i}][{j}]")
 
 
-def _parse_frame_doc(doc: dict) -> Frame:
-    _reject_unknown(doc, {"version", "kind", "shape", "vectors", "spanning"}, "$")
-    shape = parse_shape_payload(_get(doc, "shape", "$"), "$.shape")
+def _parse_frame_doc(doc: dict, shape: AlgebraShape) -> Frame:
     spanning = doc.get("spanning", "ambient")
     if spanning not in ("ambient", "range"):
         raise SchemaError("$.spanning", f"expected 'ambient' or 'range', found {spanning!r}")
@@ -607,9 +568,7 @@ def _parse_frame_doc(doc: dict) -> Frame:
         raise SchemaError("$.vectors", str(e)) from e
 
 
-def _parse_sample_set_doc(doc: dict) -> SampleSet:
-    _reject_unknown(doc, {"version", "kind", "shape", "points", "label"}, "$")
-    shape = parse_shape_payload(_get(doc, "shape", "$"), "$.shape")
+def _parse_sample_set_doc(doc: dict, shape: AlgebraShape) -> SampleSet:
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise SchemaError("$.label", f"expected a string, found {label!r}")
@@ -621,9 +580,7 @@ def _parse_sample_set_doc(doc: dict) -> SampleSet:
     return sample
 
 
-def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
-    _reject_unknown(doc, {"version", "kind", "shape", "system", "states"}, "$")
-    shape = parse_shape_payload(_get(doc, "shape", "$"), "$.shape")
+def _parse_seminorm_spec_doc(doc: dict, shape: AlgebraShape) -> SeminormSpec:
     raw_sys = _expect_list(_get(doc, "system", "$"), "$.system")
     if not raw_sys:
         raise SchemaError("$.system", "admissible system needs at least one vector")
@@ -637,11 +594,11 @@ def _parse_seminorm_spec_doc(doc: dict) -> SeminormSpec:
 
 
 _PARSERS = {
-    "vector": _parse_vector_doc,
-    "operator": _parse_operator_doc,
-    "frame": _parse_frame_doc,
-    "sample_set": _parse_sample_set_doc,
-    "seminorm_spec": _parse_seminorm_spec_doc,
+    "vector": (_parse_vector_doc, {"coords"}),
+    "operator": (_parse_operator_doc, {"entries"}),
+    "frame": (_parse_frame_doc, {"vectors", "spanning"}),
+    "sample_set": (_parse_sample_set_doc, {"points", "label"}),
+    "seminorm_spec": (_parse_seminorm_spec_doc, {"system", "states"}),
 }
 
 
@@ -736,4 +693,8 @@ def _parse_tree(kind: str, doc):
     actual = _get(doc, "kind", "$")
     if actual != kind:
         raise SchemaError("$.kind", f"expected kind {kind!r}, found {actual!r}")
-    return _PARSERS[kind](doc)
+    parser, fields = _PARSERS[kind]
+    extra = sorted(set(doc) - {"version", "kind", "shape", *fields})
+    if extra:
+        raise SchemaError(f"$.{extra[0]}", "unknown field (strict schema)")
+    return parser(doc, parse_shape_payload(_get(doc, "shape", "$"), "$.shape"))

@@ -118,6 +118,16 @@ def test_blocks_are_checked_against_the_shape():
         AlgebraElement(C2, ([[1.0]], np.eye(2)))
 
 
+def test_element_refuses_a_non_finite_entry():
+    """Unrefused, the first had norm NaN and the second an SVD that does not converge."""
+    with pytest.raises(ValueError, match=r"^block 0 has a non-finite entry$"):
+        AlgebraElement(M2, [[[1.0, np.inf], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match=r"^block 1 has a non-finite entry$"):
+        AlgebraElement(C2, ([[1.0]], [[np.nan]]))
+    with pytest.raises(ValueError, match=r"^block 2 has a non-finite entry$"):
+        AlgebraElement(AlgebraShape((2, 1, 1)), (np.eye(2), [[1.0]], [[complex(0.0, -np.inf)]]))
+
+
 def test_arithmetic_rejects_elements_of_another_shape(rng):
     a = random_element(C2, rng)
     b = random_element(AlgebraShape((2, 1)), rng)

@@ -141,7 +141,7 @@ def test_non_finite_scalar_rejected():
 
 def test_non_finite_serialize_rejected():
     shape = AlgebraShape((1,))
-    bad = ModuleVector(shape, (AlgebraElement(shape, (np.array([[np.inf]], dtype=complex),)),))
+    bad = ModuleVector._packed(shape, 1, (np.array([[[np.inf]]], dtype=complex),))
     with pytest.raises(ValueError):
         serialize(bad)
 
@@ -652,7 +652,7 @@ def test_non_finite_serialize_names_the_first_bad_scalar():
     shape = AlgebraShape((2,))
     block = np.array([[0.0, 1 + 2j], [complex(math.inf, 1.0), complex(math.nan, 0.0)]])
     with pytest.raises(ValueError) as err:
-        serialize(ModuleVector(shape, (AlgebraElement(shape, (block,)),)))
+        serialize(ModuleVector._packed(shape, 1, (block[None],)))
     assert str(err.value) == "cannot serialize non-finite scalar (inf+1j)"
 
 

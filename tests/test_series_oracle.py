@@ -17,11 +17,13 @@ from conftest import random_frame, random_vector
 from cstarframes import (
     AlgebraShape,
     Frame,
+    ModuleOperator,
     ModuleVector,
     serialize,
     series_decompose,
     theta_op,
 )
+from cstarframes.algebra import entry_blocks, from_entry_blocks
 from cstarframes.modules import orthogonal_span_family
 
 SHAPES = [(1,), (2,), (1, 2), (1, 1, 2), (2, 3)]
@@ -111,6 +113,53 @@ def test_series_of_a_non_square_operator(dims, frame_kind):
     dec = series_decompose(op, frame=frame, eps=1e-6)
     assert (list(dec.errors), dec.floor, dec.achieved_rank) == (errors, floor, achieved)
     assert all(x.dim == 3 and y.dim == 2 for x, y in dec.pairs)
+
+
+def signed_zero_operator(shape, rng):
+    """A random 3x2 operator with entries -0.0 or -0.0-0.0j scattered over it and column 1 all zero."""
+    op = random_operator(shape, 3, 2, 2, rng)
+    stacks = []
+    for s in op.stacks:
+        e = entry_blocks(s, 3, 2).copy()
+        e[:, :, 1] = 0.0
+        e[rng.random(e.shape) < 0.3] = -0.0
+        e[rng.random(e.shape) < 0.2] = complex(-0.0, -0.0)
+        stacks.append(from_entry_blocks(e))
+    return ModuleOperator._packed(shape, 3, 2, stacks)
+
+
+@pytest.mark.parametrize("dims", [d for d in SHAPES if len(set(d)) == 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_series_of_an_operator_with_signed_zeros_and_a_zero_column(dims, seed):
+    """The span family starts from views of the stored columns, not from the products T e_j.
+
+    The errors are the reference's bit for bit.  The pairs are equal in
+    value: a view keeps a stored -0.0 that the product writes as +0.0.
+    """
+    rng = np.random.default_rng([13, seed, len(dims), sum(dims)])
+    op = signed_zero_operator(AlgebraShape(dims), rng)
+    errors, floor, achieved, pairs = ref_series(op, eps=1e-6)
+    dec = series_decompose(op, eps=1e-6)
+    assert list(map(repr, dec.errors + (dec.floor,))) == list(map(repr, errors + [floor]))
+    assert dec.achieved_rank == achieved
+    assert len(dec.pairs) == len(pairs) == 1
+    for (x, y), (ref_x, ref_y) in zip(dec.pairs, pairs):
+        for k in range(op.shape.num_blocks):
+            assert np.array_equal(x.realize_block(k), ref_x.realize_block(k))
+            assert np.array_equal(y.realize_block(k), ref_y.realize_block(k))
+
+
+def test_series_without_a_frame_applies_no_operator(monkeypatch):
+    rng = np.random.default_rng(5)
+    op = signed_zero_operator(AlgebraShape((1, 2)), rng)
+    want = serialize(series_decompose(op))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the columns are views of the stacks")
+
+    monkeypatch.setattr(ModuleVector, "basis", refused)
+    monkeypatch.setattr(ModuleOperator, "__call__", refused)
+    assert serialize(series_decompose(op)) == want
 
 
 def test_series_of_the_zero_operator_has_no_terms():

@@ -569,9 +569,8 @@ def test_non_finite_data_takes_the_dense_route():
     """inf * 0 is NaN, so a zero block next to an inf is not skipped."""
     shape = AlgebraShape((1, 1))
 
-    def vec(*coords):
-        return ModuleVector(shape, [AlgebraElement(shape, [np.array([[a]]), np.array([[b]])])
-                                    for a, b in coords])
+    def vec(*coords):  # packed: an element refuses a non-finite entry
+        return ModuleVector._packed(shape, len(coords), (np.array(coords, complex).T[:, :, None],))
 
     with np.errstate(invalid="ignore", over="ignore"), bounds(False, True):
         inf_member = SampleSet([vec((np.inf, 1.0), (0.0, 1.0))]).realizations[0]

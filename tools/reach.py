@@ -12,7 +12,8 @@ The command list (`commands`) is the 300 jobs of the four benchmark
 workloads at seeds 1-3, from perfbench/gen.py imported as it is, and
 the fixture commands of `fixture_commands`: every subcommand on the
 files of tests/fixtures, `series` along the first vector of
-parseval.json as a range frame, on empty sample documents of three shapes,
+parseval.json as a range frame, `series` of a 3x2 operator with signed
+zeros and a zero column (`_signed_zero_operator`), on empty sample documents of three shapes,
 on scaled copies of the planted sample and of frame_random.json, on a
 copy of the sample labelled with a lone surrogate escape, conditions
 B, C/D and `all` along each fixture frame on a sample of its module
@@ -126,6 +127,24 @@ def _frame_sample(frame: Path, target: Path) -> str:
     return str(target)
 
 
+def _signed_zero_operator(target: Path) -> str:
+    """A 3x2 operator over (1, 2), written into `target`: column 1 is zero, and -0.0 is among the parts of both columns.
+
+    Column 0's parts are uniform in [-1, 1) (`numpy.random.default_rng(0)`);
+    each part of either column is then -0.0 with probability 0.4.
+    """
+    rng = np.random.default_rng(0)
+    entries = [[[] for _ in range(2)] for _ in range(3)]
+    for row in entries:
+        for j, element in enumerate(row):
+            for n in (1, 2):
+                parts = rng.uniform(-1.0, 1.0, (n, n, 2)) if j == 0 else np.zeros((n, n, 2))
+                parts[rng.random((n, n, 2)) < 0.4] = -0.0
+                element.append(parts.tolist())
+    target.write_text(json.dumps({"version": 1, "kind": "operator", "shape": [1, 2], "entries": entries}))
+    return str(target)
+
+
 def _malformed(work: Path) -> dict[str, str]:
     """Per kind the CLI reads, the path of a fixture copy with one fault, written into `work`.
 
@@ -138,7 +157,8 @@ def _malformed(work: Path) -> dict[str, str]:
     module dimensions, under "frame_dims"; and an operator with an empty
     row, under "operator_row"; a vector whose version is 10**20, under
     "version_wide", and one whose shape is [10**20], under "shape_wide",
-    which orjson would read as 1e+20; and a frame with an unknown field
+    which orjson would read as 1e+20; an operator whose row 0 is a
+    number, under "operator_number"; and a frame with an unknown field
     nested 2,000 levels deep, under "deep_field", which orjson reads and
     json.loads refuses.
     """
@@ -148,7 +168,8 @@ def _malformed(work: Path) -> dict[str, str]:
              "spec_no_states": "seminorm_spec.json", "spec_short": "seminorm_spec.json",
              "spec_two_faults": "seminorm_spec.json", "frame_dims": "frame_random.json",
              "operator_row": "operator.json", "version_wide": "vector.json",
-             "shape_wide": "vector.json", "deep_field": "frame_random.json"}
+             "shape_wide": "vector.json", "deep_field": "frame_random.json",
+             "operator_number": "operator.json"}
     docs = {kind: json.loads((FIXTURES / name).read_bytes()) for kind, name in names.items()}
     docs["frame"]["vectors"][2][1][1][0][1] = True  # a cell that is `true`
     docs["sample_set"]["points"][3][0][0][0] = []  # a short row
@@ -166,6 +187,7 @@ def _malformed(work: Path) -> dict[str, str]:
     docs["operator_row"]["entries"][1] = []  # an empty row
     docs["version_wide"]["version"] = 10**20  # orjson reads 1e+20
     docs["shape_wide"]["shape"] = [10**20]
+    docs["operator_number"]["entries"][0] = 1.0  # a number where a row belongs
     docs["deep_field"]["deep"] = "DEEP"  # an unknown field, written as 2,000 nested arrays
     paths = {}
     for kind, doc in docs.items():
@@ -216,6 +238,9 @@ def fixture_commands(work: Path) -> list[list[str]]:
     doc = json.loads((FIXTURES / "parseval.json").read_bytes())
     first.write_text(json.dumps({**doc, "spanning": "range", "vectors": doc["vectors"][:1]}))
     cmds += [["series", operator, "--frame", str(first)], ["series", operator, "--frame", str(first), "--out", out]]
+    # the span family starts from the stored columns, whose -0.0 parts a product T e_j would write as +0.0
+    signed = _signed_zero_operator(work / "operator_signed_zeros.json")
+    cmds += [["series", signed], ["series", signed, "--out", out]]
     for f in scaled_frames:
         cmds += [["dual", f], ["dual", f, "--out", out]]
 
@@ -295,7 +320,8 @@ def fixture_commands(work: Path) -> list[list[str]]:
              ["series", bad["operator_row"]],
              ["reconstruct", fx["frame_random.json"], bad["version_wide"]],
              ["reconstruct", fx["frame_random.json"], bad["shape_wide"]],
-             ["frame-bounds", bad["deep_field"]]]
+             ["frame-bounds", bad["deep_field"]],
+             ["series", bad["operator_number"]]]
     return cmds
 
 
