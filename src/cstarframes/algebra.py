@@ -289,6 +289,13 @@ def _pack_blocks(shape: AlgebraShape, blocks) -> tuple[np.ndarray, ...]:
     return frozen(np.stack([arrays[k] for k in ks]) for _, ks in shape.classes)
 
 
+def _refuse_non_finite(shape: AlgebraShape, stacks) -> None:
+    """Raise ValueError naming the first block, in block order, with a NaN or infinite entry."""
+    finite = shape.gather([np.isfinite(s).all(axis=(-2, -1)) for s in stacks])
+    if not finite.all():
+        raise ValueError(f"block {int(np.argmin(finite))} has a non-finite entry")
+
+
 def entry_blocks(stack: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """A matrix stack (count, rows*n, cols*n) seen as its (count, rows, cols, n, n) entries."""
     n = stack.shape[-1] // cols
@@ -386,8 +393,9 @@ class _Matrix:
         an element's norm is its largest singular value across blocks, a
         vector's ||<x,x>||^(1/2) is the largest one of R_k(x), and the
         supremum of ||Tx|| over the unit ball is attained on each block
-        at its leading right singular vector.
+        at its leading right singular vector.  Refuses a non-finite entry.
         """
+        _refuse_non_finite(self.shape, self.stacks)
         return stack_norms(self.stacks)
 
 
@@ -409,9 +417,7 @@ class AlgebraElement(_Matrix):
     def __post_init__(self, shape: AlgebraShape, blocks):
         # Every validated construction passes here; library results use `_packed`.
         stacks = _pack_blocks(shape, blocks)
-        finite = shape.gather([np.isfinite(s).all(axis=(-2, -1)) for s in stacks])
-        if not finite.all():
-            raise ValueError(f"block {int(np.argmin(finite))} has a non-finite entry")
+        _refuse_non_finite(shape, stacks)
         stored(self, stacks, shape=shape, _rows=1, _cols=1)
 
     @classmethod
@@ -455,7 +461,8 @@ class AlgebraElement(_Matrix):
     # -- order ------------------------------------------------------------
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue across the Hermitian symmetrizations of all blocks."""
+        """Smallest eigenvalue of the Hermitian symmetrizations of all blocks; refuses a non-finite entry."""
+        _refuse_non_finite(self.shape, self.stacks)
         mins = [np.linalg.eigvalsh(hermitian_part(a)).min(axis=-1) for a in self.stacks]
         return min(self.shape.gather(mins).tolist())
 
@@ -536,10 +543,8 @@ class State:
     def __call__(self, a: AlgebraElement) -> complex:
         if a.shape != self.shape:
             raise ValueError("state and element shapes differ")
-        traces = [
-            np.trace(rho @ blk, axis1=-2, axis2=-1)
-            for rho, blk in zip(self.stacks, a.stacks)
-        ]
+        _refuse_non_finite(a.shape, a.stacks)
+        traces = [np.trace(rho @ blk, axis1=-2, axis2=-1) for rho, blk in zip(self.stacks, a.stacks)]
         return complex(block_sum(self.shape, traces))
 
     @classmethod
@@ -564,8 +569,9 @@ def norm_attaining_state(a: AlgebraElement) -> State:
     the block realization of a*a, picked on the block where that eigenvalue
     is largest (ties resolved by lowest block index; the eigenvector phase
     is fixed so its first nonzero component is real positive).  On positive
-    elements the construction attains |phi(a)| = norm(a) exactly.
+    elements the construction attains |phi(a)| = norm(a) exactly.  Refuses a non-finite entry.
     """
+    _refuse_non_finite(a.shape, a.stacks)
     spectra = [np.linalg.eigh(s.conj().swapaxes(-1, -2) @ s) for s in a.stacks]
     best_block, best_val = 0, -1.0
     for k, top in enumerate(a.shape.gather([w[:, -1] for w, _ in spectra]).tolist()):

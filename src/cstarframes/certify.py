@@ -79,21 +79,6 @@ class Certificate:
             return 0
         return 2 if self.budget_exhausted else 1
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "version": 1,
-            "kind": "certificate",
-            "condition": self.condition,
-            "eps": self.eps,
-            "verdict": "pass" if self.verdict else "fail",
-            "budget_exhausted": self.budget_exhausted,
-            "witness": self.witness,
-            "diagnostics": self.diagnostics,
-        }
-        if self.coefficient_bound is not None:
-            doc["coefficient_bound"] = self.coefficient_bound
-        return doc
-
 
 # -- eps-free passes over the sample ------------------------------------------
 
@@ -426,16 +411,6 @@ class EquivalenceEntry:
     cert_cd: Certificate
     violations: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "a": self.cert_a.to_json_dict(),
-            "a_scaled": self.cert_a_scaled.to_json_dict(),
-            "b": self.cert_b.to_json_dict(),
-            "cd": self.cert_cd.to_json_dict(),
-            "violations": list(self.violations),
-        }
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -444,36 +419,13 @@ class EquivalenceReport:
 
     @property
     def violations(self) -> tuple[str, ...]:
-        out = []
-        for e in self.entries:
-            out.extend(e.violations)
-        return tuple(out)
+        return tuple(v for e in self.entries for v in e.violations)
 
     @property
     def exit_code(self) -> int:
-        if self.violations:
-            return 1
-        verdicts = [
-            (e.cert_a.verdict, e.cert_b.verdict, e.cert_cd.verdict)
-            for e in self.entries
-        ]
-        if all(all(v) for v in verdicts):
-            return 0
-        for e in self.entries:
-            for cert in (e.cert_a, e.cert_b, e.cert_cd):
-                if not cert.verdict and not cert.budget_exhausted:
-                    return 1
-        return 2
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "version": 1,
-            "kind": "equivalence_report",
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
-        if self.frame_bounds is not None:
-            doc["frame_bounds"] = list(self.frame_bounds)
-        return doc
+        """1 on a violation or any 1 of A, B and C/D (not A-scaled); else their largest code, 0 if none."""
+        codes = [c.exit_code for e in self.entries for c in (e.cert_a, e.cert_b, e.cert_cd)]
+        return 1 if self.violations or 1 in codes else max(codes, default=0)
 
 
 @dataclass(frozen=True)
@@ -760,16 +712,6 @@ class SeriesDecomposition:
     @functools.cached_property
     def pairs(self) -> tuple[tuple[ModuleVector, ModuleVector], ...]:
         return tuple(zip(self._family, self._adjoints))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": 1,
-            "kind": "series_decomposition",
-            "errors": list(self.errors),
-            "floor": self.floor,
-            "achieved_rank": self.achieved_rank,
-            "rank_count": len(self._family),
-        }
 
 
 def series_decompose(op, frame: Frame | None = None, eps: float = SERIES_EPS) -> SeriesDecomposition:

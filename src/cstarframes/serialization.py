@@ -1,11 +1,12 @@
 """Strict JSON schemas for the documents the CLI reads or writes.
 
 The CLI reads five kinds: frame, sample_set, seminorm_spec, vector and
-operator.  Documents are objects with "version": 1 and a "kind" tag;
-unknown fields are rejected so schema drift fails loudly.  Complex
-scalars are [re, im] pairs of finite floats, matrices are row lists, and
-nested payloads (shapes, elements, vectors) are bare arrays without the
-version stutter.
+operator.  `document` writes those and certify's results: certificate,
+equivalence_report and series_decomposition.  Documents are objects
+with "version": 1 and a "kind" tag; unknown fields are rejected so
+schema drift fails loudly.  Complex scalars are [re, im] pairs of
+finite floats, matrices are row lists, and nested payloads (shapes,
+elements, vectors) are bare arrays without the version stutter.
 Serialization uses sorted keys, no whitespace, and shortest round-trip
 decimals, so equal values produce identical bytes.  Parsing enforces the
 domain invariants too: a non-PSD density or a degenerate frame is a
@@ -41,6 +42,7 @@ import numpy as np
 import orjson
 
 from .algebra import AlgebraShape, StateError, checked_states, entry_blocks, from_entry_blocks
+from .certify import Certificate, EquivalenceReport, SeriesDecomposition
 from .frames import DegenerateFrameError, Frame
 from .modules import (
     ModuleOperator,
@@ -197,10 +199,6 @@ def _element_payloads(shape: AlgebraShape, stacks) -> list:
 # -- nested payloads ----------------------------------------------------------
 
 
-def shape_payload(shape: AlgebraShape) -> list:
-    return list(shape.block_dims)
-
-
 def parse_shape_payload(val, path: str) -> AlgebraShape:
     dims = _expect_list(val, path)
     if not dims:
@@ -239,10 +237,6 @@ def _walk_element(val, shape: AlgebraShape, path: str, blocks: str = "blocks") -
 def _vector_payloads(shape: AlgebraShape, dim: int, stacks) -> list:
     """Payloads of the vectors in per-class stacks (count, *lead, dim*n, n), nested by the lead axes."""
     return _element_payloads(shape, [coordinate_blocks(s, dim) for s in stacks])
-
-
-def vector_payload(v: ModuleVector) -> list:
-    return _vector_payloads(v.shape, v.dim, v.stacks)
 
 
 def _walk_vector(val, shape: AlgebraShape, path: str) -> int:
@@ -348,15 +342,16 @@ def _parse_spec_states(
 
 
 def document(value) -> dict:
-    """JSON document for a library value; inverse of parse for its kind.
+    """JSON document for a library value of any of the eight kinds; inverse of parse for the five it reads.
 
-    Its payload blocks are float64 arrays (`_element_payloads`), which
+    Payload blocks are float64 arrays (`_element_payloads`), which
     `serialize` writes as nested lists of [re, im] pairs.
     """
     if isinstance(value, ModuleVector):
-        return _head("vector", value.shape, coords=vector_payload(value))
+        return _head("vector", shape=list(value.shape.block_dims),
+                     coords=_vector_payloads(value.shape, value.dim, value.stacks))
     if isinstance(value, ModuleOperator):
-        return _head("operator", value.shape, entries=_element_payloads(
+        return _head("operator", shape=list(value.shape.block_dims), entries=_element_payloads(
             value.shape, [entry_blocks(s, value.target_dim, value.source_dim) for s in value.stacks]
         ))
     if isinstance(value, Frame):
@@ -364,22 +359,45 @@ def document(value) -> dict:
     if isinstance(value, SampleSet):
         if not len(value):
             raise ValueError("an empty sample set has no shape and cannot be serialized")
-        doc = _head("sample_set", value.shape, points=_family_payloads(value))
+        doc = _head("sample_set", shape=list(value.shape.block_dims), points=_family_payloads(value))
         if value.label:
             doc["label"] = value.label
         return doc
     if isinstance(value, SeminormSpec):
         system = value._system
-        return _head("seminorm_spec", system.shape, system=_family_payloads(system),
+        return _head("seminorm_spec", shape=list(system.shape.block_dims), system=_family_payloads(system),
                      states=_element_payloads(system.shape, value._densities))
-    if hasattr(value, "to_json_dict"):
-        return value.to_json_dict()
+    if isinstance(value, Certificate):
+        return _certificate_document(value)
+    if isinstance(value, EquivalenceReport):
+        doc = _head("equivalence_report", entries=[{
+            "eps": e.eps,
+            "a": _certificate_document(e.cert_a),
+            "a_scaled": _certificate_document(e.cert_a_scaled),
+            "b": _certificate_document(e.cert_b),
+            "cd": _certificate_document(e.cert_cd),
+            "violations": list(e.violations),
+        } for e in value.entries])
+        if value.frame_bounds is not None:
+            doc["frame_bounds"] = list(value.frame_bounds)
+        return doc
+    if isinstance(value, SeriesDecomposition):
+        return _head("series_decomposition", errors=list(value.errors), floor=value.floor,
+                     achieved_rank=value.achieved_rank, rank_count=len(value.errors) - 1)
     raise TypeError(f"no schema for {type(value).__name__}")
 
 
-def _head(kind: str, shape: AlgebraShape, **payload) -> dict:
-    """The document of `kind` over `shape`: the version and kind tags, the shape, and `payload`'s fields."""
-    return {"version": 1, "kind": kind, "shape": shape_payload(shape), **payload}
+def _head(kind: str, **fields) -> dict:
+    """The document of `kind`: the version and kind tags, then `fields`."""
+    return {"version": 1, "kind": kind, **fields}
+
+
+def _certificate_document(cert: Certificate) -> dict:
+    doc = _head("certificate", condition=cert.condition, eps=cert.eps, verdict="pass" if cert.verdict else "fail",
+                budget_exhausted=cert.budget_exhausted, witness=cert.witness, diagnostics=cert.diagnostics)
+    if cert.coefficient_bound is not None:
+        doc["coefficient_bound"] = cert.coefficient_bound
+    return doc
 
 
 def _family_payloads(family: SampleSet) -> list:
@@ -387,7 +405,8 @@ def _family_payloads(family: SampleSet) -> list:
 
 
 def _frame_document(frame: Frame, family: SampleSet) -> dict:
-    return _head("frame", frame.shape, spanning=frame.spanning, vectors=_family_payloads(family))
+    return _head("frame", shape=list(frame.shape.block_dims), spanning=frame.spanning,
+                 vectors=_family_payloads(family))
 
 
 _ORJSON_OPTIONS = (

@@ -128,6 +128,34 @@ def test_element_refuses_a_non_finite_entry():
         AlgebraElement(AlgebraShape((2, 1, 1)), (np.eye(2), [[1.0]], [[complex(0.0, -np.inf)]]))
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_reads_refuse_a_non_finite_result_of_arithmetic(k):
+    """Arithmetic stores its results unchecked; the norm, the order and the states refuse them.
+
+    Unrefused, with the overflow on block 0, (a * a).norm() was NaN,
+    (a * a - a * a).norm() raised LinAlgError, norm_attaining_state gave a
+    state whose value on a * a - a * a was nan+nanj, phi(a * a) was
+    inf+nanj and (a * a).min_eigenvalue() was 1.0.
+    """
+    blocks = [[[1.0]], [[1.0]]]
+    blocks[k] = [[1e200]]
+    a = AlgebraElement(C2, blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = a * a
+        difference = square - square
+    phi = State(C2, ([[1.0]], [[0.0]]))
+    reads = (
+        square.norm,
+        difference.norm,
+        lambda: norm_attaining_state(difference),
+        lambda: phi(square),
+        square.min_eigenvalue,
+    )
+    for read in reads:
+        with pytest.raises(ValueError, match=rf"^block {k} has a non-finite entry$"):
+            read()
+
+
 def test_arithmetic_rejects_elements_of_another_shape(rng):
     a = random_element(C2, rng)
     b = random_element(AlgebraShape((2, 1)), rng)

@@ -25,6 +25,7 @@ from cstarframes import (
     check_condition_cd,
     inner_product,
 )
+from cstarframes.serialization import document
 
 
 def _vector(dims, blocks):
@@ -81,8 +82,8 @@ def test_permuting_blocks_permutes_realizations_and_keeps_max_quantities(case):
         frames[1].tail_profiles(samples[1]),
     )
     for eps in (0.5, 0.05):
-        b = [check_condition_b(s, f, eps).to_json_dict() for s, f in zip(samples, frames)]
-        cd = [check_condition_cd(s, eps).to_json_dict() for s in samples]
+        b = [document(check_condition_b(s, f, eps)) for s, f in zip(samples, frames)]
+        cd = [document(check_condition_cd(s, eps)) for s in samples]
         assert b[0] == b[1]
         assert cd[0] == cd[1]
 

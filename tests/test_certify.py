@@ -1,6 +1,7 @@
 """Precompactness conditions, coherence, operators, free submodules."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -22,7 +23,10 @@ from conftest import (
 )
 from cstarframes import (
     AlgebraShape,
+    Certificate,
     CertifyConfig,
+    EquivalenceEntry,
+    EquivalenceReport,
     Frame,
     GramDefectError,
     ModuleOperator,
@@ -41,6 +45,7 @@ from cstarframes import (
     standard_basis_frame,
     theta_op,
 )
+from cstarframes.serialization import document
 
 C2 = AlgebraShape((1, 1))
 
@@ -226,6 +231,37 @@ def test_condition_a_and_the_runner_with_a_frame_pass_an_empty_sample():
     for entry in report.entries:
         assert entry.cert_a.verdict and entry.cert_b.verdict and entry.cert_cd.verdict
         assert entry.cert_b.diagnostics["tail_profile"] == [0.0, 0.0, 0.0]
+
+
+# (verdict, budget_exhausted) of each outcome of a condition.
+OUTCOMES = {"pass": (True, False), "fail": (False, False), "inconclusive": (False, True)}
+
+
+def _outcome(condition: str, name: str) -> Certificate:
+    verdict, exhausted = OUTCOMES[name]
+    return Certificate(condition=condition, eps=0.5, verdict=verdict, budget_exhausted=exhausted)
+
+
+def test_a_report_exits_by_its_violations_and_its_a_b_and_cd_certificates():
+    """Two entries over every outcome of A, B and C/D, each run with every outcome of A-scaled.
+
+    The code is 1 on a violation or a certified fail of A, B or C/D,
+    else 2 when one of them is inconclusive, else 0; A-scaled, which only
+    feeds the a=>b replay, never moves it.
+    """
+    assert EquivalenceReport((), None).exit_code == 0
+    for names in itertools.product(OUTCOMES, repeat=6):
+        for violated in (False, True):
+            expected = 1 if violated or "fail" in names else 2 if "inconclusive" in names else 0
+            for scaled in OUTCOMES:
+                entries = tuple(
+                    EquivalenceEntry(
+                        0.5, _outcome("A", a), _outcome("A", scaled), _outcome("B", b), _outcome("CD", cd),
+                        ("a=>b chain broken",) if violated and i else (),
+                    )
+                    for i, (a, b, cd) in enumerate((names[:3], names[3:]))
+                )
+                assert EquivalenceReport(entries, (1.0, 1.0)).exit_code == expected, (names, violated, scaled)
 
 
 def test_cd_empty_sample_vacuous():
@@ -648,7 +684,7 @@ def test_a_miss_at_the_budget_is_certified():
     op = ModuleOperator.identity(C2, 2)
     cert = operator_precompact(op, 0.5, rank_budget=1)
     assert (cert.verdict, cert.budget_exhausted, cert.exit_code) == (False, False, 1)
-    assert cert.to_json_dict()["budget_exhausted"] is False
+    assert document(cert)["budget_exhausted"] is False
     assert operator_precompact(op, 0.5, rank_budget=9).witness == {"rank": 2}
     with pytest.raises(ValueError, match="rank budget must be at least 0, got -1"):
         operator_precompact(op, 0.5, rank_budget=-1)

@@ -45,6 +45,7 @@ from cstarframes.tolerances import check_eps
 from cstarframes.certify import Certificate, GramDefectError
 from cstarframes.cli import main
 from cstarframes.modules import PINV_RTOL, generator_family, span_least_squares
+from cstarframes.serialization import document
 from cstarframes.tolerances import COHERENCE_TOL, GRAM_DEFECT_ATOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -336,7 +337,7 @@ def _same_pairs(got, want):
 
 
 def _check_certificate(cert, want, eps):
-    doc = cert.to_json_dict()
+    doc = document(cert)
     assert doc["eps"] == eps
     assert (doc["verdict"] == "pass") == want["verdict"]
     for key in ("witness", "diagnostics", "coefficient_bound", "budget_exhausted"):

@@ -29,6 +29,7 @@ from cstarframes import (
 from cstarframes import cli
 from cstarframes.certify import Certificate
 from cstarframes.cli import main
+from cstarframes.serialization import document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -337,7 +338,7 @@ def test_precompact_empty_sample_runs_the_cd_scan_to_the_old_certificate(
     if frame is None:
         assert entry["cd"]["witness"] == {"vacuous": True}
     else:
-        assert entry["cd"] == _empty_sample_cd(0.5).to_json_dict()
+        assert entry["cd"] == document(_empty_sample_cd(0.5))
 
 
 @pytest.mark.parametrize("budget", ["0", "1"])

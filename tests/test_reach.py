@@ -11,7 +11,8 @@ A class's members include those it inherits from a base in the package
 (`reach._members`).  Members that are one function are reached together:
 `ModuleVector.realize_block` and `ModuleOperator.realize_block` are both
 `_Matrix._block`, so a route that calls either one drops both from the
-list.  A class itself is reached through the functions of its own body.
+list.  A class itself is reached through the functions of its own body,
+or when a command builds an instance of it.
 """
 
 import sys
@@ -61,3 +62,16 @@ def test_an_inherited_member_counts_as_a_member_of_the_exported_class(monkeypatc
     assert reach._members(ModuleVector)["__add__"] is _Matrix.__add__
     assert reach._members(ModuleOperator)["__mul__"] is _Matrix._scaled  # the class's own binding wins
     assert "entries" not in reach._members(ModuleVector)
+
+
+def test_a_class_a_command_builds_counts_as_called(monkeypatch):
+    """`series` builds a SeriesDecomposition, whose one function, `pairs`, it never reads."""
+    monkeypatch.setattr(sys, "path", [str(TOOLS), *sys.path])
+    import reach
+    from cstarframes import SeriesDecomposition, WitnessReport
+
+    called = reach.run([["series", str(TOOLS.parent / "tests" / "fixtures" / "operator.json")]])
+    pairs = reach._function(vars(SeriesDecomposition)["pairs"]).__code__
+    assert (pairs.co_filename, pairs.co_firstlineno) not in called
+    assert SeriesDecomposition in called and WitnessReport not in called
+    assert "SeriesDecomposition" not in reach.unused_public(called)

@@ -206,6 +206,46 @@ def test_certificate_documents_are_deterministic(rng):
     assert serialize(r1) == serialize(r2)
 
 
+def _tag_writes(tree) -> list[int]:
+    """Lines that write a "version" or "kind" key: a dict display, a subscript store, or dict(...)."""
+    tags = {"version", "kind"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice.value] if isinstance(node.slice, ast.Constant) else []
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            keys = [k.arg for k in node.keywords]
+        else:
+            continue
+        lines += [node.lineno] * len(tags.intersection(keys))
+    return lines
+
+
+def test_the_tag_scan_sees_every_way_of_writing_a_key():
+    source = 'a = {"kind": 1, "x": 2}\nb["version"] = 2\nc = dict(kind=3)\nd = e["kind"]\nf = {"kinds": 0}\n'
+    assert _tag_writes(ast.parse(source)) == [1, 2, 3]
+
+
+def test_only_serialization_writes_a_version_or_kind_key():
+    """One writer for every document kind: certify's results are records that `document` writes."""
+    package = CLI.parent
+    found = {
+        path.name: _tag_writes(ast.parse(path.read_text()))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert found.pop("serialization.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    certify_source = ast.parse((package / "certify.py").read_text())
+    assert not [n for n in ast.walk(certify_source) if getattr(n, "name", None) == "to_json_dict"]
+
+
+def test_a_value_of_no_kind_has_no_schema():
+    with pytest.raises(TypeError, match=r"^no schema for object$"):
+        serialization.document(object())
+
+
 # -- the canonical writer -----------------------------------------------------
 
 GOLDEN_JSON = sorted((FIXTURES / "golden").glob("*.json"))

@@ -25,6 +25,7 @@ from cstarframes import (
 )
 from cstarframes.algebra import entry_blocks, from_entry_blocks
 from cstarframes.modules import orthogonal_span_family
+from cstarframes.serialization import document
 
 SHAPES = [(1,), (2,), (1, 2), (1, 1, 2), (2, 3)]
 FRAMES = ["none", "ambient", "range", "off_range"]
@@ -168,7 +169,7 @@ def test_series_of_the_zero_operator_has_no_terms():
     dec = series_decompose(op)
     assert dec.errors == (0.0,) and dec.floor == 0.0 and dec.achieved_rank == 0
     assert dec.pairs == ()
-    assert dec.to_json_dict()["rank_count"] == 0
+    assert document(dec)["rank_count"] == 0
 
 
 @pytest.mark.parametrize(

@@ -38,11 +38,14 @@ exported class, inherited ones included (its MRO over the package's
 classes).  Members that are one function, such as an alias in a class
 body of a method of a shared base, are reached together.  A class
 counts as called when any function defined in its body was, its own
-aliases included; a class whose body defines none, an exception
-or a plain record, runs no package code when it is built, so the
-profile cannot see it and it is not listed.  `--size` prints the size of the package: its
-file lines, its functions (`def` and `lambda`) and their parameters
-(every positional, keyword-only, `*args` and `**kwargs` slot).
+aliases included, or when a command built an instance of it: a
+dataclass's generated `__init__` is compiled from a string, not read
+from the package, but the profile sees its call with the instance as
+`self` and records the instance's class.  A class whose body defines
+no function, an exception or a plain record, is not listed either way.
+`--size` prints the size of the package: its file lines, its functions
+(`def` and `lambda`) and their parameters (every positional,
+keyword-only, `*args` and `**kwargs` slot).
 """
 
 from __future__ import annotations
@@ -422,7 +425,7 @@ def _members(cls) -> dict:
     return members
 
 
-def unused_public(called: set[tuple[str, int]]) -> list[str]:
+def unused_public(called: set[tuple[str, int] | type]) -> list[str]:
     """The public names and public class members that no command called and the criteria never name."""
     import cstarframes
 
@@ -441,7 +444,7 @@ def unused_public(called: set[tuple[str, int]]) -> list[str]:
                 out.append(name)
             continue
         own = [fn for fn in map(_function, vars(obj).values()) if fn is not None]
-        if own and name not in named and not any(reached(fn) for fn in own):
+        if own and name not in named and obj not in called and not any(reached(fn) for fn in own):
             out.append(name)
         members = {attr: fn for attr, fn in _members(obj).items() if fn is not None}
         out += [
@@ -452,8 +455,13 @@ def unused_public(called: set[tuple[str, int]]) -> list[str]:
     return out
 
 
-def run(cmds: list[list[str]]) -> set[tuple[str, int]]:
-    """Run each argv through `cstarframes.cli.main` in this process; the package code objects called."""
+def run(cmds: list[list[str]]) -> set[tuple[str, int] | type]:
+    """Run each argv through `cstarframes.cli.main` in this process.
+
+    Returns the package code objects called, as (file, first line), and
+    the package classes an `__init__` from outside the package (a
+    dataclass's generated one) was called on.
+    """
     called = set()
     prefix = str(PACKAGE)
 
@@ -462,6 +470,10 @@ def run(cmds: list[list[str]]) -> set[tuple[str, int]]:
             code = frame.f_code
             if code.co_filename.startswith(prefix):
                 called.add((code.co_filename, code.co_firstlineno))
+            elif code.co_name == "__init__" and code.co_argcount:
+                cls = type(frame.f_locals[code.co_varnames[0]])
+                if cls.__module__.partition(".")[0] == PACKAGE.name:
+                    called.add(cls)
 
     sys.path.insert(0, str(SRC))
     sys.setprofile(profile)  # what runs at import counts too
